@@ -12,14 +12,14 @@
 //! --trace-out PATH       write a Chrome trace-event (Perfetto) JSON of the
 //!                        first traced job's pipeline activity to PATH
 //! --trace-uops N         micro-ops to trace for --trace-out (default 512)
-//! --profile-out PATH     write host wall-time profiling (phases + per-job
-//!                        timings) to PATH (default: results/BENCH_baseline.json)
-//! --telemetry-out PATH   write campaign telemetry (per-job spans, worker
-//!                        utilization, cache + resilience counters) to PATH
-//!                        (default: results/BENCH_telemetry.json)
+//! --profile-out PATH     write the rest-host-profile/v2 host document (phases;
+//!                        per job the worker, start, queue and wall time,
+//!                        cache flag and outcome; per-worker rollup, cache
+//!                        hits/misses, panic count) to PATH; nothing is
+//!                        written without it
 //! --campaign-trace-out PATH
-//!                        write a Perfetto trace of the campaign timeline
-//!                        (one track per engine worker) to PATH
+//!                        write that document's campaign timeline as a
+//!                        Perfetto trace (one track per engine worker) to PATH
 //! --verify               statically lint each guest program with rest-verify
 //!                        before simulating; fail fast on error-or-worse findings
 //! --reference            simulate on the reference decode path (re-decode every
@@ -39,6 +39,9 @@
 //! determinism contract makes the clamp invisible in experiment output
 //! (only the host profile and throughput reports record the effective
 //! worker count).
+//!
+//! A run fails (exit 1) after writing its documents when any engine job
+//! panicked, naming every such job.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -72,10 +75,9 @@ pub struct BenchCli {
     pub trace_out: Option<PathBuf>,
     /// Micro-ops to trace when `--trace-out` is given (`--trace-uops`).
     pub trace_uops: usize,
-    /// Host-profiling output path (`--profile-out`), if any.
+    /// Host-profile output path (`--profile-out`), if any: the
+    /// `rest-host-profile/v2` document is written only when given.
     pub profile_out: Option<PathBuf>,
-    /// Campaign-telemetry output path (`--telemetry-out`), if any.
-    pub telemetry_out: Option<PathBuf>,
     /// Campaign-timeline Perfetto trace path (`--campaign-trace-out`),
     /// if any: one track per engine worker, one slice per fresh job.
     pub campaign_trace_out: Option<PathBuf>,
@@ -183,7 +185,6 @@ impl BenchCli {
             trace_out: None,
             trace_uops: 512,
             profile_out: None,
-            telemetry_out: None,
             campaign_trace_out: None,
             verify: false,
             reference: false,
@@ -238,10 +239,6 @@ impl BenchCli {
                 "--profile-out" => {
                     let v = it.next().ok_or("--profile-out needs a path")?;
                     cli.profile_out = Some(PathBuf::from(v));
-                }
-                "--telemetry-out" => {
-                    let v = it.next().ok_or("--telemetry-out needs a path")?;
-                    cli.telemetry_out = Some(PathBuf::from(v));
                 }
                 "--campaign-trace-out" => {
                     let v = it.next().ok_or("--campaign-trace-out needs a path")?;
@@ -335,24 +332,6 @@ impl BenchCli {
         }
     }
 
-    /// The host-profiling output path: `--profile-out` if given, else
-    /// `results/BENCH_baseline.json`.
-    pub fn profile_path(&self) -> PathBuf {
-        self.profile_out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/BENCH_baseline.json"))
-    }
-
-    /// The campaign-telemetry output path: `--telemetry-out` if given,
-    /// else `results/BENCH_telemetry.json`. Telemetry carries wall
-    /// times, so the default follows the host-dependent `BENCH_` naming
-    /// convention and is never an experiment result document.
-    pub fn telemetry_path(&self) -> PathBuf {
-        self.telemetry_out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/BENCH_telemetry.json"))
-    }
-
     /// The checkpoint path: `--ckpt` if given, else
     /// `results/<experiment>.ckpt.json`.
     pub fn ckpt_path(&self) -> PathBuf {
@@ -365,11 +344,10 @@ impl BenchCli {
         format!(
             "usage: {experiment} [--test] [--jobs N] [--json PATH] [--filter SUBSTRING]\n\
              \x20                 [--sample-interval N] [--trace-out PATH] [--trace-uops N]\n\
-             \x20                 [--profile-out PATH] [--telemetry-out PATH]\n\
-             \x20                 [--campaign-trace-out PATH] [--verify] [--reference]\n\
-             \x20                 [--trace] [--resume] [--ckpt PATH] [--max-cells N]\n\
-             \x20                 [--fault-seed N] [--fuzz-seed N] [--round-size N]\n\
-             \x20                 [--min-programs N] [--emit-regress DIR]\n\
+             \x20                 [--profile-out PATH] [--campaign-trace-out PATH]\n\
+             \x20                 [--verify] [--reference] [--trace] [--resume] [--ckpt PATH]\n\
+             \x20                 [--max-cells N] [--fault-seed N] [--fuzz-seed N]\n\
+             \x20                 [--round-size N] [--min-programs N] [--emit-regress DIR]\n\
              \n\
              --test               run at test scale (fast smoke check)\n\
              --jobs N             worker threads (default and upper bound:\n\
@@ -382,13 +360,12 @@ impl BenchCli {
              --trace-out PATH     write a Perfetto/Chrome trace-event JSON of the first\n\
              \x20                    job's pipeline activity to PATH\n\
              --trace-uops N       micro-ops to trace for --trace-out (default 512)\n\
-             --profile-out PATH   write host wall-time profiling to PATH\n\
-             --telemetry-out PATH write campaign telemetry (per-job spans, worker\n\
-             \x20                    utilization, cache + resilience counters) to PATH\n\
-             \x20                    (default: results/BENCH_telemetry.json)\n\
+             --profile-out PATH   write the host document (phase and per-job wall\n\
+             \x20                    times, worker rollup, cache and panic counts) to PATH;\n\
+             \x20                    no host document is written without it\n\
              --campaign-trace-out PATH\n\
-             \x20                    write a Perfetto trace of the campaign timeline\n\
-             \x20                    (one track per engine worker) to PATH\n\
+             \x20                    write the host document's campaign timeline as a\n\
+             \x20                    Perfetto trace (one track per engine worker) to PATH\n\
              --verify             statically lint each guest program before simulating;\n\
              \x20                    fail fast on error-or-worse findings\n\
              --reference          re-decode every fetch instead of using the\n\
@@ -457,9 +434,10 @@ impl Harness {
 
     /// A harness over an already-parsed command line (testable).
     pub fn from_cli(cli: BenchCli) -> Harness {
+        let engine = Engine::new(cli.jobs);
         Harness {
-            engine: Engine::new(cli.jobs),
-            profile: HostProfile::new(&cli.experiment),
+            profile: HostProfile::new(&cli.experiment, engine.workers()),
+            engine,
             report_started: Instant::now(),
             cli,
         }
@@ -491,14 +469,16 @@ impl Harness {
     }
 
     /// Writes the finished sink, closes the "report" phase, and emits
-    /// the observability artefacts (Perfetto trace from `matrix` when
-    /// `--trace-out` was given, host profile with the engine's per-job
-    /// timing log).
+    /// the observability artefacts (see [`crate::finish_observability`]).
+    /// Exits 1 when the host profile is invalid or any job panicked.
     pub fn finish(mut self, sink: ResultSink, matrix: &MatrixResults) {
         sink.finish();
         self.profile
             .add_phase("report", self.report_started.elapsed());
-        crate::finish_observability(&self.cli, &self.engine, matrix, self.profile);
+        if let Err(e) = crate::finish_observability(&self.cli, &self.engine, matrix, self.profile) {
+            eprintln!("{}: {e}", self.cli.experiment);
+            std::process::exit(1);
+        }
     }
 }
 
@@ -524,15 +504,6 @@ mod tests {
         assert_eq!(cli.trace_out, None);
         assert_eq!(cli.trace_uops, 512);
         assert_eq!(cli.profile_out, None);
-        assert_eq!(
-            cli.profile_path(),
-            PathBuf::from("results/BENCH_baseline.json")
-        );
-        assert_eq!(cli.telemetry_out, None);
-        assert_eq!(
-            cli.telemetry_path(),
-            PathBuf::from("results/BENCH_telemetry.json")
-        );
         assert_eq!(cli.campaign_trace_out, None);
         assert!(!cli.verify);
         assert!(!cli.reference);
@@ -649,8 +620,6 @@ mod tests {
                 "128",
                 "--profile-out",
                 "/tmp/prof.json",
-                "--telemetry-out",
-                "/tmp/tele.json",
                 "--campaign-trace-out",
                 "/tmp/campaign.json",
                 "--verify",
@@ -660,8 +629,7 @@ mod tests {
         assert_eq!(cli.sample_interval, 5000);
         assert_eq!(cli.trace_out, Some(PathBuf::from("/tmp/trace.json")));
         assert_eq!(cli.trace_uops, 128);
-        assert_eq!(cli.profile_path(), PathBuf::from("/tmp/prof.json"));
-        assert_eq!(cli.telemetry_path(), PathBuf::from("/tmp/tele.json"));
+        assert_eq!(cli.profile_out, Some(PathBuf::from("/tmp/prof.json")));
         assert_eq!(
             cli.campaign_trace_out,
             Some(PathBuf::from("/tmp/campaign.json"))
@@ -679,7 +647,7 @@ mod tests {
         assert!(BenchCli::from_args("fig7", &argv(&["--sample-interval", "x"])).is_err());
         assert!(BenchCli::from_args("fig7", &argv(&["--trace-uops", "0"])).is_err());
         assert!(BenchCli::from_args("fig7", &argv(&["--trace-out"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--telemetry-out"])).is_err());
+        assert!(BenchCli::from_args("fig7", &argv(&["--profile-out"])).is_err());
         assert!(BenchCli::from_args("fig7", &argv(&["--campaign-trace-out"])).is_err());
         assert!(BenchCli::from_args("fig7", &argv(&["--ckpt"])).is_err());
         assert!(BenchCli::from_args("fig7", &argv(&["--max-cells", "0"])).is_err());

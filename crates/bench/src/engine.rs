@@ -44,9 +44,10 @@ pub enum CoreKind {
 /// One simulation to run: a benchmark row under one configuration.
 ///
 /// The job is pure data; [`SimJob::execute`] performs the simulation.
-/// Two jobs with identical simulation-relevant fields (everything
-/// except the display `label`) are the same experiment and share one
-/// cached result in the [`Engine`].
+/// Two jobs that differ only in the display `name` and `label` are the
+/// same experiment and share one cached result in the [`Engine`]
+/// ([`SimJob::cache_key`]). Every field is plain data with a
+/// deterministic `Debug` encoding, which the key is derived from.
 #[derive(Debug, Clone)]
 pub struct SimJob {
     /// Row display name (`"gobmk-capture"`, `"lbm"`, …).
@@ -102,22 +103,10 @@ pub struct SimJob {
     /// Guest cycle budget (0 = off): the simulation stops with
     /// [`StopReason::CycleLimit`] once the pipeline clock (or, for
     /// functional runs, the committed-uop count) reaches it. This is
-    /// the deterministic half of the watchdog.
+    /// the fault campaign's watchdog: deterministic, so results stay
+    /// byte-identical on any host.
     pub max_cycles: u64,
-    /// Host wall-clock deadline in milliseconds (0 = off): the attempt
-    /// runs on a helper thread and is abandoned with a `"timeout"`
-    /// [`JobError`] when it overruns. Host-speed dependent, so
-    /// experiments that must stay byte-deterministic leave it 0 and
-    /// rely on `max_cycles` instead.
-    pub wall_deadline_ms: u64,
-    /// Bounded retry budget for transient host errors (kind
-    /// `"transient-io"`): up to this many extra attempts with
-    /// exponential backoff before the error is reported.
-    pub retry_transient: u32,
-    /// Test knob: the first N attempts fail with a `"transient-io"`
-    /// error before any simulation runs — exercises the retry path.
-    pub inject_transient_failures: u32,
-    /// Test knob: the attempt panics before simulating — exercises the
+    /// Test knob: the job panics before simulating — exercises the
     /// panic-isolation path.
     pub inject_panic: bool,
     /// Collect the guest hotspot profile (dense per-PC cycle/uop/check
@@ -149,17 +138,6 @@ pub struct RegressProg {
     pub asm: Arc<String>,
 }
 
-/// FNV-1a over a byte string — regression assembly identity in cache
-/// keys without embedding the whole program text.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 impl SimJob {
     /// A job running `row` under `rt` on the out-of-order core.
     pub fn new(row: &FigureRow, label: impl Into<String>, rt: RtConfig, scale: Scale) -> SimJob {
@@ -182,9 +160,6 @@ impl SimJob {
             fault: None,
             accept_any_stop: false,
             max_cycles: 0,
-            wall_deadline_ms: 0,
-            retry_transient: 0,
-            inject_transient_failures: 0,
             inject_panic: false,
             profile_guest: false,
             elide: false,
@@ -254,135 +229,24 @@ impl SimJob {
         }
     }
 
-    /// Identity of the simulation this job performs. Everything that
-    /// influences the simulated outcome participates; display strings
-    /// do not.
+    /// Identity of the simulation this job performs: the job's `Debug`
+    /// encoding with the display-only `name` and `label` blanked, so
+    /// every other field — including any added later — takes part.
+    /// Regression programs are keyed by their full assembly text.
     pub fn cache_key(&self) -> String {
-        // Regression programs are identified by name + assembly hash:
-        // two corpus files never alias, and editing a reproducer's
-        // assembly invalidates its cached result.
-        let regress = match &self.regress {
-            Some(p) => format!("{}#{:#x}", p.name, fnv1a(p.asm.as_bytes())),
-            None => String::new(),
-        };
         format!(
-            "{:?}|{:#x}|{:?}|{:?}|{:?}|{}|{}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-            self.workload,
-            self.seed,
-            self.rt,
-            self.core,
-            self.scale,
-            self.serialize_rest_ops,
-            self.token_cache_entries,
-            self.max_uops,
-            // Observability settings don't change the simulated cycles,
-            // but they change what the result carries (series / trace),
-            // so results must not be shared across different settings.
-            self.sample_interval,
-            self.trace_uops,
-            // The verify gate can turn a would-be simulation into a
-            // verify error, so gated and ungated runs are distinct.
-            self.verify,
-            // The execution tiers must be measured independently —
-            // sharing a cached result would defeat the differential
-            // gate.
-            self.tier.label(),
-            // Attack scenario and injected fault define what simulates;
-            // the budget/stop-policy fields change how a run can end;
-            // the failure-injection knobs change the attempt outcome.
-            self.attack,
-            self.fault,
-            self.accept_any_stop,
-            self.max_cycles,
-            self.wall_deadline_ms,
-            self.retry_transient,
-            self.inject_transient_failures,
-            self.inject_panic,
-            // Profiled results carry the per-PC tables; unprofiled ones
-            // must not alias them.
-            self.profile_guest,
-            // Elided runs skip checks at proven-safe PCs; sharing a
-            // cached result with a full run would hide the difference
-            // the differential gate exists to measure.
-            self.elide,
-            regress,
+            "{:?}",
+            SimJob {
+                name: String::new(),
+                label: String::new(),
+                ..self.clone()
+            }
         )
     }
 
-    /// Builds the workload and simulates it, mapping panics and
-    /// abnormal stops to [`JobError`].
-    ///
-    /// Resilience wrapper around [`SimJob::execute_attempt`]: transient
-    /// errors (kind `"transient-io"`) are retried up to
-    /// `retry_transient` times with exponential backoff, and when
-    /// `wall_deadline_ms` is set each attempt runs under a host
-    /// wall-clock watchdog that abandons overrunning simulations with a
-    /// `"timeout"` error.
+    /// Builds the program (workload, attack or regression case) and
+    /// simulates it, mapping panics and abnormal stops to [`JobError`]s.
     pub fn execute(&self) -> Result<SimResult, JobError> {
-        self.execute_tracked().0
-    }
-
-    /// As [`SimJob::execute`], additionally reporting how many attempts
-    /// the job took (1 for a first-try success; each transient retry
-    /// adds one). The engine records this in the job's telemetry span.
-    pub fn execute_tracked(&self) -> (Result<SimResult, JobError>, u32) {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self.execute_watchdogged(attempt);
-            match &outcome {
-                Err(e) if e.is_transient() && attempt < self.retry_transient => {
-                    let backoff = Duration::from_millis(10u64 << attempt.min(6));
-                    eprintln!(
-                        "# {} {}: transient failure (attempt {}), retrying in {:?}: {}",
-                        self.name, self.label, attempt + 1, backoff, e.detail
-                    );
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                _ => return (outcome, attempt + 1),
-            }
-        }
-    }
-
-    /// Runs one attempt, under the host wall-clock watchdog when
-    /// `wall_deadline_ms` is set. The attempt executes on a helper
-    /// thread; on deadline overrun the thread is abandoned (it can't be
-    /// killed safely mid-simulation) and the job reports a `"timeout"`
-    /// error. The deadline-free path stays on the calling thread.
-    fn execute_watchdogged(&self, attempt: u32) -> Result<SimResult, JobError> {
-        if self.wall_deadline_ms == 0 {
-            return self.execute_attempt(attempt);
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        let job = self.clone();
-        std::thread::spawn(move || {
-            // The receiver may have given up; a dead channel is fine.
-            let _ = tx.send(job.execute_attempt(attempt));
-        });
-        match rx.recv_timeout(Duration::from_millis(self.wall_deadline_ms)) {
-            Ok(outcome) => outcome,
-            Err(_) => Err(JobError {
-                kind: "timeout".to_string(),
-                detail: format!(
-                    "{} (seed {:#x}) exceeded the host wall deadline of {} ms under {}",
-                    self.workload, self.seed, self.wall_deadline_ms, self.label
-                ),
-            }),
-        }
-    }
-
-    /// One simulation attempt: builds the program (workload or attack),
-    /// runs it, and maps panics and abnormal stops to [`JobError`]s.
-    /// `attempt` feeds the failure-injection test knobs.
-    pub fn execute_attempt(&self, attempt: u32) -> Result<SimResult, JobError> {
-        if attempt < self.inject_transient_failures {
-            return Err(JobError {
-                kind: "transient-io".to_string(),
-                detail: format!(
-                    "injected transient failure on attempt {attempt} (test knob)"
-                ),
-            });
-        }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if self.inject_panic {
                 panic!("injected panic (test knob)");
@@ -507,21 +371,12 @@ impl SimJob {
 pub struct JobError {
     /// Machine-readable class. Guest stops map to `"violation"`,
     /// `"uop-limit"`, `"cycle-limit"`, `"fault"`, `"halted"`, or
-    /// `"nonzero-exit"`; attempt failures to `"panic"` (simulator
-    /// panicked), `"timeout"` (host wall-clock watchdog),
-    /// `"transient-io"` (retryable host error), or `"verify"` (static
-    /// lint gate).
+    /// `"nonzero-exit"`; job failures to `"panic"` (simulator
+    /// panicked), `"verify"` (static lint gate) or `"regress-parse"`
+    /// (unparsable regression case).
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
-}
-
-impl JobError {
-    /// Whether the error class is worth retrying (host-side transient
-    /// conditions, not deterministic guest outcomes).
-    pub fn is_transient(&self) -> bool {
-        self.kind == "transient-io"
-    }
 }
 
 impl std::fmt::Display for JobError {
@@ -533,39 +388,10 @@ impl std::fmt::Display for JobError {
 /// Shared outcome of one job (cached, so cheap to clone).
 pub type JobOutcome = Arc<Result<SimResult, JobError>>;
 
-/// Telemetry span for one submitted job: which worker ran it, when it
-/// started relative to the engine's first submission, how long it
-/// queued and ran, how many attempts it took, and how it ended. Cache
-/// hits record zero durations and zero attempts. Serialised into the
-/// `rest-telemetry/v1` document (host wall times, so `BENCH_*` only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpan {
-    /// The job's display label (`"<row> <column>"`).
-    pub label: String,
-    /// Worker-pool slot that executed the job (0 for cache hits).
-    pub worker: usize,
-    /// Start offset from the engine's first `run_all` submission —
-    /// campaign-relative, so spans from successive matrices share one
-    /// timeline.
-    pub start: Duration,
-    /// Time spent queued before a worker picked the job up.
-    pub queue: Duration,
-    /// Wall time of the execution (all attempts plus backoff).
-    pub run: Duration,
-    /// Attempts taken: 1 for a first-try outcome, +1 per transient
-    /// retry, 0 for cache hits.
-    pub attempts: u32,
-    /// Whether the outcome came from the engine's job cache.
-    pub cached: bool,
-    /// `"ok"`, or the [`JobError`] kind the job ended with.
-    pub outcome: String,
-}
-
 /// What a worker recorded about one freshly executed job.
 struct FreshRun {
     wall: Duration,
     queue: Duration,
-    attempts: u32,
     worker: usize,
 }
 
@@ -589,8 +415,7 @@ pub struct Engine {
     workers: usize,
     cache: Mutex<HashMap<String, JobOutcome>>,
     timings: Mutex<Vec<JobTiming>>,
-    spans: Mutex<Vec<JobSpan>>,
-    /// Wall time already consumed by earlier `run_all` calls: spans
+    /// Wall time already consumed by earlier `run_all` calls: jobs
     /// from successive submissions continue one campaign timeline.
     epoch: Mutex<Duration>,
 }
@@ -602,7 +427,6 @@ impl Engine {
             workers: workers.max(1),
             cache: Mutex::new(HashMap::new()),
             timings: Mutex::new(Vec::new()),
-            spans: Mutex::new(Vec::new()),
             epoch: Mutex::new(Duration::ZERO),
         }
     }
@@ -612,145 +436,100 @@ impl Engine {
         self.workers
     }
 
-    /// Per-job wall-time records accumulated so far (submission order;
-    /// cache hits appear with `cached: true` and zero wall time).
-    /// Draining resets the log, so successive experiments on one
-    /// engine can profile separately.
+    /// The per-job log accumulated so far: one [`JobTiming`] per
+    /// submitted job in submission order, cache hits included (with
+    /// `cached: true` and zero wall time). Draining resets the log, so
+    /// successive experiments on one engine can profile separately.
     pub fn take_timings(&self) -> Vec<JobTiming> {
         std::mem::take(&mut lock_recover(&self.timings))
-    }
-
-    /// Per-job telemetry spans accumulated so far (submission order,
-    /// one per submitted job — cache hits included). Draining resets
-    /// the log.
-    pub fn take_spans(&self) -> Vec<JobSpan> {
-        std::mem::take(&mut lock_recover(&self.spans))
     }
 
     /// Runs every job not already cached, in parallel, and returns one
     /// outcome per input job **in input order** (duplicates and cache
     /// hits resolve to the same shared result).
     pub fn run_all(&self, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        let fresh: Vec<&SimJob> = {
+        let keys: Vec<String> = jobs.iter().map(SimJob::cache_key).collect();
+        // The first request for each key not cached yet is simulated.
+        let fresh: Vec<usize> = {
             let cache = lock_recover(&self.cache);
             let mut seen = HashSet::new();
-            jobs.iter()
-                .filter(|j| {
-                    let key = j.cache_key();
-                    !cache.contains_key(&key) && seen.insert(key)
-                })
+            (0..jobs.len())
+                .filter(|&i| !cache.contains_key(&keys[i]) && seen.insert(&keys[i]))
                 .collect()
         };
         let total = fresh.len();
         let base = *lock_recover(&self.epoch);
         let run_started = Instant::now();
-        let fresh_runs: Mutex<HashMap<String, FreshRun>> = Mutex::new(HashMap::new());
+        let done = AtomicUsize::new(0);
+        let results = self.pool(total, |slot, worker| {
+            let job = &jobs[fresh[slot]];
+            let job_started = Instant::now();
+            let queue = job_started.duration_since(run_started);
+            let result = job.execute();
+            let wall = job_started.elapsed();
+            let secs = wall.as_secs_f64();
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            match &result {
+                Ok(r) => eprintln!(
+                    "[{n}/{total}] {} {}: {} cycles, {secs:.2}s",
+                    job.name,
+                    job.label,
+                    r.cycles()
+                ),
+                Err(e) => eprintln!(
+                    "[{n}/{total}] {} {}: FAILED ({e}), {secs:.2}s",
+                    job.name, job.label
+                ),
+            }
+            (
+                result,
+                FreshRun {
+                    wall,
+                    queue,
+                    worker,
+                },
+            )
+        });
         if total > 0 {
-            let next = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
-            let workers = self.workers.min(total);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let (next, done, fresh) = (&next, &done, &fresh);
-                    let (fresh_runs, cache) = (&fresh_runs, &self.cache);
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let job = fresh[i];
-                        let job_started = Instant::now();
-                        let queue = job_started.duration_since(run_started);
-                        let (result, attempts) = job.execute_tracked();
-                        let wall = job_started.elapsed();
-                        let secs = wall.as_secs_f64();
-                        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        match &result {
-                            Ok(r) => eprintln!(
-                                "[{n}/{total}] {} {}: {} cycles, {secs:.2}s",
-                                job.name,
-                                job.label,
-                                r.cycles()
-                            ),
-                            Err(e) => eprintln!(
-                                "[{n}/{total}] {} {}: FAILED ({e}), {secs:.2}s",
-                                job.name, job.label
-                            ),
-                        }
-                        lock_recover(fresh_runs).insert(
-                            job.cache_key(),
-                            FreshRun {
-                                wall,
-                                queue,
-                                attempts,
-                                worker: w,
-                            },
-                        );
-                        lock_recover(cache).insert(job.cache_key(), Arc::new(result));
-                    });
-                }
-            });
             eprintln!(
-                "# {total} jobs on {workers} workers in {:.2}s",
+                "# {total} jobs on {} workers in {:.2}s",
+                self.workers.min(total),
                 run_started.elapsed().as_secs_f64()
             );
         }
-        // Log per-job wall times and telemetry spans in submission
-        // order: the first request for a key that was simulated this
-        // call gets the measured record; duplicates and pre-cached keys
+        let mut cache = lock_recover(&self.cache);
+        let mut runs: Vec<Option<FreshRun>> = (0..jobs.len()).map(|_| None).collect();
+        for (&i, (result, run)) in fresh.iter().zip(results) {
+            cache.insert(keys[i].clone(), Arc::new(result));
+            runs[i] = Some(run);
+        }
+        // Log every job in submission order: the simulated request for a
+        // key gets the measured record; duplicates and pre-cached keys
         // log as cache hits.
-        {
-            let mut runs = fresh_runs.into_inner().unwrap_or_else(|poison| poison.into_inner());
-            let mut timings = lock_recover(&self.timings);
-            let mut spans = lock_recover(&self.spans);
-            let cache = lock_recover(&self.cache);
-            for job in jobs {
-                let label = format!("{} {}", job.name, job.label);
-                let outcome = match cache[&job.cache_key()].as_ref() {
+        let outcomes: Vec<JobOutcome> = keys.iter().map(|k| cache[k].clone()).collect();
+        let mut timings = lock_recover(&self.timings);
+        for ((job, outcome), run) in jobs.iter().zip(&outcomes).zip(runs) {
+            let cached = run.is_none();
+            let run = run.unwrap_or(FreshRun {
+                wall: Duration::ZERO,
+                queue: Duration::ZERO,
+                worker: 0,
+            });
+            timings.push(JobTiming {
+                label: format!("{} {}", job.name, job.label),
+                worker: run.worker,
+                start: base + run.queue,
+                queue: run.queue,
+                wall: run.wall,
+                cached,
+                outcome: match outcome.as_ref() {
                     Ok(_) => "ok".to_string(),
                     Err(e) => e.kind.clone(),
-                };
-                match runs.remove(&job.cache_key()) {
-                    Some(run) => {
-                        timings.push(JobTiming {
-                            label: label.clone(),
-                            wall: run.wall,
-                            cached: false,
-                        });
-                        spans.push(JobSpan {
-                            label,
-                            worker: run.worker,
-                            start: base + run.queue,
-                            queue: run.queue,
-                            run: run.wall,
-                            attempts: run.attempts,
-                            cached: false,
-                            outcome,
-                        });
-                    }
-                    None => {
-                        timings.push(JobTiming {
-                            label: label.clone(),
-                            wall: Duration::ZERO,
-                            cached: true,
-                        });
-                        spans.push(JobSpan {
-                            label,
-                            worker: 0,
-                            start: base,
-                            queue: Duration::ZERO,
-                            run: Duration::ZERO,
-                            attempts: 0,
-                            cached: true,
-                            outcome,
-                        });
-                    }
-                }
-            }
+                },
+            });
         }
         *lock_recover(&self.epoch) = base + run_started.elapsed();
-        let cache = lock_recover(&self.cache);
-        jobs.iter().map(|j| cache[&j.cache_key()].clone()).collect()
+        outcomes
     }
 
     /// Runs `count` independent tasks on the worker pool and returns
@@ -760,24 +539,26 @@ impl Engine {
     /// unit of work is not a [`SimJob`] (the fuzz campaign's tri-oracle
     /// cells); tasks are expected to catch their own panics.
     pub fn run_tasks<T: Send, F: Fn(usize) -> T + Sync>(&self, count: usize, task: F) -> Vec<T> {
-        if count == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(count);
-        if workers <= 1 {
+        if self.workers.min(count) <= 1 {
             return (0..count).map(task).collect();
         }
+        self.pool(count, |i, _| task(i))
+    }
+
+    /// Runs `task(i, worker)` for every `i < count` on up to `workers`
+    /// scoped threads and returns the results in index order.
+    fn pool<T: Send, F: Fn(usize, usize) -> T + Sync>(&self, count: usize, task: F) -> Vec<T> {
         let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for worker in 0..self.workers.min(count) {
                 let (next, slots, task) = (&next, &slots, &task);
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;
                     }
-                    let result = task(i);
+                    let result = task(i, worker);
                     *lock_recover(&slots[i]) = Some(result);
                 });
             }
@@ -1042,39 +823,67 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_display_label_only() {
-        let row = lbm_row();
-        let a = SimJob::new(&row, "a", RtConfig::plain(), Scale::Test);
-        let b = SimJob::new(&row, "b", RtConfig::plain(), Scale::Test);
-        assert_eq!(a.cache_key(), b.cache_key());
-        let asan = SimJob::new(&row, "a", RtConfig::asan(), Scale::Test);
-        assert_ne!(a.cache_key(), asan.cache_key());
-        let inorder = SimJob {
-            core: CoreKind::InOrder,
-            ..a.clone()
-        };
-        assert_ne!(a.cache_key(), inorder.cache_key());
-        let budget = SimJob {
-            max_uops: Some(100),
-            ..a.clone()
-        };
-        assert_ne!(a.cache_key(), budget.cache_key());
-        let gated = SimJob {
-            verify: true,
-            ..a.clone()
-        };
-        assert_ne!(a.cache_key(), gated.cache_key());
-        let reference = SimJob {
-            tier: ExecTier::Reference,
-            ..a.clone()
-        };
-        assert_ne!(a.cache_key(), reference.cache_key());
-        let trace = SimJob {
-            tier: ExecTier::Trace,
-            ..a.clone()
-        };
-        assert_ne!(a.cache_key(), trace.cache_key());
-        assert_ne!(reference.cache_key(), trace.cache_key());
+    fn cache_key_covers_every_field_but_the_display_strings() {
+        let base = SimJob::new(&lbm_row(), "a", RtConfig::plain(), Scale::Test);
+        fn regress(asm: &str) -> Option<RegressProg> {
+            Some(RegressProg {
+                name: "case".to_string(),
+                asm: Arc::new(asm.to_string()),
+            })
+        }
+        type Edit = fn(&mut SimJob);
+        let edits: Vec<(&str, Edit)> = vec![
+            ("workload", |j| j.workload = Workload::Sjeng),
+            ("seed", |j| j.seed += 1),
+            ("rt", |j| j.rt = RtConfig::asan()),
+            ("core", |j| j.core = CoreKind::InOrder),
+            ("scale", |j| j.scale = Scale::Ref),
+            ("serialize_rest_ops", |j| j.serialize_rest_ops = true),
+            ("token_cache_entries", |j| j.token_cache_entries = 4),
+            ("max_uops", |j| j.max_uops = Some(100)),
+            ("sample_interval", |j| j.sample_interval = 1000),
+            ("trace_uops", |j| j.trace_uops = 64),
+            ("verify", |j| j.verify = true),
+            ("tier reference", |j| j.tier = ExecTier::Reference),
+            ("tier trace", |j| j.tier = ExecTier::Trace),
+            ("attack", |j| {
+                j.attack = Some(rest_attacks::Attack::Heartbleed)
+            }),
+            ("fault", |j| {
+                j.fault = Some(rest_faults::FaultKind::MetaBitClear.default_spec(7))
+            }),
+            ("accept_any_stop", |j| j.accept_any_stop = true),
+            ("max_cycles", |j| j.max_cycles = 1000),
+            ("inject_panic", |j| j.inject_panic = true),
+            ("profile_guest", |j| j.profile_guest = true),
+            ("elide", |j| j.elide = true),
+            ("regress", |j| {
+                j.regress = regress("main:\n    li a0, 0\n    ecall 5\n")
+            }),
+            // Two corpus files with different assembly must not alias.
+            ("regress asm", |j| {
+                j.regress = regress("main:\n    li a0, 1\n    ecall 5\n")
+            }),
+        ];
+        let mut keys = HashMap::new();
+        keys.insert(base.cache_key(), "base");
+        for (field, edit) in &edits {
+            let mut job = base.clone();
+            edit(&mut job);
+            if let Some(clash) = keys.insert(job.cache_key(), *field) {
+                panic!("changing {field} leaves the key of {clash}");
+            }
+        }
+        // The display strings are not part of the simulation.
+        let display: [Edit; 2] = [
+            |j| j.name = "other".to_string(),
+            |j| j.label = "b".to_string(),
+        ];
+        for edit in display {
+            let mut job = base.clone();
+            edit(&mut job);
+            assert_eq!(job.cache_key(), base.cache_key());
+        }
     }
 
     #[test]
@@ -1178,40 +987,34 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_workers_attempts_and_cache_hits() {
+    fn timings_record_workers_outcomes_and_cache_hits() {
         let row = lbm_row();
         let engine = Engine::new(2);
-        let retried = SimJob {
-            inject_transient_failures: 1,
-            retry_transient: 1,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        };
-        let outcomes = engine.run_all(&[retried.clone(), retried]);
+        let job = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+        let outcomes = engine.run_all(&[job.clone(), job.clone()]);
         assert!(outcomes[0].is_ok());
-        let spans = engine.take_spans();
-        assert_eq!(spans.len(), 2);
-        // Fresh execution: one transient failure plus the success.
-        assert!(!spans[0].cached);
-        assert_eq!(spans[0].attempts, 2);
-        assert_eq!(spans[0].outcome, "ok");
-        assert!(spans[0].run > Duration::ZERO);
+        let timings = engine.take_timings();
+        assert_eq!(timings.len(), 2);
+        assert_eq!(timings[0].label, "lbm plain");
+        assert!(!timings[0].cached);
+        assert_eq!(timings[0].outcome, "ok");
+        assert!(timings[0].wall > Duration::ZERO);
         // The duplicate resolves from the cache.
-        assert!(spans[1].cached);
-        assert_eq!(spans[1].attempts, 0);
-        assert_eq!(spans[1].run, Duration::ZERO);
+        assert!(timings[1].cached);
+        assert_eq!((timings[1].worker, timings[1].wall), (0, Duration::ZERO));
         // A later submission records its error kind and continues the
         // campaign timeline.
         let panicking = SimJob {
             inject_panic: true,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
+            ..job
         };
         engine.run_all(std::slice::from_ref(&panicking));
-        let later = engine.take_spans();
+        let later = engine.take_timings();
         assert_eq!(later.len(), 1);
         assert_eq!(later[0].outcome, "panic");
-        assert!(later[0].start >= spans[0].run, "epoch must accumulate");
+        assert!(later[0].start >= timings[0].wall, "epoch must accumulate");
         // Draining resets the log.
-        assert!(engine.take_spans().is_empty());
+        assert!(engine.take_timings().is_empty());
     }
 
     #[test]
@@ -1227,91 +1030,6 @@ mod tests {
         let profile = result.profile.expect("profiled job carries the tables");
         assert_eq!(profile.cycles.total(), result.core.cycles);
         assert!(plain.execute().unwrap().profile.is_none());
-    }
-
-    #[test]
-    fn wall_deadline_watchdog_times_out_slow_jobs() {
-        // A 1 ms host deadline is far below any cycle-level simulation;
-        // the watchdog must abandon the attempt with a "timeout" error.
-        let row = lbm_row();
-        let job = SimJob {
-            wall_deadline_ms: 1,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        };
-        let err = job.execute().unwrap_err();
-        assert_eq!(err.kind, "timeout");
-        assert!(err.detail.contains("1 ms"));
-    }
-
-    #[test]
-    fn transient_failures_are_retried_within_budget() {
-        let row = lbm_row();
-        // Fails twice, succeeds on the third attempt: a budget of two
-        // retries rides out both failures.
-        let job = SimJob {
-            inject_transient_failures: 2,
-            retry_transient: 2,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        };
-        assert!(job.execute().is_ok());
-        // An insufficient budget surfaces the transient error.
-        let starved = SimJob {
-            inject_transient_failures: 2,
-            retry_transient: 1,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        };
-        let err = starved.execute().unwrap_err();
-        assert_eq!(err.kind, "transient-io");
-        assert!(err.is_transient());
-    }
-
-    #[test]
-    fn resilience_fields_participate_in_cache_keys() {
-        let row = lbm_row();
-        let a = SimJob::new(&row, "a", RtConfig::plain(), Scale::Test);
-        for job in [
-            SimJob {
-                attack: Some(rest_attacks::Attack::Heartbleed),
-                ..a.clone()
-            },
-            SimJob {
-                fault: Some(rest_faults::FaultKind::MetaBitClear.default_spec(7)),
-                ..a.clone()
-            },
-            SimJob {
-                accept_any_stop: true,
-                ..a.clone()
-            },
-            SimJob {
-                max_cycles: 1000,
-                ..a.clone()
-            },
-            SimJob {
-                inject_panic: true,
-                ..a.clone()
-            },
-            SimJob {
-                regress: Some(RegressProg {
-                    name: "case".to_string(),
-                    asm: Arc::new("main:\n    li a0, 0\n    ecall 5\n".to_string()),
-                }),
-                ..a.clone()
-            },
-        ] {
-            assert_ne!(a.cache_key(), job.cache_key());
-        }
-        // Two corpus files with different assembly must not alias.
-        let mk = |asm: &str| SimJob {
-            regress: Some(RegressProg {
-                name: "case".to_string(),
-                asm: Arc::new(asm.to_string()),
-            }),
-            ..a.clone()
-        };
-        assert_ne!(
-            mk("main:\n    li a0, 0\n    ecall 5\n").cache_key(),
-            mk("main:\n    li a0, 1\n    ecall 5\n").cache_key()
-        );
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn emit_regress(h: &Harness, dir: &std::path::Path, sig: &str, case: &Case) {
         h.cli.fuzz_seed, case.index
     );
     let asm = format!("{header}{}", lower(case).to_asm());
-    let mut trace = format!("{header}");
+    let mut trace = header.to_string();
     for op in &case.ops {
         trace.push_str(&format!("op {}\n", op.line()));
     }

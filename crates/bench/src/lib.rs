@@ -21,11 +21,14 @@
 //! All binaries are thin wrappers over a shared experiment engine:
 //!
 //! * [`cli`] — the common command line (`--test`, `--jobs N`,
-//!   `--json PATH`, `--filter SUBSTRING`),
+//!   `--json PATH`, `--filter SUBSTRING`, …) and the [`cli::Harness`]
+//!   that closes every run with one `rest-host-profile/v2` host
+//!   document (`--profile-out`),
 //! * [`engine`] — declarative [`engine::SimJob`] matrices run on a
-//!   deterministic worker pool with a shared baseline cache; failing
-//!   jobs surface as structured [`engine::JobError`]s instead of
-//!   aborting the sweep,
+//!   deterministic worker pool with a shared baseline cache keyed by
+//!   the whole job; failing jobs surface as structured
+//!   [`engine::JobError`]s instead of aborting the sweep (a panicking
+//!   job still fails the run once the documents are written),
 //! * [`sink`] — every experiment writes its paper-formatted table to
 //!   stdout **and** a machine-readable JSON document (schema documented
 //!   in [`sink`]) to `results/<experiment>.json`.
@@ -52,7 +55,6 @@ pub mod faults;
 pub mod fuzz;
 pub mod hotspots;
 pub mod sink;
-pub mod telemetry;
 pub mod throughput;
 
 use rest_core::{Mode, TokenWidth};
@@ -236,53 +238,55 @@ pub fn geo_mean_overhead(plain_cycles: &[u64], hardened_cycles: &[u64]) -> f64 {
 /// * the Perfetto/Chrome trace-event JSON of the first traced job, when
 ///   `--trace-out PATH` was given (load the file at
 ///   <https://ui.perfetto.dev>),
-/// * the host wall-time profile (`profile`, plus the engine's per-job
-///   timing log) to `--profile-out` (default
-///   `results/BENCH_baseline.json`),
-/// * the campaign telemetry document (`rest-telemetry/v1`: per-job
-///   spans, worker utilization, cache + resilience counters) to
-///   `--telemetry-out` (default `results/BENCH_telemetry.json`), and
-///   the campaign-timeline Perfetto trace (one track per worker) when
-///   `--campaign-trace-out PATH` was given.
+/// * the `rest-host-profile/v2` document — `profile` plus the engine's
+///   per-job log — when `--profile-out PATH` was given, and
+/// * the campaign timeline rendered from that profile (one Perfetto
+///   track per worker) when `--campaign-trace-out PATH` was given.
 ///
-/// All of it is reported on stderr only; nothing here touches stdout or
-/// the experiment's deterministic JSON document.
+/// The profile is validated before anything is written. Fails when it
+/// is invalid, or — after writing the documents — when any job
+/// panicked, naming every such job; [`cli::Harness::finish`] then
+/// exits nonzero. Nothing here touches stdout or the experiment's
+/// deterministic JSON document.
 pub fn finish_observability(
     cli: &cli::BenchCli,
     eng: &engine::Engine,
     matrix: &engine::MatrixResults,
-    profile: rest_obs::HostProfile,
-) {
-    let pipeline_trace = matrix.first_trace().map(|t| t.to_perfetto().render());
-    finish_observability_with(cli, eng, pipeline_trace, profile);
-}
-
-/// As [`finish_observability`], with the pipeline trace (if any)
-/// already rendered — the entry point for binaries that run plain job
-/// lists instead of a [`engine::MatrixResults`].
-pub fn finish_observability_with(
-    cli: &cli::BenchCli,
-    eng: &engine::Engine,
-    pipeline_trace: Option<String>,
     mut profile: rest_obs::HostProfile,
-) {
+) -> Result<(), String> {
+    for timing in eng.take_timings() {
+        profile.add_job(timing);
+    }
+    let doc = profile.to_json();
+    rest_obs::HostProfile::validate(&doc).map_err(|e| format!("invalid host profile: {e}"))?;
     if let Some(path) = &cli.trace_out {
-        match pipeline_trace {
-            Some(text) => write_text_file(path, &text),
+        match matrix.first_trace() {
+            Some(trace) => write_text_file(path, &trace.to_perfetto().render()),
             None => eprintln!(
                 "# --trace-out: the traced job failed or recorded nothing; no trace written"
             ),
         }
     }
-    for timing in eng.take_timings() {
-        profile.add_job(timing);
+    if let Some(path) = &cli.profile_out {
+        write_text_file(path, &format!("{}\n", doc.to_string_pretty()));
     }
-    write_text_file(&cli.profile_path(), &profile.render());
-    let report =
-        telemetry::TelemetryReport::new(&cli.experiment, eng.workers(), eng.take_spans());
-    write_text_file(&cli.telemetry_path(), &report.render());
     if let Some(path) = &cli.campaign_trace_out {
-        write_text_file(path, &report.to_perfetto().render());
+        write_text_file(path, &profile.to_perfetto().render());
+    }
+    let panicked: Vec<&str> = profile
+        .jobs()
+        .iter()
+        .filter(|j| j.outcome == "panic")
+        .map(|j| j.label.as_str())
+        .collect();
+    if panicked.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} job(s) panicked: {}",
+            panicked.len(),
+            panicked.join(", ")
+        ))
     }
 }
 

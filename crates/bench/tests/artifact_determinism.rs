@@ -1,8 +1,8 @@
 //! The repository's byte-determinism contract (ISSUE 7, satellite 1):
 //! committed experiment documents (`results/*.json`) must be
 //! byte-identical at any `--jobs` level, which means host-dependent
-//! measurements — wall times, throughput rates, worker counts, job
-//! spans — may only live in `BENCH_`-prefixed files. This test walks
+//! measurements — wall times, throughput rates, worker counts, per-job
+//! host logs — may only live in `BENCH_`-prefixed files. This test walks
 //! every committed non-`BENCH_` document and rejects any key that
 //! could only have come from the host clock or scheduler.
 //!
@@ -15,17 +15,10 @@ use rest_obs::Json;
 /// Keys whose value depends on the host (clock, scheduler, core
 /// count) and therefore must never appear in a deterministic
 /// experiment document.
-const FORBIDDEN_KEYS: [&str; 6] = [
-    "effective_jobs",
-    "speedup",
-    "spans",
-    "workers",
-    "telemetry",
-    "resilience",
-];
+const FORBIDDEN_KEYS: [&str; 3] = ["effective_jobs", "speedup", "workers"];
 
 /// Key suffixes that denote host-time or host-rate measurements.
-const FORBIDDEN_SUFFIXES: [&str; 3] = ["wall_s", "_ips", "_ms"];
+const FORBIDDEN_SUFFIXES: [&str; 6] = ["wall_s", "start_s", "queue_s", "busy_s", "_ips", "_ms"];
 
 fn results_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -93,8 +86,8 @@ fn bench_files_are_the_only_home_for_host_measurements() {
     // didn't, its measurements could silently migrate into an
     // experiment document without the scan above noticing, and the
     // exemption would be hiding nothing. This also pins the exemption
-    // list itself: the three nondeterministic artefacts the harness
-    // writes today must all be present and all be exempt.
+    // list itself: the three nondeterministic artefacts the repository
+    // commits must all be present and all be exempt.
     let dir = results_dir();
     let mut bench_files = Vec::new();
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -111,8 +104,8 @@ fn bench_files_are_the_only_home_for_host_measurements() {
     }
     bench_files.sort();
     for required in [
+        "BENCH_baseline.json",
         "BENCH_elision.json",
-        "BENCH_telemetry.json",
         "BENCH_throughput.json",
     ] {
         assert!(
@@ -153,11 +146,21 @@ fn bench_files_are_the_only_home_for_host_measurements() {
     assert!(violations.iter().any(|v| v.ends_with("_wall_s")));
 
     violations.clear();
-    let telemetry =
-        Json::parse(&std::fs::read_to_string(dir.join("BENCH_telemetry.json")).unwrap()).unwrap();
-    scan(&telemetry, "BENCH_telemetry.json", &mut violations);
-    assert!(violations.iter().any(|v| v.ends_with(".spans")));
-    assert!(violations.iter().any(|v| v.ends_with("_ms")));
+    let baseline =
+        Json::parse(&std::fs::read_to_string(dir.join("BENCH_baseline.json")).unwrap()).unwrap();
+    scan(&baseline, "BENCH_baseline.json", &mut violations);
+    for key in [
+        ".effective_jobs",
+        ".workers",
+        ".start_s",
+        ".queue_s",
+        ".busy_s",
+    ] {
+        assert!(
+            violations.iter().any(|v| v.ends_with(key)),
+            "the host document carries {key} keys"
+        );
+    }
 }
 
 #[test]

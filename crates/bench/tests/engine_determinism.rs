@@ -24,7 +24,6 @@ fn test_cli() -> BenchCli {
         trace_out: None,
         trace_uops: 512,
         profile_out: None,
-        telemetry_out: None,
         campaign_trace_out: None,
         verify: false,
         reference: false,

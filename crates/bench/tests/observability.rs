@@ -7,13 +7,14 @@
 //!   never on the host clock),
 //! * the Perfetto export is valid Chrome trace-event JSON with one
 //!   slice per traced micro-op per stage track,
-//! * the engine's per-job wall-time log feeds a schema-valid
-//!   `rest-host-profile/v1` document.
+//! * the engine's per-job log feeds a schema-valid
+//!   `rest-host-profile/v2` document, and a panicking job fails the
+//!   run once that document is written.
 
 use rest_bench::cli::BenchCli;
-use rest_bench::engine::{ColumnSpec, Engine, MatrixSpec};
+use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixResults, MatrixSpec, SimJob};
 use rest_bench::sink::ResultSink;
-use rest_bench::FigureRow;
+use rest_bench::{finish_observability, FigureRow};
 use rest_core::Mode;
 use rest_obs::{HostProfile, Json};
 use rest_runtime::RtConfig;
@@ -30,7 +31,6 @@ fn obs_cli() -> BenchCli {
         trace_out: Some(std::path::PathBuf::from("unused.json")),
         trace_uops: 64,
         profile_out: None,
-        telemetry_out: None,
         campaign_trace_out: None,
         verify: false,
         reference: false,
@@ -196,15 +196,63 @@ fn engine_timings_feed_a_schema_valid_profile() {
     let timings = engine.take_timings();
     // 3 jobs per matrix (plain + 2 columns), second pass fully cached.
     assert_eq!(timings.len(), 6);
-    assert!(timings[..3].iter().all(|t| !t.cached));
+    assert!(timings[..3].iter().all(|t| !t.cached && t.worker < 2));
     assert!(timings[3..].iter().all(|t| t.cached));
+    assert!(timings.iter().all(|t| t.outcome == "ok"));
     assert!(engine.take_timings().is_empty(), "draining resets the log");
 
-    let mut profile = HostProfile::new("obs-test");
+    let mut profile = HostProfile::new("obs-test", engine.workers());
     profile.add_phase("simulate", std::time::Duration::from_millis(1));
+    profile.add_phase("report", std::time::Duration::from_millis(1));
     for t in timings {
         profile.add_job(t);
     }
-    let doc = Json::parse(&profile.render()).expect("profile renders as JSON");
-    HostProfile::validate(&doc).expect("rest-host-profile/v1 schema");
+    let doc = Json::parse(&profile.to_json().to_string_pretty()).expect("profile renders as JSON");
+    HostProfile::validate(&doc).expect("rest-host-profile/v2 schema");
+    let cache = doc.get("cache").unwrap();
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(3));
+    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(3));
+}
+
+#[test]
+fn a_panicking_job_fails_the_run_after_the_documents_are_written() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("panic-run");
+    let cli = BenchCli {
+        trace_out: None,
+        profile_out: Some(dir.join("profile.json")),
+        campaign_trace_out: Some(dir.join("campaign.json")),
+        ..obs_cli()
+    };
+    let engine = Engine::new(cli.jobs);
+    let row = FigureRow::of(Workload::Lbm);
+    let healthy = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+    let panicking = SimJob {
+        label: "boom".to_string(),
+        inject_panic: true,
+        ..healthy.clone()
+    };
+    engine.run_all(&[healthy, panicking]);
+    let mut profile = HostProfile::new(&cli.experiment, engine.workers());
+    profile.add_phase("simulate", std::time::Duration::from_millis(1));
+    profile.add_phase("report", std::time::Duration::from_millis(1));
+    let empty = MatrixResults {
+        columns: Vec::new(),
+        rows: Vec::new(),
+    };
+    let err = finish_observability(&cli, &engine, &empty, profile).unwrap_err();
+    assert!(err.contains("1 job(s) panicked: lbm boom"), "{err}");
+    // Both documents were written first, and the profile counts the panic.
+    let text = std::fs::read_to_string(dir.join("profile.json")).unwrap();
+    let doc = Json::parse(&text).unwrap();
+    HostProfile::validate(&doc).unwrap();
+    assert_eq!(doc.get("panics").and_then(Json::as_u64), Some(1));
+    assert!(dir.join("campaign.json").exists());
+
+    // Without a panic the same run succeeds.
+    let engine = Engine::new(cli.jobs);
+    engine.run_all(&[SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)]);
+    let mut profile = HostProfile::new(&cli.experiment, engine.workers());
+    profile.add_phase("simulate", std::time::Duration::from_millis(1));
+    profile.add_phase("report", std::time::Duration::from_millis(1));
+    finish_observability(&cli, &engine, &empty, profile).expect("a clean run passes");
 }

@@ -276,7 +276,7 @@ fn push_benign_op(rng: &mut FuzzRng, ops: &mut Vec<TraceOp>, slots: &mut [Option
         let live: Vec<usize> = slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.map_or(false, |s| want(&s)))
+            .filter(|(_, s)| s.is_some_and(|s| want(&s)))
             .map(|(i, _)| i)
             .collect();
         *rng.pick(&live)
@@ -391,7 +391,7 @@ fn inject_bug(rng: &mut FuzzRng, ops: &mut Vec<TraceOp>) -> GroundTruth {
         BugKind::PaddingGap => {
             // Need a nonempty padding gap [size, round_up(size, 64)).
             let mut size = rng.range(1, MAX_SIZE - 1);
-            if size % GRANULE == 0 {
+            if size.is_multiple_of(GRANULE) {
                 size += 1;
             }
             let user_pad = round_up_granule(size);
@@ -518,7 +518,7 @@ mod tests {
                         .iter()
                         .rev()
                         .find_map(|op| match *op {
-                            TraceOp::Malloc { slot, size } if slot == 3 => Some(size),
+                            TraceOp::Malloc { slot: 3, size } => Some(size),
                             _ => None,
                         })
                         .expect("bug slot allocated");

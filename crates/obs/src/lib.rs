@@ -19,9 +19,12 @@
 //!   per micro-op, software component as category).
 //! * [`audit`] — **violation audit log**: every REST exception / ASan
 //!   report with PC, address, mode and component provenance.
-//! * [`profile`] — **host self-profiling**: wall-time per simulated
-//!   phase and per engine job, for the repository's perf trajectory
-//!   (`results/BENCH_baseline.json`).
+//! * [`profile`] — **host self-profiling**: the `rest-host-profile/v2`
+//!   document (wall time per phase; per engine job the worker, start,
+//!   queue and wall time, cache flag and outcome; per-worker rollup,
+//!   cache hits/misses and panic count) with a cross-member-consistency
+//!   validator, and its campaign timeline as a Perfetto trace. The
+//!   repository's perf trajectory is `results/BENCH_baseline.json`.
 //! * [`hotspots`] — the `rest-hotspots/v1` schema for guest hotspot
 //!   profiles (per-block/per-function cycle rollups plus the
 //!   per-allocation-site check-attribution table), with a validator
@@ -30,9 +33,6 @@
 //!   maps, with a validator for the count/sortedness invariants (a
 //!   malformed elision map is a security bug, so CI re-validates every
 //!   committed artifact).
-//! * [`telemetry`] — the `rest-telemetry/v1` schema for campaign-wide
-//!   engine telemetry (per-job spans, worker utilization, cache and
-//!   resilience counters), with a cross-member-consistency validator.
 //! * [`json`] — the hand-rolled, insertion-ordered [`Json`] value tree
 //!   every sink serialises through (the build environment has no
 //!   registry access, so no serde), plus a small parser used by the
@@ -54,7 +54,6 @@ pub mod json;
 pub mod perfetto;
 pub mod profile;
 pub mod sample;
-pub mod telemetry;
 
 pub use audit::{AuditEntry, AuditLog, FAULT_INJECTOR, MTE_TAGGER, PA_SIGNER};
 pub use cpi::{CpiComponent, CpiStack};
