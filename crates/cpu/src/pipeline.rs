@@ -33,6 +33,44 @@ impl StoreRec {
     }
 }
 
+/// A ring scoreboard: one slot per instance of a structural resource
+/// (ROB entry, IQ entry, functional unit, ...), claimed round-robin in
+/// program order. [`Ring::peek`] is the cycle the next slot frees;
+/// [`Ring::push`] claims it until a cycle and advances the cursor.
+#[derive(Debug, Clone)]
+struct Ring {
+    slots: Box<[u64]>,
+    cursor: usize,
+}
+
+impl Ring {
+    fn new(len: usize) -> Ring {
+        Ring {
+            slots: vec![0; len].into_boxed_slice(),
+            cursor: 0,
+        }
+    }
+
+    /// Cycle at which the next slot frees.
+    fn peek(&self) -> u64 {
+        self.slots[self.cursor]
+    }
+
+    /// Claims the next slot until `free_at`.
+    fn push(&mut self, free_at: u64) {
+        self.slots[self.cursor] = free_at;
+        self.cursor += 1;
+        if self.cursor == self.slots.len() {
+            self.cursor = 0;
+        }
+    }
+
+    /// Slots still busy at `now`.
+    fn busy(&self, now: u64) -> u64 {
+        self.slots.iter().filter(|&&c| c > now).count() as u64
+    }
+}
+
 /// The out-of-order timing model.
 ///
 /// Replays the oracle micro-op stream using timestamp algebra: each
@@ -43,6 +81,10 @@ impl StoreRec {
 /// Younger independent micro-ops may issue before stalled older ones —
 /// out-of-order issue — while dispatch and commit remain in order, as in
 /// hardware.
+///
+/// Each structural resource is a `Ring` scoreboard. The store window
+/// keeps the in-flight stores the LSQ searches: at most `sq_entries`,
+/// minus those already drained before any later micro-op can issue.
 ///
 /// Memory micro-ops walk the [`Hierarchy`]; the REST interactions
 /// (token-bit checks, arm/disarm handling, debug-mode store-commit
@@ -63,25 +105,20 @@ pub struct Pipeline {
 
     // Scoreboards.
     reg_ready: [u64; 32],
-    disp_ring: Vec<u64>,
-    commit_ring: Vec<u64>,
-    rob_ring: Vec<u64>,
-    iq_ring: Vec<u64>,
-    lq_ring: Vec<u64>,
-    sq_ring: Vec<u64>,
-    alu_ring: Vec<u64>,
-    mul_ring: Vec<u64>,
-    port_ring: Vec<u64>,
+    disp_ring: Ring,
+    commit_ring: Ring,
+    rob_ring: Ring,
+    iq_ring: Ring,
+    lq_ring: Ring,
+    sq_ring: Ring,
+    alu_ring: Ring,
+    mul_ring: Ring,
+    port_ring: Ring,
     div_free: u64,
     sq_drain_free: u64,
 
-    // Counters.
+    /// Micro-ops processed (trace sequence number).
     n: u64,
-    n_load: u64,
-    n_store: u64,
-    n_alu: u64,
-    n_mul: u64,
-    n_mem: u64,
     last_commit: u64,
     /// Dispatch barrier used by the serialise-rest-ops ablation.
     barrier_at: u64,
@@ -102,15 +139,15 @@ impl Pipeline {
     pub fn new(cfg: CoreConfig, hier: Hierarchy, mode: Mode) -> Pipeline {
         let bpred = BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries, cfg.ras_depth);
         Pipeline {
-            disp_ring: vec![0; cfg.issue_width],
-            commit_ring: vec![0; cfg.commit_width],
-            rob_ring: vec![0; cfg.rob_entries],
-            iq_ring: vec![0; cfg.iq_entries],
-            lq_ring: vec![0; cfg.lq_entries],
-            sq_ring: vec![0; cfg.sq_entries],
-            alu_ring: vec![0; cfg.alu_units],
-            mul_ring: vec![0; cfg.mul_units],
-            port_ring: vec![0; cfg.mem_ports],
+            disp_ring: Ring::new(cfg.issue_width),
+            commit_ring: Ring::new(cfg.commit_width),
+            rob_ring: Ring::new(cfg.rob_entries),
+            iq_ring: Ring::new(cfg.iq_entries),
+            lq_ring: Ring::new(cfg.lq_entries),
+            sq_ring: Ring::new(cfg.sq_entries),
+            alu_ring: Ring::new(cfg.alu_units),
+            mul_ring: Ring::new(cfg.mul_units),
+            port_ring: Ring::new(cfg.mem_ports),
             div_free: 0,
             sq_drain_free: 0,
             next_fetch_cycle: 0,
@@ -119,14 +156,9 @@ impl Pipeline {
             cur_fetch_line: u64::MAX,
             reg_ready: [0; 32],
             n: 0,
-            n_load: 0,
-            n_store: 0,
-            n_alu: 0,
-            n_mul: 0,
-            n_mem: 0,
             last_commit: 0,
             barrier_at: 0,
-            store_window: VecDeque::new(),
+            store_window: VecDeque::with_capacity(cfg.sq_entries + 1),
             stats: CoreStats::default(),
             tracer: None,
             last_disp: 0,
@@ -185,12 +217,11 @@ impl Pipeline {
     /// sampling is enabled.
     pub fn gauges(&mut self) -> Gauges {
         let now = self.last_disp;
-        let count = |ring: &[u64]| ring.iter().filter(|&&c| c > now).count() as u64;
         let mut g = Gauges {
-            rob: count(&self.rob_ring),
-            iq: count(&self.iq_ring),
-            lq: count(&self.lq_ring),
-            sq: count(&self.sq_ring),
+            rob: self.rob_ring.busy(now),
+            iq: self.iq_ring.busy(now),
+            lq: self.lq_ring.busy(now),
+            sq: self.sq_ring.busy(now),
             ..Gauges::default()
         };
         self.hier.fill_gauges(now, &mut g);
@@ -213,7 +244,6 @@ impl Pipeline {
 
     /// Processes one micro-op of the oracle stream.
     pub fn process(&mut self, d: &DynInst, mem: &dyn LineReader, token: &Token) {
-        let i = self.n as usize;
         self.stats.uops += 1;
         self.stats.note_component(d.component);
         // Commit frontier before this micro-op: its commit advances the
@@ -234,7 +264,7 @@ impl Pipeline {
         if f > self.next_fetch_cycle {
             self.fetch_slots_used = 0;
         }
-        let line = d.pc / 64;
+        let line = self.hier.inst_line(d.pc);
         if line != self.cur_fetch_line {
             let ready = self.hier.fetch_inst(f, d.pc, mem, token);
             let hit_time = f + 2;
@@ -250,40 +280,27 @@ impl Pipeline {
         self.fetch_slots_used += 1;
 
         // ---- Dispatch ----
+        // Each structural limit pushes dispatch out by the cycles its
+        // slot is still busy; the push is that resource's stall.
         let mut disp = (f + self.cfg.frontend_depth).max(self.barrier_at);
-        let mut rob_stall = 0u64;
-        let mut iq_stall = 0u64;
-        let mut lsq_stall = 0u64;
-        let rob_limit = self.rob_ring[i % self.cfg.rob_entries];
-        if rob_limit > disp {
-            self.stats.rob_stall_cycles += rob_limit - disp;
-            rob_stall = rob_limit - disp;
-            disp = rob_limit;
-        }
-        let iq_limit = self.iq_ring[i % self.cfg.iq_entries];
-        if iq_limit > disp {
-            self.stats.iq_stall_cycles += iq_limit - disp;
-            iq_stall = iq_limit - disp;
-            disp = iq_limit;
-        }
-        if d.kind == OpKind::Load {
-            let lim = self.lq_ring[self.n_load as usize % self.cfg.lq_entries];
-            if lim > disp {
-                self.stats.lsq_stall_cycles += lim - disp;
-                lsq_stall = lim - disp;
-                disp = lim;
-            }
+        let rob_stall = self.rob_ring.peek().saturating_sub(disp);
+        disp += rob_stall;
+        let iq_stall = self.iq_ring.peek().saturating_sub(disp);
+        disp += iq_stall;
+        let lsq_limit = if d.kind == OpKind::Load {
+            self.lq_ring.peek()
         } else if d.kind.is_store_like() {
-            let lim = self.sq_ring[self.n_store as usize % self.cfg.sq_entries];
-            if lim > disp {
-                self.stats.lsq_stall_cycles += lim - disp;
-                lsq_stall = lim - disp;
-                disp = lim;
-            }
-        }
-        let width_limit = self.disp_ring[i % self.cfg.issue_width] + 1;
-        disp = disp.max(width_limit);
-        self.disp_ring[i % self.cfg.issue_width] = disp;
+            self.sq_ring.peek()
+        } else {
+            0
+        };
+        let lsq_stall = lsq_limit.saturating_sub(disp);
+        disp += lsq_stall;
+        self.stats.rob_stall_cycles += rob_stall;
+        self.stats.iq_stall_cycles += iq_stall;
+        self.stats.lsq_stall_cycles += lsq_stall;
+        disp = disp.max(self.disp_ring.peek() + 1);
+        self.disp_ring.push(disp);
         self.last_disp = self.last_disp.max(disp);
 
         // ---- Issue readiness ----
@@ -302,17 +319,13 @@ impl Pipeline {
         // ---- Execute ----
         let (issue, complete, drained): (u64, u64, Option<StoreRec>) = match d.kind {
             OpKind::IntAlu | OpKind::Branch => {
-                let u = self.n_alu as usize % self.cfg.alu_units;
-                let issue = ready.max(self.alu_ring[u]);
-                self.alu_ring[u] = issue + 1;
-                self.n_alu += 1;
+                let issue = ready.max(self.alu_ring.peek());
+                self.alu_ring.push(issue + 1);
                 (issue, issue + 1, None)
             }
             OpKind::IntMul => {
-                let u = self.n_mul as usize % self.cfg.mul_units;
-                let issue = ready.max(self.mul_ring[u]);
-                self.mul_ring[u] = issue + 1;
-                self.n_mul += 1;
+                let issue = ready.max(self.mul_ring.peek());
+                self.mul_ring.push(issue + 1);
                 (issue, issue + self.cfg.mul_latency, None)
             }
             OpKind::IntDiv => {
@@ -343,7 +356,7 @@ impl Pipeline {
         };
 
         // IQ entry frees at issue.
-        self.iq_ring[i % self.cfg.iq_entries] = issue;
+        self.iq_ring.push(issue);
 
         // ---- Branch resolution ----
         if let Some(info) = d.branch {
@@ -356,9 +369,7 @@ impl Pipeline {
         }
 
         // ---- Commit (in order, width-limited) ----
-        let commit_floor = self
-            .last_commit
-            .max(self.commit_ring[i % self.cfg.commit_width] + 1);
+        let commit_floor = self.last_commit.max(self.commit_ring.peek() + 1);
         let mut commit = commit_floor.max(complete + 1);
         // Cycles this store holds the ROB head beyond the in-order floor
         // (its own execution latency; debug mode adds the drain wait
@@ -371,45 +382,39 @@ impl Pipeline {
         // ---- Store drain & commit policy ----
         if let Some(mut rec) = drained {
             let mem_ref = d.mem.expect("store-like has a memory reference");
-            if self.mode.eager_store_commit() {
-                // Secure: commit first, write drains afterwards.
-                let u = self.n_mem as usize % self.cfg.mem_ports;
-                let drain_start = commit.max(self.sq_drain_free).max(self.port_ring[u]);
-                self.port_ring[u] = drain_start + 1;
-                self.n_mem += 1;
-                let out =
-                    self.hier
-                        .access_data(drain_start, mem_ref.kind, mem_ref.addr, mem_ref.size, mem, token, self.mode);
-                rec.drain_done = out.complete_at;
-                self.sq_drain_free = drain_start + 1;
-                if let Some(kind) = out.exception {
-                    self.record_rest_audit(kind, d, mem_ref.addr);
-                }
+            // Secure: commit first, write drains afterwards. Debug: the
+            // write is issued when the store reaches the ROB head, and
+            // commit waits for its completion.
+            let drain_from = if self.mode.eager_store_commit() {
+                commit
             } else {
-                // Debug: the write is issued when the store reaches the
-                // ROB head, and commit waits for its completion.
-                let oldest_at = (complete + 1).max(self.last_commit);
-                let u = self.n_mem as usize % self.cfg.mem_ports;
-                let drain_start = oldest_at.max(self.sq_drain_free).max(self.port_ring[u]);
-                self.port_ring[u] = drain_start + 1;
-                self.n_mem += 1;
-                let out =
-                    self.hier
-                        .access_data(drain_start, mem_ref.kind, mem_ref.addr, mem_ref.size, mem, token, self.mode);
-                rec.drain_done = out.complete_at;
-                self.sq_drain_free = drain_start + 1;
-                if let Some(kind) = out.exception {
-                    self.record_rest_audit(kind, d, mem_ref.addr);
-                }
-                if rec.drain_done > commit {
-                    self.stats.rob_blocked_store_cycles += rec.drain_done - commit;
-                    store_drain_stall += rec.drain_done - commit;
-                    commit = rec.drain_done;
-                }
+                (complete + 1).max(self.last_commit)
+            };
+            let drain_start = drain_from
+                .max(self.sq_drain_free)
+                .max(self.port_ring.peek());
+            self.port_ring.push(drain_start + 1);
+            let out = self.hier.access_data(
+                drain_start,
+                mem_ref.kind,
+                mem_ref.addr,
+                mem_ref.size,
+                mem,
+                token,
+                self.mode,
+            );
+            rec.drain_done = out.complete_at;
+            self.sq_drain_free = drain_start + 1;
+            if let Some(kind) = out.exception {
+                self.record_rest_audit(kind, d, mem_ref.addr);
+            }
+            if !self.mode.eager_store_commit() && rec.drain_done > commit {
+                self.stats.rob_blocked_store_cycles += rec.drain_done - commit;
+                store_drain_stall += rec.drain_done - commit;
+                commit = rec.drain_done;
             }
             // SQ entry frees when the write has drained.
-            self.sq_ring[self.n_store as usize % self.cfg.sq_entries] = rec.drain_done;
-            self.n_store += 1;
+            self.sq_ring.push(rec.drain_done);
             self.store_window.push_back(rec);
             while self.store_window.len() > self.cfg.sq_entries {
                 self.store_window.pop_front();
@@ -420,11 +425,10 @@ impl Pipeline {
             // ...and nothing younger may dispatch until it commits.
             self.barrier_at = self.barrier_at.max(commit);
         }
-        self.commit_ring[i % self.cfg.commit_width] = commit;
-        self.rob_ring[i % self.cfg.rob_entries] = commit;
+        self.commit_ring.push(commit);
+        self.rob_ring.push(commit);
         if d.kind == OpKind::Load {
-            self.lq_ring[self.n_load as usize % self.cfg.lq_entries] = commit;
-            self.n_load += 1;
+            self.lq_ring.push(commit);
         }
         self.last_commit = commit;
 
@@ -495,6 +499,7 @@ impl Pipeline {
         let mut ready = ready;
         let mut forwarded: Option<u64> = None;
         let mut forward_from_arm = false;
+        self.prune_store_window();
         // Scan younger-to-older among in-flight stores.
         for s in self.store_window.iter().rev() {
             if s.drain_done <= ready || !s.overlaps(addr, size) {
@@ -530,10 +535,8 @@ impl Pipeline {
         if let Some(complete) = forwarded {
             return (ready, complete, [0; 4]);
         }
-        let u = self.n_mem as usize % self.cfg.mem_ports;
-        let issue = ready.max(self.port_ring[u]);
-        self.port_ring[u] = issue + 1;
-        self.n_mem += 1;
+        let issue = ready.max(self.port_ring.peek());
+        self.port_ring.push(issue + 1);
         let out = self
             .hier
             .access_data(issue, MemAccessKind::Load, addr, size, mem, token, self.mode);
@@ -552,12 +555,33 @@ impl Pipeline {
         )
     }
 
+    /// Drops the oldest stores that no scan can match any more.
+    ///
+    /// Both window scans skip a store with `drain_done <= ready`, and
+    /// every micro-op from the current one on has `ready >= dispatch + 1
+    /// >= fetch + frontend_depth + 1`, with fetch monotone in program
+    /// order. So a store that drained by the current fetch cycle plus
+    /// `frontend_depth + 1` is skipped by every later scan. Dropping such
+    /// stores from the front keeps the window a suffix of the last
+    /// `sq_entries` stores that differs only in entries no scan matches.
+    fn prune_store_window(&mut self) {
+        let horizon = self.next_fetch_cycle + self.cfg.frontend_depth + 1;
+        while self
+            .store_window
+            .front()
+            .is_some_and(|s| s.drain_done <= horizon)
+        {
+            self.store_window.pop_front();
+        }
+    }
+
     /// Table I LSQ-column checks for store-like micro-ops entering the
     /// store queue.
     fn check_store_lsq_rules(&mut self, d: &DynInst, at: u64) {
         let mem_ref = d.mem.expect("store-like has a memory reference");
         let (addr, size) = (mem_ref.addr, mem_ref.size);
         let mut detected: Option<RestExceptionKind> = None;
+        self.prune_store_window();
         for s in self.store_window.iter().rev() {
             if s.drain_done <= at || !s.overlaps(addr, size) {
                 continue;

@@ -121,6 +121,17 @@ impl Component {
         Component::ApiIntercept,
     ];
 
+    /// Position in [`Component::ALL`].
+    pub const fn index(self) -> usize {
+        match self {
+            Component::App => 0,
+            Component::Allocator => 1,
+            Component::StackProtect => 2,
+            Component::AccessCheck => 3,
+            Component::ApiIntercept => 4,
+        }
+    }
+
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -280,6 +291,13 @@ impl DynInst {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn component_index_is_its_position_in_all() {
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c}");
+        }
+    }
 
     #[test]
     fn memref_overlap() {

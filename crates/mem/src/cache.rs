@@ -1,13 +1,15 @@
 use crate::config::CacheConfig;
 
-/// One way (line frame) of a set.
+/// One way (line frame) of a set: 16 bytes, so building the paper's
+/// 2 MB L2 writes 512 KiB of ways.
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
-    valid: bool,
     tag: u64,
+    /// LRU stamp: the cache's use counter at the way's last touch. Only
+    /// the order of stamps within a set matters (see [`Cache::bump`]).
+    stamp: u32,
+    valid: bool,
     dirty: bool,
-    /// LRU stamp (monotonic use counter).
-    stamp: u64,
     /// REST token bits for the slots of this line (bit *i* = slot *i*).
     /// Only meaningful in the L1-D; other levels keep it zero.
     token_mask: u8,
@@ -34,31 +36,42 @@ pub struct EvictedLine {
 /// memory. This is the standard timing/functional split and is what lets
 /// the token detector compare genuine line contents at fill time.
 ///
+/// The ways live in one set-major array (set `s` owns ways
+/// `s * assoc .. (s + 1) * assoc`), and addresses split into line offset,
+/// set index and tag by shift and mask: [`CacheConfig::sets`] admits
+/// only power-of-two line sizes and set counts.
+///
 /// # Example
 ///
 /// ```
 /// use rest_mem::{Cache, CacheConfig};
 ///
 /// let mut c = Cache::new(CacheConfig::isca2018_l1d(), "L1D");
-/// assert!(!c.lookup(0x1000, false));      // cold miss
+/// assert!(c.lookup(0x1000, false).is_none()); // cold miss
 /// c.fill(0x1000, false, 0);
-/// assert!(c.lookup(0x1000, false));       // now hits
+/// assert_eq!(c.lookup(0x1000, false), Some(0)); // hits, no token bits
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
-    next_stamp: u64,
+    ways: Vec<Way>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    next_stamp: u32,
     name: &'static str,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig, name: &'static str) -> Cache {
-        let sets = vec![vec![Way::default(); cfg.assoc]; cfg.sets()];
+        let sets = cfg.sets();
         Cache {
+            ways: vec![Way::default(); sets * cfg.assoc],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             cfg,
-            sets,
             next_stamp: 0,
             name,
         }
@@ -79,43 +92,72 @@ impl Cache {
         addr & !(self.cfg.line_bytes - 1)
     }
 
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.cfg.line_bytes) % self.sets.len() as u64) as usize
+    fn set_index(&self, addr: u64) -> u64 {
+        (addr >> self.line_shift) & ((1 << self.set_shift) - 1)
+    }
+
+    /// Range of `set`'s ways in `ways`.
+    fn set_ways(&self, set: u64) -> std::ops::Range<usize> {
+        let first = set as usize * self.cfg.assoc;
+        first..first + self.cfg.assoc
     }
 
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes / self.sets.len() as u64
+        addr >> self.line_shift >> self.set_shift
     }
 
-    fn bump(&mut self) -> u64 {
+    /// Slot index of `addr` within its line for `slot_bytes`-wide slots.
+    fn slot(&self, addr: u64, slot_bytes: u64) -> u64 {
+        (addr & (self.cfg.line_bytes - 1)) / slot_bytes
+    }
+
+    /// Next LRU stamp. When the 32-bit counter runs out, every set's
+    /// valid ways are renumbered `1..=assoc` in stamp order and the
+    /// counter restarts above them: the LRU way of each set stays the
+    /// LRU way, so no victim choice changes.
+    fn bump(&mut self) -> u32 {
+        if self.next_stamp == u32::MAX {
+            for set in self.ways.chunks_mut(self.cfg.assoc) {
+                let mut valid: Vec<&mut Way> = set.iter_mut().filter(|w| w.valid).collect();
+                valid.sort_unstable_by_key(|w| w.stamp);
+                for (rank, w) in (1..).zip(valid) {
+                    w.stamp = rank;
+                }
+            }
+            self.next_stamp = self.cfg.assoc as u32;
+        }
         self.next_stamp += 1;
         self.next_stamp
     }
 
-    fn find(&self, addr: u64) -> Option<(usize, usize)> {
-        let set = self.set_index(addr);
+    /// Index in `ways` of `addr`'s resident line.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let range = self.set_ways(self.set_index(addr));
         let tag = self.tag(addr);
-        self.sets[set]
+        let first = range.start;
+        self.ways[range]
             .iter()
             .position(|w| w.valid && w.tag == tag)
-            .map(|way| (set, way))
+            .map(|way| first + way)
+    }
+
+    fn resident(&mut self, addr: u64, op: &str) -> &mut Way {
+        match self.find(addr) {
+            Some(i) => &mut self.ways[i],
+            None => panic!("{}: {op} on absent line {addr:#x}", self.name),
+        }
     }
 
     /// Looks up `addr`, updating LRU state. Marks the line dirty when
-    /// `is_write`. Returns whether the access hit.
-    pub fn lookup(&mut self, addr: u64, is_write: bool) -> bool {
+    /// `is_write`. Returns the line's token bits on a hit, `None` on a
+    /// miss.
+    pub fn lookup(&mut self, addr: u64, is_write: bool) -> Option<u8> {
         let stamp = self.bump();
-        match self.find(addr) {
-            Some((set, way)) => {
-                let w = &mut self.sets[set][way];
-                w.stamp = stamp;
-                if is_write {
-                    w.dirty = true;
-                }
-                true
-            }
-            None => false,
-        }
+        let i = self.find(addr)?;
+        let w = &mut self.ways[i];
+        w.stamp = stamp;
+        w.dirty |= is_write;
+        Some(w.token_mask)
     }
 
     /// Whether `addr`'s line is resident, without touching LRU state.
@@ -125,17 +167,14 @@ impl Cache {
 
     /// Token bits of `addr`'s line, or `None` if not resident.
     pub fn token_mask(&self, addr: u64) -> Option<u8> {
-        self.find(addr).map(|(s, w)| self.sets[s][w].token_mask)
+        self.find(addr).map(|i| self.ways[i].token_mask)
     }
 
     /// Whether the token bit covering `addr` (given `slot_bytes`-wide
     /// slots) is set. `false` when the line is absent.
     pub fn token_bit_covering(&self, addr: u64, slot_bytes: u64) -> bool {
         match self.find(addr) {
-            Some((s, w)) => {
-                let slot = (addr % self.cfg.line_bytes) / slot_bytes;
-                self.sets[s][w].token_mask & (1u8 << slot) != 0
-            }
+            Some(i) => self.ways[i].token_mask & (1u8 << self.slot(addr, slot_bytes)) != 0,
             None => false,
         }
     }
@@ -162,10 +201,7 @@ impl Cache {
     ///
     /// Panics if the line is not resident (callers fill first).
     pub fn set_token_bits(&mut self, addr: u64, mask: u8) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: set_token_bits on absent line {addr:#x}", self.name));
-        self.sets[s][w].token_mask |= mask;
+        self.resident(addr, "set_token_bits").token_mask |= mask;
     }
 
     /// Clears the token bit for the slot containing `addr` and marks the
@@ -175,12 +211,10 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn clear_token_bit(&mut self, addr: u64, slot_bytes: u64) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: clear_token_bit on absent line {addr:#x}", self.name));
-        let slot = (addr % self.cfg.line_bytes) / slot_bytes;
-        self.sets[s][w].token_mask &= !(1u8 << slot);
-        self.sets[s][w].dirty = true;
+        let slot = self.slot(addr, slot_bytes);
+        let w = self.resident(addr, "clear_token_bit");
+        w.token_mask &= !(1u8 << slot);
+        w.dirty = true;
     }
 
     /// Marks `addr`'s resident line dirty (e.g. the arm's lazy value
@@ -190,31 +224,26 @@ impl Cache {
     ///
     /// Panics if the line is not resident.
     pub fn mark_dirty(&mut self, addr: u64) {
-        let (s, w) = self
-            .find(addr)
-            .unwrap_or_else(|| panic!("{}: mark_dirty on absent line {addr:#x}", self.name));
-        self.sets[s][w].dirty = true;
+        self.resident(addr, "mark_dirty").dirty = true;
     }
 
     /// Installs `addr`'s line (write-allocate fill), evicting the LRU way
     /// if the set is full. `token_mask` carries the detector's result for
     /// the incoming data. Returns the evicted line, if any.
     pub fn fill(&mut self, addr: u64, dirty: bool, token_mask: u8) -> Option<EvictedLine> {
-        if let Some((s, w)) = self.find(addr) {
+        let stamp = self.bump();
+        if let Some(i) = self.find(addr) {
             // Refill of a resident line (e.g. upgrade); merge state.
-            let stamp = self.bump();
-            let way = &mut self.sets[s][w];
+            let way = &mut self.ways[i];
             way.stamp = stamp;
             way.dirty |= dirty;
             way.token_mask |= token_mask;
             return None;
         }
-        let stamp = self.bump();
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let line_bytes = self.cfg.line_bytes;
-        let sets_len = self.sets.len() as u64;
-        let ways = &mut self.sets[set];
+        let range = self.set_ways(set);
+        let ways = &mut self.ways[range];
         // Choose an invalid way, else the LRU way.
         let victim = match ways.iter().position(|w| !w.valid) {
             Some(i) => i,
@@ -227,32 +256,25 @@ impl Cache {
                 i
             }
         };
-        let evicted = if ways[victim].valid {
-            let old = ways[victim];
-            let old_addr = (old.tag * sets_len + set as u64) * line_bytes;
-            Some(EvictedLine {
-                addr: old_addr,
-                dirty: old.dirty,
-                token_mask: old.token_mask,
-            })
-        } else {
-            None
-        };
+        let old = ways[victim];
         ways[victim] = Way {
-            valid: true,
             tag,
-            dirty,
             stamp,
+            valid: true,
+            dirty,
             token_mask,
         };
-        evicted
+        old.valid.then(|| EvictedLine {
+            addr: ((old.tag << self.set_shift) | set) << self.line_shift,
+            dirty: old.dirty,
+            token_mask: old.token_mask,
+        })
     }
 
     /// Invalidates `addr`'s line, returning its state if it was resident.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let (s, w) = self.find(addr)?;
-        let way = self.sets[s][w];
-        self.sets[s][w] = Way::default();
+        let i = self.find(addr)?;
+        let way = std::mem::take(&mut self.ways[i]);
         Some(EvictedLine {
             addr: self.line_addr(addr),
             dirty: way.dirty,
@@ -262,11 +284,7 @@ impl Cache {
 
     /// Number of valid lines (for occupancy assertions in tests).
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|w| w.valid)
-            .count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 }
 
@@ -282,11 +300,11 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.lookup(0x1000, false));
+        assert!(c.lookup(0x1000, false).is_none());
         assert!(c.fill(0x1000, false, 0).is_none());
-        assert!(c.lookup(0x1000, false));
-        assert!(c.lookup(0x103f, false)); // same line
-        assert!(!c.lookup(0x1040, false)); // next line
+        assert!(c.lookup(0x1000, false).is_some());
+        assert!(c.lookup(0x103f, false).is_some()); // same line
+        assert!(c.lookup(0x1040, false).is_none()); // next line
     }
 
     #[test]
@@ -392,6 +410,28 @@ mod tests {
         assert_eq!(ev.token_mask, 0b1);
         assert!(!c.probe(0x80));
         assert!(c.invalidate(0x80).is_none());
+    }
+
+    #[test]
+    fn stamp_wraparound_keeps_every_sets_lru_order() {
+        let mut c = tiny(); // 2-way, 8 sets, 64B lines => set stride 512
+        let (a, b, d) = (0x0u64, 0x200u64, 0x400u64); // set 0
+        let (e, f, g) = (0x40u64, 0x240u64, 0x440u64); // set 1
+        c.fill(a, false, 0);
+        c.fill(e, false, 0);
+        c.fill(b, false, 0);
+        c.fill(f, true, 0b1);
+        c.lookup(a, false); // set 0: b is LRU
+        c.lookup(e, false); // set 1: f is LRU
+        c.next_stamp = u32::MAX - 1;
+        c.lookup(b, false); // stamp u32::MAX: set 0's LRU is now a
+        c.lookup(0x9999_0000, false); // a miss still uses a stamp: renumbers
+        assert_eq!(c.next_stamp, 3);
+        let ev = c.fill(d, false, 0).expect("set 0 is full");
+        assert_eq!(ev.addr, a);
+        let ev = c.fill(g, false, 0).expect("set 1 is full");
+        assert_eq!(ev, EvictedLine { addr: f, dirty: true, token_mask: 0b1 });
+        assert!(c.probe(b) && c.probe(d) && c.probe(e) && c.probe(g));
     }
 
     #[test]

@@ -22,12 +22,16 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible by
-    /// `assoc * line_bytes`).
+    /// Panics if the geometry is inconsistent: capacity not divisible by
+    /// `assoc * line_bytes`, or a line size or set count that is not a
+    /// power of two (the cache splits addresses by shift and mask).
     pub fn sets(&self) -> usize {
         let denom = self.assoc as u64 * self.line_bytes;
         assert!(
-            denom > 0 && self.size_bytes.is_multiple_of(denom),
+            denom > 0
+                && self.size_bytes.is_multiple_of(denom)
+                && self.line_bytes.is_power_of_two()
+                && (self.size_bytes / denom).is_power_of_two(),
             "inconsistent cache geometry"
         );
         (self.size_bytes / denom) as usize
@@ -232,17 +236,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "inconsistent cache geometry")]
     fn bad_geometry_panics() {
-        let c = CacheConfig {
-            size_bytes: 1000,
-            assoc: 3,
-            line_bytes: 64,
+        let geometry = |size_bytes, assoc, line_bytes| CacheConfig {
+            size_bytes,
+            assoc,
+            line_bytes,
             hit_latency: 1,
             mshr_entries: 1,
             mshr_targets: 1,
             write_buffer_entries: 0,
         };
-        let _ = c.sets();
+        for (size, assoc, line, why) in [
+            (1000, 3, 64, "capacity not a multiple of assoc * line"),
+            (100 * 2 * 64, 2, 64, "100 sets"),
+            (8 * 48, 1, 48, "48-byte lines"),
+            (0, 0, 64, "zero associativity"),
+        ] {
+            let c = geometry(size, assoc, line);
+            let err = std::panic::catch_unwind(|| c.sets())
+                .expect_err(&format!("{why}: geometry must be rejected"));
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "inconsistent cache geometry", "{why}");
+        }
+        assert_eq!(geometry(4096, 4, 64).sets(), 16);
     }
 }

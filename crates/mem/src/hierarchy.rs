@@ -68,6 +68,22 @@ pub struct DataOutcome {
     pub rest_check_cycles: u64,
 }
 
+/// What one access found and left in the L1-D (see
+/// [`Hierarchy::ensure_l1d_resident`]).
+struct L1dAccess {
+    /// Cycle the critical word is available.
+    data_at: u64,
+    /// Cycle the full line has arrived and been checked.
+    checked_at: u64,
+    served: ServedBy,
+    /// Whether the line's tag was present before the access (Table I's
+    /// "hit" column).
+    was_hit: bool,
+    /// Token bits of the line after the access; `None` if the line is
+    /// not resident.
+    token_mask: Option<u8>,
+}
+
 /// The simulated memory hierarchy: split L1s, unified L2, DRAM — with
 /// the REST token detector and per-line token bits at the L1-D.
 ///
@@ -151,17 +167,23 @@ impl Hierarchy {
         self.l2.invalidate(addr);
     }
 
+    /// Base address of the L1-I line holding `pc`: the unit of
+    /// instruction fetch.
+    pub fn inst_line(&self, pc: u64) -> u64 {
+        self.l1i.line_addr(pc)
+    }
+
     /// Instruction fetch of the line containing `pc`; returns the cycle
     /// at which fetch data is available.
     pub fn fetch_inst(&mut self, now: u64, pc: u64, mem: &dyn LineReader, token: &Token) -> u64 {
-        let line = self.l1i.line_addr(pc);
+        let line = self.inst_line(pc);
         // A line whose fill is still in flight is not yet present, even
         // though its tag has been pre-installed: check the MSHRs first.
         if let Some(done) = self.l1i_mshrs.merge(line, now) {
             self.stats.l1i_misses += 1;
             return done;
         }
-        if self.l1i.lookup(line, false) {
+        if self.l1i.lookup(line, false).is_some() {
             self.stats.l1i_hits += 1;
             return now + self.l1i.config().hit_latency;
         }
@@ -189,7 +211,7 @@ impl Hierarchy {
             self.stats.l2_misses += 1;
             return (done, true);
         }
-        if self.l2.lookup(line, false) {
+        if self.l2.lookup(line, false).is_some() {
             self.stats.l2_hits += 1;
             return (now + self.l2.config().hit_latency, false);
         }
@@ -239,8 +261,8 @@ impl Hierarchy {
     }
 
     /// Ensures `line` is resident in the L1-D at `now`, running the token
-    /// detector on fills. Returns `(critical_word_at, line_checked_at,
-    /// served_by)`.
+    /// detector on fills. One tag search serves the hit check, the LRU
+    /// and dirty update, and the token bits of the common paths.
     fn ensure_l1d_resident(
         &mut self,
         now: u64,
@@ -248,11 +270,12 @@ impl Hierarchy {
         is_write: bool,
         mem: &dyn LineReader,
         token: &Token,
-    ) -> (u64, u64, ServedBy) {
+    ) -> L1dAccess {
         // §VIII token cache: an armed line parked in the dedicated
         // buffer is re-installed at near-L1 latency, token bits intact.
         if self.token_cache_entries > 0 {
             if let Some(pos) = self.token_cache.iter().position(|&(a, _)| a == line) {
+                let was_hit = self.l1d.probe(line);
                 let (_, mask) = self.token_cache.remove(pos).expect("position valid");
                 self.stats.token_cache_hits += 1;
                 let t = now + self.l1d.config().hit_latency + 1;
@@ -266,8 +289,13 @@ impl Hierarchy {
                         }
                     }
                 }
-                self.l1d.lookup(line, is_write);
-                return (t, t, ServedBy::L1);
+                return L1dAccess {
+                    data_at: t,
+                    checked_at: t,
+                    served: ServedBy::L1,
+                    was_hit,
+                    token_mask: self.l1d.lookup(line, is_write),
+                };
             }
         }
         if let Some(done) = self.l1d_mshrs.merge(line, now) {
@@ -275,13 +303,25 @@ impl Hierarchy {
             // was pre-installed by the primary; record the touch so LRU
             // and dirty state stay correct.
             self.stats.l1d_misses += 1;
-            self.l1d.lookup(line, is_write);
-            return (done, done + self.line_fill_tail, ServedBy::L2);
+            let token_mask = self.l1d.lookup(line, is_write);
+            return L1dAccess {
+                data_at: done,
+                checked_at: done + self.line_fill_tail,
+                served: ServedBy::L2,
+                was_hit: token_mask.is_some(),
+                token_mask,
+            };
         }
-        if self.l1d.lookup(line, is_write) {
+        if let Some(token_mask) = self.l1d.lookup(line, is_write) {
             self.stats.l1d_hits += 1;
             let t = now + self.l1d.config().hit_latency;
-            return (t, t, ServedBy::L1);
+            return L1dAccess {
+                data_at: t,
+                checked_at: t,
+                served: ServedBy::L1,
+                was_hit: true,
+                token_mask: Some(token_mask),
+            };
         }
         self.stats.l1d_misses += 1;
         let start = now + self.l1d.config().hit_latency;
@@ -331,8 +371,17 @@ impl Hierarchy {
                 }
             }
         }
-        let served = if from_dram { ServedBy::Dram } else { ServedBy::L2 };
-        (data_at, data_at + self.line_fill_tail, served)
+        L1dAccess {
+            data_at,
+            checked_at: data_at + self.line_fill_tail,
+            served: if from_dram {
+                ServedBy::Dram
+            } else {
+                ServedBy::L2
+            },
+            was_hit: false,
+            token_mask: Some(mask),
+        }
     }
 
     /// Walks one data access through the hierarchy, applying the REST
@@ -361,8 +410,13 @@ impl Hierarchy {
             kind,
             MemAccessKind::Store | MemAccessKind::Arm | MemAccessKind::Disarm
         );
-        let was_hit = self.l1d.probe(line);
-        let (data_at, checked_at, served) = self.ensure_l1d_resident(now, line, is_write, mem, token);
+        let L1dAccess {
+            data_at,
+            checked_at,
+            served,
+            was_hit,
+            token_mask,
+        } = self.ensure_l1d_resident(now, line, is_write, mem, token);
         let mut complete_at = data_at;
         let mut held = false;
 
@@ -385,13 +439,21 @@ impl Hierarchy {
             }
         }
 
-        // Post-fill token-bit state covering the access.
-        let token_bit = match kind {
-            MemAccessKind::Arm | MemAccessKind::Disarm => self.l1d.token_bit_covering(addr, w),
-            _ => {
-                // A scalar access may straddle two slots within the line.
-                self.l1d.access_touches_token(addr, size, w)
+        // Post-fill token-bit state covering the access: an arm or
+        // disarm covers one slot; a scalar access may straddle two slots
+        // within the line, or the line boundary (then the next line's
+        // bits are looked up too).
+        let span = match kind {
+            MemAccessKind::Arm | MemAccessKind::Disarm => 1,
+            _ => size.max(1),
+        };
+        let last = addr + span - 1;
+        let token_bit = match token_mask {
+            Some(mask) if self.l1d.line_addr(last) == line => {
+                let (first_slot, last_slot) = ((addr - line) / w, (last - line) / w);
+                (first_slot..=last_slot).any(|slot| mask & (1 << slot) != 0)
             }
+            _ => self.l1d.access_touches_token(addr, span, w),
         };
 
         let action = match (kind, mode) {

@@ -1,4 +1,12 @@
-use std::collections::HashMap;
+/// One in-flight line fill.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    line: u64,
+    /// Fill completion cycle.
+    done: u64,
+    /// Targets merged so far (the primary miss counts as one).
+    targets: usize,
+}
 
 /// A miss-status holding register file.
 ///
@@ -8,6 +16,9 @@ use std::collections::HashMap;
 /// When all entries are busy, a new miss must wait for the earliest
 /// completion — the stall the paper's Table II provisions against with
 /// "4 20-entry MSHRs".
+///
+/// The in-flight fills live in a fixed array of [`MshrFile::MAX_ENTRIES`]
+/// slots, at most one per line; the first `len` slots are live.
 ///
 /// # Example
 ///
@@ -23,29 +34,53 @@ use std::collections::HashMap;
 pub struct MshrFile {
     entries: usize,
     targets_per_entry: usize,
-    /// line address -> (fill completion cycle, targets merged so far).
-    inflight: HashMap<u64, (u64, usize)>,
-    /// Completion cycles of all in-flight fills (for full-file stalls).
+    inflight: [Entry; MshrFile::MAX_ENTRIES],
+    len: usize,
     stalls: u64,
     merges: u64,
 }
 
 impl MshrFile {
+    /// Capacity of the entry array: the largest file Table II
+    /// provisions (the L2's 20 entries).
+    pub const MAX_ENTRIES: usize = 20;
+
     /// Creates a file with `entries` primary-miss slots, each accepting
     /// `targets_per_entry` merged secondary misses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` exceeds [`MshrFile::MAX_ENTRIES`].
     pub fn new(entries: usize, targets_per_entry: usize) -> MshrFile {
+        assert!(
+            entries <= Self::MAX_ENTRIES,
+            "{entries} MSHR entries exceed the {}-entry file",
+            Self::MAX_ENTRIES
+        );
         MshrFile {
             entries,
             targets_per_entry,
-            inflight: HashMap::new(),
+            inflight: [Entry::default(); Self::MAX_ENTRIES],
+            len: 0,
             stalls: 0,
             merges: 0,
         }
     }
 
+    fn live(&self) -> &[Entry] {
+        &self.inflight[..self.len]
+    }
+
     /// Drops entries whose fills completed at or before `now`.
     pub fn expire(&mut self, now: u64) {
-        self.inflight.retain(|_, (done, _)| *done > now);
+        let mut kept = 0;
+        for i in 0..self.len {
+            if self.inflight[i].done > now {
+                self.inflight[kept] = self.inflight[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
     }
 
     /// If `line` is already being fetched at `now`, merges onto the entry
@@ -55,48 +90,55 @@ impl MshrFile {
     /// allocation after the entry retires).
     pub fn merge(&mut self, line: u64, now: u64) -> Option<u64> {
         self.expire(now);
-        match self.inflight.get_mut(&line) {
-            Some((done, targets)) if *targets < self.targets_per_entry => {
-                *targets += 1;
-                self.merges += 1;
-                Some(*done)
-            }
-            _ => None,
-        }
+        let limit = self.targets_per_entry;
+        let e = self.inflight[..self.len]
+            .iter_mut()
+            .find(|e| e.line == line && e.targets < limit)?;
+        e.targets += 1;
+        self.merges += 1;
+        Some(e.done)
     }
 
     /// Allocates an entry for a primary miss to `line` discovered at
     /// `now` whose fill would complete at `fill_done` if it started
     /// immediately. Returns the cycle at which the miss can actually
     /// *start* (== `now` unless the file is full, in which case the
-    /// request waits for the earliest in-flight completion).
+    /// request waits for the earliest in-flight completion). A line
+    /// still in flight — its targets exhausted — has its entry replaced.
     pub fn allocate(&mut self, line: u64, now: u64, fill_done: u64) -> u64 {
         self.expire(now);
-        let start = if self.inflight.len() >= self.entries {
+        let mut wait = 0;
+        if self.len >= self.entries {
             let earliest = self
-                .inflight
-                .values()
-                .map(|&(done, _)| done)
+                .live()
+                .iter()
+                .map(|e| e.done)
                 .min()
                 .expect("file is non-empty when full");
             self.stalls += 1;
             // The stalled request begins once a slot frees.
-            let wait = earliest.saturating_sub(now);
+            wait = earliest.saturating_sub(now);
             self.expire(earliest);
-            self.inflight
-                .insert(line, (fill_done + wait, 1));
-            return now + wait;
-        } else {
-            now
+        }
+        let entry = Entry {
+            line,
+            done: fill_done + wait,
+            targets: 1,
         };
-        self.inflight.insert(line, (fill_done, 1));
-        start
+        match self.live().iter().position(|e| e.line == line) {
+            Some(i) => self.inflight[i] = entry,
+            None => {
+                self.inflight[self.len] = entry;
+                self.len += 1;
+            }
+        }
+        now + wait
     }
 
     /// Number of in-flight fills (after expiring completed ones).
     pub fn occupancy(&mut self, now: u64) -> usize {
         self.expire(now);
-        self.inflight.len()
+        self.len
     }
 
     /// Number of times a request stalled on a full file.
@@ -147,5 +189,47 @@ mod tests {
         assert_eq!(m.occupancy(29), 1);
         assert_eq!(m.occupancy(30), 0);
         assert_eq!(m.merge(0x0, 31), None); // completed, no merge target
+    }
+
+    #[test]
+    fn exhausted_entry_is_replaced_by_reallocation() {
+        let mut m = MshrFile::new(2, 2);
+        m.allocate(0x40, 0, 100);
+        assert_eq!(m.merge(0x40, 10), Some(100));
+        assert_eq!(m.merge(0x40, 20), None); // target limit hit
+
+        // The retry re-allocates the same line: the entry is replaced in
+        // place (no second entry, no structural stall) with the new fill
+        // time and a fresh target count.
+        assert_eq!(m.allocate(0x40, 20, 150), 20);
+        assert_eq!(m.occupancy(20), 1);
+        assert_eq!(m.stalls(), 0);
+        assert_eq!(m.merge(0x40, 30), Some(150));
+        assert_eq!(m.merge(0x40, 40), None);
+        assert_eq!(m.merges(), 2);
+        // Completes at the replacement's time, not the original's.
+        assert_eq!(m.occupancy(149), 1);
+        assert_eq!(m.occupancy(150), 0);
+    }
+
+    #[test]
+    fn full_file_reallocation_of_an_exhausted_line_replaces_it() {
+        let mut m = MshrFile::new(2, 1);
+        m.allocate(0x0, 0, 60);
+        m.allocate(0x40, 0, 90);
+        assert_eq!(m.merge(0x40, 5), None); // one target: already exhausted
+
+        // Full: wait for the 0x0 fill, then replace 0x40's entry.
+        assert_eq!(m.allocate(0x40, 10, 110), 60);
+        assert_eq!(m.stalls(), 1);
+        assert_eq!(m.occupancy(60), 1);
+        assert_eq!(m.occupancy(159), 1);
+        assert_eq!(m.occupancy(160), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 20-entry file")]
+    fn oversized_file_is_rejected() {
+        let _ = MshrFile::new(MshrFile::MAX_ENTRIES + 1, 1);
     }
 }

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 
 use rest::core::{ArmedSet, RestBackend, Token, TokenWidth};
+use rest::mem::{Cache, CacheConfig, EvictedLine, MemConfig};
 use rest::prelude::*;
 use rest::runtime::{Allocator, RestAllocator, RtConfig, TrafficRecorder};
 use rest_isa::GuestMemory;
@@ -176,6 +177,175 @@ proptest! {
         prop_assert!(r1.cycles() > 0);
         // 8-wide machine: cannot beat uops/8 per cycle (+ pipeline fill).
         prop_assert!(r1.cycles() as f64 >= r1.core.uops as f64 / 8.0);
+    }
+}
+
+/// One resident line of [`NaiveCache`].
+#[derive(Debug, Clone, Copy)]
+struct NaiveLine {
+    tag: u64,
+    stamp: u64,
+    dirty: bool,
+    mask: u8,
+}
+
+/// Reference model for [`Cache`]: per set, a `Vec` of resident lines
+/// with true LRU, indexed by plain division.
+struct NaiveCache {
+    sets: Vec<Vec<NaiveLine>>,
+    assoc: usize,
+    line_bytes: u64,
+    clock: u64,
+}
+
+impl NaiveCache {
+    fn new(cfg: &CacheConfig) -> NaiveCache {
+        let sets = (cfg.size_bytes / (cfg.assoc as u64 * cfg.line_bytes)) as usize;
+        NaiveCache {
+            sets: vec![Vec::new(); sets],
+            assoc: cfg.assoc,
+            line_bytes: cfg.line_bytes,
+            clock: 0,
+        }
+    }
+
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr / self.line_bytes;
+        let n = self.sets.len() as u64;
+        ((line % n) as usize, line / n)
+    }
+
+    fn line(&mut self, addr: u64) -> Option<&mut NaiveLine> {
+        let (set, tag) = self.set_and_tag(addr);
+        self.sets[set].iter_mut().find(|l| l.tag == tag)
+    }
+
+    fn lookup(&mut self, addr: u64, write: bool) -> Option<u8> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.line(addr).map(|l| {
+            l.stamp = clock;
+            l.dirty |= write;
+            l.mask
+        })
+    }
+
+    fn fill(&mut self, addr: u64, dirty: bool, mask: u8) -> Option<EvictedLine> {
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(l) = self.line(addr) {
+            l.stamp = clock;
+            l.dirty |= dirty;
+            l.mask |= mask;
+            return None;
+        }
+        let (set, tag) = self.set_and_tag(addr);
+        let (n, line_bytes, assoc) = (self.sets.len() as u64, self.line_bytes, self.assoc);
+        let lines = &mut self.sets[set];
+        let evicted = (lines.len() == assoc).then(|| {
+            let lru = (0..lines.len()).min_by_key(|&i| lines[i].stamp).unwrap();
+            let old = lines.remove(lru);
+            EvictedLine {
+                addr: (old.tag * n + set as u64) * line_bytes,
+                dirty: old.dirty,
+                token_mask: old.mask,
+            }
+        });
+        lines.push(NaiveLine {
+            tag,
+            stamp: clock,
+            dirty,
+            mask,
+        });
+        evicted
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
+        let (set, tag) = self.set_and_tag(addr);
+        let i = self.sets[set].iter().position(|l| l.tag == tag)?;
+        let old = self.sets[set].remove(i);
+        Some(EvictedLine {
+            addr: addr / self.line_bytes * self.line_bytes,
+            dirty: old.dirty,
+            token_mask: old.mask,
+        })
+    }
+
+    fn resident_lines(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+proptest! {
+    /// The flat, shift-and-mask [`Cache`] agrees with a naive per-set
+    /// model on every operation: hits and their token bits, evicted lines (address, dirty
+    /// bit, token mask), token bits and occupancy, for the tiny test
+    /// geometries and the paper's L1-D and L2.
+    #[test]
+    fn cache_matches_naive_model(
+        geometry in 0usize..4,
+        ops in prop::collection::vec(
+            (0u8..7, 0u64..4, 0u64..24, 0u64..64, any::<bool>(), 0u8..16),
+            1..300,
+        ),
+    ) {
+        let cfg = match geometry {
+            0 => MemConfig::tiny().l1d,
+            1 => MemConfig::tiny().l2,
+            2 => CacheConfig::isca2018_l1d(),
+            _ => CacheConfig::isca2018_l2(),
+        };
+        let mut cache = Cache::new(cfg.clone(), "C");
+        let mut model = NaiveCache::new(&cfg);
+        let sets = model.sets.len() as u64;
+        for (op, set_sel, tag_sel, offset, flag, mask) in ops {
+            // A handful of sets (first, second, middle, last), more
+            // tags than ways, and some tags in the high address bits.
+            let set = [0, 1, sets / 2, sets - 1][set_sel as usize];
+            let tag = if tag_sel >= 20 { tag_sel << 40 } else { tag_sel };
+            let addr = (tag * sets + set) * cfg.line_bytes + offset;
+            let resident = model.line(addr).is_some();
+            match op {
+                0 => prop_assert_eq!(cache.lookup(addr, flag), model.lookup(addr, flag)),
+                1 => prop_assert_eq!(cache.fill(addr, flag, mask), model.fill(addr, flag, mask)),
+                2 => prop_assert_eq!(cache.invalidate(addr), model.invalidate(addr)),
+                3 if resident => {
+                    cache.set_token_bits(addr, mask);
+                    model.line(addr).unwrap().mask |= mask;
+                }
+                4 if resident => {
+                    cache.clear_token_bit(addr, 16);
+                    let l = model.line(addr).unwrap();
+                    l.mask &= !(1 << (offset / 16));
+                    l.dirty = true;
+                }
+                5 if resident => {
+                    cache.mark_dirty(addr);
+                    model.line(addr).unwrap().dirty = true;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(cache.probe(addr), model.line(addr).is_some());
+            let model_mask = model.line(addr).map(|l| l.mask);
+            prop_assert_eq!(cache.token_mask(addr), model_mask);
+            prop_assert_eq!(
+                cache.token_bit_covering(addr, 16),
+                model_mask.is_some_and(|m| m & (1 << (offset / 16)) != 0)
+            );
+            prop_assert_eq!(cache.resident_lines(), model.resident_lines());
+        }
+        // Drain: invalidating every line the model holds reports the
+        // same dirty bits and token masks.
+        let held: Vec<u64> = model
+            .sets
+            .iter()
+            .enumerate()
+            .flat_map(|(s, lines)| lines.iter().map(move |l| (l.tag * sets + s as u64) * cfg.line_bytes))
+            .collect();
+        for addr in held {
+            prop_assert_eq!(cache.invalidate(addr), model.invalidate(addr));
+        }
+        prop_assert_eq!(cache.resident_lines(), 0);
     }
 }
 
