@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! bench-diff --baseline results/BENCH_throughput.json \
-//!            --current  /tmp/fresh.json [--tolerance PCT] [--warn-only]
+//!            --current  /tmp/fresh.json [--tolerance PCT]
 //! ```
 //!
 //! Both inputs are validated against the schema before any comparison,

@@ -6,10 +6,10 @@
 //! ```text
 //! bench-diff --baseline results/BENCH_throughput.json \
 //!            --current  /tmp/fresh.json \
-//!            [--tolerance PCT] [--warn-only]
+//!            [--tolerance PCT]
 //! ```
 //!
-//! Exit codes: 0 = within tolerance (or `--warn-only`), 1 = regression,
+//! Exit codes: 0 = within tolerance, 1 = regression,
 //! 2 = usage or I/O error (malformed documents are errors, not passes).
 
 use std::path::PathBuf;
@@ -17,12 +17,11 @@ use std::path::PathBuf;
 use rest_bench::benchdiff::{diff, load, DEFAULT_TOLERANCE_PCT};
 
 const USAGE: &str = "usage: bench-diff --baseline PATH --current PATH \
-                     [--tolerance PCT] [--warn-only]\n\
+                     [--tolerance PCT]\n\
                      \n\
                      --baseline PATH   committed rest-throughput/v2 document\n\
                      --current PATH    freshly measured document to gate\n\
-                     --tolerance PCT   allowed aggregate guest-IPS drop (default 5)\n\
-                     --warn-only       report a regression without failing (exit 0)";
+                     --tolerance PCT   allowed aggregate guest-IPS drop (default 5)";
 
 fn die(msg: &str) -> ! {
     eprintln!("bench-diff: {msg}");
@@ -35,7 +34,6 @@ fn main() {
     let mut baseline: Option<PathBuf> = None;
     let mut current: Option<PathBuf> = None;
     let mut tolerance = DEFAULT_TOLERANCE_PCT;
-    let mut warn_only = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -51,7 +49,6 @@ fn main() {
                 Some(v) if v >= 0.0 => tolerance = v,
                 _ => die("--tolerance needs a non-negative percentage"),
             },
-            "--warn-only" => warn_only = true,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -67,10 +64,6 @@ fn main() {
     let report = diff(&base_doc, &curr_doc, tolerance).unwrap_or_else(|e| die(&e));
     print!("{}", report.render());
     if report.regressed() {
-        if warn_only {
-            eprintln!("bench-diff: regression detected, but --warn-only holds the gate open");
-        } else {
-            std::process::exit(1);
-        }
+        std::process::exit(1);
     }
 }

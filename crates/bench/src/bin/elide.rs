@@ -7,8 +7,8 @@
 //! semantics.
 //!
 //! Writes `results/elision.json` (deterministic, byte-identical at any
-//! `--jobs`) and `results/BENCH_elision.json` (wall-clock guest-IPS
-//! with and without elision).
+//! `--jobs`) and, in the same directory, `BENCH_elision.json`
+//! (wall-clock guest-IPS with and without elision).
 //!
 //! Usage: `cargo run --release -p rest-bench --bin elide -- \
 //!         [--test] [--jobs N] [--json PATH] [--filter SUBSTRING]`

@@ -470,7 +470,8 @@ impl Harness {
 
     /// Writes the finished sink, closes the "report" phase, and emits
     /// the observability artefacts (see [`crate::finish_observability`]).
-    /// Exits 1 when the host profile is invalid or any job panicked.
+    /// Exits 1 when the document or the host profile is invalid, or
+    /// when any job panicked.
     pub fn finish(mut self, sink: ResultSink, matrix: &MatrixResults) {
         sink.finish();
         self.profile

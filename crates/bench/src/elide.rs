@@ -28,7 +28,8 @@
 //!   attribution, the per-program `rest-elide/v1` maps (each validated
 //!   against [`rest_obs::elide`]), and the attack-coverage section.
 //!   Byte-identical at any `--jobs` level.
-//! * `results/BENCH_elision.json` — host wall-clock guest-IPS of the
+//! * `BENCH_elision.json`, in the same directory as the `--json`
+//!   document (default `results/`) — host wall-clock guest-IPS of the
 //!   functional emulator with checks in full versus elided, following
 //!   the `BENCH_` convention because wall times are nondeterministic.
 
@@ -379,19 +380,18 @@ impl ElideFigure {
     }
 
     /// The per-program `rest-elide/v1` documents (both schemes per
-    /// row), each of which must satisfy [`rest_obs::validate_elide`].
-    pub fn programs_json(&self) -> Result<Json, String> {
-        let mut docs = Vec::new();
-        for row in &self.rows {
-            for report in [&row.rest_static, &row.asan_static] {
-                let doc = report.to_json(&row.benchmark);
-                rest_obs::validate_elide(&doc).map_err(|e| {
-                    format!("{} {}: invalid elision map: {e}", row.benchmark, report.scheme.name())
-                })?;
-                docs.push(doc);
-            }
-        }
-        Ok(Json::Arr(docs))
+    /// row); the result sink checks each with
+    /// [`rest_obs::validate_elide`] before writing.
+    pub fn programs_json(&self) -> Json {
+        let reports = self
+            .rows
+            .iter()
+            .flat_map(|r| [(r, &r.rest_static), (r, &r.asan_static)]);
+        Json::Arr(
+            reports
+                .map(|(row, report)| report.to_json(&row.benchmark))
+                .collect(),
+        )
     }
 
     /// The `summary` member: campaign-wide totals and the hard-gate
@@ -558,13 +558,16 @@ pub fn measure_ips(row: &FigureRow, scale: Scale) -> Result<IpsCell, String> {
     })
 }
 
+/// Schema of the wall-clock document [`bench_json`] renders.
+pub const BENCH_SCHEMA: &str = "rest-elide-bench/v1";
+
 /// The `rest-elide-bench/v1` wall-clock document.
 pub fn bench_json(scale: &str, cells: &[IpsCell]) -> Json {
     let insts: u64 = cells.iter().map(|c| c.insts).sum();
     let full: Duration = cells.iter().map(|c| c.full_wall).sum();
     let elided: Duration = cells.iter().map(|c| c.elided_wall).sum();
     Json::obj(vec![
-        ("schema", Json::from("rest-elide-bench/v1")),
+        ("schema", Json::from(BENCH_SCHEMA)),
         ("scale", Json::from(scale)),
         (
             "cells",
@@ -612,7 +615,7 @@ fn fail(msg: &str) -> ! {
 
 /// Runs the full campaign: 16 rows × the four scheme cells plus the ten
 /// attack pairs, enforces every differential and reconciliation gate,
-/// writes `results/elision.json` and `results/BENCH_elision.json`.
+/// writes the `--json` document and `BENCH_elision.json` beside it.
 pub fn run_campaign(mut h: Harness) {
     let cli = h.cli.clone();
     let rows = cli.filter_rows(crate::figure_rows());
@@ -760,10 +763,6 @@ pub fn run_campaign(mut h: Harness) {
     }
     figure.print_text_table();
 
-    let programs = match figure.programs_json() {
-        Ok(p) => p,
-        Err(e) => fail(&e),
-    };
     let mut sink = h.sink();
     sink.push("schema", Json::from(rest_obs::ELIDE_SCHEMA));
     sink.push(
@@ -773,7 +772,7 @@ pub fn run_campaign(mut h: Harness) {
     sink.push("rows", figure.rows_json());
     sink.push("attacks", figure.attacks_json());
     sink.push("regressions", figure.regressions_json());
-    sink.push("programs", programs);
+    sink.push("programs", figure.programs_json());
     sink.push("summary", figure.summary_json());
 
     // Wall-clock guest-IPS sweep (sequential: concurrent cells would
@@ -796,10 +795,7 @@ pub fn run_campaign(mut h: Harness) {
     }
     let mut text = bench_json(cli.scale_name(), &cells).to_string_pretty();
     text.push('\n');
-    crate::write_text_file(
-        &std::path::PathBuf::from("results/BENCH_elision.json"),
-        &text,
-    );
+    crate::write_text_file(&cli.json_path().with_file_name("BENCH_elision.json"), &text);
     // No matrix ran (the campaign drives plain job lists), so the
     // observability teardown gets an empty one.
     let matrix = crate::engine::MatrixResults {
@@ -929,7 +925,7 @@ mod tests {
         let doc = Json::parse(&bench_json("test", &[cell]).to_string_pretty()).unwrap();
         assert_eq!(
             doc.get("schema").unwrap().as_str(),
-            Some("rest-elide-bench/v1")
+            Some(BENCH_SCHEMA)
         );
         assert_eq!(doc.get("summary").unwrap().get("cells").unwrap().as_u64(), Some(1));
     }

@@ -65,8 +65,9 @@ const CKPT_CHUNK: usize = 8;
 ///
 /// Any campaign run at [`BenchCli::DEFAULT_FAULT_SEED`]/`--test` whose
 /// missed-detection set differs from this table **in either
-/// direction** exits 1: a vanished miss is a silent fault-model change
-/// just as much as a new one.
+/// direction** fails rule `known-outcomes` and writes no document: a
+/// vanished miss is a silent fault-model change just as much as a new
+/// one.
 pub const KNOWN_MISSED_DETECTIONS: [(&str, &str); 4] = [
     ("heap-overflow-write", "meta-bit-clear"),
     ("heap-overflow-write", "token-byte-flip"),
@@ -334,10 +335,150 @@ fn classified_cell(cell: &Json, reference: &Json) -> Json {
     Json::Obj(members)
 }
 
+/// The outcome names [`classify`] produces, in coverage order.
+const OUTCOMES: [&str; 6] = ["detected", "masked", "sdc", "hang", "crash", "error"];
+
+/// The `rest-faults/v1` rules:
+///
+/// * `anchor` — each row's fault-free cell classifies as `masked` for
+///   a workload and `detected` for an attack;
+/// * `provenance` — every missed detection carries an audit entry from
+///   the fault injector;
+/// * `coverage` — the coverage counters equal the per-cell outcome and
+///   flag counts;
+/// * `known-outcomes` — `expected_outcomes` carries the two tables and
+///   is `checked` exactly at the default seed and test scale; when
+///   checked, the missed detections and false positives are exactly
+///   [`KNOWN_MISSED_DETECTIONS`] and [`KNOWN_FALSE_POSITIVES`].
+///
+/// A panicked cell classifies as `error`, which can break a rule; the
+/// violation then names the panicked cells, the likelier cause.
+pub fn validate(doc: &Json) -> Result<(), String> {
+    check_rules(doc).map_err(|e| {
+        let panicked = panicked_cells(doc.get("rows").and_then(Json::as_arr).unwrap_or_default());
+        if panicked.is_empty() {
+            e
+        } else {
+            format!("{e} (cells that panicked: {})", panicked.join(", "))
+        }
+    })
+}
+
+fn check_rules(doc: &Json) -> Result<(), String> {
+    use crate::sink::{ensure, flag};
+    let mut tally = OUTCOMES.map(|o| (o, 0u64)).to_vec();
+    let (mut missed, mut fps) = (Vec::new(), Vec::new());
+    for row in doc.req("rows", Json::as_arr)? {
+        let name = row.req("name", Json::as_str)?;
+        let attack = row.req("kind", Json::as_str)? == "attack";
+        let anchor = if attack { "detected" } else { "masked" };
+        for (c, cell) in row.req("cells", Json::as_arr)?.iter().enumerate() {
+            let label = cell.req("label", Json::as_str)?;
+            let outcome = cell.req("outcome", Json::as_str)?;
+            ensure(c > 0 || outcome == anchor, "anchor", || {
+                format!("{name}/{label} is {outcome}, expected {anchor}")
+            })?;
+            let slot = tally.iter_mut().find(|(o, _)| *o == outcome);
+            slot.ok_or_else(|| format!("coverage: {name}/{label}: outcome {outcome:?}"))?
+                .1 += 1;
+            if flag(cell, "missed_detection") {
+                missed.push((name, label));
+                ensure(
+                    cell.req("audit_injector_entries", Json::as_u64)? > 0,
+                    "provenance",
+                    || format!("{name}/{label}: missed detection without an injector audit entry"),
+                )?;
+            }
+            if flag(cell, "false_positive") {
+                fps.push((name, label));
+            }
+        }
+    }
+    tally.push(("missed_detections", missed.len() as u64));
+    tally.push(("false_positives", fps.len() as u64));
+    let coverage = doc.req("coverage", Some)?;
+    for (key, n) in tally {
+        let have = coverage.req(key, Json::as_u64)?;
+        ensure(have == n, "coverage", || {
+            format!("coverage.{key} is {have}, cells count {n}")
+        })?;
+    }
+    let expected = doc.req("expected_outcomes", Some)?;
+    let bound = tables_bind(
+        doc.req("fault_seed", Json::as_u64)?,
+        doc.req("scale", Json::as_str)?,
+    );
+    ensure(flag(expected, "checked") == bound, "known-outcomes", || {
+        format!("expected_outcomes.checked must be {bound} at this seed and scale")
+    })?;
+    for (key, known) in [
+        ("known_missed_detections", &KNOWN_MISSED_DETECTIONS[..]),
+        ("known_false_positives", &KNOWN_FALSE_POSITIVES),
+    ] {
+        ensure(
+            expected.get(key) == Some(&known_json(known)),
+            "known-outcomes",
+            || format!("expected_outcomes.{key} differs from the table"),
+        )?;
+    }
+    if bound {
+        for (cells, known) in [
+            (missed, &KNOWN_MISSED_DETECTIONS[..]),
+            (fps, &KNOWN_FALSE_POSITIVES),
+        ] {
+            ensure(cells == known, "known-outcomes", || {
+                format!("cells {cells:?} differ from the table {known:?} (update it deliberately)")
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Whether the known-outcome tables bind a run: only the configuration
+/// the committed document describes. Other seeds or scales
+/// legitimately produce different fail-open/fail-closed sets and are
+/// reported without judgement.
+fn tables_bind(fault_seed: u64, scale: &str) -> bool {
+    fault_seed == BenchCli::DEFAULT_FAULT_SEED && scale == "test"
+}
+
+/// A known-outcome table as `[{"row", "fault"}]`.
+fn known_json(known: &[(&str, &str)]) -> Json {
+    Json::Arr(
+        known
+            .iter()
+            .map(|&(row, kind)| {
+                Json::obj(vec![("row", Json::from(row)), ("fault", Json::from(kind))])
+            })
+            .collect(),
+    )
+}
+
+/// Cells whose simulation panicked, as `row/label`.
+fn panicked_cells(rows: &[Json]) -> Vec<String> {
+    let mut names = Vec::new();
+    for row in rows {
+        let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
+        for cell in row.get("cells").and_then(Json::as_arr).unwrap_or_default() {
+            let kind = cell
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str);
+            if kind == Some("panic") {
+                let label = cell.get("label").and_then(Json::as_str).unwrap_or("?");
+                names.push(format!("{name}/{label}"));
+            }
+        }
+    }
+    names
+}
+
 /// Runs the full campaign: simulate (or resume) every cell, checkpoint
 /// periodically, then — unless interrupted by `--max-cells` — classify,
 /// print the coverage table, write `results/faults.json`, and delete
-/// the checkpoint.
+/// the checkpoint. The sink refuses a document that fails [`validate`]
+/// (known-outcome drift included); after writing, the run exits 1 if
+/// any cell panicked.
 pub fn run_campaign(h: &mut Harness) {
     let cli = h.cli.clone();
     let rows = campaign_rows();
@@ -429,21 +570,8 @@ pub fn run_campaign(h: &mut Harness) {
         .collect();
 
     // Coverage counters over all cells, plus the two derived flags.
-    let mut counts: Vec<(&'static str, u64)> = [
-        "detected", "masked", "sdc", "hang", "crash", "error",
-    ]
-    .iter()
-    .map(|&k| (k, 0u64))
-    .collect();
+    let mut counts: Vec<(&'static str, u64)> = OUTCOMES.iter().map(|&k| (k, 0u64)).collect();
     let (mut missed_total, mut fp_total) = (0u64, 0u64);
-    let (mut actual_missed, mut actual_fps) = (Vec::new(), Vec::new());
-    let fault_kind = |cell: &Json| {
-        cell.get("fault")
-            .and_then(|f| f.get("kind"))
-            .and_then(Json::as_str)
-            .unwrap_or("fault-free")
-            .to_string()
-    };
 
     crate::print_machine_header(
         "faults — fault-injection detection coverage (rest-secure-full)",
@@ -467,12 +595,6 @@ pub fn run_campaign(h: &mut Harness) {
             }
             missed_total += missed as u64;
             fp_total += fp as u64;
-            if missed {
-                actual_missed.push((row.name().to_string(), fault_kind(cell)));
-            }
-            if fp {
-                actual_fps.push((row.name().to_string(), fault_kind(cell)));
-            }
             let marker = if missed {
                 " *MISS"
             } else if fp {
@@ -495,57 +617,13 @@ pub fn run_campaign(h: &mut Harness) {
         "missed detections: {missed_total}   false positives: {fp_total}"
     );
 
-    // The expected-outcome drift gate only binds the configuration the
-    // committed document (and the tables above) describe; other seeds
-    // or scales legitimately produce different fail-open/fail-closed
-    // sets and are reported without judgement.
-    let expected_checked =
-        cli.fault_seed == BenchCli::DEFAULT_FAULT_SEED && cli.scale == Scale::Test;
-    let diff_known = |what: &str, known: &[(&str, &str)], actual: &[(String, String)]| {
-        let mut drift = Vec::new();
-        for (row, kind) in known {
-            if !actual.iter().any(|(r, k)| r == row && k == kind) {
-                drift.push(format!("{what} ({row}, {kind}) expected but gone"));
-            }
-        }
-        for (row, kind) in actual {
-            if !known.iter().any(|(r, k)| r == row && k == kind) {
-                drift.push(format!("{what} ({row}, {kind}) appeared, not in the known table"));
-            }
-        }
-        drift
-    };
-    let mut drift = Vec::new();
-    if expected_checked {
-        drift.extend(diff_known(
-            "missed detection",
-            &KNOWN_MISSED_DETECTIONS,
-            &actual_missed,
-        ));
-        drift.extend(diff_known(
-            "false positive",
-            &KNOWN_FALSE_POSITIVES,
-            &actual_fps,
-        ));
-    }
-
-    let known_json = |known: &[(&str, &str)]| {
-        Json::Arr(
-            known
-                .iter()
-                .map(|&(row, kind)| {
-                    Json::obj(vec![("row", Json::from(row)), ("fault", Json::from(kind))])
-                })
-                .collect(),
-        )
-    };
-
     let mut sink = crate::sink::ResultSink::new(&cli);
     sink.push("schema", Json::from(SCHEMA));
     sink.push("fault_seed", Json::UInt(cli.fault_seed));
     sink.push("mode", Json::from("rest-secure-full"));
     sink.push("max_cycles", Json::UInt(budget));
     sink.push("columns", Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()));
+    let panicked = panicked_cells(&row_docs);
     sink.push("rows", Json::Arr(row_docs));
     let mut coverage: Vec<(&str, Json)> = counts
         .into_iter()
@@ -557,7 +635,7 @@ pub fn run_campaign(h: &mut Harness) {
     sink.push(
         "expected_outcomes",
         Json::obj(vec![
-            ("checked", Json::Bool(expected_checked)),
+            ("checked", Json::Bool(tables_bind(cli.fault_seed, cli.scale_name()))),
             ("known_missed_detections", known_json(&KNOWN_MISSED_DETECTIONS)),
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
@@ -565,15 +643,12 @@ pub fn run_campaign(h: &mut Harness) {
     sink.finish();
     ckpt.remove();
 
-    if !drift.is_empty() {
+    if !panicked.is_empty() {
         eprintln!(
-            "faults: detection coverage drifted from the known-outcome table \
-             (update KNOWN_MISSED_DETECTIONS / KNOWN_FALSE_POSITIVES deliberately \
-             if the fault model changed):"
+            "faults: {} cell(s) panicked: {}",
+            panicked.len(),
+            panicked.join(", ")
         );
-        for line in &drift {
-            eprintln!("faults:   {line}");
-        }
         std::process::exit(1);
     }
 }
@@ -652,63 +727,37 @@ mod tests {
     }
 
     #[test]
-    fn committed_document_matches_known_outcome_tables() {
+    fn a_panicked_known_outcome_cell_is_named_in_the_violation() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/faults.json");
         let text = std::fs::read_to_string(path).expect("results/faults.json is committed");
-        let doc = Json::parse(&text).expect("committed document parses");
-        // The committed document is the configuration the tables bind.
-        assert_eq!(
-            doc.get("fault_seed").and_then(Json::as_u64),
-            Some(BenchCli::DEFAULT_FAULT_SEED)
-        );
-        assert_eq!(doc.get("scale").and_then(Json::as_str), Some("test"));
+        let mut doc = Json::parse(&text).expect("committed document parses");
+        validate(&doc).expect("the committed document holds");
 
-        let mut missed = Vec::new();
-        let mut fps = Vec::new();
-        for row in doc.get("rows").and_then(Json::as_arr).unwrap() {
-            let name = row.get("name").and_then(Json::as_str).unwrap().to_string();
-            for cell in row.get("cells").and_then(Json::as_arr).unwrap() {
-                let kind = cell
-                    .get("fault")
-                    .and_then(|f| f.get("kind"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("fault-free")
-                    .to_string();
-                if cell.get("missed_detection") == Some(&Json::Bool(true)) {
-                    missed.push((name.clone(), kind.clone()));
-                }
-                if cell.get("false_positive") == Some(&Json::Bool(true)) {
-                    fps.push((name.clone(), kind));
-                }
-            }
+        // Re-run the known miss heap-overflow-write/meta-bit-clear with a
+        // panic injected and record it the way the campaign would.
+        let rows = campaign_rows();
+        let r = rows.iter().position(|row| row.name() == "heap-overflow-write").unwrap();
+        let c = column_labels().iter().position(|&l| l == "meta-bit-clear").unwrap();
+        let spec = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, r)[c];
+        let budget = cycle_budget(Scale::Test);
+        let mut job = rows[r].job(column_labels()[c], spec, Scale::Test, budget);
+        job.inject_panic = true;
+        let panic = raw_cell_json(&job.label, spec.as_ref(), &job.execute());
+        let reference = doc.path_mut(&format!("rows.{r}.cells.0")).unwrap().clone();
+        let cell = doc.path_mut(&format!("rows.{r}.cells.{c}")).unwrap();
+        let was = cell.get("outcome").and_then(Json::as_str).unwrap().to_string();
+        *cell = classified_cell(&panic, &reference);
+        for (key, delta) in [(was.as_str(), -1i64), ("error", 1), ("missed_detections", -1)] {
+            let n = doc.path_mut(&format!("coverage.{key}")).unwrap();
+            *n = Json::UInt(n.as_u64().unwrap().checked_add_signed(delta).unwrap());
         }
-        let owned = |t: &[(&str, &str)]| -> Vec<(String, String)> {
-            t.iter()
-                .map(|&(r, k)| (r.to_string(), k.to_string()))
-                .collect()
-        };
-        assert_eq!(missed, owned(&KNOWN_MISSED_DETECTIONS), "fail-open set drifted");
-        assert_eq!(fps, owned(&KNOWN_FALSE_POSITIVES), "fail-closed set drifted");
 
-        // The document's own copy of the tables matches the source.
-        let expected = doc.get("expected_outcomes").expect("tables serialised");
-        assert_eq!(expected.get("checked"), Some(&Json::Bool(true)));
-        let doc_pairs = |key: &str| -> Vec<(String, String)> {
-            expected
-                .get(key)
-                .and_then(Json::as_arr)
-                .unwrap()
-                .iter()
-                .map(|e| {
-                    (
-                        e.get("row").and_then(Json::as_str).unwrap().to_string(),
-                        e.get("fault").and_then(Json::as_str).unwrap().to_string(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(doc_pairs("known_missed_detections"), owned(&KNOWN_MISSED_DETECTIONS));
-        assert_eq!(doc_pairs("known_false_positives"), owned(&KNOWN_FALSE_POSITIVES));
+        let err = validate(&doc).unwrap_err();
+        assert!(err.starts_with("known-outcomes: "), "{err}");
+        assert!(
+            err.ends_with("(cells that panicked: heap-overflow-write/meta-bit-clear)"),
+            "{err}"
+        );
     }
 
     #[test]

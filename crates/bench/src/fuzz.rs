@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rest_fuzz::{
-    lower, minimize, run_case, Case, CaseRecord, CaseStream, Class, GroundTruth, BUG_SLOT,
+    lower, minimize, run_case, BugKind, Case, CaseRecord, CaseStream, Class, GroundTruth, BUG_SLOT,
 };
 use rest_obs::Json;
 
@@ -404,6 +404,46 @@ pub fn run_campaign(h: &mut Harness) {
         );
         std::process::exit(1);
     }
+}
+
+/// The `rest-fuzz/v1` rules the campaign does not enforce while it
+/// assembles the document (its own gate is zero unexplained cases):
+///
+/// * `ran-dry` — the campaign converged instead of hitting the round cap;
+/// * `kinds` — every ground truth (clean and each [`BugKind`]) shows up;
+/// * `count-sum` — the signature counts sum to `programs`;
+/// * `minimized` — every `agree-detected` signature carries a non-empty
+///   minimized reproducer.
+pub fn validate(doc: &Json) -> Result<(), String> {
+    use crate::sink::{ensure, flag};
+    ensure(flag(doc, "ran_dry"), "ran-dry", || {
+        format!("stopped at the {MAX_ROUNDS}-round cap")
+    })?;
+    let Some(Json::Obj(sigs)) = doc.get("signatures") else {
+        return Err("missing or mistyped \"signatures\"".to_string());
+    };
+    let (mut truths, mut count) = (BTreeSet::new(), 0);
+    for (sig, stat) in sigs {
+        truths.insert(sig.split('/').next().unwrap_or_default());
+        count += stat.req("count", Json::as_u64)?;
+        let detected = stat.get("class") == Some(&Json::from("agree-detected"));
+        let ops = stat.req("minimized_ops", Json::as_arr)?;
+        ensure(!detected || !ops.is_empty(), "minimized", || {
+            format!("{sig}: empty reproducer")
+        })?;
+    }
+    let want: BTreeSet<_> = BugKind::ALL
+        .iter()
+        .map(|b| b.name())
+        .chain(["clean"])
+        .collect();
+    ensure(truths == want, "kinds", || {
+        format!("ground truths {truths:?}, expected {want:?}")
+    })?;
+    let programs = doc.req("programs", Json::as_u64)?;
+    ensure(count == programs, "count-sum", || {
+        format!("signature counts sum to {count}, programs {programs}")
+    })
 }
 
 /// Entry point of the `fuzz` binary.

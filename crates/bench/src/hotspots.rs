@@ -131,8 +131,10 @@ pub struct HotspotRow {
 }
 
 /// Rolls one profiled run up into a [`HotspotRow`], re-deriving the CFG
-/// from an identically parameterised program build and asserting the
-/// exact-sum invariants. Errors are collection bugs, not data.
+/// from an identically parameterised program build and asserting that
+/// every profiled count lands in the code segment and that the site
+/// table reconciles with the per-PC profiler and the backend. Errors
+/// are collection bugs, not data.
 pub fn rollup(
     row: &FigureRow,
     scheme: &str,
@@ -187,22 +189,9 @@ pub fn rollup(
         .collect();
 
     // The CFG's blocks partition the code segment and `other` is zero,
-    // so the block sums must reproduce the per-PC totals exactly — and
-    // the cycle total is `core.cycles` by the profiler's construction.
-    let cycle_sum: u64 = blocks.iter().map(|b| b.cycles).sum();
-    if cycle_sum != result.core.cycles {
-        return Err(format!(
-            "{cell}: block cycle sum {cycle_sum} != core.cycles {}",
-            result.core.cycles
-        ));
-    }
-    let uop_sum: u64 = blocks.iter().map(|b| b.uops).sum();
-    if uop_sum != prof.uops.total() {
-        return Err(format!(
-            "{cell}: block uop sum {uop_sum} != profiled total {}",
-            prof.uops.total()
-        ));
-    }
+    // so the block sums reproduce the row totals (`core.cycles` and the
+    // per-PC totals) exactly; `rest_obs::hotspots::validate` checks that
+    // before the document is written.
 
     let mut block_symbols = vec![String::new(); blocks.len()];
     let functions: Vec<FunctionRollup> = cfg
@@ -508,13 +497,6 @@ pub fn run_campaign(mut h: Harness) {
     }
     report.print_text_table();
 
-    let json_path = cli.json_path();
-    crate::write_text_file(&json_path.with_extension("folded"), &report.folded());
-    crate::write_text_file(
-        &json_path.with_extension("perfetto.json"),
-        &report.to_perfetto().render(),
-    );
-
     let mut sink = h.sink();
     sink.push("schema", Json::from(rest_obs::hotspots::SCHEMA));
     sink.push(
@@ -523,6 +505,14 @@ pub fn run_campaign(mut h: Harness) {
     );
     sink.push("rows", report.rows_json());
     h.finish(sink, &matrix);
+
+    // Derived from the validated document, so written only after it.
+    let json_path = cli.json_path();
+    crate::write_text_file(&json_path.with_extension("folded"), &report.folded());
+    crate::write_text_file(
+        &json_path.with_extension("perfetto.json"),
+        &report.to_perfetto().render(),
+    );
 }
 
 #[cfg(test)]

@@ -79,11 +79,14 @@
 //!
 //! Failed jobs serialise as `"error"` cells; non-finite floats
 //! serialise as `null`.
+//!
+//! No document is written unless [`validate`] accepts it.
 
 use std::io;
 use std::path::Path;
 
 use rest_cpu::SimResult;
+use rest_obs::CpiComponent;
 
 use crate::cli::BenchCli;
 use crate::engine::{MatrixResults, RowResults};
@@ -135,28 +138,118 @@ impl ResultSink {
         s
     }
 
-    /// Writes the document to `path`, creating parent directories.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+    /// Checks the document with [`validate`] and, only if it holds,
+    /// writes it to `path`, creating parent directories.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        validate(&Json::Obj(self.root.clone()))
+            .map_err(|e| format!("invalid document, not written: {e}"))?;
+        let write = || -> io::Result<()> {
+            if let Some(parent) = path.parent() {
+                if !parent.as_os_str().is_empty() {
+                    std::fs::create_dir_all(parent)?;
+                }
             }
-        }
-        std::fs::write(path, self.to_json_string())
+            std::fs::write(path, self.to_json_string())
+        };
+        write().map_err(|e| format!("FAILED writing {}: {e}", path.display()))
     }
 
     /// Writes to the CLI-selected path and reports it on stderr (never
-    /// stdout: the text tables must stay byte-stable).
+    /// stdout: the text tables must stay byte-stable). Exits 1 when the
+    /// document is invalid (naming the broken rule and cell) or cannot
+    /// be written.
     pub fn finish(&self) {
         let path = self.cli.json_path();
         match self.write(&path) {
             Ok(()) => eprintln!("# wrote {}", path.display()),
             Err(e) => {
-                eprintln!("# FAILED writing {}: {e}", path.display());
+                eprintln!("{}: {e}", self.cli.experiment);
                 std::process::exit(1);
             }
         }
     }
+}
+
+/// Checks a result document against the invariants its schema owns
+/// and returns the first violation, naming the rule and the cell.
+/// [`ResultSink::finish`] runs it before writing any document, and the
+/// artifact test runs it over every committed `results/*.json`.
+///
+/// Rules that the producing code already enforces while it assembles a
+/// document are not repeated here; each campaign module's `validate`
+/// holds only the rest.
+pub fn validate(doc: &Json) -> Result<(), String> {
+    // Matrices are found by shape, not by experiment name: every
+    // top-level member with `columns` and `rows` is a matrix held to
+    // `cpi-sum`.
+    if let Json::Obj(members) = doc {
+        for (_, member) in members {
+            if member.get("columns").is_some() && member.get("rows").is_some() {
+                validate_matrix(member)?;
+            }
+        }
+    }
+    match doc.get("schema").and_then(Json::as_str) {
+        Some(rest_obs::hotspots::SCHEMA) => rest_obs::hotspots::validate(doc),
+        Some(rest_obs::ELIDE_SCHEMA) => {
+            doc.req("programs", Json::as_arr)?.iter().try_for_each(|p| {
+                let program = p.get("program").and_then(Json::as_str).unwrap_or("?");
+                rest_obs::validate_elide(p).map_err(|e| format!("elision map of {program}: {e}"))
+            })
+        }
+        Some(rest_obs::HostProfile::SCHEMA) => rest_obs::HostProfile::validate(doc),
+        Some(crate::throughput::SCHEMA) => crate::throughput::ThroughputReport::validate(doc),
+        // Host wall-clock measurements: nothing to reconcile.
+        Some(crate::elide::BENCH_SCHEMA) => Ok(()),
+        Some(crate::faults::SCHEMA) => crate::faults::validate(doc),
+        Some(crate::fuzz::SCHEMA) => crate::fuzz::validate(doc),
+        Some(crate::defense::SCHEMA) => crate::defense::validate(doc),
+        Some(other) => Err(format!("no validator owns schema {other:?}")),
+        // The matrix figures and table1: no rule beyond `cpi-sum`.
+        None => Ok(()),
+    }
+}
+
+/// Rule `cpi-sum`: in every successful matrix cell the CPI components
+/// sum exactly to the stack's `total`, which equals `core.cycles`.
+fn validate_matrix(matrix: &Json) -> Result<(), String> {
+    for row in matrix.req("rows", Json::as_arr)? {
+        let benchmark = row.req("benchmark", Json::as_str)?;
+        let cells = row.req("cells", Json::as_arr)?;
+        for cell in row.get("plain").into_iter().chain(cells) {
+            if cell.get("error").is_some() {
+                continue;
+            }
+            let label = cell.req("label", Json::as_str)?;
+            let cpi = cell.req("cpi", Some)?;
+            let sum: u64 = CpiComponent::ALL
+                .iter()
+                .filter_map(|c| cpi.get(c.key())?.as_u64())
+                .sum();
+            let total = cpi.req("total", Json::as_u64)?;
+            let cycles = cell.req("stats", Some)?.req("core.cycles", Json::as_u64)?;
+            ensure(sum == total && total == cycles, "cpi-sum", || {
+                format!(
+                    "{benchmark}/{label}: components {sum}, total {total}, core.cycles {cycles}"
+                )
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// `Ok` if `holds`, else the error `"{rule}: {cell}"`.
+pub(crate) fn ensure(holds: bool, rule: &str, cell: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(format!("{rule}: {}", cell()))
+    }
+}
+
+/// Whether a member is `true` (absent or non-bool reads as false).
+pub(crate) fn flag(doc: &Json, key: &str) -> bool {
+    doc.get(key) == Some(&Json::Bool(true))
 }
 
 /// A successful run as a JSON cell body: headline cycles, the flat
@@ -312,6 +405,21 @@ mod tests {
         assert!(text.contains(r#""a\"b\\c\nd\u0001""#));
         assert!(text.contains("\"empty\": {}"));
         assert_eq!(text, doc.to_string_pretty());
+    }
+
+    #[test]
+    fn an_invalid_document_is_not_written() {
+        let cell =
+            r#"{"label": "asan", "cpi": {"base": 3, "total": 4}, "stats": {"core.cycles": 4}}"#;
+        let row = format!(r#"{{"benchmark": "lbm", "cells": [{cell}]}}"#);
+        let matrix = format!(r#"{{"columns": [], "rows": [{row}]}}"#);
+        // An experiment name no rule lists: the matrix is found by shape.
+        let mut sink = ResultSink::new(&BenchCli::from_args("unlisted", &[]).unwrap());
+        sink.push("overheads", Json::parse(&matrix).unwrap());
+        let path = std::env::temp_dir().join(format!("rest-sink-{}.json", std::process::id()));
+        let err = sink.write(&path).unwrap_err();
+        assert!(err.contains("cpi-sum: lbm/asan"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

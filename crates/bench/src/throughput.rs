@@ -424,34 +424,24 @@ impl ThroughputReport {
     }
 
     /// Checks that a parsed document matches the `rest-throughput/v2`
-    /// shape. Used by the report test and the CI throughput job.
+    /// shape and rule `tiers`. `bench-diff` runs it on both inputs, and
+    /// the committed-artifact test on `results/BENCH_throughput.json`.
     pub fn validate(doc: &Json) -> Result<(), String> {
         match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s == SCHEMA => {}
             Some(s) => return Err(format!("unexpected schema {s:?}")),
             None => return Err("missing \"schema\"".to_string()),
         }
-        doc.get("scale")
-            .and_then(Json::as_str)
-            .ok_or("missing \"scale\"")?;
-        doc.get("effective_jobs")
-            .and_then(Json::as_u64)
-            .ok_or("missing \"effective_jobs\"")?;
-        let cells = doc
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"cells\" array")?;
+        doc.req("scale", Json::as_str)?;
+        doc.req("effective_jobs", Json::as_u64)?;
+        let cells = doc.req("cells", Json::as_arr)?;
         for c in cells {
             for key in ["benchmark", "config"] {
-                c.get(key)
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("cell missing {key:?}"))?;
+                c.req(key, Json::as_str)?;
             }
-            for key in ["guest_insts", "guest_uops"] {
-                c.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("cell missing {key:?}"))?;
-            }
+            let insts = c.req("guest_insts", Json::as_u64)?;
+            let uops = c.req("guest_uops", Json::as_u64)?;
+            let mut ips_positive = true;
             for key in [
                 "fast_wall_s",
                 "trace_wall_s",
@@ -462,9 +452,12 @@ impl ThroughputReport {
                 "speedup",
                 "trace_speedup",
             ] {
-                c.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("cell missing {key:?}"))?;
+                let x = c.req(key, Json::as_f64)?;
+                ips_positive &= !key.ends_with("_ips") || x > 0.0;
+            }
+            // Rule `tiers`, per cell: every tier retired guest work.
+            if insts == 0 || uops < insts || !ips_positive {
+                return Err("tiers: a cell retired no guest work".to_string());
             }
         }
         let summary = doc.get("summary").ok_or("missing \"summary\"")?;
@@ -477,10 +470,7 @@ impl ThroughputReport {
             "speedup",
             "trace_speedup",
         ] {
-            summary
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("summary missing {key:?}"))?;
+            summary.req(key, Json::as_f64)?;
         }
         let count = summary.get("cells").and_then(Json::as_u64).unwrap_or(0);
         if count != cells.len() as u64 {
@@ -489,6 +479,14 @@ impl ThroughputReport {
                 count,
                 cells.len()
             ));
+        }
+        // Rule `tiers`, sweep-wide: the fast path beats the reference
+        // path and the trace tier the fast path.
+        for key in ["speedup", "trace_speedup"] {
+            let x = summary.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+            if x <= 1.0 {
+                return Err(format!("tiers: summary.{key} is {x}, must exceed 1"));
+            }
         }
         Ok(())
     }
@@ -542,6 +540,18 @@ mod tests {
         let v1 = Json::obj(vec![("schema", Json::from("rest-throughput/v1"))]);
         assert!(ThroughputReport::validate(&v1).is_err());
         assert!(ThroughputReport::validate(&Json::Null).is_err());
+        // A trace tier no faster than the fast path breaks rule `tiers`.
+        let mut slow = cell("lbm", 1_000_000, 100, 300);
+        slow.trace_wall = slow.fast_wall;
+        let report = ThroughputReport {
+            scale: "test".to_string(),
+            effective_jobs: 1,
+            cells: vec![slow],
+        };
+        let doc = Json::parse(&report.render()).unwrap();
+        assert!(ThroughputReport::validate(&doc)
+            .unwrap_err()
+            .starts_with("tiers:"));
     }
 
     #[test]

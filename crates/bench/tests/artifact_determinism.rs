@@ -1,15 +1,21 @@
-//! The repository's byte-determinism contract (ISSUE 7, satellite 1):
-//! committed experiment documents (`results/*.json`) must be
-//! byte-identical at any `--jobs` level, which means host-dependent
-//! measurements — wall times, throughput rates, worker counts, per-job
-//! host logs — may only live in `BENCH_`-prefixed files. This test walks
-//! every committed non-`BENCH_` document and rejects any key that
-//! could only have come from the host clock or scheduler.
+//! Checks over the committed `results/` documents.
 //!
-//! It also keeps the committed hotspot profile honest: the document
-//! must validate against `rest-hotspots/v1`, whose checks include the
-//! exact per-block cycle sums the profiler guarantees.
+//! The byte-determinism contract: committed experiment documents must
+//! be byte-identical at any `--jobs` level, so host-dependent
+//! measurements (wall times, throughput rates, worker counts, per-job
+//! host logs) may only live in `BENCH_`-prefixed files. The scan below
+//! rejects any key that could only have come from the host clock or
+//! scheduler.
+//!
+//! The validity contract: every committed document passes the same
+//! [`rest_bench::sink::validate`] its binary ran before writing it, and
+//! the rules that span documents hold (see [`cross_check`]). Each rule
+//! has a negative test that mutates a committed document.
 
+use std::collections::BTreeSet;
+
+use rest_bench::cli::BenchCli;
+use rest_bench::sink::validate;
 use rest_obs::Json;
 
 /// Keys whose value depends on the host (clock, scheduler, core
@@ -163,16 +169,181 @@ fn bench_files_are_the_only_home_for_host_measurements() {
     }
 }
 
+fn committed(name: &str) -> Json {
+    let text = std::fs::read_to_string(results_dir().join(name))
+        .unwrap_or_else(|e| panic!("results/{name} must be committed: {e}"));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{name} must parse: {e}"))
+}
+
+/// The `rest-secure-full` column of the defense matrix.
+const REST: usize = 2;
+
+fn regress_files() -> Vec<String> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/regress");
+    std::fs::read_dir(dir)
+        .expect("tests/regress is committed")
+        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+        .collect()
+}
+
+/// The rules that span documents:
+///
+/// * `elision-detection` — every attack and regression case the
+///   elision campaign re-ran is detected exactly when the defense
+///   matrix's `rest-secure-full` cell detects it;
+/// * `regress-corpus` — `tests/regress` holds one `.s`/`.trace` pair
+///   per non-clean fuzz signature, and the defense matrix replays
+///   exactly those cases.
+fn cross_check(
+    elision: &Json,
+    defense: &Json,
+    fuzz: &Json,
+    files: &[String],
+) -> Result<(), String> {
+    let rows = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_arr).unwrap().to_vec();
+    let text = |row: &Json, key: &str| row.get(key).and_then(Json::as_str).unwrap().to_string();
+    let detected = |row: &Json| row.get("detected") == Some(&Json::Bool(true));
+    for (section, key) in [("attacks", "attack"), ("regressions", "name")] {
+        let elided: Vec<_> = rows(elision, section)
+            .iter()
+            .map(|r| (text(r, key), detected(r)))
+            .collect();
+        // Rule `cells-ok` pins the defense cells to `SCHEMES` order.
+        let matrix: Vec<_> = rows(defense, section)
+            .iter()
+            .map(|r| (text(r, "name"), detected(&rows(r, "cells")[REST])))
+            .collect();
+        if elided != matrix {
+            return Err(format!(
+                "elision-detection: {section} under elision {elided:?}, defense matrix {matrix:?}"
+            ));
+        }
+    }
+    let stems = |suffix: &str| -> BTreeSet<String> {
+        files
+            .iter()
+            .filter_map(|f| f.strip_suffix(suffix))
+            .map(str::to_string)
+            .collect()
+    };
+    let Some(Json::Obj(sigs)) = fuzz.get("signatures") else {
+        return Err("regress-corpus: fuzz.json carries no signatures".to_string());
+    };
+    let found = sigs.iter().map(|(sig, _)| sig.replace('/', "--"));
+    let replayed = rows(defense, "regressions")
+        .iter()
+        .map(|r| text(r, "name"))
+        .collect();
+    let corpus = [
+        stems(".s"),
+        stems(".trace"),
+        found.filter(|s| !s.starts_with("clean--")).collect(),
+        replayed,
+    ];
+    if corpus.iter().any(|set| *set != corpus[0]) {
+        return Err(format!(
+            "regress-corpus: reproducers, sidecars, fuzz signatures and defense replays \
+             differ: {corpus:?}"
+        ));
+    }
+    Ok(())
+}
+
 #[test]
-fn committed_hotspot_profile_is_schema_valid() {
-    let text = std::fs::read_to_string(results_dir().join("hotspots.json"))
-        .expect("results/hotspots.json must be committed");
-    let doc = Json::parse(&text).expect("hotspot document parses");
-    rest_obs::hotspots::validate(&doc).expect("matches rest-hotspots/v1");
-    let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+fn every_committed_document_validates() {
+    let mut names: Vec<String> = std::fs::read_dir(results_dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().to_string())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 10, "committed documents: {names:?}");
+    for name in &names {
+        validate(&committed(name)).unwrap_or_else(|e| panic!("results/{name}: {e}"));
+    }
+    let [elision, defense, fuzz] = ["elision.json", "defense.json", "fuzz.json"].map(committed);
+    cross_check(&elision, &defense, &fuzz, &regress_files()).unwrap();
+    // The committed campaign is the configuration the known-outcome
+    // tables bind, so rule `known-outcomes` compares its cells.
+    let faults = committed("faults.json");
     assert_eq!(
-        rows.len(),
-        16 * 2,
-        "16 benchmark rows x (plain, rest-secure-full)"
+        faults.get("fault_seed").and_then(Json::as_u64),
+        Some(BenchCli::DEFAULT_FAULT_SEED)
     );
+    assert_eq!(faults.get("scale"), Some(&Json::from("test")));
+    // The perf baseline is the host document of a full fig7 --test run:
+    // 16 rows x (plain + 7 columns).
+    let baseline = committed("BENCH_baseline.json");
+    assert_eq!(baseline.get("experiment"), Some(&Json::from("fig7")));
+    assert_eq!(
+        baseline
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(128)
+    );
+}
+
+/// Applies space-separated `path=json` edits.
+fn edit(doc: &mut Json, edits: &str) {
+    for e in edits.split(' ') {
+        let (path, value) = e.split_once('=').unwrap();
+        *doc.path_mut(path).expect(path) = Json::parse(value).unwrap();
+    }
+}
+
+#[test]
+fn each_rule_rejects_a_mutated_committed_document() {
+    #[rustfmt::skip]
+    let cases = [
+        ("fig7.json", "cpi-sum", "matrix.rows.3.cells.2.cpi.base=0"),
+        ("defense.json", "cpi-sum", "overheads.rows.0.plain.cpi.rob=0"),
+        ("defense.json", "cells-ok", "attacks.4.cells.2.ok=false"),
+        ("defense.json", "coverage", "coverage.asan.detected=0"),
+        ("defense.json", "paper-coverage", "attacks.9.cells.2.leaked_secret=false \
+                                            coverage.rest-secure-full.leaked=0"),
+        ("defense.json", "attribution", "check_attribution.plain.site_checks=1"),
+        ("defense.json", "row-count", "overheads.rows=[]"),
+        ("faults.json", "anchor", r#"rows.2.cells.0.outcome="sdc""#),
+        ("faults.json", "provenance", "rows.2.cells.1.audit_injector_entries=0"),
+        ("faults.json", "coverage", "coverage.masked=0"),
+        ("faults.json", "known-outcomes", "rows.0.cells.5.false_positive=false \
+                                           coverage.false_positives=1"),
+        ("faults.json", "known-outcomes", "expected_outcomes.checked=false"),
+        ("faults.json", "known-outcomes", "expected_outcomes.known_false_positives=[]"),
+        ("fuzz.json", "ran-dry", "ran_dry=false"),
+        ("fuzz.json", "kinds", "signatures={}"),
+        ("fuzz.json", "count-sum", "programs=1"),
+        ("fuzz.json", "minimized", "signatures.oob-write/agree-detected.minimized_ops=[]"),
+        ("BENCH_throughput.json", "tiers", "summary.trace_speedup=0.9"),
+    ];
+    for (name, rule, edits) in cases {
+        let mut doc = committed(name);
+        edit(&mut doc, edits);
+        let err = validate(&doc).expect_err(rule);
+        assert!(
+            err.starts_with(&format!("{rule}: ")),
+            "{name}: expected {rule}, got {err}"
+        );
+    }
+}
+
+#[test]
+fn cross_document_rules_reject_mutations() {
+    assert_eq!(rest_bench::defense::SCHEMES[REST], "rest-secure-full");
+    let [elision, defense, fuzz] = ["elision.json", "defense.json", "fuzz.json"].map(committed);
+    let files = regress_files();
+
+    let mut missed = elision.clone();
+    edit(&mut missed, "attacks.0.detected=false");
+    let err = cross_check(&missed, &defense, &fuzz, &files).unwrap_err();
+    assert!(err.starts_with("elision-detection: "), "{err}");
+
+    let orphan: Vec<String> = files
+        .iter()
+        .filter(|f| *f != "oob-read--agree-detected.trace")
+        .cloned()
+        .collect();
+    let err = cross_check(&elision, &defense, &fuzz, &orphan).unwrap_err();
+    assert!(err.starts_with("regress-corpus: "), "{err}");
 }

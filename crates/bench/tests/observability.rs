@@ -88,22 +88,10 @@ fn each_cell(doc: &Json, mut f: impl FnMut(&Json)) {
 fn cpi_stacks_sum_to_cycles_in_every_cell() {
     let matrix = Engine::new(2).run_matrix(&obs_spec());
     let doc = Json::parse(&render(&matrix)).expect("sink output parses");
+    rest_bench::sink::validate(&doc).expect("rule cpi-sum holds in every cell");
     let mut cells = 0;
     each_cell(&doc, |cell| {
         cells += 1;
-        let cycles = cell
-            .get("stats")
-            .and_then(|s| s.get("core.cycles"))
-            .and_then(Json::as_u64)
-            .expect("core.cycles");
-        let cpi = cell.get("cpi").expect("cpi object");
-        let total = cpi.get("total").and_then(Json::as_u64).expect("cpi.total");
-        assert_eq!(total, cycles, "cpi.total must equal core.cycles");
-        let component_sum: u64 = rest_obs::CpiComponent::ALL
-            .iter()
-            .map(|c| cpi.get(c.key()).and_then(Json::as_u64).unwrap_or(0))
-            .sum();
-        assert_eq!(component_sum, cycles, "components must sum to cycles");
         // Derived rates ride along in every cell.
         let derived = cell.get("derived").expect("derived object");
         assert!(derived.get("core.uipc").and_then(Json::as_f64).unwrap() > 0.0);
@@ -118,6 +106,13 @@ fn cpi_stacks_sum_to_cycles_in_every_cell() {
             .unwrap();
     });
     assert_eq!(cells, 3, "plain + two hardened cells");
+
+    // The rule is not vacuous: one stack off by a cycle breaks it.
+    let mut broken = doc.clone();
+    let base = broken.path_mut("matrix.rows.0.cells.1.cpi.base").unwrap();
+    *base = Json::UInt(base.as_u64().unwrap() + 1);
+    let err = rest_bench::sink::validate(&broken).unwrap_err();
+    assert!(err.starts_with("cpi-sum: lbm/rest-secure-heap: "), "{err}");
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! memory-safety checks at every PC it lists, so a malformed or
 //! internally inconsistent document is a security bug, not a cosmetic
 //! one. This module validates a parsed document against the schema that
-//! `rest-verify` emits and that CI re-checks on every run (both from
-//! Rust and from the repository's Python gate, which mirrors these
-//! rules).
+//! `rest-verify` emits. The result sink checks every map the elision
+//! campaign embeds before it writes the document, and the
+//! committed-artifact test re-checks `results/elision.json`.
 //!
 //! A valid `rest-elide/v1` document is an object with exactly these
 //! fields, in order:
@@ -32,47 +32,31 @@ use crate::json::Json;
 /// Schema identifier the validator accepts.
 pub const ELIDE_SCHEMA: &str = "rest-elide/v1";
 
-fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    get(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an unsigned integer"))
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    get(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("field '{key}' is not a string"))
-}
-
 /// Validates a parsed `rest-elide/v1` document. Returns a description
 /// of the first violation found.
 pub fn validate_elide(doc: &Json) -> Result<(), String> {
-    let schema = get_str(doc, "schema")?;
+    let schema = doc.req("schema", Json::as_str)?;
     if schema != ELIDE_SCHEMA {
         return Err(format!("schema is '{schema}', expected '{ELIDE_SCHEMA}'"));
     }
-    let program = get_str(doc, "program")?;
+    let program = doc.req("program", Json::as_str)?;
     if program.is_empty() {
         return Err("field 'program' is empty".to_string());
     }
-    let scheme = get_str(doc, "scheme")?;
+    let scheme = doc.req("scheme", Json::as_str)?;
     if scheme != "rest" && scheme != "asan" {
         return Err(format!("scheme is '{scheme}', expected 'rest' or 'asan'"));
     }
-    let preconditions_ok = match get(doc, "preconditions_ok")? {
+    let preconditions_ok = match doc.req("preconditions_ok", Some)? {
         Json::Bool(b) => *b,
         _ => return Err("field 'preconditions_ok' is not a bool".to_string()),
     };
 
-    let access_pcs = get_u64(doc, "access_pcs")?;
-    let elided = get_u64(doc, "elided")?;
-    let must_be_safe = get_u64(doc, "must_be_safe")?;
-    let redundant = get_u64(doc, "redundant")?;
-    let may_fault = get_u64(doc, "may_fault")?;
+    let access_pcs = doc.req("access_pcs", Json::as_u64)?;
+    let elided = doc.req("elided", Json::as_u64)?;
+    let must_be_safe = doc.req("must_be_safe", Json::as_u64)?;
+    let redundant = doc.req("redundant", Json::as_u64)?;
+    let may_fault = doc.req("may_fault", Json::as_u64)?;
 
     if !preconditions_ok && elided != 0 {
         return Err(format!(
@@ -90,9 +74,7 @@ pub fn validate_elide(doc: &Json) -> Result<(), String> {
         ));
     }
 
-    let entries = get(doc, "entries")?
-        .as_arr()
-        .ok_or_else(|| "field 'entries' is not an array".to_string())?;
+    let entries = doc.req("entries", Json::as_arr)?;
     if entries.len() as u64 != elided {
         return Err(format!(
             "entries has {} elements, header says {elided}",
@@ -103,7 +85,9 @@ pub fn validate_elide(doc: &Json) -> Result<(), String> {
     let mut safe_seen = 0u64;
     let mut redundant_seen = 0u64;
     for (i, e) in entries.iter().enumerate() {
-        let pc = get_u64(e, "pc").map_err(|m| format!("entries[{i}]: {m}"))?;
+        let pc = e
+            .req("pc", Json::as_u64)
+            .map_err(|m| format!("entries[{i}]: {m}"))?;
         if let Some(p) = prev_pc {
             if pc <= p {
                 return Err(format!(
@@ -112,7 +96,9 @@ pub fn validate_elide(doc: &Json) -> Result<(), String> {
             }
         }
         prev_pc = Some(pc);
-        let class = get_str(e, "class").map_err(|m| format!("entries[{i}]: {m}"))?;
+        let class = e
+            .req("class", Json::as_str)
+            .map_err(|m| format!("entries[{i}]: {m}"))?;
         match class {
             "must-be-safe" => safe_seen += 1,
             "redundant" => redundant_seen += 1,

@@ -52,40 +52,23 @@ pub const SITE_KEYS: [&str; 9] = [
     "faults",
 ];
 
-fn req_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what} missing u64 {key:?}"))
-}
-
-fn req_str<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what} missing string {key:?}"))
-}
-
 /// Checks that a parsed document matches the `rest-hotspots/v1` shape
 /// and satisfies the exact-sum invariants documented on the module.
-/// Used by the campaign's own tests and the CI schema job.
+/// The result sink runs it before writing a hotspot document, and the
+/// committed-artifact test runs it over `results/hotspots.json`.
 pub fn validate(doc: &Json) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA => {}
         Some(s) => return Err(format!("unexpected schema {s:?}")),
         None => return Err("missing \"schema\"".to_string()),
     }
-    req_str(doc, "scale", "document")?;
-    let schemes = doc
-        .get("schemes")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"schemes\" array")?;
+    doc.req("scale", Json::as_str)?;
+    let schemes = doc.req("schemes", Json::as_arr)?;
     let scheme_names: Vec<&str> = schemes.iter().filter_map(Json::as_str).collect();
     if scheme_names.len() != schemes.len() || scheme_names.is_empty() {
         return Err("\"schemes\" must be a non-empty array of strings".to_string());
     }
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"rows\" array")?;
+    let rows = doc.req("rows", Json::as_arr)?;
     for (i, row) in rows.iter().enumerate() {
         validate_row(row, &scheme_names).map_err(|e| format!("row {i}: {e}"))?;
     }
@@ -93,10 +76,10 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 }
 
 fn validate_row(row: &Json, schemes: &[&str]) -> Result<(), String> {
-    let benchmark = req_str(row, "benchmark", "row")?;
-    req_str(row, "workload", "row")?;
-    req_u64(row, "seed", "row")?;
-    let scheme = req_str(row, "scheme", "row")?;
+    let benchmark = row.req("benchmark", Json::as_str)?;
+    row.req("workload", Json::as_str)?;
+    row.req("seed", Json::as_u64)?;
+    let scheme = row.req("scheme", Json::as_str)?;
     if !schemes.contains(&scheme) {
         return Err(format!("{benchmark}: scheme {scheme:?} not in \"schemes\""));
     }
@@ -104,24 +87,22 @@ fn validate_row(row: &Json, schemes: &[&str]) -> Result<(), String> {
     let total = row.get("total").ok_or("row missing \"total\"")?;
     let mut totals = [0u64; TOTAL_KEYS.len()];
     for (slot, key) in totals.iter_mut().zip(TOTAL_KEYS) {
-        *slot = req_u64(total, key, "total")?;
+        *slot = total.req(key, Json::as_u64)?;
     }
-    let [cycles, uops, _insts, checks, check_uops, site_checks, site_check_uops, _backend] =
-        totals;
+    let [cycles, uops, _insts, checks, check_uops, site_checks, site_check_uops, _backend] = totals;
 
     // Blocks: sorted, non-empty, disjoint, and summing exactly to the
     // row totals.
-    let blocks = row
-        .get("blocks")
-        .and_then(Json::as_arr)
-        .ok_or("row missing \"blocks\" array")?;
+    let blocks = row.req("blocks", Json::as_arr)?;
     let mut prev_end = 0u64;
     let mut sums = [0u64; 4]; // cycles, uops, checks, check_uops
     for (i, b) in blocks.iter().enumerate() {
-        let start = req_u64(b, "start", "block")?;
-        let end = req_u64(b, "end", "block")?;
+        let start = b.req("start", Json::as_u64)?;
+        let end = b.req("end", Json::as_u64)?;
         if end <= start {
-            return Err(format!("{benchmark}: block {i} is empty ({start:#x}..{end:#x})"));
+            return Err(format!(
+                "{benchmark}: block {i} is empty ({start:#x}..{end:#x})"
+            ));
         }
         if start < prev_end {
             return Err(format!(
@@ -129,8 +110,11 @@ fn validate_row(row: &Json, schemes: &[&str]) -> Result<(), String> {
             ));
         }
         prev_end = end;
-        for (slot, key) in sums.iter_mut().zip(["cycles", "uops", "checks", "check_uops"]) {
-            *slot += req_u64(b, key, "block")?;
+        for (slot, key) in sums
+            .iter_mut()
+            .zip(["cycles", "uops", "checks", "check_uops"])
+        {
+            *slot += b.req(key, Json::as_u64)?;
         }
     }
     for (sum, (key, want)) in sums.iter().zip([
@@ -149,39 +133,35 @@ fn validate_row(row: &Json, schemes: &[&str]) -> Result<(), String> {
     // Functions: structural only — blocks reachable from two entries
     // are reported under both, so function totals may legitimately
     // overlap.
-    let functions = row
-        .get("functions")
-        .and_then(Json::as_arr)
-        .ok_or("row missing \"functions\" array")?;
+    let functions = row.req("functions", Json::as_arr)?;
     for f in functions {
-        req_u64(f, "entry", "function")?;
-        req_str(f, "symbol", "function")?;
-        if req_u64(f, "blocks", "function")? == 0 {
+        f.req("entry", Json::as_u64)?;
+        f.req("symbol", Json::as_str)?;
+        if f.req("blocks", Json::as_u64)? == 0 {
             return Err(format!("{benchmark}: function with zero blocks"));
         }
         for key in ["cycles", "uops", "checks", "check_uops"] {
-            req_u64(f, key, "function")?;
+            f.req(key, Json::as_u64)?;
         }
     }
 
     // Sites: sorted by site PC, summing exactly to the site totals.
-    let sites = row
-        .get("sites")
-        .and_then(Json::as_arr)
-        .ok_or("row missing \"sites\" array")?;
+    let sites = row.req("sites", Json::as_arr)?;
     let mut prev_site = None;
     let (mut s_checks, mut s_uops) = (0u64, 0u64);
     for s in sites {
-        let site = req_u64(s, "site", "site")?;
+        let site = s.req("site", Json::as_u64)?;
         if prev_site.is_some_and(|p| site <= p) {
-            return Err(format!("{benchmark}: sites not strictly ascending at {site:#x}"));
+            return Err(format!(
+                "{benchmark}: sites not strictly ascending at {site:#x}"
+            ));
         }
         prev_site = Some(site);
         for key in SITE_KEYS {
-            req_u64(s, key, "site")?;
+            s.req(key, Json::as_u64)?;
         }
-        s_checks += req_u64(s, "checks", "site")?;
-        s_uops += req_u64(s, "check_uops", "site")?;
+        s_checks += s.req("checks", Json::as_u64)?;
+        s_uops += s.req("check_uops", Json::as_u64)?;
     }
     if s_checks != site_checks {
         return Err(format!(

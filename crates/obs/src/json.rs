@@ -52,6 +52,29 @@ impl Json {
         }
     }
 
+    /// The value at a `.`-separated path of object keys and array
+    /// indices, for editing in place.
+    pub fn path_mut(&mut self, path: &str) -> Option<&mut Json> {
+        path.split('.').try_fold(self, |node, key| match node {
+            Json::Obj(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Arr(items) => items.get_mut(key.parse::<usize>().ok()?),
+            _ => None,
+        })
+    }
+
+    /// The member `key` read through `read` (`Json::as_u64`,
+    /// `Json::as_str`, `Json::as_arr`, or `Some` for any value), or an
+    /// error naming the key — how validators read required members.
+    pub fn req<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("missing or mistyped {key:?}"))
+    }
+
     /// The value as a `u64` if it is an integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -60,18 +60,6 @@ pub struct HostProfile {
 /// reporting that follows them.
 const REQUIRED_PHASES: [&str; 2] = ["simulate", "report"];
 
-fn req_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what} missing u64 {key:?}"))
-}
-
-fn req_f64(obj: &Json, key: &str, what: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{what} missing number {key:?}"))
-}
-
 impl HostProfile {
     /// Schema identifier emitted in (and required of) profile
     /// documents.
@@ -254,26 +242,17 @@ impl HostProfile {
             Some(s) => return Err(format!("unexpected schema {s:?}")),
             None => return Err("missing \"schema\"".to_string()),
         }
-        doc.get("experiment")
-            .and_then(Json::as_str)
-            .ok_or("missing \"experiment\"")?;
-        let effective_jobs = req_u64(doc, "effective_jobs", "document")?;
+        doc.req("experiment", Json::as_str)?;
+        let effective_jobs = doc.req("effective_jobs", Json::as_u64)?;
         if effective_jobs == 0 {
             return Err("effective_jobs must be >= 1".to_string());
         }
 
-        let phases = doc
-            .get("phases")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"phases\" array")?;
+        let phases = doc.req("phases", Json::as_arr)?;
         let mut names = Vec::new();
         for p in phases {
-            names.push(
-                p.get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("phase missing \"name\"")?,
-            );
-            req_f64(p, "wall_s", "phase")?;
+            names.push(p.req("name", Json::as_str)?);
+            p.req("wall_s", Json::as_f64)?;
         }
         for want in REQUIRED_PHASES {
             if !names.contains(&want) {
@@ -281,10 +260,7 @@ impl HostProfile {
             }
         }
 
-        let workers = doc
-            .get("workers")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"workers\" array")?;
+        let workers = doc.req("workers", Json::as_arr)?;
         if workers.len() as u64 != effective_jobs {
             return Err(format!(
                 "{} workers listed for effective_jobs {effective_jobs}",
@@ -292,24 +268,19 @@ impl HostProfile {
             ));
         }
         for (i, w) in workers.iter().enumerate() {
-            let id = req_u64(w, "worker", "worker")?;
+            let id = w.req("worker", Json::as_u64)?;
             if id != i as u64 {
                 return Err(format!("worker {i} has id {id}; ids must be dense"));
             }
-            req_f64(w, "busy_s", "worker")?;
+            w.req("busy_s", Json::as_f64)?;
         }
 
-        let jobs = doc
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"jobs\" array")?;
+        let jobs = doc.req("jobs", Json::as_arr)?;
         let mut fresh_per_worker = vec![0u64; workers.len()];
         let (mut cached, mut panics) = (0u64, 0u64);
         for (i, j) in jobs.iter().enumerate() {
-            j.get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("job {i} missing \"label\""))?;
-            let worker = req_u64(j, "worker", "job")?;
+            j.req("label", Json::as_str)?;
+            let worker = j.req("worker", Json::as_u64)?;
             if worker >= workers.len() as u64 {
                 return Err(format!(
                     "job {i} names worker {worker}, but only {} workers are listed",
@@ -317,23 +288,20 @@ impl HostProfile {
                 ));
             }
             for key in ["start_s", "queue_s", "wall_s"] {
-                req_f64(j, key, "job")?;
+                j.req(key, Json::as_f64)?;
             }
             match j.get("cached") {
                 Some(Json::Bool(true)) => cached += 1,
                 Some(Json::Bool(false)) => fresh_per_worker[worker as usize] += 1,
                 _ => return Err(format!("job {i} missing bool \"cached\"")),
             }
-            let outcome = j
-                .get("outcome")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("job {i} missing \"outcome\""))?;
+            let outcome = j.req("outcome", Json::as_str)?;
             if outcome == "panic" {
                 panics += 1;
             }
         }
         for (i, (w, &want)) in workers.iter().zip(&fresh_per_worker).enumerate() {
-            let got = req_u64(w, "jobs", "worker")?;
+            let got = w.req("jobs", Json::as_u64)?;
             if got != want {
                 return Err(format!(
                     "worker {i} reports {got} job(s) but ran {want} fresh job(s)"
@@ -343,17 +311,17 @@ impl HostProfile {
 
         let fresh: u64 = fresh_per_worker.iter().sum();
         let cache = doc.get("cache").ok_or("missing \"cache\"")?;
-        if req_u64(cache, "hits", "cache")? != cached {
+        if cache.req("hits", Json::as_u64)? != cached {
             return Err(format!(
                 "cache.hits disagrees with the {cached} cached job(s)"
             ));
         }
-        if req_u64(cache, "misses", "cache")? != fresh {
+        if cache.req("misses", Json::as_u64)? != fresh {
             return Err(format!(
                 "cache.misses disagrees with the {fresh} fresh job(s)"
             ));
         }
-        let got = req_u64(doc, "panics", "document")?;
+        let got = doc.req("panics", Json::as_u64)?;
         if got != panics {
             return Err(format!(
                 "panics is {got} but {panics} job(s) ended in a panic"
@@ -362,7 +330,7 @@ impl HostProfile {
 
         let summary = doc.get("summary").ok_or("missing \"summary\"")?;
         for key in ["phase_wall_s", "job_wall_s", "job_wall_s_max"] {
-            req_f64(summary, key, "summary")?;
+            summary.req(key, Json::as_f64)?;
         }
         Ok(())
     }
