@@ -1,12 +1,13 @@
 //! Criterion wrapper around a Figure-7-style measurement at test scale:
 //! the overhead *shape* (plain < REST secure < ASan) measured with
 //! statistical rigour on two representative workloads. The full figures
-//! come from the `fig3`/`fig7`/`fig8` binaries; this bench exists so
-//! `cargo bench` exercises the same paths with confidence intervals.
+//! come from `regen`; this bench exists so `cargo bench` exercises the
+//! same job path with confidence intervals.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use rest_bench::run;
+use rest_bench::engine::SimJob;
+use rest_bench::FigureRow;
 use rest_core::Mode;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
@@ -20,11 +21,10 @@ fn bench_figure7_shape(c: &mut Criterion) {
             RtConfig::rest(Mode::Secure, true),
             RtConfig::asan(),
         ] {
-            group.bench_with_input(
-                BenchmarkId::new(w.name(), rt.label()),
-                &rt,
-                |b, rt| b.iter(|| run(w, Scale::Test, rt.clone())),
-            );
+            let job = SimJob::new(&FigureRow::of(w), rt.label(), rt.clone(), Scale::Test);
+            group.bench_with_input(BenchmarkId::new(w.name(), rt.label()), &job, |b, job| {
+                b.iter(|| job.execute().expect("workload exits cleanly"))
+            });
         }
     }
     group.finish();

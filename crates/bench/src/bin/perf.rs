@@ -7,23 +7,26 @@
 //! retire identical instruction and micro-op counts with identical stop
 //! reasons, or the sweep fails.
 //!
-//! Writes `results/BENCH_throughput.json` (`rest-throughput/v2`); wall
-//! times are nondeterministic, so the file follows the `BENCH_` naming
-//! convention and is never byte-compared in CI.
+//! Writes `<out>/BENCH_throughput.json` (`rest-throughput/v2`, default
+//! `results/`); wall times are nondeterministic, so the file follows the
+//! `BENCH_` naming convention and is never byte-compared in CI.
 //!
 //! Usage: `cargo run --release -p rest-bench --bin perf -- \
-//!         [--test] [--jobs N] [--json PATH] [--filter SUBSTRING]`
+//!         [--test] [--jobs N] [--out DIR] [--filter SUBSTRING]`
 
-use std::path::PathBuf;
-
-use rest_bench::cli::Harness;
+use rest_bench::cli::BenchCli;
 use rest_bench::throughput::{cells_for, measure_all, ThroughputReport};
-use rest_bench::{figure_rows, print_machine_header, write_text_file};
+use rest_bench::{figure_rows, machine_header, scale_name, write_text_file};
 use rest_core::Mode;
 use rest_runtime::RtConfig;
+use rest_workloads::Scale;
 
 fn main() {
-    let cli = Harness::new("perf").cli;
+    let cli = BenchCli::parse("perf");
+    if !cli.experiments.is_empty() {
+        BenchCli::usage_exit("perf", "takes no experiment names");
+    }
+    let scale = if cli.test { Scale::Test } else { Scale::Ref };
     let rows = cli.filter_rows(figure_rows());
     // Plain, the heaviest instrumentation (ASan injects uops per
     // access), and the paper's headline REST configuration.
@@ -32,7 +35,7 @@ fn main() {
         RtConfig::asan(),
         RtConfig::rest(Mode::Secure, true),
     ];
-    let cells = cells_for(&rows, &configs, cli.scale);
+    let cells = cells_for(&rows, &configs, scale);
 
     let measured = match measure_all(&cells, cli.jobs) {
         Ok(m) => m,
@@ -42,17 +45,18 @@ fn main() {
         }
     };
     let report = ThroughputReport {
-        scale: cli.scale_name().to_string(),
+        scale: scale_name(scale).to_string(),
         effective_jobs: cli.jobs,
         cells: measured,
     };
 
-    print_machine_header("Guest throughput — trace vs fast vs reference execution tier (guest-IPS)");
+    print!(
+        "{}",
+        machine_header("Guest throughput — trace vs fast vs reference execution tier (guest-IPS)")
+    );
     report.print_text_table();
-
-    let path = cli
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("results/BENCH_throughput.json"));
-    write_text_file(&path, &report.render());
+    if let Err(e) = write_text_file(&cli.out.join("BENCH_throughput.json"), &report.render()) {
+        eprintln!("perf: {e}");
+        std::process::exit(1);
+    }
 }

@@ -1,22 +1,29 @@
-//! Shared command-line layer for every harness binary.
+//! Shared command-line layer and harness of the `regen` and `perf`
+//! binaries.
 //!
-//! All seven experiment binaries accept the same flags:
+//! `regen` accepts the full set (`perf` reads `--test`, `--jobs`,
+//! `--out` and `--filter`):
 //!
 //! ```text
-//! --test                 run at test scale (fast; default is reference scale)
+//! [EXPERIMENT ...]       experiments to run, by name (default: every entry of
+//!                        regen::EXPERIMENTS, in table order)
+//! --test                 run every experiment at test scale (default: each
+//!                        experiment's committed scale)
 //! --jobs N               worker threads (default: available parallelism)
-//! --json PATH            JSON output path (default: results/<experiment>.json)
+//! --out DIR              artifact directory (default: results); campaign
+//!                        checkpoints go to DIR/<experiment>.ckpt.json
 //! --filter SUBSTRING     keep only benchmark rows whose name contains SUBSTRING
 //! --sample-interval N    snapshot counters + occupancy gauges every N committed
 //!                        instructions into a "series" JSON section (0 = off)
 //! --trace-out PATH       write a Chrome trace-event (Perfetto) JSON of the
 //!                        first traced job's pipeline activity to PATH
-//! --trace-uops N         micro-ops to trace for --trace-out (default 512)
-//! --profile-out PATH     write the rest-host-profile/v2 host document (phases;
-//!                        per job the worker, start, queue and wall time,
-//!                        cache flag and outcome; per-worker rollup, cache
-//!                        hits/misses, panic count) to PATH; nothing is
-//!                        written without it
+//!                        (the first TRACE_UOPS micro-ops of each matrix's
+//!                        first job are traced)
+//! --profile-out PATH     write the rest-host-profile/v2 host document (phases,
+//!                        per-experiment wall; per job the worker, start, queue
+//!                        and wall time, cache flag and outcome; per-worker
+//!                        rollup, cache hits/misses, panic count) to PATH;
+//!                        nothing is written without it
 //! --campaign-trace-out PATH
 //!                        write that document's campaign timeline as a
 //!                        Perfetto trace (one track per engine worker) to PATH
@@ -27,7 +34,6 @@
 //! --trace                simulate on the superblock-trace tier (decoded-uop
 //!                        cache plus run-time trace compilation of hot loops)
 //! --resume               resume an interrupted campaign from its checkpoint
-//! --ckpt PATH            checkpoint path (default: results/<experiment>.ckpt.json)
 //! --max-cells N          stop after N freshly simulated cells, keeping the
 //!                        checkpoint (deterministic interruption for CI)
 //! --fault-seed N         base seed for fault-injection campaigns
@@ -40,11 +46,11 @@
 //! (only the host profile and throughput reports record the effective
 //! worker count).
 //!
-//! A run fails (exit 1) after writing its documents when any engine job
-//! panicked, naming every such job.
+//! A run fails (exit 1) after writing its artifacts when any experiment
+//! failed or any engine job panicked, naming each.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rest_cpu::ExecTier;
 use rest_obs::HostProfile;
@@ -54,27 +60,29 @@ use crate::engine::{Engine, JobOutcome, MatrixResults, MatrixSpec, SimJob};
 use crate::sink::ResultSink;
 use crate::FigureRow;
 
-/// Parsed common command line of one experiment binary.
+/// Micro-ops traced from the first job of each matrix under
+/// `--trace-out`.
+pub const TRACE_UOPS: usize = 512;
+
+/// Parsed common command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchCli {
-    /// Experiment name (`"fig7"`, …): names the default JSON output.
-    pub experiment: String,
-    /// Simulation scale (`--test` ⇒ [`Scale::Test`]).
-    pub scale: Scale,
+    /// Experiments named on the command line (empty = all of them).
+    pub experiments: Vec<String>,
+    /// Force test scale on every experiment (`--test`).
+    pub test: bool,
     /// Worker threads for the job runner.
     pub jobs: usize,
-    /// Explicit JSON output path (`--json`), if any.
-    pub json: Option<PathBuf>,
+    /// Artifact directory (`--out`, default `results`).
+    pub out: PathBuf,
     /// Row filter (`--filter`), a case-insensitive substring.
     pub filter: Option<String>,
     /// Interval sampler period in committed instructions
     /// (`--sample-interval`, 0 = off).
     pub sample_interval: u64,
     /// Perfetto trace output path (`--trace-out`), if any. Enables
-    /// micro-op tracing on the first job of the experiment.
+    /// micro-op tracing on the first job of every matrix.
     pub trace_out: Option<PathBuf>,
-    /// Micro-ops to trace when `--trace-out` is given (`--trace-uops`).
-    pub trace_uops: usize,
     /// Host-profile output path (`--profile-out`), if any: the
     /// `rest-host-profile/v2` document is written only when given.
     pub profile_out: Option<PathBuf>,
@@ -96,9 +104,6 @@ pub struct BenchCli {
     /// Resume an interrupted campaign from its checkpoint file
     /// (`--resume`): cells already recorded there are not re-simulated.
     pub resume: bool,
-    /// Explicit checkpoint path (`--ckpt`); defaults to
-    /// `results/<experiment>.ckpt.json`.
-    pub ckpt: Option<PathBuf>,
     /// Stop after simulating this many fresh cells (`--max-cells`),
     /// leaving the checkpoint behind for `--resume` — used by CI to
     /// interrupt a campaign deterministically.
@@ -157,40 +162,42 @@ impl BenchCli {
 
     /// Parses the process arguments; prints usage and exits on `--help`
     /// or a malformed command line.
-    pub fn parse(experiment: &str) -> BenchCli {
+    pub fn parse(program: &str) -> BenchCli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(experiment, &args) {
+        match Self::from_args(&args) {
             Ok(cli) => cli,
-            Err(msg) => {
-                if msg == "help" {
-                    eprintln!("{}", Self::usage(experiment));
-                    std::process::exit(0);
-                }
-                eprintln!("{experiment}: {msg}");
-                eprintln!("{}", Self::usage(experiment));
-                std::process::exit(2);
-            }
+            Err(msg) => Self::usage_exit(program, &msg),
         }
     }
 
+    /// Prints `msg` and the usage, then exits: 0 for a `--help`
+    /// request (`msg == "help"`), 2 otherwise.
+    pub fn usage_exit(program: &str, msg: &str) -> ! {
+        if msg == "help" {
+            eprintln!("{}", Self::usage(program));
+            std::process::exit(0);
+        }
+        eprintln!("{program}: {msg}");
+        eprintln!("{}", Self::usage(program));
+        std::process::exit(2);
+    }
+
     /// Pure parser (testable). `Err("help")` signals a `--help` request.
-    pub fn from_args(experiment: &str, args: &[String]) -> Result<BenchCli, String> {
+    pub fn from_args(args: &[String]) -> Result<BenchCli, String> {
         let mut cli = BenchCli {
-            experiment: experiment.to_string(),
-            scale: Scale::Ref,
+            experiments: Vec::new(),
+            test: false,
             jobs: Self::default_jobs(),
-            json: None,
+            out: PathBuf::from("results"),
             filter: None,
             sample_interval: 0,
             trace_out: None,
-            trace_uops: 512,
             profile_out: None,
             campaign_trace_out: None,
             verify: false,
             reference: false,
             trace: false,
             resume: false,
-            ckpt: None,
             max_cells: None,
             fault_seed: Self::DEFAULT_FAULT_SEED,
             fuzz_seed: Self::DEFAULT_FUZZ_SEED,
@@ -201,7 +208,7 @@ impl BenchCli {
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--test" => cli.scale = Scale::Test,
+                "--test" => cli.test = true,
                 "--jobs" => {
                     let v = it.next().ok_or("--jobs needs a value")?;
                     cli.jobs = v
@@ -210,9 +217,9 @@ impl BenchCli {
                         .filter(|&n| n >= 1)
                         .ok_or_else(|| format!("--jobs: invalid worker count {v:?}"))?;
                 }
-                "--json" => {
-                    let v = it.next().ok_or("--json needs a path")?;
-                    cli.json = Some(PathBuf::from(v));
+                "--out" => {
+                    let v = it.next().ok_or("--out needs a directory")?;
+                    cli.out = PathBuf::from(v);
                 }
                 "--filter" => {
                     let v = it.next().ok_or("--filter needs a substring")?;
@@ -228,14 +235,6 @@ impl BenchCli {
                     let v = it.next().ok_or("--trace-out needs a path")?;
                     cli.trace_out = Some(PathBuf::from(v));
                 }
-                "--trace-uops" => {
-                    let v = it.next().ok_or("--trace-uops needs a value")?;
-                    cli.trace_uops = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--trace-uops: invalid count {v:?}"))?;
-                }
                 "--profile-out" => {
                     let v = it.next().ok_or("--profile-out needs a path")?;
                     cli.profile_out = Some(PathBuf::from(v));
@@ -248,10 +247,6 @@ impl BenchCli {
                 "--reference" => cli.reference = true,
                 "--trace" => cli.trace = true,
                 "--resume" => cli.resume = true,
-                "--ckpt" => {
-                    let v = it.next().ok_or("--ckpt needs a path")?;
-                    cli.ckpt = Some(PathBuf::from(v));
-                }
                 "--max-cells" => {
                     let v = it.next().ok_or("--max-cells needs a value")?;
                     cli.max_cells = Some(
@@ -263,13 +258,13 @@ impl BenchCli {
                 }
                 "--fault-seed" => {
                     let v = it.next().ok_or("--fault-seed needs a value")?;
-                    cli.fault_seed = parse_u64(v)
-                        .ok_or_else(|| format!("--fault-seed: invalid seed {v:?}"))?;
+                    cli.fault_seed =
+                        parse_u64(v).ok_or_else(|| format!("--fault-seed: invalid seed {v:?}"))?;
                 }
                 "--fuzz-seed" => {
                     let v = it.next().ok_or("--fuzz-seed needs a value")?;
-                    cli.fuzz_seed = parse_u64(v)
-                        .ok_or_else(|| format!("--fuzz-seed: invalid seed {v:?}"))?;
+                    cli.fuzz_seed =
+                        parse_u64(v).ok_or_else(|| format!("--fuzz-seed: invalid seed {v:?}"))?;
                 }
                 "--round-size" => {
                     let v = it.next().ok_or("--round-size needs a value")?;
@@ -292,7 +287,15 @@ impl BenchCli {
                     cli.emit_regress = Some(PathBuf::from(v));
                 }
                 "--help" | "-h" => return Err("help".to_string()),
-                other => return Err(format!("unknown argument {other:?}")),
+                other if other.starts_with('-') => {
+                    return Err(format!("unknown argument {other:?}"))
+                }
+                name => {
+                    if !crate::regen::EXPERIMENTS.iter().any(|e| e.name == name) {
+                        return Err(format!("unknown experiment {name:?}"));
+                    }
+                    cli.experiments.push(name.to_string());
+                }
             }
         }
         // Oversubscribing a CPU-bound job pool only adds contention; the
@@ -300,14 +303,6 @@ impl BenchCli {
         // experiment JSON, so the clamp cannot perturb result bytes.
         cli.jobs = cli.jobs.min(Self::default_jobs());
         Ok(cli)
-    }
-
-    /// The JSON output path: `--json` if given, else
-    /// `results/<experiment>.json`.
-    pub fn json_path(&self) -> PathBuf {
-        self.json
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", self.experiment)))
     }
 
     /// Applies `--filter` to a row list (case-insensitive substring on
@@ -324,45 +319,32 @@ impl BenchCli {
         }
     }
 
-    /// Scale name as serialized into results (`"test"` / `"ref"`).
-    pub fn scale_name(&self) -> &'static str {
-        match self.scale {
-            Scale::Test => "test",
-            Scale::Ref => "ref",
-        }
-    }
-
-    /// The checkpoint path: `--ckpt` if given, else
-    /// `results/<experiment>.ckpt.json`.
-    pub fn ckpt_path(&self) -> PathBuf {
-        self.ckpt
-            .clone()
-            .unwrap_or_else(|| PathBuf::from(format!("results/{}.ckpt.json", self.experiment)))
-    }
-
-    fn usage(experiment: &str) -> String {
+    fn usage(program: &str) -> String {
+        let names: Vec<&str> = crate::regen::EXPERIMENTS.iter().map(|e| e.name).collect();
         format!(
-            "usage: {experiment} [--test] [--jobs N] [--json PATH] [--filter SUBSTRING]\n\
-             \x20                 [--sample-interval N] [--trace-out PATH] [--trace-uops N]\n\
+            "usage: {program} [EXPERIMENT ...] [--test] [--jobs N] [--out DIR]\n\
+             \x20                 [--filter SUBSTRING] [--sample-interval N] [--trace-out PATH]\n\
              \x20                 [--profile-out PATH] [--campaign-trace-out PATH]\n\
-             \x20                 [--verify] [--reference] [--trace] [--resume] [--ckpt PATH]\n\
+             \x20                 [--verify] [--reference] [--trace] [--resume]\n\
              \x20                 [--max-cells N] [--fault-seed N] [--fuzz-seed N]\n\
              \x20                 [--round-size N] [--min-programs N] [--emit-regress DIR]\n\
              \n\
-             --test               run at test scale (fast smoke check)\n\
+             EXPERIMENT           one of: {}\n\
+             \x20                    (default: all, in that order)\n\
+             --test               run every experiment at test scale (fast smoke check;\n\
+             \x20                    default: each experiment's committed scale)\n\
              --jobs N             worker threads (default and upper bound:\n\
              \x20                    available parallelism)\n\
-             --json PATH          write JSON results to PATH\n\
-             \x20                    (default: results/{experiment}.json)\n\
+             --out DIR            write artifacts and campaign checkpoints into DIR\n\
+             \x20                    (default: results)\n\
              --filter SUBSTRING   keep only rows whose benchmark name contains SUBSTRING\n\
              --sample-interval N  sample counters + gauges every N committed\n\
              \x20                    instructions into the JSON \"series\" sections (0 = off)\n\
              --trace-out PATH     write a Perfetto/Chrome trace-event JSON of the first\n\
-             \x20                    job's pipeline activity to PATH\n\
-             --trace-uops N       micro-ops to trace for --trace-out (default 512)\n\
-             --profile-out PATH   write the host document (phase and per-job wall\n\
-             \x20                    times, worker rollup, cache and panic counts) to PATH;\n\
-             \x20                    no host document is written without it\n\
+             \x20                    traced job's pipeline activity ({TRACE_UOPS} micro-ops) to PATH\n\
+             --profile-out PATH   write the host document (phase, experiment and per-job\n\
+             \x20                    wall times, worker rollup, cache and panic counts) to\n\
+             \x20                    PATH; no host document is written without it\n\
              --campaign-trace-out PATH\n\
              \x20                    write the host document's campaign timeline as a\n\
              \x20                    Perfetto trace (one track per engine worker) to PATH\n\
@@ -374,8 +356,6 @@ impl BenchCli {
              \x20                    plus run-time trace compilation of hot loops\n\
              --resume             resume an interrupted campaign from its checkpoint;\n\
              \x20                    recorded cells are not re-simulated\n\
-             --ckpt PATH          checkpoint path for campaign experiments\n\
-             \x20                    (default: results/{experiment}.ckpt.json)\n\
              --max-cells N        stop after N freshly simulated cells, keeping the\n\
              \x20                    checkpoint for --resume (CI interruption hook)\n\
              --fault-seed N       base seed for fault-injection campaigns\n\
@@ -387,98 +367,200 @@ impl BenchCli {
              \x20                    stop dry (default 10000)\n\
              --emit-regress DIR   write minimized fuzz reproducers (.s + .trace)\n\
              \x20                    into DIR\n\
-             --help               this message"
+             --help               this message",
+            names.join(", ")
         )
     }
 }
 
-/// Shared setup/teardown for the experiment binaries.
+/// The state every experiment of one run shares: the command line, one
+/// [`Engine`] (so a job several experiments submit is simulated once),
+/// one host profile and the run's failures.
 ///
-/// Every binary used to open with the same dance — parse the common
-/// command line, build one [`Engine`], wrap the engine runs in a
-/// "simulate" [`HostProfile`] phase, then close with a "report" phase,
-/// the result sink, and the observability artefacts. `Harness` owns
-/// that boilerplate so a binary reduces to *describe the experiment →
-/// print the tables → finish*:
+/// `regen` brackets each experiment with [`Harness::begin`] and
+/// [`Harness::end`] and closes the run with [`Harness::finish`]; an
+/// experiment only describes its matrices and assembles its artifacts:
 ///
 /// ```ignore
-/// let mut h = Harness::new("fig7");
-/// let matrix = h.run_matrix(&spec);
-/// matrix.print_text_table();
+/// let matrix = h.run_matrix(spec);
 /// let mut sink = h.sink();
 /// sink.push_matrix("matrix", &matrix);
-/// h.finish(sink, &matrix);
+/// Ok(vec![sink.artifact()?])
 /// ```
-///
-/// Binaries without an engine phase (e.g. `table1`) use only
-/// [`Harness::sink`]; campaign binaries (`faults`, `defense`) drive
-/// [`Harness::run_all`] in checkpointed chunks.
 pub struct Harness {
     /// The parsed common command line.
     pub cli: BenchCli,
-    /// The shared job engine: one per process, so plain baselines are
-    /// simulated once across every matrix the binary runs.
+    /// The shared job engine.
     pub engine: Engine,
+    /// The running experiment: names its documents, job labels and
+    /// checkpoint.
+    pub experiment: &'static str,
+    /// The running experiment's scale.
+    pub scale: Scale,
     profile: HostProfile,
-    /// Start of the report phase, re-based after every engine run so
-    /// [`Harness::finish`] charges only actual reporting time.
-    report_started: Instant,
+    started: Instant,
+    /// Engine time spent by the running experiment so far.
+    simulated: Duration,
+    /// The first pipeline trace any matrix recorded, as Perfetto JSON.
+    trace: Option<String>,
+    failures: Vec<String>,
 }
 
 impl Harness {
-    /// Parses the process arguments (exiting on `--help` or a malformed
-    /// command line) and sets up the engine and host profile.
-    pub fn new(experiment: &str) -> Harness {
-        Harness::from_cli(BenchCli::parse(experiment))
-    }
-
-    /// A harness over an already-parsed command line (testable).
-    pub fn from_cli(cli: BenchCli) -> Harness {
+    /// A harness over a parsed command line.
+    pub fn new(cli: BenchCli) -> Harness {
         let engine = Engine::new(cli.jobs);
+        let mut profile = HostProfile::new("regen", engine.workers());
+        // Both phases exist even in a run that never simulates.
+        profile.add_phase("simulate", Duration::ZERO);
+        profile.add_phase("report", Duration::ZERO);
         Harness {
-            profile: HostProfile::new(&cli.experiment, engine.workers()),
-            engine,
-            report_started: Instant::now(),
             cli,
+            engine,
+            experiment: "",
+            scale: Scale::Ref,
+            profile,
+            started: Instant::now(),
+            simulated: Duration::ZERO,
+            trace: None,
+            failures: Vec::new(),
         }
     }
 
-    /// Runs an experiment matrix on the shared engine; the wall time
-    /// accrues to the profile's "simulate" phase.
-    pub fn run_matrix(&mut self, spec: &MatrixSpec) -> MatrixResults {
+    /// Starts `experiment` at its committed `scale` (test scale under
+    /// `--test`).
+    pub fn begin(&mut self, experiment: &'static str, scale: Scale) {
+        self.experiment = experiment;
+        self.scale = if self.cli.test { Scale::Test } else { scale };
+        self.started = Instant::now();
+        self.simulated = Duration::ZERO;
+    }
+
+    /// Closes the running experiment: its wall time outside the engine
+    /// accrues to the "report" phase, and the whole of it to the
+    /// profile's per-experiment list.
+    pub fn end(&mut self) {
+        let wall = self.started.elapsed();
+        self.profile
+            .add_phase("report", wall.saturating_sub(self.simulated));
+        self.profile.add_experiment(self.experiment, wall);
+    }
+
+    /// Runs `work` on the engine, charging its wall time to the
+    /// "simulate" phase and logging its jobs under the experiment name.
+    fn simulate<T>(&mut self, work: impl FnOnce(&Engine) -> T) -> T {
         let started = Instant::now();
-        let matrix = self.engine.run_matrix(spec);
-        self.profile.add_phase("simulate", started.elapsed());
-        self.report_started = Instant::now();
+        let out = work(&self.engine);
+        let wall = started.elapsed();
+        self.simulated += wall;
+        self.profile.add_phase("simulate", wall);
+        for mut timing in self.engine.take_timings() {
+            timing.label = format!("{}: {}", self.experiment, timing.label);
+            self.profile.add_job(timing);
+        }
+        out
+    }
+
+    /// Runs an experiment matrix with the command line applied: the
+    /// sampler interval, the `--verify` gate and the execution tier on
+    /// every job, and under `--trace-out` tracing on the first.
+    pub fn run_matrix(&mut self, spec: MatrixSpec) -> MatrixResults {
+        let spec = MatrixSpec {
+            sample_interval: self.cli.sample_interval,
+            trace_uops: if self.cli.trace_out.is_some() {
+                TRACE_UOPS
+            } else {
+                0
+            },
+            verify: self.cli.verify,
+            tier: self.cli.exec_tier(),
+            ..spec
+        };
+        let matrix = self.simulate(|engine| engine.run_matrix(&spec));
+        if self.trace.is_none() {
+            self.trace = matrix.first_trace().map(|t| t.to_perfetto().render());
+        }
         matrix
     }
 
-    /// Runs a plain job list on the shared engine; the wall time
-    /// accrues to the profile's "simulate" phase.
+    /// Runs a plain job list on the shared engine.
     pub fn run_all(&mut self, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        let started = Instant::now();
-        let outcomes = self.engine.run_all(jobs);
-        self.profile.add_phase("simulate", started.elapsed());
-        self.report_started = Instant::now();
-        outcomes
+        self.simulate(|engine| engine.run_all(jobs))
     }
 
-    /// A result sink pre-populated with this experiment's identity.
+    /// Runs `count` independent tasks on the engine's worker pool (see
+    /// [`Engine::run_tasks`]).
+    pub fn run_tasks<T: Send, F: Fn(usize) -> T + Sync>(
+        &mut self,
+        count: usize,
+        task: F,
+    ) -> Vec<T> {
+        self.simulate(|engine| engine.run_tasks(count, task))
+    }
+
+    /// A result sink pre-populated with the running experiment's
+    /// identity.
     pub fn sink(&self) -> ResultSink {
-        ResultSink::new(&self.cli)
+        ResultSink::new(self.experiment, self.scale, self.cli.filter.as_deref())
     }
 
-    /// Writes the finished sink, closes the "report" phase, and emits
-    /// the observability artefacts (see [`crate::finish_observability`]).
-    /// Exits 1 when the document or the host profile is invalid, or
-    /// when any job panicked.
-    pub fn finish(mut self, sink: ResultSink, matrix: &MatrixResults) {
-        sink.finish();
-        self.profile
-            .add_phase("report", self.report_started.elapsed());
-        if let Err(e) = crate::finish_observability(&self.cli, &self.engine, matrix, self.profile) {
-            eprintln!("{}: {e}", self.cli.experiment);
-            std::process::exit(1);
+    /// The running experiment's scale as serialised into documents.
+    pub fn scale_name(&self) -> &'static str {
+        crate::scale_name(self.scale)
+    }
+
+    /// The running experiment's checkpoint: `<out>/<experiment>.ckpt.json`.
+    pub fn ckpt_path(&self) -> PathBuf {
+        self.cli.out.join(format!("{}.ckpt.json", self.experiment))
+    }
+
+    /// Records a failure of the running experiment. The run goes on and
+    /// its artifacts are still written; [`Harness::finish`] reports it.
+    pub fn fail(&mut self, msg: impl std::fmt::Display) {
+        self.failures.push(format!("{}: {msg}", self.experiment));
+    }
+
+    /// Writes the run's observability documents: the Perfetto trace of
+    /// the first traced job (`--trace-out`), the validated host profile
+    /// (`--profile-out`) and its campaign timeline
+    /// (`--campaign-trace-out`). Fails — after writing them — when any
+    /// experiment failed or any job panicked, naming each.
+    pub fn finish(mut self) -> Result<(), String> {
+        let doc = self.profile.to_json();
+        HostProfile::validate(&doc).map_err(|e| format!("invalid host profile: {e}"))?;
+        if let Some(path) = &self.cli.trace_out {
+            match &self.trace {
+                Some(trace) => crate::write_text_file(path, trace)?,
+                None => eprintln!(
+                    "# --trace-out: the traced job failed or recorded nothing; no trace written"
+                ),
+            }
+        }
+        if let Some(path) = &self.cli.profile_out {
+            crate::write_text_file(path, &format!("{}\n", doc.to_string_pretty()))?;
+        }
+        if let Some(path) = &self.cli.campaign_trace_out {
+            crate::write_text_file(path, &self.profile.to_perfetto().render())?;
+        }
+        let panicked: Vec<&str> = self
+            .profile
+            .jobs()
+            .iter()
+            .filter(|j| j.outcome == "panic")
+            .map(|j| j.label.as_str())
+            .collect();
+        if !panicked.is_empty() {
+            let msg = format!(
+                "{} job(s) panicked: {}",
+                panicked.len(),
+                panicked.join(", ")
+            );
+            self.failures.push(msg);
+        }
+        if self.failures.is_empty() {
+            Ok(())
+        } else {
+            Err(self.failures.join("\n"))
         }
     }
 }
@@ -486,6 +568,9 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ColumnSpec;
+    use rest_runtime::RtConfig;
+    use rest_workloads::Workload;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -493,25 +578,21 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let cli = BenchCli::from_args("fig7", &[]).unwrap();
-        assert_eq!(cli.scale, Scale::Ref);
+        let cli = BenchCli::from_args(&[]).unwrap();
+        assert!(cli.experiments.is_empty());
+        assert!(!cli.test);
         assert_eq!(cli.jobs, BenchCli::default_jobs());
         assert!(cli.jobs >= 1);
-        assert_eq!(cli.json, None);
+        assert_eq!(cli.out, PathBuf::from("results"));
         assert_eq!(cli.filter, None);
-        assert_eq!(cli.json_path(), PathBuf::from("results/fig7.json"));
-        assert_eq!(cli.scale_name(), "ref");
         assert_eq!(cli.sample_interval, 0);
         assert_eq!(cli.trace_out, None);
-        assert_eq!(cli.trace_uops, 512);
         assert_eq!(cli.profile_out, None);
         assert_eq!(cli.campaign_trace_out, None);
         assert!(!cli.verify);
         assert!(!cli.reference);
         assert!(!cli.trace);
         assert!(!cli.resume);
-        assert_eq!(cli.ckpt, None);
-        assert_eq!(cli.ckpt_path(), PathBuf::from("results/fig7.ckpt.json"));
         assert_eq!(cli.max_cells, None);
         assert_eq!(cli.fault_seed, BenchCli::DEFAULT_FAULT_SEED);
         assert_eq!(cli.fuzz_seed, BenchCli::DEFAULT_FUZZ_SEED);
@@ -522,114 +603,115 @@ mod tests {
 
     #[test]
     fn campaign_flags_parse() {
-        let cli = BenchCli::from_args(
+        let cli = BenchCli::from_args(&argv(&[
             "faults",
-            &argv(&[
-                "--resume",
-                "--ckpt",
-                "/tmp/f.ckpt.json",
-                "--max-cells",
-                "5",
-                "--fault-seed",
-                "0x1234",
-            ]),
-        )
+            "--resume",
+            "--out",
+            "/tmp/f",
+            "--max-cells",
+            "5",
+            "--fault-seed",
+            "0x1234",
+        ]))
         .unwrap();
+        assert_eq!(cli.experiments, ["faults"]);
         assert!(cli.resume);
-        assert_eq!(cli.ckpt_path(), PathBuf::from("/tmp/f.ckpt.json"));
         assert_eq!(cli.max_cells, Some(5));
         assert_eq!(cli.fault_seed, 0x1234);
-        let decimal = BenchCli::from_args("faults", &argv(&["--fault-seed", "42"])).unwrap();
+        let mut h = Harness::new(cli);
+        h.begin("faults", Scale::Test);
+        assert_eq!(h.ckpt_path(), PathBuf::from("/tmp/f/faults.ckpt.json"));
+        let decimal = BenchCli::from_args(&argv(&["--fault-seed", "42"])).unwrap();
         assert_eq!(decimal.fault_seed, 42);
     }
 
     #[test]
     fn fuzz_flags_parse() {
-        let cli = BenchCli::from_args(
-            "fuzz",
-            &argv(&[
-                "--fuzz-seed",
-                "0xabc",
-                "--round-size",
-                "250",
-                "--min-programs",
-                "500",
-                "--emit-regress",
-                "/tmp/regress",
-            ]),
-        )
+        let cli = BenchCli::from_args(&argv(&[
+            "--fuzz-seed",
+            "0xabc",
+            "--round-size",
+            "250",
+            "--min-programs",
+            "500",
+            "--emit-regress",
+            "/tmp/regress",
+        ]))
         .unwrap();
         assert_eq!(cli.fuzz_seed, 0xabc);
         assert_eq!(cli.round_size, 250);
         assert_eq!(cli.min_programs, 500);
         assert_eq!(cli.emit_regress, Some(PathBuf::from("/tmp/regress")));
-        let decimal = BenchCli::from_args("fuzz", &argv(&["--fuzz-seed", "7"])).unwrap();
+        let decimal = BenchCli::from_args(&argv(&["--fuzz-seed", "7"])).unwrap();
         assert_eq!(decimal.fuzz_seed, 7);
     }
 
     #[test]
     fn all_flags_parse() {
-        let cli = BenchCli::from_args(
-            "fig8",
-            &argv(&["--test", "--jobs", "3", "--json", "/tmp/x.json", "--filter", "gobmk"]),
-        )
+        let cli = BenchCli::from_args(&argv(&[
+            "fig8", "--test", "--jobs", "3", "--out", "/tmp/x", "--filter", "gobmk", "fig7",
+        ]))
         .unwrap();
-        assert_eq!(cli.scale, Scale::Test);
+        assert_eq!(cli.experiments, ["fig8", "fig7"]);
+        assert!(cli.test);
         assert_eq!(cli.jobs, 3.min(BenchCli::default_jobs()));
-        assert_eq!(cli.json_path(), PathBuf::from("/tmp/x.json"));
+        assert_eq!(cli.out, PathBuf::from("/tmp/x"));
         assert_eq!(cli.filter.as_deref(), Some("gobmk"));
-        assert_eq!(cli.scale_name(), "test");
+    }
+
+    #[test]
+    fn test_flag_forces_test_scale() {
+        let mut h = Harness::new(BenchCli::from_args(&[]).unwrap());
+        h.begin("fig7", Scale::Ref);
+        assert_eq!((h.scale, h.scale_name()), (Scale::Ref, "ref"));
+        let mut h = Harness::new(BenchCli::from_args(&argv(&["--test"])).unwrap());
+        h.begin("fig7", Scale::Ref);
+        assert_eq!((h.scale, h.scale_name()), (Scale::Test, "test"));
     }
 
     #[test]
     fn jobs_clamp_to_available_parallelism() {
-        let cli = BenchCli::from_args("fig7", &argv(&["--jobs", "100000"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--jobs", "100000"])).unwrap();
         assert_eq!(cli.jobs, BenchCli::default_jobs());
-        let cli = BenchCli::from_args("fig7", &argv(&["--jobs", "1"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--jobs", "1"])).unwrap();
         assert_eq!(cli.jobs, 1, "requests at or under the limit pass through");
     }
 
     #[test]
     fn reference_flag_parses() {
-        let cli = BenchCli::from_args("fig7", &argv(&["--reference"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--reference"])).unwrap();
         assert!(cli.reference);
         assert_eq!(cli.exec_tier(), ExecTier::Reference);
     }
 
     #[test]
     fn trace_flag_parses_and_wins_tier_selection() {
-        let cli = BenchCli::from_args("fig7", &argv(&[])).unwrap();
+        let cli = BenchCli::from_args(&argv(&[])).unwrap();
         assert_eq!(cli.exec_tier(), ExecTier::Fast);
-        let cli = BenchCli::from_args("fig7", &argv(&["--trace"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--trace"])).unwrap();
         assert!(cli.trace);
         assert_eq!(cli.exec_tier(), ExecTier::Trace);
         // Both flags: the more-specialised tier wins deterministically.
-        let cli = BenchCli::from_args("fig7", &argv(&["--reference", "--trace"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--reference", "--trace"])).unwrap();
         assert_eq!(cli.exec_tier(), ExecTier::Trace);
     }
 
     #[test]
     fn observability_flags_parse() {
-        let cli = BenchCli::from_args(
-            "fig7",
-            &argv(&[
-                "--sample-interval",
-                "5000",
-                "--trace-out",
-                "/tmp/trace.json",
-                "--trace-uops",
-                "128",
-                "--profile-out",
-                "/tmp/prof.json",
-                "--campaign-trace-out",
-                "/tmp/campaign.json",
-                "--verify",
-            ]),
-        )
+        let cli = BenchCli::from_args(&argv(&[
+            "--sample-interval",
+            "5000",
+            "--trace-out",
+            "/tmp/trace.json",
+            "--profile-out",
+            "/tmp/prof.json",
+            "--campaign-trace-out",
+            "/tmp/campaign.json",
+            "--verify",
+        ]))
         .unwrap();
         assert_eq!(cli.sample_interval, 5000);
         assert_eq!(cli.trace_out, Some(PathBuf::from("/tmp/trace.json")));
-        assert_eq!(cli.trace_uops, 128);
         assert_eq!(cli.profile_out, Some(PathBuf::from("/tmp/prof.json")));
         assert_eq!(
             cli.campaign_trace_out,
@@ -640,35 +722,37 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        assert!(BenchCli::from_args("fig7", &argv(&["--jobs"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--jobs", "0"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--jobs", "x"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--frobnicate"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--sample-interval"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--sample-interval", "x"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--trace-uops", "0"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--trace-out"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--profile-out"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--campaign-trace-out"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--ckpt"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--max-cells", "0"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--fault-seed", "0xzz"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--fuzz-seed", "0xzz"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--round-size", "0"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--min-programs", "0"])).is_err());
-        assert!(BenchCli::from_args("fig7", &argv(&["--emit-regress"])).is_err());
-        assert_eq!(
-            BenchCli::from_args("fig7", &argv(&["--help"])).unwrap_err(),
-            "help"
-        );
+        for bad in [
+            &["--jobs"][..],
+            &["--jobs", "0"],
+            &["--jobs", "x"],
+            &["--frobnicate"],
+            &["fig9"],
+            &["--out"],
+            &["--sample-interval"],
+            &["--sample-interval", "x"],
+            &["--trace-out"],
+            &["--profile-out"],
+            &["--campaign-trace-out"],
+            &["--max-cells", "0"],
+            &["--fault-seed", "0xzz"],
+            &["--fuzz-seed", "0xzz"],
+            &["--round-size", "0"],
+            &["--min-programs", "0"],
+            &["--emit-regress"],
+        ] {
+            assert!(BenchCli::from_args(&argv(bad)).is_err(), "{bad:?}");
+        }
+        assert_eq!(BenchCli::from_args(&argv(&["--help"])).unwrap_err(), "help");
     }
 
     #[test]
     fn harness_shares_one_engine_and_profiles_simulate_time() {
-        let cli = BenchCli::from_args("harness-test", &argv(&["--test", "--jobs", "1"])).unwrap();
-        let mut h = Harness::from_cli(cli);
+        let cli = BenchCli::from_args(&argv(&["--test", "--jobs", "1"])).unwrap();
+        let mut h = Harness::new(cli);
+        h.begin("harness-test", Scale::Test);
         let job = SimJob::plain(
-            &FigureRow::of(rest_workloads::Workload::Lbm),
+            &FigureRow::of(Workload::Lbm),
             crate::engine::CoreKind::OutOfOrder,
             Scale::Test,
         );
@@ -677,19 +761,52 @@ mod tests {
         assert!(first[0].is_ok());
         // The harness engine caches across calls like a bare Engine.
         assert!(std::sync::Arc::ptr_eq(&first[0], &again[0]));
-        // Both runs accrued into the one "simulate" phase, and the
-        // engine's per-job log recorded the cache hit.
-        assert_eq!(h.engine.take_timings().len(), 2);
+        // Both runs landed in the profile under the experiment's name,
+        // the second as a cache hit.
+        h.end();
+        let jobs = h.profile.jobs();
+        assert_eq!(jobs.len(), 2);
+        assert_eq!(jobs[0].label, "harness-test: lbm plain");
+        assert!(!jobs[0].cached && jobs[1].cached);
         assert!(!h.sink().to_json_string().is_empty());
+        h.finish().expect("a clean run passes");
+    }
+
+    #[test]
+    fn every_matrix_gets_the_command_line() {
+        // A bare spec, as every experiment builds it: the harness alone
+        // applies --reference, so its job must run on the reference tier.
+        let cli = BenchCli::from_args(&argv(&["--reference", "--jobs", "1"])).unwrap();
+        let mut h = Harness::new(cli);
+        h.begin("tier-test", Scale::Test);
+        let row = FigureRow::of(Workload::Lbm);
+        let spec = MatrixSpec {
+            include_plain: false,
+            ..MatrixSpec::new(
+                vec![row],
+                vec![ColumnSpec::new("plain", RtConfig::plain())],
+                Scale::Test,
+            )
+        };
+        let matrix = h.run_matrix(spec);
+        let reference = SimJob {
+            tier: ExecTier::Reference,
+            ..SimJob::plain(&row, crate::engine::CoreKind::OutOfOrder, Scale::Test)
+        };
+        // The engine caches by the whole job: a hit proves the matrix
+        // job carried the reference tier.
+        let again = h.run_all(&[reference]);
+        assert!(std::sync::Arc::ptr_eq(&matrix.rows[0].cells[0], &again[0]));
+        assert!(h.profile.jobs()[1].cached);
     }
 
     #[test]
     fn filter_selects_rows_case_insensitively() {
-        let cli = BenchCli::from_args("fig7", &argv(&["--filter", "GOBMK"])).unwrap();
+        let cli = BenchCli::from_args(&argv(&["--filter", "GOBMK"])).unwrap();
         let rows = cli.filter_rows(crate::figure_rows());
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r.name.starts_with("gobmk")));
-        let none = BenchCli::from_args("fig7", &argv(&["--filter", "zzz"]))
+        let none = BenchCli::from_args(&argv(&["--filter", "zzz"]))
             .unwrap()
             .filter_rows(crate::figure_rows());
         assert!(none.is_empty());

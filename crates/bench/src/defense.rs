@@ -1,4 +1,4 @@
-//! Defense-matrix campaign (`defense` binary).
+//! Defense-matrix campaign (the `defense` experiment of `regen`).
 //!
 //! Sweeps the six protection configurations the backend seam makes
 //! comparable — `plain`, `asan`, `rest-secure-full`, `mte-sync`,
@@ -39,6 +39,7 @@ use std::sync::Arc;
 
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, JobError, MatrixResults, MatrixSpec, RegressProg, SimJob};
+use crate::sink::Artifact;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-defense/v1";
@@ -288,11 +289,9 @@ struct Coverage {
 }
 
 /// Runs the full campaign: the overhead matrix, then every attack under
-/// every scheme, printing both tables and writing the document through
-/// the harness sink (so `--json`, `--profile-out` and `--trace-out` all
-/// behave like the other binaries).
-pub fn run_campaign(mut h: Harness) {
-    let cli = h.cli.clone();
+/// every scheme, printing both tables and returning the document.
+pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
+    let scale = h.scale;
     let configs = scheme_configs();
 
     // Overhead half: the five hardened schemes against the shared plain
@@ -302,21 +301,20 @@ pub fn run_campaign(mut h: Harness) {
         .filter(|(label, _)| *label != "plain")
         .map(|(label, rt)| ColumnSpec::new(*label, rt.clone()))
         .collect();
-    let mut spec = MatrixSpec::new(cli.filter_rows(crate::figure_rows()), columns, cli.scale)
-        .with_observability(&cli);
+    let mut spec = MatrixSpec::new(h.cli.filter_rows(crate::figure_rows()), columns, scale);
     // Guest profiling rides along so the per-allocation-site check
     // attribution can be aggregated and reconciled per scheme.
     spec.profile_guest = true;
-    let matrix = h.run_matrix(&spec);
+    let matrix = h.run_matrix(spec);
 
-    crate::print_machine_header("defense — runtime overhead over plain (%)");
-    matrix.print_text_table();
-    println!();
+    print!(
+        "{}",
+        crate::machine_header("defense — runtime overhead over plain (%)")
+    );
+    println!("{}", matrix.text_table());
 
-    let attribution = check_attribution(&matrix).unwrap_or_else(|e| {
-        eprintln!("defense: check-attribution invariant violated: {e}");
-        std::process::exit(1);
-    });
+    let attribution = check_attribution(&matrix)
+        .map_err(|e| format!("check-attribution invariant violated: {e}"))?;
     println!("defense — per-scheme check attribution (summed over allocation sites)");
     println!(
         "{:<18}{:>14}{:>16}{:>16}{:>14}{:>12}",
@@ -347,7 +345,7 @@ pub fn run_campaign(mut h: Harness) {
                 attack,
                 *label,
                 attack.rt_for(rt.clone()),
-                cli.scale,
+                scale,
             ));
         }
     }
@@ -407,10 +405,8 @@ pub fn run_campaign(mut h: Harness) {
     // with the same `Expectation::admits` predicate as the attacks.
     // The sidecar expectations were *measured* at emission time, so a
     // behaviour change anywhere in the stack flips a cell here.
-    let corpus = rest_attacks::regress::corpus().unwrap_or_else(|e| {
-        eprintln!("defense: regression corpus failed to load: {e}");
-        std::process::exit(1);
-    });
+    let corpus = rest_attacks::regress::corpus()
+        .map_err(|e| format!("regression corpus failed to load: {e}"))?;
     let mut regress_jobs = Vec::new();
     for case in &corpus {
         let asm = Arc::new(case.asm.clone());
@@ -422,7 +418,7 @@ pub fn run_campaign(mut h: Harness) {
                 },
                 *label,
                 rt.clone(),
-                cli.scale,
+                scale,
             ));
         }
     }
@@ -509,7 +505,7 @@ pub fn run_campaign(mut h: Harness) {
                 .collect(),
         ),
     );
-    h.finish(sink, &matrix);
+    Ok(vec![sink.artifact()?])
 }
 
 /// The `rest-defense/v1` rules the campaign does not enforce while it

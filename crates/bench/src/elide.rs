@@ -1,4 +1,4 @@
-//! Static check-elision campaign (`elide` binary).
+//! Static check-elision campaign (the `elision` experiment of `regen`).
 //!
 //! Runs the full benchmark set under the paper's headline
 //! `rest-secure-full` configuration twice — checks in full, and with
@@ -6,7 +6,7 @@
 //! (the scheme that actually pays per-access check micro-ops, so the
 //! recovered-uop measurement is visible in the pipeline). Every pair is
 //! held to a hard differential gate: byte-identical guest output and
-//! byte-identical audit logs, or the campaign exits nonzero.
+//! byte-identical audit logs, or the campaign fails.
 //!
 //! The attack section re-runs all ten attack scenarios under
 //! `rest-secure-full` with elision enabled. Attacks whose violation the
@@ -23,13 +23,12 @@
 //!
 //! Two artefacts come out of one campaign:
 //!
-//! * `results/elision.json` — the deterministic figure: per-row static
+//! * `elision.json` — the deterministic figure: per-row static
 //!   classification counts, dynamic elided-check counters, per-site
 //!   attribution, the per-program `rest-elide/v1` maps (each validated
 //!   against [`rest_obs::elide`]), and the attack-coverage section.
 //!   Byte-identical at any `--jobs` level.
-//! * `BENCH_elision.json`, in the same directory as the `--json`
-//!   document (default `results/`) — host wall-clock guest-IPS of the
+//! * `BENCH_elision.json` — host wall-clock guest-IPS of the
 //!   functional emulator with checks in full versus elided, following
 //!   the `BENCH_` convention because wall times are nondeterministic.
 
@@ -45,6 +44,7 @@ use rest_workloads::{Scale, WorkloadParams};
 
 use crate::cli::Harness;
 use crate::engine::{RegressProg, SimJob};
+use crate::sink::Artifact;
 use crate::{stack_for, FigureRow};
 
 /// The campaign's column labels, in job order: each base scheme is
@@ -608,26 +608,21 @@ pub fn bench_json(scale: &str, cells: &[IpsCell]) -> Json {
     ])
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("elide: {msg}");
-    std::process::exit(1);
-}
-
 /// Runs the full campaign: 16 rows × the four scheme cells plus the ten
 /// attack pairs, enforces every differential and reconciliation gate,
-/// writes the `--json` document and `BENCH_elision.json` beside it.
-pub fn run_campaign(mut h: Harness) {
-    let cli = h.cli.clone();
-    let rows = cli.filter_rows(crate::figure_rows());
+/// and returns the document and `BENCH_elision.json`.
+pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
+    let scale = h.scale;
+    let rows = h.cli.filter_rows(crate::figure_rows());
     let mut jobs: Vec<SimJob> = Vec::new();
     for row in &rows {
-        jobs.extend(jobs_for(row, cli.scale));
+        jobs.extend(jobs_for(row, scale));
     }
     let rest_rt = RtConfig::from_label("rest-secure-full").expect("canonical label");
     let attack_jobs: Vec<SimJob> = Attack::ALL
         .iter()
         .flat_map(|&attack| {
-            let full = SimJob::for_attack(attack, "rest-secure-full", rest_rt.clone(), cli.scale);
+            let full = SimJob::for_attack(attack, "rest-secure-full", rest_rt.clone(), scale);
             let elided = SimJob {
                 elide: true,
                 label: "rest-elided".to_string(),
@@ -639,9 +634,8 @@ pub fn run_campaign(mut h: Harness) {
     // Regression corpus: each minimized reproducer runs as a
     // full/elided pair under the headline scheme, held to the same
     // differential gate as the attacks.
-    let corpus = rest_attacks::regress::corpus().unwrap_or_else(|e| {
-        fail(&format!("regression corpus failed to load: {e}"));
-    });
+    let corpus = rest_attacks::regress::corpus()
+        .map_err(|e| format!("regression corpus failed to load: {e}"))?;
     let regress_jobs: Vec<SimJob> = corpus
         .iter()
         .flat_map(|case| {
@@ -652,7 +646,7 @@ pub fn run_campaign(mut h: Harness) {
                 },
                 "rest-secure-full",
                 rest_rt.clone(),
-                cli.scale,
+                scale,
             );
             let elided = SimJob {
                 elide: true,
@@ -672,8 +666,11 @@ pub fn run_campaign(mut h: Harness) {
     let (row_outcomes, rest_outcomes) = outcomes.split_at(jobs.len());
     let (attack_outcomes, regress_outcomes) = rest_outcomes.split_at(attack_jobs.len());
 
-    crate::print_machine_header(
-        "elide — static check-elision: proven-safe accesses skip their checks",
+    print!(
+        "{}",
+        crate::machine_header(
+            "elide — static check-elision: proven-safe accesses skip their checks"
+        )
     );
     let mut figure = ElideFigure {
         rows: Vec::new(),
@@ -685,30 +682,27 @@ pub fn run_campaign(mut h: Harness) {
         for (outcome, label) in chunk.iter().zip(SCHEMES) {
             match outcome.as_ref() {
                 Ok(result) => cells.push(result),
-                Err(e) => fail(&format!("{} {label} failed: {e}", row.name)),
+                Err(e) => return Err(format!("{} {label} failed: {e}", row.name)),
             }
         }
         let cells: &[&SimResult; 4] = &[cells[0], cells[1], cells[2], cells[3]];
-        match rollup(row, cli.scale, cells) {
-            Ok(r) => figure.rows.push(r),
-            Err(e) => fail(&e),
-        }
+        figure.rows.push(rollup(row, scale, cells)?);
     }
     for (&attack, chunk) in Attack::ALL.iter().zip(attack_outcomes.chunks(2)) {
         let full = match chunk[0].as_ref() {
             Ok(r) => r,
-            Err(e) => fail(&format!("attack {} full run failed: {e}", attack.name())),
+            Err(e) => return Err(format!("attack {} full run failed: {e}", attack.name())),
         };
         let elided = match chunk[1].as_ref() {
             Ok(r) => r,
-            Err(e) => fail(&format!("attack {} elided run failed: {e}", attack.name())),
+            Err(e) => return Err(format!("attack {} elided run failed: {e}", attack.name())),
         };
         if let Err(e) = assert_differential(&format!("attack {}", attack.name()), full, elided) {
-            fail(&format!("DETECTION LOSS: {e}"));
+            return Err(format!("DETECTION LOSS: {e}"));
         }
         let map = elide_program(&attack.build(stack_for(&rest_rt)), ElideScheme::Rest).map;
         if map.is_empty() && elided.core.elided_checks != 0 {
-            fail(&format!(
+            return Err(format!(
                 "attack {}: {} checks skipped with an empty map",
                 attack.name(),
                 elided.core.elided_checks
@@ -725,22 +719,22 @@ pub fn run_campaign(mut h: Harness) {
     for (case, chunk) in corpus.iter().zip(regress_outcomes.chunks(2)) {
         let full = match chunk[0].as_ref() {
             Ok(r) => r,
-            Err(e) => fail(&format!("regress {} full run failed: {e}", case.name)),
+            Err(e) => return Err(format!("regress {} full run failed: {e}", case.name)),
         };
         let elided = match chunk[1].as_ref() {
             Ok(r) => r,
-            Err(e) => fail(&format!("regress {} elided run failed: {e}", case.name)),
+            Err(e) => return Err(format!("regress {} elided run failed: {e}", case.name)),
         };
         if let Err(e) = assert_differential(&format!("regress {}", case.name), full, elided) {
-            fail(&format!("DETECTION LOSS: {e}"));
+            return Err(format!("DETECTION LOSS: {e}"));
         }
         let program = match rest_isa::parse_asm(&case.asm) {
             Ok(p) => p,
-            Err(e) => fail(&format!("regress {}: unparseable assembly: {e:?}", case.name)),
+            Err(e) => return Err(format!("regress {}: unparseable assembly: {e:?}", case.name)),
         };
         let map = elide_program(&program, ElideScheme::Rest).map;
         if map.is_empty() && elided.core.elided_checks != 0 {
-            fail(&format!(
+            return Err(format!(
                 "regress {}: {} checks skipped with an empty map",
                 case.name, elided.core.elided_checks
             ));
@@ -755,8 +749,8 @@ pub fn run_campaign(mut h: Harness) {
     }
     // The headline acceptance gate: without --filter, at least 4 rows
     // must elide >= 20% of their access PCs.
-    if cli.filter.is_none() && figure.rows_at_20pct() < 4 {
-        fail(&format!(
+    if h.cli.filter.is_none() && figure.rows_at_20pct() < 4 {
+        return Err(format!(
             "only {} rows reach 20% static elision (4 required)",
             figure.rows_at_20pct()
         ));
@@ -779,30 +773,22 @@ pub fn run_campaign(mut h: Harness) {
     // contend for cores and distort every measurement).
     let mut cells = Vec::new();
     for row in &rows {
-        match measure_ips(row, cli.scale) {
-            Ok(c) => {
-                eprintln!(
-                    "# ips {}: {:.0} full vs {:.0} elided ({:+.1}%)",
-                    c.name,
-                    c.full_ips(),
-                    c.elided_ips(),
-                    c.delta_pct()
-                );
-                cells.push(c);
-            }
-            Err(e) => fail(&e),
-        }
+        let c = measure_ips(row, scale)?;
+        eprintln!(
+            "# ips {}: {:.0} full vs {:.0} elided ({:+.1}%)",
+            c.name,
+            c.full_ips(),
+            c.elided_ips(),
+            c.delta_pct()
+        );
+        cells.push(c);
     }
-    let mut text = bench_json(cli.scale_name(), &cells).to_string_pretty();
-    text.push('\n');
-    crate::write_text_file(&cli.json_path().with_file_name("BENCH_elision.json"), &text);
-    // No matrix ran (the campaign drives plain job lists), so the
-    // observability teardown gets an empty one.
-    let matrix = crate::engine::MatrixResults {
-        columns: Vec::new(),
-        rows: Vec::new(),
-    };
-    h.finish(sink, &matrix);
+    let mut bench = bench_json(h.scale_name(), &cells).to_string_pretty();
+    bench.push('\n');
+    Ok(vec![
+        sink.artifact()?,
+        Artifact::new("BENCH_elision.json", bench),
+    ])
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Shared experiment engine: declarative simulation jobs, a
 //! deterministic thread-pool runner, and job matrices.
 //!
-//! Every harness binary describes its experiment as a [`MatrixSpec`]
+//! Every experiment describes its simulations as a [`MatrixSpec`]
 //! (benchmark rows × hardened configurations) or a list of [`SimJob`]s
 //! and hands it to an [`Engine`]. The engine:
 //!
@@ -13,7 +13,7 @@
 //! * converts panicking or failing simulations into structured
 //!   [`JobError`]s instead of aborting the whole sweep,
 //! * reports per-job progress and wall time on **stderr** only —
-//!   results (stdout tables, JSON) contain no timing, so the same job
+//!   results (text tables, JSON) contain no timing, so the same job
 //!   matrix produces byte-identical output at any `--jobs` level.
 //!
 //! Results are assembled strictly in job-submission order; worker
@@ -664,7 +664,8 @@ pub struct MatrixSpec {
     /// columns and mean summaries).
     pub include_plain: bool,
     /// Interval sampler period applied to **every** job of the matrix
-    /// (0 = off).
+    /// (0 = off). This field and the next three carry the command line;
+    /// [`crate::cli::Harness::run_matrix`] sets them on every spec.
     pub sample_interval: u64,
     /// Pipeline-trace length applied to the matrix's **first** job
     /// only (0 = off).
@@ -698,22 +699,6 @@ impl MatrixSpec {
             tier: ExecTier::Fast,
             profile_guest: false,
         }
-    }
-
-    /// Applies the CLI's observability flags: the sampler interval to
-    /// every job, tracing (when `--trace-out` was given) to the first,
-    /// the `--verify` pre-run lint gate to every job, and `--reference`
-    /// decode-path selection to every job.
-    pub fn with_observability(mut self, cli: &crate::cli::BenchCli) -> MatrixSpec {
-        self.sample_interval = cli.sample_interval;
-        self.trace_uops = if cli.trace_out.is_some() {
-            cli.trace_uops
-        } else {
-            0
-        };
-        self.verify = cli.verify;
-        self.tier = cli.exec_tier();
-        self
     }
 }
 
@@ -788,25 +773,27 @@ impl MatrixResults {
             .collect()
     }
 
-    /// Prints the standard overhead table (benchmark rows, one column
-    /// per configuration, WtdAriMean/GeoMean summary rows) to stdout.
-    pub fn print_text_table(&self) {
-        print!("{:<12}", "benchmark");
+    /// The standard overhead table: benchmark rows, one column per
+    /// configuration, WtdAriMean/GeoMean summary rows.
+    pub fn text_table(&self) -> String {
+        let mut t = format!("{:<12}", "benchmark");
         for col in &self.columns {
-            print!("{:>18}", col.label);
+            t += &format!("{:>18}", col.label);
         }
-        println!();
+        t.push('\n');
         for row in &self.rows {
             let cells: Vec<f64> = (0..self.columns.len())
                 .map(|c| row.overhead_pct(c))
                 .collect();
-            println!("{}", crate::fmt_row(row.row.name, &cells));
+            t += &crate::fmt_row(row.row.name, &cells);
+            t.push('\n');
         }
         let summary = self.summary();
         let wtd: Vec<f64> = summary.iter().map(|&(w, _)| w).collect();
         let geo: Vec<f64> = summary.iter().map(|&(_, g)| g).collect();
-        println!("{}", crate::fmt_row("WtdAriMean", &wtd));
-        println!("{}", crate::fmt_row("GeoMean", &geo));
+        t += &format!("{}\n", crate::fmt_row("WtdAriMean", &wtd));
+        t += &format!("{}\n", crate::fmt_row("GeoMean", &geo));
+        t
     }
 }
 

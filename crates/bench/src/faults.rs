@@ -1,4 +1,4 @@
-//! Fault-injection campaign (`faults` binary).
+//! Fault-injection campaign (the `faults` experiment of `regen`).
 //!
 //! Sweeps a row set of clean workloads **and** attack scenarios against
 //! every [`rest_faults::FaultKind`] (plus a fault-free reference cell
@@ -22,8 +22,8 @@
 //! * **false positive** — the reference exited clean but the faulted
 //!   run raised a violation (a fail-closed fault fired spuriously).
 //!
-//! The campaign writes a detection-coverage table to stdout and a
-//! `rest-faults/v1` JSON document to `results/faults.json`, both
+//! The campaign prints a detection-coverage table to stdout and returns
+//! a `rest-faults/v1` JSON document (`faults.json`), both
 //! byte-identical at any `--jobs` level. Finished cells are
 //! checkpointed periodically ([`crate::checkpoint`]); an interrupted
 //! campaign (`--max-cells N`, a crash, ^C between chunks) resumes with
@@ -40,6 +40,7 @@ use rest_workloads::{Scale, Workload};
 use crate::checkpoint::Checkpoint;
 use crate::cli::{BenchCli, Harness};
 use crate::engine::{JobError, SimJob};
+use crate::sink::Artifact;
 use crate::FigureRow;
 
 /// Campaign document schema identifier.
@@ -474,15 +475,16 @@ fn panicked_cells(rows: &[Json]) -> Vec<String> {
 }
 
 /// Runs the full campaign: simulate (or resume) every cell, checkpoint
-/// periodically, then — unless interrupted by `--max-cells` — classify,
-/// print the coverage table, write `results/faults.json`, and delete
-/// the checkpoint. The sink refuses a document that fails [`validate`]
-/// (known-outcome drift included); after writing, the run exits 1 if
-/// any cell panicked.
-pub fn run_campaign(h: &mut Harness) {
+/// periodically, then — unless interrupted by `--max-cells`, which
+/// returns no artifact — classify, print the coverage table, delete the
+/// checkpoint and return `faults.json`. The sink refuses a document
+/// that fails [`validate`] (known-outcome drift included); a panicked
+/// cell fails the run once the document is written.
+pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let cli = h.cli.clone();
+    let scale = h.scale;
     let rows = campaign_rows();
-    let budget = cycle_budget(cli.scale);
+    let budget = cycle_budget(scale);
     let labels = column_labels();
 
     // Every cell of the campaign, row-major, with its stable key.
@@ -495,7 +497,7 @@ pub fn run_campaign(h: &mut Harness) {
     let mut cells = Vec::new();
     for (r, row) in rows.iter().enumerate() {
         for (c, spec) in campaign_specs(cli.fault_seed, r).into_iter().enumerate() {
-            let job = row.job(labels[c], spec, cli.scale, budget);
+            let job = row.job(labels[c], spec, scale, budget);
             let key = job.cache_key();
             cells.push(Cell {
                 row: r,
@@ -509,12 +511,12 @@ pub fn run_campaign(h: &mut Harness) {
     // The fingerprint pins the checkpoint to these exact parameters.
     let fingerprint = format!(
         "{SCHEMA}|{}|seed={:#x}|budget={}|rows={}",
-        cli.scale_name(),
+        h.scale_name(),
         cli.fault_seed,
         budget,
         rows.iter().map(CampaignRow::name).collect::<Vec<_>>().join(",")
     );
-    let mut ckpt = Checkpoint::open(&cli.ckpt_path(), &fingerprint, cli.resume);
+    let mut ckpt = Checkpoint::open(&h.ckpt_path(), &fingerprint, cli.resume);
 
     let pending: Vec<&Cell> = cells.iter().filter(|c| ckpt.get(&c.key).is_none()).collect();
     let cell_limit = cli.max_cells.unwrap_or(usize::MAX);
@@ -536,10 +538,8 @@ pub fn run_campaign(h: &mut Harness) {
             );
         }
         fresh += chunk.len();
-        if let Err(e) = ckpt.save() {
-            eprintln!("# FAILED writing checkpoint: {e}");
-            std::process::exit(1);
-        }
+        ckpt.save()
+            .map_err(|e| format!("FAILED writing checkpoint: {e}"))?;
         if fresh >= cell_limit && fresh < pending.len() {
             interrupted = true;
             break;
@@ -552,7 +552,7 @@ pub fn run_campaign(h: &mut Harness) {
             ckpt.len(),
             cells.len()
         );
-        return;
+        return Ok(Vec::new());
     }
 
     // Assemble the final document from the checkpoint (every cell is
@@ -573,8 +573,9 @@ pub fn run_campaign(h: &mut Harness) {
     let mut counts: Vec<(&'static str, u64)> = OUTCOMES.iter().map(|&k| (k, 0u64)).collect();
     let (mut missed_total, mut fp_total) = (0u64, 0u64);
 
-    crate::print_machine_header(
-        "faults — fault-injection detection coverage (rest-secure-full)",
+    print!(
+        "{}",
+        crate::machine_header("faults — fault-injection detection coverage (rest-secure-full)")
     );
     print!("{:<22}{:<10}", "row", "kind");
     for label in &labels {
@@ -617,7 +618,7 @@ pub fn run_campaign(h: &mut Harness) {
         "missed detections: {missed_total}   false positives: {fp_total}"
     );
 
-    let mut sink = crate::sink::ResultSink::new(&cli);
+    let mut sink = h.sink();
     sink.push("schema", Json::from(SCHEMA));
     sink.push("fault_seed", Json::UInt(cli.fault_seed));
     sink.push("mode", Json::from("rest-secure-full"));
@@ -635,28 +636,28 @@ pub fn run_campaign(h: &mut Harness) {
     sink.push(
         "expected_outcomes",
         Json::obj(vec![
-            ("checked", Json::Bool(tables_bind(cli.fault_seed, cli.scale_name()))),
+            ("checked", Json::Bool(tables_bind(cli.fault_seed, h.scale_name()))),
             ("known_missed_detections", known_json(&KNOWN_MISSED_DETECTIONS)),
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
     );
-    sink.finish();
+    let document = sink.artifact()?;
     ckpt.remove();
-
     if !panicked.is_empty() {
-        eprintln!(
-            "faults: {} cell(s) panicked: {}",
+        h.fail(format!(
+            "{} cell(s) panicked: {}",
             panicked.len(),
             panicked.join(", ")
-        );
-        std::process::exit(1);
+        ));
     }
+    Ok(vec![document])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cli::BenchCli;
+    use crate::engine::CoreKind;
 
     #[test]
     fn campaign_shape_is_stable() {
@@ -762,7 +763,13 @@ mod tests {
 
     #[test]
     fn checksum_ignores_cycles_but_sees_output_and_insts() {
-        let base = crate::run(Workload::Lbm, Scale::Test, RtConfig::plain());
+        let base = SimJob::plain(
+            &FigureRow::of(Workload::Lbm),
+            CoreKind::OutOfOrder,
+            Scale::Test,
+        )
+        .execute()
+        .unwrap();
         let mk = |output: &[u8], insts: u64, cycles: u64| {
             let mut r = base.clone();
             r.output = output.to_vec();

@@ -1,4 +1,4 @@
-//! Adversarial-corpus fuzz campaign (`fuzz` binary).
+//! Adversarial-corpus fuzz campaign (the `fuzz` experiment of `regen`).
 //!
 //! Generates a seeded stream of randomized-but-well-formed allocator
 //! traces with injected bugs of known ground truth ([`rest_fuzz`]) and
@@ -10,13 +10,13 @@
 //! `truth/class` signature (and at least `--min-programs` ran), then
 //! minimizes one exemplar per signature to a 1-minimal reproducer.
 //!
-//! The campaign writes a signature table to stdout and a `rest-fuzz/v1`
-//! JSON document to `results/fuzz.json`, byte-identical at any `--jobs`
+//! The campaign prints a signature table to stdout and returns a
+//! `rest-fuzz/v1` JSON document (`fuzz.json`), byte-identical at any `--jobs`
 //! level and across interrupt (`--max-cells N`) + `--resume`, using the
 //! same checkpoint machinery as the fault campaign
 //! ([`crate::checkpoint`]). Any case whose class is not *explained*
 //! (cross-oracle agreement or a documented §V-C known miss) fails the
-//! run with exit status 1 — the hard zero-unexplained gate CI enforces.
+//! run (exit status 1) — the hard zero-unexplained gate CI enforces.
 //!
 //! With `--emit-regress DIR`, every bug signature's minimized exemplar
 //! is written as an assembly reproducer (`<slug>.s`) plus an alloc-trace
@@ -30,10 +30,12 @@ use rest_fuzz::{
     lower, minimize, run_case, BugKind, Case, CaseRecord, CaseStream, Class, GroundTruth, BUG_SLOT,
 };
 use rest_obs::Json;
+use rest_workloads::Scale;
 
 use crate::checkpoint::Checkpoint;
 use crate::cli::Harness;
 use crate::engine::{RegressProg, SimJob};
+use crate::sink::Artifact;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-fuzz/v1";
@@ -108,40 +110,38 @@ fn sig_slug(sig: &str) -> String {
 /// replay judges with. Generated programs plant no secret, so
 /// `detected`/`undetected` are exact; a REST miss on a ground-truth
 /// known-miss case is the documented §V-C `false-negative`.
-fn scheme_expectations(h: &Harness, case: &Case, asm: &str, slug: &str) -> Vec<(String, String)> {
+fn scheme_expectations(
+    scale: Scale,
+    case: &Case,
+    asm: &str,
+    slug: &str,
+) -> Result<Vec<(String, String)>, String> {
     let known_miss = matches!(case.truth, GroundTruth::Miss(_));
-    crate::defense::scheme_configs()
-        .into_iter()
-        .map(|(label, rt)| {
-            let prog = RegressProg {
-                name: slug.to_string(),
-                asm: std::sync::Arc::new(asm.to_string()),
-            };
-            let job = SimJob::for_regress(prog, label, rt, h.cli.scale);
-            let expect = match job.execute() {
-                Err(e) => {
-                    eprintln!("# fuzz: {slug} failed under {label}: {}", e.detail);
-                    std::process::exit(1);
-                }
-                Ok(result) => {
-                    let out = crate::defense::outcome_of(&result);
-                    if out.detected {
-                        "detected"
-                    } else if known_miss && label == "rest-secure-full" {
-                        "false-negative"
-                    } else {
-                        "undetected"
-                    }
-                }
-            };
-            (label.to_string(), expect.to_string())
-        })
-        .collect()
+    let mut expectations = Vec::new();
+    for (label, rt) in crate::defense::scheme_configs() {
+        let prog = RegressProg {
+            name: slug.to_string(),
+            asm: std::sync::Arc::new(asm.to_string()),
+        };
+        let result = SimJob::for_regress(prog, label, rt, scale)
+            .execute()
+            .map_err(|e| format!("{slug} failed under {label}: {}", e.detail))?;
+        let out = crate::defense::outcome_of(&result);
+        let expect = if out.detected {
+            "detected"
+        } else if known_miss && label == "rest-secure-full" {
+            "false-negative"
+        } else {
+            "undetected"
+        };
+        expectations.push((label.to_string(), expect.to_string()));
+    }
+    Ok(expectations)
 }
 
 /// Writes one minimized reproducer as `<slug>.s` + `<slug>.trace` into
 /// `dir`, with provenance headers and empirical `expect` lines.
-fn emit_regress(h: &Harness, dir: &std::path::Path, sig: &str, case: &Case) {
+fn emit_regress(h: &Harness, dir: &std::path::Path, sig: &str, case: &Case) -> Result<(), String> {
     let slug = sig_slug(sig);
     let header = format!(
         "# rest-fuzz minimized reproducer\n\
@@ -154,29 +154,30 @@ fn emit_regress(h: &Harness, dir: &std::path::Path, sig: &str, case: &Case) {
     for op in &case.ops {
         trace.push_str(&format!("op {}\n", op.line()));
     }
-    for (scheme, expect) in scheme_expectations(h, case, &asm, &slug) {
+    for (scheme, expect) in scheme_expectations(h.scale, case, &asm, &slug)? {
         trace.push_str(&format!("expect {scheme} {expect}\n"));
     }
-    crate::write_text_file(&dir.join(format!("{slug}.s")), &asm);
-    crate::write_text_file(&dir.join(format!("{slug}.trace")), &trace);
+    crate::write_text_file(&dir.join(format!("{slug}.s")), &asm)?;
+    crate::write_text_file(&dir.join(format!("{slug}.trace")), &trace)
 }
 
 /// Runs the full campaign: generate + tri-oracle rounds until dry
 /// (checkpointing every [`CKPT_CHUNK`] cases), then — unless
-/// interrupted by `--max-cells` — minimize one exemplar per signature,
-/// print the table, write `results/fuzz.json`, delete the checkpoint,
-/// and exit 1 if any case classified as unexplained.
-pub fn run_campaign(h: &mut Harness) {
+/// interrupted by `--max-cells`, which returns no artifact — minimize
+/// one exemplar per signature, print the table, delete the checkpoint
+/// and return `fuzz.json`. Any case classified as unexplained fails
+/// the run once the document is written.
+pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let cli = h.cli.clone();
     let rt = rest_fuzz::campaign_rt();
     let fingerprint = format!(
         "{SCHEMA}|{}|seed={:#x}|round={}|min={}|dry={DRY_ROUNDS}|mode=rest-secure-full",
-        cli.scale_name(),
+        h.scale_name(),
         cli.fuzz_seed,
         cli.round_size,
         cli.min_programs,
     );
-    let mut ckpt = Checkpoint::open(&cli.ckpt_path(), &fingerprint, cli.resume);
+    let mut ckpt = Checkpoint::open(&h.ckpt_path(), &fingerprint, cli.resume);
 
     let mut stream = CaseStream::new(cli.fuzz_seed);
     let mut cases: Vec<Case> = Vec::new();
@@ -209,15 +210,13 @@ pub fn run_campaign(h: &mut Harness) {
             }
             let take = (cell_limit - fresh).min(chunk.len());
             let part = &chunk[..take];
-            let records = h.engine.run_tasks(part.len(), |i| run_case(part[i], &rt));
+            let records = h.run_tasks(part.len(), |i| run_case(part[i], &rt));
             for (case, rec) in part.iter().zip(&records) {
                 ckpt.insert(case_key(case.index), record_json(case, rec));
             }
             fresh += take;
-            if let Err(e) = ckpt.save() {
-                eprintln!("# FAILED writing checkpoint: {e}");
-                std::process::exit(1);
-            }
+            ckpt.save()
+                .map_err(|e| format!("FAILED writing checkpoint: {e}"))?;
             if take < chunk.len() {
                 interrupted = true;
                 break 'rounds;
@@ -256,7 +255,7 @@ pub fn run_campaign(h: &mut Harness) {
              {} recorded — rerun with --resume to finish",
             ckpt.len()
         );
-        return;
+        return Ok(Vec::new());
     }
 
     // Aggregate the recorded cells: per-class counts, per-signature
@@ -298,7 +297,10 @@ pub fn run_campaign(h: &mut Harness) {
 
     // Minimize one exemplar per signature: the earliest case, shrunk to
     // a 1-minimal reproducer of the same class.
-    crate::print_machine_header("fuzz — adversarial tri-oracle campaign (rest-secure-full)");
+    print!(
+        "{}",
+        crate::machine_header("fuzz — adversarial tri-oracle campaign (rest-secure-full)")
+    );
     println!(
         "{:<42}{:>9}{:>12}{:>12}{:>9}",
         "signature", "count", "first case", "explained", "min ops"
@@ -336,7 +338,7 @@ pub fn run_campaign(h: &mut Harness) {
                 minimized.clone()
             };
             if !exemplar.ops.is_empty() {
-                emit_regress(h, dir, sig, &exemplar);
+                emit_regress(h, dir, sig, &exemplar)?;
             }
         }
         sig_docs.push((
@@ -394,16 +396,15 @@ pub fn run_campaign(h: &mut Harness) {
             ("cases", Json::Arr(unexplained_cases)),
         ]),
     );
-    sink.finish();
+    let document = sink.artifact()?;
     ckpt.remove();
-
     if unexplained_total > 0 {
-        eprintln!(
-            "fuzz: {unexplained_total} unexplained disagreement(s) — every case must \
+        h.fail(format!(
+            "{unexplained_total} unexplained disagreement(s) — every case must \
              cross-check across the oracles or land in the documented known-miss table"
-        );
-        std::process::exit(1);
+        ));
     }
+    Ok(vec![document])
 }
 
 /// The `rest-fuzz/v1` rules the campaign does not enforce while it
@@ -444,12 +445,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     ensure(count == programs, "count-sum", || {
         format!("signature counts sum to {count}, programs {programs}")
     })
-}
-
-/// Entry point of the `fuzz` binary.
-pub fn main() {
-    let mut h = Harness::new("fuzz");
-    run_campaign(&mut h);
 }
 
 #[cfg(test)]

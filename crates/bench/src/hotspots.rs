@@ -1,4 +1,4 @@
-//! Guest hotspot-profiler campaign (`hotspots` binary).
+//! Guest hotspot-profiler campaign (the `hotspots` experiment of `regen`).
 //!
 //! Runs the full benchmark set under `plain` and the paper's headline
 //! `rest-secure-full` configuration with guest profiling on, then rolls
@@ -35,6 +35,7 @@ use rest_workloads::{Scale, WorkloadParams};
 
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, MatrixSpec};
+use crate::sink::Artifact;
 use crate::{stack_for, FigureRow};
 
 /// The profiled configurations, by harness label: the baseline and the
@@ -371,7 +372,7 @@ impl HotspotReport {
         Json::Arr(self.rows.iter().map(HotspotRow::to_json).collect())
     }
 
-    /// The complete standalone document (the binary routes the same
+    /// The complete standalone document (the campaign routes the same
     /// members through the harness sink instead, which adds the
     /// experiment identity).
     pub fn to_json(&self) -> Json {
@@ -455,44 +456,42 @@ impl HotspotReport {
 }
 
 /// Runs the full campaign: 16 benchmark rows × 2 schemes with guest
-/// profiling, rolled up and written as the JSON document, the folded
-/// stacks (`<json>.folded`), and the Perfetto counter tracks
-/// (`<json>.perfetto.json`).
-pub fn run_campaign(mut h: Harness) {
-    let cli = h.cli.clone();
-    let rows = cli.filter_rows(crate::figure_rows());
+/// profiling, rolled up and returned as the JSON document, the folded
+/// stacks (`hotspots.folded`), and the Perfetto counter tracks
+/// (`hotspots.perfetto.json`).
+pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
+    let scale = h.scale;
+    let rows = h.cli.filter_rows(crate::figure_rows());
     let columns: Vec<ColumnSpec> = scheme_configs()
         .into_iter()
         .map(|(label, rt)| ColumnSpec::new(label, rt))
         .collect();
-    let mut spec = MatrixSpec::new(rows.clone(), columns, cli.scale).with_observability(&cli);
-    // The plain scheme is an explicit column; no separate baseline.
-    spec.include_plain = false;
-    spec.profile_guest = true;
-    let matrix = h.run_matrix(&spec);
+    let matrix = h.run_matrix(MatrixSpec {
+        // The plain scheme is an explicit column; no separate baseline.
+        include_plain: false,
+        profile_guest: true,
+        ..MatrixSpec::new(rows.clone(), columns, scale)
+    });
 
-    crate::print_machine_header(
-        "hotspots — guest hotspot profile (per-block cycles, per-site checks)",
+    print!(
+        "{}",
+        crate::machine_header(
+            "hotspots — guest hotspot profile (per-block cycles, per-site checks)"
+        )
     );
     let mut report = HotspotReport {
-        scale: cli.scale_name().to_string(),
+        scale: h.scale_name().to_string(),
         rows: Vec::new(),
     };
     for (row, results) in rows.iter().zip(&matrix.rows) {
         for (col, cell) in matrix.columns.iter().zip(&results.cells) {
-            match cell.as_ref() {
-                Ok(result) => match rollup(row, &col.label, &col.rt, cli.scale, result) {
-                    Ok(r) => report.rows.push(r),
-                    Err(e) => {
-                        eprintln!("hotspots: invariant violated: {e}");
-                        std::process::exit(1);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("hotspots: {} {} failed: {e}", row.name, col.label);
-                    std::process::exit(1);
-                }
-            }
+            let result = cell
+                .as_ref()
+                .as_ref()
+                .map_err(|e| format!("{} {} failed: {e}", row.name, col.label))?;
+            let rolled = rollup(row, &col.label, &col.rt, scale, result)
+                .map_err(|e| format!("invariant violated: {e}"))?;
+            report.rows.push(rolled);
         }
     }
     report.print_text_table();
@@ -504,15 +503,11 @@ pub fn run_campaign(mut h: Harness) {
         Json::Arr(SCHEMES.iter().map(|&s| Json::from(s)).collect()),
     );
     sink.push("rows", report.rows_json());
-    h.finish(sink, &matrix);
-
-    // Derived from the validated document, so written only after it.
-    let json_path = cli.json_path();
-    crate::write_text_file(&json_path.with_extension("folded"), &report.folded());
-    crate::write_text_file(
-        &json_path.with_extension("perfetto.json"),
-        &report.to_perfetto().render(),
-    );
+    Ok(vec![
+        sink.artifact()?,
+        Artifact::new("hotspots.folded", report.folded()),
+        Artifact::new("hotspots.perfetto.json", report.to_perfetto().render()),
+    ])
 }
 
 #[cfg(test)]

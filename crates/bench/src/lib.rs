@@ -1,46 +1,52 @@
 //! Experiment harness for the REST reproduction.
 //!
-//! One binary per table/figure of the paper regenerates that result:
+//! One binary, `regen`, writes every committed result under `results/`
+//! from a table of experiments ([`regen::EXPERIMENTS`]):
 //!
-//! | Binary | Paper artefact |
-//! |---|---|
-//! | `fig3` | Figure 3 — ASan overhead breakdown by component |
-//! | `fig7` | Figure 7 — runtime overheads of every configuration |
-//! | `fig8` | Figure 8 — token-width sweep (16/32/64 B) |
-//! | `table1` | Table I — cache/LSQ action matrix |
-//! | `table3` | Table III — comparison with prior hardware schemes |
-//! | `prose_stats` | §VI-B prose statistics (ROB/IQ/token traffic) |
-//! | `ablations` | design-choice ablations called out in DESIGN.md |
-//! | `perf` | guest-IPS throughput, fast vs reference decode path |
-//! | `faults` | fault-injection detection-coverage campaign ([`faults`]) |
-//! | `hotspots` | guest hotspot profile — per-block/function cycles and per-site checks ([`hotspots`]) |
-//! | `elide` | static check-elision figure — proven-safe checks skipped, differential + attack-coverage gated ([`elide`]) |
-//! | `fuzz` | adversarial-corpus tri-oracle campaign — generate-until-dry, auto-minimized regressions ([`fuzz`]) |
-//! | `bench-diff` | throughput regression gate over two `BENCH_throughput.json` files ([`benchdiff`]) |
+//! | Experiment | Artifacts | Paper artefact |
+//! |---|---|---|
+//! | `fig3` | `fig3.json`, `fig3.txt` | Figure 3 — ASan overhead breakdown by component |
+//! | `fig7` | `fig7.json`, `fig7.txt` | Figure 7 — runtime overheads of every configuration |
+//! | `fig8` | `fig8.json`, `fig8.txt` | Figure 8 — token-width sweep (16/32/64 B) |
+//! | `table1` | `table1.json`, `table1.txt` | Table I — cache/LSQ action matrix |
+//! | `table3` | `table3.json`, `table3.txt` | Table III — comparison with prior hardware schemes |
+//! | `prose_stats` | `prose_stats.json`, `prose_stats.txt` | §VI-B prose statistics (ROB/IQ/token traffic) |
+//! | `ablations` | `ablations.json`, `ablations.txt` | design-choice ablations called out in DESIGN.md |
+//! | `defense` | `defense.json` | REST vs MTE vs PA overhead and attack coverage ([`defense`]) |
+//! | `elision` | `elision.json`, `BENCH_elision.json` | static check-elision figure ([`elide`]) |
+//! | `faults` | `faults.json` | fault-injection detection-coverage campaign ([`faults`]) |
+//! | `fuzz` | `fuzz.json` | adversarial-corpus tri-oracle campaign ([`fuzz`]) |
+//! | `hotspots` | `hotspots.json`, `.folded`, `.perfetto.json` | guest hotspot profile ([`hotspots`]) |
 //!
-//! All binaries are thin wrappers over a shared experiment engine:
+//! Two more binaries measure the host rather than the guest: `perf`
+//! (guest-IPS throughput, [`throughput`]) and `bench-diff` (the
+//! throughput regression gate, [`benchdiff`]).
+//!
+//! Every experiment runs on one shared harness:
 //!
 //! * [`cli`] — the common command line (`--test`, `--jobs N`,
-//!   `--json PATH`, `--filter SUBSTRING`, …) and the [`cli::Harness`]
-//!   that closes every run with one `rest-host-profile/v2` host
-//!   document (`--profile-out`),
+//!   `--out DIR`, `--filter SUBSTRING`, …) and the [`cli::Harness`]
+//!   that applies it to every matrix and closes the run with one
+//!   `rest-host-profile/v2` host document (`--profile-out`),
 //! * [`engine`] — declarative [`engine::SimJob`] matrices run on a
-//!   deterministic worker pool with a shared baseline cache keyed by
-//!   the whole job; failing jobs surface as structured
-//!   [`engine::JobError`]s instead of aborting the sweep (a panicking
-//!   job still fails the run once the documents are written),
-//! * [`sink`] — every experiment writes its paper-formatted table to
-//!   stdout **and** a machine-readable JSON document (schema documented
-//!   in [`sink`]) to `results/<experiment>.json`.
+//!   deterministic worker pool with one result cache keyed by the whole
+//!   job, so a job several experiments submit is simulated once;
+//!   failing jobs surface as structured [`engine::JobError`]s instead
+//!   of aborting the sweep (a panicking job still fails the run once
+//!   the artifacts are written),
+//! * [`sink`] — every experiment returns a machine-readable JSON
+//!   document (schema documented in [`sink`]), validated before it is
+//!   written.
 //!
-//! Progress and wall-clock timing go to stderr only, so both the text
-//! table and the JSON are byte-identical at any `--jobs` level.
+//! Progress and wall-clock timing go to stderr only, so every artifact
+//! is byte-identical at any `--jobs` level, and whether an experiment
+//! runs alone or inside the full table.
 //!
 //! Run the binaries in `--release` builds: the cycle-level simulator is
 //! ~20× slower unoptimised. Example:
 //!
 //! ```text
-//! cargo run --release -p rest-bench --bin fig7 -- --test --jobs 8
+//! cargo run --release -p rest-bench --bin regen -- --test --out /tmp/results fig7
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,15 +58,16 @@ pub mod defense;
 pub mod elide;
 pub mod engine;
 pub mod faults;
+pub mod figures;
 pub mod fuzz;
 pub mod hotspots;
+pub mod regen;
 pub mod sink;
 pub mod throughput;
 
 use rest_core::{Mode, TokenWidth};
-use rest_cpu::{SimConfig, SimResult, StopReason, System};
 use rest_runtime::{RtConfig, Scheme, StackScheme};
-use rest_workloads::{Scale, Workload, WorkloadParams};
+use rest_workloads::{Scale, Workload};
 
 /// One-line description of the simulated Table II machine, printed in
 /// table headers and recorded in every JSON document.
@@ -79,16 +86,6 @@ pub fn stack_for(rt: &RtConfig) -> StackScheme {
         // Heap-granule schemes carry no stack instrumentation.
         Scheme::Mte | Scheme::Pa => StackScheme::None,
     }
-}
-
-/// Builds and simulates `workload` under `rt` on the Table II machine.
-///
-/// Panics if the run does not exit cleanly — suitable for unit tests
-/// and one-off probes; the harness binaries go through
-/// [`engine::Engine`] instead, which reports failures as
-/// [`engine::JobError`]s.
-pub fn run(workload: Workload, scale: Scale, rt: RtConfig) -> SimResult {
-    run_with(workload, scale, rt, false)
 }
 
 /// One row of a figure: a workload plus its display name and input seed
@@ -132,51 +129,6 @@ pub fn figure_rows() -> Vec<FigureRow> {
         }
     }
     rows
-}
-
-/// As [`run`], with an explicit input seed.
-pub fn run_seeded(workload: Workload, scale: Scale, rt: RtConfig, seed: u64) -> SimResult {
-    let params = WorkloadParams {
-        scale,
-        stack_scheme: stack_for(&rt),
-        token_width: rt.token_width,
-        seed,
-    };
-    let program = workload.build(&params);
-    let result = System::new(program, SimConfig::isca2018(rt)).run();
-    assert_eq!(
-        result.stop,
-        StopReason::Exit(0),
-        "{workload} (seed {seed:#x}) failed under {}",
-        result.label
-    );
-    result
-}
-
-/// As [`run`], optionally on the narrow in-order core (Figure 3 uses an
-/// in-order core in the paper).
-pub fn run_with(workload: Workload, scale: Scale, rt: RtConfig, inorder: bool) -> SimResult {
-    let params = WorkloadParams {
-        scale,
-        stack_scheme: stack_for(&rt),
-        token_width: rt.token_width,
-        seed: 0xC0FFEE,
-    };
-    let program = workload.build(&params);
-    let cfg = if inorder {
-        SimConfig::inorder(rt)
-    } else {
-        SimConfig::isca2018(rt)
-    };
-    let result = System::new(program, cfg).run();
-    assert_eq!(
-        result.stop,
-        StopReason::Exit(0),
-        "{workload} failed under {}: {:?}",
-        result.label,
-        result.stop
-    );
-    result
 }
 
 /// The seven hardened configurations of Figure 7, in figure order.
@@ -233,67 +185,9 @@ pub fn geo_mean_overhead(plain_cycles: &[u64], hardened_cycles: &[u64]) -> f64 {
     ((log_sum / ratios.len() as f64).exp() - 1.0) * 100.0
 }
 
-/// Writes the observability artefacts of one experiment run:
-///
-/// * the Perfetto/Chrome trace-event JSON of the first traced job, when
-///   `--trace-out PATH` was given (load the file at
-///   <https://ui.perfetto.dev>),
-/// * the `rest-host-profile/v2` document — `profile` plus the engine's
-///   per-job log — when `--profile-out PATH` was given, and
-/// * the campaign timeline rendered from that profile (one Perfetto
-///   track per worker) when `--campaign-trace-out PATH` was given.
-///
-/// The profile is validated before anything is written. Fails when it
-/// is invalid, or — after writing the documents — when any job
-/// panicked, naming every such job; [`cli::Harness::finish`] then
-/// exits nonzero. Nothing here touches stdout or the experiment's
-/// deterministic JSON document.
-pub fn finish_observability(
-    cli: &cli::BenchCli,
-    eng: &engine::Engine,
-    matrix: &engine::MatrixResults,
-    mut profile: rest_obs::HostProfile,
-) -> Result<(), String> {
-    for timing in eng.take_timings() {
-        profile.add_job(timing);
-    }
-    let doc = profile.to_json();
-    rest_obs::HostProfile::validate(&doc).map_err(|e| format!("invalid host profile: {e}"))?;
-    if let Some(path) = &cli.trace_out {
-        match matrix.first_trace() {
-            Some(trace) => write_text_file(path, &trace.to_perfetto().render()),
-            None => eprintln!(
-                "# --trace-out: the traced job failed or recorded nothing; no trace written"
-            ),
-        }
-    }
-    if let Some(path) = &cli.profile_out {
-        write_text_file(path, &format!("{}\n", doc.to_string_pretty()));
-    }
-    if let Some(path) = &cli.campaign_trace_out {
-        write_text_file(path, &profile.to_perfetto().render());
-    }
-    let panicked: Vec<&str> = profile
-        .jobs()
-        .iter()
-        .filter(|j| j.outcome == "panic")
-        .map(|j| j.label.as_str())
-        .collect();
-    if panicked.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} job(s) panicked: {}",
-            panicked.len(),
-            panicked.join(", ")
-        ))
-    }
-}
-
 /// Writes `text` to `path` (creating parent directories) and reports
-/// the path on stderr; exits nonzero on I/O failure, like the result
-/// sink.
-pub fn write_text_file(path: &std::path::Path, text: &str) {
+/// the path on stderr.
+pub fn write_text_file(path: &std::path::Path, text: &str) -> Result<(), String> {
     let write = || -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -302,21 +196,23 @@ pub fn write_text_file(path: &std::path::Path, text: &str) {
         }
         std::fs::write(path, text)
     };
-    match write() {
-        Ok(()) => eprintln!("# wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("# FAILED writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write().map_err(|e| format!("FAILED writing {}: {e}", path.display()))?;
+    eprintln!("# wrote {}", path.display());
+    Ok(())
 }
 
-/// Prints a header identifying the simulated machine (the paper prints
-/// Table II with every result; we do the lightweight equivalent).
-pub fn print_machine_header(what: &str) {
-    println!("# {what}");
-    println!("# machine: {MACHINE}");
-    println!();
+/// A header identifying the simulated machine (the paper prints Table
+/// II with every result; we do the lightweight equivalent).
+pub fn machine_header(what: &str) -> String {
+    format!("# {what}\n# machine: {MACHINE}\n\n")
+}
+
+/// Scale name as serialised into results (`"test"` / `"ref"`).
+pub fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Test => "test",
+        Scale::Ref => "ref",
+    }
 }
 
 /// Formats one row of an overhead table.
@@ -364,11 +260,5 @@ mod tests {
         assert_eq!(c[0].label(), "asan");
         assert_eq!(c[2].label(), "rest-secure-full");
         assert_eq!(c[6].label(), "rest-perfecthw-heap");
-    }
-
-    #[test]
-    fn harness_runs_one_workload() {
-        let r = run(Workload::Lbm, Scale::Test, RtConfig::plain());
-        assert!(r.cycles() > 0);
     }
 }

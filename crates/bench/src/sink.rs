@@ -1,5 +1,6 @@
-//! Result sink: paper-formatted text stays on stdout; every experiment
-//! additionally serialises a machine-readable JSON document.
+//! Result sink: every experiment serialises a machine-readable JSON
+//! document, returned as an [`Artifact`] beside its paper-formatted
+//! text table.
 //!
 //! The JSON is hand-rolled (the build environment has no registry
 //! access, so no serde): [`Json`] — re-exported from [`rest_obs`] — is
@@ -82,39 +83,51 @@
 //!
 //! No document is written unless [`validate`] accepts it.
 
-use std::io;
-use std::path::Path;
-
 use rest_cpu::SimResult;
 use rest_obs::CpiComponent;
+use rest_workloads::Scale;
 
-use crate::cli::BenchCli;
 use crate::engine::{MatrixResults, RowResults};
 
 pub use rest_obs::Json;
 
-/// Accumulates an experiment's JSON document and writes it to the
-/// `--json` path (default `results/<experiment>.json`).
+/// One file an experiment produces: its name under `--out` and its
+/// bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Artifact {
+    /// File name (`"fig7.json"`, `"hotspots.folded"`, …).
+    pub file: String,
+    /// File contents.
+    pub text: String,
+}
+
+impl Artifact {
+    /// An artifact named `file` holding `text`.
+    pub fn new(file: impl Into<String>, text: impl Into<String>) -> Artifact {
+        Artifact {
+            file: file.into(),
+            text: text.into(),
+        }
+    }
+}
+
+/// Accumulates an experiment's JSON document.
 pub struct ResultSink {
-    cli: BenchCli,
+    experiment: String,
     root: Vec<(String, Json)>,
 }
 
 impl ResultSink {
     /// A sink pre-populated with the experiment identity (name, scale,
     /// machine, filter).
-    pub fn new(cli: &BenchCli) -> ResultSink {
-        let filter = match &cli.filter {
-            Some(f) => Json::Str(f.clone()),
-            None => Json::Null,
-        };
+    pub fn new(experiment: &str, scale: Scale, filter: Option<&str>) -> ResultSink {
         ResultSink {
-            cli: cli.clone(),
+            experiment: experiment.to_string(),
             root: vec![
-                ("experiment".to_string(), Json::Str(cli.experiment.clone())),
-                ("scale".to_string(), Json::Str(cli.scale_name().to_string())),
-                ("machine".to_string(), Json::Str(crate::MACHINE.to_string())),
-                ("filter".to_string(), filter),
+                ("experiment".to_string(), Json::from(experiment)),
+                ("scale".to_string(), Json::from(crate::scale_name(scale))),
+                ("machine".to_string(), Json::from(crate::MACHINE)),
+                ("filter".to_string(), filter.map_or(Json::Null, Json::from)),
             ],
         }
     }
@@ -130,50 +143,30 @@ impl ResultSink {
     }
 
     /// The complete document as a pretty-printed string (with trailing
-    /// newline). This is what [`ResultSink::write`] persists — tests
-    /// compare it byte-for-byte across `--jobs` levels.
+    /// newline) — the bytes of [`ResultSink::artifact`]. Tests compare
+    /// it byte-for-byte across `--jobs` levels.
     pub fn to_json_string(&self) -> String {
         let mut s = Json::Obj(self.root.clone()).to_string_pretty();
         s.push('\n');
         s
     }
 
-    /// Checks the document with [`validate`] and, only if it holds,
-    /// writes it to `path`, creating parent directories.
-    pub fn write(&self, path: &Path) -> Result<(), String> {
+    /// The document as the `<experiment>.json` artifact, if it passes
+    /// [`validate`]; otherwise the violation, naming the rule and cell.
+    pub fn artifact(&self) -> Result<Artifact, String> {
         validate(&Json::Obj(self.root.clone()))
             .map_err(|e| format!("invalid document, not written: {e}"))?;
-        let write = || -> io::Result<()> {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            std::fs::write(path, self.to_json_string())
-        };
-        write().map_err(|e| format!("FAILED writing {}: {e}", path.display()))
-    }
-
-    /// Writes to the CLI-selected path and reports it on stderr (never
-    /// stdout: the text tables must stay byte-stable). Exits 1 when the
-    /// document is invalid (naming the broken rule and cell) or cannot
-    /// be written.
-    pub fn finish(&self) {
-        let path = self.cli.json_path();
-        match self.write(&path) {
-            Ok(()) => eprintln!("# wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("{}: {e}", self.cli.experiment);
-                std::process::exit(1);
-            }
-        }
+        Ok(Artifact::new(
+            format!("{}.json", self.experiment),
+            self.to_json_string(),
+        ))
     }
 }
 
 /// Checks a result document against the invariants its schema owns
 /// and returns the first violation, naming the rule and the cell.
-/// [`ResultSink::finish`] runs it before writing any document, and the
-/// artifact test runs it over every committed `results/*.json`.
+/// [`ResultSink::artifact`] runs it before returning any document, and
+/// the artifact test runs it over every committed `results/*.json`.
 ///
 /// Rules that the producing code already enforces while it assembles a
 /// document are not repeated here; each campaign module's `validate`
@@ -408,18 +401,16 @@ mod tests {
     }
 
     #[test]
-    fn an_invalid_document_is_not_written() {
+    fn an_invalid_document_is_refused() {
         let cell =
             r#"{"label": "asan", "cpi": {"base": 3, "total": 4}, "stats": {"core.cycles": 4}}"#;
         let row = format!(r#"{{"benchmark": "lbm", "cells": [{cell}]}}"#);
         let matrix = format!(r#"{{"columns": [], "rows": [{row}]}}"#);
         // An experiment name no rule lists: the matrix is found by shape.
-        let mut sink = ResultSink::new(&BenchCli::from_args("unlisted", &[]).unwrap());
+        let mut sink = ResultSink::new("unlisted", Scale::Test, None);
         sink.push("overheads", Json::parse(&matrix).unwrap());
-        let path = std::env::temp_dir().join(format!("rest-sink-{}.json", std::process::id()));
-        let err = sink.write(&path).unwrap_err();
+        let err = sink.artifact().unwrap_err();
         assert!(err.contains("cpi-sum: lbm/asan"), "{err}");
-        assert!(!path.exists());
     }
 
     #[test]

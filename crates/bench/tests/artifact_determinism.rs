@@ -8,13 +8,14 @@
 //! scheduler.
 //!
 //! The validity contract: every committed document passes the same
-//! [`rest_bench::sink::validate`] its binary ran before writing it, and
+//! [`rest_bench::sink::validate`] `regen` ran before writing it, and
 //! the rules that span documents hold (see [`cross_check`]). Each rule
 //! has a negative test that mutates a committed document.
 
 use std::collections::BTreeSet;
 
 use rest_bench::cli::BenchCli;
+use rest_bench::regen::EXPERIMENTS;
 use rest_bench::sink::validate;
 use rest_obs::Json;
 
@@ -271,17 +272,99 @@ fn every_committed_document_validates() {
         Some(BenchCli::DEFAULT_FAULT_SEED)
     );
     assert_eq!(faults.get("scale"), Some(&Json::from("test")));
-    // The perf baseline is the host document of a full fig7 --test run:
-    // 16 rows x (plain + 7 columns).
-    let baseline = committed("BENCH_baseline.json");
-    assert_eq!(baseline.get("experiment"), Some(&Json::from("fig7")));
+    check_baseline(&committed("BENCH_baseline.json"));
+}
+
+/// Job cells of the matrices in a document (plain baselines included).
+fn matrix_cells(doc: &Json) -> usize {
+    let Json::Obj(members) = doc else { return 0 };
+    members
+        .iter()
+        .filter_map(|(_, m)| m.get("columns").and(m.get("rows")?.as_arr()))
+        .flatten()
+        .map(|row| {
+            row.get("cells")
+                .and_then(Json::as_arr)
+                .map_or(0, <[Json]>::len)
+                + usize::from(row.get("plain").is_some())
+        })
+        .sum()
+}
+
+/// The perf baseline is the host document of a full `regen` run: every
+/// experiment in table order, and one job record per submitted job —
+/// for each paper figure and table exactly the cells of its committed
+/// matrices, cache hits included.
+fn check_baseline(baseline: &Json) {
+    assert_eq!(baseline.get("experiment"), Some(&Json::from("regen")));
+    let ran: Vec<&str> = baseline
+        .get("experiments")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    let table: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(ran, table);
+    let labels: Vec<&str> = baseline
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|j| j.get("label").and_then(Json::as_str).unwrap())
+        .collect();
+    let jobs_of = |name: &str| {
+        labels
+            .iter()
+            .filter(|l| l.starts_with(&format!("{name}: ")))
+            .count()
+    };
     assert_eq!(
-        baseline
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::len),
-        Some(128)
+        table.iter().map(|n| jobs_of(n)).sum::<usize>(),
+        labels.len(),
+        "every job is labelled with its experiment"
     );
+    for e in EXPERIMENTS
+        .iter()
+        .filter(|e| e.artifacts.contains(&&*format!("{}.txt", e.name)))
+    {
+        let cells = matrix_cells(&committed(&format!("{}.json", e.name)));
+        assert_eq!(
+            jobs_of(e.name),
+            cells,
+            "{}: one job record per matrix cell",
+            e.name
+        );
+    }
+}
+
+#[test]
+fn results_hold_no_orphan_files() {
+    // Every committed file is a `regen` artifact, the restlint report,
+    // or a host document.
+    let mut orphans = Vec::new();
+    for entry in std::fs::read_dir(results_dir()).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().to_string();
+        let known = EXPERIMENTS
+            .iter()
+            .any(|e| e.artifacts.contains(&name.as_str()))
+            || name == "lint.json"
+            || is_bench_file(&name);
+        if !known {
+            orphans.push(name);
+        }
+    }
+    assert!(
+        orphans.is_empty(),
+        "results/ files no producer writes: {orphans:?}"
+    );
+    // And every artifact is committed.
+    for file in EXPERIMENTS.iter().flat_map(|e| e.artifacts) {
+        assert!(
+            results_dir().join(file).exists(),
+            "results/{file} is not committed"
+        );
+    }
 }
 
 /// Applies space-separated `path=json` edits.

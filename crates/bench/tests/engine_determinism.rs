@@ -5,39 +5,12 @@
 //! * a failing job surfaces as a structured `JobError` without taking
 //!   down sibling jobs in the same sweep.
 
-use rest_bench::cli::BenchCli;
 use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixSpec, SimJob};
 use rest_bench::sink::ResultSink;
 use rest_bench::FigureRow;
 use rest_core::Mode;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
-
-fn test_cli() -> BenchCli {
-    BenchCli {
-        experiment: "engine-test".to_string(),
-        scale: Scale::Test,
-        jobs: 1,
-        json: None,
-        filter: None,
-        sample_interval: 0,
-        trace_out: None,
-        trace_uops: 512,
-        profile_out: None,
-        campaign_trace_out: None,
-        verify: false,
-        reference: false,
-        trace: false,
-        resume: false,
-        ckpt: None,
-        max_cells: None,
-        fault_seed: BenchCli::DEFAULT_FAULT_SEED,
-        fuzz_seed: BenchCli::DEFAULT_FUZZ_SEED,
-        round_size: 2500,
-        min_programs: 10_000,
-        emit_regress: None,
-    }
-}
 
 fn small_matrix() -> MatrixSpec {
     MatrixSpec::new(
@@ -51,7 +24,7 @@ fn small_matrix() -> MatrixSpec {
 }
 
 fn render(matrix: &rest_bench::engine::MatrixResults) -> String {
-    let mut sink = ResultSink::new(&test_cli());
+    let mut sink = ResultSink::new("engine-test", Scale::Test, None);
     sink.push_matrix("matrix", matrix);
     sink.to_json_string()
 }

@@ -9,57 +9,34 @@
 //!   slice per traced micro-op per stage track,
 //! * the engine's per-job log feeds a schema-valid
 //!   `rest-host-profile/v2` document, and a panicking job fails the
-//!   run once that document is written.
+//!   harness run once that document is written.
 
-use rest_bench::cli::BenchCli;
-use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixResults, MatrixSpec, SimJob};
+use rest_bench::cli::{BenchCli, Harness};
+use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixSpec, SimJob};
 use rest_bench::sink::ResultSink;
-use rest_bench::{finish_observability, FigureRow};
+use rest_bench::FigureRow;
 use rest_core::Mode;
 use rest_obs::{HostProfile, Json};
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
 
-fn obs_cli() -> BenchCli {
-    BenchCli {
-        experiment: "obs-test".to_string(),
-        scale: Scale::Test,
-        jobs: 1,
-        json: None,
-        filter: None,
+fn obs_spec() -> MatrixSpec {
+    MatrixSpec {
         sample_interval: 2_000,
-        trace_out: Some(std::path::PathBuf::from("unused.json")),
         trace_uops: 64,
-        profile_out: None,
-        campaign_trace_out: None,
-        verify: false,
-        reference: false,
-        trace: false,
-        resume: false,
-        ckpt: None,
-        max_cells: None,
-        fault_seed: BenchCli::DEFAULT_FAULT_SEED,
-        fuzz_seed: BenchCli::DEFAULT_FUZZ_SEED,
-        round_size: 2500,
-        min_programs: 10_000,
-        emit_regress: None,
+        ..MatrixSpec::new(
+            vec![FigureRow::of(Workload::Lbm)],
+            vec![
+                ColumnSpec::new("asan", RtConfig::asan()),
+                ColumnSpec::new("rest-secure-heap", RtConfig::rest(Mode::Secure, false)),
+            ],
+            Scale::Test,
+        )
     }
 }
 
-fn obs_spec() -> MatrixSpec {
-    MatrixSpec::new(
-        vec![FigureRow::of(Workload::Lbm)],
-        vec![
-            ColumnSpec::new("asan", RtConfig::asan()),
-            ColumnSpec::new("rest-secure-heap", RtConfig::rest(Mode::Secure, false)),
-        ],
-        Scale::Test,
-    )
-    .with_observability(&obs_cli())
-}
-
 fn render(matrix: &rest_bench::engine::MatrixResults) -> String {
-    let mut sink = ResultSink::new(&obs_cli());
+    let mut sink = ResultSink::new("obs-test", Scale::Test, None);
     sink.push_matrix("matrix", matrix);
     sink.to_json_string()
 }
@@ -212,13 +189,24 @@ fn engine_timings_feed_a_schema_valid_profile() {
 #[test]
 fn a_panicking_job_fails_the_run_after_the_documents_are_written() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("panic-run");
-    let cli = BenchCli {
-        trace_out: None,
-        profile_out: Some(dir.join("profile.json")),
-        campaign_trace_out: Some(dir.join("campaign.json")),
-        ..obs_cli()
+    let profile = dir.join("profile.json");
+    let campaign = dir.join("campaign.json");
+    let harness = |jobs: &[SimJob]| {
+        let args = [
+            "--jobs",
+            "1",
+            "--profile-out",
+            profile.to_str().unwrap(),
+            "--campaign-trace-out",
+            campaign.to_str().unwrap(),
+        ];
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let mut h = Harness::new(BenchCli::from_args(&args).unwrap());
+        h.begin("obs-test", Scale::Test);
+        h.run_all(jobs);
+        h.end();
+        h.finish()
     };
-    let engine = Engine::new(cli.jobs);
     let row = FigureRow::of(Workload::Lbm);
     let healthy = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
     let panicking = SimJob {
@@ -226,28 +214,61 @@ fn a_panicking_job_fails_the_run_after_the_documents_are_written() {
         inject_panic: true,
         ..healthy.clone()
     };
-    engine.run_all(&[healthy, panicking]);
-    let mut profile = HostProfile::new(&cli.experiment, engine.workers());
-    profile.add_phase("simulate", std::time::Duration::from_millis(1));
-    profile.add_phase("report", std::time::Duration::from_millis(1));
-    let empty = MatrixResults {
-        columns: Vec::new(),
-        rows: Vec::new(),
-    };
-    let err = finish_observability(&cli, &engine, &empty, profile).unwrap_err();
-    assert!(err.contains("1 job(s) panicked: lbm boom"), "{err}");
+    let err = harness(&[healthy.clone(), panicking]).unwrap_err();
+    assert!(
+        err.contains("1 job(s) panicked: obs-test: lbm boom"),
+        "{err}"
+    );
     // Both documents were written first, and the profile counts the panic.
-    let text = std::fs::read_to_string(dir.join("profile.json")).unwrap();
-    let doc = Json::parse(&text).unwrap();
+    let doc = Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
     HostProfile::validate(&doc).unwrap();
     assert_eq!(doc.get("panics").and_then(Json::as_u64), Some(1));
-    assert!(dir.join("campaign.json").exists());
+    assert!(campaign.exists());
 
     // Without a panic the same run succeeds.
-    let engine = Engine::new(cli.jobs);
-    engine.run_all(&[SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)]);
-    let mut profile = HostProfile::new(&cli.experiment, engine.workers());
-    profile.add_phase("simulate", std::time::Duration::from_millis(1));
-    profile.add_phase("report", std::time::Duration::from_millis(1));
-    finish_observability(&cli, &engine, &empty, profile).expect("a clean run passes");
+    harness(&[healthy]).expect("a clean run passes");
+}
+
+#[test]
+fn regen_profiles_every_experiment_it_runs() {
+    // Campaigns that drive plain job lists or tasks instead of a matrix
+    // land in the host document like the figures do.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("regen-profile");
+    let profile = dir.join("profile.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_regen"))
+        .args(["--test", "--jobs", "2", "faults", "fuzz"])
+        .args(["--round-size", "250", "--min-programs", "500"])
+        .arg("--out")
+        .arg(&dir)
+        .arg("--profile-out")
+        .arg(&profile)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success());
+    assert!(dir.join("faults.json").exists() && dir.join("fuzz.json").exists());
+    let doc = Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+    HostProfile::validate(&doc).unwrap();
+    let experiments: Vec<&str> = doc
+        .get("experiments")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|e| e.get("name").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(experiments, ["faults", "fuzz"]);
+    let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap();
+    assert!(!jobs.is_empty());
+    assert!(jobs.iter().all(|j| {
+        let label = j.get("label").and_then(Json::as_str).unwrap();
+        label.starts_with("faults: ")
+    }));
+    // The fuzz campaign's tri-oracle tasks run on the engine pool and
+    // accrue to the "simulate" phase like the fault cells do.
+    for list in ["phases", "experiments"] {
+        for entry in doc.get(list).and_then(Json::as_arr).unwrap() {
+            let wall = entry.get("wall_s").and_then(Json::as_f64).unwrap();
+            assert!(wall > 0.0, "{list}: {entry:?}");
+        }
+    }
 }

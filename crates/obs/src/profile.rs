@@ -3,7 +3,8 @@
 //! Simulated results are byte-deterministic, but *how long the host
 //! took to produce them* is exactly the thing the ROADMAP's perf work
 //! needs to track over time. A [`HostProfile`] records wall-clock time
-//! per coarse phase (simulate / report) and one [`JobTiming`] per
+//! per coarse phase (simulate / report) and per experiment, and one
+//! [`JobTiming`] per
 //! submitted engine job — which worker ran it, when it started, how
 //! long it queued and ran, whether it came from the job cache, and how
 //! it ended — and serialises to the `rest-host-profile/v2` document
@@ -47,12 +48,13 @@ pub struct JobTiming {
     pub outcome: String,
 }
 
-/// Wall-clock profile of one experiment binary invocation.
+/// Wall-clock profile of one harness invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostProfile {
     experiment: String,
     workers: usize,
     phases: Vec<(String, Duration)>,
+    experiments: Vec<(String, Duration)>,
     jobs: Vec<JobTiming>,
 }
 
@@ -72,6 +74,7 @@ impl HostProfile {
             experiment: experiment.to_string(),
             workers: workers.max(1),
             phases: Vec::new(),
+            experiments: Vec::new(),
             jobs: Vec::new(),
         }
     }
@@ -84,6 +87,11 @@ impl HostProfile {
         } else {
             self.phases.push((name.to_string(), wall));
         }
+    }
+
+    /// Records the wall time of one experiment the invocation ran.
+    pub fn add_experiment(&mut self, name: &str, wall: Duration) {
+        self.experiments.push((name.to_string(), wall));
     }
 
     /// Records one engine job's timing.
@@ -112,9 +120,10 @@ impl HostProfile {
     /// Serialises to the `rest-host-profile/v2` document:
     ///
     /// ```text
-    /// {"schema": "rest-host-profile/v2", "experiment": "fig7",
+    /// {"schema": "rest-host-profile/v2", "experiment": "regen",
     ///  "effective_jobs": W,
     ///  "phases": [{"name": .., "wall_s": ..}, ..],
+    ///  "experiments": [{"name": .., "wall_s": ..}, ..],
     ///  "jobs": [{"label": .., "worker": .., "start_s": .., "queue_s": ..,
     ///            "wall_s": .., "cached": bool, "outcome": ..}, ..],
     ///  "workers": [{"worker": i, "jobs": N, "busy_s": ..}, ..],
@@ -132,16 +141,18 @@ impl HostProfile {
             .fold(0.0_f64, f64::max);
         let hits = self.jobs.iter().filter(|j| j.cached).count() as u64;
         let panics = self.jobs.iter().filter(|j| j.outcome == "panic").count() as u64;
-        let phases = self
-            .phases
-            .iter()
-            .map(|(name, d)| {
-                Json::obj(vec![
-                    ("name", Json::from(name.as_str())),
-                    ("wall_s", Json::Num(d.as_secs_f64())),
-                ])
-            })
-            .collect();
+        let walls = |list: &[(String, Duration)]| {
+            Json::Arr(
+                list.iter()
+                    .map(|(name, d)| {
+                        Json::obj(vec![
+                            ("name", Json::from(name.as_str())),
+                            ("wall_s", Json::Num(d.as_secs_f64())),
+                        ])
+                    })
+                    .collect(),
+            )
+        };
         let jobs = self
             .jobs
             .iter()
@@ -173,7 +184,8 @@ impl HostProfile {
             ("schema", Json::from(Self::SCHEMA)),
             ("experiment", Json::from(self.experiment.as_str())),
             ("effective_jobs", Json::UInt(self.workers as u64)),
-            ("phases", Json::Arr(phases)),
+            ("phases", walls(&self.phases)),
+            ("experiments", walls(&self.experiments)),
             ("jobs", Json::Arr(jobs)),
             ("workers", Json::Arr(workers)),
             (
@@ -258,6 +270,10 @@ impl HostProfile {
             if !names.contains(&want) {
                 return Err(format!("missing the {want:?} phase"));
             }
+        }
+        for e in doc.req("experiments", Json::as_arr)? {
+            e.req("name", Json::as_str)?;
+            e.req("wall_s", Json::as_f64)?;
         }
 
         let workers = doc.req("workers", Json::as_arr)?;
@@ -353,10 +369,11 @@ mod tests {
     }
 
     fn profile() -> HostProfile {
-        let mut p = HostProfile::new("defense", 2);
+        let mut p = HostProfile::new("regen", 2);
         p.add_phase("simulate", Duration::from_millis(120));
         p.add_phase("report", Duration::from_millis(3));
         p.add_phase("simulate", Duration::from_millis(30));
+        p.add_experiment("defense", Duration::from_millis(153));
         for j in [
             job("lbm plain", 0, 40, false, "ok"),
             job("lbm asan", 1, 60, false, "ok"),
@@ -395,6 +412,9 @@ mod tests {
         let phases = doc.get("phases").unwrap().as_arr().unwrap();
         assert_eq!(phases.len(), 2);
         assert!(phases[0].get("wall_s").unwrap().as_f64().unwrap() > 0.14);
+        let experiments = doc.get("experiments").unwrap().as_arr().unwrap();
+        assert_eq!(experiments.len(), 1);
+        assert_eq!(experiments[0].get("name"), Some(&Json::from("defense")));
         let cache = doc.get("cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
         assert_eq!(cache.get("misses").unwrap().as_u64(), Some(3));
