@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p rest-bench --bin perf -- \
 //!         [--test] [--jobs N] [--out DIR] [--filter SUBSTRING]`
 
-use rest_bench::cli::BenchCli;
+use rest_bench::cli::{BenchCli, Harness};
 use rest_bench::throughput::{cells_for, measure_all, ThroughputReport};
 use rest_bench::{figure_rows, machine_header, scale_name, write_text_file};
 use rest_core::Mode;
@@ -27,7 +27,9 @@ fn main() {
         BenchCli::usage_exit("perf", "takes no experiment names");
     }
     let scale = if cli.test { Scale::Test } else { Scale::Ref };
-    let rows = cli.filter_rows(figure_rows());
+    let mut h = Harness::new(cli);
+    let rows = h.filter_rows(figure_rows());
+    let cli = &h.cli;
     // Plain, the heaviest instrumentation (ASan injects uops per
     // access), and the paper's headline REST configuration.
     let configs = [

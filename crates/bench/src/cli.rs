@@ -10,9 +10,10 @@
 //! --test                 run every experiment at test scale (default: each
 //!                        experiment's committed scale)
 //! --jobs N               worker threads (default: available parallelism)
-//! --out DIR              artifact directory (default: results); campaign
-//!                        checkpoints go to DIR/<experiment>.ckpt.json
+//! --out DIR              artifact directory (default: results)
 //! --filter SUBSTRING     keep only benchmark rows whose name contains SUBSTRING
+//!                        (recorded as a document's "filter" only by the
+//!                        experiments that select rows)
 //! --sample-interval N    snapshot counters + occupancy gauges every N committed
 //!                        instructions into a "series" JSON section (0 = off)
 //! --trace-out PATH       write a Chrome trace-event (Perfetto) JSON of the
@@ -33,10 +34,7 @@
 //!                        fetch) instead of the decoded-uop cache
 //! --trace                simulate on the superblock-trace tier (decoded-uop
 //!                        cache plus run-time trace compilation of hot loops)
-//! --resume               resume an interrupted campaign from its checkpoint
-//! --max-cells N          stop after N freshly simulated cells, keeping the
-//!                        checkpoint (deterministic interruption for CI)
-//! --fault-seed N         base seed for fault-injection campaigns
+//! --emit-regress DIR     write minimized fuzz reproducers (.s + .trace) into DIR
 //! --help                 usage
 //! ```
 //!
@@ -101,43 +99,17 @@ pub struct BenchCli {
     /// cache plus run-time trace compilation of hot loops. Output must
     /// be byte-identical; CI diffs it.
     pub trace: bool,
-    /// Resume an interrupted campaign from its checkpoint file
-    /// (`--resume`): cells already recorded there are not re-simulated.
-    pub resume: bool,
-    /// Stop after simulating this many fresh cells (`--max-cells`),
-    /// leaving the checkpoint behind for `--resume` — used by CI to
-    /// interrupt a campaign deterministically.
-    pub max_cells: Option<usize>,
-    /// Base seed for fault-injection campaigns (`--fault-seed`).
-    pub fault_seed: u64,
-    /// Seed for the adversarial-corpus generator (`--fuzz-seed`).
-    pub fuzz_seed: u64,
-    /// Programs per fuzz-campaign round (`--round-size`).
-    pub round_size: usize,
-    /// Minimum programs a fuzz campaign must generate before it may
-    /// declare itself dry (`--min-programs`).
-    pub min_programs: usize,
     /// Directory to write minimized regression reproducers to
     /// (`--emit-regress`), if any.
     pub emit_regress: Option<PathBuf>,
 }
 
-/// Parses a u64 with an optional `0x` prefix (seeds read naturally in
-/// hex).
-fn parse_u64(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-}
-
 impl BenchCli {
-    /// Default base seed for fault campaigns: fixed so CI runs are
-    /// reproducible without passing `--fault-seed`.
+    /// Base seed of the fault campaign (`faults`).
     pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
 
-    /// Default seed for the adversarial-corpus generator: fixed so CI
-    /// campaigns are reproducible without passing `--fuzz-seed`.
+    /// Seed of the adversarial-corpus generator behind the fuzz
+    /// campaign (`fuzz`).
     pub const DEFAULT_FUZZ_SEED: u64 = 0xF0CC_5EED;
 
     /// The execution tier the flags select: `--trace` wins over
@@ -197,12 +169,6 @@ impl BenchCli {
             verify: false,
             reference: false,
             trace: false,
-            resume: false,
-            max_cells: None,
-            fault_seed: Self::DEFAULT_FAULT_SEED,
-            fuzz_seed: Self::DEFAULT_FUZZ_SEED,
-            round_size: 2500,
-            min_programs: 10_000,
             emit_regress: None,
         };
         let mut it = args.iter();
@@ -246,42 +212,6 @@ impl BenchCli {
                 "--verify" => cli.verify = true,
                 "--reference" => cli.reference = true,
                 "--trace" => cli.trace = true,
-                "--resume" => cli.resume = true,
-                "--max-cells" => {
-                    let v = it.next().ok_or("--max-cells needs a value")?;
-                    cli.max_cells = Some(
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| format!("--max-cells: invalid count {v:?}"))?,
-                    );
-                }
-                "--fault-seed" => {
-                    let v = it.next().ok_or("--fault-seed needs a value")?;
-                    cli.fault_seed =
-                        parse_u64(v).ok_or_else(|| format!("--fault-seed: invalid seed {v:?}"))?;
-                }
-                "--fuzz-seed" => {
-                    let v = it.next().ok_or("--fuzz-seed needs a value")?;
-                    cli.fuzz_seed =
-                        parse_u64(v).ok_or_else(|| format!("--fuzz-seed: invalid seed {v:?}"))?;
-                }
-                "--round-size" => {
-                    let v = it.next().ok_or("--round-size needs a value")?;
-                    cli.round_size = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--round-size: invalid count {v:?}"))?;
-                }
-                "--min-programs" => {
-                    let v = it.next().ok_or("--min-programs needs a value")?;
-                    cli.min_programs = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--min-programs: invalid count {v:?}"))?;
-                }
                 "--emit-regress" => {
                     let v = it.next().ok_or("--emit-regress needs a directory")?;
                     cli.emit_regress = Some(PathBuf::from(v));
@@ -305,29 +235,13 @@ impl BenchCli {
         Ok(cli)
     }
 
-    /// Applies `--filter` to a row list (case-insensitive substring on
-    /// the row's display name).
-    pub fn filter_rows(&self, rows: Vec<FigureRow>) -> Vec<FigureRow> {
-        match &self.filter {
-            None => rows,
-            Some(f) => {
-                let needle = f.to_ascii_lowercase();
-                rows.into_iter()
-                    .filter(|r| r.name.to_ascii_lowercase().contains(&needle))
-                    .collect()
-            }
-        }
-    }
-
     fn usage(program: &str) -> String {
         let names: Vec<&str> = crate::regen::EXPERIMENTS.iter().map(|e| e.name).collect();
         format!(
             "usage: {program} [EXPERIMENT ...] [--test] [--jobs N] [--out DIR]\n\
              \x20                 [--filter SUBSTRING] [--sample-interval N] [--trace-out PATH]\n\
              \x20                 [--profile-out PATH] [--campaign-trace-out PATH]\n\
-             \x20                 [--verify] [--reference] [--trace] [--resume]\n\
-             \x20                 [--max-cells N] [--fault-seed N] [--fuzz-seed N]\n\
-             \x20                 [--round-size N] [--min-programs N] [--emit-regress DIR]\n\
+             \x20                 [--verify] [--reference] [--trace] [--emit-regress DIR]\n\
              \n\
              EXPERIMENT           one of: {}\n\
              \x20                    (default: all, in that order)\n\
@@ -335,8 +249,7 @@ impl BenchCli {
              \x20                    default: each experiment's committed scale)\n\
              --jobs N             worker threads (default and upper bound:\n\
              \x20                    available parallelism)\n\
-             --out DIR            write artifacts and campaign checkpoints into DIR\n\
-             \x20                    (default: results)\n\
+             --out DIR            write artifacts into DIR (default: results)\n\
              --filter SUBSTRING   keep only rows whose benchmark name contains SUBSTRING\n\
              --sample-interval N  sample counters + gauges every N committed\n\
              \x20                    instructions into the JSON \"series\" sections (0 = off)\n\
@@ -354,17 +267,6 @@ impl BenchCli {
              \x20                    decoded-uop cache (differential/perf baseline)\n\
              --trace              superblock-trace execution tier: decoded-uop cache\n\
              \x20                    plus run-time trace compilation of hot loops\n\
-             --resume             resume an interrupted campaign from its checkpoint;\n\
-             \x20                    recorded cells are not re-simulated\n\
-             --max-cells N        stop after N freshly simulated cells, keeping the\n\
-             \x20                    checkpoint for --resume (CI interruption hook)\n\
-             --fault-seed N       base seed for fault-injection campaigns\n\
-             \x20                    (decimal or 0x-hex; default 0x5eedfa17)\n\
-             --fuzz-seed N        seed for the adversarial-corpus generator\n\
-             \x20                    (decimal or 0x-hex; default 0xf0cc5eed)\n\
-             --round-size N       programs per fuzz-campaign round (default 2500)\n\
-             --min-programs N     programs a fuzz campaign must reach before it may\n\
-             \x20                    stop dry (default 10000)\n\
              --emit-regress DIR   write minimized fuzz reproducers (.s + .trace)\n\
              \x20                    into DIR\n\
              --help               this message",
@@ -392,11 +294,12 @@ pub struct Harness {
     pub cli: BenchCli,
     /// The shared job engine.
     pub engine: Engine,
-    /// The running experiment: names its documents, job labels and
-    /// checkpoint.
+    /// The running experiment: names its documents and job labels.
     pub experiment: &'static str,
     /// The running experiment's scale.
     pub scale: Scale,
+    /// Whether the running experiment applied `--filter` to its rows.
+    filtered: bool,
     profile: HostProfile,
     started: Instant,
     /// Engine time spent by the running experiment so far.
@@ -419,6 +322,7 @@ impl Harness {
             engine,
             experiment: "",
             scale: Scale::Ref,
+            filtered: false,
             profile,
             started: Instant::now(),
             simulated: Duration::ZERO,
@@ -432,6 +336,7 @@ impl Harness {
     pub fn begin(&mut self, experiment: &'static str, scale: Scale) {
         self.experiment = experiment;
         self.scale = if self.cli.test { Scale::Test } else { scale };
+        self.filtered = false;
         self.started = Instant::now();
         self.simulated = Duration::ZERO;
     }
@@ -498,20 +403,32 @@ impl Harness {
         self.simulate(|engine| engine.run_tasks(count, task))
     }
 
+    /// Applies `--filter` to a row list (case-insensitive substring on
+    /// the row's display name) and marks the running experiment as
+    /// filtered, so its documents record the filter.
+    pub fn filter_rows(&mut self, rows: Vec<FigureRow>) -> Vec<FigureRow> {
+        let Some(filter) = &self.cli.filter else {
+            return rows;
+        };
+        self.filtered = true;
+        let needle = filter.to_ascii_lowercase();
+        rows.into_iter()
+            .filter(|r| r.name.to_ascii_lowercase().contains(&needle))
+            .collect()
+    }
+
     /// A result sink pre-populated with the running experiment's
-    /// identity.
+    /// identity. The `filter` member names `--filter` only when the
+    /// experiment applied it ([`Harness::filter_rows`]); an experiment
+    /// that ran every row records `null`.
     pub fn sink(&self) -> ResultSink {
-        ResultSink::new(self.experiment, self.scale, self.cli.filter.as_deref())
+        let filter = self.cli.filter.as_deref().filter(|_| self.filtered);
+        ResultSink::new(self.experiment, self.scale, filter)
     }
 
     /// The running experiment's scale as serialised into documents.
     pub fn scale_name(&self) -> &'static str {
         crate::scale_name(self.scale)
-    }
-
-    /// The running experiment's checkpoint: `<out>/<experiment>.ckpt.json`.
-    pub fn ckpt_path(&self) -> PathBuf {
-        self.cli.out.join(format!("{}.ckpt.json", self.experiment))
     }
 
     /// Records a failure of the running experiment. The run goes on and
@@ -592,58 +509,13 @@ mod tests {
         assert!(!cli.verify);
         assert!(!cli.reference);
         assert!(!cli.trace);
-        assert!(!cli.resume);
-        assert_eq!(cli.max_cells, None);
-        assert_eq!(cli.fault_seed, BenchCli::DEFAULT_FAULT_SEED);
-        assert_eq!(cli.fuzz_seed, BenchCli::DEFAULT_FUZZ_SEED);
-        assert_eq!(cli.round_size, 2500);
-        assert_eq!(cli.min_programs, 10_000);
         assert_eq!(cli.emit_regress, None);
     }
 
     #[test]
-    fn campaign_flags_parse() {
-        let cli = BenchCli::from_args(&argv(&[
-            "faults",
-            "--resume",
-            "--out",
-            "/tmp/f",
-            "--max-cells",
-            "5",
-            "--fault-seed",
-            "0x1234",
-        ]))
-        .unwrap();
-        assert_eq!(cli.experiments, ["faults"]);
-        assert!(cli.resume);
-        assert_eq!(cli.max_cells, Some(5));
-        assert_eq!(cli.fault_seed, 0x1234);
-        let mut h = Harness::new(cli);
-        h.begin("faults", Scale::Test);
-        assert_eq!(h.ckpt_path(), PathBuf::from("/tmp/f/faults.ckpt.json"));
-        let decimal = BenchCli::from_args(&argv(&["--fault-seed", "42"])).unwrap();
-        assert_eq!(decimal.fault_seed, 42);
-    }
-
-    #[test]
     fn fuzz_flags_parse() {
-        let cli = BenchCli::from_args(&argv(&[
-            "--fuzz-seed",
-            "0xabc",
-            "--round-size",
-            "250",
-            "--min-programs",
-            "500",
-            "--emit-regress",
-            "/tmp/regress",
-        ]))
-        .unwrap();
-        assert_eq!(cli.fuzz_seed, 0xabc);
-        assert_eq!(cli.round_size, 250);
-        assert_eq!(cli.min_programs, 500);
+        let cli = BenchCli::from_args(&argv(&["--emit-regress", "/tmp/regress"])).unwrap();
         assert_eq!(cli.emit_regress, Some(PathBuf::from("/tmp/regress")));
-        let decimal = BenchCli::from_args(&argv(&["--fuzz-seed", "7"])).unwrap();
-        assert_eq!(decimal.fuzz_seed, 7);
     }
 
     #[test]
@@ -734,12 +606,13 @@ mod tests {
             &["--trace-out"],
             &["--profile-out"],
             &["--campaign-trace-out"],
-            &["--max-cells", "0"],
-            &["--fault-seed", "0xzz"],
-            &["--fuzz-seed", "0xzz"],
-            &["--round-size", "0"],
-            &["--min-programs", "0"],
             &["--emit-regress"],
+            &["--resume"],
+            &["--max-cells", "5"],
+            &["--fault-seed", "1"],
+            &["--fuzz-seed", "1"],
+            &["--round-size", "5"],
+            &["--min-programs", "5"],
         ] {
             assert!(BenchCli::from_args(&argv(bad)).is_err(), "{bad:?}");
         }
@@ -802,13 +675,36 @@ mod tests {
 
     #[test]
     fn filter_selects_rows_case_insensitively() {
-        let cli = BenchCli::from_args(&argv(&["--filter", "GOBMK"])).unwrap();
-        let rows = cli.filter_rows(crate::figure_rows());
+        let mut h = Harness::new(BenchCli::from_args(&argv(&["--filter", "GOBMK"])).unwrap());
+        let rows = h.filter_rows(crate::figure_rows());
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r.name.starts_with("gobmk")));
-        let none = BenchCli::from_args(&argv(&["--filter", "zzz"]))
-            .unwrap()
-            .filter_rows(crate::figure_rows());
-        assert!(none.is_empty());
+        let mut h = Harness::new(BenchCli::from_args(&argv(&["--filter", "zzz"])).unwrap());
+        assert!(h.filter_rows(crate::figure_rows()).is_empty());
+    }
+
+    #[test]
+    fn only_an_experiment_that_filtered_records_the_filter() {
+        let mut h = Harness::new(BenchCli::from_args(&argv(&["--filter", "gobmk"])).unwrap());
+        h.begin("fig7", Scale::Test);
+        h.filter_rows(crate::figure_rows());
+        assert!(h.sink().to_json_string().contains("\"filter\": \"gobmk\""));
+        // The next experiment starts unfiltered.
+        h.begin("faults", Scale::Test);
+        assert!(h.sink().to_json_string().contains("\"filter\": null"));
+
+        // table1 selects no rows (and simulates nothing): a filtered
+        // run of it writes `"filter": null`.
+        let out = std::env::temp_dir().join(format!("rest-cli-filter-{}", std::process::id()));
+        let out_arg = out.to_string_lossy().to_string();
+        let cli = BenchCli::from_args(&argv(&[
+            "table1", "--test", "--filter", "gobmk", "--out", &out_arg,
+        ]))
+        .unwrap();
+        crate::regen::run(cli).expect("table1 runs without simulating");
+        let doc = rest_obs::Json::parse(&std::fs::read_to_string(out.join("table1.json")).unwrap())
+            .unwrap();
+        assert_eq!(doc.get("filter"), Some(&rest_obs::Json::Null));
+        std::fs::remove_dir_all(&out).unwrap();
     }
 }

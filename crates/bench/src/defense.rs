@@ -301,7 +301,8 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         .filter(|(label, _)| *label != "plain")
         .map(|(label, rt)| ColumnSpec::new(*label, rt.clone()))
         .collect();
-    let mut spec = MatrixSpec::new(h.cli.filter_rows(crate::figure_rows()), columns, scale);
+    let rows = h.filter_rows(crate::figure_rows());
+    let mut spec = MatrixSpec::new(rows, columns, scale);
     // Guest profiling rides along so the per-allocation-site check
     // attribution can be aggregated and reconciled per scheme.
     spec.profile_guest = true;

@@ -613,7 +613,7 @@ pub fn bench_json(scale: &str, cells: &[IpsCell]) -> Json {
 /// and returns the document and `BENCH_elision.json`.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
-    let rows = h.cli.filter_rows(crate::figure_rows());
+    let rows = h.filter_rows(crate::figure_rows());
     let mut jobs: Vec<SimJob> = Vec::new();
     for row in &rows {
         jobs.extend(jobs_for(row, scale));

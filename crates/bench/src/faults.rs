@@ -22,12 +22,10 @@
 //! * **false positive** — the reference exited clean but the faulted
 //!   run raised a violation (a fail-closed fault fired spuriously).
 //!
-//! The campaign prints a detection-coverage table to stdout and returns
-//! a `rest-faults/v1` JSON document (`faults.json`), both
-//! byte-identical at any `--jobs` level. Finished cells are
-//! checkpointed periodically ([`crate::checkpoint`]); an interrupted
-//! campaign (`--max-cells N`, a crash, ^C between chunks) resumes with
-//! `--resume` and produces byte-identical final output.
+//! The campaign runs every cell in one engine submission at the fixed
+//! seed [`BenchCli::DEFAULT_FAULT_SEED`], prints a detection-coverage
+//! table to stdout and returns a `rest-faults/v1` JSON document
+//! (`faults.json`), both byte-identical at any `--jobs` level.
 
 use rest_attacks::Attack;
 use rest_core::Mode;
@@ -37,7 +35,6 @@ use rest_obs::Json;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
 
-use crate::checkpoint::Checkpoint;
 use crate::cli::{BenchCli, Harness};
 use crate::engine::{JobError, SimJob};
 use crate::sink::Artifact;
@@ -45,9 +42,6 @@ use crate::FigureRow;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-faults/v1";
-
-/// Cells simulated between checkpoint saves.
-const CKPT_CHUNK: usize = 8;
 
 /// The campaign's expected fail-open cells at the default seed and test
 /// scale: `(row, fault kind)` pairs where the fault-free reference
@@ -223,9 +217,7 @@ fn fault_spec_json(spec: &FaultSpec) -> Json {
     ])
 }
 
-/// The raw (classification-free) JSON of one finished cell — exactly
-/// what the checkpoint stores. Integer-only members, so the
-/// serialise→parse round trip through the checkpoint is lossless.
+/// The raw (classification-free) JSON of one finished cell.
 fn raw_cell_json(
     label: &str,
     spec: Option<&FaultSpec>,
@@ -287,7 +279,7 @@ fn raw_cell_json(
     Json::obj(members)
 }
 
-/// Classification of one stored cell against its row's fault-free
+/// Classification of one raw cell against its row's fault-free
 /// reference cell: `(outcome, missed_detection, false_positive)`.
 fn classify(cell: &Json, reference: &Json) -> (&'static str, bool, bool) {
     let truthy = |j: &Json, key: &str| j.get(key) == Some(&Json::Bool(true));
@@ -323,7 +315,7 @@ fn classify(cell: &Json, reference: &Json) -> (&'static str, bool, bool) {
     (outcome, missed_detection, false_positive)
 }
 
-/// Appends the classification members to a stored raw cell.
+/// Appends the classification members to a raw cell.
 fn classified_cell(cell: &Json, reference: &Json) -> Json {
     let (outcome, missed, fp) = classify(cell, reference);
     let mut members = match cell {
@@ -474,99 +466,29 @@ fn panicked_cells(rows: &[Json]) -> Vec<String> {
     names
 }
 
-/// Runs the full campaign: simulate (or resume) every cell, checkpoint
-/// periodically, then — unless interrupted by `--max-cells`, which
-/// returns no artifact — classify, print the coverage table, delete the
-/// checkpoint and return `faults.json`. The sink refuses a document
+/// Runs the full campaign: simulate every cell, classify, print the
+/// coverage table and return `faults.json`. The sink refuses a document
 /// that fails [`validate`] (known-outcome drift included); a panicked
 /// cell fails the run once the document is written.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
-    let cli = h.cli.clone();
     let scale = h.scale;
     let rows = campaign_rows();
     let budget = cycle_budget(scale);
     let labels = column_labels();
 
-    // Every cell of the campaign, row-major, with its stable key.
-    struct Cell {
-        row: usize,
-        spec: Option<FaultSpec>,
-        job: SimJob,
-        key: String,
-    }
-    let mut cells = Vec::new();
+    // Every cell of the campaign, row-major.
+    let mut jobs = Vec::new();
     for (r, row) in rows.iter().enumerate() {
-        for (c, spec) in campaign_specs(cli.fault_seed, r).into_iter().enumerate() {
-            let job = row.job(labels[c], spec, scale, budget);
-            let key = job.cache_key();
-            cells.push(Cell {
-                row: r,
-                spec,
-                job,
-                key,
-            });
+        let specs = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, r);
+        for (label, spec) in labels.iter().zip(specs) {
+            jobs.push(row.job(label, spec, scale, budget));
         }
     }
-
-    // The fingerprint pins the checkpoint to these exact parameters.
-    let fingerprint = format!(
-        "{SCHEMA}|{}|seed={:#x}|budget={}|rows={}",
-        h.scale_name(),
-        cli.fault_seed,
-        budget,
-        rows.iter().map(CampaignRow::name).collect::<Vec<_>>().join(",")
-    );
-    let mut ckpt = Checkpoint::open(&h.ckpt_path(), &fingerprint, cli.resume);
-
-    let pending: Vec<&Cell> = cells.iter().filter(|c| ckpt.get(&c.key).is_none()).collect();
-    let cell_limit = cli.max_cells.unwrap_or(usize::MAX);
-    let mut fresh = 0usize;
-    let mut interrupted = false;
-    for chunk in pending.chunks(CKPT_CHUNK) {
-        let take = cell_limit.saturating_sub(fresh).min(chunk.len());
-        if take == 0 {
-            interrupted = true;
-            break;
-        }
-        let chunk = &chunk[..take];
-        let jobs: Vec<SimJob> = chunk.iter().map(|c| c.job.clone()).collect();
-        let outcomes = h.run_all(&jobs);
-        for (cell, outcome) in chunk.iter().zip(&outcomes) {
-            ckpt.insert(
-                cell.key.clone(),
-                raw_cell_json(&cell.job.label, cell.spec.as_ref(), outcome),
-            );
-        }
-        fresh += chunk.len();
-        ckpt.save()
-            .map_err(|e| format!("FAILED writing checkpoint: {e}"))?;
-        if fresh >= cell_limit && fresh < pending.len() {
-            interrupted = true;
-            break;
-        }
-    }
-    if interrupted {
-        eprintln!(
-            "# faults: stopped after {fresh} fresh cell(s) (--max-cells); \
-             {} of {} recorded — rerun with --resume to finish",
-            ckpt.len(),
-            cells.len()
-        );
-        return Ok(Vec::new());
-    }
-
-    // Assemble the final document from the checkpoint (every cell is
-    // recorded by now, whether simulated this run or resumed).
-    let per_row: Vec<Vec<&Json>> = rows
+    let outcomes = h.run_all(&jobs);
+    let cells: Vec<Json> = jobs
         .iter()
-        .enumerate()
-        .map(|(r, _)| {
-            cells
-                .iter()
-                .filter(|c| c.row == r)
-                .map(|c| ckpt.get(&c.key).expect("campaign completed every cell"))
-                .collect()
-        })
+        .zip(&outcomes)
+        .map(|(job, outcome)| raw_cell_json(&job.label, job.fault.as_ref(), outcome))
         .collect();
 
     // Coverage counters over all cells, plus the two derived flags.
@@ -583,11 +505,11 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     }
     println!();
     let mut row_docs = Vec::new();
-    for (r, row) in rows.iter().enumerate() {
-        let reference = per_row[r][0];
+    for (row, row_cells) in rows.iter().zip(cells.chunks(labels.len())) {
+        let reference = &row_cells[0];
         print!("{:<22}{:<10}", row.name(), row.kind());
         let mut cell_docs = Vec::new();
-        for cell in &per_row[r] {
+        for cell in row_cells {
             let (outcome, missed, fp) = classify(cell, reference);
             for entry in counts.iter_mut() {
                 if entry.0 == outcome {
@@ -620,7 +542,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(SCHEMA));
-    sink.push("fault_seed", Json::UInt(cli.fault_seed));
+    sink.push("fault_seed", Json::UInt(BenchCli::DEFAULT_FAULT_SEED));
     sink.push("mode", Json::from("rest-secure-full"));
     sink.push("max_cycles", Json::UInt(budget));
     sink.push("columns", Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()));
@@ -636,13 +558,15 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push(
         "expected_outcomes",
         Json::obj(vec![
-            ("checked", Json::Bool(tables_bind(cli.fault_seed, h.scale_name()))),
+            (
+                "checked",
+                Json::Bool(tables_bind(BenchCli::DEFAULT_FAULT_SEED, h.scale_name())),
+            ),
             ("known_missed_detections", known_json(&KNOWN_MISSED_DETECTIONS)),
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
     );
     let document = sink.artifact()?;
-    ckpt.remove();
     if !panicked.is_empty() {
         h.fail(format!(
             "{} cell(s) panicked: {}",
@@ -656,7 +580,6 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cli::BenchCli;
     use crate::engine::CoreKind;
 
     #[test]

@@ -90,10 +90,10 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         .into_iter()
         .map(|(name, rt)| ColumnSpec::new(name, rt))
         .collect();
-    let rows: Vec<FigureRow> = Workload::ALL.into_iter().map(FigureRow::of).collect();
+    let rows = h.filter_rows(Workload::ALL.into_iter().map(FigureRow::of).collect());
     let matrix = h.run_matrix(MatrixSpec {
         core: CoreKind::InOrder,
-        ..MatrixSpec::new(h.cli.filter_rows(rows), columns, h.scale)
+        ..MatrixSpec::new(rows, columns, h.scale)
     });
 
     let mut t = String::new();
@@ -143,11 +143,8 @@ pub fn fig7(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         .into_iter()
         .map(|rt| ColumnSpec::new(rt.label(), rt))
         .collect();
-    let matrix = h.run_matrix(MatrixSpec::new(
-        h.cli.filter_rows(figure_rows()),
-        columns,
-        h.scale,
-    ));
+    let rows = h.filter_rows(figure_rows());
+    let matrix = h.run_matrix(MatrixSpec::new(rows, columns, h.scale));
 
     let mut t = machine_header("Figure 7 — runtime overhead over plain (%)");
     t += &matrix.text_table();
@@ -174,11 +171,8 @@ pub fn fig8(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ));
         }
     }
-    let matrix = h.run_matrix(MatrixSpec::new(
-        h.cli.filter_rows(figure_rows()),
-        columns,
-        h.scale,
-    ));
+    let rows = h.filter_rows(figure_rows());
+    let matrix = h.run_matrix(MatrixSpec::new(rows, columns, h.scale));
 
     let mut t =
         machine_header("Figure 8 — token-width sweep, secure mode, overhead over plain (%)");
@@ -334,9 +328,7 @@ pub fn table3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         Workload::Xalancbmk,
         Workload::Hmmer,
     ];
-    let rows = h
-        .cli
-        .filter_rows(subset.into_iter().map(FigureRow::of).collect());
+    let rows = h.filter_rows(subset.into_iter().map(FigureRow::of).collect());
     let columns = vec![ColumnSpec::new(
         "rest-secure-full",
         RtConfig::rest(Mode::Secure, true),
@@ -394,12 +386,12 @@ pub fn prose_stats(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         ColumnSpec::new("rest-secure-full", RtConfig::rest(Mode::Secure, true)),
         ColumnSpec::new("rest-debug-full", RtConfig::rest(Mode::Debug, true)),
     ];
-    let rows: Vec<FigureRow> = Workload::ALL.into_iter().map(FigureRow::of).collect();
+    let rows = h.filter_rows(Workload::ALL.into_iter().map(FigureRow::of).collect());
     let matrix = h.run_matrix(MatrixSpec {
         // The prose statistics compare secure vs debug directly; no
         // plain baseline is involved.
         include_plain: false,
-        ..MatrixSpec::new(h.cli.filter_rows(rows), columns, h.scale)
+        ..MatrixSpec::new(rows, columns, h.scale)
     });
 
     let mut t = machine_header("§VI-B prose statistics — secure vs debug (full protection)");
@@ -473,15 +465,15 @@ pub fn prose_stats(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 ///    and the REST-aware fast-pool allocator, measured against the
 ///    paper's evaluated design.
 pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
-    let rows_of = |h: &Harness, workloads: &[Workload]| {
-        h.cli
-            .filter_rows(workloads.iter().copied().map(FigureRow::of).collect())
+    let rows_of = |h: &mut Harness, workloads: &[Workload]| {
+        h.filter_rows(workloads.iter().copied().map(FigureRow::of).collect())
     };
 
     // Ablation 1+2: arm/disarm design alternatives.
     let secure_full = RtConfig::rest(Mode::Secure, true);
+    let rows = rows_of(h, &[Workload::Gcc, Workload::Xalancbmk, Workload::Sjeng]);
     let arm = h.run_matrix(MatrixSpec::new(
-        rows_of(h, &[Workload::Gcc, Workload::Xalancbmk, Workload::Sjeng]),
+        rows,
         vec![
             ColumnSpec::new("paper-design", secure_full.clone()),
             ColumnSpec::new(
@@ -501,8 +493,9 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     // Ablation 3: quarantine budget sweep on xalancbmk (secure heap).
     let budgets = [4u64 << 10, 64 << 10, 1 << 20];
+    let rows = rows_of(h, &[Workload::Xalancbmk]);
     let budget = h.run_matrix(MatrixSpec::new(
-        rows_of(h, &[Workload::Xalancbmk]),
+        rows,
         budgets
             .iter()
             .map(|&b| {
@@ -517,8 +510,9 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     // Ablation 4: §VIII future-work optimisations.
     let base_cfg = RtConfig::rest(Mode::Secure, false).with_quarantine(16 << 10);
+    let rows = rows_of(h, &[Workload::Xalancbmk, Workload::Gcc]);
     let future = h.run_matrix(MatrixSpec::new(
-        rows_of(h, &[Workload::Xalancbmk, Workload::Gcc]),
+        rows,
         vec![
             ColumnSpec::new("paper-design", base_cfg.clone()),
             ColumnSpec::new("fast-pool", base_cfg.clone().with_fast_pool()),

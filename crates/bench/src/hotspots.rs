@@ -461,7 +461,7 @@ impl HotspotReport {
 /// (`hotspots.perfetto.json`).
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
-    let rows = h.cli.filter_rows(crate::figure_rows());
+    let rows = h.filter_rows(crate::figure_rows());
     let columns: Vec<ColumnSpec> = scheme_configs()
         .into_iter()
         .map(|(label, rt)| ColumnSpec::new(label, rt))

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod benchdiff;
-pub mod checkpoint;
 pub mod cli;
 pub mod defense;
 pub mod elide;

@@ -23,6 +23,9 @@
 //! }
 //! ```
 //!
+//! `filter` names `--filter` only in the documents of an experiment that
+//! selected its rows with it ([`crate::cli::Harness::filter_rows`]).
+//!
 //! Matrix experiments add a `"matrix"` member (see
 //! [`ResultSink::push_matrix`]):
 //!

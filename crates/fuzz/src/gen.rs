@@ -9,9 +9,7 @@
 //! judges observed behaviour against this label.
 //!
 //! Generation is driven by a single [`FuzzRng`] stream, so the case
-//! sequence for a seed is total-ordered and resumable: serialise the
-//! stream cursor at case `k` and the restored stream reproduces cases
-//! `k+1..` exactly.
+//! sequence for a seed is total-ordered and identical on every run.
 
 use crate::rng::FuzzRng;
 use rest_isa::{EcallNum, MemSize, Program, ProgramBuilder, Reg};
@@ -190,11 +188,8 @@ struct Slot {
     written: u64,
 }
 
-/// The resumable case stream for one seed.
-///
-/// All randomness comes from a single [`FuzzRng`]; [`CaseStream::cursor`]
-/// captures the full state (`rng-state@next-index`), and
-/// [`CaseStream::restore`] resumes the identical sequence.
+/// The deterministic case stream for one seed: all randomness comes
+/// from a single [`FuzzRng`].
 #[derive(Debug, Clone)]
 pub struct CaseStream {
     rng: FuzzRng,
@@ -208,25 +203,6 @@ impl CaseStream {
             rng: FuzzRng::new(seed),
             next_index: 0,
         }
-    }
-
-    /// Index of the case the next [`CaseStream::next_case`] call yields.
-    pub fn next_index(&self) -> u64 {
-        self.next_index
-    }
-
-    /// Serialises the stream position as `"<rng-state>@<next-index>"`.
-    pub fn cursor(&self) -> String {
-        format!("{}@{}", self.rng.state(), self.next_index)
-    }
-
-    /// Restores a stream from [`CaseStream::cursor`] output.
-    pub fn restore(cursor: &str) -> Option<CaseStream> {
-        let (rng_state, index_text) = cursor.rsplit_once('@')?;
-        Some(CaseStream {
-            rng: FuzzRng::restore(rng_state)?,
-            next_index: index_text.parse().ok()?,
-        })
     }
 
     /// Generates the next case in the stream.
@@ -477,27 +453,6 @@ mod tests {
         let a = collect(1, 32);
         let b = collect(2, 32);
         assert_ne!(a, b, "different seeds must give different streams");
-    }
-
-    #[test]
-    fn cursor_restore_reproduces_tail_exactly() {
-        let mut stream = CaseStream::new(0xF0CC_5EED);
-        for _ in 0..10 {
-            stream.next_case();
-        }
-        let cursor = stream.cursor();
-        let reference: Vec<Case> = (0..20).map(|_| stream.next_case()).collect();
-        let mut restored = CaseStream::restore(&cursor).expect("cursor parses");
-        assert_eq!(restored.next_index(), 10);
-        let replayed: Vec<Case> = (0..20).map(|_| restored.next_case()).collect();
-        assert_eq!(reference, replayed);
-    }
-
-    #[test]
-    fn cursor_rejects_garbage() {
-        assert!(CaseStream::restore("").is_none());
-        assert!(CaseStream::restore("0x1:2").is_none());
-        assert!(CaseStream::restore("0x1:2@x").is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # rest-fuzz — adversarial corpus generation for the REST stack
 //!
-//! Mechanical scenario-coverage growth (ROADMAP item 4): a restorable
-//! seeded generator emits randomized-but-well-formed guest programs
+//! Mechanical scenario-coverage growth (ROADMAP item 4): a seeded
+//! generator emits randomized-but-well-formed guest programs
 //! with ground-truth bug injection, a tri-oracle differential harness
 //! judges each one (restlint static verdicts, functional emulation at
 //! all three execution tiers, and the timing path), and a deterministic
@@ -9,12 +9,12 @@
 //!
 //! | Module | Purpose |
 //! |--------|---------|
-//! | [`rng`] | ChaCha8 stream with O(1) serialise/restore |
+//! | [`rng`] | Seeded ChaCha8 stream |
 //! | [`gen`] | Allocator-trace cases, bug taxonomy, lowering to guest asm |
 //! | [`oracle`] | Tri-oracle run + disagreement classification |
 //! | [`minimize`] | Deterministic 1-minimal shrinking |
 //!
-//! The campaign driver (checkpointing, rounds-until-dry, `fuzz.json`)
+//! The campaign driver (rounds-until-dry, `fuzz.json`)
 //! lives in `rest-bench`; this crate is the pure, deterministic core,
 //! so every piece is unit-testable without filesystem access.
 

@@ -82,11 +82,6 @@ impl Class {
         }
     }
 
-    /// Parses a [`Class::name`] string back (checkpoint round trips).
-    pub fn from_name(name: &str) -> Option<Class> {
-        Class::ALL.iter().copied().find(|c| c.name() == name)
-    }
-
     /// Whether the case is fully explained (oracles agree with ground
     /// truth); unexplained classes gate the campaign.
     pub fn is_explained(self) -> bool {
@@ -423,14 +418,6 @@ mod tests {
             GroundTruth::Clean,
         );
         assert_eq!(run_case(&fake, &rt).class, Class::FalseDetection);
-    }
-
-    #[test]
-    fn class_names_round_trip() {
-        for class in Class::ALL {
-            assert_eq!(Class::from_name(class.name()), Some(class));
-        }
-        assert_eq!(Class::from_name("nope"), None);
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! Restorable seeded random-number generator for fuzz campaigns.
+//! Seeded random-number generator for fuzz campaigns.
 //!
 //! A ChaCha-style block generator: the key is expanded from a 64-bit
-//! seed, and the stream position is a plain draw counter. Serialising
-//! the state is therefore trivial — `"seed:drawn"` — and restoring is
-//! O(1): recompute the block the counter sits in and continue. That is
-//! what lets a campaign checkpoint mid-stream and resume with the exact
-//! same program sequence (and lets tests prove it byte-for-byte).
+//! seed, and the stream position is a plain draw counter, so a seed
+//! names one exact program sequence on every host.
 
 /// Number of double rounds (ChaCha8 = 4 double rounds).
 const DOUBLE_ROUNDS: usize = 4;
 
-/// A restorable ChaCha8 random stream.
+/// A seeded ChaCha8 random stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzRng {
-    seed: u64,
     key: [u32; 8],
     /// Total u32 words drawn so far — the entire stream position.
     drawn: u64,
@@ -54,40 +50,11 @@ impl FuzzRng {
             key[2 * pair + 1] = (word >> 32) as u32;
         }
         FuzzRng {
-            seed,
             key,
             drawn: 0,
             buf: [0; 16],
             buf_block: u64::MAX,
         }
-    }
-
-    /// The seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Words drawn so far (the stream position).
-    pub fn drawn(&self) -> u64 {
-        self.drawn
-    }
-
-    /// Serialises the full stream state as `"0x<seed>:<drawn>"`.
-    pub fn state(&self) -> String {
-        format!("{:#x}:{}", self.seed, self.drawn)
-    }
-
-    /// Restores a stream from [`FuzzRng::state`] output. The restored
-    /// stream continues exactly where the serialised one stood.
-    pub fn restore(state: &str) -> Option<FuzzRng> {
-        let (seed_text, drawn_text) = state.split_once(':')?;
-        let seed = seed_text
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())?;
-        let drawn = drawn_text.parse().ok()?;
-        let mut rng = FuzzRng::new(seed);
-        rng.drawn = drawn;
-        Some(rng)
     }
 
     /// The ChaCha8 keystream block at block counter `counter`.
@@ -171,35 +138,6 @@ mod tests {
         let mut c = FuzzRng::new(43);
         let differs = (0..100).any(|_| a.next_u32() != c.next_u32());
         assert!(differs, "different seeds must diverge");
-    }
-
-    #[test]
-    fn restore_continues_mid_block_and_cross_block() {
-        let mut rng = FuzzRng::new(0xDEAD_BEEF);
-        for k in [0usize, 1, 7, 15, 16, 17, 100] {
-            let mut fresh = FuzzRng::new(0xDEAD_BEEF);
-            for _ in 0..k {
-                fresh.next_u32();
-            }
-            let restored = FuzzRng::restore(&fresh.state()).unwrap();
-            let mut restored = restored;
-            let mut reference = fresh.clone();
-            for _ in 0..50 {
-                assert_eq!(restored.next_u32(), reference.next_u32(), "at position {k}");
-            }
-        }
-        // state() round-trips the textual form too.
-        rng.next_u64();
-        let s = rng.state();
-        assert_eq!(FuzzRng::restore(&s).unwrap().state(), s);
-    }
-
-    #[test]
-    fn restore_rejects_garbage() {
-        assert!(FuzzRng::restore("").is_none());
-        assert!(FuzzRng::restore("12:34").is_none(), "seed must be 0x-hex");
-        assert!(FuzzRng::restore("0x12").is_none());
-        assert!(FuzzRng::restore("0x12:x").is_none());
     }
 
     #[test]
