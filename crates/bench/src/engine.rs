@@ -7,9 +7,11 @@
 //!
 //! * fans independent `System::run()` calls across `--jobs N` worker
 //!   threads (each simulation is single-threaded and independent),
-//! * caches results by job identity, so the plain baseline for a
+//! * caches results by the simulation a job performs — its built
+//!   program and machine configuration — so the plain baseline for a
 //!   benchmark is simulated once even when several matrices or columns
-//!   share it,
+//!   share it, and a Full column whose program equals its Heap twin's
+//!   reuses the twin's run,
 //! * converts panicking or failing simulations into structured
 //!   [`JobError`]s instead of aborting the whole sweep,
 //! * reports per-job progress and wall time on **stderr** only —
@@ -20,12 +22,14 @@
 //! scheduling affects only wall-clock time.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rest_cpu::{ExecTier, SimConfig, SimResult, StopReason, System};
+use rest_isa::Program;
 use rest_obs::JobTiming;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload, WorkloadParams};
@@ -43,10 +47,12 @@ pub enum CoreKind {
 
 /// One simulation to run: a benchmark row under one configuration.
 ///
-/// The job is pure data; [`SimJob::execute`] performs the simulation.
-/// Two jobs that differ only in the display `name` and `label` are the
-/// same experiment and share one cached result in the [`Engine`]
-/// ([`SimJob::cache_key`]). Every field is plain data with a
+/// The job is pure data; [`SimJob::build`] builds its program and
+/// [`SimJob::execute`] performs the simulation. Two jobs that build the
+/// same program and differ otherwise only in the display `name` and
+/// `label` (and `rt.stack_protection`, which only picks how the program
+/// is built) are the same simulation and share one cached run in the
+/// [`Engine`] ([`SimJob::cache_key`]). Every field is plain data with a
 /// deterministic `Debug` encoding, which the key is derived from.
 #[derive(Debug, Clone)]
 pub struct SimJob {
@@ -229,40 +235,46 @@ impl SimJob {
         }
     }
 
-    /// Identity of the simulation this job performs: the job's `Debug`
-    /// encoding with the display-only `name` and `label` blanked, so
-    /// every other field — including any added later — takes part.
-    /// Regression programs are keyed by their full assembly text.
-    pub fn cache_key(&self) -> String {
-        format!(
-            "{:?}",
-            SimJob {
-                name: String::new(),
-                label: String::new(),
-                ..self.clone()
-            }
-        )
+    /// Identity of the simulation this job performs with `program` (its
+    /// [`SimJob::build`]): a digest of the job's `Debug` encoding with
+    /// the display strings `name` and `label` and `rt.stack_protection`
+    /// blanked, so every other field — including any added later —
+    /// takes part, and of the program's canonical encoding. Stack
+    /// protection only chooses how the program is built (and the
+    /// label), so with the program in the key it moves the key exactly
+    /// when it moves the program.
+    pub fn cache_key(&self, program: &Program) -> JobKey {
+        let mut recipe = SimJob {
+            name: String::new(),
+            label: String::new(),
+            ..self.clone()
+        };
+        recipe.rt.stack_protection = false;
+        let recipe = format!("{recipe:?}");
+        // Two SipHash digests, salted apart: 128 bits.
+        let digest = |salt: u8| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            (salt, &recipe, program).hash(&mut h);
+            h.finish()
+        };
+        JobKey([digest(0), digest(1)])
     }
 
-    /// Builds the program (workload, attack or regression case) and
-    /// simulates it, mapping panics and abnormal stops to [`JobError`]s.
-    pub fn execute(&self) -> Result<SimResult, JobError> {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+    /// Builds the program this job simulates (workload, attack or
+    /// regression case), mapping a panic or an unparsable regression
+    /// case to a [`JobError`].
+    pub fn build(&self) -> Result<Program, JobError> {
+        catch_panic(|| {
             if self.inject_panic {
                 panic!("injected panic (test knob)");
             }
-            let program = if let Some(attack) = self.attack {
-                attack.build(stack_for(&self.rt))
+            if let Some(attack) = self.attack {
+                Ok(attack.build(stack_for(&self.rt)))
             } else if let Some(prog) = &self.regress {
-                match rest_isa::parse_asm(&prog.asm) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        return Err(JobError {
-                            kind: "regress-parse".to_string(),
-                            detail: format!("regression case {}: {e}", prog.name),
-                        })
-                    }
-                }
+                rest_isa::parse_asm(&prog.asm).map_err(|e| JobError {
+                    kind: "regress-parse".to_string(),
+                    detail: format!("regression case {}: {e}", prog.name),
+                })
             } else {
                 let params = WorkloadParams {
                     scale: self.scale,
@@ -270,8 +282,26 @@ impl SimJob {
                     token_width: self.rt.token_width,
                     seed: self.seed,
                 };
-                self.workload.build(&params)
-            };
+                Ok(self.workload.build(&params))
+            }
+        })
+    }
+
+    /// Builds the program and simulates it, mapping panics and abnormal
+    /// stops to [`JobError`]s.
+    pub fn execute(&self) -> Result<SimResult, JobError> {
+        let result = self.simulate(self.build()?)?;
+        if self.accepts(&result.stop) {
+            Ok(result)
+        } else {
+            Err(self.stop_error(&result))
+        }
+    }
+
+    /// Simulates `program` (this job's [`SimJob::build`]) to whatever
+    /// stop it reaches; panics and the verify gate become [`JobError`]s.
+    fn simulate(&self, program: Program) -> Result<SimResult, JobError> {
+        catch_panic(|| {
             if self.verify && self.attack.is_none() && self.regress.is_none() {
                 let lint = rest_verify::verify_program(&program);
                 let worst: Vec<_> = lint.at_least(rest_verify::Severity::Error).collect();
@@ -327,27 +357,18 @@ impl SimJob {
                 cfg.max_uops = budget;
             }
             Ok(System::new(program, cfg).run())
-        }));
-        let result = match outcome {
-            Err(payload) => {
-                let detail = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                return Err(JobError {
-                    kind: "panic".to_string(),
-                    detail,
-                });
-            }
-            Ok(Err(e)) => return Err(e),
-            Ok(Ok(r)) => r,
-        };
-        if matches!(result.stop, StopReason::Exit(0)) || self.accept_any_stop {
-            return Ok(result);
-        }
+        })
+    }
+
+    /// Whether a run stopping with `stop` is a successful simulation.
+    fn accepts(&self, stop: &StopReason) -> bool {
+        matches!(stop, StopReason::Exit(0)) || self.accept_any_stop
+    }
+
+    /// The error for a run of this job that stopped as `result` did.
+    fn stop_error(&self, result: &SimResult) -> JobError {
         let stop = &result.stop;
-        Err(JobError {
+        JobError {
             kind: match stop {
                 StopReason::Halted => "halted",
                 StopReason::Exit(_) => "nonzero-exit",
@@ -359,10 +380,49 @@ impl SimJob {
             .to_string(),
             detail: format!(
                 "{} (seed {:#x}) stopped with {:?} under {}",
-                self.workload, self.seed, stop, result.label
+                self.workload,
+                self.seed,
+                stop,
+                self.rt.label()
             ),
-        })
+        }
     }
+
+    /// This job's outcome from `run`, the [`SimJob::simulate`] result of
+    /// a job with the same key: an accepted run is shared, under this
+    /// job's label; any other stop becomes this job's own error.
+    fn outcome_of(&self, run: &JobOutcome) -> JobOutcome {
+        match run.as_ref() {
+            Ok(r) if !self.accepts(&r.stop) => Arc::new(Err(self.stop_error(r))),
+            Ok(r) if r.label != self.rt.label() => Arc::new(Ok(SimResult {
+                label: self.rt.label(),
+                ..r.clone()
+            })),
+            _ => run.clone(),
+        }
+    }
+}
+
+/// Identity of the simulation a [`SimJob`] performs
+/// ([`SimJob::cache_key`]): a 128-bit digest of its configuration and
+/// program, 16 bytes however large either is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct JobKey([u64; 2]);
+
+/// Runs `f`, mapping a panic to a `"panic"` [`JobError`] carrying its
+/// message.
+fn catch_panic<T>(f: impl FnOnce() -> Result<T, JobError>) -> Result<T, JobError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(JobError {
+            kind: "panic".to_string(),
+            detail,
+        })
+    })
 }
 
 /// A simulation that did not complete normally: the guest stopped with
@@ -406,14 +466,16 @@ fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// The job runner: a fixed-size worker pool plus a result cache keyed
+/// The job runner: a fixed-size worker pool plus a cache of runs keyed
 /// by [`SimJob::cache_key`].
 ///
-/// One engine can serve several matrices in sequence; jobs they share
-/// (typically plain baselines) are simulated once.
+/// One engine can serve several matrices in sequence; simulations they
+/// share (typically plain baselines) run once.
 pub struct Engine {
     workers: usize,
-    cache: Mutex<HashMap<String, JobOutcome>>,
+    /// Each key's [`SimJob::simulate`] result; a job's outcome is
+    /// derived from it by [`SimJob::outcome_of`].
+    cache: Mutex<HashMap<JobKey, JobOutcome>>,
     timings: Mutex<Vec<JobTiming>>,
     /// Wall time already consumed by earlier `run_all` calls: jobs
     /// from successive submissions continue one campaign timeline.
@@ -444,37 +506,62 @@ impl Engine {
         std::mem::take(&mut lock_recover(&self.timings))
     }
 
-    /// Runs every job not already cached, in parallel, and returns one
-    /// outcome per input job **in input order** (duplicates and cache
-    /// hits resolve to the same shared result).
+    /// Builds every job's program and simulates each one not already
+    /// cached, in parallel, and returns one outcome per input job **in
+    /// input order**. Jobs with equal keys — duplicates, cache hits, a
+    /// Full column whose program equals its Heap twin's — share one run;
+    /// each outcome still carries its own job's label.
     pub fn run_all(&self, jobs: &[SimJob]) -> Vec<JobOutcome> {
-        let keys: Vec<String> = jobs.iter().map(SimJob::cache_key).collect();
-        // The first request for each key not cached yet is simulated.
-        let fresh: Vec<usize> = {
-            let cache = lock_recover(&self.cache);
-            let mut seen = HashSet::new();
-            (0..jobs.len())
-                .filter(|&i| !cache.contains_key(&keys[i]) && seen.insert(&keys[i]))
-                .collect()
-        };
-        let total = fresh.len();
+        let total = jobs.len();
         let base = *lock_recover(&self.epoch);
         let run_started = Instant::now();
+        // Jobs claim their keys strictly in submission order (job `i`
+        // waits until jobs `0..i` have claimed), so the first request
+        // for each key not cached yet is the one simulated at any worker
+        // count. Programs build in microseconds, so the wait is short,
+        // and no more programs are alive than there are workers.
+        let claims = Mutex::new((0, HashSet::new()));
+        let turn = Condvar::new();
         let done = AtomicUsize::new(0);
-        let results = self.pool(total, |slot, worker| {
-            let job = &jobs[fresh[slot]];
+        let slots = self.pool(total, |i, worker| {
+            let job = &jobs[i];
             let job_started = Instant::now();
             let queue = job_started.duration_since(run_started);
-            let result = job.execute();
+            let built = catch_panic(|| job.build().map(|p| (job.cache_key(&p), p)));
+            let key = built.as_ref().ok().map(|&(key, _)| key);
+            let simulate = {
+                let mut claims = lock_recover(&claims);
+                while claims.0 != i {
+                    claims = turn
+                        .wait(claims)
+                        .unwrap_or_else(|poison| poison.into_inner());
+                }
+                claims.0 += 1;
+                turn.notify_all();
+                // A failed build is its job's own outcome, never shared.
+                key.is_none_or(|key| {
+                    !lock_recover(&self.cache).contains_key(&key) && claims.1.insert(key)
+                })
+            };
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if !simulate {
+                return (key, None);
+            }
+            let run = built.and_then(|(_, program)| job.simulate(program));
             let wall = job_started.elapsed();
             let secs = wall.as_secs_f64();
-            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-            match &result {
-                Ok(r) => eprintln!(
+            match &run {
+                Ok(r) if job.accepts(&r.stop) => eprintln!(
                     "[{n}/{total}] {} {}: {} cycles, {secs:.2}s",
                     job.name,
                     job.label,
                     r.cycles()
+                ),
+                Ok(r) => eprintln!(
+                    "[{n}/{total}] {} {}: FAILED ({}), {secs:.2}s",
+                    job.name,
+                    job.label,
+                    job.stop_error(r)
                 ),
                 Err(e) => eprintln!(
                     "[{n}/{total}] {} {}: FAILED ({e}), {secs:.2}s",
@@ -482,51 +569,61 @@ impl Engine {
                 ),
             }
             (
-                result,
-                FreshRun {
-                    wall,
-                    queue,
-                    worker,
-                },
+                key,
+                Some((
+                    Arc::new(run),
+                    FreshRun {
+                        wall,
+                        queue,
+                        worker,
+                    },
+                )),
             )
         });
-        if total > 0 {
+        let simulated = slots.iter().filter(|(_, run)| run.is_some()).count();
+        if simulated > 0 {
             eprintln!(
-                "# {total} jobs on {} workers in {:.2}s",
+                "# {simulated} jobs on {} workers in {:.2}s",
                 self.workers.min(total),
                 run_started.elapsed().as_secs_f64()
             );
         }
         let mut cache = lock_recover(&self.cache);
-        let mut runs: Vec<Option<FreshRun>> = (0..jobs.len()).map(|_| None).collect();
-        for (&i, (result, run)) in fresh.iter().zip(results) {
-            cache.insert(keys[i].clone(), Arc::new(result));
-            runs[i] = Some(run);
+        for (key, run) in &slots {
+            if let (Some(key), Some((run, _))) = (key, run) {
+                cache.insert(*key, run.clone());
+            }
         }
         // Log every job in submission order: the simulated request for a
-        // key gets the measured record; duplicates and pre-cached keys
-        // log as cache hits.
-        let outcomes: Vec<JobOutcome> = keys.iter().map(|k| cache[k].clone()).collect();
+        // key gets the measured record; the other requests for it log as
+        // cache hits.
         let mut timings = lock_recover(&self.timings);
-        for ((job, outcome), run) in jobs.iter().zip(&outcomes).zip(runs) {
-            let cached = run.is_none();
-            let run = run.unwrap_or(FreshRun {
+        let mut outcomes = Vec::with_capacity(total);
+        for (job, (key, fresh)) in jobs.iter().zip(slots) {
+            let (run, fresh) = match fresh {
+                Some((run, fresh)) => (run, Some(fresh)),
+                None => (cache[&key.expect("a hit was built")].clone(), None),
+            };
+            let outcome = job.outcome_of(&run);
+            let cached = fresh.is_none();
+            let fresh = fresh.unwrap_or(FreshRun {
                 wall: Duration::ZERO,
                 queue: Duration::ZERO,
                 worker: 0,
             });
             timings.push(JobTiming {
                 label: format!("{} {}", job.name, job.label),
-                worker: run.worker,
-                start: base + run.queue,
-                queue: run.queue,
-                wall: run.wall,
+                worker: fresh.worker,
+                start: base + fresh.queue,
+                queue: fresh.queue,
+                wall: fresh.wall,
                 cached,
                 outcome: match outcome.as_ref() {
                     Ok(_) => "ok".to_string(),
                     Err(e) => e.kind.clone(),
                 },
             });
+            outcomes.push(outcome);
         }
         *lock_recover(&self.epoch) = base + run_started.elapsed();
         outcomes
@@ -800,6 +897,7 @@ impl MatrixResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rest_core::Mode;
 
     fn lbm_row() -> FigureRow {
         FigureRow {
@@ -807,6 +905,12 @@ mod tests {
             workload: Workload::Lbm,
             seed: 0xC0FFEE,
         }
+    }
+
+    /// A job's key over its own program (the default program when its
+    /// build fails, as an injected panic's does).
+    fn key(job: &SimJob) -> JobKey {
+        job.cache_key(&job.build().unwrap_or_default())
     }
 
     #[test]
@@ -853,11 +957,11 @@ mod tests {
             }),
         ];
         let mut keys = HashMap::new();
-        keys.insert(base.cache_key(), "base");
+        keys.insert(key(&base), "base");
         for (field, edit) in &edits {
             let mut job = base.clone();
             edit(&mut job);
-            if let Some(clash) = keys.insert(job.cache_key(), *field) {
+            if let Some(clash) = keys.insert(key(&job), *field) {
                 panic!("changing {field} leaves the key of {clash}");
             }
         }
@@ -869,7 +973,93 @@ mod tests {
         for edit in display {
             let mut job = base.clone();
             edit(&mut job);
-            assert_eq!(job.cache_key(), base.cache_key());
+            assert_eq!(key(&job), key(&base));
+        }
+        // Stack protection only picks how the program is built: it moves
+        // the key exactly when it moves the program. Both happen among
+        // the figure rows (a row without protected frames builds one
+        // program under either scope).
+        let mut equal = 0;
+        for row in crate::figure_rows() {
+            let job = |full| SimJob::new(&row, "", RtConfig::rest(Mode::Secure, full), Scale::Test);
+            let (full, heap) = (job(true), job(false));
+            let same_program = full.build().unwrap().to_asm() == heap.build().unwrap().to_asm();
+            assert_eq!(key(&full) == key(&heap), same_program, "{}", row.name);
+            equal += usize::from(same_program);
+        }
+        assert!(
+            (1..crate::figure_rows().len()).contains(&equal),
+            "{equal} rows alike"
+        );
+    }
+
+    #[test]
+    fn independent_builds_of_a_job_key_alike() {
+        // A program's symbol map iterates in a per-instance order, so a
+        // key over the derived `Debug` of two builds of one job would
+        // differ whenever the program has two symbols or more.
+        let mut most_symbols = 0;
+        for row in crate::figure_rows() {
+            let job = SimJob::new(&row, "", RtConfig::rest(Mode::Secure, true), Scale::Test);
+            let (a, b) = (job.build().unwrap(), job.build().unwrap());
+            assert_eq!(job.cache_key(&a), job.cache_key(&b), "{}", row.name);
+            let pcs = (0..a.len() as u64).map(|i| Program::CODE_BASE + i * rest_isa::PC_STEP);
+            most_symbols = most_symbols.max(pcs.filter(|&pc| a.symbol_at(pc).is_some()).count());
+        }
+        assert!(
+            most_symbols >= 2,
+            "no figure row exercises the symbol order"
+        );
+    }
+
+    #[test]
+    fn full_and_heap_twins_share_a_run_only_when_their_programs_match() {
+        let twins = |workload| {
+            let row = FigureRow::of(workload);
+            let engine = Engine::new(2);
+            let outcomes = engine.run_all(&[true, false].map(|full| {
+                let rt = RtConfig::rest(Mode::Secure, full);
+                SimJob::new(&row, rt.label(), rt, Scale::Test)
+            }));
+            let cached: Vec<bool> = engine.take_timings().iter().map(|t| t.cached).collect();
+            (outcomes, cached)
+        };
+        // lbm protects no stack frame: Full builds Heap's program.
+        let (outcomes, cached) = twins(Workload::Lbm);
+        assert_eq!(cached, [false, true]);
+        let [full, heap] = [0, 1].map(|i| outcomes[i].as_ref().as_ref().unwrap());
+        assert_eq!(
+            (&*full.label, &*heap.label),
+            ("rest-secure-full", "rest-secure-heap")
+        );
+        assert_eq!(full.stats_map(), heap.stats_map());
+        // bzip2's Full program instruments its frames: two runs.
+        let (outcomes, cached) = twins(Workload::Bzip2);
+        assert_eq!(cached, [false, false]);
+        let [full, heap] = [0, 1].map(|i| outcomes[i].as_ref().as_ref().unwrap());
+        assert_ne!(full.stats_map(), heap.stats_map());
+    }
+
+    #[test]
+    fn a_shared_failure_names_each_requesting_job() {
+        let row = lbm_row();
+        let engine = Engine::new(1);
+        let jobs = [true, false].map(|full| {
+            let rt = RtConfig::rest(Mode::Secure, full);
+            SimJob {
+                max_uops: Some(50),
+                ..SimJob::new(&row, rt.label(), rt, Scale::Test)
+            }
+        });
+        let outcomes = engine.run_all(&jobs);
+        assert_eq!(engine.take_timings().iter().filter(|t| t.cached).count(), 1);
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let err = outcome.as_ref().as_ref().unwrap_err();
+            assert_eq!(err.kind, "uop-limit");
+            assert!(
+                err.detail.ends_with(&format!("under {}", job.label)),
+                "{err}"
+            );
         }
     }
 
@@ -1012,7 +1202,7 @@ mod tests {
             profile_guest: true,
             ..plain.clone()
         };
-        assert_ne!(plain.cache_key(), profiled.cache_key());
+        assert_ne!(key(&plain), key(&profiled));
         let result = profiled.execute().unwrap();
         let profile = result.profile.expect("profiled job carries the tables");
         assert_eq!(profile.cycles.total(), result.core.cycles);
@@ -1052,7 +1242,6 @@ mod tests {
 
     #[test]
     fn attack_jobs_accept_violation_stops_as_results() {
-        use rest_core::Mode;
         let job = SimJob::for_attack(
             rest_attacks::Attack::HeapOverflowWrite,
             "rest-secure-full",

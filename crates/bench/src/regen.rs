@@ -115,4 +115,40 @@ mod tests {
         assert_eq!(written, ["table1.json", "table1.txt"]);
         std::fs::remove_dir_all(&out).unwrap();
     }
+
+    #[test]
+    fn fig7_simulates_each_full_heap_twin_with_one_program_once() {
+        // 8 of the 16 figure rows protect no stack frame, so under each
+        // of the three REST modes Full builds Heap's program.
+        let out = std::env::temp_dir().join(format!("rest-regen-fig7-{}", std::process::id()));
+        let profile = out.join("profile.json");
+        let args = [
+            "fig7",
+            "--test",
+            "--jobs",
+            "2",
+            "--out",
+            &out.to_string_lossy(),
+            "--profile-out",
+            &profile.to_string_lossy(),
+        ]
+        .map(String::from);
+        run(BenchCli::from_args(&args).unwrap()).expect("fig7 runs");
+        let doc = rest_obs::Json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        let jobs = doc.get("jobs").and_then(rest_obs::Json::as_arr).unwrap();
+        let fig7: Vec<_> = jobs
+            .iter()
+            .filter(|j| {
+                j.get("label")
+                    .and_then(rest_obs::Json::as_str)
+                    .is_some_and(|l| l.starts_with("fig7: "))
+            })
+            .collect();
+        let cached = fig7
+            .iter()
+            .filter(|j| j.get("cached") == Some(&rest_obs::Json::Bool(true)))
+            .count();
+        assert_eq!((fig7.len(), cached), (128, 24));
+        std::fs::remove_dir_all(&out).unwrap();
+    }
 }

@@ -145,13 +145,16 @@ impl ArmedSet {
         }
         let w = self.width.bytes();
         let first_slot = addr / w * w;
-        let last = addr + size - 1;
+        // Inclusive end, and `last - slot` rather than `slot + w`: an
+        // access ending at the top of the address space does not
+        // overflow.
+        let last = addr.saturating_add(size - 1);
         let mut slot = first_slot;
         loop {
             if self.slots.contains(&slot) {
                 return Some(slot);
             }
-            if slot + w > last {
+            if last - slot < w {
                 return None;
             }
             slot += w;

@@ -34,6 +34,7 @@ mod multiproc;
 mod pipeline;
 mod profile;
 mod stats;
+mod store_window;
 mod superblock;
 mod system;
 mod trace;

@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use rest_core::{Mode, RestExceptionKind, Token};
 use rest_isa::{DynInst, MemAccessKind, OpKind};
 use rest_mem::{Hierarchy, LineReader, MemStats};
@@ -8,30 +6,8 @@ use rest_obs::{AuditEntry, AuditLog, CpiComponent, Gauges};
 use crate::bpred::BranchPredictor;
 use crate::config::CoreConfig;
 use crate::stats::CoreStats;
+use crate::store_window::{last_byte, StoreRec, StoreWindow};
 use crate::trace::{PipelineTrace, TraceEntry};
-
-/// An in-flight (not yet drained) store tracked for memory
-/// disambiguation and the REST LSQ rules.
-#[derive(Debug, Clone, Copy)]
-struct StoreRec {
-    addr: u64,
-    size: u64,
-    kind: MemAccessKind,
-    /// Cycle its address/data were ready (forwardable from here).
-    exec_done: u64,
-    /// Cycle its write completed at the L1-D (leaves the SQ here).
-    drain_done: u64,
-}
-
-impl StoreRec {
-    fn overlaps(&self, addr: u64, size: u64) -> bool {
-        self.addr < addr + size && addr < self.addr + self.size
-    }
-
-    fn contains(&self, addr: u64, size: u64) -> bool {
-        self.addr <= addr && addr + size <= self.addr + self.size
-    }
-}
 
 /// A ring scoreboard: one slot per instance of a structural resource
 /// (ROB entry, IQ entry, functional unit, ...), claimed round-robin in
@@ -84,7 +60,9 @@ impl Ring {
 ///
 /// Each structural resource is a `Ring` scoreboard. The store window
 /// keeps the in-flight stores the LSQ searches: at most `sq_entries`,
-/// minus those already drained before any later micro-op can issue.
+/// minus those already drained before any later micro-op can issue. A
+/// search walks it only when a store touches one of the access's line
+/// buckets (see the `store_window` module).
 ///
 /// Memory micro-ops walk the [`Hierarchy`]; the REST interactions
 /// (token-bit checks, arm/disarm handling, debug-mode store-commit
@@ -123,7 +101,7 @@ pub struct Pipeline {
     /// Dispatch barrier used by the serialise-rest-ops ablation.
     barrier_at: u64,
 
-    store_window: VecDeque<StoreRec>,
+    store_window: StoreWindow,
     stats: CoreStats,
     tracer: Option<PipelineTrace>,
     /// Dispatch frontier — "now" for occupancy gauges.
@@ -158,7 +136,7 @@ impl Pipeline {
             n: 0,
             last_commit: 0,
             barrier_at: 0,
-            store_window: VecDeque::with_capacity(cfg.sq_entries + 1),
+            store_window: StoreWindow::new(cfg.sq_entries),
             stats: CoreStats::default(),
             tracer: None,
             last_disp: 0,
@@ -346,7 +324,7 @@ impl Pipeline {
                 let exec_done = ready + 1;
                 let rec = StoreRec {
                     addr: mem_ref.addr,
-                    size: mem_ref.size,
+                    last: last_byte(mem_ref.addr, mem_ref.size),
                     kind: mem_ref.kind,
                     exec_done,
                     drain_done: u64::MAX, // filled at drain below
@@ -415,10 +393,7 @@ impl Pipeline {
             }
             // SQ entry frees when the write has drained.
             self.sq_ring.push(rec.drain_done);
-            self.store_window.push_back(rec);
-            while self.store_window.len() > self.cfg.sq_entries {
-                self.store_window.pop_front();
-            }
+            self.store_window.push(rec);
         }
 
         if serialized {
@@ -459,26 +434,29 @@ impl Pipeline {
         // remains unexplained; the residue is useful work (base). The
         // clamped fill keeps the exact-sum property even when stall
         // windows overlap.
+        // A micro-op that leaves the frontier where it was adds nothing.
         let delta = commit - prev_commit;
-        let mut remaining = delta;
-        let [l1d_miss, l2_miss, dram, rest_check] = mem_stall;
-        for (component, amount) in [
-            (CpiComponent::StoreDrain, store_drain_stall),
-            (CpiComponent::Dram, dram),
-            (CpiComponent::L2Miss, l2_miss),
-            (CpiComponent::L1dMiss, l1d_miss),
-            (CpiComponent::RestCheck, rest_check),
-            (CpiComponent::Lsq, lsq_stall),
-            (CpiComponent::Rob, rob_stall),
-            (CpiComponent::Iq, iq_stall),
-            (CpiComponent::Branch, branch_stall),
-            (CpiComponent::FetchStall, fetch_stall),
-        ] {
-            let take = amount.min(remaining);
-            self.stats.cpi.add(component, take);
-            remaining -= take;
+        if delta > 0 {
+            let mut remaining = delta;
+            let [l1d_miss, l2_miss, dram, rest_check] = mem_stall;
+            for (component, amount) in [
+                (CpiComponent::StoreDrain, store_drain_stall),
+                (CpiComponent::Dram, dram),
+                (CpiComponent::L2Miss, l2_miss),
+                (CpiComponent::L1dMiss, l1d_miss),
+                (CpiComponent::RestCheck, rest_check),
+                (CpiComponent::Lsq, lsq_stall),
+                (CpiComponent::Rob, rob_stall),
+                (CpiComponent::Iq, iq_stall),
+                (CpiComponent::Branch, branch_stall),
+                (CpiComponent::FetchStall, fetch_stall),
+            ] {
+                let take = amount.min(remaining);
+                self.stats.cpi.add(component, take);
+                remaining -= take;
+            }
+            self.stats.cpi.add(CpiComponent::Base, remaining);
         }
-        self.stats.cpi.add(CpiComponent::Base, remaining);
         self.n += 1;
     }
 
@@ -496,15 +474,14 @@ impl Pipeline {
     ) -> (u64, u64, [u64; 4]) {
         let mem_ref = d.mem.expect("load has a memory reference");
         let (addr, size) = (mem_ref.addr, mem_ref.size);
+        let last = last_byte(addr, size);
         let mut ready = ready;
         let mut forwarded: Option<u64> = None;
         let mut forward_from_arm = false;
         self.prune_store_window();
-        // Scan younger-to-older among in-flight stores.
-        for s in self.store_window.iter().rev() {
-            if s.drain_done <= ready || !s.overlaps(addr, size) {
-                continue;
-            }
+        // The youngest in-flight store writing any byte of the load
+        // decides.
+        if let Some(s) = self.store_window.youngest_match(addr, last, ready).copied() {
             match s.kind {
                 MemAccessKind::Arm | MemAccessKind::Disarm => {
                     // The load's match is an arm/disarm entry: raising
@@ -516,7 +493,7 @@ impl Pipeline {
                     forwarded = Some(ready.max(s.exec_done) + 1);
                 }
                 MemAccessKind::Store | MemAccessKind::Load => {
-                    if s.contains(addr, size) {
+                    if s.contains(addr, last) {
                         self.stats.store_forwards += 1;
                         forwarded = Some(ready.max(s.exec_done) + 1);
                     } else {
@@ -527,7 +504,6 @@ impl Pipeline {
                     }
                 }
             }
-            break; // youngest matching store decides
         }
         if forward_from_arm {
             self.record_rest_audit(RestExceptionKind::ForwardFromArm, d, addr);
@@ -566,42 +542,20 @@ impl Pipeline {
     /// `sq_entries` stores that differs only in entries no scan matches.
     fn prune_store_window(&mut self) {
         let horizon = self.next_fetch_cycle + self.cfg.frontend_depth + 1;
-        while self
-            .store_window
-            .front()
-            .is_some_and(|s| s.drain_done <= horizon)
-        {
-            self.store_window.pop_front();
-        }
+        self.store_window.prune(horizon);
     }
 
     /// Table I LSQ-column checks for store-like micro-ops entering the
     /// store queue.
     fn check_store_lsq_rules(&mut self, d: &DynInst, at: u64) {
         let mem_ref = d.mem.expect("store-like has a memory reference");
-        let (addr, size) = (mem_ref.addr, mem_ref.size);
-        let mut detected: Option<RestExceptionKind> = None;
+        let addr = mem_ref.addr;
         self.prune_store_window();
-        for s in self.store_window.iter().rev() {
-            if s.drain_done <= at || !s.overlaps(addr, size) {
-                continue;
-            }
-            match (d.kind, s.kind) {
-                // Store hits an in-flight arm to the same location.
-                (OpKind::Store, MemAccessKind::Arm) => {
-                    self.stats.lsq_rest_exceptions += 1;
-                    detected = Some(RestExceptionKind::StoreHitInflightArm);
-                }
-                // Double in-flight disarm.
-                (OpKind::Disarm, MemAccessKind::Disarm) => {
-                    self.stats.lsq_rest_exceptions += 1;
-                    detected = Some(RestExceptionKind::DoubleInflightDisarm);
-                }
-                _ => {}
-            }
-            break;
-        }
+        let detected = self
+            .store_window
+            .lsq_rule(d.kind, addr, last_byte(addr, mem_ref.size), at);
         if let Some(kind) = detected {
+            self.stats.lsq_rest_exceptions += 1;
             self.record_rest_audit(kind, d, addr);
         }
     }

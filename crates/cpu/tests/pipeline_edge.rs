@@ -2,7 +2,7 @@
 //! the serialisation ablation, REST LSQ rules under adversarial op
 //! orders, and front-end behaviour on large code footprints.
 
-use rest_core::Mode;
+use rest_core::{Mode, MteMode};
 use rest_cpu::{CoreConfig, SimConfig, StopReason, System};
 use rest_isa::{EcallNum, ProgramBuilder, Reg};
 use rest_runtime::RtConfig;
@@ -175,4 +175,44 @@ fn narrow_core_config_is_respected() {
     let r = System::new(p.build(), cfg).run();
     // 1-wide commit: at least one cycle per uop.
     assert!(r.cycles() >= r.core.uops);
+}
+
+#[test]
+fn accesses_ending_at_the_top_of_the_address_space_run_under_every_scheme() {
+    // Each access's last byte is u64::MAX: no end computation may
+    // overflow (a host panic in debug builds), and the load still
+    // forwards from the store before it, which a wrapped end cannot.
+    let prog = || {
+        let mut p = ProgramBuilder::new();
+        p.li(Reg::S0, -8);
+        p.li(Reg::T0, 7);
+        p.sd(Reg::T0, Reg::S0, 0);
+        p.ld(Reg::T1, Reg::S0, 0);
+        p.sd(Reg::T1, Reg::S0, 0);
+        p.halt();
+        p.build()
+    };
+    for rt in [
+        RtConfig::plain(),
+        RtConfig::asan(),
+        RtConfig::rest(Mode::Secure, true),
+        RtConfig::rest(Mode::Debug, true),
+        RtConfig::rest_perfect(true),
+        RtConfig::mte(MteMode::Sync),
+        RtConfig::mte(MteMode::Async),
+    ] {
+        let label = rt.label();
+        let r = System::new(prog(), SimConfig::isca2018(rt)).run();
+        assert!(
+            matches!(
+                r.stop,
+                StopReason::Halted | StopReason::Violation(_) | StopReason::Fault(_)
+            ),
+            "{label}: {:?}",
+            r.stop
+        );
+        if r.stop == StopReason::Halted {
+            assert!(r.core.store_forwards >= 1, "{label}: the load must forward");
+        }
+    }
 }

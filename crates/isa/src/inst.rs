@@ -210,7 +210,7 @@ impl EcallNum {
 /// being built; [`crate::ProgramBuilder::build`] resolves them to absolute
 /// PCs and rejects unbound labels, so an executable [`crate::Program`]
 /// never contains dangling targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = src1 <op> src2`.
     Alu {

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::dyninst::Component;
 use crate::inst::{AluOp, BranchCond, EcallNum, Inst, MemSize};
@@ -111,6 +112,34 @@ impl Program {
             let _ = writeln!(out, "  {pc:#08x}: {inst}");
         }
         out
+    }
+}
+
+/// A canonical encoding: two programs hash alike when they run alike,
+/// however they were built. Branch and jump targets take part as
+/// resolved PCs (label numbering is the builder's), and symbols in PC
+/// order (the map's iteration order varies per instance).
+impl Hash for Program {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.code.len().hash(h);
+        for inst in &self.code {
+            std::mem::discriminant(inst).hash(h);
+            match *inst {
+                Inst::Branch {
+                    cond,
+                    src1,
+                    src2,
+                    target,
+                } => (cond, src1, src2, self.label_pc(target)).hash(h),
+                Inst::Jal { dst, target } => (dst, self.label_pc(target)).hash(h),
+                other => other.hash(h),
+            }
+        }
+        self.components.hash(h);
+        self.data.hash(h);
+        let mut symbols: Vec<(&u64, &String)> = self.symbols.iter().collect();
+        symbols.sort_unstable();
+        symbols.hash(h);
     }
 }
 

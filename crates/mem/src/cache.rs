@@ -184,15 +184,19 @@ impl Cache {
     /// accesses that straddle a slot — or a cache-line — boundary check
     /// each covered slot in whichever line holds it.
     pub fn access_touches_token(&self, addr: u64, size: u64, slot_bytes: u64) -> bool {
-        let last = addr + size.max(1) - 1;
+        // Inclusive end, stepping only while another slot starts at or
+        // before it: no overflow at the top of the address space.
+        let last = addr.saturating_add(size.max(1) - 1);
         let mut slot = addr - addr % slot_bytes;
-        while slot <= last {
+        loop {
             if self.token_bit_covering(slot, slot_bytes) {
                 return true;
             }
+            if last - slot < slot_bytes {
+                return false;
+            }
             slot += slot_bytes;
         }
-        false
     }
 
     /// ORs `mask` into the token bits of `addr`'s line.

@@ -447,7 +447,9 @@ impl Hierarchy {
             MemAccessKind::Arm | MemAccessKind::Disarm => 1,
             _ => size.max(1),
         };
-        let last = addr + span - 1;
+        // Inclusive end: an access ending at the top of the address
+        // space does not overflow.
+        let last = addr.saturating_add(span - 1);
         let token_bit = match token_mask {
             Some(mask) if self.l1d.line_addr(last) == line => {
                 let (first_slot, last_slot) = ((addr - line) / w, (last - line) / w);

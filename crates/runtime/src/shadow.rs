@@ -43,7 +43,9 @@ fn kind_of_poison(value: u8) -> AsanReportKind {
 ///
 /// The report kind for the first inaccessible byte.
 pub fn classify_access(mem: &GuestMemory, addr: u64, size: u64) -> Result<(), AsanReportKind> {
-    for a in addr..addr + size.max(1) {
+    // Inclusive end: an access ending at the top of the address space
+    // must not wrap to an empty range.
+    for a in addr..=addr.saturating_add(size.max(1) - 1) {
         let sv = mem.read_u8(shadow_addr(a));
         if sv == 0 {
             continue;
