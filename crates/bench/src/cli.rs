@@ -28,15 +28,20 @@
 //! --campaign-trace-out PATH
 //!                        write that document's campaign timeline as a
 //!                        Perfetto trace (one track per engine worker) to PATH
-//! --verify               statically lint each guest program with rest-verify
-//!                        before simulating; fail fast on error-or-worse findings
-//! --reference            simulate on the reference decode path (re-decode every
-//!                        fetch) instead of the decoded-uop cache
-//! --trace                simulate on the superblock-trace tier (decoded-uop
-//!                        cache plus run-time trace compilation of hot loops)
+//! --verify               statically lint each matrix job's program with
+//!                        rest-verify before simulating; fail fast on
+//!                        error-or-worse findings
+//! --reference            simulate matrix jobs on the reference decode path
+//!                        (re-decode every fetch) instead of the decoded-uop cache
 //! --emit-regress DIR     write minimized fuzz reproducers (.s + .trace) into DIR
 //! --help                 usage
 //! ```
+//!
+//! `--verify`, `--reference`, `--sample-interval` and `--trace-out`
+//! apply to the figure and campaign matrix jobs only
+//! ([`Harness::run_matrix`]); job lists run through
+//! [`Harness::run_all`] (the attack, regression, fault and elision
+//! cells) keep their own configuration.
 //!
 //! `--jobs` is clamped to the host's available parallelism: requesting
 //! more workers than cores never helps a CPU-bound simulation and the
@@ -95,10 +100,6 @@ pub struct BenchCli {
     /// every instruction on every fetch instead of replaying from the
     /// decoded-uop cache. Output must be byte-identical; CI diffs it.
     pub reference: bool,
-    /// Simulate on the superblock-trace tier (`--trace`): decoded-uop
-    /// cache plus run-time trace compilation of hot loops. Output must
-    /// be byte-identical; CI diffs it.
-    pub trace: bool,
     /// Directory to write minimized regression reproducers to
     /// (`--emit-regress`), if any.
     pub emit_regress: Option<PathBuf>,
@@ -112,13 +113,10 @@ impl BenchCli {
     /// campaign (`fuzz`).
     pub const DEFAULT_FUZZ_SEED: u64 = 0xF0CC_5EED;
 
-    /// The execution tier the flags select: `--trace` wins over
-    /// `--reference` (the more-specialised tier), default is the
-    /// decoded-uop cache.
+    /// The execution tier the flags select: the reference decode path
+    /// under `--reference`, the decoded-uop cache otherwise.
     pub fn exec_tier(&self) -> ExecTier {
-        if self.trace {
-            ExecTier::Trace
-        } else if self.reference {
+        if self.reference {
             ExecTier::Reference
         } else {
             ExecTier::Fast
@@ -168,7 +166,6 @@ impl BenchCli {
             campaign_trace_out: None,
             verify: false,
             reference: false,
-            trace: false,
             emit_regress: None,
         };
         let mut it = args.iter();
@@ -211,7 +208,6 @@ impl BenchCli {
                 }
                 "--verify" => cli.verify = true,
                 "--reference" => cli.reference = true,
-                "--trace" => cli.trace = true,
                 "--emit-regress" => {
                     let v = it.next().ok_or("--emit-regress needs a directory")?;
                     cli.emit_regress = Some(PathBuf::from(v));
@@ -241,7 +237,7 @@ impl BenchCli {
             "usage: {program} [EXPERIMENT ...] [--test] [--jobs N] [--out DIR]\n\
              \x20                 [--filter SUBSTRING] [--sample-interval N] [--trace-out PATH]\n\
              \x20                 [--profile-out PATH] [--campaign-trace-out PATH]\n\
-             \x20                 [--verify] [--reference] [--trace] [--emit-regress DIR]\n\
+             \x20                 [--verify] [--reference] [--emit-regress DIR]\n\
              \n\
              EXPERIMENT           one of: {}\n\
              \x20                    (default: all, in that order)\n\
@@ -251,25 +247,27 @@ impl BenchCli {
              \x20                    available parallelism)\n\
              --out DIR            write artifacts into DIR (default: results)\n\
              --filter SUBSTRING   keep only rows whose benchmark name contains SUBSTRING\n\
-             --sample-interval N  sample counters + gauges every N committed\n\
-             \x20                    instructions into the JSON \"series\" sections (0 = off)\n\
+             --sample-interval N  sample counters + gauges every N committed instructions\n\
+             \x20                    of each matrix job into the JSON \"series\" sections (0 = off)\n\
              --trace-out PATH     write a Perfetto/Chrome trace-event JSON of the first\n\
-             \x20                    traced job's pipeline activity ({TRACE_UOPS} micro-ops) to PATH\n\
+             \x20                    matrix job's pipeline activity ({TRACE_UOPS} micro-ops) to PATH\n\
              --profile-out PATH   write the host document (phase, experiment and per-job\n\
              \x20                    wall times, worker rollup, cache and panic counts) to\n\
              \x20                    PATH; no host document is written without it\n\
              --campaign-trace-out PATH\n\
              \x20                    write the host document's campaign timeline as a\n\
              \x20                    Perfetto trace (one track per engine worker) to PATH\n\
-             --verify             statically lint each guest program before simulating;\n\
-             \x20                    fail fast on error-or-worse findings\n\
-             --reference          re-decode every fetch instead of using the\n\
-             \x20                    decoded-uop cache (differential/perf baseline)\n\
-             --trace              superblock-trace execution tier: decoded-uop cache\n\
-             \x20                    plus run-time trace compilation of hot loops\n\
+             --verify             statically lint each matrix job's program before\n\
+             \x20                    simulating; fail fast on error-or-worse findings\n\
+             --reference          re-decode every fetch of matrix jobs instead of using\n\
+             \x20                    the decoded-uop cache (differential/perf baseline)\n\
              --emit-regress DIR   write minimized fuzz reproducers (.s + .trace)\n\
              \x20                    into DIR\n\
-             --help               this message",
+             --help               this message\n\
+             \n\
+             --verify, --reference, --sample-interval and --trace-out apply to the figure\n\
+             and campaign matrix jobs only; the attack, regression, fault and elision job\n\
+             lists ignore them.",
             names.join(", ")
         )
     }
@@ -367,19 +365,17 @@ impl Harness {
     }
 
     /// Runs an experiment matrix with the command line applied: the
-    /// sampler interval, the `--verify` gate and the execution tier on
-    /// every job, and under `--trace-out` tracing on the first.
-    pub fn run_matrix(&mut self, spec: MatrixSpec) -> MatrixResults {
-        let spec = MatrixSpec {
-            sample_interval: self.cli.sample_interval,
-            trace_uops: if self.cli.trace_out.is_some() {
-                TRACE_UOPS
-            } else {
-                0
-            },
-            verify: self.cli.verify,
-            tier: self.cli.exec_tier(),
-            ..spec
+    /// `--verify` gate, and on the matrix's machine the sampler
+    /// interval, the execution tier and under `--trace-out` the trace
+    /// length (which the engine applies to the first job only).
+    pub fn run_matrix(&mut self, mut spec: MatrixSpec) -> MatrixResults {
+        spec.verify = self.cli.verify;
+        spec.cfg.sample_interval = self.cli.sample_interval;
+        spec.cfg.tier = self.cli.exec_tier();
+        spec.cfg.trace_uops = if self.cli.trace_out.is_some() {
+            TRACE_UOPS
+        } else {
+            0
         };
         let matrix = self.simulate(|engine| engine.run_matrix(&spec));
         if self.trace.is_none() {
@@ -508,7 +504,7 @@ mod tests {
         assert_eq!(cli.campaign_trace_out, None);
         assert!(!cli.verify);
         assert!(!cli.reference);
-        assert!(!cli.trace);
+        assert_eq!(cli.exec_tier(), ExecTier::Fast);
         assert_eq!(cli.emit_regress, None);
     }
 
@@ -557,18 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_parses_and_wins_tier_selection() {
-        let cli = BenchCli::from_args(&argv(&[])).unwrap();
-        assert_eq!(cli.exec_tier(), ExecTier::Fast);
-        let cli = BenchCli::from_args(&argv(&["--trace"])).unwrap();
-        assert!(cli.trace);
-        assert_eq!(cli.exec_tier(), ExecTier::Trace);
-        // Both flags: the more-specialised tier wins deterministically.
-        let cli = BenchCli::from_args(&argv(&["--reference", "--trace"])).unwrap();
-        assert_eq!(cli.exec_tier(), ExecTier::Trace);
-    }
-
-    #[test]
     fn observability_flags_parse() {
         let cli = BenchCli::from_args(&argv(&[
             "--sample-interval",
@@ -613,6 +597,7 @@ mod tests {
             &["--fuzz-seed", "1"],
             &["--round-size", "5"],
             &["--min-programs", "5"],
+            &["--trace"],
         ] {
             assert!(BenchCli::from_args(&argv(bad)).is_err(), "{bad:?}");
         }
@@ -624,11 +609,7 @@ mod tests {
         let cli = BenchCli::from_args(&argv(&["--test", "--jobs", "1"])).unwrap();
         let mut h = Harness::new(cli);
         h.begin("harness-test", Scale::Test);
-        let job = SimJob::plain(
-            &FigureRow::of(Workload::Lbm),
-            crate::engine::CoreKind::OutOfOrder,
-            Scale::Test,
-        );
+        let job = SimJob::plain(&FigureRow::of(Workload::Lbm), Scale::Test);
         let first = h.run_all(std::slice::from_ref(&job));
         let again = h.run_all(std::slice::from_ref(&job));
         assert!(first[0].is_ok());
@@ -662,10 +643,8 @@ mod tests {
             )
         };
         let matrix = h.run_matrix(spec);
-        let reference = SimJob {
-            tier: ExecTier::Reference,
-            ..SimJob::plain(&row, crate::engine::CoreKind::OutOfOrder, Scale::Test)
-        };
+        let mut reference = SimJob::plain(&row, Scale::Test);
+        reference.cfg.tier = ExecTier::Reference;
         // The engine caches by the whole job: a hit proves the matrix
         // job carried the reference tier.
         let again = h.run_all(&[reference]);

@@ -305,7 +305,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let mut spec = MatrixSpec::new(rows, columns, scale);
     // Guest profiling rides along so the per-allocation-site check
     // attribution can be aggregated and reconciled per scheme.
-    spec.profile_guest = true;
+    spec.cfg.profile_guest = true;
     let matrix = h.run_matrix(spec);
 
     print!(
@@ -667,7 +667,7 @@ mod tests {
             ],
             Scale::Test,
         );
-        spec.profile_guest = true;
+        spec.cfg.profile_guest = true;
         let matrix = Engine::new(2).run_matrix(&spec);
         let per = check_attribution(&matrix).expect("reconciliation holds");
         let by_label: std::collections::HashMap<&str, &CheckAttribution> =

@@ -68,10 +68,8 @@ pub fn scheme_pairs() -> Vec<(&'static str, &'static str, RtConfig)> {
 pub fn jobs_for(row: &FigureRow, scale: Scale) -> Vec<SimJob> {
     let mut jobs = Vec::new();
     for (full_label, elided_label, rt) in scheme_pairs() {
-        let base = SimJob {
-            profile_guest: true,
-            ..SimJob::new(row, full_label, rt, scale)
-        };
+        let mut base = SimJob::new(row, full_label, rt, scale);
+        base.cfg.profile_guest = true;
         jobs.push(base.clone());
         jobs.push(SimJob {
             elide: true,
@@ -797,10 +795,8 @@ mod tests {
     use rest_workloads::Workload;
 
     fn pair(row: &FigureRow, label: &str, rt: RtConfig) -> (SimResult, SimResult) {
-        let full = SimJob {
-            profile_guest: true,
-            ..SimJob::new(row, label, rt, Scale::Test)
-        };
+        let mut full = SimJob::new(row, label, rt, Scale::Test);
+        full.cfg.profile_guest = true;
         let elided = SimJob {
             elide: true,
             ..full.clone()

@@ -28,97 +28,77 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rest_cpu::{ExecTier, SimConfig, SimResult, StopReason, System};
+use rest_cpu::{SimConfig, SimResult, StopReason, System};
 use rest_isa::Program;
 use rest_obs::JobTiming;
 use rest_runtime::RtConfig;
-use rest_workloads::{Scale, Workload, WorkloadParams};
+use rest_workloads::{Scale, WorkloadParams};
 
 use crate::{stack_for, FigureRow};
 
-/// Which pipeline model a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
-    /// The paper's Table II 8-wide out-of-order core.
-    OutOfOrder,
-    /// The narrow in-order core (Figure 3's measurement platform).
-    InOrder,
+/// The guest program a job runs.
+#[derive(Debug, Clone)]
+pub enum Guest {
+    /// A benchmark row: its workload kernel built at the job's scale.
+    Workload(FigureRow),
+    /// An attack scenario (fault-injection and defense campaigns mix
+    /// clean workload rows with attack rows).
+    Attack(rest_attacks::Attack),
+    /// A minimized regression-corpus program.
+    Regress(RegressProg),
 }
 
-/// One simulation to run: a benchmark row under one configuration.
+impl Guest {
+    /// Display name (`"gobmk-capture"`, `"heartbleed-oob-read"`, …).
+    pub fn name(&self) -> &str {
+        match self {
+            Guest::Workload(row) => row.name,
+            Guest::Attack(attack) => attack.name(),
+            Guest::Regress(prog) => &prog.name,
+        }
+    }
+}
+
+impl std::fmt::Display for Guest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Guest::Workload(row) => write!(f, "{} (seed {:#x})", row.workload, row.seed),
+            Guest::Attack(attack) => write!(f, "attack {}", attack.name()),
+            Guest::Regress(prog) => write!(f, "regression case {}", prog.name),
+        }
+    }
+}
+
+/// One simulation to run: a guest program on one [`SimConfig`].
 ///
 /// The job is pure data; [`SimJob::build`] builds its program and
-/// [`SimJob::execute`] performs the simulation. Two jobs that build the
-/// same program and differ otherwise only in the display `name` and
-/// `label` (and `rt.stack_protection`, which only picks how the program
-/// is built) are the same simulation and share one cached run in the
-/// [`Engine`] ([`SimJob::cache_key`]). Every field is plain data with a
-/// deterministic `Debug` encoding, which the key is derived from.
+/// [`SimJob::execute`] performs the simulation with
+/// `System::new(program, cfg)`. The other fields are the rules the
+/// simulator does not own: how the program is built (`scale`), what is
+/// checked or attached before the run (`verify`, `elide`,
+/// `inject_panic`) and which stops count as success
+/// (`accept_any_stop`). Two jobs that build the same program and differ
+/// otherwise only in display strings (and `cfg.rt.stack_protection`, which
+/// only picks how the program is built) are the same simulation and
+/// share one cached run in the [`Engine`] ([`SimJob::cache_key`]).
+/// Every field is plain data with a deterministic `Debug` encoding,
+/// which the key is derived from.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// Row display name (`"gobmk-capture"`, `"lbm"`, …).
-    pub name: String,
+    /// The guest program.
+    pub guest: Guest,
     /// Column display label (`"asan"`, `"rest-secure-full"`, …).
     pub label: String,
-    /// Workload kernel.
-    pub workload: Workload,
-    /// Input seed (gobmk sub-inputs vary the board position).
-    pub seed: u64,
-    /// Runtime / protection-scheme configuration.
-    pub rt: RtConfig,
-    /// Pipeline model.
-    pub core: CoreKind,
-    /// Input-set scale.
+    /// The machine and run configuration handed to `System::new`.
+    pub cfg: SimConfig,
+    /// Input-set scale of a workload guest.
     pub scale: Scale,
-    /// Ablation: serialise arm/disarm execution (§III-B's rejected
-    /// alternative).
-    pub serialize_rest_ops: bool,
-    /// Dedicated token-cache entries (0 = paper's evaluated design).
-    pub token_cache_entries: usize,
-    /// Micro-op budget override; `None` keeps the generous default.
-    /// (Small values force [`StopReason::UopLimit`] — used by tests to
-    /// inject failing jobs.)
-    pub max_uops: Option<u64>,
-    /// Interval sampler period in committed instructions (0 = off);
-    /// the result then carries a [`rest_obs::TimeSeries`].
-    pub sample_interval: u64,
-    /// Pipeline-trace length in micro-ops (0 = off); the result then
-    /// carries a [`rest_cpu::PipelineTrace`].
-    pub trace_uops: usize,
-    /// Run the static ARM/DISARM verifier over the built program before
+    /// Run the static ARM/DISARM verifier over a workload program before
     /// simulating, failing fast (kind `"verify"`) on any error-or-worse
-    /// finding instead of burning cycles on a bad program.
+    /// finding instead of burning cycles on a bad program. Attack and
+    /// regression guests skip the gate: they violate the discipline on
+    /// purpose.
     pub verify: bool,
-    /// Functional execution tier: reference re-decode (`--reference`),
-    /// the decoded-uop cache (default), or superblock traces
-    /// (`--trace`). Results are identical by construction; CI diffs the
-    /// tiers byte-for-byte.
-    pub tier: ExecTier,
-    /// Attack scenario to run instead of `workload` (fault-injection
-    /// campaigns mix clean workload rows with attack rows). When set,
-    /// `workload` is an ignored placeholder and the verify gate is
-    /// skipped — attacks violate the ARM/DISARM discipline on purpose.
-    pub attack: Option<rest_attacks::Attack>,
-    /// Hardware fault to inject during the run (`rest-faults`).
-    pub fault: Option<rest_faults::FaultSpec>,
-    /// Treat **any** guest stop as a successful simulation instead of
-    /// mapping non-`exit(0)` stops to [`JobError`]s. Fault campaigns
-    /// need the full result (stop reason, output, fault report) for
-    /// every cell — a detected violation is data, not a failure.
-    pub accept_any_stop: bool,
-    /// Guest cycle budget (0 = off): the simulation stops with
-    /// [`StopReason::CycleLimit`] once the pipeline clock (or, for
-    /// functional runs, the committed-uop count) reaches it. This is
-    /// the fault campaign's watchdog: deterministic, so results stay
-    /// byte-identical on any host.
-    pub max_cycles: u64,
-    /// Test knob: the job panics before simulating — exercises the
-    /// panic-isolation path.
-    pub inject_panic: bool,
-    /// Collect the guest hotspot profile (dense per-PC cycle/uop/check
-    /// counters plus the per-allocation-site table); the result then
-    /// carries a [`rest_cpu::GuestProfile`].
-    pub profile_guest: bool,
     /// Run the static check-elision pass (`rest-verify`) over the built
     /// program and hand its map to the simulator: proven-safe accesses
     /// skip check injection and validation, counted in
@@ -127,11 +107,15 @@ pub struct SimJob {
     /// any residual elisions on clean-linting attacks are pinned by the
     /// differential attack-coverage gate (identical stop and audit).
     pub elide: bool,
-    /// Minimized regression program to run instead of `workload`
-    /// (assembly text from `tests/regress/`, see `rest_attacks::regress`).
-    /// Like `attack`, the workload is an ignored placeholder and the
-    /// verify gate is skipped — reproducers trip REST on purpose.
-    pub regress: Option<RegressProg>,
+    /// Treat **any** guest stop as a successful simulation instead of
+    /// mapping non-`exit(0)` stops to [`JobError`]s. Attack, regression
+    /// and fault campaigns need the full result (stop reason, output,
+    /// fault report) for every cell — a detected violation is data, not
+    /// a failure.
+    pub accept_any_stop: bool,
+    /// Test knob: the job panics before simulating — exercises the
+    /// panic-isolation path.
+    pub inject_panic: bool,
 }
 
 /// A regression-corpus program: minimized reproducer assembly replayed
@@ -145,32 +129,28 @@ pub struct RegressProg {
 }
 
 impl SimJob {
-    /// A job running `row` under `rt` on the out-of-order core.
-    pub fn new(row: &FigureRow, label: impl Into<String>, rt: RtConfig, scale: Scale) -> SimJob {
+    /// A job running `guest` on `cfg` with every job-level rule off.
+    pub fn on(guest: Guest, label: impl Into<String>, cfg: SimConfig, scale: Scale) -> SimJob {
         SimJob {
-            name: row.name.to_string(),
+            guest,
             label: label.into(),
-            workload: row.workload,
-            seed: row.seed,
-            rt,
-            core: CoreKind::OutOfOrder,
+            cfg,
             scale,
-            serialize_rest_ops: false,
-            token_cache_entries: 0,
-            max_uops: None,
-            sample_interval: 0,
-            trace_uops: 0,
             verify: false,
-            tier: ExecTier::Fast,
-            attack: None,
-            fault: None,
-            accept_any_stop: false,
-            max_cycles: 0,
-            inject_panic: false,
-            profile_guest: false,
             elide: false,
-            regress: None,
+            accept_any_stop: false,
+            inject_panic: false,
         }
+    }
+
+    /// A job running `row` under `rt` on the Table II machine.
+    pub fn new(row: &FigureRow, label: impl Into<String>, rt: RtConfig, scale: Scale) -> SimJob {
+        SimJob::on(Guest::Workload(*row), label, SimConfig::isca2018(rt), scale)
+    }
+
+    /// The unprotected baseline job for `row` on the Table II machine.
+    pub fn plain(row: &FigureRow, scale: Scale) -> SimJob {
+        SimJob::new(row, "plain", RtConfig::plain(), scale)
     }
 
     /// A job replaying regression-corpus program `prog` under `rt`: any
@@ -181,19 +161,10 @@ impl SimJob {
         rt: RtConfig,
         scale: Scale,
     ) -> SimJob {
-        let row = FigureRow {
-            name: "regress",
-            // Placeholder only: `regress` overrides the workload.
-            workload: Workload::Lbm,
-            seed: 0,
-        };
-        let mut job = SimJob {
+        SimJob {
             accept_any_stop: true,
-            ..SimJob::new(&row, label, rt, scale)
-        };
-        job.name = prog.name.clone();
-        job.regress = Some(prog);
-        job
+            ..SimJob::on(Guest::Regress(prog), label, SimConfig::isca2018(rt), scale)
+        }
     }
 
     /// A job running attack scenario `attack` under `rt`: any stop is
@@ -204,52 +175,29 @@ impl SimJob {
         rt: RtConfig,
         scale: Scale,
     ) -> SimJob {
-        let row = FigureRow {
-            name: attack.name(),
-            // Placeholder only: `attack` overrides the workload.
-            workload: Workload::Lbm,
-            seed: 0,
-        };
         SimJob {
-            attack: Some(attack),
             accept_any_stop: true,
-            ..SimJob::new(&row, label, rt, scale)
-        }
-    }
-
-    /// The unprotected baseline job for `row`.
-    pub fn plain(row: &FigureRow, core: CoreKind, scale: Scale) -> SimJob {
-        SimJob {
-            core,
-            ..SimJob::new(row, "plain", RtConfig::plain(), scale)
-        }
-    }
-
-    /// The job for `row` under matrix column `col`.
-    pub fn for_column(row: &FigureRow, col: &ColumnSpec, core: CoreKind, scale: Scale) -> SimJob {
-        SimJob {
-            core,
-            serialize_rest_ops: col.serialize_rest_ops,
-            token_cache_entries: col.token_cache_entries,
-            ..SimJob::new(row, col.label.clone(), col.rt.clone(), scale)
+            ..SimJob::on(Guest::Attack(attack), label, SimConfig::isca2018(rt), scale)
         }
     }
 
     /// Identity of the simulation this job performs with `program` (its
     /// [`SimJob::build`]): a digest of the job's `Debug` encoding with
-    /// the display strings `name` and `label` and `rt.stack_protection`
-    /// blanked, so every other field — including any added later —
-    /// takes part, and of the program's canonical encoding. Stack
-    /// protection only chooses how the program is built (and the
-    /// label), so with the program in the key it moves the key exactly
-    /// when it moves the program.
+    /// the display strings (`label`, a workload row's name) and
+    /// `cfg.rt.stack_protection` blanked, so every other field — including
+    /// any added later — takes part, and of the program's canonical
+    /// encoding. Stack protection only chooses how the program is built
+    /// (and the label), so with the program in the key it moves the key
+    /// exactly when it moves the program.
     pub fn cache_key(&self, program: &Program) -> JobKey {
         let mut recipe = SimJob {
-            name: String::new(),
             label: String::new(),
             ..self.clone()
         };
-        recipe.rt.stack_protection = false;
+        recipe.cfg.rt.stack_protection = false;
+        if let Guest::Workload(row) = &mut recipe.guest {
+            row.name = "";
+        }
         let recipe = format!("{recipe:?}");
         // Two SipHash digests, salted apart: 128 bits.
         let digest = |salt: u8| {
@@ -268,21 +216,19 @@ impl SimJob {
             if self.inject_panic {
                 panic!("injected panic (test knob)");
             }
-            if let Some(attack) = self.attack {
-                Ok(attack.build(stack_for(&self.rt)))
-            } else if let Some(prog) = &self.regress {
-                rest_isa::parse_asm(&prog.asm).map_err(|e| JobError {
+            let rt = &self.cfg.rt;
+            match &self.guest {
+                Guest::Workload(row) => Ok(row.workload.build(&WorkloadParams {
+                    scale: self.scale,
+                    stack_scheme: stack_for(rt),
+                    token_width: rt.token_width,
+                    seed: row.seed,
+                })),
+                Guest::Attack(attack) => Ok(attack.build(stack_for(rt))),
+                Guest::Regress(prog) => rest_isa::parse_asm(&prog.asm).map_err(|e| JobError {
                     kind: "regress-parse".to_string(),
                     detail: format!("regression case {}: {e}", prog.name),
-                })
-            } else {
-                let params = WorkloadParams {
-                    scale: self.scale,
-                    stack_scheme: stack_for(&self.rt),
-                    token_width: self.rt.token_width,
-                    seed: self.seed,
-                };
-                Ok(self.workload.build(&params))
+                }),
             }
         })
     }
@@ -302,7 +248,7 @@ impl SimJob {
     /// stop it reaches; panics and the verify gate become [`JobError`]s.
     fn simulate(&self, program: Program) -> Result<SimResult, JobError> {
         catch_panic(|| {
-            if self.verify && self.attack.is_none() && self.regress.is_none() {
+            if self.verify && matches!(self.guest, Guest::Workload(_)) {
                 let lint = rest_verify::verify_program(&program);
                 let worst: Vec<_> = lint.at_least(rest_verify::Severity::Error).collect();
                 if !worst.is_empty() {
@@ -310,10 +256,8 @@ impl SimJob {
                     return Err(JobError {
                         kind: "verify".to_string(),
                         detail: format!(
-                            "{} (seed {:#x}): {} finding(s) at error or above; first: \
-                             [{}] pc {:#x} {}: {}",
-                            self.workload,
-                            self.seed,
+                            "{}: {} finding(s) at error or above; first: [{}] pc {:#x} {}: {}",
+                            self.guest,
                             worst.len(),
                             f.severity.name(),
                             f.pc,
@@ -323,38 +267,20 @@ impl SimJob {
                     });
                 }
             }
+            let mut cfg = self.cfg.clone();
             // The elision map is computed from the same program object
             // the simulator runs, so the PCs line up by construction.
             // Attack programs with Error+ findings get empty maps;
             // clean-linting attacks may elide provably in-bounds
             // accesses. The attack-coverage gate verifies end to end
             // that detection and audit provenance are unchanged.
-            let elision = if self.elide {
-                let scheme = if self.rt.scheme == rest_runtime::Scheme::Asan {
+            if self.elide {
+                let scheme = if cfg.rt.scheme == rest_runtime::Scheme::Asan {
                     rest_verify::ElideScheme::Asan
                 } else {
                     rest_verify::ElideScheme::Rest
                 };
-                let report = rest_verify::elide_program(&program, scheme);
-                Some(Arc::new(report.map))
-            } else {
-                None
-            };
-            let mut cfg = match self.core {
-                CoreKind::OutOfOrder => SimConfig::isca2018(self.rt.clone()),
-                CoreKind::InOrder => SimConfig::inorder(self.rt.clone()),
-            };
-            cfg.elision = elision;
-            cfg.core.serialize_rest_ops = self.serialize_rest_ops;
-            cfg.mem.token_cache_entries = self.token_cache_entries;
-            cfg.sample_interval = self.sample_interval;
-            cfg.trace_uops = self.trace_uops;
-            cfg.tier = self.tier;
-            cfg.max_cycles = self.max_cycles;
-            cfg.fault = self.fault;
-            cfg.profile_guest = self.profile_guest;
-            if let Some(budget) = self.max_uops {
-                cfg.max_uops = budget;
+                cfg.elision = Some(Arc::new(rest_verify::elide_program(&program, scheme).map));
             }
             Ok(System::new(program, cfg).run())
         })
@@ -379,11 +305,10 @@ impl SimJob {
             }
             .to_string(),
             detail: format!(
-                "{} (seed {:#x}) stopped with {:?} under {}",
-                self.workload,
-                self.seed,
+                "{} stopped with {:?} under {}",
+                self.guest,
                 stop,
-                self.rt.label()
+                self.cfg.rt.label()
             ),
         }
     }
@@ -392,12 +317,10 @@ impl SimJob {
     /// a job with the same key: an accepted run is shared, under this
     /// job's label; any other stop becomes this job's own error.
     fn outcome_of(&self, run: &JobOutcome) -> JobOutcome {
+        let label = self.cfg.rt.label();
         match run.as_ref() {
             Ok(r) if !self.accepts(&r.stop) => Arc::new(Err(self.stop_error(r))),
-            Ok(r) if r.label != self.rt.label() => Arc::new(Ok(SimResult {
-                label: self.rt.label(),
-                ..r.clone()
-            })),
+            Ok(r) if r.label != label => Arc::new(Ok(SimResult { label, ..r.clone() })),
             _ => run.clone(),
         }
     }
@@ -553,19 +476,20 @@ impl Engine {
             match &run {
                 Ok(r) if job.accepts(&r.stop) => eprintln!(
                     "[{n}/{total}] {} {}: {} cycles, {secs:.2}s",
-                    job.name,
+                    job.guest.name(),
                     job.label,
                     r.cycles()
                 ),
                 Ok(r) => eprintln!(
                     "[{n}/{total}] {} {}: FAILED ({}), {secs:.2}s",
-                    job.name,
+                    job.guest.name(),
                     job.label,
                     job.stop_error(r)
                 ),
                 Err(e) => eprintln!(
                     "[{n}/{total}] {} {}: FAILED ({e}), {secs:.2}s",
-                    job.name, job.label
+                    job.guest.name(),
+                    job.label
                 ),
             }
             (
@@ -612,7 +536,7 @@ impl Engine {
                 worker: 0,
             });
             timings.push(JobTiming {
-                label: format!("{} {}", job.name, job.label),
+                label: format!("{} {}", job.guest.name(), job.label),
                 worker: fresh.worker,
                 start: base + fresh.queue,
                 queue: fresh.queue,
@@ -674,26 +598,30 @@ impl Engine {
     /// `spec.include_plain`) and hardened cells all go through the same
     /// worker pool and cache.
     pub fn run_matrix(&self, spec: &MatrixSpec) -> MatrixResults {
+        let plain = spec
+            .include_plain
+            .then(|| ColumnSpec::new("plain", RtConfig::plain()));
         let mut jobs = Vec::new();
         for row in &spec.rows {
-            if spec.include_plain {
-                jobs.push(SimJob::plain(row, spec.core, spec.scale));
-            }
-            for col in &spec.columns {
-                jobs.push(SimJob::for_column(row, col, spec.core, spec.scale));
+            for col in plain.iter().chain(&spec.columns) {
+                let mut cfg = SimConfig {
+                    rt: col.rt.clone(),
+                    // Tracing is bounded to the matrix's first job: one
+                    // Perfetto document per experiment is plenty, and
+                    // tracing every job would multiply memory use for no
+                    // added insight.
+                    trace_uops: 0,
+                    ..spec.cfg.clone()
+                };
+                (col.machine)(&mut cfg);
+                jobs.push(SimJob {
+                    verify: spec.verify,
+                    ..SimJob::on(Guest::Workload(*row), col.label.clone(), cfg, spec.scale)
+                });
             }
         }
-        for job in &mut jobs {
-            job.sample_interval = spec.sample_interval;
-            job.verify = spec.verify;
-            job.tier = spec.tier;
-            job.profile_guest = spec.profile_guest;
-        }
-        // Tracing is bounded to the matrix's first job: one Perfetto
-        // document per experiment is plenty, and tracing every job
-        // would multiply memory use for no added insight.
         if let Some(first) = jobs.first_mut() {
-            first.trace_uops = spec.trace_uops;
+            first.cfg.trace_uops = spec.cfg.trace_uops;
         }
         let outcomes = self.run_all(&jobs);
         let stride = spec.columns.len() + usize::from(spec.include_plain);
@@ -728,73 +656,56 @@ pub struct ColumnSpec {
     pub label: String,
     /// Runtime configuration.
     pub rt: RtConfig,
-    /// Ablation: serialised arm/disarm execution.
-    pub serialize_rest_ops: bool,
-    /// Dedicated token-cache entries (0 = disabled).
-    pub token_cache_entries: usize,
+    /// Edits the matrix's machine template for this column's jobs
+    /// (ablations: serialised arm/disarm, a dedicated token cache).
+    pub machine: fn(&mut SimConfig),
 }
 
 impl ColumnSpec {
-    /// A plain column: `rt` on the stock machine.
+    /// A plain column: `rt` on the matrix's machine.
     pub fn new(label: impl Into<String>, rt: RtConfig) -> ColumnSpec {
         ColumnSpec {
             label: label.into(),
             rt,
-            serialize_rest_ops: false,
-            token_cache_entries: 0,
+            machine: |_| {},
         }
     }
 }
 
-/// A declarative experiment: rows × columns at one core/scale.
+/// A declarative experiment: rows × columns on one machine at one scale.
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
     /// Benchmark rows.
     pub rows: Vec<FigureRow>,
     /// Hardened configurations.
     pub columns: Vec<ColumnSpec>,
-    /// Pipeline model for every job in the matrix.
-    pub core: CoreKind,
     /// Input-set scale.
     pub scale: Scale,
     /// Also simulate the plain baseline per row (needed for overhead
     /// columns and mean summaries).
     pub include_plain: bool,
-    /// Interval sampler period applied to **every** job of the matrix
-    /// (0 = off). This field and the next three carry the command line;
-    /// [`crate::cli::Harness::run_matrix`] sets them on every spec.
-    pub sample_interval: u64,
-    /// Pipeline-trace length applied to the matrix's **first** job
-    /// only (0 = off).
-    pub trace_uops: usize,
     /// Run the static verifier over every program before simulating
     /// (`--verify`): jobs with error-or-worse lint findings fail fast.
     pub verify: bool,
-    /// Execution tier applied to every job (`--reference` / `--trace`);
-    /// output must stay byte-identical across tiers.
-    pub tier: ExecTier,
-    /// Collect the guest hotspot profile on **every** job of the
-    /// matrix: results then carry per-PC counters and the
-    /// per-allocation-site table (used by the defense campaign's
-    /// check-attribution section).
-    pub profile_guest: bool,
+    /// The machine every job of the matrix runs on; each job's `rt`
+    /// (its column's, or plain) replaces the template's, and
+    /// `trace_uops` applies to the matrix's **first** job only.
+    /// [`crate::cli::Harness::run_matrix`] sets the command line's
+    /// sampler interval, trace length and execution tier on it.
+    pub cfg: SimConfig,
 }
 
 impl MatrixSpec {
-    /// A standard overhead matrix: out-of-order core, plain baselines
+    /// A standard overhead matrix: Table II machine, plain baselines
     /// included.
     pub fn new(rows: Vec<FigureRow>, columns: Vec<ColumnSpec>, scale: Scale) -> MatrixSpec {
         MatrixSpec {
             rows,
             columns,
-            core: CoreKind::OutOfOrder,
             scale,
             include_plain: true,
-            sample_interval: 0,
-            trace_uops: 0,
             verify: false,
-            tier: ExecTier::Fast,
-            profile_guest: false,
+            cfg: SimConfig::isca2018(RtConfig::plain()),
         }
     }
 }
@@ -898,6 +809,8 @@ impl MatrixResults {
 mod tests {
     use super::*;
     use rest_core::Mode;
+    use rest_cpu::ExecTier;
+    use rest_workloads::Workload;
 
     fn lbm_row() -> FigureRow {
         FigureRow {
@@ -916,45 +829,58 @@ mod tests {
     #[test]
     fn cache_key_covers_every_field_but_the_display_strings() {
         let base = SimJob::new(&lbm_row(), "a", RtConfig::plain(), Scale::Test);
-        fn regress(asm: &str) -> Option<RegressProg> {
-            Some(RegressProg {
+        fn regress(asm: &str) -> Guest {
+            Guest::Regress(RegressProg {
                 name: "case".to_string(),
                 asm: Arc::new(asm.to_string()),
             })
         }
         type Edit = fn(&mut SimJob);
         let edits: Vec<(&str, Edit)> = vec![
-            ("workload", |j| j.workload = Workload::Sjeng),
-            ("seed", |j| j.seed += 1),
-            ("rt", |j| j.rt = RtConfig::asan()),
-            ("core", |j| j.core = CoreKind::InOrder),
-            ("scale", |j| j.scale = Scale::Ref),
-            ("serialize_rest_ops", |j| j.serialize_rest_ops = true),
-            ("token_cache_entries", |j| j.token_cache_entries = 4),
-            ("max_uops", |j| j.max_uops = Some(100)),
-            ("sample_interval", |j| j.sample_interval = 1000),
-            ("trace_uops", |j| j.trace_uops = 64),
-            ("verify", |j| j.verify = true),
-            ("tier reference", |j| j.tier = ExecTier::Reference),
-            ("tier trace", |j| j.tier = ExecTier::Trace),
+            // The guest: each variant, and what tells two apart.
+            ("workload", |j| {
+                j.guest = Guest::Workload(FigureRow {
+                    workload: Workload::Sjeng,
+                    ..lbm_row()
+                })
+            }),
+            ("seed", |j| {
+                j.guest = Guest::Workload(FigureRow {
+                    seed: 1,
+                    ..lbm_row()
+                })
+            }),
             ("attack", |j| {
-                j.attack = Some(rest_attacks::Attack::Heartbleed)
+                j.guest = Guest::Attack(rest_attacks::Attack::Heartbleed)
             }),
-            ("fault", |j| {
-                j.fault = Some(rest_faults::FaultKind::MetaBitClear.default_spec(7))
-            }),
-            ("accept_any_stop", |j| j.accept_any_stop = true),
-            ("max_cycles", |j| j.max_cycles = 1000),
-            ("inject_panic", |j| j.inject_panic = true),
-            ("profile_guest", |j| j.profile_guest = true),
-            ("elide", |j| j.elide = true),
             ("regress", |j| {
-                j.regress = regress("main:\n    li a0, 0\n    ecall 5\n")
+                j.guest = regress("main:\n    li a0, 0\n    ecall 5\n")
             }),
             // Two corpus files with different assembly must not alias.
             ("regress asm", |j| {
-                j.regress = regress("main:\n    li a0, 1\n    ecall 5\n")
+                j.guest = regress("main:\n    li a0, 1\n    ecall 5\n")
             }),
+            // One field of every `SimConfig` member.
+            ("cfg.core", |j| j.cfg.core.serialize_rest_ops = true),
+            ("cfg.mem", |j| j.cfg.mem.token_cache_entries = 4),
+            ("cfg.rt", |j| j.cfg.rt = RtConfig::asan()),
+            ("cfg.token_seed", |j| j.cfg.token_seed += 1),
+            ("cfg.max_uops", |j| j.cfg.max_uops = 100),
+            ("cfg.max_cycles", |j| j.cfg.max_cycles = 1000),
+            ("cfg.fault", |j| {
+                j.cfg.fault = Some(rest_faults::FaultKind::MetaBitClear.default_spec(7))
+            }),
+            ("cfg.trace_uops", |j| j.cfg.trace_uops = 64),
+            ("cfg.sample_interval", |j| j.cfg.sample_interval = 1000),
+            ("cfg.tier reference", |j| j.cfg.tier = ExecTier::Reference),
+            ("cfg.tier trace", |j| j.cfg.tier = ExecTier::Trace),
+            ("cfg.profile_guest", |j| j.cfg.profile_guest = true),
+            // The job-level rules.
+            ("scale", |j| j.scale = Scale::Ref),
+            ("verify", |j| j.verify = true),
+            ("elide", |j| j.elide = true),
+            ("accept_any_stop", |j| j.accept_any_stop = true),
+            ("inject_panic", |j| j.inject_panic = true),
         ];
         let mut keys = HashMap::new();
         keys.insert(key(&base), "base");
@@ -967,7 +893,12 @@ mod tests {
         }
         // The display strings are not part of the simulation.
         let display: [Edit; 2] = [
-            |j| j.name = "other".to_string(),
+            |j| {
+                j.guest = Guest::Workload(FigureRow {
+                    name: "other",
+                    ..lbm_row()
+                })
+            },
             |j| j.label = "b".to_string(),
         ];
         for edit in display {
@@ -1046,10 +977,9 @@ mod tests {
         let engine = Engine::new(1);
         let jobs = [true, false].map(|full| {
             let rt = RtConfig::rest(Mode::Secure, full);
-            SimJob {
-                max_uops: Some(50),
-                ..SimJob::new(&row, rt.label(), rt, Scale::Test)
-            }
+            let mut job = SimJob::new(&row, rt.label(), rt, Scale::Test);
+            job.cfg.max_uops = 50;
+            job
         });
         let outcomes = engine.run_all(&jobs);
         assert_eq!(engine.take_timings().iter().filter(|t| t.cached).count(), 1);
@@ -1066,27 +996,17 @@ mod tests {
     #[test]
     fn reference_and_fast_paths_simulate_identically() {
         let row = lbm_row();
-        let fast = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-            .execute()
-            .unwrap();
-        let reference = SimJob {
-            tier: ExecTier::Reference,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
+        let on = |tier| {
+            let mut job = SimJob::plain(&row, Scale::Test);
+            job.cfg.tier = tier;
+            job.execute().unwrap()
+        };
+        let fast = on(ExecTier::Fast);
+        for other in [ExecTier::Reference, ExecTier::Trace].map(on) {
+            assert_eq!(fast.stats_map(), other.stats_map());
+            assert_eq!(fast.stop, other.stop);
+            assert_eq!(fast.output, other.output);
         }
-        .execute()
-        .unwrap();
-        assert_eq!(fast.stats_map(), reference.stats_map());
-        assert_eq!(fast.stop, reference.stop);
-        assert_eq!(fast.output, reference.output);
-        let trace = SimJob {
-            tier: ExecTier::Trace,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        }
-        .execute()
-        .unwrap();
-        assert_eq!(fast.stats_map(), trace.stats_map());
-        assert_eq!(fast.stop, trace.stop);
-        assert_eq!(fast.output, trace.output);
     }
 
     #[test]
@@ -1094,14 +1014,12 @@ mod tests {
         let row = lbm_row();
         let job = SimJob {
             verify: true,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
+            ..SimJob::plain(&row, Scale::Test)
         };
         // lbm lints clean, so the gated run simulates normally and
         // matches the ungated result.
         let gated = job.execute().expect("clean program must pass the gate");
-        let plain = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-            .execute()
-            .unwrap();
+        let plain = SimJob::plain(&row, Scale::Test).execute().unwrap();
         assert_eq!(gated.core.insts, plain.core.insts);
         assert_eq!(gated.core.cycles, plain.core.cycles);
     }
@@ -1110,7 +1028,7 @@ mod tests {
     fn engine_caches_identical_jobs() {
         let row = lbm_row();
         let engine = Engine::new(2);
-        let job = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+        let job = SimJob::plain(&row, Scale::Test);
         let first = engine.run_all(std::slice::from_ref(&job));
         let again = engine.run_all(&[job.clone(), job]);
         assert!(first[0].is_ok());
@@ -1122,10 +1040,8 @@ mod tests {
     #[test]
     fn uop_budget_becomes_job_error() {
         let row = lbm_row();
-        let job = SimJob {
-            max_uops: Some(50),
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
-        };
+        let mut job = SimJob::plain(&row, Scale::Test);
+        job.cfg.max_uops = 50;
         let err = job.execute().unwrap_err();
         assert_eq!(err.kind, "uop-limit");
         assert!(err.detail.contains("lbm"));
@@ -1136,7 +1052,7 @@ mod tests {
         let row = lbm_row();
         let job = SimJob {
             inject_panic: true,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
+            ..SimJob::plain(&row, Scale::Test)
         };
         let err = job.execute().unwrap_err();
         assert_eq!(err.kind, "panic");
@@ -1151,9 +1067,9 @@ mod tests {
         let engine = Engine::new(2);
         let panicking = SimJob {
             inject_panic: true,
-            ..SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test)
+            ..SimJob::plain(&row, Scale::Test)
         };
-        let healthy = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+        let healthy = SimJob::plain(&row, Scale::Test);
         let outcomes = engine.run_all(&[panicking, healthy.clone()]);
         assert_eq!(outcomes[0].as_ref().as_ref().unwrap_err().kind, "panic");
         assert!(outcomes[1].is_ok());
@@ -1167,7 +1083,7 @@ mod tests {
     fn timings_record_workers_outcomes_and_cache_hits() {
         let row = lbm_row();
         let engine = Engine::new(2);
-        let job = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+        let job = SimJob::plain(&row, Scale::Test);
         let outcomes = engine.run_all(&[job.clone(), job.clone()]);
         assert!(outcomes[0].is_ok());
         let timings = engine.take_timings();
@@ -1197,11 +1113,9 @@ mod tests {
     #[test]
     fn profile_guest_participates_in_cache_keys_and_results() {
         let row = lbm_row();
-        let plain = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
-        let profiled = SimJob {
-            profile_guest: true,
-            ..plain.clone()
-        };
+        let plain = SimJob::plain(&row, Scale::Test);
+        let mut profiled = plain.clone();
+        profiled.cfg.profile_guest = true;
         assert_ne!(key(&plain), key(&profiled));
         let result = profiled.execute().unwrap();
         let profile = result.profile.expect("profiled job carries the tables");
@@ -1254,5 +1168,22 @@ mod tests {
             "{:?}",
             result.stop
         );
+    }
+
+    #[test]
+    fn failure_details_name_the_real_guest() {
+        let job = SimJob {
+            accept_any_stop: false,
+            ..SimJob::for_attack(
+                rest_attacks::Attack::Heartbleed,
+                "rest-secure-full",
+                RtConfig::rest(Mode::Secure, true),
+                Scale::Test,
+            )
+        };
+        let err = job.execute().unwrap_err();
+        assert_eq!(err.kind, "violation");
+        assert!(err.detail.contains("heartbleed-oob-read"), "{err}");
+        assert!(!err.detail.contains("lbm"), "{err}");
     }
 }

@@ -29,14 +29,14 @@
 
 use rest_attacks::Attack;
 use rest_core::Mode;
-use rest_cpu::{SimResult, StopReason};
+use rest_cpu::{SimConfig, SimResult, StopReason};
 use rest_faults::{FaultKind, FaultSpec};
 use rest_obs::Json;
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
 
 use crate::cli::{BenchCli, Harness};
-use crate::engine::{JobError, SimJob};
+use crate::engine::{Guest, JobError, SimJob};
 use crate::sink::Artifact;
 use crate::FigureRow;
 
@@ -80,62 +80,49 @@ pub const KNOWN_FALSE_POSITIVES: [(&str, &str); 2] = [
     ("sjeng", "exception-spurious"),
 ];
 
-/// One campaign row: a clean workload (expected to exit 0) or an attack
-/// scenario (expected to be detected when fault-free).
-#[derive(Debug, Clone, Copy)]
-pub enum CampaignRow {
-    /// A benign benchmark row.
-    Workload(FigureRow),
-    /// A memory-error attack scenario.
-    Attack(Attack),
+/// `"workload"` or `"attack"`: a campaign row's kind, serialised into
+/// the document.
+fn row_kind(row: &Guest) -> &'static str {
+    if matches!(row, Guest::Workload(_)) {
+        "workload"
+    } else {
+        "attack"
+    }
 }
 
-impl CampaignRow {
-    /// Display name of the row.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CampaignRow::Workload(row) => row.name,
-            CampaignRow::Attack(a) => a.name(),
-        }
-    }
-
-    /// `"workload"` or `"attack"` (serialised into the document).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CampaignRow::Workload(_) => "workload",
-            CampaignRow::Attack(_) => "attack",
-        }
-    }
-
-    /// The simulation job for this row under `spec` (None = the
-    /// fault-free reference cell).
-    fn job(&self, label: &str, spec: Option<FaultSpec>, scale: Scale, budget: u64) -> SimJob {
-        let rt = RtConfig::rest(Mode::Secure, true);
-        let mut job = match self {
-            CampaignRow::Workload(row) => SimJob::new(row, label, rt, scale),
-            CampaignRow::Attack(a) => SimJob::for_attack(*a, label, rt, scale),
-        };
+/// The simulation job for campaign row `row` under `spec` (None = the
+/// fault-free reference cell).
+fn cell_job(
+    row: &Guest,
+    label: &str,
+    spec: Option<FaultSpec>,
+    scale: Scale,
+    budget: u64,
+) -> SimJob {
+    let mut cfg = SimConfig::isca2018(RtConfig::rest(Mode::Secure, true));
+    // Deterministic watchdog: a fault that livelocks the guest
+    // classifies as "hang" identically on every host. The host
+    // wall-clock deadline stays off — it is not deterministic.
+    cfg.max_cycles = budget;
+    cfg.fault = spec;
+    SimJob {
         // Any stop is data here — a violation on an attack row is the
         // expected reference outcome, not a failure.
-        job.accept_any_stop = true;
-        // Deterministic watchdog: a fault that livelocks the guest
-        // classifies as "hang" identically on every host. The host
-        // wall-clock deadline stays off — it is not deterministic.
-        job.max_cycles = budget;
-        job.fault = spec;
-        job
+        accept_any_stop: true,
+        ..SimJob::on(row.clone(), label, cfg, scale)
     }
 }
 
 /// The campaign's row set: two clean workloads (false-positive
-/// sentinels) and three attacks (missed-detection sentinels).
-pub fn campaign_rows() -> Vec<CampaignRow> {
+/// sentinels, expected to exit 0) and three attacks (missed-detection
+/// sentinels, expected to be detected when fault-free).
+pub fn campaign_rows() -> Vec<Guest> {
     vec![
-        CampaignRow::Workload(FigureRow::of(Workload::Lbm)),
-        CampaignRow::Workload(FigureRow::of(Workload::Sjeng)),
-        CampaignRow::Attack(Attack::HeapOverflowWrite),
-        CampaignRow::Attack(Attack::UseAfterFree),
-        CampaignRow::Attack(Attack::Heartbleed),
+        Guest::Workload(FigureRow::of(Workload::Lbm)),
+        Guest::Workload(FigureRow::of(Workload::Sjeng)),
+        Guest::Attack(Attack::HeapOverflowWrite),
+        Guest::Attack(Attack::UseAfterFree),
+        Guest::Attack(Attack::Heartbleed),
     ]
 }
 
@@ -481,14 +468,14 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     for (r, row) in rows.iter().enumerate() {
         let specs = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, r);
         for (label, spec) in labels.iter().zip(specs) {
-            jobs.push(row.job(label, spec, scale, budget));
+            jobs.push(cell_job(row, label, spec, scale, budget));
         }
     }
     let outcomes = h.run_all(&jobs);
     let cells: Vec<Json> = jobs
         .iter()
         .zip(&outcomes)
-        .map(|(job, outcome)| raw_cell_json(&job.label, job.fault.as_ref(), outcome))
+        .map(|(job, outcome)| raw_cell_json(&job.label, job.cfg.fault.as_ref(), outcome))
         .collect();
 
     // Coverage counters over all cells, plus the two derived flags.
@@ -507,7 +494,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let mut row_docs = Vec::new();
     for (row, row_cells) in rows.iter().zip(cells.chunks(labels.len())) {
         let reference = &row_cells[0];
-        print!("{:<22}{:<10}", row.name(), row.kind());
+        print!("{:<22}{:<10}", row.name(), row_kind(row));
         let mut cell_docs = Vec::new();
         for cell in row_cells {
             let (outcome, missed, fp) = classify(cell, reference);
@@ -531,7 +518,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         println!();
         row_docs.push(Json::obj(vec![
             ("name", Json::from(row.name())),
-            ("kind", Json::from(row.kind())),
+            ("kind", Json::from(row_kind(row))),
             ("cells", Json::Arr(cell_docs)),
         ]));
     }
@@ -580,13 +567,12 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CoreKind;
 
     #[test]
     fn campaign_shape_is_stable() {
         let rows = campaign_rows();
         assert_eq!(rows.len(), 5);
-        assert_eq!(rows.iter().filter(|r| r.kind() == "attack").count(), 3);
+        assert_eq!(rows.iter().filter(|r| row_kind(r) == "attack").count(), 3);
         let specs = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, 0);
         assert_eq!(specs.len(), 1 + FaultKind::ALL.len());
         assert!(specs[0].is_none());
@@ -664,7 +650,7 @@ mod tests {
         let c = column_labels().iter().position(|&l| l == "meta-bit-clear").unwrap();
         let spec = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, r)[c];
         let budget = cycle_budget(Scale::Test);
-        let mut job = rows[r].job(column_labels()[c], spec, Scale::Test, budget);
+        let mut job = cell_job(&rows[r], column_labels()[c], spec, Scale::Test, budget);
         job.inject_panic = true;
         let panic = raw_cell_json(&job.label, spec.as_ref(), &job.execute());
         let reference = doc.path_mut(&format!("rows.{r}.cells.0")).unwrap().clone();
@@ -686,13 +672,9 @@ mod tests {
 
     #[test]
     fn checksum_ignores_cycles_but_sees_output_and_insts() {
-        let base = SimJob::plain(
-            &FigureRow::of(Workload::Lbm),
-            CoreKind::OutOfOrder,
-            Scale::Test,
-        )
-        .execute()
-        .unwrap();
+        let base = SimJob::plain(&FigureRow::of(Workload::Lbm), Scale::Test)
+            .execute()
+            .unwrap();
         let mk = |output: &[u8], insts: u64, cycles: u64| {
             let mut r = base.clone();
             r.output = output.to_vec();

@@ -6,11 +6,12 @@ use std::fmt::Write as _;
 
 use rest_core::table1::{cache_decision, lsq_decision, Action, CacheDecision};
 use rest_core::Mode;
+use rest_cpu::SimConfig;
 use rest_runtime::{RtConfig, Scheme};
 use rest_workloads::Workload;
 
 use crate::cli::Harness;
-use crate::engine::{ColumnSpec, CoreKind, MatrixSpec, RowResults};
+use crate::engine::{ColumnSpec, MatrixSpec, RowResults};
 use crate::sink::{Artifact, Json, ResultSink};
 use crate::{fig7_configs, fig8_widths, figure_rows, fmt_row, machine_header, FigureRow};
 
@@ -92,7 +93,7 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         .collect();
     let rows = h.filter_rows(Workload::ALL.into_iter().map(FigureRow::of).collect());
     let matrix = h.run_matrix(MatrixSpec {
-        core: CoreKind::InOrder,
+        cfg: SimConfig::inorder(RtConfig::plain()),
         ..MatrixSpec::new(rows, columns, h.scale)
     });
 
@@ -484,7 +485,7 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
                 },
             ),
             ColumnSpec {
-                serialize_rest_ops: true,
+                machine: |m| m.core.serialize_rest_ops = true,
                 ..ColumnSpec::new("serialized", secure_full.clone())
             },
         ],
@@ -517,7 +518,7 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ColumnSpec::new("paper-design", base_cfg.clone()),
             ColumnSpec::new("fast-pool", base_cfg.clone().with_fast_pool()),
             ColumnSpec {
-                token_cache_entries: 16,
+                machine: |m| m.mem.token_cache_entries = 16,
                 ..ColumnSpec::new("+token-cache", base_cfg.clone().with_fast_pool())
             },
         ],

@@ -466,12 +466,13 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         .into_iter()
         .map(|(label, rt)| ColumnSpec::new(label, rt))
         .collect();
-    let matrix = h.run_matrix(MatrixSpec {
+    let mut spec = MatrixSpec {
         // The plain scheme is an explicit column; no separate baseline.
         include_plain: false,
-        profile_guest: true,
         ..MatrixSpec::new(rows.clone(), columns, scale)
-    });
+    };
+    spec.cfg.profile_guest = true;
+    let matrix = h.run_matrix(spec);
 
     print!(
         "{}",
@@ -513,15 +514,13 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CoreKind, SimJob};
+    use crate::engine::SimJob;
     use rest_workloads::Workload;
 
     fn profiled(row: &FigureRow, label: &str, rt: RtConfig) -> SimResult {
-        let job = SimJob {
-            profile_guest: true,
-            ..SimJob::new(row, label, rt, Scale::Test)
-        };
-        assert_eq!(job.core, CoreKind::OutOfOrder);
+        let mut job = SimJob::new(row, label, rt, Scale::Test);
+        job.cfg.profile_guest = true;
+        assert_eq!(job.cfg.core, rest_cpu::CoreConfig::isca2018());
         job.execute().expect("profiled run completes")
     }
 

@@ -5,7 +5,7 @@
 //! * a failing job surfaces as a structured `JobError` without taking
 //!   down sibling jobs in the same sweep.
 
-use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixSpec, SimJob};
+use rest_bench::engine::{ColumnSpec, Engine, MatrixSpec, SimJob};
 use rest_bench::sink::ResultSink;
 use rest_bench::FigureRow;
 use rest_core::Mode;
@@ -49,20 +49,16 @@ fn json_is_byte_identical_across_worker_counts() {
 #[test]
 fn failing_job_does_not_kill_siblings() {
     let row = FigureRow::of(Workload::Lbm);
-    let healthy = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
-    let starved = SimJob {
+    let healthy = SimJob::plain(&row, Scale::Test);
+    let mut starved = SimJob {
         label: "starved".to_string(),
-        // A ~hundred-kiloinstruction workload cannot finish in 40 µops:
-        // the run stops with StopReason::UopLimit and must surface as a
-        // JobError, not a panic or process abort.
-        max_uops: Some(40),
         ..healthy.clone()
     };
-    let sibling = SimJob::plain(
-        &FigureRow::of(Workload::Sjeng),
-        CoreKind::OutOfOrder,
-        Scale::Test,
-    );
+    // A ~hundred-kiloinstruction workload cannot finish in 40 µops: the
+    // run stops with StopReason::UopLimit and must surface as a
+    // JobError, not a panic or process abort.
+    starved.cfg.max_uops = 40;
+    let sibling = SimJob::plain(&FigureRow::of(Workload::Sjeng), Scale::Test);
 
     let engine = Engine::new(3);
     let outcomes = engine.run_all(&[healthy, starved, sibling]);
@@ -92,15 +88,8 @@ fn failed_cells_serialise_as_errors_and_keep_summaries_finite() {
 
     // Inject the failure deterministically by re-running the starved
     // column as its own job with a tiny micro-op budget.
-    let starved_job = SimJob {
-        max_uops: Some(40),
-        ..SimJob::new(
-            &spec.rows[0],
-            "starved",
-            RtConfig::asan(),
-            Scale::Test,
-        )
-    };
+    let mut starved_job = SimJob::new(&spec.rows[0], "starved", RtConfig::asan(), Scale::Test);
+    starved_job.cfg.max_uops = 40;
     matrix.rows[0].cells[1] = engine.run_all(&[starved_job]).remove(0);
 
     assert!(matrix.rows[0].cell(0).is_some());

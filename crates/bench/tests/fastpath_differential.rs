@@ -6,7 +6,7 @@
 //! benchmark row and every attack scenario.
 
 use rest_attacks::Attack;
-use rest_bench::engine::{CoreKind, SimJob};
+use rest_bench::engine::{Guest, SimJob};
 use rest_bench::{figure_rows, stack_for};
 use rest_core::Mode;
 use rest_cpu::{Emulator, ExecEngine, ExecTier, SimConfig, StopReason};
@@ -104,21 +104,15 @@ fn workload_rows_produce_identical_uop_streams() {
 fn workload_rows_produce_identical_stats_maps() {
     for row in figure_rows() {
         let rt = RtConfig::rest(Mode::Secure, true);
-        let fast = SimJob::new(&row, "fast", rt.clone(), Scale::Test)
-            .execute()
-            .unwrap_or_else(|e| panic!("{} fast path: {e}", row.name));
-        let trace = SimJob {
-            tier: ExecTier::Trace,
-            ..SimJob::new(&row, "trace", rt.clone(), Scale::Test)
-        }
-        .execute()
-        .unwrap_or_else(|e| panic!("{} trace tier: {e}", row.name));
-        let reference = SimJob {
-            tier: ExecTier::Reference,
-            ..SimJob::new(&row, "reference", rt, Scale::Test)
-        }
-        .execute()
-        .unwrap_or_else(|e| panic!("{} reference path: {e}", row.name));
+        let on = |tier: ExecTier| {
+            let mut job = SimJob::new(&row, tier.label(), rt.clone(), Scale::Test);
+            job.cfg.tier = tier;
+            job.execute()
+                .unwrap_or_else(|e| panic!("{} {} tier: {e}", row.name, tier.label()))
+        };
+        let fast = on(ExecTier::Fast);
+        let trace = on(ExecTier::Trace);
+        let reference = on(ExecTier::Reference);
         for (tier, result) in [("trace", &trace), ("reference", &reference)] {
             assert_eq!(
                 fast.stats_map(),
@@ -137,16 +131,18 @@ fn workload_rows_produce_identical_stats_maps() {
 fn plain_core_kind_matches_on_all_tiers() {
     // The in-order core shares the emulator; spot-check it too.
     let row = figure_rows().into_iter().next().unwrap();
-    let fast = SimJob::plain(&row, CoreKind::InOrder, Scale::Test)
-        .execute()
-        .unwrap();
-    for tier in [ExecTier::Trace, ExecTier::Reference] {
-        let other = SimJob {
+    let on = |tier| {
+        let cfg = SimConfig {
             tier,
-            ..SimJob::plain(&row, CoreKind::InOrder, Scale::Test)
-        }
-        .execute()
-        .unwrap();
+            ..SimConfig::inorder(RtConfig::plain())
+        };
+        SimJob::on(Guest::Workload(row), "plain", cfg, Scale::Test)
+            .execute()
+            .unwrap()
+    };
+    let fast = on(ExecTier::Fast);
+    for tier in [ExecTier::Trace, ExecTier::Reference] {
+        let other = on(tier);
         assert_eq!(fast.stats_map(), other.stats_map(), "{tier:?}");
     }
 }

@@ -12,7 +12,7 @@
 //!   harness run once that document is written.
 
 use rest_bench::cli::{BenchCli, Harness};
-use rest_bench::engine::{ColumnSpec, CoreKind, Engine, MatrixSpec, SimJob};
+use rest_bench::engine::{ColumnSpec, Engine, MatrixSpec, SimJob};
 use rest_bench::sink::ResultSink;
 use rest_bench::FigureRow;
 use rest_core::Mode;
@@ -21,18 +21,17 @@ use rest_runtime::RtConfig;
 use rest_workloads::{Scale, Workload};
 
 fn obs_spec() -> MatrixSpec {
-    MatrixSpec {
-        sample_interval: 2_000,
-        trace_uops: 64,
-        ..MatrixSpec::new(
-            vec![FigureRow::of(Workload::Lbm)],
-            vec![
-                ColumnSpec::new("asan", RtConfig::asan()),
-                ColumnSpec::new("rest-secure-heap", RtConfig::rest(Mode::Secure, false)),
-            ],
-            Scale::Test,
-        )
-    }
+    let mut spec = MatrixSpec::new(
+        vec![FigureRow::of(Workload::Lbm)],
+        vec![
+            ColumnSpec::new("asan", RtConfig::asan()),
+            ColumnSpec::new("rest-secure-heap", RtConfig::rest(Mode::Secure, false)),
+        ],
+        Scale::Test,
+    );
+    spec.cfg.sample_interval = 2_000;
+    spec.cfg.trace_uops = 64;
+    spec
 }
 
 fn render(matrix: &rest_bench::engine::MatrixResults) -> String {
@@ -208,7 +207,7 @@ fn a_panicking_job_fails_the_run_after_the_documents_are_written() {
         h.finish()
     };
     let row = FigureRow::of(Workload::Lbm);
-    let healthy = SimJob::plain(&row, CoreKind::OutOfOrder, Scale::Test);
+    let healthy = SimJob::plain(&row, Scale::Test);
     let panicking = SimJob {
         label: "boom".to_string(),
         inject_panic: true,
