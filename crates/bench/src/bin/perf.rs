@@ -14,8 +14,11 @@
 //! Usage: `cargo run --release -p rest-bench --bin perf -- \
 //!         [--test] [--jobs N] [--out DIR] [--filter SUBSTRING]`
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use rest_bench::cli::{BenchCli, Harness};
-use rest_bench::throughput::{cells_for, measure_all, ThroughputReport};
+use rest_bench::engine::SimJob;
+use rest_bench::throughput::{measure, ThroughputReport};
 use rest_bench::{figure_rows, machine_header, scale_name, write_text_file};
 use rest_core::Mode;
 use rest_runtime::RtConfig;
@@ -28,8 +31,6 @@ fn main() {
     }
     let scale = if cli.test { Scale::Test } else { Scale::Ref };
     let mut h = Harness::new(cli);
-    let rows = h.filter_rows(figure_rows());
-    let cli = &h.cli;
     // Plain, the heaviest instrumentation (ASan injects uops per
     // access), and the paper's headline REST configuration.
     let configs = [
@@ -37,15 +38,41 @@ fn main() {
         RtConfig::asan(),
         RtConfig::rest(Mode::Secure, true),
     ];
-    let cells = cells_for(&rows, &configs, scale);
+    let jobs: Vec<SimJob> = h
+        .filter_rows(figure_rows())
+        .iter()
+        .flat_map(|row| configs.iter().map(|rt| SimJob::new(row, rt.label(), rt.clone(), scale)))
+        .collect();
 
-    let measured = match measure_all(&cells, cli.jobs) {
+    let done = AtomicUsize::new(0);
+    let measured = h.run_tasks(jobs.len(), |i| {
+        let result = measure(&jobs[i]);
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        match &result {
+            Ok(c) => eprintln!(
+                "[{n}/{}] {} {}: trace {:.0} / fast {:.0} / ref {:.0} guest-IPS \
+                 ({:.2}x trace-over-fast)",
+                jobs.len(),
+                c.name,
+                c.config,
+                c.trace_ips(),
+                c.fast_ips(),
+                c.reference_ips(),
+                c.trace_speedup()
+            ),
+            Err(e) => eprintln!("[{n}/{}] FAILED: {e}", jobs.len()),
+        }
+        result
+    });
+    // The first divergence, in cell order, fails the sweep.
+    let measured = match measured.into_iter().collect() {
         Ok(m) => m,
         Err(e) => {
             eprintln!("perf: decode paths diverged: {e}");
             std::process::exit(1);
         }
     };
+    let cli = &h.cli;
     let report = ThroughputReport {
         scale: scale_name(scale).to_string(),
         effective_jobs: cli.jobs,

@@ -35,11 +35,10 @@ use rest_cpu::{SimResult, StopReason};
 use rest_obs::Json;
 use rest_runtime::RtConfig;
 
-use std::sync::Arc;
-
 use crate::cli::Harness;
-use crate::engine::{ColumnSpec, JobError, MatrixResults, MatrixSpec, RegressProg, SimJob};
+use crate::engine::{ColumnSpec, JobError, MatrixResults, MatrixSpec, SimJob};
 use crate::sink::Artifact;
+use crate::Adversary;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-defense/v1";
@@ -192,29 +191,7 @@ impl CheckAttribution {
             .profile
             .as_ref()
             .ok_or_else(|| format!("{cell}: result carries no guest profile"))?;
-        let site_checks: u64 = prof.sites.iter().map(|(_, c)| c.checks).sum();
-        let site_check_uops: u64 = prof.sites.iter().map(|(_, c)| c.check_uops).sum();
-        // Check micro-ops reconcile exactly (only pipeline-visible
-        // checks inject them); check counts may exceed the per-PC table
-        // because runtime-internal validations have no access PC.
-        if site_check_uops != prof.check_uops.total() {
-            return Err(format!(
-                "{cell}: site check-uop sum {site_check_uops} != per-PC total {}",
-                prof.check_uops.total()
-            ));
-        }
-        if prof.checks.total() > site_checks {
-            return Err(format!(
-                "{cell}: per-PC checks {} exceed site checks {site_checks}",
-                prof.checks.total()
-            ));
-        }
-        if prof.backend_checks > 0 && site_checks != prof.backend_checks {
-            return Err(format!(
-                "{cell}: site checks {site_checks} != backend checks {}",
-                prof.backend_checks
-            ));
-        }
+        let (site_checks, site_check_uops) = crate::hotspots::site_check_totals(cell, prof)?;
         self.sites += prof.sites.len() as u64;
         for (_, c) in &prof.sites {
             self.allocs += c.allocs;
@@ -279,7 +256,8 @@ pub fn check_attribution(
     Ok(per)
 }
 
-/// Per-scheme coverage counters over the attack half.
+/// Per-scheme verdict counters over one section of the coverage half
+/// (the document's `coverage` member counts the attacks).
 #[derive(Default, Clone, Copy)]
 struct Coverage {
     detected: u64,
@@ -288,8 +266,9 @@ struct Coverage {
     unexpected: u64,
 }
 
-/// Runs the full campaign: the overhead matrix, then every attack under
-/// every scheme, printing both tables and returning the document.
+/// Runs the full campaign: the overhead matrix, then every attack and
+/// regression case under every scheme, printing the tables and
+/// returning the document.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
     let configs = scheme_configs();
@@ -334,139 +313,91 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     }
     println!();
 
-    // Coverage half: every attack × every scheme, on the pipeline.
-    // Each scenario's runtime tweaks (Attack::rt_for) apply to every
-    // scheme identically, so cells differ only in the protection
-    // mechanism. The `--filter` flag narrows benchmark rows only; the
-    // attack grid always runs in full.
-    let mut jobs = Vec::new();
-    for attack in Attack::ALL {
-        for (label, rt) in &configs {
-            jobs.push(SimJob::for_attack(
-                attack,
-                *label,
-                attack.rt_for(rt.clone()),
-                scale,
-            ));
-        }
-    }
+    // Coverage half: every adversarial guest × every scheme, on the
+    // pipeline. Each attack's runtime tweaks (Attack::rt_for, applied by
+    // SimJob::for_attack) apply to every scheme identically, so cells
+    // differ only in the protection mechanism. The regression corpus's
+    // minimized fuzzer reproducers follow, judged with the same
+    // `Expectation::admits` predicate against the expectations their
+    // sidecars *measured* at emission time, so a behaviour change
+    // anywhere in the stack flips a cell here. The `--filter` flag
+    // narrows benchmark rows only; this grid always runs in full.
+    let adversaries = crate::adversaries()?;
+    let jobs: Vec<SimJob> = adversaries
+        .iter()
+        .flat_map(|adv| configs.iter().map(|(label, rt)| adv.job(label, rt.clone(), scale)))
+        .collect();
     let outcomes = h.run_all(&jobs);
 
+    // Per section (attacks, then regression cases): the row documents
+    // and the per-scheme counters.
+    let mut docs = [Vec::new(), Vec::new()];
+    let mut coverage = [0, 1].map(|_| vec![Coverage::default(); configs.len()]);
+    // Attack names fit 28 columns, corpus file stems 38.
+    let header = |first: &str, width: usize| {
+        print!("{first:<width$}");
+        for (label, _) in &configs {
+            print!("{label:>18}");
+        }
+        println!();
+    };
     println!("defense — attack coverage (expectation-checked verdict per cell)");
-    print!("{:<28}", "attack");
-    for (label, _) in &configs {
-        print!("{label:>18}");
-    }
-    println!();
-    let mut coverage = vec![Coverage::default(); configs.len()];
-    let mut attack_docs = Vec::new();
-    for (a, attack) in Attack::ALL.iter().enumerate() {
-        print!("{:<28}", attack.name());
+    header("attack", 28);
+    for (adv, outcomes) in adversaries.iter().zip(outcomes.chunks(configs.len())) {
+        let section = usize::from(matches!(adv, Adversary::Regress(_)));
+        let width = [28, 38][section];
+        if section == 1 && docs[1].is_empty() {
+            println!();
+            println!("defense — regression corpus (minimized fuzzer reproducers, same judge)");
+            header("case", width);
+        }
+        print!("{:<width$}", adv.name());
         let mut cell_docs = Vec::new();
-        for (s, (label, rt)) in configs.iter().enumerate() {
-            let expect = attack.expectation(rt.scheme);
-            let outcome = &outcomes[a * configs.len() + s];
-            let (cell, ok) = attack_cell(label, expect, outcome);
-            let cov = &mut coverage[s];
-            if let Ok(result) = outcome.as_ref() {
-                let out = outcome_of(result);
-                cov.detected += out.detected as u64;
-                cov.delayed += out.delayed as u64;
-                cov.leaked += out.leaked_secret as u64;
-                print!(
-                    "{:>18}",
-                    format!("{}{}", verdict_name(&out), if ok { "" } else { " *UNEXP" })
-                );
-            } else {
-                print!("{:>18}", "error *UNEXP");
+        let cells = outcomes.iter().zip(&mut coverage[section]);
+        for ((label, rt), (outcome, cov)) in configs.iter().zip(cells) {
+            let (cell, ok) = attack_cell(label, adv.expectation(label, rt), outcome);
+            match outcome.as_ref() {
+                Ok(result) => {
+                    let out = outcome_of(result);
+                    cov.detected += out.detected as u64;
+                    cov.delayed += out.delayed as u64;
+                    cov.leaked += out.leaked_secret as u64;
+                    print!(
+                        "{:>18}",
+                        format!("{}{}", verdict_name(&out), if ok { "" } else { " *UNEXP" })
+                    );
+                }
+                Err(_) => print!("{:>18}", "error *UNEXP"),
             }
             cov.unexpected += (!ok) as u64;
             cell_docs.push(cell);
         }
         println!();
-        attack_docs.push(Json::obj(vec![
-            ("name", Json::from(attack.name())),
+        docs[section].push(Json::obj(vec![
+            ("name", Json::from(adv.name())),
             ("cells", Json::Arr(cell_docs)),
         ]));
     }
+    let unexpected = |section: &[Coverage]| section.iter().map(|c| c.unexpected).sum::<u64>();
     println!();
-    let unexpected_total: u64 = coverage.iter().map(|c| c.unexpected).sum();
     println!(
-        "detected per scheme: {}   unexpected cells: {unexpected_total}",
+        "detected per scheme: {}   unexpected cells: {}",
         configs
             .iter()
-            .zip(&coverage)
+            .zip(&coverage[0])
             .map(|((label, _), c)| format!("{label}={}", c.detected))
             .collect::<Vec<_>>()
-            .join(" ")
+            .join(" "),
+        unexpected(&coverage[0])
     );
-
-    // Regression corpus: minimized fuzzer reproducers from
-    // `tests/regress/`, replayed under the same six schemes and judged
-    // with the same `Expectation::admits` predicate as the attacks.
-    // The sidecar expectations were *measured* at emission time, so a
-    // behaviour change anywhere in the stack flips a cell here.
-    let corpus = rest_attacks::regress::corpus()
-        .map_err(|e| format!("regression corpus failed to load: {e}"))?;
-    let mut regress_jobs = Vec::new();
-    for case in &corpus {
-        let asm = Arc::new(case.asm.clone());
-        for (label, rt) in &configs {
-            regress_jobs.push(SimJob::for_regress(
-                RegressProg {
-                    name: case.name.clone(),
-                    asm: Arc::clone(&asm),
-                },
-                *label,
-                rt.clone(),
-                scale,
-            ));
-        }
-    }
-    let regress_outcomes = h.run_all(&regress_jobs);
-    let mut regress_docs = Vec::new();
-    let mut regress_unexpected: u64 = 0;
-    if !corpus.is_empty() {
-        println!();
-        println!("defense — regression corpus (minimized fuzzer reproducers, same judge)");
-        print!("{:<38}", "case");
-        for (label, _) in &configs {
-            print!("{label:>18}");
-        }
-        println!();
-    }
-    for (c, case) in corpus.iter().enumerate() {
-        print!("{:<38}", case.name);
-        let mut cell_docs = Vec::new();
-        for (s, (label, _)) in configs.iter().enumerate() {
-            let expect = case.expectation(label);
-            let outcome = &regress_outcomes[c * configs.len() + s];
-            let (cell, ok) = attack_cell(label, expect, outcome);
-            if let Ok(result) = outcome.as_ref() {
-                let out = outcome_of(result);
-                print!(
-                    "{:>18}",
-                    format!("{}{}", verdict_name(&out), if ok { "" } else { " *UNEXP" })
-                );
-            } else {
-                print!("{:>18}", "error *UNEXP");
-            }
-            regress_unexpected += (!ok) as u64;
-            cell_docs.push(cell);
-        }
-        println!();
-        regress_docs.push(Json::obj(vec![
-            ("name", Json::from(case.name.as_str())),
-            ("cells", Json::Arr(cell_docs)),
-        ]));
-    }
-    if !corpus.is_empty() {
-        println!();
+    if !docs[1].is_empty() {
         println!(
-            "regression cases: {}   unexpected cells: {regress_unexpected}",
-            corpus.len()
+            "regression cases: {}   unexpected cells: {}",
+            docs[1].len(),
+            unexpected(&coverage[1])
         );
     }
+    let [attack_docs, regress_docs] = docs;
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(SCHEMA));
@@ -491,7 +422,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         Json::obj(
             configs
                 .iter()
-                .zip(&coverage)
+                .zip(&coverage[0])
                 .map(|((label, _), c)| {
                     (
                         *label,
@@ -632,12 +563,7 @@ mod tests {
         // MTE async: the run completes, the leak happens, and only the
         // latched TFSR fault (audit entry) records the detection.
         let rt = RtConfig::from_label("mte-async").unwrap();
-        let job = SimJob::for_attack(
-            Attack::Heartbleed,
-            "mte-async",
-            Attack::Heartbleed.rt_for(rt),
-            Scale::Test,
-        );
+        let job = SimJob::for_attack(Attack::Heartbleed, "mte-async", rt, Scale::Test);
         let mte = job.execute().unwrap();
         let out = outcome_of(&mte);
         assert!(out.detected && out.delayed, "stop: {:?}", mte.stop);

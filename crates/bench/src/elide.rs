@@ -21,31 +21,22 @@
 //! ([`rest_attacks::regress`]) run through the identical full/elided
 //! differential gate, so every fuzzer find also pins elision soundness.
 //!
-//! Two artefacts come out of one campaign:
-//!
-//! * `elision.json` — the deterministic figure: per-row static
-//!   classification counts, dynamic elided-check counters, per-site
-//!   attribution, the per-program `rest-elide/v1` maps (each validated
-//!   against [`rest_obs::elide`]), and the attack-coverage section.
-//!   Byte-identical at any `--jobs` level.
-//! * `BENCH_elision.json` — host wall-clock guest-IPS of the
-//!   functional emulator with checks in full versus elided, following
-//!   the `BENCH_` convention because wall times are nondeterministic.
+//! The campaign writes one artefact, `elision.json`: per-row static
+//! classification counts, dynamic elided-check counters, per-site
+//! attribution, the per-program `rest-elide/v1` maps (each validated
+//! against [`rest_obs::elide`]), and the attack-coverage section.
+//! Byte-identical at any `--jobs` level.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use rest_attacks::Attack;
-use rest_cpu::{Emulator, ExecEngine, SimConfig, SimResult, StopReason};
+use rest_cpu::{SimResult, StopReason};
 use rest_obs::Json;
 use rest_runtime::RtConfig;
-use rest_verify::{elide_program, ElideScheme, ElisionReport};
-use rest_workloads::{Scale, WorkloadParams};
+use rest_verify::ElisionReport;
+use rest_workloads::Scale;
 
 use crate::cli::Harness;
-use crate::engine::{RegressProg, SimJob};
+use crate::engine::SimJob;
 use crate::sink::Artifact;
-use crate::{stack_for, FigureRow};
+use crate::{Adversary, FigureRow};
 
 /// The campaign's column labels, in job order: each base scheme is
 /// immediately followed by its elided twin.
@@ -191,19 +182,19 @@ impl ElideRow {
     }
 }
 
-/// One attack row of the coverage section: the same attack with checks
-/// in full and elided must stop identically with identical audit
-/// provenance.
+/// One row of the coverage section: an attack or regression case run
+/// with checks in full and elided, which must stop identically with
+/// identical audit provenance.
 #[derive(Debug, Clone)]
-pub struct AttackRow {
-    /// Attack scenario name.
-    pub attack: &'static str,
+pub struct CoverageRow {
+    /// Attack scenario name or corpus file stem.
+    pub name: String,
     /// Whether the (identical) runs stopped on a violation.
     pub detected: bool,
     /// Audit-log entries recorded (identical in both runs).
     pub audit_entries: u64,
-    /// Whether the attack program's elision map is empty. Attacks with
-    /// error-or-worse lint findings always are; attacks that lint
+    /// Whether the program's elision map is empty. Attacks with
+    /// error-or-worse lint findings always are; programs that lint
     /// clean may elide genuinely in-bounds accesses.
     pub map_empty: bool,
     /// Checks dynamically skipped in the elided run (0 whenever
@@ -211,40 +202,12 @@ pub struct AttackRow {
     pub elided_dynamic: u64,
 }
 
-impl AttackRow {
-    fn to_json(&self) -> Json {
+impl CoverageRow {
+    /// The row as an object whose name member is `key` (`"attack"` or
+    /// `"name"`).
+    fn to_json(&self, key: &str) -> Json {
         Json::obj(vec![
-            ("attack", Json::from(self.attack)),
-            ("detected", Json::Bool(self.detected)),
-            ("audit_entries", Json::UInt(self.audit_entries)),
-            ("map_empty", Json::Bool(self.map_empty)),
-            ("elided_dynamic", Json::UInt(self.elided_dynamic)),
-        ])
-    }
-}
-
-/// One regression-corpus row: a minimized fuzzer reproducer from
-/// `tests/regress/` replayed with checks in full and elided, held to
-/// the same differential gate as the attacks.
-#[derive(Debug, Clone)]
-pub struct RegressRow {
-    /// Corpus file stem.
-    pub name: String,
-    /// Whether the (identical) runs stopped on a violation.
-    pub detected: bool,
-    /// Audit-log entries recorded (identical in both runs).
-    pub audit_entries: u64,
-    /// Whether the reproducer's elision map is empty.
-    pub map_empty: bool,
-    /// Checks dynamically skipped in the elided run (0 whenever
-    /// `map_empty`).
-    pub elided_dynamic: u64,
-}
-
-impl RegressRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::from(self.name.as_str())),
+            (key, Json::from(self.name.as_str())),
             ("detected", Json::Bool(self.detected)),
             ("audit_entries", Json::UInt(self.audit_entries)),
             ("map_empty", Json::Bool(self.map_empty)),
@@ -277,7 +240,7 @@ pub fn assert_differential(cell: &str, full: &SimResult, elided: &SimResult) -> 
 }
 
 /// Builds one [`ElideRow`] from the four simulated cells, re-deriving
-/// the static reports from identically parameterised program builds and
+/// the static reports from the programs of the row's own full jobs and
 /// enforcing the differential gate plus the check-count reconciliation
 /// (full checks == elided-run checks + dynamically skipped checks).
 pub fn rollup(
@@ -334,18 +297,12 @@ pub fn rollup(
     let asan = pairs.pop().expect("two pairs");
     let rest = pairs.pop().expect("two pairs");
 
-    let build = |rt: &RtConfig| {
-        let params = WorkloadParams {
-            scale,
-            stack_scheme: stack_for(rt),
-            token_width: rt.token_width,
-            seed: row.seed,
-        };
-        row.workload.build(&params)
-    };
-    let rest_rt = RtConfig::from_label("rest-secure-full").expect("canonical label");
-    let rest_static = elide_program(&build(&rest_rt), ElideScheme::Rest);
-    let asan_static = elide_program(&build(&RtConfig::asan()), ElideScheme::Asan);
+    let jobs = jobs_for(row, scale);
+    let [rest_static, asan_static] = [&jobs[0], &jobs[2]].map(|job| {
+        job.elision()
+            .map_err(|e| format!("{} {}: {e}", row.name, job.label))
+    });
+    let (rest_static, asan_static) = (rest_static?, asan_static?);
     Ok(ElideRow {
         benchmark: row.name.to_string(),
         workload: row.workload.name(),
@@ -362,10 +319,10 @@ pub fn rollup(
 pub struct ElideFigure {
     /// Benchmark rows, in figure order.
     pub rows: Vec<ElideRow>,
-    /// Attack-coverage rows, in [`Attack::ALL`] order.
-    pub attacks: Vec<AttackRow>,
+    /// Attack-coverage rows, in [`rest_attacks::Attack::ALL`] order.
+    pub attacks: Vec<CoverageRow>,
     /// Regression-corpus rows, in corpus (sorted-name) order.
-    pub regressions: Vec<RegressRow>,
+    pub regressions: Vec<CoverageRow>,
 }
 
 impl ElideFigure {
@@ -422,12 +379,12 @@ impl ElideFigure {
 
     /// The `attacks` member.
     pub fn attacks_json(&self) -> Json {
-        Json::Arr(self.attacks.iter().map(AttackRow::to_json).collect())
+        Json::Arr(self.attacks.iter().map(|r| r.to_json("attack")).collect())
     }
 
     /// The `regressions` member.
     pub fn regressions_json(&self) -> Json {
-        Json::Arr(self.regressions.iter().map(RegressRow::to_json).collect())
+        Json::Arr(self.regressions.iter().map(|r| r.to_json("name")).collect())
     }
 
     /// Prints the per-row summary table to stdout.
@@ -455,7 +412,7 @@ impl ElideFigure {
         for a in &self.attacks {
             println!(
                 "  {:<28}{}  audit entries: {}  elided: {}",
-                a.attack,
+                a.name,
                 if a.detected { "DETECTED" } else { "clean" },
                 a.audit_entries,
                 a.elided_dynamic
@@ -464,205 +421,28 @@ impl ElideFigure {
     }
 }
 
-/// One functional-emulator throughput measurement: the same guest work
-/// with checks in full and with the elision map applied.
-#[derive(Debug, Clone)]
-pub struct IpsCell {
-    /// Row display name.
-    pub name: String,
-    /// Guest macro instructions retired (identical in both runs).
-    pub insts: u64,
-    /// Wall time with every check performed.
-    pub full_wall: Duration,
-    /// Wall time with proven-safe checks skipped.
-    pub elided_wall: Duration,
-}
-
-fn ips(insts: u64, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        insts as f64 / secs
-    } else {
-        0.0
-    }
-}
-
-impl IpsCell {
-    /// Guest-IPS with checks in full.
-    pub fn full_ips(&self) -> f64 {
-        ips(self.insts, self.full_wall)
-    }
-
-    /// Guest-IPS with the elision map applied.
-    pub fn elided_ips(&self) -> f64 {
-        ips(self.insts, self.elided_wall)
-    }
-
-    /// Relative guest-IPS change, in percent (positive = elision is
-    /// faster).
-    pub fn delta_pct(&self) -> f64 {
-        let full = self.full_ips();
-        if full > 0.0 {
-            (self.elided_ips() / full - 1.0) * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measures one row's functional guest-IPS under `rest-secure-full`,
-/// full versus elided, verifying both runs retire identical instruction
-/// counts and exit cleanly.
-pub fn measure_ips(row: &FigureRow, scale: Scale) -> Result<IpsCell, String> {
-    let rt = RtConfig::from_label("rest-secure-full").expect("canonical label");
-    let params = WorkloadParams {
-        scale,
-        stack_scheme: stack_for(&rt),
-        token_width: rt.token_width,
-        seed: row.seed,
-    };
-    let program = row.workload.build(&params);
-    let map = Arc::new(elide_program(&program, ElideScheme::Rest).map);
-
-    let run = |elision: Option<Arc<rest_core::ElisionMap>>| {
-        let mut cfg = SimConfig::isca2018(rt.clone());
-        cfg.elision = elision;
-        let mut emu = Emulator::new(row.workload.build(&params), &cfg);
-        let started = Instant::now();
-        emu.run_functional();
-        let wall = started.elapsed();
-        let stop = emu.take_stop().expect("run_functional stops");
-        (wall, stop, emu.insts())
-    };
-    let (full_wall, full_stop, full_insts) = run(None);
-    let (elided_wall, elided_stop, elided_insts) = run(Some(map));
-    if full_stop != StopReason::Exit(0) || full_stop != elided_stop {
-        return Err(format!(
-            "{}: stops diverge or abnormal — full {full_stop:?}, elided {elided_stop:?}",
-            row.name
-        ));
-    }
-    if full_insts != elided_insts {
-        return Err(format!(
-            "{}: instruction counts diverge — full {full_insts}, elided {elided_insts}",
-            row.name
-        ));
-    }
-    Ok(IpsCell {
-        name: row.name.to_string(),
-        insts: full_insts,
-        full_wall,
-        elided_wall,
-    })
-}
-
-/// Schema of the wall-clock document [`bench_json`] renders.
-pub const BENCH_SCHEMA: &str = "rest-elide-bench/v1";
-
-/// The `rest-elide-bench/v1` wall-clock document.
-pub fn bench_json(scale: &str, cells: &[IpsCell]) -> Json {
-    let insts: u64 = cells.iter().map(|c| c.insts).sum();
-    let full: Duration = cells.iter().map(|c| c.full_wall).sum();
-    let elided: Duration = cells.iter().map(|c| c.elided_wall).sum();
-    Json::obj(vec![
-        ("schema", Json::from(BENCH_SCHEMA)),
-        ("scale", Json::from(scale)),
-        (
-            "cells",
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Json::obj(vec![
-                            ("benchmark", Json::from(c.name.as_str())),
-                            ("guest_insts", Json::UInt(c.insts)),
-                            ("full_wall_s", Json::Num(c.full_wall.as_secs_f64())),
-                            ("elided_wall_s", Json::Num(c.elided_wall.as_secs_f64())),
-                            ("full_ips", Json::Num(c.full_ips())),
-                            ("elided_ips", Json::Num(c.elided_ips())),
-                            ("ips_delta_pct", Json::Num(c.delta_pct())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "summary",
-            Json::obj(vec![
-                ("cells", Json::UInt(cells.len() as u64)),
-                ("guest_insts", Json::UInt(insts)),
-                ("full_ips", Json::Num(ips(insts, full))),
-                ("elided_ips", Json::Num(ips(insts, elided))),
-                (
-                    "ips_delta_pct",
-                    Json::Num(if full.as_secs_f64() > 0.0 && elided.as_secs_f64() > 0.0 {
-                        (ips(insts, elided) / ips(insts, full) - 1.0) * 100.0
-                    } else {
-                        0.0
-                    }),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Runs the full campaign: 16 rows × the four scheme cells plus the ten
-/// attack pairs, enforces every differential and reconciliation gate,
-/// and returns the document and `BENCH_elision.json`.
+/// Runs the full campaign: 16 rows × the four scheme cells plus a
+/// full/elided pair per attack and regression case, enforces every
+/// differential and reconciliation gate, and returns the document.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
     let rows = h.filter_rows(crate::figure_rows());
-    let mut jobs: Vec<SimJob> = Vec::new();
-    for row in &rows {
-        jobs.extend(jobs_for(row, scale));
-    }
+    let mut jobs: Vec<SimJob> = rows.iter().flat_map(|row| jobs_for(row, scale)).collect();
+    let row_jobs = jobs.len();
+    // Every attack, then every minimized fuzzer reproducer, as a
+    // full/elided pair under the headline scheme.
     let rest_rt = RtConfig::from_label("rest-secure-full").expect("canonical label");
-    let attack_jobs: Vec<SimJob> = Attack::ALL
-        .iter()
-        .flat_map(|&attack| {
-            let full = SimJob::for_attack(attack, "rest-secure-full", rest_rt.clone(), scale);
-            let elided = SimJob {
-                elide: true,
-                label: "rest-elided".to_string(),
-                ..full.clone()
-            };
-            [full, elided]
-        })
-        .collect();
-    // Regression corpus: each minimized reproducer runs as a
-    // full/elided pair under the headline scheme, held to the same
-    // differential gate as the attacks.
-    let corpus = rest_attacks::regress::corpus()
-        .map_err(|e| format!("regression corpus failed to load: {e}"))?;
-    let regress_jobs: Vec<SimJob> = corpus
-        .iter()
-        .flat_map(|case| {
-            let full = SimJob::for_regress(
-                RegressProg {
-                    name: case.name.clone(),
-                    asm: Arc::new(case.asm.clone()),
-                },
-                "rest-secure-full",
-                rest_rt.clone(),
-                scale,
-            );
-            let elided = SimJob {
-                elide: true,
-                label: "rest-elided".to_string(),
-                ..full.clone()
-            };
-            [full, elided]
-        })
-        .collect();
-    let all: Vec<SimJob> = jobs
-        .iter()
-        .chain(attack_jobs.iter())
-        .chain(regress_jobs.iter())
-        .cloned()
-        .collect();
-    let outcomes = h.run_all(&all);
-    let (row_outcomes, rest_outcomes) = outcomes.split_at(jobs.len());
-    let (attack_outcomes, regress_outcomes) = rest_outcomes.split_at(attack_jobs.len());
+    let adversaries = crate::adversaries()?;
+    for adv in &adversaries {
+        let full = adv.job("rest-secure-full", rest_rt.clone(), scale);
+        let elided = SimJob {
+            elide: true,
+            label: "rest-elided".to_string(),
+            ..full.clone()
+        };
+        jobs.extend([full, elided]);
+    }
+    let outcomes = h.run_all(&jobs);
 
     print!(
         "{}",
@@ -675,7 +455,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         attacks: Vec::new(),
         regressions: Vec::new(),
     };
-    for (row, chunk) in rows.iter().zip(row_outcomes.chunks(4)) {
+    for (row, chunk) in rows.iter().zip(outcomes[..row_jobs].chunks(4)) {
         let mut cells = Vec::new();
         for (outcome, label) in chunk.iter().zip(SCHEMES) {
             match outcome.as_ref() {
@@ -686,64 +466,37 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         let cells: &[&SimResult; 4] = &[cells[0], cells[1], cells[2], cells[3]];
         figure.rows.push(rollup(row, scale, cells)?);
     }
-    for (&attack, chunk) in Attack::ALL.iter().zip(attack_outcomes.chunks(2)) {
-        let full = match chunk[0].as_ref() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("attack {} full run failed: {e}", attack.name())),
-        };
-        let elided = match chunk[1].as_ref() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("attack {} elided run failed: {e}", attack.name())),
-        };
-        if let Err(e) = assert_differential(&format!("attack {}", attack.name()), full, elided) {
+    let pairs = jobs[row_jobs..].chunks(2).zip(outcomes[row_jobs..].chunks(2));
+    for (adv, (pair, runs)) in adversaries.iter().zip(pairs) {
+        let guest = &pair[0].guest;
+        let [full, elided] = [0, 1].map(|i| {
+            runs[i]
+                .as_ref()
+                .as_ref()
+                .map_err(|e| format!("{guest} {} run failed: {e}", pair[i].label))
+        });
+        let (full, elided) = (full?, elided?);
+        if let Err(e) = assert_differential(&guest.to_string(), full, elided) {
             return Err(format!("DETECTION LOSS: {e}"));
         }
-        let map = elide_program(&attack.build(stack_for(&rest_rt)), ElideScheme::Rest).map;
-        if map.is_empty() && elided.core.elided_checks != 0 {
+        let map_empty = pair[0].elision().map_err(|e| format!("{guest}: {e}"))?.map.is_empty();
+        if map_empty && elided.core.elided_checks != 0 {
             return Err(format!(
-                "attack {}: {} checks skipped with an empty map",
-                attack.name(),
+                "{guest}: {} checks skipped with an empty map",
                 elided.core.elided_checks
             ));
         }
-        figure.attacks.push(AttackRow {
-            attack: attack.name(),
+        let row = CoverageRow {
+            name: adv.name().to_string(),
             detected: matches!(full.stop, StopReason::Violation(_)),
             audit_entries: full.audit.total(),
-            map_empty: map.is_empty(),
+            map_empty,
             elided_dynamic: elided.core.elided_checks,
-        });
-    }
-    for (case, chunk) in corpus.iter().zip(regress_outcomes.chunks(2)) {
-        let full = match chunk[0].as_ref() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("regress {} full run failed: {e}", case.name)),
         };
-        let elided = match chunk[1].as_ref() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("regress {} elided run failed: {e}", case.name)),
-        };
-        if let Err(e) = assert_differential(&format!("regress {}", case.name), full, elided) {
-            return Err(format!("DETECTION LOSS: {e}"));
+        match adv {
+            Adversary::Attack(_) => figure.attacks.push(row),
+            Adversary::Regress(_) => figure.regressions.push(row),
         }
-        let program = match rest_isa::parse_asm(&case.asm) {
-            Ok(p) => p,
-            Err(e) => return Err(format!("regress {}: unparseable assembly: {e:?}", case.name)),
-        };
-        let map = elide_program(&program, ElideScheme::Rest).map;
-        if map.is_empty() && elided.core.elided_checks != 0 {
-            return Err(format!(
-                "regress {}: {} checks skipped with an empty map",
-                case.name, elided.core.elided_checks
-            ));
-        }
-        figure.regressions.push(RegressRow {
-            name: case.name.clone(),
-            detected: matches!(full.stop, StopReason::Violation(_)),
-            audit_entries: full.audit.total(),
-            map_empty: map.is_empty(),
-            elided_dynamic: elided.core.elided_checks,
-        });
     }
     // The headline acceptance gate: without --filter, at least 4 rows
     // must elide >= 20% of their access PCs.
@@ -766,27 +519,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push("regressions", figure.regressions_json());
     sink.push("programs", figure.programs_json());
     sink.push("summary", figure.summary_json());
-
-    // Wall-clock guest-IPS sweep (sequential: concurrent cells would
-    // contend for cores and distort every measurement).
-    let mut cells = Vec::new();
-    for row in &rows {
-        let c = measure_ips(row, scale)?;
-        eprintln!(
-            "# ips {}: {:.0} full vs {:.0} elided ({:+.1}%)",
-            c.name,
-            c.full_ips(),
-            c.elided_ips(),
-            c.delta_pct()
-        );
-        cells.push(c);
-    }
-    let mut bench = bench_json(h.scale_name(), &cells).to_string_pretty();
-    bench.push('\n');
-    Ok(vec![
-        sink.artifact()?,
-        Artifact::new("BENCH_elision.json", bench),
-    ])
+    Ok(vec![sink.artifact()?])
 }
 
 #[cfg(test)]
@@ -896,19 +629,5 @@ mod tests {
             doc.get("rest").unwrap().get("elided_dynamic").unwrap().as_u64(),
             Some(r.rest.elided_dynamic)
         );
-    }
-
-    #[test]
-    fn ips_measurement_agrees_on_guest_work() {
-        let row = FigureRow::of(Workload::Lbm);
-        let cell = measure_ips(&row, Scale::Test).expect("runs agree");
-        assert!(cell.insts > 0);
-        assert!(cell.delta_pct().is_finite());
-        let doc = Json::parse(&bench_json("test", &[cell]).to_string_pretty()).unwrap();
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some(BENCH_SCHEMA)
-        );
-        assert_eq!(doc.get("summary").unwrap().get("cells").unwrap().as_u64(), Some(1));
     }
 }

@@ -167,17 +167,20 @@ impl SimJob {
         }
     }
 
-    /// A job running attack scenario `attack` under `rt`: any stop is
-    /// accepted (the stop reason *is* the measurement).
+    /// A job running attack scenario `attack` under `rt` with the
+    /// scenario's own runtime tweaks ([`rest_attacks::Attack::rt_for`],
+    /// as `Attack::run` applies them): any stop is accepted (the stop
+    /// reason *is* the measurement).
     pub fn for_attack(
         attack: rest_attacks::Attack,
         label: impl Into<String>,
         rt: RtConfig,
         scale: Scale,
     ) -> SimJob {
+        let cfg = SimConfig::isca2018(attack.rt_for(rt));
         SimJob {
             accept_any_stop: true,
-            ..SimJob::on(Guest::Attack(attack), label, SimConfig::isca2018(rt), scale)
+            ..SimJob::on(Guest::Attack(attack), label, cfg, scale)
         }
     }
 
@@ -233,6 +236,24 @@ impl SimJob {
         })
     }
 
+    /// The static check-elision report for this job's program: its map
+    /// is what [`SimJob::elide`] attaches to the run (ASan's checks for
+    /// an ASan job, REST's otherwise).
+    pub fn elision(&self) -> Result<rest_verify::ElisionReport, JobError> {
+        Ok(self.elide(&self.build()?))
+    }
+
+    /// The elision report for `program` (this job's build) under the
+    /// job's scheme.
+    fn elide(&self, program: &Program) -> rest_verify::ElisionReport {
+        let scheme = if self.cfg.rt.scheme == rest_runtime::Scheme::Asan {
+            rest_verify::ElideScheme::Asan
+        } else {
+            rest_verify::ElideScheme::Rest
+        };
+        rest_verify::elide_program(program, scheme)
+    }
+
     /// Builds the program and simulates it, mapping panics and abnormal
     /// stops to [`JobError`]s.
     pub fn execute(&self) -> Result<SimResult, JobError> {
@@ -275,12 +296,7 @@ impl SimJob {
             // accesses. The attack-coverage gate verifies end to end
             // that detection and audit provenance are unchanged.
             if self.elide {
-                let scheme = if cfg.rt.scheme == rest_runtime::Scheme::Asan {
-                    rest_verify::ElideScheme::Asan
-                } else {
-                    rest_verify::ElideScheme::Rest
-                };
-                cfg.elision = Some(Arc::new(rest_verify::elide_program(&program, scheme).map));
+                cfg.elision = Some(Arc::new(self.elide(&program).map));
             }
             Ok(System::new(program, cfg).run())
         })
@@ -1168,6 +1184,25 @@ mod tests {
             "{:?}",
             result.stop
         );
+    }
+
+    #[test]
+    fn attack_jobs_stage_the_scenarios_own_runtime() {
+        use rest_attacks::Attack;
+        // As `Attack::run` does: the library overflow models an
+        // uninstrumented routine (ASan's libc interception off) and the
+        // uninit leak forces heap reuse (a 64-byte quarantine).
+        let job = |attack, rt: RtConfig| SimJob::for_attack(attack, rt.label(), rt, Scale::Test);
+        let asan = RtConfig::asan();
+        assert!(asan.intercept_libc);
+        assert!(!job(Attack::UncheckedLibraryOverflow, asan.clone()).cfg.rt.intercept_libc);
+        let rest = RtConfig::rest(Mode::Secure, true);
+        for attack in Attack::ALL {
+            for rt in [&asan, &rest] {
+                assert_eq!(job(attack, rt.clone()).cfg.rt, attack.rt_for(rt.clone()));
+            }
+        }
+        assert_ne!(job(Attack::UninitLeak, rest.clone()).cfg.rt, rest);
     }
 
     #[test]

@@ -456,7 +456,8 @@ fn panicked_cells(rows: &[Json]) -> Vec<String> {
 /// Runs the full campaign: simulate every cell, classify, print the
 /// coverage table and return `faults.json`. The sink refuses a document
 /// that fails [`validate`] (known-outcome drift included); a panicked
-/// cell fails the run once the document is written.
+/// cell fails the run once the document is written
+/// ([`Harness::finish`] names every panicked job).
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
     let rows = campaign_rows();
@@ -533,7 +534,6 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push("mode", Json::from("rest-secure-full"));
     sink.push("max_cycles", Json::UInt(budget));
     sink.push("columns", Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()));
-    let panicked = panicked_cells(&row_docs);
     sink.push("rows", Json::Arr(row_docs));
     let mut coverage: Vec<(&str, Json)> = counts
         .into_iter()
@@ -553,15 +553,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
     );
-    let document = sink.artifact()?;
-    if !panicked.is_empty() {
-        h.fail(format!(
-            "{} cell(s) panicked: {}",
-            panicked.len(),
-            panicked.join(", ")
-        ));
-    }
-    Ok(vec![document])
+    Ok(vec![sink.artifact()?])
 }
 
 #[cfg(test)]

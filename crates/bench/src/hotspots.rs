@@ -18,8 +18,8 @@
 //!   row, the cycle and check-uop density over the code segment
 //!   (timestamp = block start PC).
 //!
-//! Every rollup re-derives the CFG from an identically parameterised
-//! program build, so block boundaries always match what actually
+//! Every rollup re-derives the CFG from the cell's own job
+//! (`SimJob::build`), so block boundaries always match what actually
 //! simulated. The rollup *asserts* the exact-sum invariants the
 //! validator re-checks: per-block cycles sum to `core.cycles` (the
 //! profiler attributes every committed cycle to a guest PC and the CFG
@@ -27,16 +27,16 @@
 //! the per-PC check-uop total.
 
 use rest_core::SiteCounters;
-use rest_cpu::SimResult;
+use rest_cpu::{GuestProfile, SimResult};
 use rest_obs::{Json, PerfettoTrace};
 use rest_runtime::RtConfig;
 use rest_verify::Cfg;
-use rest_workloads::{Scale, WorkloadParams};
+use rest_workloads::Scale;
 
 use crate::cli::Harness;
-use crate::engine::{ColumnSpec, MatrixSpec};
+use crate::engine::{ColumnSpec, MatrixSpec, SimJob};
 use crate::sink::Artifact;
-use crate::{stack_for, FigureRow};
+use crate::FigureRow;
 
 /// The profiled configurations, by harness label: the baseline and the
 /// paper's headline REST configuration.
@@ -131,8 +131,40 @@ pub struct HotspotRow {
     pub sites: Vec<(u64, SiteCounters)>,
 }
 
+/// The per-allocation-site check totals of a profiled run, `(checks,
+/// check micro-ops)`, reconciled with the per-PC profiler and the
+/// backend. Check micro-ops match the per-PC total exactly: only
+/// pipeline-visible checks inject them. Check *counts* may exceed the
+/// per-PC table — the runtime's hardened-free validations charge the
+/// owning site but have no checked-access PC. Backend schemes route
+/// every access check through the seam, so the site table and the
+/// backend's own count must agree. Errors are collection bugs.
+pub fn site_check_totals(cell: &str, prof: &GuestProfile) -> Result<(u64, u64), String> {
+    let site_checks: u64 = prof.sites.iter().map(|(_, c)| c.checks).sum();
+    let site_check_uops: u64 = prof.sites.iter().map(|(_, c)| c.check_uops).sum();
+    if site_check_uops != prof.check_uops.total() {
+        return Err(format!(
+            "{cell}: site check-uop sum {site_check_uops} != per-PC total {}",
+            prof.check_uops.total()
+        ));
+    }
+    if prof.checks.total() > site_checks {
+        return Err(format!(
+            "{cell}: per-PC checks {} exceed site checks {site_checks}",
+            prof.checks.total()
+        ));
+    }
+    if prof.backend_checks > 0 && site_checks != prof.backend_checks {
+        return Err(format!(
+            "{cell}: site checks {site_checks} != backend checks {}",
+            prof.backend_checks
+        ));
+    }
+    Ok((site_checks, site_check_uops))
+}
+
 /// Rolls one profiled run up into a [`HotspotRow`], re-deriving the CFG
-/// from an identically parameterised program build and asserting that
+/// from the program the cell's job builds and asserting that
 /// every profiled count lands in the code segment and that the site
 /// table reconciles with the per-PC profiler and the backend. Errors
 /// are collection bugs, not data.
@@ -161,13 +193,9 @@ pub fn rollup(
         }
     }
 
-    let params = WorkloadParams {
-        scale,
-        stack_scheme: stack_for(rt),
-        token_width: rt.token_width,
-        seed: row.seed,
-    };
-    let program = row.workload.build(&params);
+    let program = SimJob::new(row, scheme, rt.clone(), scale)
+        .build()
+        .map_err(|e| format!("{cell}: {e}"))?;
     let cfg = Cfg::build(&program);
 
     let blocks: Vec<BlockRollup> = cfg
@@ -233,32 +261,7 @@ pub fn rollup(
         }
     }
 
-    let site_checks: u64 = prof.sites.iter().map(|(_, c)| c.checks).sum();
-    let site_check_uops: u64 = prof.sites.iter().map(|(_, c)| c.check_uops).sum();
-    // Check micro-ops reconcile exactly: only pipeline-visible checks
-    // inject them. Check *counts* may exceed the per-PC table — the
-    // runtime's hardened-free validations charge the owning site but
-    // have no checked-access PC.
-    if site_check_uops != prof.check_uops.total() {
-        return Err(format!(
-            "{cell}: site check-uop sum {site_check_uops} != per-PC total {}",
-            prof.check_uops.total()
-        ));
-    }
-    if prof.checks.total() > site_checks {
-        return Err(format!(
-            "{cell}: per-PC checks {} exceed site checks {site_checks}",
-            prof.checks.total()
-        ));
-    }
-    // Backend schemes route every access check through the seam, so the
-    // site table and the backend's own count must agree.
-    if prof.backend_checks > 0 && site_checks != prof.backend_checks {
-        return Err(format!(
-            "{cell}: site checks {site_checks} != backend checks {}",
-            prof.backend_checks
-        ));
-    }
+    let (site_checks, site_check_uops) = site_check_totals(&cell, prof)?;
 
     Ok(HotspotRow {
         benchmark: row.name.to_string(),
@@ -514,7 +517,6 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimJob;
     use rest_workloads::Workload;
 
     fn profiled(row: &FigureRow, label: &str, rt: RtConfig) -> SimResult {

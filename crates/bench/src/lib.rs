@@ -13,7 +13,7 @@
 //! | `prose_stats` | `prose_stats.json`, `prose_stats.txt` | §VI-B prose statistics (ROB/IQ/token traffic) |
 //! | `ablations` | `ablations.json`, `ablations.txt` | design-choice ablations called out in DESIGN.md |
 //! | `defense` | `defense.json` | REST vs MTE vs PA overhead and attack coverage ([`defense`]) |
-//! | `elision` | `elision.json`, `BENCH_elision.json` | static check-elision figure ([`elide`]) |
+//! | `elision` | `elision.json` | static check-elision figure ([`elide`]) |
 //! | `faults` | `faults.json` | fault-injection detection-coverage campaign ([`faults`]) |
 //! | `fuzz` | `fuzz.json` | adversarial-corpus tri-oracle campaign ([`fuzz`]) |
 //! | `hotspots` | `hotspots.json`, `.folded`, `.perfetto.json` | guest hotspot profile ([`hotspots`]) |
@@ -128,6 +128,60 @@ pub fn figure_rows() -> Vec<FigureRow> {
         }
     }
     rows
+}
+
+/// One guest of the adversarial list the defense and elision campaigns
+/// replay ([`adversaries`]).
+#[derive(Debug, Clone)]
+pub enum Adversary {
+    /// A hand-written attack scenario, judged by the paper's §V table.
+    Attack(rest_attacks::Attack),
+    /// A minimized fuzzer reproducer from `tests/regress/`, judged by
+    /// the expectations its sidecar measured at emission time.
+    Regress(rest_attacks::regress::RegressCase),
+}
+
+impl Adversary {
+    /// Display name (`"heartbleed-oob-read"`, a corpus file stem).
+    pub fn name(&self) -> &str {
+        match self {
+            Adversary::Attack(attack) => attack.name(),
+            Adversary::Regress(case) => &case.name,
+        }
+    }
+
+    /// The job replaying this guest under `rt` on the Table II machine
+    /// (any stop accepted; an attack stages its own runtime tweaks).
+    pub fn job(&self, label: &str, rt: RtConfig, scale: Scale) -> engine::SimJob {
+        match self {
+            Adversary::Attack(attack) => engine::SimJob::for_attack(*attack, label, rt, scale),
+            Adversary::Regress(case) => {
+                let prog = engine::RegressProg {
+                    name: case.name.clone(),
+                    asm: std::sync::Arc::new(case.asm.clone()),
+                };
+                engine::SimJob::for_regress(prog, label, rt, scale)
+            }
+        }
+    }
+
+    /// The verdict expected under the scheme `label` names (`rt`).
+    pub fn expectation(&self, label: &str, rt: &RtConfig) -> rest_attacks::Expectation {
+        match self {
+            Adversary::Attack(attack) => attack.expectation(rt.scheme),
+            Adversary::Regress(case) => case.expectation(label),
+        }
+    }
+}
+
+/// The adversarial guests, in document order: every attack scenario
+/// ([`rest_attacks::Attack::ALL`] order), then every committed
+/// regression-corpus reproducer (sorted by name).
+pub fn adversaries() -> Result<Vec<Adversary>, String> {
+    let corpus = rest_attacks::regress::corpus()
+        .map_err(|e| format!("regression corpus failed to load: {e}"))?;
+    let attacks = rest_attacks::Attack::ALL.into_iter().map(Adversary::Attack);
+    Ok(attacks.chain(corpus.into_iter().map(Adversary::Regress)).collect())
 }
 
 /// The seven hardened configurations of Figure 7, in figure order.

@@ -43,7 +43,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment { name: "prose_stats", scale: Scale::Ref, artifacts: &["prose_stats.json", "prose_stats.txt"], run: figures::prose_stats },
     Experiment { name: "ablations", scale: Scale::Ref, artifacts: &["ablations.json", "ablations.txt"], run: figures::ablations },
     Experiment { name: "defense", scale: Scale::Test, artifacts: &["defense.json"], run: defense::run_campaign },
-    Experiment { name: "elision", scale: Scale::Test, artifacts: &["elision.json", "BENCH_elision.json"], run: elide::run_campaign },
+    Experiment { name: "elision", scale: Scale::Test, artifacts: &["elision.json"], run: elide::run_campaign },
     Experiment { name: "faults", scale: Scale::Test, artifacts: &["faults.json"], run: faults::run_campaign },
     Experiment { name: "fuzz", scale: Scale::Test, artifacts: &["fuzz.json"], run: fuzz::run_campaign },
     Experiment { name: "hotspots", scale: Scale::Test, artifacts: &["hotspots.json", "hotspots.folded", "hotspots.perfetto.json"], run: hotspots::run_campaign },
@@ -98,6 +98,18 @@ mod tests {
         files.sort();
         files.dedup();
         assert_eq!((names.len(), files.len()), (n, f));
+    }
+
+    #[test]
+    fn no_experiment_writes_a_host_dependent_file() {
+        // `BENCH_*` files hold host measurements; regen writes only
+        // deterministic artifacts (the host profile goes to
+        // `--profile-out`).
+        for e in &EXPERIMENTS {
+            for file in e.artifacts {
+                assert!(!file.starts_with("BENCH_"), "{}: {file}", e.name);
+            }
+        }
     }
 
     #[test]

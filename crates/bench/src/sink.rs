@@ -195,8 +195,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         }
         Some(rest_obs::HostProfile::SCHEMA) => rest_obs::HostProfile::validate(doc),
         Some(crate::throughput::SCHEMA) => crate::throughput::ThroughputReport::validate(doc),
-        // Host wall-clock measurements: nothing to reconcile.
-        Some(crate::elide::BENCH_SCHEMA) => Ok(()),
         Some(crate::faults::SCHEMA) => crate::faults::validate(doc),
         Some(crate::fuzz::SCHEMA) => crate::fuzz::validate(doc),
         Some(crate::defense::SCHEMA) => crate::defense::validate(doc),

@@ -14,54 +14,18 @@
 //! is **never** part of an experiment's deterministic result JSON. It
 //! is the only place the effective worker count is recorded.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rest_cpu::{Emulator, ExecEngine, ExecTier, SimConfig, StopReason};
 use rest_isa::DynInst;
 use rest_obs::Json;
-use rest_runtime::RtConfig;
-use rest_workloads::{Scale, Workload, WorkloadParams};
 
-use crate::{stack_for, FigureRow};
+use crate::engine::SimJob;
 
 /// Schema identifier emitted in (and required of) throughput documents.
 /// v2 added the superblock-trace tier columns (`trace_wall_s`,
 /// `trace_ips`, `trace_speedup`).
 pub const SCHEMA: &str = "rest-throughput/v2";
-
-/// One (benchmark row × protection configuration) measurement to take.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Row display name.
-    pub name: String,
-    /// Workload kernel.
-    pub workload: Workload,
-    /// Input seed.
-    pub seed: u64,
-    /// Input-set scale.
-    pub scale: Scale,
-    /// Protection configuration (its label names the cell).
-    pub rt: RtConfig,
-}
-
-/// The cross product rows × configs, in row-major order.
-pub fn cells_for(rows: &[FigureRow], configs: &[RtConfig], scale: Scale) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for row in rows {
-        for rt in configs {
-            cells.push(CellSpec {
-                name: row.name.to_string(),
-                workload: row.workload,
-                seed: row.seed,
-                scale,
-                rt: rt.clone(),
-            });
-        }
-    }
-    cells
-}
 
 /// One measured cell: matching guest work on all three execution
 /// tiers, with each tier's host wall time.
@@ -146,18 +110,19 @@ impl ThroughputCell {
     }
 }
 
-/// Measures one cell three times: a fast-path functional run
+/// Measures one job's program three times: a fast-path functional run
 /// (decoded-uop cache, counting sink), a superblock-trace run (the
 /// same counting sink with hot loops fused into straight-line trace
 /// ops), and a reference-path run (re-decode every fetch, micro-ops
 /// materialised into a reused buffer — the pre-cache behaviour),
-/// failing if any tier disagrees on any architectural count.
-pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
-    let params = WorkloadParams {
-        scale: spec.scale,
-        stack_scheme: stack_for(&spec.rt),
-        token_width: spec.rt.token_width,
-        seed: spec.seed,
+/// failing if any tier disagrees on any architectural count. The job's
+/// `cfg` is the machine each run gets, with its tier replaced.
+pub fn measure(job: &SimJob) -> Result<ThroughputCell, String> {
+    let cell = format!("{} {}", job.guest.name(), job.label);
+    let program = job.build().map_err(|e| format!("{cell}: {e}"))?;
+    let on = |tier| SimConfig {
+        tier,
+        ..job.cfg.clone()
     };
 
     // Each tier runs `MEASURE_REPS` times and the fastest wall is kept:
@@ -165,9 +130,7 @@ pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
     // standard noise-robust estimator (scheduler preemptions and cache
     // pollution only ever add time, never subtract it).
     let (fast_wall, mut fast) = best_of(|| {
-        let mut cfg = SimConfig::isca2018(spec.rt.clone());
-        cfg.tier = ExecTier::Fast;
-        let mut em = Emulator::new(spec.workload.build(&params), &cfg);
+        let mut em = Emulator::new(program.clone(), &on(ExecTier::Fast));
         let started = Instant::now();
         em.run_functional();
         (started.elapsed(), em)
@@ -175,9 +138,7 @@ pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
     let fast_stop = fast.take_stop().expect("run_functional stops");
 
     let (trace_wall, mut trace) = best_of(|| {
-        let mut cfg = SimConfig::isca2018(spec.rt.clone());
-        cfg.tier = ExecTier::Trace;
-        let mut em = Emulator::new(spec.workload.build(&params), &cfg);
+        let mut em = Emulator::new(program.clone(), &on(ExecTier::Trace));
         let started = Instant::now();
         em.run_functional();
         (started.elapsed(), em)
@@ -185,9 +146,7 @@ pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
     let trace_stop = trace.take_stop().expect("run_functional stops");
 
     let (reference_wall, mut reference) = best_of(|| {
-        let mut cfg = SimConfig::isca2018(spec.rt.clone());
-        cfg.tier = ExecTier::Reference;
-        let mut em = Emulator::new(spec.workload.build(&params), &cfg);
+        let mut em = Emulator::new(program.clone(), &on(ExecTier::Reference));
         let mut buf: Vec<DynInst> = Vec::new();
         let started = Instant::now();
         while em.step(&mut buf) {
@@ -197,7 +156,6 @@ pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
     });
     let reference_stop = reference.take_stop().expect("step loop stops");
 
-    let cell = format!("{} {}", spec.name, spec.rt.label());
     if fast_stop != reference_stop || fast_stop != trace_stop {
         return Err(format!(
             "{cell}: stop reasons diverge — fast {fast_stop:?}, trace {trace_stop:?}, \
@@ -219,56 +177,14 @@ pub fn measure(spec: &CellSpec) -> Result<ThroughputCell, String> {
         }
     }
     Ok(ThroughputCell {
-        name: spec.name.clone(),
-        config: spec.rt.label(),
+        name: job.guest.name().to_string(),
+        config: job.label.clone(),
         insts: fast.insts(),
         uops: fast.uops(),
         fast_wall,
         trace_wall,
         reference_wall,
     })
-}
-
-/// Measures every cell on a pool of `workers` threads, preserving input
-/// order and reporting per-cell progress on stderr. The first
-/// divergence fails the whole sweep.
-pub fn measure_all(cells: &[CellSpec], workers: usize) -> Result<Vec<ThroughputCell>, String> {
-    let total = cells.len();
-    let results: Vec<Mutex<Option<Result<ThroughputCell, String>>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.max(1).min(total.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let spec = &cells[i];
-                let result = measure(spec);
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                match &result {
-                    Ok(c) => eprintln!(
-                        "[{n}/{total}] {} {}: trace {:.0} / fast {:.0} / ref {:.0} guest-IPS \
-                         ({:.2}x trace-over-fast)",
-                        c.name,
-                        c.config,
-                        c.trace_ips(),
-                        c.fast_ips(),
-                        c.reference_ips(),
-                        c.trace_speedup()
-                    ),
-                    Err(e) => eprintln!("[{n}/{total}] FAILED: {e}"),
-                }
-                *results[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every cell measured"))
-        .collect()
 }
 
 /// The full throughput report: one document per `perf` invocation.
@@ -564,27 +480,11 @@ mod tests {
     }
 
     #[test]
-    fn cells_for_is_row_major() {
-        let rows = [FigureRow::of(Workload::Lbm), FigureRow::of(Workload::Hmmer)];
-        let configs = [RtConfig::plain(), RtConfig::asan()];
-        let cells = cells_for(&rows, &configs, Scale::Test);
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].name, "lbm");
-        assert_eq!(cells[1].name, "lbm");
-        assert_eq!(cells[1].rt.label(), "asan");
-        assert_eq!(cells[2].name, "hmmer");
-    }
-
-    #[test]
     fn measure_agrees_across_paths() {
-        let spec = CellSpec {
-            name: "lbm".to_string(),
-            workload: Workload::Lbm,
-            seed: 0xC0FFEE,
-            scale: Scale::Test,
-            rt: RtConfig::plain(),
-        };
-        let cell = measure(&spec).expect("paths agree");
+        use rest_workloads::{Scale, Workload};
+        let job = SimJob::plain(&crate::FigureRow::of(Workload::Lbm), Scale::Test);
+        let cell = measure(&job).expect("paths agree");
+        assert_eq!((cell.name.as_str(), cell.config.as_str()), ("lbm", "plain"));
         assert!(cell.insts > 0);
         assert!(cell.uops >= cell.insts);
         assert!(cell.speedup().is_finite());

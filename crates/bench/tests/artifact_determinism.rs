@@ -93,8 +93,8 @@ fn bench_files_are_the_only_home_for_host_measurements() {
     // didn't, its measurements could silently migrate into an
     // experiment document without the scan above noticing, and the
     // exemption would be hiding nothing. This also pins the exemption
-    // list itself: the three nondeterministic artefacts the repository
-    // commits must all be present and all be exempt.
+    // list itself: the two nondeterministic artefacts the repository
+    // commits must both be present and both be exempt.
     let dir = results_dir();
     let mut bench_files = Vec::new();
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -110,11 +110,7 @@ fn bench_files_are_the_only_home_for_host_measurements() {
         }
     }
     bench_files.sort();
-    for required in [
-        "BENCH_baseline.json",
-        "BENCH_elision.json",
-        "BENCH_throughput.json",
-    ] {
+    for required in ["BENCH_baseline.json", "BENCH_throughput.json"] {
         assert!(
             bench_files.iter().any(|n| n == required),
             "results/{required} must be committed (have {bench_files:?})"
@@ -145,12 +141,6 @@ fn bench_files_are_the_only_home_for_host_measurements() {
         "the throughput baseline carries the gated trace_ips keys"
     );
     assert!(violations.iter().any(|v| v.ends_with(".effective_jobs")));
-
-    violations.clear();
-    let elision =
-        Json::parse(&std::fs::read_to_string(dir.join("BENCH_elision.json")).unwrap()).unwrap();
-    scan(&elision, "BENCH_elision.json", &mut violations);
-    assert!(violations.iter().any(|v| v.ends_with("_wall_s")));
 
     violations.clear();
     let baseline =
