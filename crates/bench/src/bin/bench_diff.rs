@@ -1,27 +1,22 @@
-//! Throughput regression gate: compares a fresh `rest-throughput/v2`
-//! document against a committed baseline and exits nonzero when the
-//! sweep-wide fast-path or trace-tier guest-IPS regressed beyond
-//! tolerance. See [`rest_bench::benchdiff`].
+//! Host-time regression gate: compares the host profiles of two
+//! `regen --profile-out` runs and exits nonzero when the jobs both runs
+//! simulated took longer in total. See [`rest_bench::benchdiff`].
 //!
 //! ```text
-//! bench-diff --baseline results/BENCH_throughput.json \
-//!            --current  /tmp/fresh.json \
-//!            [--tolerance PCT]
+//! bench-diff --baseline base.json --current change.json
 //! ```
 //!
 //! Exit codes: 0 = within tolerance, 1 = regression,
-//! 2 = usage or I/O error (malformed documents are errors, not passes).
+//! 2 = usage or input error (malformed documents are errors, not passes).
 
 use std::path::PathBuf;
 
-use rest_bench::benchdiff::{diff, load, DEFAULT_TOLERANCE_PCT};
+use rest_bench::benchdiff::run;
 
-const USAGE: &str = "usage: bench-diff --baseline PATH --current PATH \
-                     [--tolerance PCT]\n\
+const USAGE: &str = "usage: bench-diff --baseline PATH --current PATH\n\
                      \n\
-                     --baseline PATH   committed rest-throughput/v2 document\n\
-                     --current PATH    freshly measured document to gate\n\
-                     --tolerance PCT   allowed aggregate guest-IPS drop (default 5)";
+                     --baseline PATH   rest-host-profile/v2 document of the reference run\n\
+                     --current PATH    rest-host-profile/v2 document of the run to gate";
 
 fn die(msg: &str) -> ! {
     eprintln!("bench-diff: {msg}");
@@ -33,7 +28,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline: Option<PathBuf> = None;
     let mut current: Option<PathBuf> = None;
-    let mut tolerance = DEFAULT_TOLERANCE_PCT;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -45,10 +39,6 @@ fn main() {
                 Some(v) => current = Some(PathBuf::from(v)),
                 None => die("--current needs a path"),
             },
-            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => tolerance = v,
-                _ => die("--tolerance needs a non-negative percentage"),
-            },
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -56,12 +46,14 @@ fn main() {
             other => die(&format!("unknown argument {other:?}")),
         }
     }
-    let Some(baseline) = baseline else { die("--baseline is required") };
-    let Some(current) = current else { die("--current is required") };
+    let Some(baseline) = baseline else {
+        die("--baseline is required")
+    };
+    let Some(current) = current else {
+        die("--current is required")
+    };
 
-    let base_doc = load(&baseline).unwrap_or_else(|e| die(&e));
-    let curr_doc = load(&current).unwrap_or_else(|e| die(&e));
-    let report = diff(&base_doc, &curr_doc, tolerance).unwrap_or_else(|e| die(&e));
+    let report = run(&baseline, &current).unwrap_or_else(|e| die(&e));
     print!("{}", report.render());
     if report.regressed() {
         std::process::exit(1);

@@ -13,7 +13,7 @@
 use rest_bench::cli::BenchCli;
 
 fn main() {
-    let cli = BenchCli::parse("regen");
+    let cli = BenchCli::parse();
     if let Err(e) = rest_bench::regen::run(cli) {
         eprintln!("regen: {e}");
         std::process::exit(1);

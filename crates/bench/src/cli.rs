@@ -1,8 +1,4 @@
-//! Shared command-line layer and harness of the `regen` and `perf`
-//! binaries.
-//!
-//! `regen` accepts the full set (`perf` reads `--test`, `--jobs`,
-//! `--out` and `--filter`):
+//! Command-line layer and harness of the `regen` binary:
 //!
 //! ```text
 //! [EXPERIMENT ...]       experiments to run, by name (default: every entry of
@@ -46,8 +42,7 @@
 //! `--jobs` is clamped to the host's available parallelism: requesting
 //! more workers than cores never helps a CPU-bound simulation and the
 //! determinism contract makes the clamp invisible in experiment output
-//! (only the host profile and throughput reports record the effective
-//! worker count).
+//! (only the host profile records the effective worker count).
 //!
 //! A run fails (exit 1) after writing its artifacts when any experiment
 //! failed or any engine job panicked, naming each.
@@ -132,23 +127,23 @@ impl BenchCli {
 
     /// Parses the process arguments; prints usage and exits on `--help`
     /// or a malformed command line.
-    pub fn parse(program: &str) -> BenchCli {
+    pub fn parse() -> BenchCli {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Self::from_args(&args) {
             Ok(cli) => cli,
-            Err(msg) => Self::usage_exit(program, &msg),
+            Err(msg) => Self::usage_exit(&msg),
         }
     }
 
     /// Prints `msg` and the usage, then exits: 0 for a `--help`
     /// request (`msg == "help"`), 2 otherwise.
-    pub fn usage_exit(program: &str, msg: &str) -> ! {
+    fn usage_exit(msg: &str) -> ! {
         if msg == "help" {
-            eprintln!("{}", Self::usage(program));
+            eprintln!("{}", Self::usage());
             std::process::exit(0);
         }
-        eprintln!("{program}: {msg}");
-        eprintln!("{}", Self::usage(program));
+        eprintln!("regen: {msg}");
+        eprintln!("{}", Self::usage());
         std::process::exit(2);
     }
 
@@ -225,16 +220,16 @@ impl BenchCli {
             }
         }
         // Oversubscribing a CPU-bound job pool only adds contention; the
-        // effective count is recorded in BENCH_* reports, never in
+        // effective count is recorded in the host profile, never in
         // experiment JSON, so the clamp cannot perturb result bytes.
         cli.jobs = cli.jobs.min(Self::default_jobs());
         Ok(cli)
     }
 
-    fn usage(program: &str) -> String {
+    fn usage() -> String {
         let names: Vec<&str> = crate::regen::EXPERIMENTS.iter().map(|e| e.name).collect();
         format!(
-            "usage: {program} [EXPERIMENT ...] [--test] [--jobs N] [--out DIR]\n\
+            "usage: regen [EXPERIMENT ...] [--test] [--jobs N] [--out DIR]\n\
              \x20                 [--filter SUBSTRING] [--sample-interval N] [--trace-out PATH]\n\
              \x20                 [--profile-out PATH] [--campaign-trace-out PATH]\n\
              \x20                 [--verify] [--reference] [--emit-regress DIR]\n\

@@ -800,24 +800,19 @@ impl MatrixResults {
     /// The standard overhead table: benchmark rows, one column per
     /// configuration, WtdAriMean/GeoMean summary rows.
     pub fn text_table(&self) -> String {
-        let mut t = format!("{:<12}", "benchmark");
-        for col in &self.columns {
-            t += &format!("{:>18}", col.label);
-        }
-        t.push('\n');
-        for row in &self.rows {
-            let cells: Vec<f64> = (0..self.columns.len())
-                .map(|c| row.overhead_pct(c))
-                .collect();
-            t += &crate::fmt_row(row.row.name, &cells);
-            t.push('\n');
-        }
+        let labels: Vec<&str> = self.columns.iter().map(|c| c.label.as_str()).collect();
+        let mut rows: Vec<(&str, Vec<f64>)> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let cells = (0..self.columns.len()).map(|c| row.overhead_pct(c)).collect();
+                (row.row.name, cells)
+            })
+            .collect();
         let summary = self.summary();
-        let wtd: Vec<f64> = summary.iter().map(|&(w, _)| w).collect();
-        let geo: Vec<f64> = summary.iter().map(|&(_, g)| g).collect();
-        t += &format!("{}\n", crate::fmt_row("WtdAriMean", &wtd));
-        t += &format!("{}\n", crate::fmt_row("GeoMean", &geo));
-        t
+        rows.push(("WtdAriMean", summary.iter().map(|&(w, _)| w).collect()));
+        rows.push(("GeoMean", summary.iter().map(|&(_, g)| g).collect()));
+        crate::overhead_table(&labels, &rows)
     }
 }
 

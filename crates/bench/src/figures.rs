@@ -13,7 +13,7 @@ use rest_workloads::Workload;
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, MatrixSpec, RowResults};
 use crate::sink::{Artifact, Json, ResultSink};
-use crate::{fig7_configs, fig8_widths, figure_rows, fmt_row, machine_header, FigureRow};
+use crate::{fig7_configs, fig8_widths, figure_rows, machine_header, overhead_table, FigureRow};
 
 /// The document and text table of the running experiment.
 fn doc_and_table(h: &Harness, sink: &ResultSink, text: String) -> Result<Vec<Artifact>, String> {
@@ -100,32 +100,32 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let mut t = String::new();
     t += "# Figure 3 — ASan overhead breakdown (%, incremental per component)\n";
     t += "# core: narrow in-order (as in the paper's Figure 3 measurement)\n\n";
-    let _ = write!(t, "{:<12}", "benchmark");
-    for col in &matrix.columns {
-        let _ = write!(t, "{:>18}", col.label);
-    }
-    let _ = writeln!(t, "{:>18}", "total");
+    let labels: Vec<&str> = matrix
+        .columns
+        .iter()
+        .map(|c| c.label.as_str())
+        .chain(["total"])
+        .collect();
 
     // The matrix cells are cumulative; the figure reports each
     // component's *incremental* contribution over the previous stage,
     // normalised to plain cycles.
+    let mut table_rows = Vec::new();
     let mut incremental_rows = Vec::new();
     for row in &matrix.rows {
         let cells = incremental_cells(row, matrix.columns.len());
-        let _ = writeln!(t, "{}", fmt_row(row.row.name, &cells));
-        let stages = matrix
-            .columns
+        let stages = labels
             .iter()
-            .map(|c| c.label.clone())
-            .chain(["total".to_string()])
             .zip(&cells)
-            .map(|(label, &pct)| (label, Json::Num(pct)))
+            .map(|(label, &pct)| (label.to_string(), Json::Num(pct)))
             .collect();
         incremental_rows.push(Json::obj(vec![
             ("benchmark", Json::from(row.row.name)),
             ("stages_pct", Json::Obj(stages)),
         ]));
+        table_rows.push((row.row.name, cells));
     }
+    t += &overhead_table(&labels, &table_rows);
     t += "\n# paper: access validation dominates everywhere; the allocator\n";
     t += "# contributes heavily for alloc-heavy benchmarks (gcc, xalancbmk).\n";
 

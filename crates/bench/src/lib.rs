@@ -18,9 +18,9 @@
 //! | `fuzz` | `fuzz.json` | adversarial-corpus tri-oracle campaign ([`fuzz`]) |
 //! | `hotspots` | `hotspots.json`, `.folded`, `.perfetto.json` | guest hotspot profile ([`hotspots`]) |
 //!
-//! Two more binaries measure the host rather than the guest: `perf`
-//! (guest-IPS throughput, [`throughput`]) and `bench-diff` (the
-//! throughput regression gate, [`benchdiff`]).
+//! One more binary measures the host rather than the guest:
+//! `bench-diff` ([`benchdiff`]) compares the host profiles of two
+//! `regen --profile-out` runs and fails when the timing path slowed.
 //!
 //! Every experiment runs on one shared harness:
 //!
@@ -62,7 +62,6 @@ pub mod fuzz;
 pub mod hotspots;
 pub mod regen;
 pub mod sink;
-pub mod throughput;
 
 use rest_core::{Mode, TokenWidth};
 use rest_runtime::{RtConfig, Scheme, StackScheme};
@@ -268,14 +267,28 @@ pub fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Formats one row of an overhead table.
-pub fn fmt_row(name: &str, cells: &[f64]) -> String {
+/// Renders an overhead table: a `benchmark` column left-aligned to the
+/// longest row name, then one column per label, its values (two
+/// decimals) right-aligned under the label. Columns are never narrower
+/// than 12 (names) and 18 (values) characters, and always keep a space
+/// between neighbours.
+pub fn overhead_table(labels: &[&str], rows: &[(&str, Vec<f64>)]) -> String {
     use std::fmt::Write as _;
-    let mut s = format!("{name:<12}");
-    for c in cells {
-        let _ = write!(s, "{c:>18.2}");
+    let name_w = rows.iter().map(|(n, _)| n.len() + 1).fold(12, usize::max);
+    let widths: Vec<usize> = labels.iter().map(|l| (l.len() + 1).max(18)).collect();
+    let mut t = format!("{:<name_w$}", "benchmark");
+    for (label, w) in labels.iter().zip(&widths) {
+        let _ = write!(t, "{label:>w$}");
     }
-    s
+    t.push('\n');
+    for (name, cells) in rows {
+        let _ = write!(t, "{name:<name_w$}");
+        for (c, w) in cells.iter().zip(&widths) {
+            let _ = write!(t, "{c:>w$.2}");
+        }
+        t.push('\n');
+    }
+    t
 }
 
 #[cfg(test)]
@@ -304,6 +317,33 @@ mod tests {
         assert!((geo_mean_overhead(&[0, 100], &[50, 150]) - 50.0).abs() < 1e-9);
         assert!((geo_mean_overhead(&[100, 100], &[0, 150]) - 50.0).abs() < 1e-9);
         assert!(geo_mean_overhead(&[0, 100], &[50, 150]).is_finite());
+    }
+
+    #[test]
+    fn overhead_table_values_end_under_their_labels() {
+        // Fig. 7's labels and rows: `rest-perfecthw-full` is wider than
+        // the default value column, `gobmk-connect_rot` than the name
+        // column.
+        let labels: Vec<String> = fig7_configs().iter().map(RtConfig::label).collect();
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let mut rows: Vec<(&str, Vec<f64>)> = figure_rows()
+            .iter()
+            .map(|r| (r.name, vec![-0.07; labels.len()]))
+            .collect();
+        rows.push(("GeoMean", vec![355.82; labels.len()]));
+        let table = overhead_table(&labels, &rows);
+        // The end column of each whitespace-separated field.
+        let ends = |line: &str| -> Vec<usize> {
+            line.split_whitespace()
+                .map(|f| f.as_ptr() as usize - line.as_ptr() as usize + f.len())
+                .collect()
+        };
+        let mut lines = table.lines();
+        let header = ends(lines.next().unwrap());
+        assert_eq!(header.len(), labels.len() + 1, "{table}");
+        for line in lines {
+            assert_eq!(ends(line)[1..], header[1..], "{line}\n{table}");
+        }
     }
 
     #[test]

@@ -194,7 +194,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             })
         }
         Some(rest_obs::HostProfile::SCHEMA) => rest_obs::HostProfile::validate(doc),
-        Some(crate::throughput::SCHEMA) => crate::throughput::ThroughputReport::validate(doc),
         Some(crate::faults::SCHEMA) => crate::faults::validate(doc),
         Some(crate::fuzz::SCHEMA) => crate::fuzz::validate(doc),
         Some(crate::defense::SCHEMA) => crate::defense::validate(doc),

@@ -3,7 +3,8 @@
 //! dispatch), and the reference path (re-decode every fetch) must be
 //! architecturally indistinguishable — identical micro-op streams,
 //! stats maps, violation logs, and program output — across every
-//! benchmark row and every attack scenario.
+//! benchmark row (micro-op streams under plain, ASan and
+//! rest-secure-full) and every attack scenario.
 
 use rest_attacks::Attack;
 use rest_bench::engine::{Guest, SimJob};
@@ -87,16 +88,25 @@ fn lockstep(label: &str, program: Program, rt: RtConfig) -> StopReason {
 fn workload_rows_produce_identical_uop_streams() {
     let rows = figure_rows();
     assert_eq!(rows.len(), 16, "figure corpus is 16 rows");
+    // No protection, the heaviest instrumentation (ASan injects uops
+    // per access) and the paper's headline REST configuration.
+    let configs = [
+        RtConfig::plain(),
+        RtConfig::asan(),
+        RtConfig::rest(Mode::Secure, true),
+    ];
     for row in rows {
-        let rt = RtConfig::rest(Mode::Secure, true);
-        let params = WorkloadParams {
-            scale: Scale::Test,
-            stack_scheme: stack_for(&rt),
-            token_width: rt.token_width,
-            seed: row.seed,
-        };
-        let stop = lockstep(row.name, row.workload.build(&params), rt);
-        assert_eq!(stop, StopReason::Exit(0), "{}: clean exit", row.name);
+        for rt in &configs {
+            let label = format!("{} {}", row.name, rt.label());
+            let params = WorkloadParams {
+                scale: Scale::Test,
+                stack_scheme: stack_for(rt),
+                token_width: rt.token_width,
+                seed: row.seed,
+            };
+            let stop = lockstep(&label, row.workload.build(&params), rt.clone());
+            assert_eq!(stop, StopReason::Exit(0), "{label}: clean exit");
+        }
     }
 }
 
