@@ -14,6 +14,10 @@
 //! model is unchanged a job's wall ratio is its host ns-per-uop ratio.
 //! The gate is the summed wall of those matched jobs; the report also
 //! breaks it down per experiment and names the jobs that moved most.
+//! Beside each experiment's matched jobs it prints the experiment's
+//! whole wall from both profiles' `experiments` arrays, so work that runs
+//! outside the engine's job log (the fuzz campaign's cases) shows up
+//! too; those walls are reported, never gated.
 //!
 //! Both inputs must pass [`HostProfile::validate`] and record the same
 //! worker count, so a truncated, foreign or mis-shaped document is an
@@ -55,6 +59,28 @@ pub struct DiffReport {
     jobs: Vec<JobDelta>,
     /// Jobs not compared: unmatched, or cached on one side only.
     skipped: Vec<String>,
+    /// Whole wall of each experiment: current-profile order, then
+    /// baseline-only experiments.
+    walls: Vec<(String, Pair)>,
+}
+
+/// A `(baseline, current)` wall in seconds; `None` where a side has
+/// none.
+type Pair = (Option<f64>, Option<f64>);
+
+/// The three table cells of a pair: both walls and the change.
+fn pair_cells((base, current): Pair) -> String {
+    let secs = |s: Option<f64>| s.map_or(format!("{:>12}", "-"), |s| format!("{s:>12.4}"));
+    let change = match (base, current) {
+        (Some(b), Some(c)) => format!("{:>+9.2}%", pct(c, b)),
+        _ => format!("{:>10}", "-"),
+    };
+    format!("{}{}{change}", secs(base), secs(current))
+}
+
+/// Sum of the present values; `None` if there are none.
+fn sum_some(values: impl Iterator<Item = Option<f64>>) -> Option<f64> {
+    values.flatten().fold(None, |sum, v| Some(sum.unwrap_or(0.0) + v))
 }
 
 fn pct(current: f64, base: f64) -> f64 {
@@ -104,29 +130,48 @@ impl DiffReport {
         rows
     }
 
-    /// The experiment table, the largest per-job changes, the skipped
-    /// jobs and one verdict line.
+    /// The experiment table (matched jobs, then the whole experiment
+    /// wall), the largest per-job changes, the skipped jobs and one
+    /// verdict line.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<14}{:>6}{:>12}{:>12}{:>10}",
-            "experiment", "jobs", "base s", "current s", "change"
+            "{:<14}{:>6}{:>12}{:>12}{:>10}  | {:>12}{:>12}{:>10}",
+            "experiment", "jobs", "base s", "current s", "change", "wall base", "wall cur", "change"
         );
-        for (name, n, base, current) in self.experiments() {
-            let _ = writeln!(
-                out,
-                "{name:<14}{n:>6}{base:>12.4}{current:>12.4}{:>+9.2}%",
-                pct(current, base)
-            );
+        let jobs = self.experiments();
+        let mut names: Vec<&str> = self.walls.iter().map(|w| w.0.as_str()).collect();
+        for r in &jobs {
+            if !names.contains(&r.0) {
+                names.push(r.0);
+            }
+        }
+        for name in names {
+            let (n, matched) = jobs
+                .iter()
+                .find(|r| r.0 == name)
+                .map_or((0, (None, None)), |r| (r.1, (Some(r.2), Some(r.3))));
+            let wall = self.walls.iter().find(|w| w.0 == name).map_or((None, None), |w| w.1);
+            let _ = writeln!(out, "{name:<14}{n:>6}{}  | {}", pair_cells(matched), pair_cells(wall));
         }
         let (base, current) = self.totals();
+        let wall = (
+            sum_some(self.walls.iter().map(|w| w.1 .0)),
+            sum_some(self.walls.iter().map(|w| w.1 .1)),
+        );
         let _ = writeln!(
             out,
-            "{:<14}{:>6}{base:>12.4}{current:>12.4}{:>+9.2}%",
+            "{:<14}{:>6}{}  | {}",
             "total",
             self.jobs.len(),
-            self.delta_pct()
+            pair_cells((Some(base), Some(current))),
+            pair_cells(wall)
+        );
+        let _ = writeln!(
+            out,
+            "# jobs/base s/current s: jobs fresh in both profiles (the gated total); \
+             wall: whole experiment, reported only"
         );
 
         let mut movers: Vec<&JobDelta> = self.jobs.iter().collect();
@@ -174,6 +219,14 @@ fn job_log(doc: &Json) -> Result<Vec<(&str, f64, bool)>, String> {
         .collect()
 }
 
+/// `(name, wall_s)` of every experiment the profile ran, in order.
+fn experiment_walls(doc: &Json) -> Result<Vec<(&str, f64)>, String> {
+    doc.req("experiments", Json::as_arr)?
+        .iter()
+        .map(|e| Ok((e.req("name", Json::as_str)?, e.req("wall_s", Json::as_f64)?)))
+        .collect()
+}
+
 /// Keys each record by its label and how often that label occurred
 /// before it.
 fn by_occurrence<'a>(log: &[(&'a str, f64, bool)]) -> Vec<((&'a str, usize), f64, bool)> {
@@ -205,9 +258,22 @@ pub fn diff(baseline: &Json, current: &Json) -> Result<DiffReport, String> {
         .map(|(key, wall, cached)| (key, (wall, cached)))
         .collect();
     let name = |(label, n): (&str, usize)| format!("{label} (occurrence {n})");
+    let base_walls = experiment_walls(baseline)?;
+    let current_walls = experiment_walls(current)?;
+    let total = |walls: &[(&str, f64)], experiment: &str| {
+        sum_some(walls.iter().filter(|w| w.0 == experiment).map(|w| Some(w.1)))
+    };
+    let mut walls: Vec<(String, Pair)> = Vec::new();
+    for &(experiment, _) in current_walls.iter().chain(&base_walls) {
+        if walls.iter().all(|w| w.0 != experiment) {
+            let pair = (total(&base_walls, experiment), total(&current_walls, experiment));
+            walls.push((experiment.to_string(), pair));
+        }
+    }
     let mut report = DiffReport {
         jobs: Vec::new(),
         skipped: Vec::new(),
+        walls,
     };
     for (key, current_s, cached) in by_occurrence(&job_log(current)?) {
         match base.remove(&key) {
@@ -261,9 +327,18 @@ mod tests {
     /// A valid profile on `workers` workers: one job per `(label,
     /// wall ms, cached)`, every fresh job on worker 0.
     fn profile(workers: usize, jobs: &[(&str, u64, bool)]) -> Json {
+        profile_with_walls(workers, jobs, &[])
+    }
+
+    /// [`profile`] that also records one whole wall per `(experiment,
+    /// wall ms)`.
+    fn profile_with_walls(workers: usize, jobs: &[(&str, u64, bool)], walls: &[(&str, u64)]) -> Json {
         let mut p = HostProfile::new("regen", workers);
         p.add_phase("simulate", Duration::from_millis(1));
         p.add_phase("report", Duration::from_millis(1));
+        for &(name, ms) in walls {
+            p.add_experiment(name, Duration::from_millis(ms));
+        }
         for &(label, ms, cached) in jobs {
             p.add_job(JobTiming {
                 label: label.to_string(),
@@ -333,6 +408,36 @@ mod tests {
         assert!(!diff(&profile(2, &slow), &profile(2, &BASE))
             .unwrap()
             .regressed());
+    }
+
+    #[test]
+    fn an_experiment_without_jobs_reports_its_wall_outside_the_verdict() {
+        let base = profile_with_walls(2, &BASE, &[("fig7", 250), ("fuzz", 700), ("fig8", 120)]);
+        // The fuzz campaign runs no engine job: twice as slow, it moves
+        // only its own wall row, never the verdict.
+        let current = profile_with_walls(2, &BASE, &[("fig7", 260), ("fuzz", 1400), ("old", 5)]);
+        let report = diff(&base, &current).unwrap();
+        assert!(!report.regressed());
+        assert_eq!(
+            report.walls,
+            [
+                ("fig7".to_string(), (Some(0.25), Some(0.26))),
+                ("fuzz".to_string(), (Some(0.7), Some(1.4))),
+                ("old".to_string(), (None, Some(0.005))),
+                ("fig8".to_string(), (Some(0.12), None)),
+            ]
+        );
+        let text = report.render();
+        let row = |name: &str| {
+            let line = text.lines().find(|l| l.starts_with(&format!("{name} "))).unwrap();
+            line.split_whitespace().skip(1).collect::<Vec<_>>().join(" ")
+        };
+        assert_eq!(row("fuzz"), "0 - - - | 0.7000 1.4000 +100.00%", "{text}");
+        assert_eq!(row("fig7"), "2 0.4000 0.4000 +0.00% | 0.2500 0.2600 +4.00%", "{text}");
+        assert_eq!(row("fig8"), "1 0.2000 0.2000 +0.00% | 0.1200 - -", "{text}");
+        assert_eq!(row("total"), "3 0.6000 0.6000 +0.00% | 1.0700 1.6650 +55.61%", "{text}");
+        assert!(text.contains("reported only"), "{text}");
+        assert!(text.contains("OK: fresh-job wall 0.600 s -> 0.600 s"), "{text}");
     }
 
     #[test]

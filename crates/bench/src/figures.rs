@@ -310,13 +310,24 @@ const TABLE3_PRIOR_ROWS: [[&str; 7]; 13] = [
     ["ARM PA", "Targeted", "None", "no", "yes", "Negligible", "not disclosed"],
 ];
 
-/// One line of the Table III text: left-aligned fixed-width columns.
-fn table3_line(cells: [&str; 7]) -> String {
-    let mut line = String::new();
-    for (cell, width) in cells.iter().zip([14, 10, 15, 8, 12, 22, 0]) {
-        let _ = write!(line, "{cell:<width$}");
+/// The Table III text lines: left-aligned columns, each as wide as its
+/// longest cell plus one space; the last column is not padded.
+fn table3_lines(rows: &[[&str; 7]]) -> String {
+    let mut widths = [0usize; 7];
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count() + 1);
+        }
     }
-    line
+    widths[6] = 0;
+    let mut t = String::new();
+    for row in rows {
+        for (cell, width) in row.iter().zip(widths) {
+            let _ = write!(t, "{cell:<width$}");
+        }
+        t.push('\n');
+    }
+    t
 }
 
 /// Table III: comparison of hardware memory-safety techniques. The
@@ -349,10 +360,9 @@ pub fn table3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     let mut t = String::new();
     t += "# Table III — hardware memory-safety techniques (single-core)\n\n";
-    for cells in [TABLE3_COLUMNS].iter().chain(&TABLE3_PRIOR_ROWS).chain([&ours]) {
-        t += &table3_line(*cells);
-        t.push('\n');
-    }
+    let rows: Vec<[&str; 7]> =
+        [TABLE3_COLUMNS].into_iter().chain(TABLE3_PRIOR_ROWS).chain([ours]).collect();
+    t += &table3_lines(&rows);
     t += "\n# prior rows: paper's qualitative assessment; REST row measured here.\n";
 
     let prior = TABLE3_PRIOR_ROWS
@@ -593,4 +603,39 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push_matrix("quarantine_budget", &budget);
     sink.push_matrix("future_work", &future);
     doc_and_table(h, &sink, t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table3_cells_are_separated_and_columns_aligned() {
+        let ours = [
+            "REST (ours)",
+            "Linear",
+            "Until realloc",
+            "no",
+            "yes",
+            "Negligible (0.5% meas.)",
+            "1 metadata bit per L1-D line, 1 comparator",
+        ];
+        let rows: Vec<[&str; 7]> =
+            [TABLE3_COLUMNS].into_iter().chain(TABLE3_PRIOR_ROWS).chain([ours]).collect();
+        let text = table3_lines(&rows);
+        let mut starts: Option<Vec<usize>> = None;
+        for (line, row) in text.lines().zip(&rows) {
+            let mut at = Vec::new();
+            let mut rest = line;
+            for cell in &row[..6] {
+                at.push(line.chars().count() - rest.chars().count());
+                rest = rest.strip_prefix(cell).unwrap_or_else(|| panic!("{line:?}: {cell:?}"));
+                assert!(rest.starts_with(' '), "{cell:?} runs into the next cell: {line:?}");
+                rest = rest.trim_start();
+            }
+            assert_eq!(rest, row[6], "the last cell ends the line unpadded");
+            assert_eq!(starts.get_or_insert_with(|| at.clone()), &at, "columns misaligned: {line:?}");
+        }
+        assert_eq!(text.lines().count(), rows.len());
+    }
 }

@@ -2,9 +2,10 @@
 //!
 //! Three kinds of consumers drive the emulator: the timing core steps
 //! one macro instruction at a time and materialises the micro-op stream
-//! ([`ExecEngine::step`]); functional-only harnesses (attacks,
-//! workloads, `restlint --differential`, the perf harness) run whole
-//! programs while merely counting micro-ops
+//! ([`ExecEngine::step`]); functional-only harnesses (the fuzz
+//! oracle's functional tiers, attacks, workloads, `restlint
+//! --differential`, the benchmark crate's `functional-sweep` and the
+//! tests) run whole programs while merely counting micro-ops
 //! ([`ExecEngine::run_functional`]); and differential gates drive two
 //! engines in lockstep over materialised chunks
 //! ([`ExecEngine::run_chunk`]). The trait pins one contract for all of
@@ -52,8 +53,9 @@ pub trait ExecEngine {
     fn pc(&self) -> u64;
 
     /// Runs the program to completion functionally, discarding the
-    /// micro-op stream (fast architectural tests, the perf harness's
-    /// guest-IPS measurement). This is where block-dispatch tiers earn
+    /// micro-op stream (the fuzz oracle's functional tiers, the
+    /// benchmark crate's `functional-sweep`, fast architectural tests).
+    /// This is where block-dispatch tiers earn
     /// their keep; the default is the plain quiet-step loop.
     fn run_functional(&mut self) -> &StopReason {
         while self.step_quiet() {}

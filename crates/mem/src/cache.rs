@@ -1,7 +1,8 @@
+use crate::blocks::BlockTable;
 use crate::config::CacheConfig;
 
-/// One way (line frame) of a set: 16 bytes, so building the paper's
-/// 2 MB L2 writes 512 KiB of ways.
+/// One way (line frame) of a set: 16 bytes, so the paper's 2 MB L2 has
+/// 512 KiB of ways once every set has been filled.
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
@@ -36,10 +37,13 @@ pub struct EvictedLine {
 /// memory. This is the standard timing/functional split and is what lets
 /// the token detector compare genuine line contents at fill time.
 ///
-/// The ways live in one set-major array (set `s` owns ways
-/// `s * assoc .. (s + 1) * assoc`), and addresses split into line offset,
-/// set index and tag by shift and mask: [`CacheConfig::sets`] admits
-/// only power-of-two line sizes and set counts.
+/// Each set is one block of `assoc` ways in a [`BlockTable`], allocated
+/// on the set's first fill: a set that has never been filled reads as
+/// the table's shared all-invalid block, so building a cache costs one
+/// index entry per set and a run pays for the sets it fills. Addresses
+/// split into line offset, set index and tag by shift and mask:
+/// [`CacheConfig::sets`] admits only power-of-two line sizes and set
+/// counts.
 ///
 /// # Example
 ///
@@ -54,7 +58,8 @@ pub struct EvictedLine {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    ways: Vec<Way>,
+    /// One block of `assoc` ways per set.
+    ways: BlockTable<Way>,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `log2(sets)`.
@@ -68,7 +73,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig, name: &'static str) -> Cache {
         let sets = cfg.sets();
         Cache {
-            ways: vec![Way::default(); sets * cfg.assoc],
+            ways: BlockTable::new(sets, cfg.assoc, Way::default()),
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             cfg,
@@ -96,12 +101,6 @@ impl Cache {
         (addr >> self.line_shift) & ((1 << self.set_shift) - 1)
     }
 
-    /// Range of `set`'s ways in `ways`.
-    fn set_ways(&self, set: u64) -> std::ops::Range<usize> {
-        let first = set as usize * self.cfg.assoc;
-        first..first + self.cfg.assoc
-    }
-
     fn tag(&self, addr: u64) -> u64 {
         addr >> self.line_shift >> self.set_shift
     }
@@ -114,10 +113,11 @@ impl Cache {
     /// Next LRU stamp. When the 32-bit counter runs out, every set's
     /// valid ways are renumbered `1..=assoc` in stamp order and the
     /// counter restarts above them: the LRU way of each set stays the
-    /// LRU way, so no victim choice changes.
+    /// LRU way, so no victim choice changes. Sets never filled hold no
+    /// valid way and are skipped.
     fn bump(&mut self) -> u32 {
         if self.next_stamp == u32::MAX {
-            for set in self.ways.chunks_mut(self.cfg.assoc) {
+            for set in self.ways.touched_mut() {
                 let mut valid: Vec<&mut Way> = set.iter_mut().filter(|w| w.valid).collect();
                 valid.sort_unstable_by_key(|w| w.stamp);
                 for (rank, w) in (1..).zip(valid) {
@@ -130,21 +130,24 @@ impl Cache {
         self.next_stamp
     }
 
-    /// Index in `ways` of `addr`'s resident line.
-    fn find(&self, addr: u64) -> Option<usize> {
-        let range = self.set_ways(self.set_index(addr));
+    /// `addr`'s resident line.
+    fn find(&self, addr: u64) -> Option<&Way> {
         let tag = self.tag(addr);
-        let first = range.start;
-        self.ways[range]
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|way| first + way)
+        self.ways.get(self.set_index(addr) as usize).iter().find(|w| w.valid && w.tag == tag)
+    }
+
+    /// `addr`'s resident line, for writing.
+    fn find_mut(&mut self, addr: u64) -> Option<&mut Way> {
+        let tag = self.tag(addr);
+        let set = self.set_index(addr) as usize;
+        self.ways.get_mut(set)?.iter_mut().find(|w| w.valid && w.tag == tag)
     }
 
     fn resident(&mut self, addr: u64, op: &str) -> &mut Way {
-        match self.find(addr) {
-            Some(i) => &mut self.ways[i],
-            None => panic!("{}: {op} on absent line {addr:#x}", self.name),
+        let name = self.name;
+        match self.find_mut(addr) {
+            Some(w) => w,
+            None => panic!("{name}: {op} on absent line {addr:#x}"),
         }
     }
 
@@ -153,8 +156,7 @@ impl Cache {
     /// miss.
     pub fn lookup(&mut self, addr: u64, is_write: bool) -> Option<u8> {
         let stamp = self.bump();
-        let i = self.find(addr)?;
-        let w = &mut self.ways[i];
+        let w = self.find_mut(addr)?;
         w.stamp = stamp;
         w.dirty |= is_write;
         Some(w.token_mask)
@@ -167,14 +169,14 @@ impl Cache {
 
     /// Token bits of `addr`'s line, or `None` if not resident.
     pub fn token_mask(&self, addr: u64) -> Option<u8> {
-        self.find(addr).map(|i| self.ways[i].token_mask)
+        self.find(addr).map(|w| w.token_mask)
     }
 
     /// Whether the token bit covering `addr` (given `slot_bytes`-wide
     /// slots) is set. `false` when the line is absent.
     pub fn token_bit_covering(&self, addr: u64, slot_bytes: u64) -> bool {
         match self.find(addr) {
-            Some(i) => self.ways[i].token_mask & (1u8 << self.slot(addr, slot_bytes)) != 0,
+            Some(w) => w.token_mask & (1u8 << self.slot(addr, slot_bytes)) != 0,
             None => false,
         }
     }
@@ -232,13 +234,13 @@ impl Cache {
     }
 
     /// Installs `addr`'s line (write-allocate fill), evicting the LRU way
-    /// if the set is full. `token_mask` carries the detector's result for
-    /// the incoming data. Returns the evicted line, if any.
+    /// if the set is full; the set's ways are allocated on its first
+    /// fill. `token_mask` carries the detector's result for the incoming
+    /// data. Returns the evicted line, if any.
     pub fn fill(&mut self, addr: u64, dirty: bool, token_mask: u8) -> Option<EvictedLine> {
         let stamp = self.bump();
-        if let Some(i) = self.find(addr) {
+        if let Some(way) = self.find_mut(addr) {
             // Refill of a resident line (e.g. upgrade); merge state.
-            let way = &mut self.ways[i];
             way.stamp = stamp;
             way.dirty |= dirty;
             way.token_mask |= token_mask;
@@ -246,8 +248,7 @@ impl Cache {
         }
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let range = self.set_ways(set);
-        let ways = &mut self.ways[range];
+        let ways = self.ways.touch(set as usize);
         // Choose an invalid way, else the LRU way.
         let victim = match ways.iter().position(|w| !w.valid) {
             Some(i) => i,
@@ -277,8 +278,7 @@ impl Cache {
 
     /// Invalidates `addr`'s line, returning its state if it was resident.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let i = self.find(addr)?;
-        let way = std::mem::take(&mut self.ways[i]);
+        let way = std::mem::take(self.find_mut(addr)?);
         Some(EvictedLine {
             addr: self.line_addr(addr),
             dirty: way.dirty,
@@ -288,7 +288,7 @@ impl Cache {
 
     /// Number of valid lines (for occupancy assertions in tests).
     pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.touched().flatten().filter(|w| w.valid).count()
     }
 }
 
@@ -436,6 +436,184 @@ mod tests {
         let ev = c.fill(g, false, 0).expect("set 1 is full");
         assert_eq!(ev, EvictedLine { addr: f, dirty: true, token_mask: 0b1 });
         assert!(c.probe(b) && c.probe(d) && c.probe(e) && c.probe(g));
+    }
+
+    #[test]
+    fn fresh_isca_l2_allocates_ways_only_on_fill() {
+        let mut c = Cache::new(CacheConfig::isca2018_l2(), "L2");
+        assert_eq!(c.ways.touched_blocks(), 0);
+        // Misses, probes and invalidations of absent lines allocate nothing.
+        assert!(c.lookup(0x4000, true).is_none());
+        assert!(!c.probe(0x4000) && !c.token_bit_covering(0x4000, 16));
+        assert!(c.invalidate(0x4000).is_none());
+        assert_eq!((c.ways.touched_blocks(), c.resident_lines()), (0, 0));
+        c.fill(0x4000, false, 0);
+        assert_eq!(c.ways.touched_blocks(), 1);
+        c.fill(0x4000 + 2048 * 64, false, 0); // same set
+        assert_eq!(c.ways.touched_blocks(), 1);
+        c.fill(0x4040, false, 0); // next set
+        assert_eq!((c.ways.touched_blocks(), c.resident_lines()), (2, 3));
+    }
+
+    /// The eager set-major layout the cache had before sets were
+    /// allocated on first fill: `ways[s * assoc..(s + 1) * assoc]` is set
+    /// `s`, every way built invalid up front.
+    struct EagerCache {
+        ways: Vec<Way>,
+        assoc: usize,
+        line_shift: u32,
+        set_shift: u32,
+        next_stamp: u32,
+    }
+
+    impl EagerCache {
+        fn new(cfg: &CacheConfig) -> EagerCache {
+            EagerCache {
+                ways: vec![Way::default(); cfg.sets() * cfg.assoc],
+                assoc: cfg.assoc,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                set_shift: cfg.sets().trailing_zeros(),
+                next_stamp: 0,
+            }
+        }
+
+        fn set(&self, addr: u64) -> usize {
+            ((addr >> self.line_shift) & ((1 << self.set_shift) - 1)) as usize
+        }
+
+        fn bump(&mut self) -> u32 {
+            if self.next_stamp == u32::MAX {
+                for set in self.ways.chunks_mut(self.assoc) {
+                    let mut valid: Vec<&mut Way> = set.iter_mut().filter(|w| w.valid).collect();
+                    valid.sort_unstable_by_key(|w| w.stamp);
+                    for (rank, w) in (1..).zip(valid) {
+                        w.stamp = rank;
+                    }
+                }
+                self.next_stamp = self.assoc as u32;
+            }
+            self.next_stamp += 1;
+            self.next_stamp
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let first = self.set(addr) * self.assoc;
+            let tag = addr >> self.line_shift >> self.set_shift;
+            (first..first + self.assoc).find(|&i| self.ways[i].valid && self.ways[i].tag == tag)
+        }
+
+        fn lookup(&mut self, addr: u64, is_write: bool) -> Option<u8> {
+            let stamp = self.bump();
+            let i = self.find(addr)?;
+            let w = &mut self.ways[i];
+            w.stamp = stamp;
+            w.dirty |= is_write;
+            Some(w.token_mask)
+        }
+
+        fn fill(&mut self, addr: u64, dirty: bool, token_mask: u8) -> Option<EvictedLine> {
+            let stamp = self.bump();
+            if let Some(i) = self.find(addr) {
+                let w = &mut self.ways[i];
+                w.stamp = stamp;
+                w.dirty |= dirty;
+                w.token_mask |= token_mask;
+                return None;
+            }
+            let set = self.set(addr);
+            let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
+            let victim = match ways.iter().position(|w| !w.valid) {
+                Some(i) => i,
+                None => ways.iter().enumerate().min_by_key(|(_, w)| w.stamp).unwrap().0,
+            };
+            let old = ways[victim];
+            let tag = addr >> self.line_shift >> self.set_shift;
+            ways[victim] = Way { tag, stamp, valid: true, dirty, token_mask };
+            old.valid.then(|| EvictedLine {
+                addr: ((old.tag << self.set_shift) | set as u64) << self.line_shift,
+                dirty: old.dirty,
+                token_mask: old.token_mask,
+            })
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
+            let i = self.find(addr)?;
+            let way = std::mem::take(&mut self.ways[i]);
+            Some(EvictedLine {
+                addr: addr & !((1 << self.line_shift) - 1),
+                dirty: way.dirty,
+                token_mask: way.token_mask,
+            })
+        }
+
+        fn resident(&mut self, addr: u64) -> &mut Way {
+            let i = self.find(addr).expect("resident");
+            &mut self.ways[i]
+        }
+    }
+
+    /// Drives `Cache` and [`EagerCache`] through one seeded random
+    /// sequence of every mutating operation, with forced stamp
+    /// wraparounds, and requires identical results at every step.
+    fn lockstep(cfg: CacheConfig, seed: u64, steps: usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Cache::new(cfg.clone(), "DUT");
+        let mut r = EagerCache::new(&cfg);
+        // Lines spanning every set with `assoc + 2` tags each, so sets
+        // overflow and evict.
+        let lines = (cfg.sets() * (cfg.assoc + 2)) as u64;
+        let slot_bytes = 16;
+        for step in 0..steps {
+            let addr = rng.gen_range(0..lines) * cfg.line_bytes + rng.gen_range(0..cfg.line_bytes);
+            let resident = r.find(addr).is_some();
+            assert_eq!(c.probe(addr), resident, "step {step}: probe {addr:#x}");
+            match rng.gen_range(0..8u32) {
+                0 | 1 => {
+                    let w = rng.gen::<bool>();
+                    assert_eq!(c.lookup(addr, w), r.lookup(addr, w), "step {step}: lookup");
+                }
+                2 | 3 => {
+                    let (d, m) = (rng.gen::<bool>(), rng.gen_range(0..16u8));
+                    assert_eq!(c.fill(addr, d, m), r.fill(addr, d, m), "step {step}: fill");
+                }
+                4 => assert_eq!(c.invalidate(addr), r.invalidate(addr), "step {step}: invalidate"),
+                5 if resident => {
+                    let m = 1 << rng.gen_range(0..4u8);
+                    c.set_token_bits(addr, m);
+                    r.resident(addr).token_mask |= m;
+                }
+                6 if resident => {
+                    c.clear_token_bit(addr, slot_bytes);
+                    let bit = 1u8 << ((addr % cfg.line_bytes) / slot_bytes);
+                    let w = r.resident(addr);
+                    w.token_mask &= !bit;
+                    w.dirty = true;
+                }
+                7 if resident => {
+                    c.mark_dirty(addr);
+                    r.resident(addr).dirty = true;
+                }
+                _ => {
+                    // Force the 32-bit stamp counter to wrap within a few
+                    // operations.
+                    let near = u32::MAX - rng.gen_range(0..3u32);
+                    c.next_stamp = near;
+                    r.next_stamp = near;
+                }
+            }
+            assert_eq!(c.next_stamp, r.next_stamp, "step {step}: stamp");
+            assert_eq!(c.token_mask(addr), r.find(addr).map(|i| r.ways[i].token_mask));
+            assert_eq!(c.resident_lines(), r.ways.iter().filter(|w| w.valid).count());
+        }
+    }
+
+    #[test]
+    fn sets_allocated_on_fill_match_the_eager_layout_step_for_step() {
+        let tiny = MemConfig::tiny();
+        lockstep(tiny.l1d, 1, 20_000);
+        lockstep(tiny.l2, 2, 20_000);
     }
 
     #[test]

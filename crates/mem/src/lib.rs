@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 
+mod blocks;
 mod cache;
 mod config;
 mod dram;
@@ -36,6 +37,7 @@ mod mshr;
 mod stats;
 mod wbuf;
 
+pub use blocks::BlockTable;
 pub use cache::{Cache, EvictedLine};
 pub use config::{CacheConfig, DramConfig, MemConfig};
 pub use dram::Dram;

@@ -4,13 +4,23 @@
 /// token detections at the L1-D fill path and token-carrying lines
 /// crossing the L2/memory interface (≈ 0.04 per kilo-instruction for
 /// xalanc in the secure full configuration).
+///
+/// The `*_misses` counters count every access that missed the level,
+/// including secondary misses merged onto an in-flight MSHR entry; only
+/// a primary miss goes on to the next level. So `l1d_misses +
+/// l1i_misses` can far exceed `l2_hits + l2_misses`: bzip2 under plain
+/// in `results/fig7.json` has 3,948 L1-D and 21 L1-I misses against 538
+/// L2 accesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     pub l1i_hits: u64,
+    /// L1-I misses, MSHR-merged secondary misses included.
     pub l1i_misses: u64,
     pub l1d_hits: u64,
+    /// L1-D misses, MSHR-merged secondary misses included.
     pub l1d_misses: u64,
     pub l2_hits: u64,
+    /// L2 misses, MSHR-merged secondary misses included.
     pub l2_misses: u64,
     pub dram_accesses: u64,
     pub l1d_writebacks: u64,
