@@ -22,12 +22,15 @@
 //! and `Top` values never produce findings — which is what keeps the
 //! workload corpus clean while every attack program is flagged.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use rest_isa::{AluOp, BranchCond, EcallNum, Inst, Program, Reg, PC_STEP};
 
-use crate::cfg::{Cfg, Succ};
+use crate::cfg::{Block, Cfg, Function, Succ};
 use crate::domain::{AbsVal, SInt, SiteId};
+use crate::vecmap::VecMap;
 
 /// The REST token granule the lint assumes (the paper's evaluated
 /// default; `arm`/`disarm` and the allocator redzones operate on 64-byte
@@ -130,6 +133,11 @@ pub(crate) struct SiteInfo {
     /// User size when every visit saw the same constant.
     pub(crate) size: Option<u64>,
     pub(crate) size_conflict: bool,
+    /// Possibly written (stores, memcpy/memset destinations, zeroing
+    /// allocators).
+    stored: bool,
+    /// First PC that loads from the site.
+    first_load: Option<u64>,
 }
 
 impl SiteInfo {
@@ -194,15 +202,34 @@ pub(crate) struct ArmInfo {
     pub(crate) arm_pc: u64,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct State {
     pub(crate) regs: [AbsVal; Reg::COUNT],
-    pub(crate) armed: BTreeMap<Loc, ArmInfo>,
+    pub(crate) armed: VecMap<Loc, ArmInfo>,
     /// Freed allocation sites (true = freed on every path).
-    pub(crate) freed: BTreeMap<SiteId, bool>,
+    pub(crate) freed: VecMap<SiteId, bool>,
     /// An `arm` executed at an address the analysis could not resolve;
     /// suppresses disarm-of-unarmed must-trap claims downstream.
     pub(crate) armed_unknown: bool,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        State {
+            regs: self.regs,
+            armed: self.armed.clone(),
+            freed: self.freed.clone(),
+            armed_unknown: self.armed_unknown,
+        }
+    }
+
+    /// Copies `source` into `self`'s existing allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.regs = source.regs;
+        self.armed.clone_from(&source.armed);
+        self.freed.clone_from(&source.freed);
+        self.armed_unknown = source.armed_unknown;
+    }
 }
 
 impl State {
@@ -214,8 +241,8 @@ impl State {
         }
         State {
             regs,
-            armed: BTreeMap::new(),
-            freed: BTreeMap::new(),
+            armed: VecMap::default(),
+            freed: VecMap::default(),
             armed_unknown: false,
         }
     }
@@ -230,48 +257,114 @@ impl State {
         }
     }
 
-    fn join(&self, other: &State) -> State {
-        let mut regs = self.regs;
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = r.join(&other.regs[i]);
+    /// Joins `other` into `self`; returns whether `self` changed. Only
+    /// the registers in `regs` are joined: the others must be equal on
+    /// both sides. A location armed (a site freed) on one side only is
+    /// armed (freed) on some paths; on both sides it stays must only if
+    /// both are must.
+    pub(crate) fn join_into(&mut self, other: &State, regs: RegSet) -> bool {
+        let mut changed = false;
+        for i in regs.iter() {
+            let (r, o) = (&mut self.regs[i], &other.regs[i]);
+            if r != o {
+                let joined = r.join(o);
+                changed |= joined != *r;
+                *r = joined;
+            }
         }
-        let mut armed = BTreeMap::new();
-        for (loc, a) in self.armed.iter().chain(other.armed.iter()) {
-            armed
-                .entry(*loc)
-                .and_modify(|e: &mut ArmInfo| {
-                    e.must = e.must && a.must;
-                    e.arm_pc = e.arm_pc.min(a.arm_pc);
-                })
-                .or_insert(ArmInfo {
-                    // Present on one side only → armed on some paths.
-                    must: a.must
-                        && self.armed.contains_key(loc)
-                        && other.armed.contains_key(loc),
-                    ..*a
-                });
-        }
-        let mut freed = BTreeMap::new();
-        for (site, must) in self.freed.iter().chain(other.freed.iter()) {
-            freed
-                .entry(*site)
-                .and_modify(|e: &mut bool| *e = *e && *must)
-                .or_insert(*must && self.freed.contains_key(site) && other.freed.contains_key(site));
-        }
-        State {
-            regs,
-            armed,
-            freed,
-            armed_unknown: self.armed_unknown || other.armed_unknown,
+        changed |= self.armed.join_with(
+            &other.armed,
+            |a, b| ArmInfo {
+                must: a.must && b.must,
+                arm_pc: a.arm_pc.min(b.arm_pc),
+            },
+            |a| ArmInfo { must: false, ..a },
+        );
+        changed |= self.freed.join_with(&other.freed, |a, b| a && b, |_| false);
+        changed |= other.armed_unknown && !self.armed_unknown;
+        self.armed_unknown |= other.armed_unknown;
+        changed
+    }
+
+    /// Widens the registers in `regs` against their values in `prev`
+    /// (widening an unchanged entry value leaves it as it is).
+    fn widen_from(&mut self, prev: &[AbsVal; Reg::COUNT], regs: RegSet) {
+        for i in regs.iter() {
+            self.regs[i] = self.regs[i].widen_from(&prev[i]);
         }
     }
 
-    fn widen_from(&self, prev: &State) -> State {
-        let mut out = self.clone();
-        for (i, r) in out.regs.iter_mut().enumerate() {
-            *r = r.widen_from(&prev.regs[i]);
+    /// Whether `self` equals `other`, comparing only the registers in
+    /// `regs` (the others must be equal on both sides).
+    fn same_as(&self, other: &State, regs: RegSet) -> bool {
+        regs.iter().all(|i| self.regs[i] == other.regs[i])
+            && self.armed == other.armed
+            && self.freed == other.freed
+            && self.armed_unknown == other.armed_unknown
+    }
+}
+
+/// A set of registers, one bit per register index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegSet(u32);
+
+impl RegSet {
+    /// Every register.
+    #[cfg(test)]
+    pub(crate) const ALL: RegSet = RegSet(u32::MAX);
+
+    /// The registers any transfer within `func` can write: its
+    /// instructions' destinations, `a0` for an `ecall`, the operands a
+    /// branch refines, and the caller-saved registers a call clobbers.
+    /// Every other register keeps its entry value in every state of the
+    /// function, so joins and comparisons can skip it.
+    fn written_in(program: &Program, cfg: &Cfg, func: &Function) -> RegSet {
+        let mut set = 0u32;
+        let mut add = |r: Reg| set |= 1 << r.index();
+        for &bi in &func.blocks {
+            let block = &cfg.blocks[bi];
+            for pc in block.pcs() {
+                match program.fetch(pc).expect("pc in range") {
+                    Inst::Li { dst, .. }
+                    | Inst::Alu { dst, .. }
+                    | Inst::AluImm { dst, .. }
+                    | Inst::Load { dst, .. }
+                    | Inst::Jal { dst, .. }
+                    | Inst::Jalr { dst, .. } => add(dst),
+                    Inst::Ecall => add(Reg::A0),
+                    Inst::Branch { src1, src2, .. } => {
+                        add(src1);
+                        add(src2);
+                    }
+                    Inst::Store { .. }
+                    | Inst::Arm { .. }
+                    | Inst::Disarm { .. }
+                    | Inst::Halt
+                    | Inst::Nop => {}
+                }
+            }
+            if block
+                .succs
+                .iter()
+                .any(|s| matches!(s, Succ::CallReturn { .. }))
+            {
+                Reg::all().filter(|r| caller_saved(*r)).for_each(&mut add);
+            }
         }
-        out
+        // Writes to `zero` are dropped.
+        RegSet(set & !1)
+    }
+
+    /// Register indices in the set, ascending.
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
     }
 }
 
@@ -281,29 +374,28 @@ impl State {
 
 pub(crate) struct Analyzer<'p> {
     pub(crate) program: &'p Program,
-    pub(crate) cfg: Cfg,
+    /// Shared so a pass can hold a block while it updates the analyzer.
+    pub(crate) cfg: Rc<Cfg>,
     code_end: u64,
     pub(crate) sites: Vec<SiteInfo>,
-    site_by_pc: BTreeMap<u64, SiteId>,
+    /// Instruction index → the allocation site its `ecall` creates.
+    site_at: Vec<Option<SiteId>>,
     /// Every static `sbrk` request is a granule multiple, so every sbrk
     /// result is granule-aligned (the break starts aligned).
     sbrk_aligned: bool,
     findings: BTreeMap<(u64, &'static str), Finding>,
-    /// Sites possibly written (stores, memcpy/memset destinations,
-    /// zeroing allocators).
-    stored_sites: BTreeSet<SiteId>,
     /// A store through an unresolvable pointer havocs the written-set.
     unknown_store: bool,
-    /// Site → first PC that loads from it.
-    loaded_sites: BTreeMap<SiteId, u64>,
     /// Function currently being analyzed (index into `cfg.functions`).
     cur_fn: usize,
     /// Retain per-function fixpoint in-states in `saved_states` (the
     /// elision pass re-walks blocks from them; `verify_program` skips
     /// the cost).
     pub(crate) keep_states: bool,
-    /// Function index → block index → in-state at the narrowed fixpoint.
-    pub(crate) saved_states: BTreeMap<usize, BTreeMap<usize, State>>,
+    /// Function index → in-state at the narrowed fixpoint of each member
+    /// block, by [`Function::slot`](crate::cfg::Function::slot) (`None`:
+    /// unreached). Empty for a function whose entry has no block.
+    pub(crate) saved_states: Vec<Vec<Option<State>>>,
     /// Absolute addresses with a guest `arm` anywhere in the program.
     pub(crate) abs_arms: BTreeSet<u64>,
     /// Allocation sites with a guest `arm` somewhere inside the chunk.
@@ -323,8 +415,8 @@ pub(crate) struct Analyzer<'p> {
     /// A `free`/`realloc` whose argument is not a resolvable allocation
     /// base: any heap chunk may be quarantined.
     pub(crate) unknown_free: bool,
-    /// Functions containing at least one sp-relative memory access.
-    fns_with_sp_access: BTreeSet<usize>,
+    /// Function index → whether it makes an sp-relative memory access.
+    fns_with_sp_access: Vec<bool>,
     /// Any memory access through an absolute (numeric) address.
     has_abs_access: bool,
     /// Any memory access through an unresolvable (`Top`/`Undef`) base.
@@ -333,22 +425,20 @@ pub(crate) struct Analyzer<'p> {
 
 impl<'p> Analyzer<'p> {
     pub(crate) fn new(program: &'p Program) -> Analyzer<'p> {
-        let cfg = Cfg::build(program);
+        let cfg = Rc::new(Cfg::build(program));
         let code_end = Program::CODE_BASE + program.len() as u64 * PC_STEP;
         Analyzer {
             program,
             cfg,
             code_end,
             sites: Vec::new(),
-            site_by_pc: BTreeMap::new(),
+            site_at: vec![None; program.len()],
             sbrk_aligned: true,
             findings: BTreeMap::new(),
-            stored_sites: BTreeSet::new(),
             unknown_store: false,
-            loaded_sites: BTreeMap::new(),
             cur_fn: 0,
             keep_states: false,
-            saved_states: BTreeMap::new(),
+            saved_states: Vec::new(),
             abs_arms: BTreeSet::new(),
             heap_arm_sites: BTreeSet::new(),
             sp_arms: BTreeMap::new(),
@@ -356,25 +446,29 @@ impl<'p> Analyzer<'p> {
             unknown_arm: false,
             may_freed: BTreeSet::new(),
             unknown_free: false,
-            fns_with_sp_access: BTreeSet::new(),
+            fns_with_sp_access: Vec::new(),
             has_abs_access: false,
             unknown_access: false,
         }
     }
 
     fn report(&mut self, pass: &'static str, severity: Severity, pc: u64, message: String) {
-        let entry = self
-            .findings
-            .entry((pc, pass))
-            .or_insert_with(|| Finding {
-                pass,
-                severity,
-                pc,
-                message: message.clone(),
-            });
-        if severity > entry.severity {
-            entry.severity = severity;
-            entry.message = message;
+        match self.findings.entry((pc, pass)) {
+            Entry::Vacant(slot) => {
+                slot.insert(Finding {
+                    pass,
+                    severity,
+                    pc,
+                    message,
+                });
+            }
+            Entry::Occupied(mut slot) => {
+                let finding = slot.get_mut();
+                if severity > finding.severity {
+                    finding.severity = severity;
+                    finding.message = message;
+                }
+            }
         }
     }
 
@@ -392,22 +486,19 @@ impl<'p> Analyzer<'p> {
         }
 
         // One dataflow fixpoint per function, then a collection pass.
+        if self.keep_states {
+            self.saved_states = vec![Vec::new(); self.cfg.functions.len()];
+        }
+        self.fns_with_sp_access = vec![false; self.cfg.functions.len()];
         for fi in 0..self.cfg.functions.len() {
             self.analyze_function(fi);
         }
 
         // Flow-insensitive pass: heap chunks read but never written.
-        let loads: Vec<(SiteId, u64)> = self
-            .loaded_sites
-            .iter()
-            .map(|(s, pc)| (*s, *pc))
-            .collect();
-        for (site, pc) in loads {
+        for site in 0..self.sites.len() {
             let info = &self.sites[site];
-            if info.kind == AllocKind::Malloc
-                && !self.unknown_store
-                && !self.stored_sites.contains(&site)
-            {
+            let Some(pc) = info.first_load else { continue };
+            if info.kind == AllocKind::Malloc && !self.unknown_store && !info.stored {
                 let at = info.pc;
                 self.report(
                     "uninit-heap-read",
@@ -429,10 +520,9 @@ impl<'p> Analyzer<'p> {
         if !self.unknown_access {
             for (fi, loc, pc) in self.arm_records.clone() {
                 let dead = match loc {
-                    Loc::Sp(_) => !self.fns_with_sp_access.contains(&fi),
+                    Loc::Sp(_) => !self.fns_with_sp_access[fi],
                     Loc::Heap(site, _) => {
-                        !self.stored_sites.contains(&site)
-                            && !self.loaded_sites.contains_key(&site)
+                        !self.sites[site].stored && self.sites[site].first_load.is_none()
                     }
                     Loc::Abs(_) => !self.has_abs_access,
                 };
@@ -463,22 +553,31 @@ impl<'p> Analyzer<'p> {
     }
 
     fn analyze_function(&mut self, fi: usize) {
-        let func = self.cfg.functions[fi].clone();
+        let cfg = Rc::clone(&self.cfg);
+        let func = &cfg.functions[fi];
         self.cur_fn = fi;
         let is_main = fi == 0;
-        let members: BTreeSet<usize> = func.blocks.iter().copied().collect();
-        let Some(&entry_bi) = self.cfg.index.get(&func.entry) else {
+        let Some(entry_slot) = cfg.block_at(func.entry).and_then(|bi| func.slot(bi)) else {
             return;
         };
 
-        let mut in_states: BTreeMap<usize, State> = BTreeMap::new();
-        in_states.insert(entry_bi, State::entry(is_main));
-        let mut visits: BTreeMap<usize, usize> = BTreeMap::new();
+        let regs = RegSet::written_in(self.program, &cfg, func);
+        // Per-member-block tables, indexed by `Function::slot`.
+        let n = func.blocks.len();
+        let mut in_states: Vec<Option<State>> = Vec::with_capacity(n);
+        in_states.resize_with(n, || None);
+        in_states[entry_slot] = Some(State::entry(is_main));
+        let mut visits = vec![0usize; n];
+        let mut queued = vec![false; n];
         let mut work: VecDeque<usize> = VecDeque::new();
-        work.push_back(entry_bi);
+        work.push_back(entry_slot);
+        queued[entry_slot] = true;
+        // The state every transfer runs in.
+        let mut state = State::entry(is_main);
         let mut budget = MAX_VISITS;
 
-        while let Some(bi) = work.pop_front() {
+        while let Some(slot) = work.pop_front() {
+            queued[slot] = false;
             if budget == 0 {
                 self.report(
                     "analysis-budget",
@@ -489,33 +588,40 @@ impl<'p> Analyzer<'p> {
                 break;
             }
             budget -= 1;
-            let state = in_states[&bi].clone();
-            let outs = self.transfer_block(bi, state, is_main, false);
-            for (succ_bi, out) in outs {
-                if !members.contains(&succ_bi) {
-                    continue;
-                }
-                let visit = visits.entry(succ_bi).or_insert(0);
-                let updated = match in_states.get(&succ_bi) {
-                    None => out,
+            state.clone_from(
+                in_states[slot]
+                    .as_ref()
+                    .expect("queued blocks have an in-state"),
+            );
+            let block = &cfg.blocks[func.blocks[slot]];
+            self.transfer_block(block, &mut state, is_main, false);
+            for_each_edge(&cfg, self.program, block, &mut state, |succ_bi, out| {
+                let Some(succ) = func.slot(succ_bi) else {
+                    return;
+                };
+                match &mut in_states[succ] {
+                    slot @ None => *slot = Some(out.clone()),
                     Some(prev) => {
-                        let joined = prev.join(&out);
-                        if &joined == prev {
-                            continue;
-                        }
-                        *visit += 1;
-                        if *visit > WIDEN_AFTER {
-                            joined.widen_from(prev)
+                        // Widening needs the registers before the join.
+                        let before = if visits[succ] >= WIDEN_AFTER {
+                            Some(prev.regs)
                         } else {
-                            joined
+                            None
+                        };
+                        if !prev.join_into(out, regs) {
+                            return;
+                        }
+                        visits[succ] += 1;
+                        if let Some(before) = &before {
+                            prev.widen_from(before, regs);
                         }
                     }
-                };
-                in_states.insert(succ_bi, updated);
-                if !work.contains(&succ_bi) {
-                    work.push_back(succ_bi);
                 }
-            }
+                if !queued[succ] {
+                    queued[succ] = true;
+                    work.push_back(succ);
+                }
+            });
         }
 
         // Narrowing: widening over-approximates loop variables to
@@ -524,140 +630,96 @@ impl<'p> Analyzer<'p> {
         // iterations recomputes every in-state purely from its
         // predecessors' (refined) out-edges; each step shrinks or keeps
         // states, so this stays sound.
+        let mut next: Vec<Option<State>> = Vec::with_capacity(n);
+        next.resize_with(n, || None);
         for _ in 0..2 {
-            let mut next: BTreeMap<usize, State> = BTreeMap::new();
-            next.insert(entry_bi, State::entry(is_main));
-            for (&bi, state) in &in_states {
-                for (succ_bi, out) in self.transfer_block(bi, state.clone(), is_main, false) {
-                    if !members.contains(&succ_bi) {
-                        continue;
-                    }
-                    next.entry(succ_bi)
-                        .and_modify(|e| *e = e.join(&out))
-                        .or_insert(out);
-                }
+            next.clear();
+            next.resize_with(n, || None);
+            next[entry_slot] = Some(State::entry(is_main));
+            for (slot, in_state) in in_states.iter().enumerate() {
+                let Some(in_state) = in_state else { continue };
+                state.clone_from(in_state);
+                let block = &cfg.blocks[func.blocks[slot]];
+                self.transfer_block(block, &mut state, is_main, false);
+                for_each_edge(
+                    &cfg,
+                    self.program,
+                    block,
+                    &mut state,
+                    |succ_bi, out| match func.slot(succ_bi).map(|succ| &mut next[succ]) {
+                        None => {}
+                        Some(slot @ None) => *slot = Some(out.clone()),
+                        Some(Some(e)) => {
+                            e.join_into(out, regs);
+                        }
+                    },
+                );
             }
-            if next == in_states {
+            let same = next.iter().zip(&in_states).all(|pair| match pair {
+                (Some(a), Some(b)) => a.same_as(b, regs),
+                (a, b) => a.is_none() && b.is_none(),
+            });
+            if same {
                 break;
             }
-            in_states = next;
+            std::mem::swap(&mut in_states, &mut next);
         }
 
-        // Collection pass over the fixpoint states.
-        for (&bi, state) in &in_states.clone() {
-            self.transfer_block(bi, state.clone(), is_main, true);
+        // Collection pass over the fixpoint states. Without
+        // `keep_states` each in-state is consumed by its own transfer.
+        for (slot, in_state) in in_states.iter_mut().enumerate() {
+            let Some(in_state) = in_state else { continue };
+            let in_state = if self.keep_states {
+                state.clone_from(in_state);
+                &mut state
+            } else {
+                in_state
+            };
+            let block = &cfg.blocks[func.blocks[slot]];
+            self.transfer_block(block, in_state, is_main, true);
         }
 
         if self.keep_states {
-            self.saved_states.insert(fi, in_states);
+            self.saved_states[fi] = in_states;
         }
     }
 
-    /// Interprets one block from `state`; returns successor in-states.
-    /// With `collect`, findings are recorded (used once at fixpoint).
-    fn transfer_block(
-        &mut self,
-        bi: usize,
-        mut state: State,
-        is_main: bool,
-        collect: bool,
-    ) -> Vec<(usize, State)> {
-        let block = self.cfg.blocks[bi].clone();
+    /// Interprets `block` from the in-state `state`, leaving its out-state
+    /// there. With `collect`, findings are recorded (used once at
+    /// fixpoint), including those on the edges that end a path.
+    fn transfer_block(&mut self, block: &Block, state: &mut State, is_main: bool, collect: bool) {
         for pc in block.pcs() {
             let inst = self.program.fetch(pc).expect("pc in range");
-            self.transfer_inst(pc, &inst, &mut state, is_main, collect);
+            self.transfer_inst(pc, &inst, state, is_main, collect);
+        }
+        if !collect {
+            return;
         }
         let last_pc = block.end - PC_STEP;
-        let last = self.program.fetch(last_pc).expect("pc in range");
-
-        let mut outs = Vec::new();
         for succ in &block.succs {
             match *succ {
-                Succ::Fall(t) | Succ::Jump(t) => {
-                    if let Some(&ni) = self.cfg.index.get(&t) {
-                        outs.push((ni, state.clone()));
-                    }
-                }
-                Succ::Taken(t) => {
-                    if let Some(refined) = self.refine_branch(&last, &state, true) {
-                        if let Some(&ni) = self.cfg.index.get(&t) {
-                            outs.push((ni, refined));
-                        }
-                    }
-                }
-                Succ::CallReturn { ret, .. } => {
-                    let mut after = state.clone();
-                    after_call(&mut after);
-                    if let Some(&ni) = self.cfg.index.get(&ret) {
-                        outs.push((ni, after));
-                    }
-                }
-                Succ::Ret => {
-                    if collect {
-                        self.check_return(last_pc, &state);
-                    }
-                }
-                Succ::Exit => {
-                    if collect {
-                        self.check_exit(last_pc, &state);
-                    }
-                }
-                Succ::Indirect => {
-                    if collect {
-                        self.report(
-                            "indirect-jump",
-                            Severity::Error,
-                            last_pc,
-                            "indirect jump through a computed register cannot be verified"
-                                .into(),
-                        );
-                    }
-                }
-                Succ::FallsOffEnd => {
-                    if collect {
-                        self.report(
-                            "falls-off-end",
-                            Severity::Error,
-                            last_pc,
-                            "execution can run past the end of the code segment".into(),
-                        );
-                    }
-                }
+                Succ::Ret => self.check_return(last_pc, state),
+                Succ::Exit => self.check_exit(last_pc, state),
+                Succ::Indirect => self.report(
+                    "indirect-jump",
+                    Severity::Error,
+                    last_pc,
+                    "indirect jump through a computed register cannot be verified".into(),
+                ),
+                Succ::FallsOffEnd => self.report(
+                    "falls-off-end",
+                    Severity::Error,
+                    last_pc,
+                    "execution can run past the end of the code segment".into(),
+                ),
+                Succ::Fall(_) | Succ::Taken(_) | Succ::Jump(_) | Succ::CallReturn { .. } => {}
             }
         }
-        // The fallthrough of a conditional branch is its not-taken edge.
-        if let Inst::Branch { .. } = last {
-            outs = outs
-                .into_iter()
-                .filter_map(|(ni, s)| {
-                    if Some(ni) == self.fall_index(&block) {
-                        self.refine_branch(&last, &s, false).map(|r| (ni, r))
-                    } else {
-                        Some((ni, s))
-                    }
-                })
-                .collect();
-        }
-        outs
-    }
-
-    fn fall_index(&self, block: &crate::cfg::Block) -> Option<usize> {
-        block.succs.iter().find_map(|s| match s {
-            Succ::Fall(t) => self.cfg.index.get(t).copied(),
-            _ => None,
-        })
     }
 
     // -- instruction transfer -----------------------------------------
 
-    fn read(
-        &mut self,
-        r: Reg,
-        state: &State,
-        pc: u64,
-        is_main: bool,
-        collect: bool,
-    ) -> AbsVal {
+    fn read(&mut self, r: Reg, state: &State, pc: u64, is_main: bool, collect: bool) -> AbsVal {
         let v = state.get(r);
         if matches!(v, AbsVal::Undef) {
             if collect && is_main {
@@ -683,7 +745,12 @@ impl<'p> Analyzer<'p> {
     ) {
         match *inst {
             Inst::Li { dst, imm } => state.set(dst, AbsVal::val(imm)),
-            Inst::Alu { op, dst, src1, src2 } => {
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
                 let a = self.read(src1, state, pc, is_main, collect);
                 let b = self.read(src2, state, pc, is_main, collect);
                 state.set(dst, eval_alu(op, &a, &b));
@@ -785,15 +852,18 @@ impl<'p> Analyzer<'p> {
                                 "arm-alignment",
                                 Severity::Warning,
                                 pc,
-                                format!(
-                                    "arm at {} is not {GRANULE}-byte aligned",
-                                    loc.describe()
-                                ),
+                                format!("arm at {} is not {GRANULE}-byte aligned", loc.describe()),
                             );
                         }
                     }
                 }
-                state.armed.insert(loc, ArmInfo { must: true, arm_pc: pc });
+                state.armed.insert(
+                    loc,
+                    ArmInfo {
+                        must: true,
+                        arm_pc: pc,
+                    },
+                );
             }
             None => {
                 state.armed_unknown = true;
@@ -951,7 +1021,8 @@ impl<'p> Analyzer<'p> {
     // -- ecalls --------------------------------------------------------
 
     fn site_for(&mut self, pc: u64, kind: AllocKind, size: Option<u64>) -> SiteId {
-        if let Some(&s) = self.site_by_pc.get(&pc) {
+        let at = ((pc - Program::CODE_BASE) / PC_STEP) as usize;
+        if let Some(s) = self.site_at[at] {
             let info = &mut self.sites[s];
             if info.size != size {
                 info.size_conflict = true;
@@ -964,8 +1035,10 @@ impl<'p> Analyzer<'p> {
             kind,
             size,
             size_conflict: false,
+            stored: false,
+            first_load: None,
         });
-        self.site_by_pc.insert(pc, s);
+        self.site_at[at] = Some(s);
         s
     }
 
@@ -1026,7 +1099,7 @@ impl<'p> Analyzer<'p> {
                     _ => None,
                 };
                 let site = self.site_for(pc, AllocKind::Calloc, size);
-                self.stored_sites.insert(site); // zeroed
+                self.sites[site].stored = true; // zeroed
                 state.freed.remove(&site);
                 state.set(
                     Reg::A0,
@@ -1059,7 +1132,7 @@ impl<'p> Analyzer<'p> {
                 }
                 let size = size_of(&arg(state, Reg::A1));
                 let site = self.site_for(pc, AllocKind::Realloc, size);
-                self.stored_sites.insert(site); // holds copied contents
+                self.sites[site].stored = true; // holds copied contents
                 state.freed.remove(&site);
                 state.set(
                     Reg::A0,
@@ -1076,7 +1149,7 @@ impl<'p> Analyzer<'p> {
                     self.sbrk_aligned = false;
                 }
                 let site = self.site_for(pc, AllocKind::Sbrk, size);
-                self.stored_sites.insert(site); // fresh zero pages
+                self.sites[site].stored = true; // fresh zero pages
                 state.set(
                     Reg::A0,
                     AbsVal::Ptr {
@@ -1110,7 +1183,7 @@ impl<'p> Analyzer<'p> {
                             None => {
                                 // May free: every prior must-freed stays must;
                                 // this site becomes may-freed.
-                                state.freed.entry(site).or_insert(false);
+                                state.freed.insert_if_absent(site, false);
                             }
                         }
                     }
@@ -1138,7 +1211,7 @@ impl<'p> Analyzer<'p> {
                     self.check_span(pc, &dst, len, true, state, collect);
                 } else {
                     if let AbsVal::Ptr { site, .. } = dst {
-                        self.stored_sites.insert(site);
+                        self.sites[site].stored = true;
                     } else if !matches!(dst, AbsVal::Num { .. } | AbsVal::SpRel { .. }) {
                         self.unknown_store = true;
                     }
@@ -1150,7 +1223,7 @@ impl<'p> Analyzer<'p> {
                 if let Some(len) = size_of(&arg(state, Reg::A2)).filter(|l| *l > 0) {
                     self.check_span(pc, &dst, len, true, state, collect);
                 } else if let AbsVal::Ptr { site, .. } = dst {
-                    self.stored_sites.insert(site);
+                    self.sites[site].stored = true;
                 } else if !matches!(dst, AbsVal::Num { .. } | AbsVal::SpRel { .. }) {
                     self.unknown_store = true;
                 }
@@ -1212,10 +1285,11 @@ impl<'p> Analyzer<'p> {
         match base {
             AbsVal::Ptr { site, off, delta } => {
                 let site = *site;
+                let info = &mut self.sites[site];
                 if store {
-                    self.stored_sites.insert(site);
+                    info.stored = true;
                 } else {
-                    self.loaded_sites.entry(site).or_insert(pc);
+                    info.first_load.get_or_insert(pc);
                 }
                 if collect && *delta {
                     self.report(
@@ -1264,9 +1338,7 @@ impl<'p> Analyzer<'p> {
                     .armed
                     .iter()
                     .filter_map(|(loc, a)| match loc {
-                        Loc::Heap(s, o) if *s == site => {
-                            Some((*o, *o + GRANULE as i64, a.must))
-                        }
+                        Loc::Heap(s, o) if *s == site => Some((*o, *o + GRANULE as i64, a.must)),
                         _ => None,
                     })
                     .collect();
@@ -1323,7 +1395,7 @@ impl<'p> Analyzer<'p> {
                 }
             }
             AbsVal::SpRel { off } => {
-                self.fns_with_sp_access.insert(self.cur_fn);
+                self.fns_with_sp_access[self.cur_fn] = true;
                 if !collect {
                     return;
                 }
@@ -1480,31 +1552,96 @@ impl<'p> Analyzer<'p> {
             }
         }
     }
+}
 
-    // -- branch refinement --------------------------------------------
-
-    /// Refines `state` along the `taken`/not-taken edge of `branch`;
-    /// `None` means the edge is infeasible.
-    pub(crate) fn refine_branch(&self, branch: &Inst, state: &State, taken: bool) -> Option<State> {
-        let Inst::Branch {
-            cond, src1, src2, ..
-        } = *branch
-        else {
-            return Some(state.clone());
+/// Hands `emit` the in-state of each feasible successor of `block`,
+/// given its out-state in `state`: a taken edge is refined by the branch
+/// condition, an edge into the branch's fall-through block by the
+/// negated condition, and a call's return edge (its block's only edge)
+/// clobbers the caller-saved registers. Refinements are made in `state`
+/// and undone before the next edge, so no edge copies the state; a call
+/// edge leaves `state` clobbered.
+fn for_each_edge(
+    cfg: &Cfg,
+    program: &Program,
+    block: &Block,
+    state: &mut State,
+    mut emit: impl FnMut(usize, &State),
+) {
+    let last = program.fetch(block.end - PC_STEP).expect("pc in range");
+    let (not_taken, src1, src2) = match last {
+        Inst::Branch { src1, src2, .. } => {
+            let fall = block.succs.iter().find_map(|s| match *s {
+                Succ::Fall(t) => cfg.block_at(t),
+                _ => None,
+            });
+            (fall, src1, src2)
+        }
+        _ => (None, Reg::ZERO, Reg::ZERO),
+    };
+    let unrefined = (state.get(src1), state.get(src2));
+    for &succ in &block.succs {
+        let target = match succ {
+            Succ::Fall(t) | Succ::Taken(t) | Succ::Jump(t) => t,
+            Succ::CallReturn { ret, .. } => ret,
+            Succ::Ret | Succ::Exit | Succ::Indirect | Succ::FallsOffEnd => continue,
         };
-        let mut out = state.clone();
-        let v1 = state.get(src1);
-        let v2 = state.get(src2);
-        if let (AbsVal::Num { val: a, delta }, Some(c)) = (v1, num_singleton(&v2)) {
-            let refined = refine_int(&a, cond, c, taken, true)?;
-            out.set(src1, AbsVal::Num { val: refined, delta });
+        let Some(ni) = cfg.block_at(target) else {
+            continue;
+        };
+        let feasible = match succ {
+            Succ::Taken(_) => refine_branch(&last, state, true),
+            Succ::CallReturn { .. } => {
+                after_call(state);
+                true
+            }
+            _ => true,
+        };
+        if feasible && (not_taken != Some(ni) || refine_branch(&last, state, false)) {
+            emit(ni, state);
         }
-        if let (Some(c), AbsVal::Num { val: b, delta }) = (num_singleton(&v1), v2) {
-            let refined = refine_int(&b, cond, c, taken, false)?;
-            out.set(src2, AbsVal::Num { val: refined, delta });
-        }
-        Some(out)
+        state.regs[src1.index()] = unrefined.0;
+        state.regs[src2.index()] = unrefined.1;
     }
+}
+
+/// Refines `state` in place along the `taken`/not-taken edge of
+/// `branch`; `false` means the edge is infeasible (the state is then
+/// partially refined and must be dropped).
+pub(crate) fn refine_branch(branch: &Inst, state: &mut State, taken: bool) -> bool {
+    let Inst::Branch {
+        cond, src1, src2, ..
+    } = *branch
+    else {
+        return true;
+    };
+    let v1 = state.get(src1);
+    let v2 = state.get(src2);
+    if let (AbsVal::Num { val: a, delta }, Some(c)) = (v1, num_singleton(&v2)) {
+        let Some(refined) = refine_int(&a, cond, c, taken, true) else {
+            return false;
+        };
+        state.set(
+            src1,
+            AbsVal::Num {
+                val: refined,
+                delta,
+            },
+        );
+    }
+    if let (Some(c), AbsVal::Num { val: b, delta }) = (num_singleton(&v1), v2) {
+        let Some(refined) = refine_int(&b, cond, c, taken, false) else {
+            return false;
+        };
+        state.set(
+            src2,
+            AbsVal::Num {
+                val: refined,
+                delta,
+            },
+        );
+    }
+    true
 }
 
 fn num_singleton(v: &AbsVal) -> Option<i64> {
@@ -1595,16 +1732,17 @@ fn rel_kind(cond: BranchCond, a_is_lhs: bool, taken: bool) -> RefKind {
 /// preserves `sp`/`gp`/`s0–s11`. Must-freed facts are demoted to may —
 /// a callee can recycle a site's static allocation.
 fn after_call(state: &mut State) {
-    for r in Reg::all() {
-        let i = r.index();
-        let caller_saved = matches!(i, 1 | 4..=7 | 10..=17 | 28..=31);
-        if caller_saved {
-            state.regs[i] = AbsVal::Top;
-        }
+    for r in Reg::all().filter(|r| caller_saved(*r)) {
+        state.regs[r.index()] = AbsVal::Top;
     }
     for must in state.freed.values_mut() {
         *must = false;
     }
+}
+
+/// Whether a call may clobber `r`: `ra`, `tp`, `t0–t6` and `a0–a7`.
+fn caller_saved(r: Reg) -> bool {
+    matches!(r.index(), 1 | 4..=7 | 10..=17 | 28..=31)
 }
 
 fn eval_alu(op: AluOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
@@ -1616,15 +1754,16 @@ fn eval_alu(op: AluOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
                 val: x.add(y),
                 delta,
             },
-            (Ptr { site, off, .. }, Num { val, .. })
-            | (Num { val, .. }, Ptr { site, off, .. }) => Ptr {
-                site: *site,
-                off: off.add(val),
-                delta,
-            },
-            (SpRel { off }, Num { val, .. }) | (Num { val, .. }, SpRel { off }) => SpRel {
-                off: off.add(val),
-            },
+            (Ptr { site, off, .. }, Num { val, .. }) | (Num { val, .. }, Ptr { site, off, .. }) => {
+                Ptr {
+                    site: *site,
+                    off: off.add(val),
+                    delta,
+                }
+            }
+            (SpRel { off }, Num { val, .. }) | (Num { val, .. }, SpRel { off }) => {
+                SpRel { off: off.add(val) }
+            }
             _ => Top,
         },
         AluOp::Sub => match (a, b) {
@@ -1681,52 +1820,49 @@ fn eval_alu(op: AluOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
                 Num { val: v, delta }
             }
             // Pointer align-down: sound when the base is granule-aligned.
-            (Ptr { site, off, .. }, Num { val, .. })
-            | (Num { val, .. }, Ptr { site, off, .. }) => match val.singleton() {
-                Some(m) if m < 0 && (m.wrapping_neg() as u64).is_power_of_two() => {
-                    let g = m.wrapping_neg() as u64;
-                    if g <= GRANULE {
-                        Ptr {
-                            site: *site,
-                            off: off.and_mask(m),
-                            delta,
+            (Ptr { site, off, .. }, Num { val, .. }) | (Num { val, .. }, Ptr { site, off, .. }) => {
+                match val.singleton() {
+                    Some(m) if m < 0 && (m.wrapping_neg() as u64).is_power_of_two() => {
+                        let g = m.wrapping_neg() as u64;
+                        if g <= GRANULE {
+                            Ptr {
+                                site: *site,
+                                off: off.and_mask(m),
+                                delta,
+                            }
+                        } else {
+                            Top
                         }
-                    } else {
-                        Top
                     }
+                    _ => Top,
                 }
-                _ => Top,
-            },
+            }
             _ => Top,
         },
         AluOp::Or | AluOp::Xor => match (a, b) {
-            (Num { val: x, .. }, Num { val: y, .. }) => {
-                match (x.singleton(), y.singleton()) {
-                    (Some(p), Some(q)) => Num {
-                        val: SInt::val(if op == AluOp::Or { p | q } else { p ^ q }),
-                        delta,
-                    },
-                    _ => Num {
-                        val: SInt::top(),
-                        delta,
-                    },
-                }
-            }
+            (Num { val: x, .. }, Num { val: y, .. }) => match (x.singleton(), y.singleton()) {
+                (Some(p), Some(q)) => Num {
+                    val: SInt::val(if op == AluOp::Or { p | q } else { p ^ q }),
+                    delta,
+                },
+                _ => Num {
+                    val: SInt::top(),
+                    delta,
+                },
+            },
             _ => Top,
         },
         AluOp::Div | AluOp::Rem => match (a, b) {
-            (Num { val: x, .. }, Num { val: y, .. }) => {
-                match (x.singleton(), y.singleton()) {
-                    (Some(p), Some(q)) if q != 0 => Num {
-                        val: SInt::val(if op == AluOp::Div { p / q } else { p % q }),
-                        delta,
-                    },
-                    _ => Num {
-                        val: SInt::top(),
-                        delta,
-                    },
-                }
-            }
+            (Num { val: x, .. }, Num { val: y, .. }) => match (x.singleton(), y.singleton()) {
+                (Some(p), Some(q)) if q != 0 => Num {
+                    val: SInt::val(if op == AluOp::Div { p / q } else { p % q }),
+                    delta,
+                },
+                _ => Num {
+                    val: SInt::top(),
+                    delta,
+                },
+            },
             _ => Top,
         },
         AluOp::Sll => match (a, b) {
@@ -1756,5 +1892,157 @@ fn eval_alu(op: AluOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
         // Any op the mini-ISA grows later defaults to no information.
         #[allow(unreachable_patterns)]
         _ => Top,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rest_isa::ProgramBuilder;
+
+    fn arm(must: bool, arm_pc: u64) -> ArmInfo {
+        ArmInfo { must, arm_pc }
+    }
+
+    fn armed(state: &State) -> Vec<(Loc, ArmInfo)> {
+        state.armed.iter().copied().collect()
+    }
+
+    fn freed(state: &State) -> Vec<(SiteId, bool)> {
+        state.freed.iter().copied().collect()
+    }
+
+    #[test]
+    fn join_keeps_must_only_when_both_sides_agree_and_demotes_one_sided_keys() {
+        let mut a = State::entry(false);
+        a.armed.insert(Loc::Sp(-64), arm(true, 0x10));
+        a.armed.insert(Loc::Abs(0x5000), arm(true, 0x20));
+        a.armed.insert(Loc::Heap(1, 0), arm(false, 0x30));
+        a.freed.insert(0, true);
+        a.freed.insert(2, true);
+        let mut b = State::entry(false);
+        b.armed.insert(Loc::Abs(0x5000), arm(true, 0x18));
+        b.armed.insert(Loc::Heap(0, 64), arm(true, 0x40));
+        b.armed.insert(Loc::Heap(1, 0), arm(true, 0x28));
+        b.freed.insert(1, true);
+        b.freed.insert(2, false);
+
+        assert!(a.join_into(&b, RegSet::ALL));
+        // Ascending key order, as a BTreeMap would iterate.
+        assert_eq!(
+            armed(&a),
+            vec![
+                // Both sides must: stays must, earliest arm PC.
+                (Loc::Abs(0x5000), arm(true, 0x18)),
+                // One side only: armed on some paths.
+                (Loc::Sp(-64), arm(false, 0x10)),
+                (Loc::Heap(0, 64), arm(false, 0x40)),
+                // Both sides, one may: may.
+                (Loc::Heap(1, 0), arm(false, 0x28)),
+            ]
+        );
+        assert_eq!(freed(&a), vec![(0, false), (1, false), (2, false)]);
+    }
+
+    #[test]
+    fn join_into_reports_exactly_whether_the_state_changed() {
+        let base = State::entry(true);
+        let mut s = base.clone();
+        assert!(!s.join_into(&base, RegSet::ALL), "joining an equal state");
+        assert_eq!(s, base);
+
+        // A differing register widens the interval: changed, then stable.
+        let mut other = base.clone();
+        s.set(Reg::T0, AbsVal::val(1));
+        other.set(Reg::T0, AbsVal::val(3));
+        assert!(s.join_into(&other, RegSet::ALL));
+        assert_eq!(
+            s.get(Reg::T0),
+            AbsVal::num(SInt {
+                lo: Some(1),
+                hi: Some(3),
+                stride: 2
+            })
+        );
+        assert!(!s.join_into(&other, RegSet::ALL));
+
+        // A key on one side only is new; after the demotion, joining the
+        // same side again changes nothing.
+        other.armed.insert(Loc::Sp(0), arm(true, 0x40));
+        assert!(s.join_into(&other, RegSet::ALL));
+        assert!(!s.join_into(&other, RegSet::ALL));
+        // Demoting a must entry the other side lacks is a change.
+        let mut t = other.clone();
+        assert!(t.join_into(&base, RegSet::ALL));
+        assert_eq!(armed(&t), vec![(Loc::Sp(0), arm(false, 0x40))]);
+
+        // The unknown-arm flag only ever turns on.
+        let mut unknown = base.clone();
+        unknown.armed_unknown = true;
+        let mut u = base.clone();
+        assert!(u.join_into(&unknown, RegSet::ALL));
+        assert!(!u.join_into(&base, RegSet::ALL));
+        assert!(u.armed_unknown);
+    }
+
+    #[test]
+    fn counting_loop_bound_survives_widening_and_narrowing() {
+        // t0 counts 0..16; the loop header joins more often than
+        // WIDEN_AFTER, so widening drops t0's upper bound and the
+        // back edge's `t0 < 16` guard has to win it back.
+        let mut p = ProgramBuilder::new();
+        p.li(Reg::T1, 16);
+        p.li(Reg::T0, 0);
+        let top = p.label_here();
+        p.addi(Reg::T0, Reg::T0, 1);
+        p.blt(Reg::T0, Reg::T1, top);
+        p.halt();
+        let program = p.build();
+        let mut an = Analyzer::new(&program);
+        an.keep_states = true;
+        an.execute();
+        let func = &an.cfg.functions[0];
+        let at = |pc: u64| {
+            let slot = func.slot(an.cfg.block_at(pc).unwrap()).unwrap();
+            an.saved_states[0][slot].as_ref().unwrap().get(Reg::T0)
+        };
+        let header = Program::CODE_BASE + 2 * PC_STEP;
+        assert_eq!(at(header), AbsVal::num(SInt::range(0, 15)));
+        assert_eq!(at(header + 2 * PC_STEP), AbsVal::val(16), "exit edge");
+    }
+
+    #[test]
+    fn in_state_slots_cover_only_each_functions_own_blocks() {
+        // main calls f and g; each callee has a diamond of its own.
+        let mut p = ProgramBuilder::new();
+        let (f, g) = (p.new_label(), p.new_label());
+        p.call(f);
+        p.call(g);
+        p.halt();
+        for label in [f, g] {
+            let skip = p.new_label();
+            p.bind(label);
+            p.beq(Reg::A0, Reg::ZERO, skip);
+            p.li(Reg::A0, 1);
+            p.bind(skip);
+            p.ret();
+        }
+        let program = p.build();
+        let mut an = Analyzer::new(&program);
+        an.keep_states = true;
+        an.execute();
+        let (functions, blocks) = (an.cfg.functions.len(), an.cfg.blocks.len());
+        assert_eq!(functions, 3);
+        let slots: Vec<usize> = an.saved_states.iter().map(Vec::len).collect();
+        let members: Vec<usize> = an.cfg.functions.iter().map(|f| f.blocks.len()).collect();
+        assert_eq!(slots, members);
+        assert_eq!(
+            slots.iter().sum::<usize>(),
+            blocks,
+            "every block in exactly one function"
+        );
+        assert!(slots.iter().all(|&n| n < blocks));
+        // Every member block was reached, so each slot holds a state.
+        assert!(an.saved_states.iter().flatten().all(Option::is_some));
     }
 }

@@ -150,14 +150,7 @@ fn main() -> ExitCode {
     let mut reports = Vec::new();
     for (name, kind, program) in corpus(&cli) {
         let result = verify_program(&program);
-        reports.push((
-            ProgramReport {
-                name,
-                kind,
-                result,
-            },
-            program,
-        ));
+        reports.push((ProgramReport { name, kind, result }, program));
     }
 
     // Verdict table.

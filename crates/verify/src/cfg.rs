@@ -8,7 +8,7 @@
 //! the verifier modular and lets it handle recursion (`sjeng`'s move
 //! search) without unrolling.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use rest_isa::{Inst, Program, Reg, PC_STEP};
 
@@ -39,6 +39,53 @@ pub enum Succ {
     FallsOffEnd,
 }
 
+/// The successor edges of a block, stored inline: a block has at most
+/// two (a conditional branch's taken and fall-through edges).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Succs {
+    edges: [Succ; 2],
+    len: usize,
+}
+
+impl Succs {
+    fn one(s: Succ) -> Succs {
+        Succs {
+            edges: [s, s],
+            len: 1,
+        }
+    }
+
+    fn two(a: Succ, b: Succ) -> Succs {
+        Succs {
+            edges: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [Succ];
+
+    fn deref(&self) -> &[Succ] {
+        &self.edges[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for Succs {
+    fn deref_mut(&mut self) -> &mut [Succ] {
+        &mut self.edges[..self.len]
+    }
+}
+
+impl<'a> IntoIterator for &'a Succs {
+    type Item = &'a Succ;
+    type IntoIter = std::slice::Iter<'a, Succ>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// A maximal straight-line instruction sequence.
 #[derive(Debug, Clone)]
 pub struct Block {
@@ -47,7 +94,7 @@ pub struct Block {
     /// PC one past the last instruction.
     pub end: u64,
     /// Typed successors.
-    pub succs: Vec<Succ>,
+    pub succs: Succs,
 }
 
 impl Block {
@@ -78,13 +125,22 @@ pub struct Function {
     pub blocks: Vec<usize>,
 }
 
+impl Function {
+    /// Position of block `bi` in [`Function::blocks`], if it is a
+    /// member. Per-function tables (the analysis in-states) are indexed
+    /// by this slot, so they hold one entry per member block.
+    pub fn slot(&self, bi: usize) -> Option<usize> {
+        self.blocks.binary_search(&bi).ok()
+    }
+}
+
 /// The control-flow graph of one program.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     /// Basic blocks in ascending start-PC order.
     pub blocks: Vec<Block>,
-    /// Start PC → block index.
-    pub index: BTreeMap<u64, usize>,
+    /// Instruction index → index of the block containing it.
+    block_of: Vec<usize>,
     /// Recovered functions; the first is always the program entry.
     pub functions: Vec<Function>,
     /// All `call` target PCs.
@@ -98,11 +154,12 @@ impl Cfg {
         let end = base + program.len() as u64 * PC_STEP;
         let insts = program.instructions();
 
-        // Pass 1: leaders and call targets.
-        let mut leaders: BTreeSet<u64> = BTreeSet::new();
+        // Pass 1: leaders (by instruction index) and call targets.
+        let mut leader = vec![false; insts.len()];
+        let mut mark = |pc: u64| leader[((pc - base) / PC_STEP) as usize] = true;
         let mut call_targets = BTreeSet::new();
         if !insts.is_empty() {
-            leaders.insert(program.entry());
+            mark(program.entry());
         }
         for (i, inst) in insts.iter().enumerate() {
             let pc = base + i as u64 * PC_STEP;
@@ -111,22 +168,22 @@ impl Cfg {
                 Inst::Branch { target, .. } => {
                     let t = program.label_pc(target);
                     if t < end {
-                        leaders.insert(t);
+                        mark(t);
                     }
                     if next < end {
-                        leaders.insert(next);
+                        mark(next);
                     }
                 }
                 Inst::Jal { dst, target } => {
                     let t = program.label_pc(target);
                     if t < end {
-                        leaders.insert(t);
+                        mark(t);
                     }
                     if dst != Reg::ZERO && t < end {
                         call_targets.insert(t);
                     }
                     if next < end {
-                        leaders.insert(next);
+                        mark(next);
                     }
                 }
                 // After a jalr/halt/ecall a new block starts: `ecall
@@ -134,68 +191,72 @@ impl Cfg {
                 // splitting after every ecall keeps service-number
                 // resolution block-local.
                 Inst::Jalr { .. } | Inst::Halt | Inst::Ecall if next < end => {
-                    leaders.insert(next);
+                    mark(next);
                 }
                 _ => {}
             }
         }
 
         // Pass 2: blocks and successors.
-        let leaders: Vec<u64> = leaders.into_iter().collect();
-        let mut blocks = Vec::new();
-        let mut index = BTreeMap::new();
-        for (bi, &start) in leaders.iter().enumerate() {
-            let stop = leaders.get(bi + 1).copied().unwrap_or(end);
+        let pc_of = |i: usize| base + i as u64 * PC_STEP;
+        let mut blocks = Vec::with_capacity(leader.iter().filter(|&&l| l).count());
+        let mut block_of = Vec::with_capacity(insts.len());
+        let mut leaders = (0..insts.len()).filter(|&i| leader[i]).peekable();
+        while let Some(first) = leaders.next() {
+            let start = pc_of(first);
+            let stop = leaders.peek().map_or(end, |&i| pc_of(i));
             let last_pc = stop - PC_STEP;
             let last = program.fetch(last_pc).expect("pc in range");
             let jump_to = |t: u64| if t < end { t } else { end };
             let succs = match last {
                 Inst::Branch { target, .. } => {
                     let t = program.label_pc(target);
-                    let mut s = vec![Succ::Taken(jump_to(t))];
-                    if stop < end {
-                        s.push(Succ::Fall(stop));
+                    let fall = if stop < end {
+                        Succ::Fall(stop)
                     } else {
-                        s.push(Succ::FallsOffEnd);
-                    }
-                    s
+                        Succ::FallsOffEnd
+                    };
+                    Succs::two(Succ::Taken(jump_to(t)), fall)
                 }
                 Inst::Jal { dst, target } => {
                     let t = jump_to(program.label_pc(target));
-                    if dst == Reg::ZERO {
-                        vec![Succ::Jump(t)]
+                    Succs::one(if dst == Reg::ZERO {
+                        Succ::Jump(t)
                     } else if stop < end {
-                        vec![Succ::CallReturn { callee: t, ret: stop }]
+                        Succ::CallReturn {
+                            callee: t,
+                            ret: stop,
+                        }
                     } else {
-                        vec![Succ::FallsOffEnd]
-                    }
+                        Succ::FallsOffEnd
+                    })
                 }
-                Inst::Jalr { dst, base: b, offset } => {
-                    if dst == Reg::ZERO && b == Reg::RA && offset == 0 {
-                        vec![Succ::Ret]
-                    } else {
-                        vec![Succ::Indirect]
-                    }
-                }
-                Inst::Halt => vec![Succ::Exit],
-                Inst::Ecall => {
+                Inst::Jalr {
+                    dst,
+                    base: b,
+                    offset,
+                } => Succs::one(if dst == Reg::ZERO && b == Reg::RA && offset == 0 {
+                    Succ::Ret
+                } else {
+                    Succ::Indirect
+                }),
+                Inst::Halt => Succs::one(Succ::Exit),
+                Inst::Ecall => Succs::one(
                     if resolve_a7(program, last_pc) == Some(rest_isa::EcallNum::Exit as i64) {
-                        vec![Succ::Exit]
+                        Succ::Exit
                     } else if stop < end {
-                        vec![Succ::Fall(stop)]
+                        Succ::Fall(stop)
                     } else {
-                        vec![Succ::FallsOffEnd]
-                    }
-                }
-                _ => {
-                    if stop < end {
-                        vec![Succ::Fall(stop)]
-                    } else {
-                        vec![Succ::FallsOffEnd]
-                    }
-                }
+                        Succ::FallsOffEnd
+                    },
+                ),
+                _ => Succs::one(if stop < end {
+                    Succ::Fall(stop)
+                } else {
+                    Succ::FallsOffEnd
+                }),
             };
-            index.insert(start, blocks.len());
+            block_of.resize(((stop - base) / PC_STEP) as usize, blocks.len());
             blocks.push(Block {
                 start,
                 end: stop,
@@ -206,7 +267,7 @@ impl Cfg {
         // Jump targets at `end` (past the last instruction) appear as
         // Jump(end)/Taken(end); map them to FallsOffEnd.
         for b in &mut blocks {
-            for s in &mut b.succs {
+            for s in b.succs.iter_mut() {
                 match *s {
                     Succ::Jump(t) | Succ::Taken(t) if t >= end && end > base => {
                         *s = Succ::FallsOffEnd;
@@ -216,58 +277,74 @@ impl Cfg {
             }
         }
 
-        // Pass 3: function partition (BFS along intraprocedural edges).
-        let mut functions = Vec::new();
+        let mut cfg = Cfg {
+            blocks,
+            block_of,
+            functions: Vec::new(),
+            call_targets,
+        };
+
+        // Pass 3: function partition (reachability along intraprocedural
+        // edges).
         if !insts.is_empty() {
-            let mut entries: Vec<u64> = vec![program.entry()];
-            entries.extend(call_targets.iter().copied().filter(|t| *t != program.entry()));
+            let entries = std::iter::once(program.entry()).chain(
+                cfg.call_targets
+                    .iter()
+                    .copied()
+                    .filter(|t| *t != program.entry()),
+            );
+            let mut functions = Vec::with_capacity(1 + cfg.call_targets.len());
+            let mut member = vec![false; cfg.blocks.len()];
+            let mut work = Vec::with_capacity(cfg.blocks.len());
+            let mut reached = Vec::with_capacity(cfg.blocks.len());
             for entry in entries {
-                let mut member = BTreeSet::new();
-                let mut queue = VecDeque::new();
-                if let Some(&bi) = index.get(&entry) {
-                    queue.push_back(bi);
-                }
-                while let Some(bi) = queue.pop_front() {
-                    if !member.insert(bi) {
+                work.extend(cfg.block_at(entry));
+                while let Some(bi) = work.pop() {
+                    if member[bi] {
                         continue;
                     }
-                    for s in &blocks[bi].succs {
+                    member[bi] = true;
+                    reached.push(bi);
+                    for s in &cfg.blocks[bi].succs {
                         let next = match *s {
                             Succ::Fall(t) | Succ::Taken(t) | Succ::Jump(t) => Some(t),
                             Succ::CallReturn { ret, .. } => Some(ret),
                             _ => None,
                         };
-                        if let Some(t) = next {
-                            if let Some(&ni) = index.get(&t) {
-                                if !member.contains(&ni) {
-                                    queue.push_back(ni);
-                                }
+                        if let Some(ni) = next.and_then(|t| cfg.block_at(t)) {
+                            if !member[ni] {
+                                work.push(ni);
                             }
                         }
                     }
                 }
-                functions.push(Function {
-                    entry,
-                    blocks: member.into_iter().collect(),
-                });
+                reached.sort_unstable();
+                let blocks = reached.clone();
+                reached.clear();
+                for &bi in &blocks {
+                    member[bi] = false;
+                }
+                functions.push(Function { entry, blocks });
             }
+            cfg.functions = functions;
         }
+        cfg
+    }
 
-        Cfg {
-            blocks,
-            index,
-            functions,
-            call_targets,
-        }
+    /// Index of the block that starts at `pc`, if one does.
+    pub fn block_at(&self, pc: u64) -> Option<usize> {
+        let i = pc.checked_sub(Program::CODE_BASE)? / PC_STEP;
+        let bi = *self.block_of.get(usize::try_from(i).ok()?)?;
+        (self.blocks[bi].start == pc).then_some(bi)
     }
 
     /// Block indices never reached from any function entry.
     pub fn unreachable_blocks(&self) -> Vec<usize> {
-        let mut reached: BTreeSet<usize> = BTreeSet::new();
-        for f in &self.functions {
-            reached.extend(f.blocks.iter().copied());
+        let mut reached = vec![false; self.blocks.len()];
+        for &bi in self.functions.iter().flat_map(|f| &f.blocks) {
+            reached[bi] = true;
         }
-        (0..self.blocks.len()).filter(|i| !reached.contains(i)).collect()
+        (0..self.blocks.len()).filter(|&i| !reached[i]).collect()
     }
 }
 
@@ -287,7 +364,10 @@ pub fn resolve_a7(program: &Program, ecall_pc: u64) -> Option<i64> {
             {
                 return None;
             }
-            Inst::Branch { .. } | Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Halt
+            Inst::Branch { .. }
+            | Inst::Jal { .. }
+            | Inst::Jalr { .. }
+            | Inst::Halt
             | Inst::Ecall => return None,
             _ => {}
         }
@@ -301,7 +381,7 @@ mod tests {
     use rest_isa::{EcallNum, ProgramBuilder};
 
     fn block_starting(cfg: &Cfg, pc: u64) -> &Block {
-        &cfg.blocks[cfg.index[&pc]]
+        &cfg.blocks[cfg.block_at(pc).unwrap()]
     }
 
     #[test]
@@ -316,11 +396,8 @@ mod tests {
         assert_eq!(cfg.blocks.len(), 2);
         let b0 = block_starting(&cfg, 0x1_0000);
         assert_eq!(b0.len(), 2);
-        assert_eq!(
-            b0.succs,
-            vec![Succ::Taken(0x1_0000), Succ::Fall(0x1_0008)]
-        );
-        assert_eq!(block_starting(&cfg, 0x1_0008).succs, vec![Succ::Exit]);
+        assert_eq!(b0.succs[..], [Succ::Taken(0x1_0000), Succ::Fall(0x1_0008)]);
+        assert_eq!(block_starting(&cfg, 0x1_0008).succs[..], [Succ::Exit]);
     }
 
     #[test]
@@ -337,20 +414,23 @@ mod tests {
         let prog = p.build();
         let cfg = Cfg::build(&prog);
         assert_eq!(
-            block_starting(&cfg, 0x1_0000).succs,
-            vec![Succ::CallReturn {
+            block_starting(&cfg, 0x1_0000).succs[..],
+            [Succ::CallReturn {
                 callee: 0x1_0008,
                 ret: 0x1_0004
             }]
         );
-        assert_eq!(block_starting(&cfg, 0x1_0008).succs, vec![Succ::Ret]);
+        assert_eq!(block_starting(&cfg, 0x1_0008).succs[..], [Succ::Ret]);
         assert!(cfg.call_targets.contains(&0x1_0008));
         // Two functions: main (entry) and f.
         assert_eq!(cfg.functions.len(), 2);
         assert_eq!(cfg.functions[0].entry, prog.entry());
         assert_eq!(cfg.functions[1].entry, 0x1_0008);
         // f's body is exactly the ret block.
-        assert_eq!(cfg.functions[1].blocks, vec![cfg.index[&0x1_0008]]);
+        assert_eq!(
+            cfg.functions[1].blocks,
+            vec![cfg.block_at(0x1_0008).unwrap()]
+        );
     }
 
     #[test]
@@ -375,7 +455,7 @@ mod tests {
         let prog = p.build();
         let cfg = Cfg::build(&prog);
         assert_eq!(cfg.blocks.len(), 1);
-        assert_eq!(cfg.blocks[0].succs, vec![Succ::FallsOffEnd]);
+        assert_eq!(cfg.blocks[0].succs[..], [Succ::FallsOffEnd]);
     }
 
     #[test]
@@ -390,7 +470,7 @@ mod tests {
         let first = &cfg.blocks[0];
         assert!(matches!(first.succs[..], [Succ::Fall(_)]));
         let last = cfg.blocks.last().unwrap();
-        assert_eq!(last.succs, vec![Succ::Exit]);
+        assert_eq!(last.succs[..], [Succ::Exit]);
         // The a7 resolver sees through the li/ecall pairs.
         let exit_pc = last.end - PC_STEP;
         assert_eq!(resolve_a7(&prog, exit_pc), Some(EcallNum::Exit as i64));
@@ -420,6 +500,6 @@ mod tests {
         p.bind(end);
         let prog = p.build();
         let cfg = Cfg::build(&prog);
-        assert_eq!(cfg.blocks[0].succs, vec![Succ::FallsOffEnd]);
+        assert_eq!(cfg.blocks[0].succs[..], [Succ::FallsOffEnd]);
     }
 }

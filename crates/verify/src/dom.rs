@@ -34,8 +34,7 @@ pub struct DomTree {
 impl DomTree {
     /// Builds the dominator tree of `func` over `cfg`.
     pub fn build(cfg: &Cfg, func: &Function) -> DomTree {
-        let members: BTreeMap<usize, ()> = func.blocks.iter().map(|&b| (b, ())).collect();
-        let Some(&entry) = cfg.index.get(&func.entry) else {
+        let Some(entry) = cfg.block_at(func.entry) else {
             return DomTree {
                 entry: usize::MAX,
                 idom: BTreeMap::new(),
@@ -52,11 +51,9 @@ impl DomTree {
                     Succ::CallReturn { ret, .. } => Some(ret),
                     Succ::Ret | Succ::Exit | Succ::Indirect | Succ::FallsOffEnd => None,
                 };
-                if let Some(t) = target {
-                    if let Some(&ni) = cfg.index.get(&t) {
-                        if members.contains_key(&ni) && !out.contains(&ni) {
-                            out.push(ni);
-                        }
+                if let Some(ni) = target.and_then(|t| cfg.block_at(t)) {
+                    if func.slot(ni).is_some() && !out.contains(&ni) {
+                        out.push(ni);
                     }
                 }
             }
@@ -173,7 +170,8 @@ mod tests {
     use rest_isa::{EcallNum, Program, ProgramBuilder, Reg, PC_STEP};
 
     fn block_at(cfg: &Cfg, inst_idx: u64) -> usize {
-        cfg.index[&(Program::CODE_BASE + inst_idx * PC_STEP)]
+        cfg.block_at(Program::CODE_BASE + inst_idx * PC_STEP)
+            .unwrap()
     }
 
     /// Diamond: the join is dominated by the split, not by either arm.

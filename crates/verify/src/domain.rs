@@ -521,7 +521,10 @@ impl AbsVal {
             },
             (
                 Ptr {
-                    site, off: n, delta, ..
+                    site,
+                    off: n,
+                    delta,
+                    ..
                 },
                 Ptr {
                     site: ps, off: p, ..

@@ -45,6 +45,7 @@
 //! attack-coverage differential gate machine-checks.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use rest_core::{ElideClass, ElisionMap};
 use rest_isa::{Inst, Program, Reg};
@@ -52,6 +53,7 @@ use rest_obs::json::Json;
 use rest_runtime::{HEAP_BASE, HEAP_SPAN, SHADOW_BASE, STACK_TOP, STATIC_BASE};
 
 use crate::analysis::{AllocKind, Analyzer, Loc, Severity, State, VerifyResult, GRANULE};
+use crate::cfg::{Cfg, Succ};
 use crate::dom::DomTree;
 use crate::domain::AbsVal;
 
@@ -193,8 +195,9 @@ pub(crate) fn elide_with(
     // PC is elided only if *every* owning context proves it, and takes
     // the weaker class when they disagree).
     let mut verdicts: BTreeMap<u64, Option<ElideClass>> = BTreeMap::new();
-    for fi in an.saved_states.keys().copied().collect::<Vec<_>>() {
-        classify_function(an, fi, scheme, &globals, &mut verdicts);
+    let saved = std::mem::take(&mut an.saved_states);
+    for (fi, states) in saved.iter().enumerate() {
+        classify_function(an, fi, states, scheme, &globals, &mut verdicts);
     }
 
     for (pc, verdict) in verdicts {
@@ -249,11 +252,7 @@ impl Globals {
         // Sanity: every frame arm within the 1 MiB window, and every
         // heap arm inside its own chunk's padded extent (a wild offset
         // could place a token in any region).
-        let sp_sane = an
-            .sp_arms
-            .values()
-            .flatten()
-            .all(|&o| o.abs() < FRAME_SANE);
+        let sp_sane = an.sp_arms.values().flatten().all(|&o| o.abs() < FRAME_SANE);
         let heap_sane = an
             .arm_records
             .iter()
@@ -312,30 +311,36 @@ fn meet(a: &Facts, b: &Facts) -> Facts {
     out
 }
 
+/// Classifies the accesses of function `fi` from its saved fixpoint
+/// in-states (`states`, by member slot).
 fn classify_function(
     an: &mut Analyzer<'_>,
     fi: usize,
+    states: &[Option<State>],
     scheme: ElideScheme,
     globals: &Globals,
     verdicts: &mut BTreeMap<u64, Option<ElideClass>>,
 ) {
-    let func = an.cfg.functions[fi].clone();
-    let states = an.saved_states.get(&fi).cloned().unwrap_or_default();
-    let Some(&entry_bi) = an.cfg.index.get(&func.entry) else {
+    let cfg = Rc::clone(&an.cfg);
+    let func = &cfg.functions[fi];
+    // The in-state of block `bi`, if it is a member the fixpoint reached.
+    let state_of = |bi: usize| func.slot(bi).and_then(|s| states.get(s)?.as_ref());
+    let Some(entry_bi) = cfg.block_at(func.entry) else {
         return;
     };
-    if !states.contains_key(&entry_bi) {
+    if state_of(entry_bi).is_none() {
         return;
     }
     let is_main = fi == 0;
-    let dom = DomTree::build(&an.cfg, &func);
+    let dom = DomTree::build(&cfg, func);
     let sp_arms: BTreeSet<i64> = an.sp_arms.get(&fi).cloned().unwrap_or_default();
 
     // Pass 1: per-PC MustBeSafe verdicts from the abstract states.
     let mut must_safe: BTreeMap<u64, bool> = BTreeMap::new();
-    for (&bi, in_state) in &states {
-        let block = an.cfg.blocks[bi].clone();
+    for (&bi, in_state) in func.blocks.iter().zip(states) {
+        let Some(in_state) = in_state else { continue };
         let mut st = in_state.clone();
+        let block = &cfg.blocks[bi];
         for pc in block.pcs() {
             let inst = an.program.fetch(pc).expect("pc in range");
             if let Some((base, offset, width)) = access_of(&inst) {
@@ -366,9 +371,11 @@ fn classify_function(
     work.push_back(entry_bi);
     while let Some(bi) = work.pop_front() {
         let facts = in_facts[&bi].clone();
-        for (succ_bi, out) in walk_block(an, bi, &states, facts, scheme, &must_safe, is_main, None)
-        {
-            if !states.contains_key(&succ_bi) {
+        let in_state = state_of(bi).expect("queued blocks have an in-state");
+        for (succ_bi, out) in walk_block(
+            an, &cfg, bi, in_state, facts, scheme, &must_safe, is_main, None,
+        ) {
+            if state_of(succ_bi).is_none() {
                 continue; // statically unreachable in this context
             }
             let updated = match in_facts.get(&succ_bi) {
@@ -397,8 +404,9 @@ fn classify_function(
         };
         walk_block(
             an,
+            &cfg,
             bi,
-            &states,
+            state_of(bi).expect("blocks with facts have an in-state"),
             facts.clone(),
             scheme,
             &must_safe,
@@ -440,36 +448,59 @@ fn access_of(inst: &Inst) -> Option<(Reg, i64, u64)> {
     }
 }
 
-/// Walks one block: replays the abstract state from its saved in-state
-/// while tracking check availability. Returns the per-successor fact
-/// maps. When `sink` is given, each non-MustBeSafe access reports the
-/// generating check that covers it (or `None`).
+/// Walks block `bi`: replays the abstract state from its saved
+/// `in_state` while tracking check availability. Returns the
+/// per-successor fact maps. When `sink` is given, each non-MustBeSafe
+/// access reports the generating check that covers it (or `None`).
 #[allow(clippy::too_many_arguments)]
 fn walk_block(
     an: &mut Analyzer<'_>,
+    cfg: &Cfg,
     bi: usize,
-    states: &BTreeMap<usize, State>,
+    in_state: &State,
     mut facts: Facts,
     scheme: ElideScheme,
     must_safe: &BTreeMap<u64, bool>,
     is_main: bool,
     mut sink: CoverSink<'_>,
 ) -> Vec<(usize, Facts)> {
-    let block = an.cfg.blocks[bi].clone();
-    let mut st = states[&bi].clone();
+    let block = &cfg.blocks[bi];
+    let mut st = in_state.clone();
     for pc in block.pcs() {
         let inst = an.program.fetch(pc).expect("pc in range");
         match inst {
             Inst::Load {
-                dst, base, offset, size, ..
+                dst,
+                base,
+                offset,
+                size,
+                ..
             } => {
-                step_access(&mut facts, must_safe, pc, bi, base, offset, size.bytes(), &mut sink);
+                step_access(
+                    &mut facts,
+                    must_safe,
+                    pc,
+                    bi,
+                    base,
+                    offset,
+                    size.bytes(),
+                    &mut sink,
+                );
                 facts.remove(&dst.index());
             }
             Inst::Store {
                 base, offset, size, ..
             } => {
-                step_access(&mut facts, must_safe, pc, bi, base, offset, size.bytes(), &mut sink);
+                step_access(
+                    &mut facts,
+                    must_safe,
+                    pc,
+                    bi,
+                    base,
+                    offset,
+                    size.bytes(),
+                    &mut sink,
+                );
                 // Under ASan a store that might land in shadow memory can
                 // re-poison bytes a previous check proved clean.
                 if scheme == ElideScheme::Asan
@@ -496,15 +527,15 @@ fn walk_block(
     let mut outs = Vec::new();
     for succ in &block.succs {
         match *succ {
-            crate::cfg::Succ::Fall(t) | crate::cfg::Succ::Jump(t) | crate::cfg::Succ::Taken(t) => {
-                if let Some(&ni) = an.cfg.index.get(&t) {
+            Succ::Fall(t) | Succ::Jump(t) | Succ::Taken(t) => {
+                if let Some(ni) = cfg.block_at(t) {
                     outs.push((ni, facts.clone()));
                 }
             }
             // A callee may arm, free, or check arbitrarily: no fact
             // survives a call.
-            crate::cfg::Succ::CallReturn { ret, .. } => {
-                if let Some(&ni) = an.cfg.index.get(&ret) {
+            Succ::CallReturn { ret, .. } => {
+                if let Some(ni) = cfg.block_at(ret) {
                     outs.push((ni, Facts::new()));
                 }
             }
@@ -566,7 +597,8 @@ fn store_clear_of_shadow(base: &AbsVal, offset: i64, width: u64) -> bool {
             (Some(lo), Some(hi)) => {
                 let (Some(lo), Some(end)) = (
                     lo.checked_add(offset),
-                    hi.checked_add(offset).and_then(|h| h.checked_add(width as i64)),
+                    hi.checked_add(offset)
+                        .and_then(|h| h.checked_add(width as i64)),
                 ) else {
                     return false;
                 };
@@ -697,8 +729,7 @@ fn access_must_be_safe(
                 return false;
             }
             let below_heap = lo >= 0 && end <= HEAP_BASE as i64;
-            let in_stack =
-                lo > (HEAP_BASE + HEAP_SPAN) as i64 && end <= STACK_TOP as i64;
+            let in_stack = lo > (HEAP_BASE + HEAP_SPAN) as i64 && end <= STACK_TOP as i64;
             if below_heap {
                 // Code + static region: tokens only via absolute arms
                 // (checked above) or guest arms on sbrk chunks, whose

@@ -54,9 +54,10 @@ pub mod dom;
 pub mod domain;
 pub mod elide;
 pub mod report;
+mod vecmap;
 
 pub use analysis::{verify_program, Finding, Severity, VerifyResult};
-pub use cfg::{Block, Cfg, Function, Succ};
+pub use cfg::{Block, Cfg, Function, Succ, Succs};
 pub use dom::DomTree;
 pub use domain::{AbsVal, SInt, SiteId};
 pub use elide::{elide_program, ElideScheme, ElisionReport, ELIDE_SCHEMA};

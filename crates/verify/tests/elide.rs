@@ -8,13 +8,13 @@
 //! with elision on and off) lives in the repo-level test suite; these
 //! tests pin the static semantics.
 
+use rest_core::ElideClass;
+use rest_core::TokenWidth;
 use rest_isa::{EcallNum, MemSize, Program, ProgramBuilder, Reg};
+use rest_runtime::StackScheme;
 use rest_verify::elide::{elide_program, ElideScheme};
 use rest_verify::{verify_program, Severity};
 use rest_workloads::{Scale, Workload, WorkloadParams, GOBMK_INPUTS};
-use rest_core::ElideClass;
-use rest_runtime::StackScheme;
-use rest_core::TokenWidth;
 
 fn rows() -> Vec<(String, Program)> {
     let mut rows = Vec::new();

@@ -90,7 +90,13 @@ fn findings_and_elision_maps_are_pinned() {
             elide.str(name);
             elide.str(scheme.name());
             elide.u64(u64::from(e.preconditions_ok));
-            for n in [e.access_pcs, e.must_be_safe, e.redundant, e.may_fault, e.blocking_findings] {
+            for n in [
+                e.access_pcs,
+                e.must_be_safe,
+                e.redundant,
+                e.may_fault,
+                e.blocking_findings,
+            ] {
                 elide.u64(n as u64);
             }
             for (pc, class) in e.map.iter() {
@@ -101,7 +107,10 @@ fn findings_and_elision_maps_are_pinned() {
     }
     assert_eq!(
         (format!("{:016x}", lint.0), format!("{:016x}", elide.0)),
-        ("c67ee201d754b615".to_string(), "64403d44690347be".to_string()),
+        (
+            "c67ee201d754b615".to_string(),
+            "64403d44690347be".to_string()
+        ),
         "restlint output over the corpus moved (lint digest, elision digest)"
     );
 }
