@@ -1986,6 +1986,49 @@ mod tests {
     }
 
     #[test]
+    fn written_registers_cover_ecall_results_branch_operands_and_call_clobbers() {
+        let regs = |program: &Program, fi: usize| {
+            let cfg = Cfg::build(program);
+            RegSet::written_in(program, &cfg, &cfg.functions[fi])
+                .iter()
+                .collect::<Vec<_>>()
+        };
+        let idx = |rs: &[Reg]| {
+            let mut v: Vec<usize> = rs.iter().map(|r| r.index()).collect();
+            v.sort_unstable();
+            v
+        };
+
+        // `ecall` writes a0 (and its `li a7`); a branch refines both
+        // operands; a write to `zero` is dropped.
+        let mut p = ProgramBuilder::new();
+        let skip = p.new_label();
+        p.ecall(EcallNum::Malloc);
+        p.beq(Reg::S1, Reg::S2, skip);
+        p.li(Reg::ZERO, 3);
+        p.bind(skip);
+        p.halt();
+        let program = p.build();
+        assert_eq!(
+            regs(&program, 0),
+            idx(&[Reg::A0, Reg::A7, Reg::S1, Reg::S2])
+        );
+
+        // A call's return edge clobbers every caller-saved register; a
+        // `ret` writes nothing.
+        let mut p = ProgramBuilder::new();
+        let f = p.new_label();
+        p.call(f);
+        p.halt();
+        p.bind(f);
+        p.ret();
+        let program = p.build();
+        let caller_saved: Vec<Reg> = Reg::all().filter(|r| caller_saved(*r)).collect();
+        assert_eq!(regs(&program, 0), idx(&caller_saved));
+        assert_eq!(regs(&program, 1), Vec::<usize>::new());
+    }
+
+    #[test]
     fn counting_loop_bound_survives_widening_and_narrowing() {
         // t0 counts 0..16; the loop header joins more often than
         // WIDEN_AFTER, so widening drops t0's upper bound and the
