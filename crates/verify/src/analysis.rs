@@ -202,7 +202,7 @@ pub(crate) struct ArmInfo {
     pub(crate) arm_pc: u64,
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct State {
     pub(crate) regs: [AbsVal; Reg::COUNT],
     pub(crate) armed: VecMap<Loc, ArmInfo>,
@@ -211,25 +211,6 @@ pub(crate) struct State {
     /// An `arm` executed at an address the analysis could not resolve;
     /// suppresses disarm-of-unarmed must-trap claims downstream.
     pub(crate) armed_unknown: bool,
-}
-
-impl Clone for State {
-    fn clone(&self) -> Self {
-        State {
-            regs: self.regs,
-            armed: self.armed.clone(),
-            freed: self.freed.clone(),
-            armed_unknown: self.armed_unknown,
-        }
-    }
-
-    /// Copies `source` into `self`'s existing allocations.
-    fn clone_from(&mut self, source: &Self) {
-        self.regs = source.regs;
-        self.armed.clone_from(&source.armed);
-        self.freed.clone_from(&source.freed);
-        self.armed_unknown = source.armed_unknown;
-    }
 }
 
 impl State {
@@ -292,6 +273,17 @@ impl State {
         for i in regs.iter() {
             self.regs[i] = self.regs[i].widen_from(&prev[i]);
         }
+    }
+
+    /// Copies `source` into `self`, copying only the registers in `regs`
+    /// (the others must already be equal).
+    fn load(&mut self, source: &State, regs: RegSet) {
+        for i in regs.iter() {
+            self.regs[i] = source.regs[i];
+        }
+        self.armed.clone_from(&source.armed);
+        self.freed.clone_from(&source.freed);
+        self.armed_unknown = source.armed_unknown;
     }
 
     /// Whether `self` equals `other`, comparing only the registers in
@@ -572,7 +564,8 @@ impl<'p> Analyzer<'p> {
         let mut work: VecDeque<usize> = VecDeque::new();
         work.push_back(entry_slot);
         queued[entry_slot] = true;
-        // The state every transfer runs in.
+        // The state every transfer runs in. Like every state of this
+        // function, it holds entry values outside `regs`.
         let mut state = State::entry(is_main);
         let mut budget = MAX_VISITS;
 
@@ -588,11 +581,8 @@ impl<'p> Analyzer<'p> {
                 break;
             }
             budget -= 1;
-            state.clone_from(
-                in_states[slot]
-                    .as_ref()
-                    .expect("queued blocks have an in-state"),
-            );
+            let in_state = in_states[slot].as_ref();
+            state.load(in_state.expect("queued blocks have an in-state"), regs);
             let block = &cfg.blocks[func.blocks[slot]];
             self.transfer_block(block, &mut state, is_main, false);
             for_each_edge(&cfg, self.program, block, &mut state, |succ_bi, out| {
@@ -638,7 +628,7 @@ impl<'p> Analyzer<'p> {
             next[entry_slot] = Some(State::entry(is_main));
             for (slot, in_state) in in_states.iter().enumerate() {
                 let Some(in_state) = in_state else { continue };
-                state.clone_from(in_state);
+                state.load(in_state, regs);
                 let block = &cfg.blocks[func.blocks[slot]];
                 self.transfer_block(block, &mut state, is_main, false);
                 for_each_edge(
@@ -670,7 +660,7 @@ impl<'p> Analyzer<'p> {
         for (slot, in_state) in in_states.iter_mut().enumerate() {
             let Some(in_state) = in_state else { continue };
             let in_state = if self.keep_states {
-                state.clone_from(in_state);
+                state.load(in_state, regs);
                 &mut state
             } else {
                 in_state
