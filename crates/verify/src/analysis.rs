@@ -621,7 +621,6 @@ impl<'p> Analyzer<'p> {
         // predecessors' (refined) out-edges; each step shrinks or keeps
         // states, so this stays sound.
         let mut next: Vec<Option<State>> = Vec::with_capacity(n);
-        next.resize_with(n, || None);
         for _ in 0..2 {
             next.clear();
             next.resize_with(n, || None);
