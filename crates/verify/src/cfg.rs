@@ -40,11 +40,26 @@ pub enum Succ {
 }
 
 /// The successor edges of a block, stored inline: a block has at most
-/// two (a conditional branch's taken and fall-through edges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// two (a conditional branch's taken and fall-through edges). It reads
+/// as the slice of its edges; slots past the length are ignored.
+#[derive(Clone, Copy)]
 pub struct Succs {
     edges: [Succ; 2],
     len: usize,
+}
+
+impl PartialEq for Succs {
+    fn eq(&self, other: &Succs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Succs {}
+
+impl std::fmt::Debug for Succs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl Succs {
@@ -490,6 +505,15 @@ mod tests {
         let dead = cfg.unreachable_blocks();
         assert_eq!(dead.len(), 1);
         assert_eq!(cfg.blocks[dead[0]].start, 0x1_0004);
+    }
+
+    #[test]
+    fn successors_compare_and_print_as_their_edges() {
+        let mut rewritten = Succs::one(Succ::Jump(0x1_0010));
+        rewritten[0] = Succ::FallsOffEnd;
+        assert_eq!(rewritten, Succs::one(Succ::FallsOffEnd));
+        assert_ne!(rewritten, Succs::two(Succ::FallsOffEnd, Succ::FallsOffEnd));
+        assert_eq!(format!("{rewritten:?}"), "[FallsOffEnd]");
     }
 
     #[test]
