@@ -1581,6 +1581,7 @@ fn for_each_edge(
         let feasible = match succ {
             Succ::Taken(_) => refine_branch(&last, state, true),
             Succ::CallReturn { .. } => {
+                debug_assert_eq!(block.succs.len(), 1, "a call block has one edge");
                 after_call(state);
                 true
             }
