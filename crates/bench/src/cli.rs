@@ -28,7 +28,7 @@
 //!                        rest-verify before simulating; fail fast on
 //!                        error-or-worse findings
 //! --reference            simulate matrix jobs on the reference decode path
-//!                        (re-decode every fetch) instead of the decoded-uop cache
+//!                        (re-decode every fetch) instead of the pre-decoded tables
 //! --emit-regress DIR     write minimized fuzz reproducers (.s + .trace) into DIR
 //! --help                 usage
 //! ```
@@ -93,7 +93,7 @@ pub struct BenchCli {
     pub verify: bool,
     /// Simulate on the reference decode path (`--reference`): re-decode
     /// every instruction on every fetch instead of replaying from the
-    /// decoded-uop cache. Output must be byte-identical; CI diffs it.
+    /// pre-decoded op and template tables. Output must be byte-identical; CI diffs it.
     pub reference: bool,
     /// Directory to write minimized regression reproducers to
     /// (`--emit-regress`), if any.
@@ -109,7 +109,7 @@ impl BenchCli {
     pub const DEFAULT_FUZZ_SEED: u64 = 0xF0CC_5EED;
 
     /// The execution tier the flags select: the reference decode path
-    /// under `--reference`, the decoded-uop cache otherwise.
+    /// under `--reference`, the pre-decoded tables otherwise.
     pub fn exec_tier(&self) -> ExecTier {
         if self.reference {
             ExecTier::Reference
@@ -255,7 +255,7 @@ impl BenchCli {
              --verify             statically lint each matrix job's program before\n\
              \x20                    simulating; fail fast on error-or-worse findings\n\
              --reference          re-decode every fetch of matrix jobs instead of using\n\
-             \x20                    the decoded-uop cache (differential/perf baseline)\n\
+             \x20                    the pre-decoded tables (differential/perf baseline)\n\
              --emit-regress DIR   write minimized fuzz reproducers (.s + .trace)\n\
              \x20                    into DIR\n\
              --help               this message\n\

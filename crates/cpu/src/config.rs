@@ -14,10 +14,11 @@ pub enum ExecTier {
     /// Re-decode every instruction on every fetch. The slow oracle CI
     /// diffs the other tiers against.
     Reference,
-    /// Replay prebuilt micro-op templates from the decoded-uop cache.
+    /// Execute pre-decoded ops and replay prebuilt micro-op templates
+    /// (`rest_isa::DecodedProgram`).
     #[default]
     Fast,
-    /// The decoded-uop cache plus run-time superblock traces: hot
+    /// The Fast tier's tables plus run-time superblock traces: hot
     /// straight-line regions discovered at backward-branch targets are
     /// compiled into fused trace ops and dispatched without per-step
     /// fetch/budget overhead. See `crate::superblock`.
@@ -169,8 +170,8 @@ pub struct SimConfig {
     /// committed macro instructions into the result's time-series
     /// (0 = sampling off). See [`rest_obs::TimeSeries`].
     pub sample_interval: u64,
-    /// Functional execution tier: reference re-decode, decoded-uop
-    /// cache, or superblock traces. Architecturally identical by
+    /// Functional execution tier: reference re-decode, pre-decoded op
+    /// tables, or superblock traces. Architecturally identical by
     /// construction (the differential gate in rest-bench compares the
     /// tiers byte-for-byte); exists so CI can diff results and perf can
     /// measure the speedups.

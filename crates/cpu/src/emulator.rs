@@ -7,8 +7,8 @@ use rest_core::{
 };
 use rest_faults::{FaultHandle, FaultKind, MemEffect};
 use rest_isa::{
-    BranchInfo, Component, DecodeOptions, DecodedInst, DecodedProgram, DynInst, EcallNum,
-    GuestMemory, Inst, Program, Reg, PC_STEP,
+    AluOp, BranchCond, BranchInfo, Component, DecodeOptions, DecodedProgram, DynInst, EcallNum,
+    GuestMemory, MemSize, Op, Program, Reg, PC_STEP,
 };
 use rest_runtime::{
     shadow, AsanReport, EcallOutcome, RtEnv, Runtime, Scheme, TrafficRecorder, Violation,
@@ -65,9 +65,9 @@ pub struct Emulator {
     token: Token,
     runtime: Runtime,
     rec: TrafficRecorder,
-    /// Decoded-uop cache (`None` on the reference path, which re-decodes
-    /// every fetch). Invalidated on ARM/DISARM effects that land in the
-    /// code segment.
+    /// Op and template tables (`None` on the reference path, which
+    /// re-decodes every fetch). Invalidated on ARM/DISARM effects that
+    /// land in the code segment.
     decoded: Option<DecodedProgram>,
     decode_opts: DecodeOptions,
     /// Superblock trace store (`Some` only on the trace tier).
@@ -83,6 +83,9 @@ pub struct Emulator {
     stop_taken: bool,
     insts: u64,
     uops: u64,
+    /// The step runs only while `uops < cap`: the smaller of the two
+    /// budgets, and 0 once a stop has been recorded or taken.
+    cap: u64,
     max_uops: u64,
     max_cycles: u64,
     /// Shared fault-injection state (also cloned into the hierarchy).
@@ -184,6 +187,11 @@ impl Emulator {
             stop_taken: false,
             insts: 0,
             uops: 0,
+            cap: if cfg.max_cycles > 0 {
+                cfg.max_uops.min(cfg.max_cycles)
+            } else {
+                cfg.max_uops
+            },
             max_uops: cfg.max_uops,
             max_cycles: cfg.max_cycles,
             fault,
@@ -255,7 +263,7 @@ impl Emulator {
     /// reason, if any — including one already taken — wins).
     pub fn force_stop(&mut self, reason: StopReason) {
         if self.stop.is_none() && !self.stop_taken {
-            self.stop = Some(reason);
+            self.set_stop(reason);
         }
     }
 
@@ -457,25 +465,17 @@ impl Emulator {
     /// instrumented access: shadow-address arithmetic (shift + add), the
     /// shadow-byte load, the test, and the (never-taken) branch to the
     /// report stub.
-    fn emit_asan_check<S: UopSink>(&mut self, out: &mut S, pc: u64, addr: u64) {
-        let sh = rest_runtime::shadow_addr(addr);
-        out.push(
-            DynInst::alu(pc, Some(Reg::TP), [None, None]).with_component(Component::AccessCheck),
-        );
-        out.push(
-            DynInst::alu(pc, Some(Reg::TP), [Some(Reg::TP), None])
-                .with_component(Component::AccessCheck),
-        );
-        out.push(
-            DynInst::load(pc, Some(Reg::TP), Some(Reg::TP), sh, 1)
-                .with_component(Component::AccessCheck),
-        );
-        out.push(
-            DynInst::alu(pc, Some(Reg::TP), [Some(Reg::TP), None])
-                .with_component(Component::AccessCheck),
-        );
-        out.push(
-            DynInst::branch(
+    fn emit_asan_check<S: UopSink>(&self, out: &mut S, pc: u64, addr: u64) {
+        let check = |d: DynInst| d.with_component(Component::AccessCheck);
+        out.push_with(|| check(DynInst::alu(pc, Some(Reg::TP), [None, None])));
+        out.push_with(|| check(DynInst::alu(pc, Some(Reg::TP), [Some(Reg::TP), None])));
+        out.push_with(|| {
+            let sh = rest_runtime::shadow_addr(addr);
+            check(DynInst::load(pc, Some(Reg::TP), Some(Reg::TP), sh, 1))
+        });
+        out.push_with(|| check(DynInst::alu(pc, Some(Reg::TP), [Some(Reg::TP), None])));
+        out.push_with(|| {
+            check(DynInst::branch(
                 pc,
                 [Some(Reg::TP), None],
                 None,
@@ -487,28 +487,29 @@ impl Emulator {
                     is_return: false,
                     indirect: false,
                 },
-            )
-            .with_component(Component::AccessCheck),
-        );
+            ))
+        });
     }
 
     /// Emits the micro-ops of the backend's per-access check, if the
     /// active backend charges any (MTE synchronous tag fetch, PA
     /// pointer authentication). REST charges zero — its check rides the
     /// cache fill — so this never perturbs the REST uop stream.
-    fn emit_backend_check<S: UopSink>(&mut self, out: &mut S, pc: u64, addr: u64, store: bool) {
+    fn emit_backend_check<S: UopSink>(&self, out: &mut S, pc: u64, addr: u64, store: bool) {
         for _ in 0..self.backend.check_uops(store) {
-            let d = match self.backend.check_uop_kind() {
-                // Tag fetch from the packed tag shadow (one byte covers
-                // two granules; modelled as a 1-byte load).
-                CheckUopKind::TagLoad => {
-                    DynInst::load(pc, Some(Reg::TP), None, rest_runtime::tag_addr(addr), 1)
-                }
-                // PACIA/AUTIA-style recompute-and-compare: ALU work, no
-                // memory traffic.
-                CheckUopKind::AuthAlu => DynInst::alu(pc, Some(Reg::TP), [None, None]),
-            };
-            out.push(d.with_component(Component::AccessCheck));
+            out.push_with(|| {
+                let d = match self.backend.check_uop_kind() {
+                    // Tag fetch from the packed tag shadow (one byte
+                    // covers two granules; modelled as a 1-byte load).
+                    CheckUopKind::TagLoad => {
+                        DynInst::load(pc, Some(Reg::TP), None, rest_runtime::tag_addr(addr), 1)
+                    }
+                    // PACIA/AUTIA-style recompute-and-compare: ALU work,
+                    // no memory traffic.
+                    CheckUopKind::AuthAlu => DynInst::alu(pc, Some(Reg::TP), [None, None]),
+                };
+                d.with_component(Component::AccessCheck)
+            });
         }
     }
 
@@ -528,279 +529,334 @@ impl Emulator {
         }
     }
 
-    /// The generic step loop behind [`Emulator::step`] and
-    /// [`Emulator::step_quiet`]: fetches a [`DecodedInst`] (from the
-    /// decoded-uop cache, or freshly on the reference path), applies the
-    /// architectural effect, and replays the micro-op template with its
-    /// dynamic fields patched in.
+    /// Records why execution stopped and folds the stop into the uop
+    /// cap, so the next step takes [`Emulator::stop_at_cap`].
+    fn set_stop(&mut self, reason: StopReason) {
+        self.stop = Some(reason);
+        self.cap = 0;
+    }
+
+    /// The step's slow path, taken once `uops` reaches the cap: a
+    /// recorded or taken stop (cap 0) stays stopped; otherwise one of
+    /// the budgets ran out. The micro-op budget wins a tie, as it always
+    /// has. `uops` also bounds the functional side of the cycle
+    /// watchdog: one retired micro-op costs at least a fraction of a
+    /// cycle, so it bounds how long a hung guest can spin. The timing
+    /// loop additionally enforces the budget against real pipeline
+    /// cycles.
+    #[cold]
+    fn stop_at_cap(&mut self) -> bool {
+        if self.stop.is_none() && !self.stop_taken {
+            let reason = if self.uops >= self.max_uops {
+                StopReason::UopLimit
+            } else {
+                StopReason::CycleLimit
+            };
+            self.set_stop(reason);
+        }
+        false
+    }
+
+    /// The micro-op template of `op` at `pc`: the template table's
+    /// entry, or — on the Reference tier, which has no table — `op`
+    /// lowered afresh.
+    #[inline]
+    fn template(&self, pc: u64, op: Op) -> DynInst {
+        match self.decoded.as_ref().and_then(|t| t.template_at(pc)) {
+            Some(t) => *t,
+            None => op.template(pc, self.program.component_at(pc), self.decode_opts),
+        }
+    }
+
+    /// Emits `op`'s template unpatched.
+    #[inline(always)]
+    fn emit<S: UopSink>(&self, out: &mut S, pc: u64, op: Op) {
+        out.push_with(|| self.template(pc, op));
+    }
+
+    /// Register-form ALU op: `dst = a <alu> b`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn rr<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, alu: AluOp, dst: Reg, a: Reg, b: Reg) {
+        let v = alu.apply(self.reg(a), self.reg(b));
+        self.set_reg(dst, v);
+        self.emit(out, pc, op);
+    }
+
+    /// Immediate-form ALU op: `dst = a <alu> imm`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn ri<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, alu: AluOp, dst: Reg, a: Reg, imm: i64) {
+        let v = alu.apply(self.reg(a), imm as u64);
+        self.set_reg(dst, v);
+        self.emit(out, pc, op);
+    }
+
+    /// Conditional branch; returns the next PC.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn branch<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        cond: BranchCond,
+        a: Reg,
+        b: Reg,
+        target: u64,
+    ) -> u64 {
+        let taken = cond.eval(self.reg(a), self.reg(b));
+        let next_pc = if taken { target } else { pc + PC_STEP };
+        out.push_with(|| with_branch_outcome(self.template(pc, op), taken, next_pc));
+        next_pc
+    }
+
+    /// The checked half of a load or store at `base + offset`: emits the
+    /// injected check micro-ops and the access's own patched template,
+    /// then validates the access. Returns the canonical address, or
+    /// `None` once a violation has been recorded as the stop.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn checked_access<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        base: Reg,
+        offset: i64,
+        component: Component,
+        size: MemSize,
+        store: bool,
+    ) -> Option<u64> {
+        let ptr = self.reg(base).wrapping_add(offset as u64);
+        let addr = if self.tagged_ptrs {
+            self.backend.canonical_addr(ptr)
+        } else {
+            ptr
+        };
+        let elided = self.check_elided(pc, component);
+        let check_start = out.count();
+        if !elided && component == Component::App {
+            if self.access_checks {
+                self.emit_asan_check(out, pc, addr);
+            }
+            if self.tagged_ptrs {
+                self.emit_backend_check(out, pc, addr, store);
+            }
+        }
+        let injected = out.count() - check_start;
+        out.push_with(|| with_mem_addr(self.template(pc, op), addr));
+        let violation = if elided {
+            self.note_elided(addr);
+            None
+        } else {
+            self.check_app_access(ptr, addr, size.bytes(), store, pc, injected)
+        };
+        match violation {
+            Some(v) => {
+                self.set_stop(StopReason::Violation(v));
+                None
+            }
+            None => Some(addr),
+        }
+    }
+
+    /// A load of `size` bytes into `dst`, sign-extended when `signed`.
+    #[inline(always)]
+    fn load<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        (dst, base, component, offset): (Reg, Reg, Component, i64),
+        size: MemSize,
+        signed: bool,
+    ) {
+        if let Some(addr) = self.checked_access(out, pc, op, base, offset, component, size, false) {
+            let raw = self.mem.read_scalar(addr, size);
+            let v = if signed {
+                sign_extend(raw, size.bytes())
+            } else {
+                raw
+            };
+            self.set_reg(dst, v);
+        }
+    }
+
+    /// A store of the low `size` bytes of `src`.
+    #[inline(always)]
+    fn store<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        (src, base, component, offset): (Reg, Reg, Component, i64),
+        size: MemSize,
+    ) {
+        if let Some(addr) = self.checked_access(out, pc, op, base, offset, component, size, true) {
+            self.mem.write_scalar(addr, self.reg(src), size);
+        }
+    }
+
+    /// The generic step behind [`Emulator::step`] and
+    /// [`Emulator::step_quiet`]: one compare against the uop cap, a
+    /// fetch of the 16-byte [`Op`] (from the op table, or decoded afresh
+    /// on the Reference tier), and one `match` that applies the
+    /// architectural effect and emits the micro-ops. Counting sinks never
+    /// read the template table.
     fn step_sink<S: UopSink>(&mut self, out: &mut S) -> bool {
-        if self.stop.is_some() || self.stop_taken {
-            return false;
-        }
-        if self.uops >= self.max_uops {
-            self.stop = Some(StopReason::UopLimit);
-            return false;
-        }
-        // Functional side of the cycle watchdog: one retired micro-op
-        // costs at least a fraction of a cycle, so `uops` bounds how long
-        // a hung guest can spin. The timing loop additionally enforces
-        // the budget against real pipeline cycles.
-        if self.max_cycles > 0 && self.uops >= self.max_cycles {
-            self.stop = Some(StopReason::CycleLimit);
-            return false;
+        // A recorded or taken stop sets the cap to 0, and otherwise it is
+        // the smaller budget, so this one compare covers all four.
+        if self.uops >= self.cap {
+            return self.stop_at_cap();
         }
         let pc = self.pc;
         let fetched = match &self.decoded {
-            Some(cache) => cache.entry_at(pc).copied(),
-            None => DecodedInst::decode_at(&self.program, pc, self.decode_opts),
+            Some(table) => table.op_at(pc),
+            None => Op::decode_at(&self.program, pc),
         };
-        let e = match fetched {
-            Some(e) => e,
-            None => {
-                self.stop = Some(StopReason::Fault(format!("bad pc {pc:#x}")));
-                return false;
-            }
+        let Some(op) = fetched else {
+            self.set_stop(StopReason::Fault(format!("bad pc {pc:#x}")));
+            return false;
         };
         let before = out.count();
         let mut next_pc = pc + PC_STEP;
 
-        match e.inst {
-            Inst::Alu { op, dst, src1, src2 } => {
-                let v = op.apply(self.reg(src1), self.reg(src2));
-                self.set_reg(dst, v);
-                out.push(e.template);
-            }
-            Inst::AluImm { op, dst, src, imm } => {
-                let v = op.apply(self.reg(src), imm as u64);
-                self.set_reg(dst, v);
-                out.push(e.template);
-            }
-            Inst::Li { dst, imm } => {
+        match op {
+            Op::Add { dst, a, b } => self.rr(out, pc, op, AluOp::Add, dst, a, b),
+            Op::Sub { dst, a, b } => self.rr(out, pc, op, AluOp::Sub, dst, a, b),
+            Op::Mul { dst, a, b } => self.rr(out, pc, op, AluOp::Mul, dst, a, b),
+            Op::Div { dst, a, b } => self.rr(out, pc, op, AluOp::Div, dst, a, b),
+            Op::Rem { dst, a, b } => self.rr(out, pc, op, AluOp::Rem, dst, a, b),
+            Op::And { dst, a, b } => self.rr(out, pc, op, AluOp::And, dst, a, b),
+            Op::Or { dst, a, b } => self.rr(out, pc, op, AluOp::Or, dst, a, b),
+            Op::Xor { dst, a, b } => self.rr(out, pc, op, AluOp::Xor, dst, a, b),
+            Op::Sll { dst, a, b } => self.rr(out, pc, op, AluOp::Sll, dst, a, b),
+            Op::Srl { dst, a, b } => self.rr(out, pc, op, AluOp::Srl, dst, a, b),
+            Op::Sra { dst, a, b } => self.rr(out, pc, op, AluOp::Sra, dst, a, b),
+            Op::Slt { dst, a, b } => self.rr(out, pc, op, AluOp::Slt, dst, a, b),
+            Op::Sltu { dst, a, b } => self.rr(out, pc, op, AluOp::Sltu, dst, a, b),
+            Op::AddI { dst, a, imm } => self.ri(out, pc, op, AluOp::Add, dst, a, imm),
+            Op::SubI { dst, a, imm } => self.ri(out, pc, op, AluOp::Sub, dst, a, imm),
+            Op::MulI { dst, a, imm } => self.ri(out, pc, op, AluOp::Mul, dst, a, imm),
+            Op::DivI { dst, a, imm } => self.ri(out, pc, op, AluOp::Div, dst, a, imm),
+            Op::RemI { dst, a, imm } => self.ri(out, pc, op, AluOp::Rem, dst, a, imm),
+            Op::AndI { dst, a, imm } => self.ri(out, pc, op, AluOp::And, dst, a, imm),
+            Op::OrI { dst, a, imm } => self.ri(out, pc, op, AluOp::Or, dst, a, imm),
+            Op::XorI { dst, a, imm } => self.ri(out, pc, op, AluOp::Xor, dst, a, imm),
+            Op::SllI { dst, a, imm } => self.ri(out, pc, op, AluOp::Sll, dst, a, imm),
+            Op::SrlI { dst, a, imm } => self.ri(out, pc, op, AluOp::Srl, dst, a, imm),
+            Op::SraI { dst, a, imm } => self.ri(out, pc, op, AluOp::Sra, dst, a, imm),
+            Op::SltI { dst, a, imm } => self.ri(out, pc, op, AluOp::Slt, dst, a, imm),
+            Op::SltuI { dst, a, imm } => self.ri(out, pc, op, AluOp::Sltu, dst, a, imm),
+            Op::Li { dst, imm } => {
                 self.set_reg(dst, imm as u64);
-                out.push(e.template);
+                self.emit(out, pc, op);
             }
-            Inst::Nop => {
-                out.push(e.template);
-            }
-            Inst::Load {
+            Op::Nop => self.emit(out, pc, op),
+            Op::LoadU8 {
                 dst,
                 base,
+                component,
                 offset,
-                size,
-                signed,
-            } => {
-                let ptr = self.reg(base).wrapping_add(offset as u64);
-                let addr = if self.tagged_ptrs {
-                    self.backend.canonical_addr(ptr)
-                } else {
-                    ptr
-                };
-                let elided = self.check_elided(pc, e.template.component);
-                let check_start = out.count();
-                if !elided {
-                    if self.access_checks && e.template.component == Component::App {
-                        self.emit_asan_check(out, pc, addr);
-                    }
-                    if self.tagged_ptrs && e.template.component == Component::App {
-                        self.emit_backend_check(out, pc, addr, false);
-                    }
-                }
-                let injected = out.count() - check_start;
-                out.push(with_mem_addr(e.template, addr));
-                let violation = if elided {
-                    self.note_elided(addr);
-                    None
-                } else {
-                    self.check_app_access(ptr, addr, size.bytes(), false, pc, injected)
-                };
-                if let Some(v) = violation {
-                    self.stop = Some(StopReason::Violation(v));
-                } else {
-                    let raw = self.mem.read_scalar(addr, size);
-                    let v = if signed {
-                        sign_extend(raw, size.bytes())
-                    } else {
-                        raw
-                    };
-                    self.set_reg(dst, v);
-                }
-            }
-            Inst::Store {
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B1, false),
+            Op::LoadS8 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B1, true),
+            Op::LoadU16 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B2, false),
+            Op::LoadS16 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B2, true),
+            Op::LoadU32 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B4, false),
+            Op::LoadS32 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B4, true),
+            Op::Load64 {
+                dst,
+                base,
+                component,
+                offset,
+            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B8, false),
+            Op::Store8 {
                 src,
                 base,
+                component,
                 offset,
-                size,
-            } => {
-                let ptr = self.reg(base).wrapping_add(offset as u64);
-                let addr = if self.tagged_ptrs {
-                    self.backend.canonical_addr(ptr)
-                } else {
-                    ptr
-                };
-                let elided = self.check_elided(pc, e.template.component);
-                let check_start = out.count();
-                if !elided {
-                    if self.access_checks && e.template.component == Component::App {
-                        self.emit_asan_check(out, pc, addr);
-                    }
-                    if self.tagged_ptrs && e.template.component == Component::App {
-                        self.emit_backend_check(out, pc, addr, true);
-                    }
-                }
-                let injected = out.count() - check_start;
-                out.push(with_mem_addr(e.template, addr));
-                let violation = if elided {
-                    self.note_elided(addr);
-                    None
-                } else {
-                    self.check_app_access(ptr, addr, size.bytes(), true, pc, injected)
-                };
-                if let Some(v) = violation {
-                    self.stop = Some(StopReason::Violation(v));
-                } else {
-                    self.mem.write_scalar(addr, self.reg(src), size);
-                }
+            } => self.store(out, pc, op, (src, base, component, offset), MemSize::B1),
+            Op::Store16 {
+                src,
+                base,
+                component,
+                offset,
+            } => self.store(out, pc, op, (src, base, component, offset), MemSize::B2),
+            Op::Store32 {
+                src,
+                base,
+                component,
+                offset,
+            } => self.store(out, pc, op, (src, base, component, offset), MemSize::B4),
+            Op::Store64 {
+                src,
+                base,
+                component,
+                offset,
+            } => self.store(out, pc, op, (src, base, component, offset), MemSize::B8),
+            Op::Beq { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Eq, a, b, target);
             }
-            Inst::Arm { addr } => {
-                let a = self.reg(addr);
-                out.push(with_mem_addr(e.template, a));
-                if !self.perfect_hw {
-                    let w = self.token.width().bytes();
-                    // A backend without an armed set (MTE/PA) has no
-                    // token machinery: the instruction degrades to the
-                    // already-pushed memory uop with no architectural
-                    // token effect.
-                    match self.backend.armed_set_mut().map(|armed| armed.arm(a)) {
-                        Some(Ok(())) => {
-                            for line in (a & !63..a + w).step_by(64) {
-                                self.mem.snapshot_line_pre_image(line);
-                            }
-                            self.mem.write_bytes(a, self.token.bytes());
-                            self.invalidate_decoded(a, w);
-                        }
-                        Some(Err(kind)) => {
-                            self.stop = Some(StopReason::Violation(Violation::Rest(
-                                RestException::new(kind, a, pc, true),
-                            )));
-                        }
-                        None => {}
-                    }
-                }
+            Op::Bne { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Ne, a, b, target);
             }
-            Inst::Disarm { addr } => {
-                let a = self.reg(addr);
-                out.push(with_mem_addr(e.template, a));
-                let w = self.token.width().bytes();
-                if self.perfect_hw {
-                    let base = a & !(w - 1);
-                    self.mem.fill(base, w, 0);
-                    self.invalidate_decoded(base, w);
-                } else {
-                    match self.backend.armed_set_mut().map(|armed| armed.disarm(a)) {
-                        Some(Ok(())) => {
-                            for line in (a & !63..a + w).step_by(64) {
-                                self.mem.snapshot_line_pre_image(line);
-                            }
-                            self.mem.fill(a, w, 0);
-                            self.invalidate_decoded(a, w);
-                        }
-                        Some(Err(kind)) => {
-                            self.stop = Some(StopReason::Violation(Violation::Rest(
-                                RestException::new(
-                                    kind,
-                                    a,
-                                    pc,
-                                    kind.always_precise() || self.mode.precise_exceptions(),
-                                ),
-                            )));
-                        }
-                        None => {}
-                    }
-                }
+            Op::Blt { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Lt, a, b, target);
             }
-            Inst::Branch {
-                cond, src1, src2, ..
-            } => {
-                let taken = cond.eval(self.reg(src1), self.reg(src2));
-                if taken {
-                    next_pc = e.target;
-                }
-                out.push(with_branch_outcome(e.template, taken, next_pc));
+            Op::Bge { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Ge, a, b, target);
             }
-            Inst::Jal { dst, .. } => {
+            Op::Bltu { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Ltu, a, b, target);
+            }
+            Op::Bgeu { a, b, target } => {
+                next_pc = self.branch(out, pc, op, BranchCond::Geu, a, b, target);
+            }
+            Op::Jal { dst, target } => {
                 self.set_reg(dst, pc + PC_STEP);
-                next_pc = e.target;
-                out.push(e.template);
+                next_pc = target;
+                self.emit(out, pc, op);
             }
-            Inst::Jalr { dst, base, offset } => {
+            Op::Jalr { dst, base, offset } => {
+                // Read `base` before writing `dst`: they may be the same
+                // register.
                 let t = self.reg(base).wrapping_add(offset as u64);
                 self.set_reg(dst, pc + PC_STEP);
                 next_pc = t;
-                out.push(with_branch_outcome(e.template, true, t));
+                out.push_with(|| with_branch_outcome(self.template(pc, op), true, t));
             }
-            Inst::Ecall => {
-                out.push(e.template);
-                let num = self.reg(Reg::A7);
-                let args = [
-                    self.reg(Reg::A0),
-                    self.reg(Reg::A1),
-                    self.reg(Reg::A2),
-                    self.reg(Reg::A3),
-                    self.reg(Reg::A4),
-                    self.reg(Reg::A5),
-                ];
-                match EcallNum::from_u64(num) {
-                    None => {
-                        self.stop = Some(StopReason::Fault(format!("unknown ecall {num}")));
-                    }
-                    Some(n) => {
-                        // The runtime mutates the machine through
-                        // disjoint field borrows (no allocator swap);
-                        // its recorded traffic — materialised or merely
-                        // counted, matching the sink — is spliced into
-                        // the stream afterwards.
-                        self.rec.set_materialize(S::MATERIALIZE);
-                        let Emulator {
-                            runtime,
-                            mem,
-                            rec,
-                            backend,
-                            token,
-                            check_backend,
-                            perfect_hw,
-                            naive_wide_arm,
-                            sites,
-                            ..
-                        } = self;
-                        let mut env = RtEnv {
-                            mem,
-                            rec,
-                            backend: backend.as_mut(),
-                            token,
-                            check_backend: *check_backend,
-                            check_shadow: false,
-                            perfect_hw: *perfect_hw,
-                            naive_wide_arm: *naive_wide_arm,
-                            guest_pc: pc,
-                            sites: sites.as_deref_mut(),
-                        };
-                        let outcome = runtime.ecall(n, args, &mut env);
-                        out.splice(&mut self.rec);
-                        match outcome {
-                            EcallOutcome::Done(v) => self.set_reg(Reg::A0, v),
-                            EcallOutcome::Exit(code) => {
-                                self.stop = Some(StopReason::Exit(code));
-                            }
-                            EcallOutcome::Violation(v) => {
-                                self.stop = Some(StopReason::Violation(v));
-                            }
-                        }
-                    }
-                }
-            }
-            Inst::Halt => {
-                self.stop = Some(StopReason::Halted);
-                out.push(e.template);
+            Op::Arm { addr } => self.arm(out, pc, op, addr),
+            Op::Disarm { addr } => self.disarm(out, pc, op, addr),
+            Op::Ecall => self.ecall(out, pc, op),
+            Op::Halt => {
+                self.set_stop(StopReason::Halted);
+                self.emit(out, pc, op);
             }
         }
 
@@ -811,6 +867,120 @@ impl Emulator {
         self.insts += 1;
         self.uops += out.count() - before;
         true
+    }
+
+    /// `arm`: the memory uop, then — unless perfect hardware turns it
+    /// into a plain store — the architectural token write.
+    fn arm<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, addr: Reg) {
+        let a = self.reg(addr);
+        out.push_with(|| with_mem_addr(self.template(pc, op), a));
+        if self.perfect_hw {
+            return;
+        }
+        let w = self.token.width().bytes();
+        // A backend without an armed set (MTE/PA) has no token
+        // machinery: the instruction degrades to the already-pushed
+        // memory uop with no architectural token effect.
+        match self.backend.armed_set_mut().map(|armed| armed.arm(a)) {
+            Some(Ok(())) => {
+                for line in (a & !63..a + w).step_by(64) {
+                    self.mem.snapshot_line_pre_image(line);
+                }
+                self.mem.write_bytes(a, self.token.bytes());
+                self.invalidate_decoded(a, w);
+            }
+            Some(Err(kind)) => {
+                self.set_stop(StopReason::Violation(Violation::Rest(RestException::new(
+                    kind, a, pc, true,
+                ))));
+            }
+            None => {}
+        }
+    }
+
+    /// `disarm`: the memory uop, then the token clear (a plain zeroing
+    /// store under perfect hardware).
+    fn disarm<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, addr: Reg) {
+        let a = self.reg(addr);
+        out.push_with(|| with_mem_addr(self.template(pc, op), a));
+        let w = self.token.width().bytes();
+        if self.perfect_hw {
+            let base = a & !(w - 1);
+            self.mem.fill(base, w, 0);
+            self.invalidate_decoded(base, w);
+            return;
+        }
+        match self.backend.armed_set_mut().map(|armed| armed.disarm(a)) {
+            Some(Ok(())) => {
+                for line in (a & !63..a + w).step_by(64) {
+                    self.mem.snapshot_line_pre_image(line);
+                }
+                self.mem.fill(a, w, 0);
+                self.invalidate_decoded(a, w);
+            }
+            Some(Err(kind)) => {
+                let precise = kind.always_precise() || self.mode.precise_exceptions();
+                self.set_stop(StopReason::Violation(Violation::Rest(RestException::new(
+                    kind, a, pc, precise,
+                ))));
+            }
+            None => {}
+        }
+    }
+
+    /// `ecall`: the call's own uop, then the runtime service with its
+    /// recorded traffic spliced in behind it.
+    fn ecall<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op) {
+        self.emit(out, pc, op);
+        let num = self.reg(Reg::A7);
+        let args = [
+            self.reg(Reg::A0),
+            self.reg(Reg::A1),
+            self.reg(Reg::A2),
+            self.reg(Reg::A3),
+            self.reg(Reg::A4),
+            self.reg(Reg::A5),
+        ];
+        let Some(n) = EcallNum::from_u64(num) else {
+            self.set_stop(StopReason::Fault(format!("unknown ecall {num}")));
+            return;
+        };
+        // The runtime mutates the machine through disjoint field borrows
+        // (no allocator swap); its recorded traffic — materialised or
+        // merely counted, matching the sink — is spliced into the stream
+        // afterwards.
+        self.rec.set_materialize(S::MATERIALIZE);
+        let Emulator {
+            runtime,
+            mem,
+            rec,
+            backend,
+            token,
+            check_backend,
+            perfect_hw,
+            naive_wide_arm,
+            sites,
+            ..
+        } = self;
+        let mut env = RtEnv {
+            mem,
+            rec,
+            backend: backend.as_mut(),
+            token,
+            check_backend: *check_backend,
+            check_shadow: false,
+            perfect_hw: *perfect_hw,
+            naive_wide_arm: *naive_wide_arm,
+            guest_pc: pc,
+            sites: sites.as_deref_mut(),
+        };
+        let outcome = runtime.ecall(n, args, &mut env);
+        out.splice(&mut self.rec);
+        match outcome {
+            EcallOutcome::Done(v) => self.set_reg(Reg::A0, v),
+            EcallOutcome::Exit(code) => self.set_stop(StopReason::Exit(code)),
+            EcallOutcome::Violation(v) => self.set_stop(StopReason::Violation(v)),
+        }
     }
 
     /// Drains arms recorded this step and, on the trigger arm, flips one
@@ -844,7 +1014,7 @@ impl Emulator {
 
     /// Compiles (or marks dead) the superblock headed at entry `idx`.
     fn compile_trace_at(&mut self, idx: usize) {
-        let Some(decoded) = self.decoded.as_ref() else {
+        let (Some(decoded), Some(cache)) = (self.decoded.as_ref(), self.traces.as_mut()) else {
             return;
         };
         let cfg = superblock::TraceCompileCfg {
@@ -854,9 +1024,7 @@ impl Emulator {
             store_check_uops: u64::from(self.backend.check_uops(true)),
             elide: self.elide.as_deref(),
         };
-        let compiled = superblock::compile(decoded, idx, &cfg);
-        let cache = self.traces.as_mut().expect("trace tier");
-        match compiled {
+        match superblock::compile(&self.program, decoded, idx, &cfg) {
             Some(t) => cache.install(idx, t),
             None => cache.mark_dead(idx),
         }
@@ -885,19 +1053,11 @@ impl Emulator {
         while self.insts - start < min_insts {
             let pc = self.pc;
             if pc != prev.wrapping_add(PC_STEP) && self.fault.is_none() {
-                if let Some(idx) = self.traces.as_ref().and_then(|t| t.index_of(pc)) {
-                    let cache = self.traces.as_mut().expect("trace tier");
-                    let mut ready = cache.has(idx);
-                    if !ready && cache.bump(idx) {
-                        self.compile_trace_at(idx);
-                        ready = self.traces.as_ref().expect("trace tier").has(idx);
-                    }
-                    if ready {
-                        let (ran, last_pc) = self.run_trace(idx, out);
-                        if ran > 0 {
-                            prev = last_pc;
-                            continue;
-                        }
+                if let Some(idx) = self.hot_trace_at(pc) {
+                    let (ran, last_pc) = self.run_trace(idx, out);
+                    if ran > 0 {
+                        prev = last_pc;
+                        continue;
                     }
                 }
             }
@@ -907,6 +1067,18 @@ impl Emulator {
             }
         }
         self.insts - start
+    }
+
+    /// The head index at `pc` if a trace is installed there. Otherwise
+    /// heats the head, compiling it once it is hot; `None` off the trace
+    /// tier and outside the code segment.
+    fn hot_trace_at(&mut self, pc: u64) -> Option<usize> {
+        let cache = self.traces.as_mut()?;
+        let idx = cache.index_of(pc)?;
+        if !cache.has(idx) && cache.bump(idx) {
+            self.compile_trace_at(idx);
+        }
+        self.traces.as_ref()?.has(idx).then_some(idx)
     }
 
     /// Executes the trace installed at head `idx` until a side exit,
@@ -919,7 +1091,7 @@ impl Emulator {
         if self.stop.is_some() || self.stop_taken {
             return (0, 0);
         }
-        let Some(t) = self.traces.as_mut().expect("trace tier").checkout(idx) else {
+        let Some(t) = self.traces.as_mut().and_then(|c| c.checkout(idx)) else {
             return (0, 0);
         };
         let head = t.head;
@@ -950,7 +1122,7 @@ impl Emulator {
                         self.set_reg(dst, v);
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(t.templates[i]);
+                            out.push_with(|| t.templates[i]);
                         }
                     }
                     TraceOp::AluImm { op, dst, src, imm } => {
@@ -958,20 +1130,20 @@ impl Emulator {
                         self.set_reg(dst, v);
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(t.templates[i]);
+                            out.push_with(|| t.templates[i]);
                         }
                     }
                     TraceOp::Li { dst, imm } => {
                         self.set_reg(dst, imm as u64);
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(t.templates[i]);
+                            out.push_with(|| t.templates[i]);
                         }
                     }
                     TraceOp::Nop => {
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(t.templates[i]);
+                            out.push_with(|| t.templates[i]);
                         }
                     }
                     TraceOp::Load {
@@ -1000,7 +1172,7 @@ impl Emulator {
                         }
                         local_uops += injected + 1;
                         if S::MATERIALIZE {
-                            out.push(with_mem_addr(t.templates[i], addr));
+                            out.push_with(|| with_mem_addr(t.templates[i], addr));
                         }
                         let violation = if elided {
                             self.note_elided(addr);
@@ -1009,7 +1181,7 @@ impl Emulator {
                             self.check_app_access(ptr, addr, size.bytes(), false, pc, injected)
                         };
                         if let Some(v) = violation {
-                            self.stop = Some(StopReason::Violation(v));
+                            self.set_stop(StopReason::Violation(v));
                             self.pc = pc + PC_STEP;
                             last_pc = pc;
                             break 'pass;
@@ -1047,7 +1219,7 @@ impl Emulator {
                         }
                         local_uops += injected + 1;
                         if S::MATERIALIZE {
-                            out.push(with_mem_addr(t.templates[i], addr));
+                            out.push_with(|| with_mem_addr(t.templates[i], addr));
                         }
                         let violation = if elided {
                             self.note_elided(addr);
@@ -1056,7 +1228,7 @@ impl Emulator {
                             self.check_app_access(ptr, addr, size.bytes(), true, pc, injected)
                         };
                         if let Some(v) = violation {
-                            self.stop = Some(StopReason::Violation(v));
+                            self.set_stop(StopReason::Violation(v));
                             self.pc = pc + PC_STEP;
                             last_pc = pc;
                             break 'pass;
@@ -1073,7 +1245,7 @@ impl Emulator {
                         let next_pc = if taken { target } else { pc + PC_STEP };
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(with_branch_outcome(t.templates[i], taken, next_pc));
+                            out.push_with(|| with_branch_outcome(t.templates[i], taken, next_pc));
                         }
                         if taken {
                             last_pc = pc;
@@ -1104,7 +1276,7 @@ impl Emulator {
                         self.set_reg(dst, pc + PC_STEP);
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(t.templates[i]);
+                            out.push_with(|| t.templates[i]);
                         }
                         last_pc = pc;
                         self.pc = target;
@@ -1117,7 +1289,7 @@ impl Emulator {
                         self.set_reg(dst, pc + PC_STEP);
                         local_uops += 1;
                         if S::MATERIALIZE {
-                            out.push(with_branch_outcome(t.templates[i], true, target));
+                            out.push_with(|| with_branch_outcome(t.templates[i], true, target));
                         }
                         last_pc = pc;
                         self.pc = target;
@@ -1133,9 +1305,11 @@ impl Emulator {
         }
         self.insts += insts_run;
         self.uops += local_uops;
-        let cache = self.traces.as_mut().expect("trace tier");
-        cache.count_traced(insts_run);
-        cache.restore(idx, t);
+        // `t` was checked out of the cache above, so it is still there.
+        if let Some(cache) = self.traces.as_mut() {
+            cache.count_traced(insts_run);
+            cache.restore(idx, t);
+        }
         (insts_run, last_pc)
     }
 }
@@ -1156,6 +1330,7 @@ impl ExecEngine for Emulator {
 
     fn take_stop(&mut self) -> Option<StopReason> {
         self.stop_taken = true;
+        self.cap = 0;
         self.stop.take()
     }
 
@@ -1171,14 +1346,14 @@ impl ExecEngine for Emulator {
         self.pc
     }
 
-    fn run_functional(&mut self) -> &StopReason {
+    fn run_functional(&mut self) -> Option<&StopReason> {
         let mut sink = CountingSink::default();
         if self.traces.is_some() {
             self.run_traced(&mut sink, u64::MAX);
         } else {
             while self.step_sink(&mut sink) {}
         }
-        self.stop.as_ref().expect("stopped")
+        self.stop.as_ref()
     }
 
     fn run_chunk(&mut self, out: &mut Vec<DynInst>, min_insts: u64) -> u64 {
@@ -1199,8 +1374,9 @@ trait UopSink {
     /// Whether runtime services should materialise their recorded
     /// traffic (`false` lets the recorder count instead).
     const MATERIALIZE: bool;
-    /// Accepts one micro-op.
-    fn push(&mut self, d: DynInst);
+    /// Accepts one micro-op, built by `make` only if the sink
+    /// materialises (a counting sink never reads a template).
+    fn push_with(&mut self, make: impl FnOnce() -> DynInst);
     /// Micro-ops accepted so far.
     fn count(&self) -> u64;
     /// Splices the runtime recorder's traffic into the stream.
@@ -1211,8 +1387,8 @@ impl UopSink for Vec<DynInst> {
     const MATERIALIZE: bool = true;
 
     #[inline]
-    fn push(&mut self, d: DynInst) {
-        Vec::push(self, d);
+    fn push_with(&mut self, make: impl FnOnce() -> DynInst) {
+        self.push(make());
     }
 
     fn count(&self) -> u64 {
@@ -1235,7 +1411,7 @@ impl UopSink for CountingSink {
     const MATERIALIZE: bool = false;
 
     #[inline]
-    fn push(&mut self, _d: DynInst) {
+    fn push_with(&mut self, _make: impl FnOnce() -> DynInst) {
         self.n += 1;
     }
 
@@ -1516,6 +1692,34 @@ mod tests {
         // with a different history either.
         emu.force_stop(StopReason::Halted);
         assert_eq!(emu.stop_reason(), None, "taken engines ignore force_stop");
+        // run_functional on a taken engine reports that the reason is
+        // gone instead of panicking.
+        assert_eq!(emu.run_functional(), None);
+        assert_eq!(emu.insts(), insts);
+    }
+
+    /// The trace tier's entry points reach their "no trace cache" and
+    /// "already stopped" boundaries without panicking: a taken trace-tier
+    /// engine neither runs a chunk nor a functional pass, and the fast
+    /// tier's `run_chunk` never consults traces.
+    #[test]
+    fn trace_entry_points_on_stopped_and_trace_less_engines() {
+        let mut cfg = SimConfig::isca2018(RtConfig::plain());
+        cfg.tier = ExecTier::Trace;
+        let mut traced = Emulator::new(hot_loop_program(100), &cfg);
+        assert_eq!(traced.run_functional(), Some(&StopReason::Halted));
+        let insts = traced.insts();
+        assert_eq!(traced.take_stop(), Some(StopReason::Halted));
+        assert_eq!(traced.run_functional(), None);
+        let mut buf = Vec::new();
+        assert_eq!(traced.run_chunk(&mut buf, 1_000), 0);
+        assert!(buf.is_empty());
+        assert_eq!(traced.insts(), insts);
+
+        let mut fast = Emulator::new(hot_loop_program(100), &SimConfig::isca2018(RtConfig::plain()));
+        assert_eq!(fast.run_chunk(&mut buf, u64::MAX), insts);
+        assert_eq!(fast.trace_stats(), (0, 0));
+        assert_eq!(fast.stop_reason(), Some(&StopReason::Halted));
     }
 
     fn hot_loop_program(iters: i64) -> Program {
@@ -1610,8 +1814,9 @@ mod tests {
         // Now the direct invalidation check at the cache level: a write
         // over the loop body's span must drop the trace.
         let mut cache = crate::superblock::TraceCache::new(8);
+        let program = hot_loop_program(5);
         let decoded = DecodedProgram::new(
-            &hot_loop_program(5),
+            &program,
             DecodeOptions {
                 arm_width: 8,
                 arm_as_store: false,
@@ -1624,7 +1829,7 @@ mod tests {
             store_check_uops: 0,
             elide: None,
         };
-        let t = superblock::compile(&decoded, 2, &compile_cfg).expect("loop body compiles");
+        let t = superblock::compile(&program, &decoded, 2, &compile_cfg).expect("loop body compiles");
         cache.install(2, t);
         assert!(cache.has(2));
         cache.invalidate_range(Program::CODE_BASE + 2 * PC_STEP, 1);

@@ -9,9 +9,19 @@
 //! ([`ExecEngine::run_functional`]); and differential gates drive two
 //! engines in lockstep over materialised chunks
 //! ([`ExecEngine::run_chunk`]). The trait pins one contract for all of
-//! them, so an execution tier (reference decode, decoded-uop cache,
+//! them, so an execution tier (reference decode, pre-decoded tables,
 //! superblock traces — see [`crate::ExecTier`]) slots underneath every
 //! consumer without any of them changing.
+//!
+//! Under every entry point the emulator's step reads the same two
+//! tables of [`rest_isa::DecodedProgram`]: the **op table**, one
+//! 16-byte [`rest_isa::Op`] per PC that the step dispatches on once, is
+//! read by every consumer; the **template table** of prebuilt
+//! [`DynInst`]s is read only by consumers that materialise micro-ops —
+//! [`ExecEngine::step`], [`ExecEngine::run_chunk`] and the superblock
+//! compiler. The counting paths ([`ExecEngine::step_quiet`],
+//! [`ExecEngine::run_functional`]) never touch it. The Reference tier
+//! keeps neither table and decodes the same op on every fetch.
 //!
 //! Stop handling is part of the contract: once an engine has stopped,
 //! every step method returns `false` without executing, and
@@ -54,12 +64,13 @@ pub trait ExecEngine {
 
     /// Runs the program to completion functionally, discarding the
     /// micro-op stream (the fuzz oracle's functional tiers, the
-    /// benchmark crate's `functional-sweep`, fast architectural tests).
-    /// This is where block-dispatch tiers earn
+    /// benchmark crate's `functional-sweep`, fast architectural tests),
+    /// and returns why it stopped — `None` only when the reason had
+    /// already been taken. This is where block-dispatch tiers earn
     /// their keep; the default is the plain quiet-step loop.
-    fn run_functional(&mut self) -> &StopReason {
+    fn run_functional(&mut self) -> Option<&StopReason> {
         while self.step_quiet() {}
-        self.stop_reason().expect("stopped")
+        self.stop_reason()
     }
 
     /// Executes **at least** `min_insts` macro instructions (or until

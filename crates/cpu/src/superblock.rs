@@ -1,9 +1,10 @@
 //! Run-time superblock traces: the emulator's top execution tier.
 //!
-//! The decoded-uop cache (tier [`crate::ExecTier::Fast`]) still pays a
-//! per-instruction dispatch tax: a stop check, two budget comparisons, a
-//! bounds-checked fetch that copies a [`DecodedInst`], and a `match` over
-//! the full [`Inst`] enum. Hot loops repay that tax thousands of times.
+//! The op table (tier [`crate::ExecTier::Fast`]) still pays a
+//! per-instruction dispatch tax: a budget compare, a bounds-checked
+//! fetch of an [`rest_isa::Op`], a `match` over it, and the per-step
+//! bookkeeping (PC, counters, fault hook). Hot loops repay that tax
+//! thousands of times.
 //! The trace tier amortises it: when execution keeps arriving at the same
 //! PC via a control transfer — backward arrivals are loop headers, and
 //! forward arrivals via `jal`/`jalr` are function entries and post-call
@@ -39,7 +40,7 @@
 //!   hot arrival, so stale fused checks cannot execute.
 
 use rest_isa::{
-    AluOp, BranchCond, DecodedProgram, DynInst, Inst, MemSize, Program, Reg, PC_STEP,
+    AluOp, BranchCond, Component, DecodedProgram, DynInst, Inst, MemSize, Program, Reg, PC_STEP,
 };
 
 /// Arrivals via control transfer before a head is compiled.
@@ -54,8 +55,8 @@ pub(crate) const MAX_TRACE_OPS: usize = 256;
 /// short to amortise dispatch).
 const DEAD: u32 = u32::MAX;
 
-/// One fused trace operation. Every field the fast path would read out
-/// of a [`DecodedInst`] at run time is pre-extracted; `Load`/`Store`
+/// One fused trace operation: the instruction's operands with branch
+/// targets resolved; `Load`/`Store`
 /// additionally carry the compile-time-resolved elision verdict and the
 /// number of check micro-ops injected per execution.
 #[derive(Debug, Clone, Copy)]
@@ -174,10 +175,13 @@ impl TraceCompileCfg<'_> {
     }
 }
 
-/// Compiles the superblock headed at entry `head_idx`, or `None` when
-/// the region is too short to be worth dispatching (the head is an
-/// ender, or the straight line is a short non-looping run).
+/// Compiles the superblock headed at entry `head_idx` of `program`, or
+/// `None` when the region is too short to be worth dispatching (the
+/// head is an ender, or the straight line is a short non-looping run).
+/// Templates come from `decoded`'s template table, which invalidation
+/// always re-derives from `program`.
 pub(crate) fn compile(
+    program: &Program,
     decoded: &DecodedProgram,
     head_idx: usize,
     cfg: &TraceCompileCfg<'_>,
@@ -189,9 +193,11 @@ pub(crate) fn compile(
     for i in 0..MAX_TRACE_OPS {
         let idx = head_idx + i;
         let pc = head + i as u64 * PC_STEP;
-        let Some(e) = decoded.entry_at(pc) else { break };
-        let app = e.template.component == rest_isa::Component::App;
-        let op = match e.inst {
+        let (Some(inst), Some(&template)) = (program.fetch(pc), decoded.template_at(pc)) else {
+            break;
+        };
+        let app = template.component == Component::App;
+        let op = match inst {
             Inst::Alu { op, dst, src1, src2 } => TraceOp::Alu { op, dst, src1, src2 },
             Inst::AluImm { op, dst, src, imm } => TraceOp::AluImm { op, dst, src, imm },
             Inst::Li { dst, imm } => TraceOp::Li { dst, imm },
@@ -233,28 +239,31 @@ pub(crate) fn compile(
                 }
             }
             Inst::Branch {
-                cond, src1, src2, ..
+                cond,
+                src1,
+                src2,
+                target,
             } => TraceOp::Branch {
                 cond,
                 src1,
                 src2,
-                target: e.target,
+                target: program.label_pc(target),
             },
             // Jumps terminate the trace but execute inside it, so a
             // block ending in a call retires whole; the jump target
             // chains into its own trace once hot.
-            Inst::Jal { dst, .. } => {
+            Inst::Jal { dst, target } => {
                 ops.push(TraceOp::Jal {
                     dst,
-                    target: e.target,
+                    target: program.label_pc(target),
                 });
-                templates.push(e.template);
+                templates.push(template);
                 total_uops += 1;
                 break;
             }
             Inst::Jalr { dst, base, offset } => {
                 ops.push(TraceOp::Jalr { dst, base, offset });
-                templates.push(e.template);
+                templates.push(template);
                 total_uops += 1;
                 break;
             }
@@ -269,7 +278,7 @@ pub(crate) fn compile(
             _ => 1,
         };
         ops.push(op);
-        templates.push(e.template);
+        templates.push(template);
     }
     let loops = ops
         .iter()
@@ -290,7 +299,7 @@ pub(crate) fn compile(
 }
 
 /// The emulator's trace store: per-head heat counters and compiled
-/// traces, dense over the code segment like the decoded-uop cache.
+/// traces, dense over the code segment like the op table.
 #[derive(Debug)]
 pub(crate) struct TraceCache {
     heat: Vec<u32>,
@@ -317,7 +326,7 @@ impl TraceCache {
         }
     }
 
-    /// Code-segment index of `pc`, mirroring `DecodedProgram::entry_at`.
+    /// Code-segment index of `pc`, mirroring `DecodedProgram::op_at`.
     #[inline]
     pub fn index_of(&self, pc: u64) -> Option<usize> {
         let off = pc.checked_sub(Program::CODE_BASE)?;
@@ -470,7 +479,7 @@ mod tests {
     fn compiles_loop_bodies_with_looping_terminal_branch() {
         let p = loop_program();
         let d = decoded(&p);
-        let t = compile(&d, 2, &cfg()).expect("loop body compiles");
+        let t = compile(&p, &d, 2, &cfg()).expect("loop body compiles");
         assert_eq!(t.head, Program::CODE_BASE + 2 * PC_STEP);
         assert_eq!(t.ops.len(), 3, "add, addi, bne");
         assert_eq!(t.total_uops, 3);
@@ -486,9 +495,9 @@ mod tests {
         let p = loop_program();
         let d = decoded(&p);
         // Head at the halt: zero ops.
-        assert!(compile(&d, 6, &cfg()).is_none());
+        assert!(compile(&p, &d, 6, &cfg()).is_none());
         // Head at the bne: one looping op is still worth dispatching.
-        let t = compile(&d, 5, &cfg());
+        let t = compile(&p, &d, 5, &cfg());
         assert!(t.is_none(), "bne at 5 targets 2, not itself");
     }
 
@@ -511,7 +520,7 @@ mod tests {
         let p = loop_program();
         let d = decoded(&p);
         let mut c = TraceCache::new(p.len());
-        let t = compile(&d, 2, &cfg()).unwrap();
+        let t = compile(&p, &d, 2, &cfg()).unwrap();
         c.install(2, t);
         assert!(c.has(2));
         let base = Program::CODE_BASE;
@@ -534,7 +543,7 @@ mod tests {
         let p = loop_program();
         let d = decoded(&p);
         let mut c = TraceCache::new(p.len());
-        c.install(2, compile(&d, 2, &cfg()).unwrap());
+        c.install(2, compile(&p, &d, 2, &cfg()).unwrap());
         // A write overlapping only the middle of the span drops it.
         assert_eq!(c.invalidate_range(Program::CODE_BASE + 3 * PC_STEP, 1), 1);
         assert!(!c.has(2));

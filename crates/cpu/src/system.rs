@@ -292,7 +292,7 @@ mod tests {
         let mut cfg = SimConfig::isca2018(RtConfig::plain());
         cfg.max_cycles = 10_000;
         let mut emu = Emulator::new(infinite_loop_program(), &cfg);
-        assert_eq!(*emu.run_functional(), StopReason::CycleLimit);
+        assert_eq!(emu.run_functional(), Some(&StopReason::CycleLimit));
     }
 
     #[test]

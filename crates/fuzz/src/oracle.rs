@@ -5,7 +5,7 @@
 //! 1. **restlint** — `rest_verify::verify_program` static must-trap
 //!    verdicts (plus Error-severity discipline findings);
 //! 2. **functional emulation** — all three [`ExecTier`]s (reference
-//!    decode, decoded-uop cache, superblock traces), compared in full
+//!    decode, pre-decoded tables, superblock traces), compared in full
 //!    on stop reason, program output, and retired-instruction count;
 //! 3. **the timing path** — `System::run`, compared against the
 //!    functional result.

@@ -288,17 +288,18 @@ pub fn parse_asm(src: &str) -> Result<Program, AsmError> {
             });
             Ok(())
         };
-        let load = |size: MemSize, signed: bool, p: &mut Parser, ops: &[&str]| -> Result<(), AsmError> {
-            let (offset, base) = parse_mem_operand(ops[1], line_no)?;
-            p.builder.push(Inst::Load {
-                dst: parse_reg(ops[0], line_no)?,
-                base,
-                offset,
-                size,
-                signed,
-            });
-            Ok(())
-        };
+        let load =
+            |size: MemSize, signed: bool, p: &mut Parser, ops: &[&str]| -> Result<(), AsmError> {
+                let (offset, base) = parse_mem_operand(ops[1], line_no)?;
+                p.builder.push(Inst::Load {
+                    dst: parse_reg(ops[0], line_no)?,
+                    base,
+                    offset,
+                    size,
+                    signed,
+                });
+                Ok(())
+            };
         let store = |size: MemSize, p: &mut Parser, ops: &[&str]| -> Result<(), AsmError> {
             let (offset, base) = parse_mem_operand(ops[1], line_no)?;
             p.builder.push(Inst::Store {
@@ -366,10 +367,18 @@ pub fn parse_asm(src: &str) -> Result<Program, AsmError> {
                 let src = parse_reg(ops[1], line_no)?;
                 p.builder.mv(dst, src);
             }
-            "ld" | "ld8" | "ld8u" => want(2).and_then(|_| load(MemSize::B8, false, &mut p, &ops))?,
-            "ld4" | "ld4u" | "lw" => want(2).and_then(|_| load(MemSize::B4, false, &mut p, &ops))?,
-            "ld2" | "ld2u" | "lh" => want(2).and_then(|_| load(MemSize::B2, false, &mut p, &ops))?,
-            "ld1" | "ld1u" | "lb" => want(2).and_then(|_| load(MemSize::B1, false, &mut p, &ops))?,
+            "ld" | "ld8" | "ld8u" => {
+                want(2).and_then(|_| load(MemSize::B8, false, &mut p, &ops))?
+            }
+            "ld4" | "ld4u" | "lw" => {
+                want(2).and_then(|_| load(MemSize::B4, false, &mut p, &ops))?
+            }
+            "ld2" | "ld2u" | "lh" => {
+                want(2).and_then(|_| load(MemSize::B2, false, &mut p, &ops))?
+            }
+            "ld1" | "ld1u" | "lb" => {
+                want(2).and_then(|_| load(MemSize::B1, false, &mut p, &ops))?
+            }
             "ld8s" => want(2).and_then(|_| load(MemSize::B8, true, &mut p, &ops))?,
             "ld4s" | "lws" => want(2).and_then(|_| load(MemSize::B4, true, &mut p, &ops))?,
             "ld2s" | "lhs" => want(2).and_then(|_| load(MemSize::B2, true, &mut p, &ops))?,
@@ -382,8 +391,12 @@ pub fn parse_asm(src: &str) -> Result<Program, AsmError> {
             "bne" => want(3).and_then(|_| branch(BranchCond::Ne, &mut p, &ops, &mut referenced))?,
             "blt" => want(3).and_then(|_| branch(BranchCond::Lt, &mut p, &ops, &mut referenced))?,
             "bge" => want(3).and_then(|_| branch(BranchCond::Ge, &mut p, &ops, &mut referenced))?,
-            "bltu" => want(3).and_then(|_| branch(BranchCond::Ltu, &mut p, &ops, &mut referenced))?,
-            "bgeu" => want(3).and_then(|_| branch(BranchCond::Geu, &mut p, &ops, &mut referenced))?,
+            "bltu" => {
+                want(3).and_then(|_| branch(BranchCond::Ltu, &mut p, &ops, &mut referenced))?
+            }
+            "bgeu" => {
+                want(3).and_then(|_| branch(BranchCond::Geu, &mut p, &ops, &mut referenced))?
+            }
             "j" => {
                 want(1)?;
                 referenced.entry(ops[0].to_string()).or_insert(line_no);
@@ -491,7 +504,12 @@ impl Program {
                 let _ = writeln!(out, "L_{pc:x}:");
             }
             let text = match *inst {
-                Inst::Alu { op, dst, src1, src2 } => {
+                Inst::Alu {
+                    op,
+                    dst,
+                    src1,
+                    src2,
+                } => {
                     format!("{} {dst}, {src1}, {src2}", op.mnemonic())
                 }
                 Inst::AluImm { op, dst, src, imm } => {
@@ -562,7 +580,11 @@ mod tests {
                     src1,
                     src2,
                     target,
-                } => format!("{} {src1},{src2} -> {:#x}", cond.mnemonic(), p.label_pc(target)),
+                } => format!(
+                    "{} {src1},{src2} -> {:#x}",
+                    cond.mnemonic(),
+                    p.label_pc(target)
+                ),
                 Inst::Jal { dst, target } => format!("jal {dst} -> {:#x}", p.label_pc(target)),
                 other => format!("{other}"),
             })
@@ -731,10 +753,7 @@ mod tests {
 
     #[test]
     fn comments_in_all_styles() {
-        let prog = parse_asm(
-            "nop # hash\n nop ; semicolon\n nop // slashes\n halt",
-        )
-        .unwrap();
+        let prog = parse_asm("nop # hash\n nop ; semicolon\n nop // slashes\n halt").unwrap();
         assert_eq!(prog.len(), 4);
     }
 }

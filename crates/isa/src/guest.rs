@@ -59,16 +59,18 @@ pub struct GuestMemory {
     /// indices stay stable for the lifetime of the memory.
     frames: Vec<Box<[u8; PAGE_SIZE as usize]>>,
     /// Page number → index into `frames`.
-    table: PageMap<u32>,
-    /// One-entry translation cache `(page number, frame index)` of the
-    /// most recently resolved *resident* page. Guest access streams are
-    /// heavily page-local, so this converts most lookups — every load,
-    /// store, and shadow poke pays one — into a compare and a vector
-    /// index. Sound because pages are never unmapped; absent pages
-    /// (demand-zero reads) are never cached. The sentinel page number
-    /// `u64::MAX` is unreachable (real page numbers top out at
-    /// `u64::MAX / PAGE_SIZE`).
-    last: Cell<(u64, u32)>,
+    table: PageMap<usize>,
+    /// Two-entry translation cache of `(page number, frame index)` pairs
+    /// for the most recently resolved *resident* pages, newest first.
+    /// Guest access streams are heavily page-local, so this converts
+    /// most lookups — every load, store, and shadow poke pays one — into
+    /// a compare or two and a vector index. Two entries, because an
+    /// ASan run alternates every access between a data page and its
+    /// shadow page, which one entry would miss every time. Sound because
+    /// pages are never unmapped; absent pages (demand-zero reads) are
+    /// never cached. The sentinel page number `u64::MAX` is unreachable
+    /// (real page numbers top out at `u64::MAX / PAGE_SIZE`).
+    recent: Cell<[(u64, usize); 2]>,
     bytes_written: u64,
     /// Pre-update images of cache lines about to be modified by
     /// `arm`/`disarm` effects within the current macro instruction. The
@@ -78,12 +80,21 @@ pub struct GuestMemory {
     pre_line_images: PageMap<[u8; 64]>,
 }
 
+/// The `N` bytes of page `p` at `off`. Invariant: `off + N <= PAGE_SIZE`
+/// (the scalar fast paths check it), so the slice is exactly `N` long.
+#[inline]
+fn le_bytes<const N: usize>(p: &[u8; PAGE_SIZE as usize], off: usize) -> [u8; N] {
+    let mut b = [0u8; N];
+    b.copy_from_slice(&p[off..off + N]);
+    b
+}
+
 impl Default for GuestMemory {
     fn default() -> GuestMemory {
         GuestMemory {
             frames: Vec::new(),
             table: PageMap::default(),
-            last: Cell::new((u64::MAX, 0)),
+            recent: Cell::new([(u64::MAX, 0); 2]),
             bytes_written: 0,
             pre_line_images: PageMap::default(),
         }
@@ -96,40 +107,60 @@ impl GuestMemory {
         GuestMemory::default()
     }
 
+    /// Frame index of page `pno` from the translation cache.
+    #[inline]
+    fn cached(&self, pno: u64) -> Option<usize> {
+        let [newest, older] = self.recent.get();
+        if newest.0 == pno {
+            Some(newest.1)
+        } else if older.0 == pno {
+            Some(older.1)
+        } else {
+            None
+        }
+    }
+
+    /// Caches a resident page's translation, dropping the older entry.
+    #[inline]
+    fn remember(&self, pno: u64, idx: usize) {
+        let [newest, _] = self.recent.get();
+        self.recent.set([(pno, idx), newest]);
+    }
+
     #[inline]
     fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
         let pno = addr / PAGE_SIZE;
-        let (cached_pno, cached_idx) = self.last.get();
-        let idx = if cached_pno == pno {
-            cached_idx
-        } else {
-            let idx = *self.table.get(&pno)?;
-            self.last.set((pno, idx));
-            idx
+        let idx = match self.cached(pno) {
+            Some(idx) => idx,
+            None => {
+                let idx = *self.table.get(&pno)?;
+                self.remember(pno, idx);
+                idx
+            }
         };
-        Some(&self.frames[idx as usize])
+        Some(&self.frames[idx])
     }
 
     #[inline]
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let pno = addr / PAGE_SIZE;
-        let (cached_pno, cached_idx) = self.last.get();
-        let idx = if cached_pno == pno {
-            cached_idx
-        } else {
-            let idx = match self.table.get(&pno) {
-                Some(&i) => i,
-                None => {
-                    let i = u32::try_from(self.frames.len()).expect("page count fits u32");
-                    self.frames.push(Box::new([0u8; PAGE_SIZE as usize]));
-                    self.table.insert(pno, i);
-                    i
-                }
-            };
-            self.last.set((pno, idx));
-            idx
+        let idx = match self.cached(pno) {
+            Some(idx) => idx,
+            None => {
+                let idx = match self.table.get(&pno) {
+                    Some(&i) => i,
+                    None => {
+                        let i = self.frames.len();
+                        self.frames.push(Box::new([0u8; PAGE_SIZE as usize]));
+                        self.table.insert(pno, i);
+                        i
+                    }
+                };
+                self.remember(pno, idx);
+                idx
+            }
         };
-        &mut self.frames[idx as usize]
+        &mut self.frames[idx]
     }
 
     /// Reads one byte.
@@ -206,13 +237,9 @@ impl GuestMemory {
             let Some(p) = self.page(addr) else { return 0 };
             return match size {
                 MemSize::B1 => u64::from(p[off]),
-                MemSize::B2 => {
-                    u64::from(u16::from_le_bytes(p[off..off + 2].try_into().unwrap()))
-                }
-                MemSize::B4 => {
-                    u64::from(u32::from_le_bytes(p[off..off + 4].try_into().unwrap()))
-                }
-                MemSize::B8 => u64::from_le_bytes(p[off..off + 8].try_into().unwrap()),
+                MemSize::B2 => u64::from(u16::from_le_bytes(le_bytes(p, off))),
+                MemSize::B4 => u64::from(u32::from_le_bytes(le_bytes(p, off))),
+                MemSize::B8 => u64::from_le_bytes(le_bytes(p, off)),
             };
         }
         let mut buf = [0u8; 8];
@@ -428,8 +455,8 @@ mod tests {
         mem.read_bytes(PAGE_SIZE - 50, &mut out);
         assert_eq!(out, data);
         assert_eq!(mem.resident_pages(), 4); // 50 + 4096 + 4096 + 50 bytes
-        // Wrap-around at the top of the address space, like the old
-        // per-byte path.
+                                             // Wrap-around at the top of the address space, like the old
+                                             // per-byte path.
         mem.write_bytes(u64::MAX - 1, &[0xaa, 0xbb, 0xcc, 0xdd]);
         assert_eq!(mem.read_u8(u64::MAX - 1), 0xaa);
         assert_eq!(mem.read_u8(u64::MAX), 0xbb);
@@ -451,6 +478,69 @@ mod tests {
         assert!(mem.bytes_equal(0x10, &[0xaa; 64]));
         assert_eq!(mem.read_u8(0x0f), 0);
         assert_eq!(mem.read_u8(0x50), 0);
+    }
+
+    #[test]
+    fn scalars_ending_exactly_at_a_page_end_stay_on_the_fast_path() {
+        // `off + n == PAGE_SIZE` is the last offset the single-page path
+        // takes; one byte further crosses into the next page.
+        for size in [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8] {
+            let mut mem = GuestMemory::new();
+            let n = size.bytes();
+            let mask = u64::MAX >> (64 - 8 * n);
+            let val = 0x8877_6655_4433_2211u64;
+            mem.write_scalar(PAGE_SIZE - n, val, size);
+            assert_eq!(mem.resident_pages(), 1, "{size}");
+            assert_eq!(mem.read_scalar(PAGE_SIZE - n, size), val & mask, "{size}");
+            if n > 1 {
+                mem.write_scalar(2 * PAGE_SIZE - n + 1, val, size);
+                assert_eq!(mem.resident_pages(), 3, "{size}");
+                assert_eq!(mem.read_scalar(2 * PAGE_SIZE - n + 1, size), val & mask);
+            }
+        }
+    }
+
+    #[test]
+    fn translation_cache_survives_three_alternating_pages() {
+        // Three pages round-robin through a two-entry cache: every
+        // access misses it, and every value must still come back.
+        let mut mem = GuestMemory::new();
+        let pages = [0x10u64, 0x7_0000, 0x3];
+        for round in 0..4u64 {
+            for (i, &pno) in pages.iter().enumerate() {
+                let addr = pno * PAGE_SIZE + 8 * round;
+                mem.write_u64(addr, round * 10 + i as u64);
+            }
+        }
+        for round in 0..4u64 {
+            for (i, &pno) in pages.iter().enumerate() {
+                let addr = pno * PAGE_SIZE + 8 * round;
+                assert_eq!(mem.read_u64(addr), round * 10 + i as u64);
+            }
+        }
+        assert_eq!(mem.resident_pages(), 3);
+    }
+
+    #[test]
+    fn writes_land_in_their_own_page_while_another_is_cached() {
+        let mut mem = GuestMemory::new();
+        let (a, b) = (0x1000u64, 0x9000u64);
+        mem.write_u64(a, 1);
+        // `b` is absent: the read misses without caching it.
+        assert_eq!(mem.read_u64(b), 0);
+        // Writing `b` while `a` is cached materialises `b`, not `a`.
+        mem.write_u64(b, 2);
+        assert_eq!(mem.read_u64(a), 1);
+        assert_eq!(mem.read_u64(b), 2);
+        // And the other way round, with both now cached.
+        mem.write_u64(a, 3);
+        assert_eq!(mem.read_u64(b), 2);
+        assert_eq!(mem.read_u64(a), 3);
+        // A third page evicts one of them; both still read back.
+        mem.write_u64(0x5000, 4);
+        assert_eq!((mem.read_u64(a), mem.read_u64(b)), (3, 2));
+        assert_eq!(mem.read_u64(0x5000), 4);
+        assert_eq!(mem.resident_pages(), 3);
     }
 
     #[test]

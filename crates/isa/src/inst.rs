@@ -292,7 +292,12 @@ impl Inst {
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Inst::Alu { op, dst, src1, src2 } => {
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
                 write!(f, "{} {dst}, {src1}, {src2}", op.mnemonic())
             }
             Inst::AluImm { op, dst, src, imm } => {

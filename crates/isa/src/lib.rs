@@ -55,7 +55,7 @@ mod program;
 mod reg;
 
 pub use asm::{parse_asm, AsmError};
-pub use decoded::{alu_kind, DecodeOptions, DecodedInst, DecodedProgram};
+pub use decoded::{DecodeOptions, DecodedProgram, Op};
 pub use dyninst::{BranchInfo, Component, DynInst, MemAccessKind, MemRef, OpKind};
 pub use guest::{GuestMemory, PAGE_SIZE};
 pub use inst::{AluOp, BranchCond, EcallNum, Inst, MemSize};

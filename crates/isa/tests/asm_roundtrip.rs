@@ -20,11 +20,11 @@ enum Tpl {
     Arm(u8),
     Disarm(u8),
     Nop,
-    BranchBack(u8, u8),             // beq to the program start
-    BranchFwd(BranchCond, u8, u8),  // any condition, to the program end
-    Call(u8),                       // jal to the program end (forward label)
-    Jump,                           // jal zero to the program end
-    Jalr(u8, u8, i64),              // indirect jump/return form
+    BranchBack(u8, u8),            // beq to the program start
+    BranchFwd(BranchCond, u8, u8), // any condition, to the program end
+    Call(u8),                      // jal to the program end (forward label)
+    Jump,                          // jal zero to the program end
+    Jalr(u8, u8, i64),             // indirect jump/return form
     Ecall,
 }
 

@@ -39,26 +39,36 @@ fn kind_of_poison(value: u8) -> AsanReportKind {
 /// Pure check (no traffic recorded): is `[addr, addr+size)` fully
 /// addressable per the shadow encoding?
 ///
+/// Reads one shadow byte per 8-byte granule the access touches, as
+/// ASan's instrumented check does. A granule's verdict is the verdict of
+/// its first inaccessible accessed byte, so this returns exactly what a
+/// byte-by-byte walk would.
+///
 /// # Errors
 ///
 /// The report kind for the first inaccessible byte.
 pub fn classify_access(mem: &GuestMemory, addr: u64, size: u64) -> Result<(), AsanReportKind> {
     // Inclusive end: an access ending at the top of the address space
     // must not wrap to an empty range.
-    for a in addr..=addr.saturating_add(size.max(1) - 1) {
+    let last = addr.saturating_add(size.max(1) - 1);
+    let mut a = addr;
+    loop {
+        // Last accessed byte inside `a`'s granule.
+        let hi = (a | (SHADOW_GRANULE - 1)).min(last);
         let sv = mem.read_u8(shadow_addr(a));
-        if sv == 0 {
-            continue;
+        if sv >= SHADOW_GRANULE as u8 {
+            return Err(kind_of_poison(sv));
         }
-        if sv < SHADOW_GRANULE as u8 {
-            if (a % SHADOW_GRANULE) < sv as u64 {
-                continue;
-            }
+        // 1–7: only that prefix of the granule is addressable, so the
+        // access fails iff its last byte here lies past the prefix.
+        if sv != 0 && hi % SHADOW_GRANULE >= u64::from(sv) {
             return Err(AsanReportKind::PartialGranule);
         }
-        return Err(kind_of_poison(sv));
+        if hi == last {
+            return Ok(());
+        }
+        a = hi + 1;
     }
-    Ok(())
 }
 
 /// The instrumented-access model: records the shadow load the injected
@@ -212,6 +222,98 @@ mod tests {
             classify_access(env.mem, 0x108, 1),
             Err(AsanReportKind::UseAfterFree)
         );
+    }
+
+    /// The byte-by-byte walk `classify_access` replaced: one shadow read
+    /// per accessed byte.
+    fn classify_per_byte(mem: &GuestMemory, addr: u64, size: u64) -> Result<(), AsanReportKind> {
+        for a in addr..=addr.saturating_add(size.max(1) - 1) {
+            let sv = mem.read_u8(shadow_addr(a));
+            if sv == 0 {
+                continue;
+            }
+            if sv < SHADOW_GRANULE as u8 {
+                if (a % SHADOW_GRANULE) < sv as u64 {
+                    continue;
+                }
+                return Err(AsanReportKind::PartialGranule);
+            }
+            return Err(kind_of_poison(sv));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn granule_classification_matches_the_per_byte_walk() {
+        let values = [
+            0u8,
+            1,
+            2,
+            3,
+            4,
+            5,
+            6,
+            7,
+            8,
+            0x42,
+            POISON_HEAP_LEFT,
+            POISON_HEAP_RIGHT,
+            POISON_FREED,
+            POISON_STACK_LEFT,
+            POISON_STACK_RIGHT,
+        ];
+        // Three granules: `first` then `second`, with `third` poisoned
+        // differently so that reaching it is visible.
+        let base = 0x7000_0000u64;
+        let mut cases = 0;
+        for &first in &values {
+            for &second in &values {
+                let mut mem = GuestMemory::new();
+                mem.write_u8(shadow_addr(base), first);
+                mem.write_u8(shadow_addr(base + 8), second);
+                mem.write_u8(shadow_addr(base + 16), POISON_FREED);
+                for start in 0..16 {
+                    for size in 1..=16 {
+                        let addr = base + start;
+                        assert_eq!(
+                            classify_access(&mem, addr, size),
+                            classify_per_byte(&mem, addr, size),
+                            "shadow {first:#x}/{second:#x}, offset {start}, size {size}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, values.len() * values.len() * 16 * 16);
+        // Size 0 checks one byte, like the per-byte walk.
+        let mem = GuestMemory::new();
+        assert_eq!(classify_access(&mem, base, 0), Ok(()));
+    }
+
+    #[test]
+    fn classification_at_the_top_of_the_address_space_does_not_wrap() {
+        let top_granule = u64::MAX - 7;
+        for sv in [0u8, 3, 7, POISON_HEAP_RIGHT] {
+            let mut mem = GuestMemory::new();
+            mem.write_u8(shadow_addr(top_granule), sv);
+            mem.write_u8(shadow_addr(top_granule - 8), 5);
+            for (addr, size) in [
+                (u64::MAX, 1),
+                (u64::MAX, 8),
+                (u64::MAX - 7, 8),
+                (u64::MAX - 3, 4),
+                (u64::MAX - 3, 64),
+                (u64::MAX - 12, 13),
+                (u64::MAX - 12, u64::MAX),
+            ] {
+                assert_eq!(
+                    classify_access(&mem, addr, size),
+                    classify_per_byte(&mem, addr, size),
+                    "shadow {sv:#x}, addr {addr:#x}, size {size}"
+                );
+            }
+        }
     }
 
     #[test]

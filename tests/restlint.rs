@@ -114,9 +114,9 @@ fn must_trap_verdicts_reproduce_on_the_emulator() {
             continue;
         }
         let mut emu = Emulator::new(program, &cfg);
-        let stop = emu.run_functional().clone();
+        let stop = emu.run_functional().cloned();
         assert!(
-            matches!(stop, StopReason::Violation(_)),
+            matches!(stop, Some(StopReason::Violation(_))),
             "attack '{}' has a must-trap verdict but the emulator \
              stopped with {stop:?}",
             attack.name()
