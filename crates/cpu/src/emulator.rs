@@ -334,13 +334,17 @@ impl Emulator {
         self.regs[r.index()]
     }
 
+    // `Reg` indices are below `Reg::COUNT` by construction; the mask
+    // only tells the compiler so, dropping a bounds check per operand.
+    #[inline(always)]
     fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
+        self.regs[r.index() & (Reg::COUNT - 1)]
     }
 
+    #[inline(always)]
     fn set_reg(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
-            self.regs[r.index()] = v;
+            self.regs[r.index() & (Reg::COUNT - 1)] = v;
         }
     }
 
@@ -703,7 +707,9 @@ impl Emulator {
     /// fetch of the 16-byte [`Op`] (from the op table, or decoded afresh
     /// on the Reference tier), and one `match` that applies the
     /// architectural effect and emits the micro-ops. Counting sinks never
-    /// read the template table.
+    /// read the template table. Inlined into each run loop, so a loop
+    /// pays the call's prologue once rather than per instruction.
+    #[inline(always)]
     fn step_sink<S: UopSink>(&mut self, out: &mut S) -> bool {
         // A recorded or taken stop sets the cap to 0, and otherwise it is
         // the smaller budget, so this one compare covers all four.

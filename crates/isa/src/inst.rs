@@ -62,7 +62,9 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// Applies the operation to two 64-bit operands.
+    /// Applies the operation to two 64-bit operands. Inlined so that a
+    /// caller passing a constant operation compiles to that one arm.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -129,7 +131,9 @@ pub enum BranchCond {
 }
 
 impl BranchCond {
-    /// Evaluates the condition on two 64-bit operands.
+    /// Evaluates the condition on two 64-bit operands (inlined like
+    /// [`AluOp::apply`]).
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,
