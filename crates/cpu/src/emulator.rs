@@ -707,10 +707,19 @@ impl Emulator {
     /// fetch of the 16-byte [`Op`] (from the op table, or decoded afresh
     /// on the Reference tier), and one `match` that applies the
     /// architectural effect and emits the micro-ops. Counting sinks never
-    /// read the template table. Inlined into each run loop, so a loop
-    /// pays the call's prologue once rather than per instruction.
-    #[inline(always)]
+    /// read the template table.
+    ///
+    /// One out-of-line copy per sink type; [`ExecEngine::run_functional`]
+    /// inlines [`Emulator::step_inline`] instead, so the counting loop
+    /// pays the step's prologue once per run rather than per instruction.
+    #[inline(never)]
     fn step_sink<S: UopSink>(&mut self, out: &mut S) -> bool {
+        self.step_inline(out)
+    }
+
+    /// The body of [`Emulator::step_sink`].
+    #[inline(always)]
+    fn step_inline<S: UopSink>(&mut self, out: &mut S) -> bool {
         // A recorded or taken stop sets the cap to 0, and otherwise it is
         // the smaller budget, so this one compare covers all four.
         if self.uops >= self.cap {
@@ -1357,7 +1366,7 @@ impl ExecEngine for Emulator {
         if self.traces.is_some() {
             self.run_traced(&mut sink, u64::MAX);
         } else {
-            while self.step_sink(&mut sink) {}
+            while self.step_inline(&mut sink) {}
         }
         self.stop.as_ref()
     }
