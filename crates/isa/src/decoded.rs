@@ -59,256 +59,60 @@ pub struct DecodeOptions {
 /// after. Loads and stores address `base + offset`; branch and `jal`
 /// targets are absolute PCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[rustfmt::skip]
 pub enum Op {
-    Add {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Sub {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Mul {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Div {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Rem {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    And {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Or {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Xor {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Sll {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Srl {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Sra {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Slt {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Sltu {
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    AddI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SubI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    MulI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    DivI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    RemI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    AndI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    OrI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    XorI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SllI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SrlI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SraI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SltI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
-    SltuI {
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-    },
+    Add { dst: Reg, a: Reg, b: Reg },
+    Sub { dst: Reg, a: Reg, b: Reg },
+    Mul { dst: Reg, a: Reg, b: Reg },
+    Div { dst: Reg, a: Reg, b: Reg },
+    Rem { dst: Reg, a: Reg, b: Reg },
+    And { dst: Reg, a: Reg, b: Reg },
+    Or { dst: Reg, a: Reg, b: Reg },
+    Xor { dst: Reg, a: Reg, b: Reg },
+    Sll { dst: Reg, a: Reg, b: Reg },
+    Srl { dst: Reg, a: Reg, b: Reg },
+    Sra { dst: Reg, a: Reg, b: Reg },
+    Slt { dst: Reg, a: Reg, b: Reg },
+    Sltu { dst: Reg, a: Reg, b: Reg },
+    AddI { dst: Reg, a: Reg, imm: i64 },
+    SubI { dst: Reg, a: Reg, imm: i64 },
+    MulI { dst: Reg, a: Reg, imm: i64 },
+    DivI { dst: Reg, a: Reg, imm: i64 },
+    RemI { dst: Reg, a: Reg, imm: i64 },
+    AndI { dst: Reg, a: Reg, imm: i64 },
+    OrI { dst: Reg, a: Reg, imm: i64 },
+    XorI { dst: Reg, a: Reg, imm: i64 },
+    SllI { dst: Reg, a: Reg, imm: i64 },
+    SrlI { dst: Reg, a: Reg, imm: i64 },
+    SraI { dst: Reg, a: Reg, imm: i64 },
+    SltI { dst: Reg, a: Reg, imm: i64 },
+    SltuI { dst: Reg, a: Reg, imm: i64 },
     /// `dst = imm`.
-    Li {
-        dst: Reg,
-        imm: i64,
-    },
+    Li { dst: Reg, imm: i64 },
     /// Zero-extending 1-byte load.
-    LoadU8 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
+    LoadU8 { dst: Reg, base: Reg, component: Component, offset: i64 },
     /// Sign-extending 1-byte load.
-    LoadS8 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    LoadU16 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    LoadS16 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    LoadU32 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    LoadS32 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
+    LoadS8 { dst: Reg, base: Reg, component: Component, offset: i64 },
+    LoadU16 { dst: Reg, base: Reg, component: Component, offset: i64 },
+    LoadS16 { dst: Reg, base: Reg, component: Component, offset: i64 },
+    LoadU32 { dst: Reg, base: Reg, component: Component, offset: i64 },
+    LoadS32 { dst: Reg, base: Reg, component: Component, offset: i64 },
     /// 8-byte load (signedness is moot at full width).
-    Load64 {
-        dst: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    Store8 {
-        src: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    Store16 {
-        src: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    Store32 {
-        src: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    Store64 {
-        src: Reg,
-        base: Reg,
-        component: Component,
-        offset: i64,
-    },
-    Beq {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Bne {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Blt {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Bge {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Bltu {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Bgeu {
-        a: Reg,
-        b: Reg,
-        target: u64,
-    },
-    Jal {
-        dst: Reg,
-        target: u64,
-    },
-    Jalr {
-        dst: Reg,
-        base: Reg,
-        offset: i64,
-    },
-    Arm {
-        addr: Reg,
-    },
-    Disarm {
-        addr: Reg,
-    },
+    Load64 { dst: Reg, base: Reg, component: Component, offset: i64 },
+    Store8 { src: Reg, base: Reg, component: Component, offset: i64 },
+    Store16 { src: Reg, base: Reg, component: Component, offset: i64 },
+    Store32 { src: Reg, base: Reg, component: Component, offset: i64 },
+    Store64 { src: Reg, base: Reg, component: Component, offset: i64 },
+    Beq { a: Reg, b: Reg, target: u64 },
+    Bne { a: Reg, b: Reg, target: u64 },
+    Blt { a: Reg, b: Reg, target: u64 },
+    Bge { a: Reg, b: Reg, target: u64 },
+    Bltu { a: Reg, b: Reg, target: u64 },
+    Bgeu { a: Reg, b: Reg, target: u64 },
+    Jal { dst: Reg, target: u64 },
+    Jalr { dst: Reg, base: Reg, offset: i64 },
+    Arm { addr: Reg },
+    Disarm { addr: Reg },
     Ecall,
     Halt,
     Nop,
