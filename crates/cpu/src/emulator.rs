@@ -542,12 +542,11 @@ impl Emulator {
 
     /// The step's slow path, taken once `uops` reaches the cap: a
     /// recorded or taken stop (cap 0) stays stopped; otherwise one of
-    /// the budgets ran out. The micro-op budget wins a tie, as it always
-    /// has. `uops` also bounds the functional side of the cycle
-    /// watchdog: one retired micro-op costs at least a fraction of a
-    /// cycle, so it bounds how long a hung guest can spin. The timing
-    /// loop additionally enforces the budget against real pipeline
-    /// cycles.
+    /// the budgets ran out, the micro-op budget winning a tie. `uops`
+    /// also bounds the functional side of the cycle watchdog: one
+    /// retired micro-op costs at least a fraction of a cycle, so it
+    /// bounds how long a hung guest can spin. The timing loop
+    /// additionally enforces the budget against real pipeline cycles.
     #[cold]
     fn stop_at_cap(&mut self) -> bool {
         if self.stop.is_none() && !self.stop_taken {
