@@ -55,10 +55,10 @@ pub(crate) const MAX_TRACE_OPS: usize = 256;
 /// short to amortise dispatch).
 const DEAD: u32 = u32::MAX;
 
-/// One fused trace operation: the instruction's operands with branch
-/// targets resolved; `Load`/`Store`
-/// additionally carry the compile-time-resolved elision verdict and the
-/// number of check micro-ops injected per execution.
+/// One fused trace operation: the instruction's operands, with branch
+/// targets resolved. `Load`/`Store` additionally carry the
+/// compile-time-resolved elision verdict and the number of check
+/// micro-ops injected per execution.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TraceOp {
     Alu {
