@@ -40,9 +40,16 @@ impl BranchPredictor {
     /// `btb_entries` targets, and a `ras_depth`-deep return stack.
     pub fn new(history_bits: usize, btb_entries: usize, ras_depth: usize) -> BranchPredictor {
         assert!(history_bits > 0 && history_bits < 30);
-        assert!(btb_entries.is_power_of_two(), "BTB size must be a power of two");
+        assert!(
+            btb_entries.is_power_of_two(),
+            "BTB size must be a power of two"
+        );
         BranchPredictor {
-            counters: BlockTable::new((1usize << history_bits).div_ceil(COUNTER_BLOCK), COUNTER_BLOCK, 1),
+            counters: BlockTable::new(
+                (1usize << history_bits).div_ceil(COUNTER_BLOCK),
+                COUNTER_BLOCK,
+                1,
+            ),
             history: 0,
             history_mask: (1u64 << history_bits) - 1,
             btb: BlockTable::new(btb_entries.div_ceil(BTB_BLOCK), BTB_BLOCK, None),
@@ -74,7 +81,11 @@ impl BranchPredictor {
             let idx = self.counter_index(pc);
             let c = &mut self.counters.touch(idx / COUNTER_BLOCK)[idx % COUNTER_BLOCK];
             let taken = *c >= 2;
-            *c = if outcome.taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
+            *c = if outcome.taken {
+                (*c + 1).min(3)
+            } else {
+                c.saturating_sub(1)
+            };
             taken
         } else {
             true
@@ -237,7 +248,10 @@ mod tests {
         // Warm: correct.
         assert!(p.predict_and_train(0x80, &ind));
         // Target change: mispredict again.
-        let ind2 = BranchInfo { target: 0x3000, ..ind };
+        let ind2 = BranchInfo {
+            target: 0x3000,
+            ..ind
+        };
         assert!(!p.predict_and_train(0x80, &ind2));
     }
 
@@ -266,7 +280,11 @@ mod tests {
             let correct = dir == outcome.taken && (!needs_target || target == Some(outcome.target));
             if outcome.conditional {
                 let c = &mut self.counters[ci];
-                *c = if outcome.taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
+                *c = if outcome.taken {
+                    (*c + 1).min(3)
+                } else {
+                    c.saturating_sub(1)
+                };
             }
             self.history = ((self.history << 1) | outcome.taken as u64) & self.history_mask;
             if outcome.taken {
@@ -315,11 +333,18 @@ mod tests {
                 indirect: kind == 8 || kind == 9,
             };
             let got = p.predict_and_train(pc, &outcome);
-            assert_eq!(got, e.predict_and_train(pc, &outcome), "step {step}: {outcome:?}");
+            assert_eq!(
+                got,
+                e.predict_and_train(pc, &outcome),
+                "step {step}: {outcome:?}"
+            );
             wrong += !got as u64;
         }
         assert_eq!(p.mispredicts(), wrong);
-        assert!(wrong > 0 && wrong < p.lookups(), "the stream exercises both verdicts");
+        assert!(
+            wrong > 0 && wrong < p.lookups(),
+            "the stream exercises both verdicts"
+        );
     }
 
     #[test]
@@ -332,10 +357,22 @@ mod tests {
     #[test]
     fn fresh_predictor_allocates_tables_on_first_training() {
         let mut p = BranchPredictor::new(15, 4096, 8);
-        assert_eq!((p.counters.touched_blocks(), p.btb.touched_blocks()), (0, 0));
+        assert_eq!(
+            (p.counters.touched_blocks(), p.btb.touched_blocks()),
+            (0, 0)
+        );
         // A not-taken conditional branch trains one counter and no BTB entry.
-        p.predict_and_train(0x40, &BranchInfo { taken: false, ..taken_branch(0x100) });
-        assert_eq!((p.counters.touched_blocks(), p.btb.touched_blocks()), (1, 0));
+        p.predict_and_train(
+            0x40,
+            &BranchInfo {
+                taken: false,
+                ..taken_branch(0x100)
+            },
+        );
+        assert_eq!(
+            (p.counters.touched_blocks(), p.btb.touched_blocks()),
+            (1, 0)
+        );
         p.predict_and_train(0x40, &taken_branch(0x100));
         assert_eq!(p.btb.touched_blocks(), 1);
     }

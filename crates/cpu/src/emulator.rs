@@ -580,7 +580,16 @@ impl Emulator {
     /// Register-form ALU op: `dst = a <alu> b`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn rr<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, alu: AluOp, dst: Reg, a: Reg, b: Reg) {
+    fn rr<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        alu: AluOp,
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    ) {
         let v = alu.apply(self.reg(a), self.reg(b));
         self.set_reg(dst, v);
         self.emit(out, pc, op);
@@ -589,7 +598,16 @@ impl Emulator {
     /// Immediate-form ALU op: `dst = a <alu> imm`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn ri<S: UopSink>(&mut self, out: &mut S, pc: u64, op: Op, alu: AluOp, dst: Reg, a: Reg, imm: i64) {
+    fn ri<S: UopSink>(
+        &mut self,
+        out: &mut S,
+        pc: u64,
+        op: Op,
+        alu: AluOp,
+        dst: Reg,
+        a: Reg,
+        imm: i64,
+    ) {
         let v = alu.apply(self.reg(a), imm as u64);
         self.set_reg(dst, v);
         self.emit(out, pc, op);
@@ -773,43 +791,92 @@ impl Emulator {
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B1, false),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B1,
+                false,
+            ),
             Op::LoadS8 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B1, true),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B1,
+                true,
+            ),
             Op::LoadU16 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B2, false),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B2,
+                false,
+            ),
             Op::LoadS16 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B2, true),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B2,
+                true,
+            ),
             Op::LoadU32 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B4, false),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B4,
+                false,
+            ),
             Op::LoadS32 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B4, true),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B4,
+                true,
+            ),
             Op::Load64 {
                 dst,
                 base,
                 component,
                 offset,
-            } => self.load(out, pc, op, (dst, base, component, offset), MemSize::B8, false),
+            } => self.load(
+                out,
+                pc,
+                op,
+                (dst, base, component, offset),
+                MemSize::B8,
+                false,
+            ),
             Op::Store8 {
                 src,
                 base,
@@ -1131,7 +1198,12 @@ impl Emulator {
                 // included), exactly as in `step_sink`.
                 insts_run += 1;
                 match t.ops[i] {
-                    TraceOp::Alu { op, dst, src1, src2 } => {
+                    TraceOp::Alu {
+                        op,
+                        dst,
+                        src1,
+                        src2,
+                    } => {
                         let v = op.apply(self.reg(src1), self.reg(src2));
                         self.set_reg(dst, v);
                         local_uops += 1;
@@ -1579,9 +1651,7 @@ mod tests {
             other => panic!("expected ASan violation, got {other:?}"),
         }
         // The injected check uops must be present and attributed.
-        assert!(uops
-            .iter()
-            .any(|u| u.component == Component::AccessCheck));
+        assert!(uops.iter().any(|u| u.component == Component::AccessCheck));
     }
 
     #[test]
@@ -1696,7 +1766,10 @@ mod tests {
         // Taken: the reason is gone and the engine refuses to execute.
         assert_eq!(emu.take_stop(), None, "second take must return None");
         assert_eq!(emu.stop_reason(), None);
-        assert!(!emu.step_quiet(), "step_quiet must not resume a taken engine");
+        assert!(
+            !emu.step_quiet(),
+            "step_quiet must not resume a taken engine"
+        );
         let mut buf = Vec::new();
         assert!(!emu.step(&mut buf), "step must not resume a taken engine");
         assert!(buf.is_empty(), "a refused step must not emit micro-ops");
@@ -1730,7 +1803,10 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(traced.insts(), insts);
 
-        let mut fast = Emulator::new(hot_loop_program(100), &SimConfig::isca2018(RtConfig::plain()));
+        let mut fast = Emulator::new(
+            hot_loop_program(100),
+            &SimConfig::isca2018(RtConfig::plain()),
+        );
         assert_eq!(fast.run_chunk(&mut buf, u64::MAX), insts);
         assert_eq!(fast.trace_stats(), (0, 0));
         assert_eq!(fast.stop_reason(), Some(&StopReason::Halted));
@@ -1843,7 +1919,8 @@ mod tests {
             store_check_uops: 0,
             elide: None,
         };
-        let t = superblock::compile(&program, &decoded, 2, &compile_cfg).expect("loop body compiles");
+        let t =
+            superblock::compile(&program, &decoded, 2, &compile_cfg).expect("loop body compiles");
         cache.install(2, t);
         assert!(cache.has(2));
         cache.invalidate_range(Program::CODE_BASE + 2 * PC_STEP, 1);

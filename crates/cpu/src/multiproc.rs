@@ -237,10 +237,7 @@ mod tests {
     #[test]
     fn two_processes_run_to_completion_with_distinct_tokens() {
         let cfg = SimConfig::isca2018(RtConfig::rest(Mode::Secure, false));
-        let ms = MultiSystem::new(
-            vec![(heap_prog(40), cfg.clone()), (heap_prog(60), cfg)],
-            50,
-        );
+        let ms = MultiSystem::new(vec![(heap_prog(40), cfg.clone()), (heap_prog(60), cfg)], 50);
         let results = ms.run();
         assert_eq!(results.len(), 2);
         for (i, r) in results.iter().enumerate() {
@@ -263,17 +260,17 @@ mod tests {
             p.build()
         };
         let cfg = SimConfig::isca2018(RtConfig::rest(Mode::Secure, false));
-        let results = MultiSystem::new(
-            vec![(bad, cfg.clone()), (heap_prog(30), cfg)],
-            25,
-        )
-        .run();
+        let results = MultiSystem::new(vec![(bad, cfg.clone()), (heap_prog(30), cfg)], 25).run();
         assert!(
             matches!(results[0].stop, StopReason::Violation(Violation::Rest(_))),
             "{:?}",
             results[0].stop
         );
-        assert_eq!(results[1].stop, StopReason::Exit(0), "the victim's crash must not take down its neighbour");
+        assert_eq!(
+            results[1].stop,
+            StopReason::Exit(0),
+            "the victim's crash must not take down its neighbour"
+        );
     }
 
     #[test]
@@ -295,11 +292,8 @@ mod tests {
         // machine must not be free.
         let cfg = SimConfig::isca2018(RtConfig::plain());
         let solo = MultiSystem::new(vec![(heap_prog(60), cfg.clone())], 50).run();
-        let duo = MultiSystem::new(
-            vec![(heap_prog(60), cfg.clone()), (heap_prog(60), cfg)],
-            50,
-        )
-        .run();
+        let duo =
+            MultiSystem::new(vec![(heap_prog(60), cfg.clone()), (heap_prog(60), cfg)], 50).run();
         assert!(
             duo[0].core.cycles > solo[0].core.cycles,
             "duo {} vs solo {}",

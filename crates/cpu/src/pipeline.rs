@@ -286,8 +286,8 @@ impl Pipeline {
         for src in d.srcs.iter().flatten() {
             ready = ready.max(self.reg_ready[src.index()]);
         }
-        let serialized = self.cfg.serialize_rest_ops
-            && matches!(d.kind, OpKind::Arm | OpKind::Disarm);
+        let serialized =
+            self.cfg.serialize_rest_ops && matches!(d.kind, OpKind::Arm | OpKind::Disarm);
         if serialized {
             // The arm/disarm must be the only in-flight instruction:
             // wait for everything older to commit.
@@ -513,9 +513,15 @@ impl Pipeline {
         }
         let issue = ready.max(self.port_ring.peek());
         self.port_ring.push(issue + 1);
-        let out = self
-            .hier
-            .access_data(issue, MemAccessKind::Load, addr, size, mem, token, self.mode);
+        let out = self.hier.access_data(
+            issue,
+            MemAccessKind::Load,
+            addr,
+            size,
+            mem,
+            token,
+            self.mode,
+        );
         if let Some(kind) = out.exception {
             self.record_rest_audit(kind, d, addr);
         }
@@ -595,18 +601,30 @@ mod tests {
             p.process(&d, &mem, &tok);
         }
         let s = p.finish();
-        assert!(s.uipc() > 4.0, "8-wide core must exceed 4 uipc on independent ALU ops, got {}", s.uipc());
+        assert!(
+            s.uipc() > 4.0,
+            "8-wide core must exceed 4 uipc on independent ALU ops, got {}",
+            s.uipc()
+        );
     }
 
     #[test]
     fn dependent_chain_limits_to_one_per_cycle() {
         let (mut p, mem, tok) = pipe(Mode::Secure);
         for i in 0..10_000u64 {
-            let d = DynInst::alu(0x1_0000 + (i % 16) * 4, Some(Reg::A0), [Some(Reg::A0), None]);
+            let d = DynInst::alu(
+                0x1_0000 + (i % 16) * 4,
+                Some(Reg::A0),
+                [Some(Reg::A0), None],
+            );
             p.process(&d, &mem, &tok);
         }
         let s = p.finish();
-        assert!(s.uipc() < 1.2, "dependent chain cannot exceed 1 uipc, got {}", s.uipc());
+        assert!(
+            s.uipc() < 1.2,
+            "dependent chain cannot exceed 1 uipc, got {}",
+            s.uipc()
+        );
         assert!(s.uipc() > 0.8);
     }
 
@@ -703,8 +721,13 @@ mod tests {
         let run = |stride: u64| {
             let (mut p, mem, tok) = pipe(Mode::Secure);
             for i in 0..5000u64 {
-                let ld = DynInst::load(0x1_0000 + (i % 8) * 4, Some(Reg::A0), [None, None][0], 0x20_0000 + i * stride, 8)
-                    ;
+                let ld = DynInst::load(
+                    0x1_0000 + (i % 8) * 4,
+                    Some(Reg::A0),
+                    [None, None][0],
+                    0x20_0000 + i * stride,
+                    8,
+                );
                 // Dependent chain so latency is exposed.
                 let ld = DynInst {
                     srcs: [Some(Reg::A0), None],

@@ -155,11 +155,7 @@ pub const ALLOC_KEY_COUNT: usize = 9;
 /// Builds the flat counter map from the three stats blocks. Free
 /// function so the interval sampler can snapshot a *running* system —
 /// [`SimResult::stats_map`] delegates here at end of run.
-pub fn stats_map_parts(
-    c: &CoreStats,
-    m: &MemStats,
-    a: &AllocStats,
-) -> Vec<(&'static str, u64)> {
+pub fn stats_map_parts(c: &CoreStats, m: &MemStats, a: &AllocStats) -> Vec<(&'static str, u64)> {
     let mut map = vec![
         ("core.cycles", c.cycles),
         ("core.insts", c.insts),

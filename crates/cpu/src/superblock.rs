@@ -154,7 +154,9 @@ pub(crate) struct TraceCompileCfg<'a> {
 
 impl TraceCompileCfg<'_> {
     fn elided(&self, idx: usize, app: bool) -> bool {
-        app && self.elide.is_some_and(|t| t.get(idx).copied().unwrap_or(false))
+        app && self
+            .elide
+            .is_some_and(|t| t.get(idx).copied().unwrap_or(false))
     }
 
     fn injected(&self, app: bool, store: bool) -> u64 {
@@ -198,7 +200,17 @@ pub(crate) fn compile(
         };
         let app = template.component == Component::App;
         let op = match inst {
-            Inst::Alu { op, dst, src1, src2 } => TraceOp::Alu { op, dst, src1, src2 },
+            Inst::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => TraceOp::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            },
             Inst::AluImm { op, dst, src, imm } => TraceOp::AluImm { op, dst, src, imm },
             Inst::Li { dst, imm } => TraceOp::Li { dst, imm },
             Inst::Nop => TraceOp::Nop,
@@ -272,9 +284,12 @@ pub(crate) fn compile(
             Inst::Ecall | Inst::Arm { .. } | Inst::Disarm { .. } | Inst::Halt => break,
         };
         total_uops += match op {
-            TraceOp::Load { elided, injected, .. } | TraceOp::Store { elided, injected, .. } => {
-                1 + if elided { 0 } else { injected }
+            TraceOp::Load {
+                elided, injected, ..
             }
+            | TraceOp::Store {
+                elided, injected, ..
+            } => 1 + if elided { 0 } else { injected },
             _ => 1,
         };
         ops.push(op);

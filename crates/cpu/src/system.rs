@@ -307,10 +307,18 @@ mod tests {
 
     #[test]
     fn runs_to_halt_with_sane_ipc() {
-        let r = System::new(sum_loop_program(10_000), SimConfig::isca2018(RtConfig::plain())).run();
+        let r = System::new(
+            sum_loop_program(10_000),
+            SimConfig::isca2018(RtConfig::plain()),
+        )
+        .run();
         assert_eq!(r.stop, StopReason::Halted);
         assert_eq!(r.core.insts, 3 + 3 * 10_000);
-        assert!(r.core.uipc() > 1.0, "tight loop should exceed 1 uipc, got {}", r.core.uipc());
+        assert!(
+            r.core.uipc() > 1.0,
+            "tight loop should exceed 1 uipc, got {}",
+            r.core.uipc()
+        );
         assert!(r.core.uipc() < 8.0);
     }
 
@@ -346,12 +354,26 @@ mod tests {
         };
         let plain = System::new(prog(), SimConfig::isca2018(RtConfig::plain())).run();
         let asan = System::new(prog(), SimConfig::isca2018(RtConfig::asan())).run();
-        let rest = System::new(prog(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, false))).run();
+        let rest = System::new(
+            prog(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
+        )
+        .run();
         assert_eq!(plain.stop, StopReason::Halted);
         assert_eq!(asan.stop, StopReason::Halted);
         assert_eq!(rest.stop, StopReason::Halted);
-        assert!(asan.cycles() > plain.cycles(), "asan {} plain {}", asan.cycles(), plain.cycles());
-        assert!(rest.cycles() > plain.cycles(), "rest {} plain {}", rest.cycles(), plain.cycles());
+        assert!(
+            asan.cycles() > plain.cycles(),
+            "asan {} plain {}",
+            asan.cycles(),
+            plain.cycles()
+        );
+        assert!(
+            rest.cycles() > plain.cycles(),
+            "rest {} plain {}",
+            rest.cycles(),
+            plain.cycles()
+        );
         assert!(
             rest.cycles() < asan.cycles(),
             "REST secure must beat ASan: rest {} asan {}",
@@ -367,8 +389,16 @@ mod tests {
         p.ecall(EcallNum::Malloc);
         p.ld(Reg::A1, Reg::A0, 64); // first byte past the buffer: redzone
         p.halt();
-        let r = System::new(p.build(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, false))).run();
-        assert!(matches!(r.stop, StopReason::Violation(Violation::Rest(_))), "{:?}", r.stop);
+        let r = System::new(
+            p.build(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
+        )
+        .run();
+        assert!(
+            matches!(r.stop, StopReason::Violation(Violation::Rest(_))),
+            "{:?}",
+            r.stop
+        );
         // The hardware detects it too — at the cache (token bit) or in
         // the LSQ (the allocator's arm may still be in flight, in which
         // case the forwarding rule fires instead).
@@ -394,8 +424,16 @@ mod tests {
             p.halt();
             p.build()
         };
-        let secure = System::new(prog(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, false))).run();
-        let debug = System::new(prog(), SimConfig::isca2018(RtConfig::rest(Mode::Debug, false))).run();
+        let secure = System::new(
+            prog(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
+        )
+        .run();
+        let debug = System::new(
+            prog(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Debug, false)),
+        )
+        .run();
         assert!(
             debug.cycles() > secure.cycles(),
             "debug {} vs secure {}",
@@ -420,7 +458,11 @@ mod tests {
             p.halt();
             p.build()
         };
-        let secure = System::new(prog(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, false))).run();
+        let secure = System::new(
+            prog(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
+        )
+        .run();
         let perfect = System::new(prog(), SimConfig::isca2018(RtConfig::rest_perfect(false))).run();
         let ratio = secure.cycles() as f64 / perfect.cycles() as f64;
         assert!(
@@ -460,9 +502,10 @@ mod tests {
         for (i, s) in series.samples().iter().enumerate() {
             assert_eq!(s.insts, 100 * (i as u64 + 1));
             assert!(s.cycles > 0);
-            assert_eq!(s.counters.len(), crate::stats::stats_map_parts(
-                &r.core, &r.mem, &r.alloc
-            ).len());
+            assert_eq!(
+                s.counters.len(),
+                crate::stats::stats_map_parts(&r.core, &r.mem, &r.alloc).len()
+            );
         }
         // Cycles and instruction counts are monotone over the run.
         for w in series.samples().windows(2) {
@@ -474,7 +517,11 @@ mod tests {
 
     #[test]
     fn sampling_off_yields_no_series() {
-        let r = System::new(sum_loop_program(100), SimConfig::isca2018(RtConfig::plain())).run();
+        let r = System::new(
+            sum_loop_program(100),
+            SimConfig::isca2018(RtConfig::plain()),
+        )
+        .run();
         assert!(r.series.is_none());
         assert!(r.audit.is_empty());
     }
@@ -486,7 +533,11 @@ mod tests {
         p.ecall(EcallNum::Malloc);
         p.ld(Reg::A1, Reg::A0, 64); // redzone
         p.halt();
-        let r = System::new(p.build(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, false))).run();
+        let r = System::new(
+            p.build(),
+            SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
+        )
+        .run();
         assert!(!r.audit.is_empty());
         // The last entry is the architectural violation; before it come
         // any hardware (cache / LSQ) detections of the same event.
@@ -545,9 +596,21 @@ mod tests {
         p.sd(Reg::T0, Reg::S0, 0);
         p.halt();
         let store_pc = Program::CODE_BASE + store_idx * rest_isa::PC_STEP;
-        let r = System::new(p.build(), SimConfig::isca2018(RtConfig::mte(MteMode::Async))).run();
-        assert_eq!(r.stop, StopReason::Halted, "async latch must not stop the run");
-        let e = r.audit.entries().last().expect("deferred fault in audit log");
+        let r = System::new(
+            p.build(),
+            SimConfig::isca2018(RtConfig::mte(MteMode::Async)),
+        )
+        .run();
+        assert_eq!(
+            r.stop,
+            StopReason::Halted,
+            "async latch must not stop the run"
+        );
+        let e = r
+            .audit
+            .entries()
+            .last()
+            .expect("deferred fault in audit log");
         assert_eq!(e.detector, "mte-tagger");
         assert_eq!(e.pc, store_pc, "must be the store PC, not the stop PC");
         assert_eq!(e.component, "app");
@@ -576,11 +639,22 @@ mod tests {
         let ecall_idx = p.len() as u64 - 1;
         p.halt();
         let ecall_pc = Program::CODE_BASE + ecall_idx * rest_isa::PC_STEP;
-        let r = System::new(p.build(), SimConfig::isca2018(RtConfig::mte(MteMode::Async))).run();
+        let r = System::new(
+            p.build(),
+            SimConfig::isca2018(RtConfig::mte(MteMode::Async)),
+        )
+        .run();
         assert_eq!(r.stop, StopReason::Halted);
-        let e = r.audit.entries().last().expect("deferred fault in audit log");
+        let e = r
+            .audit
+            .entries()
+            .last()
+            .expect("deferred fault in audit log");
         assert_eq!(e.detector, "mte-tagger");
-        assert_eq!(e.pc, ecall_pc, "must be the ecall's guest PC, not a runtime pseudo-PC");
+        assert_eq!(
+            e.pc, ecall_pc,
+            "must be the ecall's guest PC, not a runtime pseudo-PC"
+        );
     }
 
     fn profiled_heap_workload(rt: RtConfig) -> SimResult {

@@ -107,7 +107,10 @@ fn both_tiers(program: &Program, rt: &RtConfig, what: &str) -> Outcome {
 /// preloaded with bytes whose top bits are set (so sign extension shows).
 fn program(a: i64, b: i64, body: impl FnOnce(&mut ProgramBuilder)) -> Program {
     let mut p = ProgramBuilder::new();
-    p.data_segment(DATA, (0..WINDOW).map(|i| 0x80 | i as u8).collect::<Vec<_>>());
+    p.data_segment(
+        DATA,
+        (0..WINDOW).map(|i| 0x80 | i as u8).collect::<Vec<_>>(),
+    );
     p.li(Reg::A1, a);
     p.li(Reg::A2, b);
     p.li(Reg::T0, DATA as i64);
@@ -223,7 +226,11 @@ fn store_forms_match_their_semantics_on_both_tiers() {
         let n = size.bytes() as usize;
         let stored = 0x1122_3344_5566_7788u64.to_le_bytes();
         assert_eq!(&out.data[16..16 + n], &stored[..n], "{what}");
-        assert_eq!(out.data[16 + n], 0x80 | (16 + n) as u8, "{what}: past the store");
+        assert_eq!(
+            out.data[16 + n],
+            0x80 | (16 + n) as u8,
+            "{what}: past the store"
+        );
     }
 }
 
@@ -246,10 +253,18 @@ fn branch_conditions_match_their_semantics_on_both_tiers() {
             let out = both_tiers(&p, &plain(), &what);
             let taken = cond.eval(a as u64, b as u64);
             assert_eq!(out.regs[Reg::A0.index()], u64::from(!taken), "{what}");
-            let br = out.stream.iter().find_map(|u| u.branch).expect("branch uop");
+            let br = out
+                .stream
+                .iter()
+                .find_map(|u| u.branch)
+                .expect("branch uop");
             assert_eq!(br.taken, taken, "{what}");
             let branch_pc = Program::CODE_BASE + 3 * PC_STEP;
-            let next = if taken { branch_pc + 2 * PC_STEP } else { branch_pc + PC_STEP };
+            let next = if taken {
+                branch_pc + 2 * PC_STEP
+            } else {
+                branch_pc + PC_STEP
+            };
             assert_eq!(br.target, next, "{what}");
         }
     }
@@ -267,7 +282,11 @@ fn jumps_match_on_both_tiers() {
         });
         let out = both_tiers(&p, &plain(), &format!("jal {dst}"));
         assert_eq!(out.regs[Reg::A0.index()], 0);
-        let expect = if dst.is_zero() { 0 } else { Program::CODE_BASE + 4 * PC_STEP };
+        let expect = if dst.is_zero() {
+            0
+        } else {
+            Program::CODE_BASE + 4 * PC_STEP
+        };
         assert_eq!(out.regs[dst.index()], expect);
     }
     // jalr whose base is also its destination: the target is read first.
@@ -290,7 +309,11 @@ fn jumps_match_on_both_tiers() {
 
 #[test]
 fn bad_and_misaligned_pcs_fault_identically_on_both_tiers() {
-    for target in [Program::CODE_BASE + 2, Program::CODE_BASE + 4096 * PC_STEP, 0] {
+    for target in [
+        Program::CODE_BASE + 2,
+        Program::CODE_BASE + 4096 * PC_STEP,
+        0,
+    ] {
         let p = program(target as i64, 0, |p| {
             p.push(Inst::Jalr {
                 dst: Reg::ZERO,
@@ -377,14 +400,22 @@ fn budgets_stop_both_tiers_at_the_same_instruction() {
             let mut emu = Emulator::new(p.clone(), &cfg);
             let mut stream = Vec::new();
             while emu.step(&mut stream) {}
-            let cap = if max_cycles > 0 { max_uops.min(max_cycles) } else { max_uops };
+            let cap = if max_cycles > 0 {
+                max_uops.min(max_cycles)
+            } else {
+                max_uops
+            };
             assert_eq!(emu.uops(), cap, "{tier:?} {max_uops}/{max_cycles}");
             let want = if max_uops <= cap {
                 StopReason::UopLimit
             } else {
                 StopReason::CycleLimit
             };
-            assert_eq!(emu.take_stop(), Some(want), "{tier:?} {max_uops}/{max_cycles}");
+            assert_eq!(
+                emu.take_stop(),
+                Some(want),
+                "{tier:?} {max_uops}/{max_cycles}"
+            );
             // Taken: the engine stays stopped and run_functional says so.
             assert!(!emu.step_quiet());
             assert_eq!(emu.run_functional(), None);

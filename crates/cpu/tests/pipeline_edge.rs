@@ -52,7 +52,11 @@ fn store_to_inflight_arm_is_flagged_by_the_lsq() {
     p.li(Reg::T0, 1);
     p.sd(Reg::T0, Reg::S0, 8);
     p.halt();
-    let r = System::new(p.build(), SimConfig::isca2018(RtConfig::rest(Mode::Secure, true))).run();
+    let r = System::new(
+        p.build(),
+        SimConfig::isca2018(RtConfig::rest(Mode::Secure, true)),
+    )
+    .run();
     assert!(matches!(r.stop, StopReason::Violation(_)));
     assert!(r.core.lsq_rest_exceptions + r.mem.rest_exceptions >= 1);
 }

@@ -133,14 +133,20 @@ impl Cache {
     /// `addr`'s resident line.
     fn find(&self, addr: u64) -> Option<&Way> {
         let tag = self.tag(addr);
-        self.ways.get(self.set_index(addr) as usize).iter().find(|w| w.valid && w.tag == tag)
+        self.ways
+            .get(self.set_index(addr) as usize)
+            .iter()
+            .find(|w| w.valid && w.tag == tag)
     }
 
     /// `addr`'s resident line, for writing.
     fn find_mut(&mut self, addr: u64) -> Option<&mut Way> {
         let tag = self.tag(addr);
         let set = self.set_index(addr) as usize;
-        self.ways.get_mut(set)?.iter_mut().find(|w| w.valid && w.tag == tag)
+        self.ways
+            .get_mut(set)?
+            .iter_mut()
+            .find(|w| w.valid && w.tag == tag)
     }
 
     fn resident(&mut self, addr: u64, op: &str) -> &mut Way {
@@ -355,7 +361,7 @@ mod tests {
     fn access_touching_armed_slot_detected_across_slot_boundary() {
         let mut c = tiny();
         c.fill(0x1000, false, 0b0010); // slot 1 (0x1010..0x1020) armed, 16B slots
-        // 8-byte access straddling slot 0 into slot 1.
+                                       // 8-byte access straddling slot 0 into slot 1.
         assert!(c.access_touches_token(0x100c, 8, 16));
         assert!(!c.access_touches_token(0x1000, 8, 16));
         assert!(c.access_touches_token(0x101f, 1, 16));
@@ -434,7 +440,14 @@ mod tests {
         let ev = c.fill(d, false, 0).expect("set 0 is full");
         assert_eq!(ev.addr, a);
         let ev = c.fill(g, false, 0).expect("set 1 is full");
-        assert_eq!(ev, EvictedLine { addr: f, dirty: true, token_mask: 0b1 });
+        assert_eq!(
+            ev,
+            EvictedLine {
+                addr: f,
+                dirty: true,
+                token_mask: 0b1
+            }
+        );
         assert!(c.probe(b) && c.probe(d) && c.probe(e) && c.probe(g));
     }
 
@@ -524,11 +537,23 @@ mod tests {
             let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
             let victim = match ways.iter().position(|w| !w.valid) {
                 Some(i) => i,
-                None => ways.iter().enumerate().min_by_key(|(_, w)| w.stamp).unwrap().0,
+                None => {
+                    ways.iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.stamp)
+                        .unwrap()
+                        .0
+                }
             };
             let old = ways[victim];
             let tag = addr >> self.line_shift >> self.set_shift;
-            ways[victim] = Way { tag, stamp, valid: true, dirty, token_mask };
+            ways[victim] = Way {
+                tag,
+                stamp,
+                valid: true,
+                dirty,
+                token_mask,
+            };
             old.valid.then(|| EvictedLine {
                 addr: ((old.tag << self.set_shift) | set as u64) << self.line_shift,
                 dirty: old.dirty,
@@ -578,7 +603,11 @@ mod tests {
                     let (d, m) = (rng.gen::<bool>(), rng.gen_range(0..16u8));
                     assert_eq!(c.fill(addr, d, m), r.fill(addr, d, m), "step {step}: fill");
                 }
-                4 => assert_eq!(c.invalidate(addr), r.invalidate(addr), "step {step}: invalidate"),
+                4 => assert_eq!(
+                    c.invalidate(addr),
+                    r.invalidate(addr),
+                    "step {step}: invalidate"
+                ),
                 5 if resident => {
                     let m = 1 << rng.gen_range(0..4u8);
                     c.set_token_bits(addr, m);
@@ -604,8 +633,14 @@ mod tests {
                 }
             }
             assert_eq!(c.next_stamp, r.next_stamp, "step {step}: stamp");
-            assert_eq!(c.token_mask(addr), r.find(addr).map(|i| r.ways[i].token_mask));
-            assert_eq!(c.resident_lines(), r.ways.iter().filter(|w| w.valid).count());
+            assert_eq!(
+                c.token_mask(addr),
+                r.find(addr).map(|i| r.ways[i].token_mask)
+            );
+            assert_eq!(
+                c.resident_lines(),
+                r.ways.iter().filter(|w| w.valid).count()
+            );
         }
     }
 

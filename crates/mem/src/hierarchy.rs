@@ -545,8 +545,7 @@ impl Hierarchy {
     pub fn fill_gauges(&mut self, now: u64, gauges: &mut rest_obs::Gauges) {
         gauges.l1d_mshrs = self.l1d_mshrs.occupancy(now) as u64;
         gauges.l2_mshrs = self.l2_mshrs.occupancy(now) as u64;
-        gauges.write_buffer =
-            (self.l1d_wbuf.occupancy(now) + self.l2_wbuf.occupancy(now)) as u64;
+        gauges.write_buffer = (self.l1d_wbuf.occupancy(now) + self.l2_wbuf.occupancy(now)) as u64;
     }
 }
 
@@ -595,7 +594,15 @@ mod tests {
         assert_eq!(h.stats().token_detections_on_fill, 1);
         assert_eq!(h.stats().rest_exceptions, 1);
 
-        let out = h.access_data(100, MemAccessKind::Store, 0x2000, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            100,
+            MemAccessKind::Store,
+            0x2000,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert_eq!(out.exception, Some(RestExceptionKind::TokenStore));
     }
 
@@ -610,24 +617,56 @@ mod tests {
 
         // Load to the armed line faults without any refill. (Cycle 1000
         // is safely past the arm's fill.)
-        let out = h.access_data(1000, MemAccessKind::Load, 0x3008, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            1000,
+            MemAccessKind::Load,
+            0x3008,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert_eq!(out.exception, Some(RestExceptionKind::TokenLoad));
 
         // Disarm clears and zeroes; costs one extra cycle over a hit.
-        let out = h.access_data(1100, MemAccessKind::Disarm, 0x3000, 64, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            1100,
+            MemAccessKind::Disarm,
+            0x3000,
+            64,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert!(out.exception.is_none());
         assert_eq!(out.complete_at, 1100 + 2 + 1);
         assert!(!h.l1d().token_bit_covering(0x3000, 64));
         mem.fill(0x3000, 64, 0);
 
-        let out = h.access_data(1200, MemAccessKind::Load, 0x3000, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            1200,
+            MemAccessKind::Load,
+            0x3000,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert!(out.exception.is_none());
     }
 
     #[test]
     fn disarm_of_unarmed_location_faults() {
         let (mut h, mem, tok) = setup(TokenWidth::B64);
-        let out = h.access_data(0, MemAccessKind::Disarm, 0x4000, 64, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            0,
+            MemAccessKind::Disarm,
+            0x4000,
+            64,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert_eq!(out.exception, Some(RestExceptionKind::DisarmUnarmed));
     }
 
@@ -642,11 +681,27 @@ mod tests {
         assert!(out.exception.is_none());
         // A store functionally writes token-looking bytes.
         mem.write_bytes(0x5000, tok.bytes());
-        let out = h.access_data(100, MemAccessKind::Store, 0x5000, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            100,
+            MemAccessKind::Store,
+            0x5000,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert!(out.exception.is_none(), "resident line: no detection");
         // Evict and refill: detection fires now.
         h.l1d_invalidate_for_test(0x5000);
-        let out = h.access_data(200, MemAccessKind::Load, 0x5000, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            200,
+            MemAccessKind::Load,
+            0x5000,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert_eq!(out.exception, Some(RestExceptionKind::TokenLoad));
     }
 
@@ -691,7 +746,10 @@ mod tests {
         assert_eq!(out.exception, Some(RestExceptionKind::TokenLoad));
         // Straddling access from slot 0 into slot 1 faults too.
         let out = h.access_data(70, MemAccessKind::Load, 0x800c, 8, &mem, &tok, Mode::Secure);
-        assert_eq!(out.exception, Some(RestExceptionKind::TokenStore).map(|_| RestExceptionKind::TokenLoad));
+        assert_eq!(
+            out.exception,
+            Some(RestExceptionKind::TokenStore).map(|_| RestExceptionKind::TokenLoad)
+        );
     }
 
     #[test]
@@ -709,7 +767,15 @@ mod tests {
         }
         assert!(h.stats().token_lines_evicted_l1d >= 1);
         // Refetch the armed line: detector re-arms it from content.
-        let out = h.access_data(t + 10, MemAccessKind::Load, 0x9000, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            t + 10,
+            MemAccessKind::Load,
+            0x9000,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         assert_eq!(out.exception, Some(RestExceptionKind::TokenLoad));
     }
 

@@ -25,11 +25,27 @@ fn l2_serves_lines_evicted_from_l1() {
     let base = 0x10_0000u64;
     let mut now = 0;
     for i in 0..9u64 {
-        let out = h.access_data(now, MemAccessKind::Load, base + i * 8192, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            now,
+            MemAccessKind::Load,
+            base + i * 8192,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         now = out.complete_at + 1;
     }
     // The first line was evicted from L1 but lives in L2.
-    let out = h.access_data(now + 100, MemAccessKind::Load, base, 8, &mem, &tok, Mode::Secure);
+    let out = h.access_data(
+        now + 100,
+        MemAccessKind::Load,
+        base,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert_eq!(out.served_by, ServedBy::L2);
     // And an L2 hit is much faster than DRAM.
     let l2_latency = out.complete_at - (now + 100);
@@ -39,9 +55,21 @@ fn l2_serves_lines_evicted_from_l1() {
 #[test]
 fn dram_serves_cold_lines_slowly() {
     let (mut h, mem, tok) = setup();
-    let out = h.access_data(0, MemAccessKind::Load, 0x40_0000, 8, &mem, &tok, Mode::Secure);
+    let out = h.access_data(
+        0,
+        MemAccessKind::Load,
+        0x40_0000,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert_eq!(out.served_by, ServedBy::Dram);
-    assert!(out.complete_at > 60, "DRAM access too fast: {}", out.complete_at);
+    assert!(
+        out.complete_at > 60,
+        "DRAM access too fast: {}",
+        out.complete_at
+    );
     assert_eq!(h.stats().dram_accesses, 1);
 }
 
@@ -52,7 +80,15 @@ fn mshr_target_limit_forces_fresh_allocation() {
     let (mut h, mem, tok) = setup();
     let mut completions = Vec::new();
     for i in 0..25u64 {
-        let out = h.access_data(i, MemAccessKind::Load, 0x50_0000 + i % 8, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            i,
+            MemAccessKind::Load,
+            0x50_0000 + i % 8,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         completions.push(out.complete_at);
     }
     // All complete, monotonically reasonable, and only one DRAM fetch of
@@ -69,7 +105,15 @@ fn writeback_pressure_engages_the_write_buffer() {
     let base = 0x20_0000u64;
     let mut now = 0;
     for i in 0..32u64 {
-        let out = h.access_data(now, MemAccessKind::Store, base + i * 8192, 8, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            now,
+            MemAccessKind::Store,
+            base + i * 8192,
+            8,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         now = out.complete_at + 1;
     }
     assert!(
@@ -91,7 +135,15 @@ fn coherence_invalidate_discards_token_state() {
     assert!(!h.l1d().token_bit_covering(0x3000, 64));
     // DMA rewrote memory: the refetched line is clean.
     mem.fill(0x3000, 64, 0);
-    let out = h.access_data(1000, MemAccessKind::Load, 0x3000, 8, &mem, &tok, Mode::Secure);
+    let out = h.access_data(
+        1000,
+        MemAccessKind::Load,
+        0x3000,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert!(out.exception.is_none());
 }
 
@@ -102,7 +154,15 @@ fn instruction_and_data_caches_are_split() {
     // independently (split L1s), but the data access hits the now-warm L2.
     let t1 = h.fetch_inst(0, 0x1_0000, &mem, &tok);
     assert!(t1 > 2);
-    let out = h.access_data(t1 + 10, MemAccessKind::Load, 0x1_0000, 8, &mem, &tok, Mode::Secure);
+    let out = h.access_data(
+        t1 + 10,
+        MemAccessKind::Load,
+        0x1_0000,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert_eq!(h.stats().l1d_misses, 1, "data side must miss separately");
     assert_eq!(out.served_by, ServedBy::L2, "but the L2 is unified");
 }
@@ -116,18 +176,50 @@ fn narrow_token_bits_survive_partial_disarm() {
     // Arm all four slots of one line.
     let mut now = 0;
     for slot in 0..4u64 {
-        let out = h.access_data(now, MemAccessKind::Arm, 0x6000 + slot * 16, 16, &mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            now,
+            MemAccessKind::Arm,
+            0x6000 + slot * 16,
+            16,
+            &mem,
+            &tok,
+            Mode::Secure,
+        );
         now = out.complete_at + 1;
         mem.write_bytes(0x6000 + slot * 16, tok.bytes());
     }
     // Disarm slot 1 only.
     mem.fill(0x6010, 16, 0);
-    let out = h.access_data(now + 10, MemAccessKind::Disarm, 0x6010, 16, &mem, &tok, Mode::Secure);
+    let out = h.access_data(
+        now + 10,
+        MemAccessKind::Disarm,
+        0x6010,
+        16,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert!(out.exception.is_none());
     // Slot 1 is free; slots 0/2/3 still trap.
-    let ok = h.access_data(now + 100, MemAccessKind::Load, 0x6010, 8, &mem, &tok, Mode::Secure);
+    let ok = h.access_data(
+        now + 100,
+        MemAccessKind::Load,
+        0x6010,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert!(ok.exception.is_none());
-    let bad = h.access_data(now + 200, MemAccessKind::Load, 0x6020, 8, &mem, &tok, Mode::Secure);
+    let bad = h.access_data(
+        now + 200,
+        MemAccessKind::Load,
+        0x6020,
+        8,
+        &mem,
+        &tok,
+        Mode::Secure,
+    );
     assert!(bad.exception.is_some());
 }
 
@@ -160,12 +252,28 @@ fn dedicated_token_cache_speeds_armed_line_refetch() {
         // Thrash the set to evict it (8 kB stride, 8 ways).
         let mut now = out.complete_at + 1;
         for i in 1..=8u64 {
-            let o = h.access_data(now, MemAccessKind::Load, 0x9000 + i * 8192, 8, mem, &tok, Mode::Secure);
+            let o = h.access_data(
+                now,
+                MemAccessKind::Load,
+                0x9000 + i * 8192,
+                8,
+                mem,
+                &tok,
+                Mode::Secure,
+            );
             now = o.complete_at + 1;
         }
         // Refetch the armed line.
         let start = now + 10;
-        let out = h.access_data(start, MemAccessKind::Load, 0x9000, 8, mem, &tok, Mode::Secure);
+        let out = h.access_data(
+            start,
+            MemAccessKind::Load,
+            0x9000,
+            8,
+            mem,
+            &tok,
+            Mode::Secure,
+        );
         assert!(out.exception.is_some(), "token bit must be restored");
         (out.complete_at - start, h.stats().token_cache_hits)
     };
