@@ -30,7 +30,6 @@ mod bpred;
 mod config;
 mod emulator;
 mod exec;
-mod multiproc;
 mod pipeline;
 mod profile;
 mod stats;
@@ -43,7 +42,6 @@ pub use bpred::BranchPredictor;
 pub use config::{CoreConfig, ExecTier, SimConfig};
 pub use emulator::{Emulator, StopReason};
 pub use exec::ExecEngine;
-pub use multiproc::MultiSystem;
 pub use pipeline::Pipeline;
 pub use profile::{CheckCounters, GuestProfile, PcCounters};
 pub use stats::{stats_map_parts, CoreStats, SimResult, ALLOC_KEY_COUNT, CORE_KEY_COUNT};
