@@ -16,7 +16,10 @@
 //!
 //! Each stream is pinned by an FNV-1a digest of all its timestamps plus
 //! explicit rows at the scenario micro-ops and every 64th micro-op; a
-//! failing assertion prints the rows that moved.
+//! failing assertion prints the rows that moved. The run's stall counters
+//! and its CPI stack, component by component, are pinned too: the
+//! timestamps fix when each micro-op commits, not which stall the
+//! frontier's advance is charged to.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,6 +27,7 @@ use rest_core::{Mode, Token, TokenWidth};
 use rest_cpu::{CoreConfig, CoreStats, Pipeline, TraceEntry};
 use rest_isa::{BranchInfo, DynInst, GuestMemory, OpKind, Reg};
 use rest_mem::{Hierarchy, MemConfig};
+use rest_obs::CpiComponent;
 
 /// The line stored to first and left draining from DRAM while the
 /// store window fills with younger stores.
@@ -212,6 +216,11 @@ struct Golden {
     load_partial_stalls: u64,
     lsq_rest_exceptions: u64,
     branch_mispredicts: u64,
+    /// `[rob, iq, lsq, fetch]` stall cycles, then ROB-blocked-by-store
+    /// cycles.
+    stalls: [u64; 5],
+    /// The CPI stack in [`CpiComponent::ALL`] order.
+    cpi: [u64; 11],
 }
 
 fn check(mode: Mode, golden: &Golden) {
@@ -253,6 +262,23 @@ fn check(mode: Mode, golden: &Golden) {
     );
     assert_eq!(stats.cycles, golden.cycles, "{mode:?}: cycles");
     assert_eq!(
+        [
+            stats.rob_stall_cycles,
+            stats.iq_stall_cycles,
+            stats.lsq_stall_cycles,
+            stats.fetch_stall_cycles,
+            stats.rob_blocked_store_cycles,
+        ],
+        golden.stalls,
+        "{mode:?}: rob, iq, lsq, fetch stall and ROB-blocked-by-store cycles"
+    );
+    assert_eq!(
+        CpiComponent::ALL.map(|c| stats.cpi.get(c)),
+        golden.cpi,
+        "{mode:?}: CPI stack (base, fetch_stall, branch, iq, rob, lsq, \
+         l1d_miss, l2_miss, dram, store_drain, rest_check)"
+    );
+    assert_eq!(
         digest(&entries),
         golden.digest,
         "{mode:?}: digest of every timestamp"
@@ -293,6 +319,8 @@ fn secure_mode_stage_timestamps_are_pinned() {
         load_partial_stalls: 1,
         lsq_rest_exceptions: 4,
         branch_mispredicts: 45,
+        stalls: [0, 0, 1116, 4333, 466],
+        cpi: [575, 765, 328, 0, 0, 1, 137, 978, 7043, 466, 0],
     };
     check(Mode::Secure, &golden);
 }
@@ -331,6 +359,82 @@ fn debug_mode_stage_timestamps_are_pinned() {
         load_partial_stalls: 1,
         lsq_rest_exceptions: 4,
         branch_mispredicts: 45,
+        stalls: [0, 0, 1278, 5418, 7914],
+        cpi: [229, 449, 186, 0, 0, 0, 0, 443, 4180, 7914, 0],
     };
     check(Mode::Debug, &golden);
+}
+
+/// A stream that fills the IQ and the ROB: a dependent divide chain,
+/// ALU ops waiting on it, and independent loads, stores and ALU ops that
+/// complete early but cannot commit past the chain.
+fn pressure_stream() -> Vec<DynInst> {
+    let mut rng = Lcg(0xd1f);
+    (0..2_000u64)
+        .map(|i| {
+            let pc = 0x1_0000 + (i % 64) * 4;
+            let addr = 0x2_0000 + (rng.next() % 512) * 8;
+            match i % 8 {
+                0 => {
+                    DynInst::alu(pc, Some(Reg::A0), [Some(Reg::A0), None]).with_kind(OpKind::IntDiv)
+                }
+                1 => DynInst::alu(pc, Some(Reg::A1), [Some(Reg::A0), None]),
+                2 | 5 => DynInst::load(pc, Some(reg(rng.next())), None, addr, 8),
+                3 => DynInst::store(pc, Some(Reg::A2), None, addr, 8),
+                _ => DynInst::alu(pc, Some(reg(rng.next())), [None, None]),
+            }
+        })
+        .collect()
+}
+
+/// Replays [`pressure_stream`] in `mode`.
+fn replay_pressure(mode: Mode) -> CoreStats {
+    let mut p = Pipeline::new(
+        CoreConfig::isca2018(),
+        Hierarchy::new(MemConfig::isca2018()),
+        mode,
+    );
+    let mem = GuestMemory::new();
+    let token = Token::generate(TokenWidth::B64, &mut StdRng::seed_from_u64(1));
+    for d in &pressure_stream() {
+        p.process(d, &mem, &token);
+    }
+    p.finish()
+}
+
+#[test]
+fn rob_and_iq_pressure_stalls_are_pinned() {
+    for (mode, cycles, stalls, cpi) in [
+        (
+            Mode::Secure,
+            6_470,
+            [5_363_719, 448_638, 122, 562, 6],
+            [103, 110, 0, 78, 4_119, 1, 0, 301, 1_752, 6, 0],
+        ),
+        (
+            Mode::Debug,
+            6_829,
+            [5_954_890, 460_914, 193, 562, 2_214],
+            [73, 110, 0, 16, 3_424, 0, 0, 111, 881, 2_214, 0],
+        ),
+    ] {
+        let s = replay_pressure(mode);
+        assert_eq!(s.cycles, cycles, "{mode:?}: cycles");
+        assert_eq!(
+            [
+                s.rob_stall_cycles,
+                s.iq_stall_cycles,
+                s.lsq_stall_cycles,
+                s.fetch_stall_cycles,
+                s.rob_blocked_store_cycles,
+            ],
+            stalls,
+            "{mode:?}: rob, iq, lsq, fetch stall and ROB-blocked-by-store cycles"
+        );
+        assert_eq!(
+            CpiComponent::ALL.map(|c| s.cpi.get(c)),
+            cpi,
+            "{mode:?}: CPI stack"
+        );
+    }
 }
