@@ -115,19 +115,27 @@ impl Cache {
     /// counter restarts above them: the LRU way of each set stays the
     /// LRU way, so no victim choice changes. Sets never filled hold no
     /// valid way and are skipped.
+    #[inline(always)]
     fn bump(&mut self) -> u32 {
         if self.next_stamp == u32::MAX {
-            for set in self.ways.touched_mut() {
-                let mut valid: Vec<&mut Way> = set.iter_mut().filter(|w| w.valid).collect();
-                valid.sort_unstable_by_key(|w| w.stamp);
-                for (rank, w) in (1..).zip(valid) {
-                    w.stamp = rank;
-                }
-            }
-            self.next_stamp = self.cfg.assoc as u32;
+            self.renumber_stamps();
         }
         self.next_stamp += 1;
         self.next_stamp
+    }
+
+    /// [`Cache::bump`]'s wraparound: renumbers every set's valid ways
+    /// `1..=assoc` in stamp order.
+    #[cold]
+    fn renumber_stamps(&mut self) {
+        for set in self.ways.touched_mut() {
+            let mut valid: Vec<&mut Way> = set.iter_mut().filter(|w| w.valid).collect();
+            valid.sort_unstable_by_key(|w| w.stamp);
+            for (rank, w) in (1..).zip(valid) {
+                w.stamp = rank;
+            }
+        }
+        self.next_stamp = self.cfg.assoc as u32;
     }
 
     /// `addr`'s resident line.
@@ -160,6 +168,7 @@ impl Cache {
     /// Looks up `addr`, updating LRU state. Marks the line dirty when
     /// `is_write`. Returns the line's token bits on a hit, `None` on a
     /// miss.
+    #[inline]
     pub fn lookup(&mut self, addr: u64, is_write: bool) -> Option<u8> {
         let stamp = self.bump();
         let w = self.find_mut(addr)?;

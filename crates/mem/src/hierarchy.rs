@@ -40,7 +40,7 @@ pub enum ServedBy {
 }
 
 /// Result of one data access walked through the hierarchy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataOutcome {
     /// Cycle at which the requested word is available to the pipeline
     /// (critical-word-first on misses).
@@ -82,6 +82,24 @@ struct L1dAccess {
     /// Token bits of the line after the access; `None` if the line is
     /// not resident.
     token_mask: Option<u8>,
+}
+
+/// An access's L1-D tag check (see [`Hierarchy::probe_l1d`]).
+enum L1dProbe {
+    /// Served without a fill of its own: a token-cache re-install or a
+    /// merge onto an in-flight fill.
+    Served(L1dAccess),
+    /// The tag was present, with these token bits.
+    Hit(u8),
+    Miss,
+}
+
+/// Last byte of the access `[addr, addr + size)`. Inclusive, so an
+/// access ending at the top of the address space does not overflow; a
+/// zero-size access covers its first byte.
+#[inline(always)]
+fn last_byte(addr: u64, size: u64) -> u64 {
+    addr.saturating_add(size.max(1) - 1)
 }
 
 /// The simulated memory hierarchy: split L1s, unified L2, DRAM — with
@@ -175,6 +193,7 @@ impl Hierarchy {
 
     /// Instruction fetch of the line containing `pc`; returns the cycle
     /// at which fetch data is available.
+    #[inline]
     pub fn fetch_inst(&mut self, now: u64, pc: u64, mem: &dyn LineReader, token: &Token) -> u64 {
         let line = self.inst_line(pc);
         // A line whose fill is still in flight is not yet present, even
@@ -187,6 +206,13 @@ impl Hierarchy {
             self.stats.l1i_hits += 1;
             return now + self.l1i.config().hit_latency;
         }
+        self.fetch_inst_miss(now, line, mem, token)
+    }
+
+    /// [`Hierarchy::fetch_inst`] of a line that is neither resident nor
+    /// in flight.
+    #[inline(never)]
+    fn fetch_inst_miss(&mut self, now: u64, line: u64, mem: &dyn LineReader, token: &Token) -> u64 {
         self.stats.l1i_misses += 1;
         let start = now + self.l1i.config().hit_latency;
         let (data_at, _) = self.fetch_from_l2(start, line, mem, token);
@@ -260,42 +286,15 @@ impl Hierarchy {
         mask
     }
 
-    /// Ensures `line` is resident in the L1-D at `now`, running the token
-    /// detector on fills. One tag search serves the hit check, the LRU
-    /// and dirty update, and the token bits of the common paths.
-    fn ensure_l1d_resident(
-        &mut self,
-        now: u64,
-        line: u64,
-        is_write: bool,
-        mem: &dyn LineReader,
-        token: &Token,
-    ) -> L1dAccess {
-        // §VIII token cache: an armed line parked in the dedicated
-        // buffer is re-installed at near-L1 latency, token bits intact.
+    /// The L1-D tag check of an access to `line` at `now`, before any
+    /// fill: a token-cache re-install or a merge onto an in-flight fill
+    /// serves it outright; otherwise one tag search gives the hit check,
+    /// the LRU and dirty update and the line's token bits.
+    #[inline(always)]
+    fn probe_l1d(&mut self, now: u64, line: u64, is_write: bool, token: &Token) -> L1dProbe {
         if self.token_cache_entries > 0 {
-            if let Some(pos) = self.token_cache.iter().position(|&(a, _)| a == line) {
-                let was_hit = self.l1d.probe(line);
-                let (_, mask) = self.token_cache.remove(pos).expect("position valid");
-                self.stats.token_cache_hits += 1;
-                let t = now + self.l1d.config().hit_latency + 1;
-                if let Some(ev) = self.l1d.fill(line, true, mask) {
-                    let ev_mask = self.faulted_eviction_mask(ev.addr, ev.token_mask, token);
-                    if ev_mask != 0 {
-                        self.stats.token_lines_evicted_l1d += 1;
-                        self.token_cache.push_back((ev.addr, ev_mask));
-                        while self.token_cache.len() > self.token_cache_entries {
-                            self.token_cache.pop_front();
-                        }
-                    }
-                }
-                return L1dAccess {
-                    data_at: t,
-                    checked_at: t,
-                    served: ServedBy::L1,
-                    was_hit,
-                    token_mask: self.l1d.lookup(line, is_write),
-                };
+            if let Some(access) = self.reinstall_from_token_cache(now, line, is_write, token) {
+                return L1dProbe::Served(access);
             }
         }
         if let Some(done) = self.l1d_mshrs.merge(line, now) {
@@ -304,24 +303,83 @@ impl Hierarchy {
             // and dirty state stay correct.
             self.stats.l1d_misses += 1;
             let token_mask = self.l1d.lookup(line, is_write);
-            return L1dAccess {
+            return L1dProbe::Served(L1dAccess {
                 data_at: done,
                 checked_at: done + self.line_fill_tail,
                 served: ServedBy::L2,
                 was_hit: token_mask.is_some(),
                 token_mask,
-            };
+            });
         }
-        if let Some(token_mask) = self.l1d.lookup(line, is_write) {
-            self.stats.l1d_hits += 1;
-            let t = now + self.l1d.config().hit_latency;
-            return L1dAccess {
-                data_at: t,
-                checked_at: t,
-                served: ServedBy::L1,
-                was_hit: true,
-                token_mask: Some(token_mask),
-            };
+        match self.l1d.lookup(line, is_write) {
+            Some(mask) => L1dProbe::Hit(mask),
+            None => L1dProbe::Miss,
+        }
+    }
+
+    /// §VIII token cache: an armed line parked in the dedicated buffer
+    /// is re-installed at near-L1 latency, token bits intact. `None` if
+    /// the buffer does not hold `line`.
+    #[cold]
+    fn reinstall_from_token_cache(
+        &mut self,
+        now: u64,
+        line: u64,
+        is_write: bool,
+        token: &Token,
+    ) -> Option<L1dAccess> {
+        let pos = self.token_cache.iter().position(|&(a, _)| a == line)?;
+        let was_hit = self.l1d.probe(line);
+        let (_, mask) = self.token_cache.remove(pos)?;
+        self.stats.token_cache_hits += 1;
+        let t = now + self.l1d.config().hit_latency + 1;
+        if let Some(ev) = self.l1d.fill(line, true, mask) {
+            let ev_mask = self.faulted_eviction_mask(ev.addr, ev.token_mask, token);
+            if ev_mask != 0 {
+                self.stats.token_lines_evicted_l1d += 1;
+                self.token_cache.push_back((ev.addr, ev_mask));
+                while self.token_cache.len() > self.token_cache_entries {
+                    self.token_cache.pop_front();
+                }
+            }
+        }
+        Some(L1dAccess {
+            data_at: t,
+            checked_at: t,
+            served: ServedBy::L1,
+            was_hit,
+            token_mask: self.l1d.lookup(line, is_write),
+        })
+    }
+
+    /// Completes an access's L1-D residency from its [`probe_l1d`]
+    /// result: a hit is served at hit latency, a miss fetches the line
+    /// from the L2 (and below) and runs the token detector on the fill.
+    ///
+    /// [`probe_l1d`]: Hierarchy::probe_l1d
+    fn ensure_l1d_resident(
+        &mut self,
+        probe: L1dProbe,
+        now: u64,
+        line: u64,
+        is_write: bool,
+        mem: &dyn LineReader,
+        token: &Token,
+    ) -> L1dAccess {
+        match probe {
+            L1dProbe::Served(access) => return access,
+            L1dProbe::Hit(token_mask) => {
+                self.stats.l1d_hits += 1;
+                let t = now + self.l1d.config().hit_latency;
+                return L1dAccess {
+                    data_at: t,
+                    checked_at: t,
+                    served: ServedBy::L1,
+                    was_hit: true,
+                    token_mask: Some(token_mask),
+                };
+            }
+            L1dProbe::Miss => {}
         }
         self.stats.l1d_misses += 1;
         let start = now + self.l1d.config().hit_latency;
@@ -393,7 +451,14 @@ impl Hierarchy {
     /// * `mode` selects secure/debug behaviour (store-commit policy is
     ///   the pipeline's job, but the critical-word-first load hold is
     ///   modelled here).
+    ///
+    /// The common case is served inline: a plain load or store that
+    /// hits a token-free line and stays inside it. Table I then raises
+    /// nothing and changes no token bit, and the access completes at the
+    /// L1-D hit latency with nothing to attribute. Every other access
+    /// takes the full walk, handed the tag check already done.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn access_data(
         &mut self,
         now: u64,
@@ -404,19 +469,61 @@ impl Hierarchy {
         token: &Token,
         mode: Mode,
     ) -> DataOutcome {
+        let line = self.l1d.line_addr(addr);
+        let probe = self.probe_l1d(now, line, kind != MemAccessKind::Load, token);
+        if self.is_plain_hit(&probe, kind, addr, size) {
+            self.stats.l1d_hits += 1;
+            let t = now + self.l1d.config().hit_latency;
+            return DataOutcome {
+                complete_at: t,
+                line_checked_at: t,
+                exception: None,
+                served_by: ServedBy::L1,
+                held_for_check: false,
+                l1d_miss_cycles: 0,
+                l2_miss_cycles: 0,
+                dram_cycles: 0,
+                rest_check_cycles: 0,
+            };
+        }
+        self.walk_data(probe, now, kind, addr, size, mem, token, mode)
+    }
+
+    /// Whether [`Hierarchy::access_data`] serves an access inline: a
+    /// load or store (not an arm or disarm) whose tag check hit a line
+    /// without token bits, with every byte inside that line.
+    #[inline(always)]
+    fn is_plain_hit(&self, probe: &L1dProbe, kind: MemAccessKind, addr: u64, size: u64) -> bool {
+        matches!(probe, L1dProbe::Hit(0))
+            && matches!(kind, MemAccessKind::Load | MemAccessKind::Store)
+            && self.l1d.line_addr(last_byte(addr, size)) == self.l1d.line_addr(addr)
+    }
+
+    /// [`Hierarchy::access_data`]'s full walk from the access's L1-D
+    /// tag check.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn walk_data(
+        &mut self,
+        probe: L1dProbe,
+        now: u64,
+        kind: MemAccessKind,
+        addr: u64,
+        size: u64,
+        mem: &dyn LineReader,
+        token: &Token,
+        mode: Mode,
+    ) -> DataOutcome {
         let w = token.width().bytes();
         let line = self.l1d.line_addr(addr);
-        let is_write = matches!(
-            kind,
-            MemAccessKind::Store | MemAccessKind::Arm | MemAccessKind::Disarm
-        );
+        let is_write = kind != MemAccessKind::Load;
         let L1dAccess {
             data_at,
             checked_at,
             served,
             was_hit,
             token_mask,
-        } = self.ensure_l1d_resident(now, line, is_write, mem, token);
+        } = self.ensure_l1d_resident(probe, now, line, is_write, mem, token);
         let mut complete_at = data_at;
         let mut held = false;
 
@@ -447,9 +554,7 @@ impl Hierarchy {
             MemAccessKind::Arm | MemAccessKind::Disarm => 1,
             _ => size.max(1),
         };
-        // Inclusive end: an access ending at the top of the address
-        // space does not overflow.
-        let last = addr.saturating_add(span - 1);
+        let last = last_byte(addr, span);
         let token_bit = match token_mask {
             Some(mask) if self.l1d.line_addr(last) == line => {
                 let (first_slot, last_slot) = ((addr - line) / w, (last - line) / w);
@@ -799,6 +904,84 @@ mod tests {
         assert_eq!(b.complete_at, a.complete_at);
         assert_eq!(h.stats().l1d_misses, 2);
         assert_eq!(h.stats().l2_misses, 1, "merged miss must not re-access L2");
+    }
+
+    /// Drives the same access through `access_data` on `fast` and
+    /// through the full walk on `walk`, requiring identical outcomes,
+    /// statistics and LRU state; returns whether the access was eligible
+    /// for the inline path.
+    #[allow(clippy::too_many_arguments)]
+    fn same_as_walk(
+        fast: &mut Hierarchy,
+        walk: &mut Hierarchy,
+        now: u64,
+        kind: MemAccessKind,
+        addr: u64,
+        size: u64,
+        mem: &GuestMemory,
+        tok: &Token,
+        mode: Mode,
+    ) -> bool {
+        let line = walk.l1d.line_addr(addr);
+        let probe = walk.probe_l1d(now, line, kind != MemAccessKind::Load, tok);
+        let inline = walk.is_plain_hit(&probe, kind, addr, size);
+        let want = walk.walk_data(probe, now, kind, addr, size, mem, tok, mode);
+        let got = fast.access_data(now, kind, addr, size, mem, tok, mode);
+        assert_eq!(got, want, "{kind:?} {addr:#x}+{size} at {now}");
+        assert_eq!(
+            fast.stats(),
+            walk.stats(),
+            "{kind:?} {addr:#x}+{size} at {now}"
+        );
+        inline
+    }
+
+    #[test]
+    fn inline_hits_match_the_full_walk_and_every_other_access_walks() {
+        for mode in [Mode::Secure, Mode::Debug] {
+            let (mut fast, mut mem, tok) = setup(TokenWidth::B64);
+            let (mut walk, _, _) = setup(TokenWidth::B64);
+            let mut both = |now, kind, addr, size, mem: &GuestMemory| {
+                same_as_walk(&mut fast, &mut walk, now, kind, addr, size, mem, &tok, mode)
+            };
+            // Cold misses, then an arm in its own line: none inline.
+            assert!(!both(0, MemAccessKind::Load, 0x1000, 8, &mem));
+            assert!(!both(1, MemAccessKind::Store, 0x1040, 8, &mem));
+            // A second access to a line whose fill is still in flight
+            // merges onto it.
+            assert!(!both(2, MemAccessKind::Load, 0x1008, 8, &mem));
+            assert!(!both(3, MemAccessKind::Arm, 0x2000, 64, &mem));
+            mem.write_bytes(0x2000, tok.bytes());
+            // Loads and stores hitting token-free lines, inside them.
+            let t = 1_000;
+            assert!(both(t, MemAccessKind::Load, 0x1010, 8, &mem));
+            assert!(both(t + 1, MemAccessKind::Store, 0x1038, 8, &mem));
+            assert!(both(t + 2, MemAccessKind::Store, 0x1040, 1, &mem));
+            assert!(both(t + 3, MemAccessKind::Load, 0x107f, 1, &mem));
+            // A hit that crosses into the next line walks.
+            assert!(!both(t + 4, MemAccessKind::Load, 0x103c, 8, &mem));
+            // A hit on a line with a token bit walks (and raises).
+            assert!(!both(t + 5, MemAccessKind::Load, 0x2008, 8, &mem));
+            // Arms and disarms walk even on a token-free hit.
+            assert!(!both(t + 6, MemAccessKind::Arm, 0x1000, 64, &mem));
+            // Same LRU victims: overfill the 0x1040 line's set (64 kB,
+            // 8-way L1-D: lines 8 kB apart share a set).
+            let stride = 8 * 1024;
+            for i in 1..=9u64 {
+                assert!(!both(
+                    t + 10 * i,
+                    MemAccessKind::Load,
+                    0x1040 + i * stride,
+                    8,
+                    &mem
+                ));
+            }
+            for i in 0..=9u64 {
+                let a = 0x1040 + i * stride;
+                assert_eq!(fast.l1d().probe(a), walk.l1d().probe(a), "{a:#x}");
+            }
+            assert_eq!(fast.l1d().resident_lines(), walk.l1d().resident_lines());
+        }
     }
 
     impl Hierarchy {

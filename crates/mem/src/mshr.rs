@@ -50,8 +50,9 @@ impl MshrFile {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` exceeds [`MshrFile::MAX_ENTRIES`].
+    /// Panics if `entries` is 0 or exceeds [`MshrFile::MAX_ENTRIES`].
     pub fn new(entries: usize, targets_per_entry: usize) -> MshrFile {
+        assert!(entries > 0, "an MSHR file needs at least one entry");
         assert!(
             entries <= Self::MAX_ENTRIES,
             "{entries} MSHR entries exceed the {}-entry file",
@@ -88,7 +89,17 @@ impl MshrFile {
     /// line is not in flight *or* the entry's target slots are exhausted
     /// (the access must then be retried; we model that as a fresh
     /// allocation after the entry retires).
+    #[inline(always)]
     pub fn merge(&mut self, line: u64, now: u64) -> Option<u64> {
+        if self.len == 0 {
+            // Nothing in flight: nothing to expire or merge onto.
+            return None;
+        }
+        self.merge_inflight(line, now)
+    }
+
+    /// [`MshrFile::merge`] on a file with fills in flight.
+    fn merge_inflight(&mut self, line: u64, now: u64) -> Option<u64> {
         self.expire(now);
         let limit = self.targets_per_entry;
         let e = self.inflight[..self.len]
@@ -109,6 +120,7 @@ impl MshrFile {
         self.expire(now);
         let mut wait = 0;
         if self.len >= self.entries {
+            // `new` admits no empty file, so a full file holds an entry.
             let earliest = self
                 .live()
                 .iter()
@@ -225,6 +237,23 @@ mod tests {
         assert_eq!(m.occupancy(60), 1);
         assert_eq!(m.occupancy(159), 1);
         assert_eq!(m.occupancy(160), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one entry")]
+    fn empty_file_is_rejected() {
+        let _ = MshrFile::new(0, 1);
+    }
+
+    #[test]
+    fn merge_into_an_idle_file_finds_nothing() {
+        let mut m = MshrFile::new(2, 2);
+        assert_eq!(m.merge(0x40, 0), None);
+        m.allocate(0x40, 0, 10);
+        assert_eq!(m.merge(0x40, 10), None); // completed at 10
+        assert_eq!(m.occupancy(10), 0);
+        assert_eq!(m.merge(0x40, 5), None); // idle again: no stale entry
+        assert_eq!(m.merges(), 0);
     }
 
     #[test]
