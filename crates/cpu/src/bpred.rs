@@ -72,6 +72,7 @@ impl BranchPredictor {
     /// Predicts the branch at `pc`, then trains on the oracle `outcome`,
     /// returning whether the prediction was **correct** (direction and,
     /// where needed, target).
+    #[inline]
     pub fn predict_and_train(&mut self, pc: u64, outcome: &BranchInfo) -> bool {
         self.lookups += 1;
         // --- predict ---

@@ -1,5 +1,5 @@
 use rest_core::{Mode, RestExceptionKind, Token};
-use rest_isa::{DynInst, MemAccessKind, OpKind};
+use rest_isa::{DynInst, MemAccessKind, MemRef, OpKind, Reg};
 use rest_mem::{Hierarchy, LineReader, MemStats};
 use rest_obs::{AuditEntry, AuditLog, CpiComponent, Gauges};
 
@@ -47,6 +47,99 @@ impl Ring {
     }
 }
 
+/// When each of the last micro-ops dispatched, issued and committed.
+#[derive(Debug, Clone, Copy, Default)]
+struct UopCycles {
+    disp: u64,
+    issue: u64,
+    commit: u64,
+}
+
+/// The scoreboards every micro-op claims one slot of, in program order:
+/// dispatch and commit width, ROB and IQ. A ring of `len` such slots
+/// frees its next slot when the micro-op `len` back frees it, so one
+/// history of the last micro-ops' cycles stands for all four rings: it
+/// holds a power-of-two number of entries no smaller than any of them,
+/// indexed by micro-op sequence number. Entries start at 0, as ring
+/// slots do, and an entry is only ever read before the micro-op that
+/// overwrites it records itself.
+#[derive(Debug, Clone)]
+struct History {
+    slots: Box<[UopCycles]>,
+    mask: u64,
+}
+
+impl History {
+    /// A history covering rings of up to `len` slots.
+    fn new(len: usize) -> History {
+        let len = len.next_power_of_two();
+        History {
+            slots: vec![UopCycles::default(); len].into_boxed_slice(),
+            mask: len as u64 - 1,
+        }
+    }
+
+    /// Cycles of the micro-op `back` micro-ops before micro-op `n`
+    /// (zeros before the first): the slot a ring of `back` entries frees
+    /// next.
+    #[inline(always)]
+    fn ago(&self, n: u64, back: usize) -> &UopCycles {
+        &self.slots[(n.wrapping_sub(back as u64) & self.mask) as usize]
+    }
+
+    /// Records micro-op `n`'s cycles.
+    #[inline(always)]
+    fn record(&mut self, n: u64, cycles: UopCycles) {
+        self.slots[(n & self.mask) as usize] = cycles;
+    }
+
+    /// Of the last `len` micro-ops before `n`, those whose `cycle` is
+    /// after `now`.
+    fn busy(&self, n: u64, len: usize, now: u64, cycle: impl Fn(&UopCycles) -> u64) -> u64 {
+        (1..=len)
+            .filter(|&back| cycle(self.ago(n, back)) > now)
+            .count() as u64
+    }
+}
+
+/// The CPI-stack stall buckets in fill order, most specific first.
+const FILL_ORDER: [CpiComponent; 10] = [
+    CpiComponent::StoreDrain,
+    CpiComponent::Dram,
+    CpiComponent::L2Miss,
+    CpiComponent::L1dMiss,
+    CpiComponent::RestCheck,
+    CpiComponent::Lsq,
+    CpiComponent::Rob,
+    CpiComponent::Iq,
+    CpiComponent::Branch,
+    CpiComponent::FetchStall,
+];
+
+/// `reg_ready` slot an absent source reads: never written, so it adds
+/// no dependency.
+const NO_SRC: usize = Reg::COUNT;
+/// `reg_ready` slot that absorbs the write of a micro-op without a
+/// destination or with the zero register as destination; never read.
+const NO_DST: usize = Reg::COUNT + 1;
+
+/// `reg_ready` slot a source operand reads.
+#[inline(always)]
+fn src_slot(src: Option<Reg>) -> usize {
+    // Register indices are below `Reg::COUNT`; the mask lets the
+    // compiler see the slot is in bounds.
+    src.map_or(NO_SRC, |r| r.index() & (Reg::COUNT - 1))
+}
+
+/// `reg_ready` slot a destination operand writes.
+#[inline(always)]
+fn dst_slot(dst: Option<Reg>) -> usize {
+    match dst {
+        Some(r) if !r.is_zero() => r.index() & (Reg::COUNT - 1),
+        _ => NO_DST,
+    }
+}
+
 /// The out-of-order timing model.
 ///
 /// Replays the oracle micro-op stream using timestamp algebra: each
@@ -58,7 +151,10 @@ impl Ring {
 /// out-of-order issue — while dispatch and commit remain in order, as in
 /// hardware.
 ///
-/// Each structural resource is a `Ring` scoreboard. The store window
+/// Each structural resource is a ring scoreboard. The four that every
+/// micro-op claims in program order (dispatch and commit width, ROB,
+/// IQ) share one history of the last micro-ops' cycles (`History`); the
+/// others are `Ring`s with a cursor. The store window
 /// keeps the in-flight stores the LSQ searches: at most `sq_entries`,
 /// minus those already drained before any later micro-op can issue. A
 /// search walks it only when a store touches one of the access's line
@@ -82,11 +178,11 @@ pub struct Pipeline {
     cur_fetch_line: u64,
 
     // Scoreboards.
-    reg_ready: [u64; 32],
-    disp_ring: Ring,
-    commit_ring: Ring,
-    rob_ring: Ring,
-    iq_ring: Ring,
+    /// Cycle each register's value is ready, plus the [`NO_SRC`] and
+    /// [`NO_DST`] slots.
+    reg_ready: [u64; Reg::COUNT + 2],
+    /// The dispatch-width, commit-width, ROB and IQ scoreboards.
+    history: History,
     lq_ring: Ring,
     sq_ring: Ring,
     alu_ring: Ring,
@@ -114,13 +210,31 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a pipeline over a fresh hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` gives the dispatch or commit width, the ROB or
+    /// the IQ no entries.
     pub fn new(cfg: CoreConfig, hier: Hierarchy, mode: Mode) -> Pipeline {
+        assert!(
+            [
+                cfg.issue_width,
+                cfg.commit_width,
+                cfg.rob_entries,
+                cfg.iq_entries
+            ]
+            .iter()
+            .all(|&n| n > 0),
+            "widths, ROB and IQ need at least one entry"
+        );
         let bpred = BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries, cfg.ras_depth);
         Pipeline {
-            disp_ring: Ring::new(cfg.issue_width),
-            commit_ring: Ring::new(cfg.commit_width),
-            rob_ring: Ring::new(cfg.rob_entries),
-            iq_ring: Ring::new(cfg.iq_entries),
+            history: History::new(
+                cfg.issue_width
+                    .max(cfg.commit_width)
+                    .max(cfg.rob_entries)
+                    .max(cfg.iq_entries),
+            ),
             lq_ring: Ring::new(cfg.lq_entries),
             sq_ring: Ring::new(cfg.sq_entries),
             alu_ring: Ring::new(cfg.alu_units),
@@ -132,7 +246,7 @@ impl Pipeline {
             fetch_slots_used: 0,
             redirect_at: 0,
             cur_fetch_line: u64::MAX,
-            reg_ready: [0; 32],
+            reg_ready: [0; Reg::COUNT + 2],
             n: 0,
             last_commit: 0,
             barrier_at: 0,
@@ -196,8 +310,12 @@ impl Pipeline {
     pub fn gauges(&mut self) -> Gauges {
         let now = self.last_disp;
         let mut g = Gauges {
-            rob: self.rob_ring.busy(now),
-            iq: self.iq_ring.busy(now),
+            rob: self
+                .history
+                .busy(self.n, self.cfg.rob_entries, now, |c| c.commit),
+            iq: self
+                .history
+                .busy(self.n, self.cfg.iq_entries, now, |c| c.issue),
             lq: self.lq_ring.busy(now),
             sq: self.sq_ring.busy(now),
             ..Gauges::default()
@@ -222,6 +340,23 @@ impl Pipeline {
 
     /// Processes one micro-op of the oracle stream.
     pub fn process(&mut self, d: &DynInst, mem: &dyn LineReader, token: &Token) {
+        self.process_all(std::slice::from_ref(d), mem, token);
+    }
+
+    /// Processes micro-ops of the oracle stream in order: the one copy
+    /// of the per-micro-op work, which [`Pipeline::process`] runs for a
+    /// single micro-op.
+    #[inline(never)]
+    pub(crate) fn process_all(&mut self, uops: &[DynInst], mem: &dyn LineReader, token: &Token) {
+        for d in uops {
+            self.process_one(d, mem, token);
+        }
+    }
+
+    /// One micro-op's fetch, dispatch, issue, execution, commit and
+    /// CPI-stack attribution.
+    #[inline(always)]
+    fn process_one(&mut self, d: &DynInst, mem: &dyn LineReader, token: &Token) {
         self.stats.uops += 1;
         self.stats.note_component(d.component);
         // Commit frontier before this micro-op: its commit advances the
@@ -261,9 +396,17 @@ impl Pipeline {
         // Each structural limit pushes dispatch out by the cycles its
         // slot is still busy; the push is that resource's stall.
         let mut disp = (f + self.cfg.frontend_depth).max(self.barrier_at);
-        let rob_stall = self.rob_ring.peek().saturating_sub(disp);
+        let rob_stall = self
+            .history
+            .ago(self.n, self.cfg.rob_entries)
+            .commit
+            .saturating_sub(disp);
         disp += rob_stall;
-        let iq_stall = self.iq_ring.peek().saturating_sub(disp);
+        let iq_stall = self
+            .history
+            .ago(self.n, self.cfg.iq_entries)
+            .issue
+            .saturating_sub(disp);
         disp += iq_stall;
         let lsq_limit = if d.kind == OpKind::Load {
             self.lq_ring.peek()
@@ -277,15 +420,14 @@ impl Pipeline {
         self.stats.rob_stall_cycles += rob_stall;
         self.stats.iq_stall_cycles += iq_stall;
         self.stats.lsq_stall_cycles += lsq_stall;
-        disp = disp.max(self.disp_ring.peek() + 1);
-        self.disp_ring.push(disp);
+        disp = disp.max(self.history.ago(self.n, self.cfg.issue_width).disp + 1);
         self.last_disp = self.last_disp.max(disp);
 
         // ---- Issue readiness ----
-        let mut ready = disp + 1;
-        for src in d.srcs.iter().flatten() {
-            ready = ready.max(self.reg_ready[src.index()]);
-        }
+        let [s0, s1] = d.srcs;
+        let mut ready = (disp + 1)
+            .max(self.reg_ready[src_slot(s0)])
+            .max(self.reg_ready[src_slot(s1)]);
         let serialized =
             self.cfg.serialize_rest_ops && matches!(d.kind, OpKind::Arm | OpKind::Disarm);
         if serialized {
@@ -295,46 +437,47 @@ impl Pipeline {
         }
 
         // ---- Execute ----
-        let (issue, complete, drained): (u64, u64, Option<StoreRec>) = match d.kind {
-            OpKind::IntAlu | OpKind::Branch => {
-                let issue = ready.max(self.alu_ring.peek());
-                self.alu_ring.push(issue + 1);
-                (issue, issue + 1, None)
-            }
-            OpKind::IntMul => {
-                let issue = ready.max(self.mul_ring.peek());
-                self.mul_ring.push(issue + 1);
-                (issue, issue + self.cfg.mul_latency, None)
-            }
-            OpKind::IntDiv => {
-                let issue = ready.max(self.div_free);
-                let complete = issue + self.cfg.div_latency;
-                self.div_free = complete;
-                (issue, complete, None)
-            }
-            OpKind::Load => {
-                let (issue, complete, stall) = self.issue_load(d, ready, mem, token);
-                mem_stall = stall;
-                (issue, complete, None)
-            }
-            OpKind::Store | OpKind::Arm | OpKind::Disarm => {
-                let mem_ref = d.mem.expect("store-like has a memory reference");
-                // Table I LSQ rules against in-flight entries.
-                self.check_store_lsq_rules(d, ready);
-                let exec_done = ready + 1;
-                let rec = StoreRec {
-                    addr: mem_ref.addr,
-                    last: last_byte(mem_ref.addr, mem_ref.size),
-                    kind: mem_ref.kind,
-                    exec_done,
-                    drain_done: u64::MAX, // filled at drain below
-                };
-                (ready, exec_done, Some(rec))
-            }
-        };
-
-        // IQ entry frees at issue.
-        self.iq_ring.push(issue);
+        // `DynInst::mem` is present iff the kind is a memory kind: each
+        // load and store-like micro-op takes its reference once here.
+        let (issue, complete, drained): (u64, u64, Option<(StoreRec, MemRef)>) =
+            match (d.kind, d.mem) {
+                (OpKind::IntMul, _) => {
+                    let issue = ready.max(self.mul_ring.peek());
+                    self.mul_ring.push(issue + 1);
+                    (issue, issue + self.cfg.mul_latency, None)
+                }
+                (OpKind::IntDiv, _) => {
+                    let issue = ready.max(self.div_free);
+                    let complete = issue + self.cfg.div_latency;
+                    self.div_free = complete;
+                    (issue, complete, None)
+                }
+                (OpKind::Load, Some(mem_ref)) => {
+                    let (issue, complete, stall) = self.issue_load(d, mem_ref, ready, mem, token);
+                    mem_stall = stall;
+                    (issue, complete, None)
+                }
+                (OpKind::Store | OpKind::Arm | OpKind::Disarm, Some(mem_ref)) => {
+                    // Table I LSQ rules against in-flight entries.
+                    self.check_store_lsq_rules(d, mem_ref, ready);
+                    let exec_done = ready + 1;
+                    let rec = StoreRec {
+                        addr: mem_ref.addr,
+                        last: last_byte(mem_ref.addr, mem_ref.size),
+                        kind: mem_ref.kind,
+                        exec_done,
+                        drain_done: u64::MAX, // filled at drain below
+                    };
+                    (ready, exec_done, Some((rec, mem_ref)))
+                }
+                // ALU ops and branches (a memory kind never lacks its
+                // reference).
+                _ => {
+                    let issue = ready.max(self.alu_ring.peek());
+                    self.alu_ring.push(issue + 1);
+                    (issue, issue + 1, None)
+                }
+            };
 
         // ---- Branch resolution ----
         if let Some(info) = d.branch {
@@ -347,7 +490,9 @@ impl Pipeline {
         }
 
         // ---- Commit (in order, width-limited) ----
-        let commit_floor = self.last_commit.max(self.commit_ring.peek() + 1);
+        let commit_floor = self
+            .last_commit
+            .max(self.history.ago(self.n, self.cfg.commit_width).commit + 1);
         let mut commit = commit_floor.max(complete + 1);
         // Cycles this store holds the ROB head beyond the in-order floor
         // (its own execution latency; debug mode adds the drain wait
@@ -358,8 +503,7 @@ impl Pipeline {
         }
 
         // ---- Store drain & commit policy ----
-        if let Some(mut rec) = drained {
-            let mem_ref = d.mem.expect("store-like has a memory reference");
+        if let Some((mut rec, mem_ref)) = drained {
             // Secure: commit first, write drains afterwards. Debug: the
             // write is issued when the store reaches the ROB head, and
             // commit waits for its completion.
@@ -400,18 +544,21 @@ impl Pipeline {
             // ...and nothing younger may dispatch until it commits.
             self.barrier_at = self.barrier_at.max(commit);
         }
-        self.commit_ring.push(commit);
-        self.rob_ring.push(commit);
+        // The IQ entry frees at issue, the ROB entry at commit.
+        self.history.record(
+            self.n,
+            UopCycles {
+                disp,
+                issue,
+                commit,
+            },
+        );
         if d.kind == OpKind::Load {
             self.lq_ring.push(commit);
         }
         self.last_commit = commit;
 
-        if let Some(dst) = d.dst {
-            if !dst.is_zero() {
-                self.reg_ready[dst.index()] = complete;
-            }
-        }
+        self.reg_ready[dst_slot(d.dst)] = complete;
         if let Some(tracer) = &mut self.tracer {
             tracer.record(TraceEntry {
                 seq: self.n,
@@ -433,29 +580,38 @@ impl Pipeline {
         // the stall buckets most-specific-first, each clamped to what
         // remains unexplained; the residue is useful work (base). The
         // clamped fill keeps the exact-sum property even when stall
-        // windows overlap.
+        // windows overlap. Usually the first non-zero bucket covers the
+        // whole delta (and then takes it all in one add); otherwise the
+        // fill walks every bucket.
         // A micro-op that leaves the frontier where it was adds nothing.
         let delta = commit - prev_commit;
         if delta > 0 {
-            let mut remaining = delta;
             let [l1d_miss, l2_miss, dram, rest_check] = mem_stall;
-            for (component, amount) in [
-                (CpiComponent::StoreDrain, store_drain_stall),
-                (CpiComponent::Dram, dram),
-                (CpiComponent::L2Miss, l2_miss),
-                (CpiComponent::L1dMiss, l1d_miss),
-                (CpiComponent::RestCheck, rest_check),
-                (CpiComponent::Lsq, lsq_stall),
-                (CpiComponent::Rob, rob_stall),
-                (CpiComponent::Iq, iq_stall),
-                (CpiComponent::Branch, branch_stall),
-                (CpiComponent::FetchStall, fetch_stall),
-            ] {
-                let take = amount.min(remaining);
-                self.stats.cpi.add(component, take);
-                remaining -= take;
+            let stalls = [
+                store_drain_stall,
+                dram,
+                l2_miss,
+                l1d_miss,
+                rest_check,
+                lsq_stall,
+                rob_stall,
+                iq_stall,
+                branch_stall,
+                fetch_stall,
+            ];
+            match stalls.iter().position(|&s| s != 0) {
+                Some(i) if stalls[i] >= delta => self.stats.cpi.add(FILL_ORDER[i], delta),
+                None => self.stats.cpi.add(CpiComponent::Base, delta),
+                _ => {
+                    let mut remaining = delta;
+                    for (component, amount) in FILL_ORDER.into_iter().zip(stalls) {
+                        let take = amount.min(remaining);
+                        self.stats.cpi.add(component, take);
+                        remaining -= take;
+                    }
+                    self.stats.cpi.add(CpiComponent::Base, remaining);
+                }
             }
-            self.stats.cpi.add(CpiComponent::Base, remaining);
         }
         self.n += 1;
     }
@@ -468,11 +624,11 @@ impl Pipeline {
     fn issue_load(
         &mut self,
         d: &DynInst,
+        mem_ref: MemRef,
         ready: u64,
         mem: &dyn LineReader,
         token: &Token,
     ) -> (u64, u64, [u64; 4]) {
-        let mem_ref = d.mem.expect("load has a memory reference");
         let (addr, size) = (mem_ref.addr, mem_ref.size);
         let last = last_byte(addr, size);
         let mut ready = ready;
@@ -546,6 +702,7 @@ impl Pipeline {
     /// `frontend_depth + 1` is skipped by every later scan. Dropping such
     /// stores from the front keeps the window a suffix of the last
     /// `sq_entries` stores that differs only in entries no scan matches.
+    #[inline(always)]
     fn prune_store_window(&mut self) {
         let horizon = self.next_fetch_cycle + self.cfg.frontend_depth + 1;
         self.store_window.prune(horizon);
@@ -553,8 +710,7 @@ impl Pipeline {
 
     /// Table I LSQ-column checks for store-like micro-ops entering the
     /// store queue.
-    fn check_store_lsq_rules(&mut self, d: &DynInst, at: u64) {
-        let mem_ref = d.mem.expect("store-like has a memory reference");
+    fn check_store_lsq_rules(&mut self, d: &DynInst, mem_ref: MemRef, at: u64) {
         let addr = mem_ref.addr;
         self.prune_store_window();
         let detected = self
@@ -591,6 +747,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let token = Token::generate(TokenWidth::B64, &mut rng);
         (p, mem, token)
+    }
+
+    #[test]
+    fn history_frees_slots_as_the_rings_it_replaces() {
+        let lens = [1, 3, 8, 64, 192];
+        let mut rings: Vec<Ring> = lens.iter().map(|&l| Ring::new(l)).collect();
+        let mut history = History::new(192);
+        let mut x = 7u64;
+        for n in 0..2_000u64 {
+            for (ring, &len) in rings.iter().zip(&lens) {
+                assert_eq!(history.ago(n, len).commit, ring.peek(), "len {len} at {n}");
+                assert_eq!(
+                    history.busy(n, len, x % 500, |c| c.commit),
+                    ring.busy(x % 500)
+                );
+            }
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1) >> 1;
+            let commit = n + x % 300;
+            for ring in &mut rings {
+                ring.push(commit);
+            }
+            history.record(
+                n,
+                UopCycles {
+                    disp: 0,
+                    issue: 0,
+                    commit,
+                },
+            );
+        }
     }
 
     #[test]

@@ -159,6 +159,7 @@ impl StoreWindow {
     }
 
     /// Drops the oldest stores while they drained by `horizon`.
+    #[inline(always)]
     pub fn prune(&mut self, horizon: u64) {
         while self.len > 0 && self.slots[self.head].drain_done <= horizon {
             self.pop_front();
