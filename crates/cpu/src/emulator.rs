@@ -719,22 +719,40 @@ impl Emulator {
         }
     }
 
-    /// The generic step behind [`Emulator::step`] and
-    /// [`Emulator::step_quiet`]: one compare against the uop cap, a
-    /// fetch of the 16-byte [`Op`] (from the op table, or decoded afresh
-    /// on the Reference tier), and one `match` that applies the
-    /// architectural effect and emits the micro-ops. Counting sinks never
-    /// read the template table.
+    /// Steps, appending each instruction's micro-ops to `out`, and
+    /// after each executed instruction calls `after` with the PC it ran
+    /// at; returns once the program stops or `after` returns `false`.
     ///
-    /// One out-of-line copy per sink type; [`ExecEngine::run_functional`]
-    /// inlines [`Emulator::step_inline`] instead, so the counting loop
-    /// pays the step's prologue once per run rather than per instruction.
+    /// This loop holds the one copy of the step that materialises
+    /// micro-ops: the timing loop in [`crate::System::run`] passes the
+    /// pipeline replay as `after`, and [`ExecEngine::step`] and
+    /// [`ExecEngine::run_chunk`] run it with an `after` that stops at
+    /// their instruction count.
     #[inline(never)]
-    fn step_sink<S: UopSink>(&mut self, out: &mut S) -> bool {
-        self.step_inline(out)
+    pub(crate) fn run_steps(
+        &mut self,
+        out: &mut Vec<DynInst>,
+        after: &mut dyn FnMut(&mut Emulator, u64, &mut Vec<DynInst>) -> bool,
+    ) {
+        loop {
+            let pc = self.pc;
+            if !self.step_inline(out) || !after(self, pc, out) {
+                return;
+            }
+        }
     }
 
-    /// The body of [`Emulator::step_sink`].
+    /// The step: one compare against the uop cap, a fetch of the
+    /// 16-byte [`Op`] (from the op table, or decoded afresh on the
+    /// Reference tier), and one `match` that applies the architectural
+    /// effect and emits the micro-ops. Counting sinks never read the
+    /// template table.
+    ///
+    /// Each sink type has one copy of it that every step of that type
+    /// runs: the counting sink's `UopSink::step`, which
+    /// [`ExecEngine::run_functional`] also inlines into its loop so the
+    /// counting loop pays the step's prologue once per run, and, for
+    /// materialised micro-ops, [`Emulator::run_steps`], the timing loop.
     #[inline(always)]
     fn step_inline<S: UopSink>(&mut self, out: &mut S) -> bool {
         // A recorded or taken stop sets the cap to 0, and otherwise it is
@@ -1143,7 +1161,7 @@ impl Emulator {
                 }
             }
             prev = pc;
-            if !self.step_sink(out) {
+            if !S::step(self, out) {
                 break;
             }
         }
@@ -1195,7 +1213,7 @@ impl Emulator {
             'line: while i < n {
                 let pc = head + i as u64 * PC_STEP;
                 // Every op that starts executing retires (violations
-                // included), exactly as in `step_sink`.
+                // included), exactly as in the per-step path.
                 insts_run += 1;
                 match t.ops[i] {
                     TraceOp::Alu {
@@ -1370,7 +1388,7 @@ impl Emulator {
                     }
                     TraceOp::Jalr { dst, base, offset } => {
                         // Read `base` before writing `dst` (they may be
-                        // the same register), exactly like `step_sink`.
+                        // the same register), exactly like the per-step path.
                         let target = self.reg(base).wrapping_add(offset as u64);
                         self.set_reg(dst, pc + PC_STEP);
                         local_uops += 1;
@@ -1402,12 +1420,12 @@ impl Emulator {
 
 impl ExecEngine for Emulator {
     fn step(&mut self, out: &mut Vec<DynInst>) -> bool {
-        self.step_sink(out)
+        UopSink::step(self, out)
     }
 
     fn step_quiet(&mut self) -> bool {
         let mut sink = CountingSink::default();
-        self.step_sink(&mut sink)
+        UopSink::step(self, &mut sink)
     }
 
     fn stop_reason(&self) -> Option<&StopReason> {
@@ -1447,7 +1465,9 @@ impl ExecEngine for Emulator {
             self.run_traced(out, min_insts)
         } else {
             let start = self.insts;
-            while self.insts - start < min_insts && self.step_sink(out) {}
+            if min_insts > 0 {
+                self.run_steps(out, &mut |e, _, _| e.insts - start < min_insts);
+            }
             self.insts - start
         }
     }
@@ -1467,6 +1487,9 @@ trait UopSink {
     fn count(&self) -> u64;
     /// Splices the runtime recorder's traffic into the stream.
     fn splice(&mut self, rec: &mut TrafficRecorder);
+    /// Executes one instruction of `emu` into this sink: the sink
+    /// type's one out-of-line copy of the step.
+    fn step(emu: &mut Emulator, out: &mut Self) -> bool;
 }
 
 impl UopSink for Vec<DynInst> {
@@ -1483,6 +1506,15 @@ impl UopSink for Vec<DynInst> {
 
     fn splice(&mut self, rec: &mut TrafficRecorder) {
         rec.drain_into(self);
+    }
+
+    fn step(emu: &mut Emulator, out: &mut Self) -> bool {
+        let mut stepped = false;
+        emu.run_steps(out, &mut |_, _, _| {
+            stepped = true;
+            false
+        });
+        stepped
     }
 }
 
@@ -1507,6 +1539,11 @@ impl UopSink for CountingSink {
 
     fn splice(&mut self, rec: &mut TrafficRecorder) {
         self.n += rec.take_recorded();
+    }
+
+    #[inline(never)]
+    fn step(emu: &mut Emulator, out: &mut Self) -> bool {
+        emu.step_inline(out)
     }
 }
 

@@ -68,28 +68,6 @@ impl System {
         }
     }
 
-    /// Snapshots the running system's full counter map and occupancy
-    /// gauges into `series`.
-    fn take_sample(&mut self, series: &mut TimeSeries) {
-        let insts = self.emulator.insts();
-        let cycles = self.pipeline.current_cycles();
-        let mut core = *self.pipeline.stats();
-        core.cycles = cycles;
-        core.insts = insts;
-        let counters = stats_map_parts(
-            &core,
-            self.pipeline.mem_stats(),
-            self.emulator.runtime().allocator().stats(),
-        );
-        let gauges = self.pipeline.gauges();
-        series.record(IntervalSample {
-            insts,
-            cycles,
-            counters,
-            gauges,
-        });
-    }
-
     /// Runs the program to completion (halt, exit, violation, or uop
     /// budget) and returns the full result.
     pub fn run(mut self) -> SimResult {
@@ -99,53 +77,56 @@ impl System {
             None
         };
         let mut batch = Vec::with_capacity(64);
-        loop {
-            batch.clear();
-            let step_pc = self.emulator.pc();
-            if !self.emulator.step(&mut batch) {
-                break;
-            }
+        let System {
+            emulator,
+            pipeline,
+            sample_interval,
+            max_cycles,
+            has_fault,
+            profile,
+            ..
+        } = &mut self;
+        emulator.run_steps(&mut batch, &mut |emulator, step_pc, batch| {
             // The emulator runs one macro instruction ahead; replay its
             // micro-ops through the timing model. Lines modified by this
             // instruction's arm/disarm effects carry pre-update
             // snapshots (see GuestMemory::snapshot_line_pre_image), so
             // the token detector observes exactly what a hardware fill
             // would.
-            self.pipeline.note_inst(self.emulator.insts());
-            let commit_before = self.pipeline.current_cycles();
-            for d in &batch {
-                self.pipeline
-                    .process(d, &self.emulator.mem, self.emulator.token());
-            }
-            if let Some((cycles, uops)) = self.profile.as_mut() {
+            pipeline.note_inst(emulator.insts());
+            let commit_before = pipeline.current_cycles();
+            pipeline.process_all(batch, &emulator.mem, emulator.token());
+            if let Some((cycles, uops)) = profile.as_mut() {
                 // Commit-frontier deltas telescope, so per-PC cycle
                 // totals sum exactly to the final cycle count. Runtime
                 // micro-ops spliced by an `ecall` land in this
                 // instruction's batch and are charged to its PC.
-                cycles.add(step_pc, self.pipeline.current_cycles() - commit_before);
+                cycles.add(step_pc, pipeline.current_cycles() - commit_before);
                 uops.add(step_pc, batch.len() as u64);
             }
+            batch.clear();
             // The timing model has consumed this instruction's micro-ops;
             // its pre-update line snapshots are no longer needed.
-            self.emulator.mem.clear_pre_images();
-            if self.has_fault {
+            emulator.mem.clear_pre_images();
+            if *has_fault {
                 // Deferred hardware fault effects (eviction-time
                 // metadata loss) become architectural between
                 // instructions.
-                self.emulator.apply_fault_effects();
+                emulator.apply_fault_effects();
             }
-            if self.max_cycles > 0 && self.pipeline.current_cycles() >= self.max_cycles {
-                self.emulator.force_stop(StopReason::CycleLimit);
-                break;
+            if *max_cycles > 0 && pipeline.current_cycles() >= *max_cycles {
+                emulator.force_stop(StopReason::CycleLimit);
+                return false;
             }
             if let Some(series) = series.as_mut() {
                 // `insts` advances by exactly one per step, so every
                 // interval boundary is hit exactly once.
-                if self.emulator.insts().is_multiple_of(self.sample_interval) {
-                    self.take_sample(series);
+                if emulator.insts().is_multiple_of(*sample_interval) {
+                    take_sample(emulator, pipeline, series);
                 }
             }
-        }
+            true
+        });
         let core = self.pipeline.finish();
         let mut core = core;
         core.insts = self.emulator.insts();
@@ -230,6 +211,28 @@ impl System {
             profile,
         }
     }
+}
+
+/// Snapshots the running system's full counter map and occupancy
+/// gauges into `series`.
+fn take_sample(emulator: &Emulator, pipeline: &mut Pipeline, series: &mut TimeSeries) {
+    let insts = emulator.insts();
+    let cycles = pipeline.current_cycles();
+    let mut core = *pipeline.stats();
+    core.cycles = cycles;
+    core.insts = insts;
+    let counters = stats_map_parts(
+        &core,
+        pipeline.mem_stats(),
+        emulator.runtime().allocator().stats(),
+    );
+    let gauges = pipeline.gauges();
+    series.record(IntervalSample {
+        insts,
+        cycles,
+        counters,
+        gauges,
+    });
 }
 
 /// PC of the faulting access for any violation flavour.
