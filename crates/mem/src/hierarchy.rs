@@ -319,8 +319,8 @@ impl Hierarchy {
 
     /// §VIII token cache: an armed line parked in the dedicated buffer
     /// is re-installed at near-L1 latency, token bits intact. `None` if
-    /// the buffer does not hold `line`.
-    #[cold]
+    /// the buffer does not hold `line`. Only token-cache runs get here.
+    #[inline(never)]
     fn reinstall_from_token_cache(
         &mut self,
         now: u64,
