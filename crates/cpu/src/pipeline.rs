@@ -47,58 +47,50 @@ impl Ring {
     }
 }
 
-/// When each of the last micro-ops dispatched, issued and committed.
-#[derive(Debug, Clone, Copy, Default)]
-struct UopCycles {
-    disp: u64,
-    issue: u64,
-    commit: u64,
-}
-
-/// The scoreboards every micro-op claims one slot of, in program order:
-/// dispatch and commit width, ROB and IQ. A ring of `len` such slots
-/// frees its next slot when the micro-op `len` back frees it, so one
-/// history of the last micro-ops' cycles stands for all four rings: it
-/// holds a power-of-two number of entries no smaller than any of them,
-/// indexed by micro-op sequence number. Entries start at 0, as ring
-/// slots do, and an entry is only ever read before the micro-op that
-/// overwrites it records itself.
+/// One cycle per micro-op for the last micro-ops, indexed by micro-op
+/// sequence number: a scoreboard that every micro-op claims one slot
+/// of, in program order (dispatch width, commit width, ROB, IQ). A
+/// ring of `len` such slots frees its next slot when the micro-op `len`
+/// back freed it, so one trail at least as long as its rings stands for
+/// all of them without a cursor. Its length is a power of two; entries
+/// start at 0, as ring slots do, and an entry is only ever read before
+/// the micro-op that overwrites it records itself.
 #[derive(Debug, Clone)]
-struct History {
-    slots: Box<[UopCycles]>,
-    mask: u64,
+struct Trail {
+    slots: Box<[u64]>,
 }
 
-impl History {
-    /// A history covering rings of up to `len` slots.
-    fn new(len: usize) -> History {
-        let len = len.next_power_of_two();
-        History {
-            slots: vec![UopCycles::default(); len].into_boxed_slice(),
-            mask: len as u64 - 1,
+impl Trail {
+    /// A trail standing for rings of up to `len` slots.
+    fn new(len: usize) -> Trail {
+        Trail {
+            slots: vec![0; len.next_power_of_two()].into_boxed_slice(),
         }
     }
 
-    /// Cycles of the micro-op `back` micro-ops before micro-op `n`
-    /// (zeros before the first): the slot a ring of `back` entries frees
-    /// next.
     #[inline(always)]
-    fn ago(&self, n: u64, back: usize) -> &UopCycles {
-        &self.slots[(n.wrapping_sub(back as u64) & self.mask) as usize]
+    fn slot(&self, n: u64) -> usize {
+        n as usize & (self.slots.len() - 1)
     }
 
-    /// Records micro-op `n`'s cycles.
+    /// The cycle micro-op `n - back` recorded (0 before the first): when
+    /// a ring of `back` slots frees the slot micro-op `n` claims.
     #[inline(always)]
-    fn record(&mut self, n: u64, cycles: UopCycles) {
-        self.slots[(n & self.mask) as usize] = cycles;
+    fn ago(&self, n: u64, back: usize) -> u64 {
+        self.slots[self.slot(n.wrapping_sub(back as u64))]
     }
 
-    /// Of the last `len` micro-ops before `n`, those whose `cycle` is
-    /// after `now`.
-    fn busy(&self, n: u64, len: usize, now: u64, cycle: impl Fn(&UopCycles) -> u64) -> u64 {
-        (1..=len)
-            .filter(|&back| cycle(self.ago(n, back)) > now)
-            .count() as u64
+    /// Records micro-op `n`'s cycle.
+    #[inline(always)]
+    fn record(&mut self, n: u64, cycle: u64) {
+        let i = self.slot(n);
+        self.slots[i] = cycle;
+    }
+
+    /// Of the last `len` micro-ops before `n`, those whose cycle is after
+    /// `now`: the busy slots of a ring of `len`.
+    fn busy(&self, n: u64, len: usize, now: u64) -> u64 {
+        (1..=len).filter(|&back| self.ago(n, back) > now).count() as u64
     }
 }
 
@@ -153,7 +145,8 @@ fn dst_slot(dst: Option<Reg>) -> usize {
 ///
 /// Each structural resource is a ring scoreboard. The four that every
 /// micro-op claims in program order (dispatch and commit width, ROB,
-/// IQ) share one history of the last micro-ops' cycles (`History`); the
+/// IQ) are `Trail`s of the last micro-ops' dispatch, issue and commit
+/// cycles, indexed by sequence number; the
 /// others are `Ring`s with a cursor. The store window
 /// keeps the in-flight stores the LSQ searches: at most `sq_entries`,
 /// minus those already drained before any later micro-op can issue. A
@@ -181,8 +174,12 @@ pub struct Pipeline {
     /// Cycle each register's value is ready, plus the [`NO_SRC`] and
     /// [`NO_DST`] slots.
     reg_ready: [u64; Reg::COUNT + 2],
-    /// The dispatch-width, commit-width, ROB and IQ scoreboards.
-    history: History,
+    /// Dispatch cycles: the dispatch-width scoreboard.
+    disp_trail: Trail,
+    /// Issue cycles: the IQ scoreboard (an entry frees at issue).
+    issue_trail: Trail,
+    /// Commit cycles: the commit-width and ROB scoreboards.
+    commit_trail: Trail,
     lq_ring: Ring,
     sq_ring: Ring,
     alu_ring: Ring,
@@ -229,12 +226,9 @@ impl Pipeline {
         );
         let bpred = BranchPredictor::new(cfg.bpred_history_bits, cfg.btb_entries, cfg.ras_depth);
         Pipeline {
-            history: History::new(
-                cfg.issue_width
-                    .max(cfg.commit_width)
-                    .max(cfg.rob_entries)
-                    .max(cfg.iq_entries),
-            ),
+            disp_trail: Trail::new(cfg.issue_width),
+            issue_trail: Trail::new(cfg.iq_entries),
+            commit_trail: Trail::new(cfg.commit_width.max(cfg.rob_entries)),
             lq_ring: Ring::new(cfg.lq_entries),
             sq_ring: Ring::new(cfg.sq_entries),
             alu_ring: Ring::new(cfg.alu_units),
@@ -310,12 +304,8 @@ impl Pipeline {
     pub fn gauges(&mut self) -> Gauges {
         let now = self.last_disp;
         let mut g = Gauges {
-            rob: self
-                .history
-                .busy(self.n, self.cfg.rob_entries, now, |c| c.commit),
-            iq: self
-                .history
-                .busy(self.n, self.cfg.iq_entries, now, |c| c.issue),
+            rob: self.commit_trail.busy(self.n, self.cfg.rob_entries, now),
+            iq: self.issue_trail.busy(self.n, self.cfg.iq_entries, now),
             lq: self.lq_ring.busy(now),
             sq: self.sq_ring.busy(now),
             ..Gauges::default()
@@ -397,15 +387,13 @@ impl Pipeline {
         // slot is still busy; the push is that resource's stall.
         let mut disp = (f + self.cfg.frontend_depth).max(self.barrier_at);
         let rob_stall = self
-            .history
+            .commit_trail
             .ago(self.n, self.cfg.rob_entries)
-            .commit
             .saturating_sub(disp);
         disp += rob_stall;
         let iq_stall = self
-            .history
+            .issue_trail
             .ago(self.n, self.cfg.iq_entries)
-            .issue
             .saturating_sub(disp);
         disp += iq_stall;
         let lsq_limit = if d.kind == OpKind::Load {
@@ -420,7 +408,7 @@ impl Pipeline {
         self.stats.rob_stall_cycles += rob_stall;
         self.stats.iq_stall_cycles += iq_stall;
         self.stats.lsq_stall_cycles += lsq_stall;
-        disp = disp.max(self.history.ago(self.n, self.cfg.issue_width).disp + 1);
+        disp = disp.max(self.disp_trail.ago(self.n, self.cfg.issue_width) + 1);
         self.last_disp = self.last_disp.max(disp);
 
         // ---- Issue readiness ----
@@ -492,7 +480,7 @@ impl Pipeline {
         // ---- Commit (in order, width-limited) ----
         let commit_floor = self
             .last_commit
-            .max(self.history.ago(self.n, self.cfg.commit_width).commit + 1);
+            .max(self.commit_trail.ago(self.n, self.cfg.commit_width) + 1);
         let mut commit = commit_floor.max(complete + 1);
         // Cycles this store holds the ROB head beyond the in-order floor
         // (its own execution latency; debug mode adds the drain wait
@@ -545,14 +533,9 @@ impl Pipeline {
             self.barrier_at = self.barrier_at.max(commit);
         }
         // The IQ entry frees at issue, the ROB entry at commit.
-        self.history.record(
-            self.n,
-            UopCycles {
-                disp,
-                issue,
-                commit,
-            },
-        );
+        self.disp_trail.record(self.n, disp);
+        self.issue_trail.record(self.n, issue);
+        self.commit_trail.record(self.n, commit);
         if d.kind == OpKind::Load {
             self.lq_ring.push(commit);
         }
@@ -750,32 +733,22 @@ mod tests {
     }
 
     #[test]
-    fn history_frees_slots_as_the_rings_it_replaces() {
+    fn a_trail_frees_slots_as_the_rings_it_replaces() {
         let lens = [1, 3, 8, 64, 192];
         let mut rings: Vec<Ring> = lens.iter().map(|&l| Ring::new(l)).collect();
-        let mut history = History::new(192);
+        let mut trail = Trail::new(192);
         let mut x = 7u64;
         for n in 0..2_000u64 {
             for (ring, &len) in rings.iter().zip(&lens) {
-                assert_eq!(history.ago(n, len).commit, ring.peek(), "len {len} at {n}");
-                assert_eq!(
-                    history.busy(n, len, x % 500, |c| c.commit),
-                    ring.busy(x % 500)
-                );
+                assert_eq!(trail.ago(n, len), ring.peek(), "len {len} at {n}");
+                assert_eq!(trail.busy(n, len, x % 500), ring.busy(x % 500));
             }
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1) >> 1;
             let commit = n + x % 300;
             for ring in &mut rings {
                 ring.push(commit);
             }
-            history.record(
-                n,
-                UopCycles {
-                    disp: 0,
-                    issue: 0,
-                    commit,
-                },
-            );
+            trail.record(n, commit);
         }
     }
 
