@@ -94,20 +94,6 @@ impl Trail {
     }
 }
 
-/// The CPI-stack stall buckets in fill order, most specific first.
-const FILL_ORDER: [CpiComponent; 10] = [
-    CpiComponent::StoreDrain,
-    CpiComponent::Dram,
-    CpiComponent::L2Miss,
-    CpiComponent::L1dMiss,
-    CpiComponent::RestCheck,
-    CpiComponent::Lsq,
-    CpiComponent::Rob,
-    CpiComponent::Iq,
-    CpiComponent::Branch,
-    CpiComponent::FetchStall,
-];
-
 /// `reg_ready` slot an absent source reads: never written, so it adds
 /// no dependency.
 const NO_SRC: usize = Reg::COUNT;
@@ -563,38 +549,29 @@ impl Pipeline {
         // the stall buckets most-specific-first, each clamped to what
         // remains unexplained; the residue is useful work (base). The
         // clamped fill keeps the exact-sum property even when stall
-        // windows overlap. Usually the first non-zero bucket covers the
-        // whole delta (and then takes it all in one add); otherwise the
-        // fill walks every bucket.
+        // windows overlap.
         // A micro-op that leaves the frontier where it was adds nothing.
         let delta = commit - prev_commit;
         if delta > 0 {
+            let mut remaining = delta;
             let [l1d_miss, l2_miss, dram, rest_check] = mem_stall;
-            let stalls = [
-                store_drain_stall,
-                dram,
-                l2_miss,
-                l1d_miss,
-                rest_check,
-                lsq_stall,
-                rob_stall,
-                iq_stall,
-                branch_stall,
-                fetch_stall,
-            ];
-            match stalls.iter().position(|&s| s != 0) {
-                Some(i) if stalls[i] >= delta => self.stats.cpi.add(FILL_ORDER[i], delta),
-                None => self.stats.cpi.add(CpiComponent::Base, delta),
-                _ => {
-                    let mut remaining = delta;
-                    for (component, amount) in FILL_ORDER.into_iter().zip(stalls) {
-                        let take = amount.min(remaining);
-                        self.stats.cpi.add(component, take);
-                        remaining -= take;
-                    }
-                    self.stats.cpi.add(CpiComponent::Base, remaining);
-                }
+            for (component, amount) in [
+                (CpiComponent::StoreDrain, store_drain_stall),
+                (CpiComponent::Dram, dram),
+                (CpiComponent::L2Miss, l2_miss),
+                (CpiComponent::L1dMiss, l1d_miss),
+                (CpiComponent::RestCheck, rest_check),
+                (CpiComponent::Lsq, lsq_stall),
+                (CpiComponent::Rob, rob_stall),
+                (CpiComponent::Iq, iq_stall),
+                (CpiComponent::Branch, branch_stall),
+                (CpiComponent::FetchStall, fetch_stall),
+            ] {
+                let take = amount.min(remaining);
+                self.stats.cpi.add(component, take);
+                remaining -= take;
             }
+            self.stats.cpi.add(CpiComponent::Base, remaining);
         }
         self.n += 1;
     }
