@@ -246,17 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_an_idle_file_finds_nothing() {
-        let mut m = MshrFile::new(2, 2);
-        assert_eq!(m.merge(0x40, 0), None);
-        m.allocate(0x40, 0, 10);
-        assert_eq!(m.merge(0x40, 10), None); // completed at 10
-        assert_eq!(m.occupancy(10), 0);
-        assert_eq!(m.merge(0x40, 5), None); // idle again: no stale entry
-        assert_eq!(m.merges(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "exceed the 20-entry file")]
     fn oversized_file_is_rejected() {
         let _ = MshrFile::new(MshrFile::MAX_ENTRIES + 1, 1);
