@@ -80,7 +80,9 @@ fn pair_cells((base, current): Pair) -> String {
 
 /// Sum of the present values; `None` if there are none.
 fn sum_some(values: impl Iterator<Item = Option<f64>>) -> Option<f64> {
-    values.flatten().fold(None, |sum, v| Some(sum.unwrap_or(0.0) + v))
+    values
+        .flatten()
+        .fold(None, |sum, v| Some(sum.unwrap_or(0.0) + v))
 }
 
 fn pct(current: f64, base: f64) -> f64 {
@@ -138,7 +140,14 @@ impl DiffReport {
         let _ = writeln!(
             out,
             "{:<14}{:>6}{:>12}{:>12}{:>10}  | {:>12}{:>12}{:>10}",
-            "experiment", "jobs", "base s", "current s", "change", "wall base", "wall cur", "change"
+            "experiment",
+            "jobs",
+            "base s",
+            "current s",
+            "change",
+            "wall base",
+            "wall cur",
+            "change"
         );
         let jobs = self.experiments();
         let mut names: Vec<&str> = self.walls.iter().map(|w| w.0.as_str()).collect();
@@ -152,8 +161,17 @@ impl DiffReport {
                 .iter()
                 .find(|r| r.0 == name)
                 .map_or((0, (None, None)), |r| (r.1, (Some(r.2), Some(r.3))));
-            let wall = self.walls.iter().find(|w| w.0 == name).map_or((None, None), |w| w.1);
-            let _ = writeln!(out, "{name:<14}{n:>6}{}  | {}", pair_cells(matched), pair_cells(wall));
+            let wall = self
+                .walls
+                .iter()
+                .find(|w| w.0 == name)
+                .map_or((None, None), |w| w.1);
+            let _ = writeln!(
+                out,
+                "{name:<14}{n:>6}{}  | {}",
+                pair_cells(matched),
+                pair_cells(wall)
+            );
         }
         let (base, current) = self.totals();
         let wall = (
@@ -261,12 +279,20 @@ pub fn diff(baseline: &Json, current: &Json) -> Result<DiffReport, String> {
     let base_walls = experiment_walls(baseline)?;
     let current_walls = experiment_walls(current)?;
     let total = |walls: &[(&str, f64)], experiment: &str| {
-        sum_some(walls.iter().filter(|w| w.0 == experiment).map(|w| Some(w.1)))
+        sum_some(
+            walls
+                .iter()
+                .filter(|w| w.0 == experiment)
+                .map(|w| Some(w.1)),
+        )
     };
     let mut walls: Vec<(String, Pair)> = Vec::new();
     for &(experiment, _) in current_walls.iter().chain(&base_walls) {
         if walls.iter().all(|w| w.0 != experiment) {
-            let pair = (total(&base_walls, experiment), total(&current_walls, experiment));
+            let pair = (
+                total(&base_walls, experiment),
+                total(&current_walls, experiment),
+            );
             walls.push((experiment.to_string(), pair));
         }
     }
@@ -332,7 +358,11 @@ mod tests {
 
     /// [`profile`] that also records one whole wall per `(experiment,
     /// wall ms)`.
-    fn profile_with_walls(workers: usize, jobs: &[(&str, u64, bool)], walls: &[(&str, u64)]) -> Json {
+    fn profile_with_walls(
+        workers: usize,
+        jobs: &[(&str, u64, bool)],
+        walls: &[(&str, u64)],
+    ) -> Json {
         let mut p = HostProfile::new("regen", workers);
         p.add_phase("simulate", Duration::from_millis(1));
         p.add_phase("report", Duration::from_millis(1));
@@ -429,15 +459,32 @@ mod tests {
         );
         let text = report.render();
         let row = |name: &str| {
-            let line = text.lines().find(|l| l.starts_with(&format!("{name} "))).unwrap();
-            line.split_whitespace().skip(1).collect::<Vec<_>>().join(" ")
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{name} ")))
+                .unwrap();
+            line.split_whitespace()
+                .skip(1)
+                .collect::<Vec<_>>()
+                .join(" ")
         };
         assert_eq!(row("fuzz"), "0 - - - | 0.7000 1.4000 +100.00%", "{text}");
-        assert_eq!(row("fig7"), "2 0.4000 0.4000 +0.00% | 0.2500 0.2600 +4.00%", "{text}");
+        assert_eq!(
+            row("fig7"),
+            "2 0.4000 0.4000 +0.00% | 0.2500 0.2600 +4.00%",
+            "{text}"
+        );
         assert_eq!(row("fig8"), "1 0.2000 0.2000 +0.00% | 0.1200 - -", "{text}");
-        assert_eq!(row("total"), "3 0.6000 0.6000 +0.00% | 1.0700 1.6650 +55.61%", "{text}");
+        assert_eq!(
+            row("total"),
+            "3 0.6000 0.6000 +0.00% | 1.0700 1.6650 +55.61%",
+            "{text}"
+        );
         assert!(text.contains("reported only"), "{text}");
-        assert!(text.contains("OK: fresh-job wall 0.600 s -> 0.600 s"), "{text}");
+        assert!(
+            text.contains("OK: fresh-job wall 0.600 s -> 0.600 s"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -236,11 +236,10 @@ impl CheckAttribution {
 pub fn check_attribution(
     matrix: &MatrixResults,
 ) -> Result<Vec<(String, CheckAttribution)>, String> {
-    let mut per: Vec<(String, CheckAttribution)> =
-        std::iter::once("plain".to_string())
-            .chain(matrix.columns.iter().map(|c| c.label.clone()))
-            .map(|label| (label, CheckAttribution::default()))
-            .collect();
+    let mut per: Vec<(String, CheckAttribution)> = std::iter::once("plain".to_string())
+        .chain(matrix.columns.iter().map(|c| c.label.clone()))
+        .map(|label| (label, CheckAttribution::default()))
+        .collect();
     for results in &matrix.rows {
         if let Some(result) = results.plain_result() {
             let cell = format!("{} plain", results.row.name);
@@ -325,7 +324,11 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let adversaries = crate::adversaries()?;
     let jobs: Vec<SimJob> = adversaries
         .iter()
-        .flat_map(|adv| configs.iter().map(|(label, rt)| adv.job(label, rt.clone(), scale)))
+        .flat_map(|adv| {
+            configs
+                .iter()
+                .map(|(label, rt)| adv.job(label, rt.clone(), scale))
+        })
         .collect();
     let outcomes = h.run_all(&jobs);
 
@@ -606,7 +609,10 @@ mod tests {
 
         let asan = by_label["asan"];
         assert!(asan.site_checks > 0);
-        assert_eq!(asan.backend_checks, 0, "ASan is shadow-memory, not a backend");
+        assert_eq!(
+            asan.backend_checks, 0,
+            "ASan is shadow-memory, not a backend"
+        );
         assert!(asan.site_check_uops > 0, "ASan injects check micro-ops");
         assert_eq!(asan.site_check_uops, asan.pc_check_uops);
 

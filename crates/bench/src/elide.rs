@@ -127,7 +127,10 @@ impl PairCell {
             ("elided_dynamic_pct", Json::Num(self.elided_dynamic_pct())),
             ("check_uops_full", Json::UInt(self.check_uops_full)),
             ("check_uops_elided", Json::UInt(self.check_uops_elided)),
-            ("check_uops_recovered", Json::UInt(self.check_uops_recovered())),
+            (
+                "check_uops_recovered",
+                Json::UInt(self.check_uops_recovered()),
+            ),
             ("cycles_full", Json::UInt(self.cycles_full)),
             ("cycles_elided", Json::UInt(self.cycles_elided)),
             ("uops_full", Json::UInt(self.uops_full)),
@@ -243,11 +246,7 @@ pub fn assert_differential(cell: &str, full: &SimResult, elided: &SimResult) -> 
 /// the static reports from the programs of the row's own full jobs and
 /// enforcing the differential gate plus the check-count reconciliation
 /// (full checks == elided-run checks + dynamically skipped checks).
-pub fn rollup(
-    row: &FigureRow,
-    scale: Scale,
-    cells: &[&SimResult; 4],
-) -> Result<ElideRow, String> {
+pub fn rollup(row: &FigureRow, scale: Scale, cells: &[&SimResult; 4]) -> Result<ElideRow, String> {
     let [rest_full, rest_elided, asan_full, asan_elided] = *cells;
     let mut pairs = Vec::new();
     for (full, elided, full_label) in [
@@ -352,10 +351,22 @@ impl ElideFigure {
     /// The `summary` member: campaign-wide totals and the hard-gate
     /// inputs.
     pub fn summary_json(&self) -> Json {
-        let total_pcs: u64 = self.rows.iter().map(|r| r.rest_static.access_pcs as u64).sum();
-        let total_elided: u64 = self.rows.iter().map(|r| r.rest_static.map.len() as u64).sum();
+        let total_pcs: u64 = self
+            .rows
+            .iter()
+            .map(|r| r.rest_static.access_pcs as u64)
+            .sum();
+        let total_elided: u64 = self
+            .rows
+            .iter()
+            .map(|r| r.rest_static.map.len() as u64)
+            .sum();
         let dynamic: u64 = self.rows.iter().map(|r| r.rest.elided_dynamic).sum();
-        let recovered: u64 = self.rows.iter().map(|r| r.asan.check_uops_recovered()).sum();
+        let recovered: u64 = self
+            .rows
+            .iter()
+            .map(|r| r.asan.check_uops_recovered())
+            .sum();
         Json::obj(vec![
             ("rows", Json::UInt(self.rows.len() as u64)),
             ("rows_at_20pct", Json::UInt(self.rows_at_20pct() as u64)),
@@ -391,7 +402,14 @@ impl ElideFigure {
     pub fn print_text_table(&self) {
         println!(
             "{:<16}{:>10}{:>10}{:>10}{:>10}{:>12}{:>12}{:>14}",
-            "benchmark", "accesses", "elided", "static %", "dyn %", "checks off", "uops rec.", "cycles Δ"
+            "benchmark",
+            "accesses",
+            "elided",
+            "static %",
+            "dyn %",
+            "checks off",
+            "uops rec.",
+            "cycles Δ"
         );
         for r in &self.rows {
             let dc = r.rest.cycles_full as i64 - r.rest.cycles_elided as i64;
@@ -466,7 +484,9 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         let cells: &[&SimResult; 4] = &[cells[0], cells[1], cells[2], cells[3]];
         figure.rows.push(rollup(row, scale, cells)?);
     }
-    let pairs = jobs[row_jobs..].chunks(2).zip(outcomes[row_jobs..].chunks(2));
+    let pairs = jobs[row_jobs..]
+        .chunks(2)
+        .zip(outcomes[row_jobs..].chunks(2));
     for (adv, (pair, runs)) in adversaries.iter().zip(pairs) {
         let guest = &pair[0].guest;
         let [full, elided] = [0, 1].map(|i| {
@@ -479,7 +499,11 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         if let Err(e) = assert_differential(&guest.to_string(), full, elided) {
             return Err(format!("DETECTION LOSS: {e}"));
         }
-        let map_empty = pair[0].elision().map_err(|e| format!("{guest}: {e}"))?.map.is_empty();
+        let map_empty = pair[0]
+            .elision()
+            .map_err(|e| format!("{guest}: {e}"))?
+            .map
+            .is_empty();
         if map_empty && elided.core.elided_checks != 0 {
             return Err(format!(
                 "{guest}: {} checks skipped with an empty map",
@@ -543,7 +567,11 @@ mod tests {
     #[test]
     fn elision_changes_nothing_architecturally_visible() {
         let row = FigureRow::of(Workload::Bzip2);
-        let (full, elided) = pair(&row, "rest-secure-full", RtConfig::from_label("rest-secure-full").unwrap());
+        let (full, elided) = pair(
+            &row,
+            "rest-secure-full",
+            RtConfig::from_label("rest-secure-full").unwrap(),
+        );
         assert_differential("bzip2 rest-secure-full", &full, &elided).expect("identical");
         assert!(elided.core.elided_checks > 0, "bzip2 elides many checks");
         assert_eq!(full.core.elided_checks, 0);
@@ -617,7 +645,10 @@ mod tests {
         let r = rollup(&row, Scale::Test, &cells).expect("gates hold");
         assert_eq!(r.benchmark, "lbm");
         assert!(r.rest_static.preconditions_ok);
-        assert_eq!(r.rest.elided_dynamic + r.rest.checks_elided_run, r.rest.checks_full);
+        assert_eq!(
+            r.rest.elided_dynamic + r.rest.checks_elided_run,
+            r.rest.checks_full
+        );
         // REST injects no check uops, so nothing to recover there; the
         // ASan pair carries the recovered micro-ops.
         assert_eq!(r.rest.check_uops_recovered(), 0);
@@ -626,7 +657,11 @@ mod tests {
         }
         let doc = Json::parse(&r.to_json().to_string_pretty()).expect("valid JSON");
         assert_eq!(
-            doc.get("rest").unwrap().get("elided_dynamic").unwrap().as_u64(),
+            doc.get("rest")
+                .unwrap()
+                .get("elided_dynamic")
+                .unwrap()
+                .as_u64(),
             Some(r.rest.elided_dynamic)
         );
     }

@@ -805,7 +805,9 @@ impl MatrixResults {
             .rows
             .iter()
             .map(|row| {
-                let cells = (0..self.columns.len()).map(|c| row.overhead_pct(c)).collect();
+                let cells = (0..self.columns.len())
+                    .map(|c| row.overhead_pct(c))
+                    .collect();
                 (row.row.name, cells)
             })
             .collect();
@@ -1190,7 +1192,12 @@ mod tests {
         let job = |attack, rt: RtConfig| SimJob::for_attack(attack, rt.label(), rt, Scale::Test);
         let asan = RtConfig::asan();
         assert!(asan.intercept_libc);
-        assert!(!job(Attack::UncheckedLibraryOverflow, asan.clone()).cfg.rt.intercept_libc);
+        assert!(
+            !job(Attack::UncheckedLibraryOverflow, asan.clone())
+                .cfg
+                .rt
+                .intercept_libc
+        );
         let rest = RtConfig::rest(Mode::Secure, true);
         for attack in Attack::ALL {
             for rt in [&asan, &rest] {

@@ -212,10 +212,7 @@ fn raw_cell_json(
 ) -> Json {
     let mut members = vec![
         ("label", Json::from(label)),
-        (
-            "fault",
-            spec.map(fault_spec_json).unwrap_or(Json::Null),
-        ),
+        ("fault", spec.map(fault_spec_json).unwrap_or(Json::Null)),
     ];
     match outcome {
         Err(e) => members.push((
@@ -287,8 +284,8 @@ fn classify(cell: &Json, reference: &Json) -> (&'static str, bool, bool) {
         // reference is masked; any divergence (including "the
         // reference never exited cleanly at all") is silent data
         // corruption.
-        let matches_ref =
-            reference.get("checksum").is_some() && cell.get("checksum") == reference.get("checksum");
+        let matches_ref = reference.get("checksum").is_some()
+            && cell.get("checksum") == reference.get("checksum");
         if matches_ref {
             "masked"
         } else {
@@ -524,16 +521,17 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         ]));
     }
     println!();
-    println!(
-        "missed detections: {missed_total}   false positives: {fp_total}"
-    );
+    println!("missed detections: {missed_total}   false positives: {fp_total}");
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(SCHEMA));
     sink.push("fault_seed", Json::UInt(BenchCli::DEFAULT_FAULT_SEED));
     sink.push("mode", Json::from("rest-secure-full"));
     sink.push("max_cycles", Json::UInt(budget));
-    sink.push("columns", Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()));
+    sink.push(
+        "columns",
+        Json::Arr(labels.iter().map(|&l| Json::from(l)).collect()),
+    );
     sink.push("rows", Json::Arr(row_docs));
     let mut coverage: Vec<(&str, Json)> = counts
         .into_iter()
@@ -549,7 +547,10 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
                 "checked",
                 Json::Bool(tables_bind(BenchCli::DEFAULT_FAULT_SEED, h.scale_name())),
             ),
-            ("known_missed_detections", known_json(&KNOWN_MISSED_DETECTIONS)),
+            (
+                "known_missed_detections",
+                known_json(&KNOWN_MISSED_DETECTIONS),
+            ),
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
     );
@@ -591,10 +592,7 @@ mod tests {
         let detected_ref = cell(true, false, "violation", None);
 
         // Fault-free cells classify against themselves.
-        assert_eq!(
-            classify(&clean_ref, &clean_ref),
-            ("masked", false, false)
-        );
+        assert_eq!(classify(&clean_ref, &clean_ref), ("masked", false, false));
         assert_eq!(
             classify(&detected_ref, &detected_ref),
             ("detected", false, false)
@@ -638,8 +636,14 @@ mod tests {
         // Re-run the known miss heap-overflow-write/meta-bit-clear with a
         // panic injected and record it the way the campaign would.
         let rows = campaign_rows();
-        let r = rows.iter().position(|row| row.name() == "heap-overflow-write").unwrap();
-        let c = column_labels().iter().position(|&l| l == "meta-bit-clear").unwrap();
+        let r = rows
+            .iter()
+            .position(|row| row.name() == "heap-overflow-write")
+            .unwrap();
+        let c = column_labels()
+            .iter()
+            .position(|&l| l == "meta-bit-clear")
+            .unwrap();
         let spec = campaign_specs(BenchCli::DEFAULT_FAULT_SEED, r)[c];
         let budget = cycle_budget(Scale::Test);
         let mut job = cell_job(&rows[r], column_labels()[c], spec, Scale::Test, budget);
@@ -647,9 +651,17 @@ mod tests {
         let panic = raw_cell_json(&job.label, spec.as_ref(), &job.execute());
         let reference = doc.path_mut(&format!("rows.{r}.cells.0")).unwrap().clone();
         let cell = doc.path_mut(&format!("rows.{r}.cells.{c}")).unwrap();
-        let was = cell.get("outcome").and_then(Json::as_str).unwrap().to_string();
+        let was = cell
+            .get("outcome")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
         *cell = classified_cell(&panic, &reference);
-        for (key, delta) in [(was.as_str(), -1i64), ("error", 1), ("missed_detections", -1)] {
+        for (key, delta) in [
+            (was.as_str(), -1i64),
+            ("error", 1),
+            ("missed_detections", -1),
+        ] {
             let n = doc.path_mut(&format!("coverage.{key}")).unwrap();
             *n = Json::UInt(n.as_u64().unwrap().checked_add_signed(delta).unwrap());
         }

@@ -288,7 +288,13 @@ pub fn table1(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
 /// Table III's columns, in order: the text header and the JSON keys.
 const TABLE3_COLUMNS: [&str; 7] = [
-    "proposal", "spatial", "temporal", "shadow", "composable", "overhead", "hardware",
+    "proposal",
+    "spatial",
+    "temporal",
+    "shadow",
+    "composable",
+    "overhead",
+    "hardware",
 ];
 
 /// The prior-work rows of Table III: the paper's qualitative
@@ -356,18 +362,36 @@ pub fn table3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     };
     let hardware = "1 metadata bit per L1-D line, 1 comparator";
     let measured = format!("{class} ({pct:.1}% meas.)");
-    let ours = ["REST (ours)", "Linear", "Until realloc", "no", "yes", &measured, hardware];
+    let ours = [
+        "REST (ours)",
+        "Linear",
+        "Until realloc",
+        "no",
+        "yes",
+        &measured,
+        hardware,
+    ];
 
     let mut t = String::new();
     t += "# Table III — hardware memory-safety techniques (single-core)\n\n";
-    let rows: Vec<[&str; 7]> =
-        [TABLE3_COLUMNS].into_iter().chain(TABLE3_PRIOR_ROWS).chain([ours]).collect();
+    let rows: Vec<[&str; 7]> = [TABLE3_COLUMNS]
+        .into_iter()
+        .chain(TABLE3_PRIOR_ROWS)
+        .chain([ours])
+        .collect();
     t += &table3_lines(&rows);
     t += "\n# prior rows: paper's qualitative assessment; REST row measured here.\n";
 
     let prior = TABLE3_PRIOR_ROWS
         .iter()
-        .map(|row| Json::obj(TABLE3_COLUMNS.into_iter().zip(row.map(Json::from)).collect()))
+        .map(|row| {
+            Json::obj(
+                TABLE3_COLUMNS
+                    .into_iter()
+                    .zip(row.map(Json::from))
+                    .collect(),
+            )
+        })
         .collect();
     let mut sink = h.sink();
     sink.push("prior_rows", Json::Arr(prior));
@@ -620,8 +644,11 @@ mod tests {
             "Negligible (0.5% meas.)",
             "1 metadata bit per L1-D line, 1 comparator",
         ];
-        let rows: Vec<[&str; 7]> =
-            [TABLE3_COLUMNS].into_iter().chain(TABLE3_PRIOR_ROWS).chain([ours]).collect();
+        let rows: Vec<[&str; 7]> = [TABLE3_COLUMNS]
+            .into_iter()
+            .chain(TABLE3_PRIOR_ROWS)
+            .chain([ours])
+            .collect();
         let text = table3_lines(&rows);
         let mut starts: Option<Vec<usize>> = None;
         for (line, row) in text.lines().zip(&rows) {
@@ -629,12 +656,21 @@ mod tests {
             let mut rest = line;
             for cell in &row[..6] {
                 at.push(line.chars().count() - rest.chars().count());
-                rest = rest.strip_prefix(cell).unwrap_or_else(|| panic!("{line:?}: {cell:?}"));
-                assert!(rest.starts_with(' '), "{cell:?} runs into the next cell: {line:?}");
+                rest = rest
+                    .strip_prefix(cell)
+                    .unwrap_or_else(|| panic!("{line:?}: {cell:?}"));
+                assert!(
+                    rest.starts_with(' '),
+                    "{cell:?} runs into the next cell: {line:?}"
+                );
                 rest = rest.trim_start();
             }
             assert_eq!(rest, row[6], "the last cell ends the line unpadded");
-            assert_eq!(starts.get_or_insert_with(|| at.clone()), &at, "columns misaligned: {line:?}");
+            assert_eq!(
+                starts.get_or_insert_with(|| at.clone()),
+                &at,
+                "columns misaligned: {line:?}"
+            );
         }
         assert_eq!(text.lines().count(), rows.len());
     }

@@ -539,7 +539,10 @@ mod tests {
             );
             assert_eq!(r.site_check_uops, r.check_uops);
             if label == "rest-secure-full" {
-                assert!(r.backend_checks > 0, "REST secure routes checks to the seam");
+                assert!(
+                    r.backend_checks > 0,
+                    "REST secure routes checks to the seam"
+                );
                 assert_eq!(r.site_checks, r.backend_checks);
                 assert!(r.checks > 0, "checked accesses land in the per-PC table");
                 // REST's headline property: the token check rides the
@@ -574,9 +577,14 @@ mod tests {
         // rows and stay deterministic.
         let folded = report.folded();
         assert!(!folded.is_empty());
-        assert!(folded.lines().all(|l| l.contains(";main;") || l.contains(";fn_")));
+        assert!(folded
+            .lines()
+            .all(|l| l.contains(";main;") || l.contains(";fn_")));
         assert_eq!(folded, report.folded());
         let trace = report.to_perfetto();
-        assert_eq!(trace.counter_count(), report.rows.iter().map(|r| r.blocks.len()).sum());
+        assert_eq!(
+            trace.counter_count(),
+            report.rows.iter().map(|r| r.blocks.len()).sum()
+        );
     }
 }

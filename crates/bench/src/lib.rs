@@ -180,7 +180,9 @@ pub fn adversaries() -> Result<Vec<Adversary>, String> {
     let corpus = rest_attacks::regress::corpus()
         .map_err(|e| format!("regression corpus failed to load: {e}"))?;
     let attacks = rest_attacks::Attack::ALL.into_iter().map(Adversary::Attack);
-    Ok(attacks.chain(corpus.into_iter().map(Adversary::Regress)).collect())
+    Ok(attacks
+        .chain(corpus.into_iter().map(Adversary::Regress))
+        .collect())
 }
 
 /// The seven hardened configurations of Figure 7, in figure order.

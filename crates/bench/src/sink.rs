@@ -419,6 +419,9 @@ mod tests {
         assert_eq!(Json::Num(0.04).to_string_pretty(), "0.04");
         assert_eq!(Json::Num(-2.5).to_string_pretty(), "-2.5");
         assert_eq!(Json::Num(f64::INFINITY).to_string_pretty(), "null");
-        assert_eq!(Json::UInt(u64::MAX).to_string_pretty(), u64::MAX.to_string());
+        assert_eq!(
+            Json::UInt(u64::MAX).to_string_pretty(),
+            u64::MAX.to_string()
+        );
     }
 }

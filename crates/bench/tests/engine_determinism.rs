@@ -67,7 +67,10 @@ fn failing_job_does_not_kill_siblings() {
     assert!(outcomes[2].is_ok(), "sibling job should succeed");
     let err = outcomes[1].as_ref().as_ref().unwrap_err();
     assert_eq!(err.kind, "uop-limit");
-    assert!(err.detail.contains("lbm"), "detail names the workload: {err}");
+    assert!(
+        err.detail.contains("lbm"),
+        "detail names the workload: {err}"
+    );
 }
 
 #[test]

@@ -41,7 +41,10 @@ fn lockstep(label: &str, program: Program, rt: RtConfig) -> StopReason {
         let ran = trace.run_chunk(&mut t, 1);
         if ran == 0 {
             assert!(!fast.step(&mut f), "{label}: fast path kept running");
-            assert!(!reference.step(&mut r), "{label}: reference path kept running");
+            assert!(
+                !reference.step(&mut r),
+                "{label}: reference path kept running"
+            );
             break;
         }
         let fast_ran = fast.run_chunk(&mut f, ran);
@@ -49,13 +52,15 @@ fn lockstep(label: &str, program: Program, rt: RtConfig) -> StopReason {
         assert_eq!(ran, fast_ran, "{label}: fast path fell behind");
         assert_eq!(ran, reference_ran, "{label}: reference path fell behind");
         assert_eq!(
-            t, f,
+            t,
+            f,
             "{label}: trace-vs-fast micro-op streams diverge at inst {} (pc {:#x})",
             fast.insts(),
             fast.pc()
         );
         assert_eq!(
-            t, r,
+            t,
+            r,
             "{label}: trace-vs-reference micro-op streams diverge at inst {} (pc {:#x})",
             reference.insts(),
             reference.pc()
@@ -130,8 +135,16 @@ fn workload_rows_produce_identical_stats_maps() {
                 "{}: {tier} stats maps diverge",
                 row.name
             );
-            assert_eq!(fast.audit, result.audit, "{}: {tier} violation logs", row.name);
-            assert_eq!(fast.output, result.output, "{}: {tier} program output", row.name);
+            assert_eq!(
+                fast.audit, result.audit,
+                "{}: {tier} violation logs",
+                row.name
+            );
+            assert_eq!(
+                fast.output, result.output,
+                "{}: {tier} program output",
+                row.name
+            );
             assert_eq!(fast.stop, result.stop, "{}: {tier} stop reasons", row.name);
         }
     }
@@ -218,9 +231,17 @@ fn step_idioms_agree_over_every_attack() {
             }
             let stop = stepped.take_stop().expect("stopped");
             assert_eq!(stop, quiet.take_stop().expect("stopped"), "{label}: stop");
-            assert_eq!(stop, functional.take_stop().expect("stopped"), "{label}: stop");
+            assert_eq!(
+                stop,
+                functional.take_stop().expect("stopped"),
+                "{label}: stop"
+            );
             let deferred = stepped.take_deferred();
-            assert_eq!(deferred, quiet.take_deferred(), "{label}: deferred violation");
+            assert_eq!(
+                deferred,
+                quiet.take_deferred(),
+                "{label}: deferred violation"
+            );
             assert_eq!(
                 deferred,
                 functional.take_deferred(),
