@@ -31,6 +31,8 @@ use std::path::Path;
 
 use rest_obs::{HostProfile, Json};
 
+use crate::table::{Align, Table};
+
 /// The gate: the current run fails when its matched fresh-job wall
 /// exceeds the baseline's by more than this many percent. Seventeen
 /// back-to-back comparisons of identical `regen --test --jobs 2` runs on
@@ -69,13 +71,13 @@ pub struct DiffReport {
 type Pair = (Option<f64>, Option<f64>);
 
 /// The three table cells of a pair: both walls and the change.
-fn pair_cells((base, current): Pair) -> String {
-    let secs = |s: Option<f64>| s.map_or(format!("{:>12}", "-"), |s| format!("{s:>12.4}"));
+fn pair_cells((base, current): Pair) -> [String; 3] {
+    let secs = |s: Option<f64>| s.map_or("-".to_string(), |s| format!("{s:.4}"));
     let change = match (base, current) {
-        (Some(b), Some(c)) => format!("{:>+9.2}%", pct(c, b)),
-        _ => format!("{:>10}", "-"),
+        (Some(b), Some(c)) => format!("{:+.2}%", pct(c, b)),
+        _ => "-".to_string(),
     };
-    format!("{}{}{change}", secs(base), secs(current))
+    [secs(base), secs(current), change]
 }
 
 /// Sum of the present values; `None` if there are none.
@@ -136,19 +138,22 @@ impl DiffReport {
     /// wall), the largest per-job changes, the skipped jobs and one
     /// verdict line.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<14}{:>6}{:>12}{:>12}{:>10}  | {:>12}{:>12}{:>10}",
+        let mut table = Table::named([
             "experiment",
             "jobs",
             "base s",
             "current s",
             "change",
+            "|",
             "wall base",
             "wall cur",
-            "change"
-        );
+            "change",
+        ]);
+        let mut row = |name: &str, jobs: usize, matched: Pair, wall: Pair| {
+            let cells = [name.to_string(), jobs.to_string()].into_iter();
+            let cells = cells.chain(pair_cells(matched)).chain(["|".to_string()]);
+            table.row(cells.chain(pair_cells(wall)));
+        };
         let jobs = self.experiments();
         let mut names: Vec<&str> = self.walls.iter().map(|w| w.0.as_str()).collect();
         for r in &jobs {
@@ -166,26 +171,15 @@ impl DiffReport {
                 .iter()
                 .find(|w| w.0 == name)
                 .map_or((None, None), |w| w.1);
-            let _ = writeln!(
-                out,
-                "{name:<14}{n:>6}{}  | {}",
-                pair_cells(matched),
-                pair_cells(wall)
-            );
+            row(name, n, matched, wall);
         }
         let (base, current) = self.totals();
         let wall = (
             sum_some(self.walls.iter().map(|w| w.1 .0)),
             sum_some(self.walls.iter().map(|w| w.1 .1)),
         );
-        let _ = writeln!(
-            out,
-            "{:<14}{:>6}{}  | {}",
-            "total",
-            self.jobs.len(),
-            pair_cells((Some(base), Some(current))),
-            pair_cells(wall)
-        );
+        row("total", self.jobs.len(), (Some(base), Some(current)), wall);
+        let mut out = table.to_string();
         let _ = writeln!(
             out,
             "# jobs/base s/current s: jobs fresh in both profiles (the gated total); \
@@ -197,17 +191,19 @@ impl DiffReport {
             let change = |j: &JobDelta| (j.current_s - j.base_s).abs();
             change(b).total_cmp(&change(a))
         });
-        let _ = writeln!(out, "\nlargest job changes:");
+        let (left, right) = (Align::Left, Align::Right);
+        let mut changes = Table::new([left, right, left, right, left, right]);
         for j in movers.into_iter().take(TOP_MOVERS) {
-            let _ = writeln!(
-                out,
-                "{:<44}{:>10.4} ->{:>8.4} s{:>+9.2}%",
-                j.label,
-                j.base_s,
-                j.current_s,
-                pct(j.current_s, j.base_s)
-            );
+            changes.row([
+                j.label.clone(),
+                format!("{:.4}", j.base_s),
+                "->".to_string(),
+                format!("{:.4}", j.current_s),
+                "s".to_string(),
+                format!("{:+.2}%", pct(j.current_s, j.base_s)),
+            ]);
         }
+        let _ = write!(out, "\nlargest job changes:\n{changes}");
         for s in &self.skipped {
             let _ = writeln!(out, "# not compared: {s}");
         }

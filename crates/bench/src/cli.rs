@@ -280,7 +280,7 @@ impl BenchCli {
 /// let matrix = h.run_matrix(spec);
 /// let mut sink = h.sink();
 /// sink.push_matrix("matrix", &matrix);
-/// Ok(vec![sink.artifact()?])
+/// sink.artifacts(matrix.text_table().to_string())
 /// ```
 pub struct Harness {
     /// The parsed common command line.

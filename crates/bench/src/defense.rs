@@ -30,6 +30,8 @@
 //! Both halves go into one `rest-defense/v1` JSON document
 //! (`results/defense.json`), byte-identical at any `--jobs` level.
 
+use std::fmt::Write as _;
+
 use rest_attacks::{Attack, AttackOutcome, Expectation, SECRET};
 use rest_cpu::{SimResult, StopReason};
 use rest_obs::Json;
@@ -38,6 +40,7 @@ use rest_runtime::RtConfig;
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, JobError, MatrixResults, MatrixSpec, SimJob};
 use crate::sink::Artifact;
+use crate::table::{Table, FAILED};
 use crate::Adversary;
 
 /// Campaign document schema identifier.
@@ -116,13 +119,7 @@ fn attack_cell(
     ];
     let ok = match outcome {
         Err(e) => {
-            members.push((
-                "error",
-                Json::obj(vec![
-                    ("kind", Json::from(e.kind.as_str())),
-                    ("detail", Json::from(e.detail.as_str())),
-                ]),
-            ));
+            members.push(("error", e.to_json()));
             false
         }
         Ok(result) => {
@@ -266,8 +263,8 @@ struct Coverage {
 }
 
 /// Runs the full campaign: the overhead matrix, then every attack and
-/// regression case under every scheme, printing the tables and
-/// returning the document.
+/// regression case under every scheme, returning the document and its
+/// text tables.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let scale = h.scale;
     let configs = scheme_configs();
@@ -286,31 +283,35 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     spec.cfg.profile_guest = true;
     let matrix = h.run_matrix(spec);
 
-    print!(
-        "{}",
-        crate::machine_header("defense — runtime overhead over plain (%)")
-    );
-    println!("{}", matrix.text_table());
+    let mut t = crate::machine_header("defense — runtime overhead over plain (%)", scale);
+    t += &matrix.text_table().to_string();
 
     let attribution = check_attribution(&matrix)
         .map_err(|e| format!("check-attribution invariant violated: {e}"))?;
-    println!("defense — per-scheme check attribution (summed over allocation sites)");
-    println!(
-        "{:<18}{:>14}{:>16}{:>16}{:>14}{:>12}",
-        "scheme", "site checks", "check uops", "backend chks", "canonical.", "deferred"
-    );
+    let mut table = Table::named([
+        "scheme",
+        "site checks",
+        "check uops",
+        "backend chks",
+        "canonical.",
+        "deferred",
+    ]);
     for (label, a) in &attribution {
-        println!(
-            "{:<18}{:>14}{:>16}{:>16}{:>14}{:>12}",
-            label,
-            a.site_checks,
-            a.site_check_uops,
-            a.backend_checks,
-            a.canonicalizations,
-            a.deferred_latches
+        table.row(
+            std::iter::once(label.clone()).chain(
+                [
+                    a.site_checks,
+                    a.site_check_uops,
+                    a.backend_checks,
+                    a.canonicalizations,
+                    a.deferred_latches,
+                ]
+                .map(|n| n.to_string()),
+            ),
         );
     }
-    println!();
+    t += "\ndefense — per-scheme check attribution (summed over allocation sites)\n";
+    t += &table.to_string();
 
     // Coverage half: every adversarial guest × every scheme, on the
     // pipeline. Each attack's runtime tweaks (Attack::rt_for, applied by
@@ -336,25 +337,11 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     // and the per-scheme counters.
     let mut docs = [Vec::new(), Vec::new()];
     let mut coverage = [0, 1].map(|_| vec![Coverage::default(); configs.len()]);
-    // Attack names fit 28 columns, corpus file stems 38.
-    let header = |first: &str, width: usize| {
-        print!("{first:<width$}");
-        for (label, _) in &configs {
-            print!("{label:>18}");
-        }
-        println!();
-    };
-    println!("defense — attack coverage (expectation-checked verdict per cell)");
-    header("attack", 28);
+    let mut grids = ["attack", "case"]
+        .map(|first| Table::named(std::iter::once(first).chain(configs.iter().map(|c| c.0))));
     for (adv, outcomes) in adversaries.iter().zip(outcomes.chunks(configs.len())) {
         let section = usize::from(matches!(adv, Adversary::Regress(_)));
-        let width = [28, 38][section];
-        if section == 1 && docs[1].is_empty() {
-            println!();
-            println!("defense — regression corpus (minimized fuzzer reproducers, same judge)");
-            header("case", width);
-        }
-        print!("{:<width$}", adv.name());
+        let mut verdicts = vec![adv.name().to_string()];
         let mut cell_docs = Vec::new();
         let cells = outcomes.iter().zip(&mut coverage[section]);
         for ((label, rt), (outcome, cov)) in configs.iter().zip(cells) {
@@ -365,26 +352,31 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
                     cov.detected += out.detected as u64;
                     cov.delayed += out.delayed as u64;
                     cov.leaked += out.leaked_secret as u64;
-                    print!(
-                        "{:>18}",
-                        format!("{}{}", verdict_name(&out), if ok { "" } else { " *UNEXP" })
-                    );
+                    let mark = if ok { "" } else { " *UNEXP" };
+                    verdicts.push(format!("{}{mark}", verdict_name(&out)));
                 }
-                Err(_) => print!("{:>18}", "error *UNEXP"),
+                Err(_) => verdicts.push(format!("{FAILED} *UNEXP")),
             }
             cov.unexpected += (!ok) as u64;
             cell_docs.push(cell);
         }
-        println!();
+        grids[section].row(verdicts);
         docs[section].push(Json::obj(vec![
             ("name", Json::from(adv.name())),
             ("cells", Json::Arr(cell_docs)),
         ]));
     }
     let unexpected = |section: &[Coverage]| section.iter().map(|c| c.unexpected).sum::<u64>();
-    println!();
-    println!(
-        "detected per scheme: {}   unexpected cells: {}",
+    let [attack_grid, regress_grid] = grids;
+    t += "\ndefense — attack coverage (expectation-checked verdict per cell)\n";
+    t += &attack_grid.to_string();
+    if !docs[1].is_empty() {
+        t += "\ndefense — regression corpus (minimized fuzzer reproducers, same judge)\n";
+        t += &regress_grid.to_string();
+    }
+    let _ = writeln!(
+        t,
+        "\ndetected per scheme: {}   unexpected cells: {}",
         configs
             .iter()
             .zip(&coverage[0])
@@ -394,7 +386,8 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         unexpected(&coverage[0])
     );
     if !docs[1].is_empty() {
-        println!(
+        let _ = writeln!(
+            t,
             "regression cases: {}   unexpected cells: {}",
             docs[1].len(),
             unexpected(&coverage[1])
@@ -440,7 +433,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
                 .collect(),
         ),
     );
-    Ok(vec![sink.artifact()?])
+    sink.artifacts(t)
 }
 
 /// The `rest-defense/v1` rules the campaign does not enforce while it

@@ -36,6 +36,7 @@ use rest_workloads::Scale;
 use crate::cli::Harness;
 use crate::engine::SimJob;
 use crate::sink::Artifact;
+use crate::table::{Align, Table};
 use crate::{Adversary, FigureRow};
 
 /// The campaign's column labels, in job order: each base scheme is
@@ -398,10 +399,9 @@ impl ElideFigure {
         Json::Arr(self.regressions.iter().map(|r| r.to_json("name")).collect())
     }
 
-    /// Prints the per-row summary table to stdout.
-    pub fn print_text_table(&self) {
-        println!(
-            "{:<16}{:>10}{:>10}{:>10}{:>10}{:>12}{:>12}{:>14}",
+    /// The per-row summary table, then attack coverage under elision.
+    pub fn text_table(&self) -> String {
+        let mut rows = Table::named([
             "benchmark",
             "accesses",
             "elided",
@@ -409,33 +409,33 @@ impl ElideFigure {
             "dyn %",
             "checks off",
             "uops rec.",
-            "cycles Δ"
-        );
+            "cycles Δ",
+        ]);
         for r in &self.rows {
             let dc = r.rest.cycles_full as i64 - r.rest.cycles_elided as i64;
-            println!(
-                "{:<16}{:>10}{:>10}{:>10.1}{:>10.1}{:>12}{:>12}{:>14}",
-                r.benchmark,
-                r.rest_static.access_pcs,
-                r.rest_static.map.len(),
-                r.rest_static.elide_pct(),
-                r.rest.elided_dynamic_pct(),
-                r.rest.elided_dynamic,
-                r.asan.check_uops_recovered(),
-                dc
-            );
+            rows.row([
+                r.benchmark.clone(),
+                r.rest_static.access_pcs.to_string(),
+                r.rest_static.map.len().to_string(),
+                format!("{:.1}", r.rest_static.elide_pct()),
+                format!("{:.1}", r.rest.elided_dynamic_pct()),
+                r.rest.elided_dynamic.to_string(),
+                r.asan.check_uops_recovered().to_string(),
+                dc.to_string(),
+            ]);
         }
-        println!();
-        println!("attack coverage under elision (stop + audit identical by gate):");
+        let mut attacks = Table::new([Align::Left; 4]);
         for a in &self.attacks {
-            println!(
-                "  {:<28}{}  audit entries: {}  elided: {}",
-                a.name,
-                if a.detected { "DETECTED" } else { "clean" },
-                a.audit_entries,
-                a.elided_dynamic
-            );
+            attacks.row([
+                a.name.clone(),
+                (if a.detected { "DETECTED" } else { "clean" }).to_string(),
+                format!("audit entries: {}", a.audit_entries),
+                format!("elided: {}", a.elided_dynamic),
+            ]);
         }
+        format!(
+            "{rows}\nattack coverage under elision (stop + audit identical by gate):\n{attacks}"
+        )
     }
 }
 
@@ -462,12 +462,6 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     }
     let outcomes = h.run_all(&jobs);
 
-    print!(
-        "{}",
-        crate::machine_header(
-            "elide — static check-elision: proven-safe accesses skip their checks"
-        )
-    );
     let mut figure = ElideFigure {
         rows: Vec::new(),
         attacks: Vec::new(),
@@ -530,7 +524,10 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             figure.rows_at_20pct()
         ));
     }
-    figure.print_text_table();
+    let text = crate::machine_header(
+        "elide — static check-elision: proven-safe accesses skip their checks",
+        scale,
+    ) + &figure.text_table();
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(rest_obs::ELIDE_SCHEMA));
@@ -543,7 +540,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push("regressions", figure.regressions_json());
     sink.push("programs", figure.programs_json());
     sink.push("summary", figure.summary_json());
-    Ok(vec![sink.artifact()?])
+    sink.artifacts(text)
 }
 
 #[cfg(test)]

@@ -30,10 +30,11 @@ use std::time::{Duration, Instant};
 
 use rest_cpu::{SimConfig, SimResult, StopReason, System};
 use rest_isa::Program;
-use rest_obs::JobTiming;
+use rest_obs::{JobTiming, Json};
 use rest_runtime::RtConfig;
 use rest_workloads::{Scale, WorkloadParams};
 
+use crate::table::{fixed, Table};
 use crate::{stack_for, FigureRow};
 
 /// The guest program a job runs.
@@ -376,6 +377,17 @@ pub struct JobError {
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
+}
+
+impl JobError {
+    /// The `{"kind", "detail"}` object every document records for a
+    /// failed job.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("kind", Json::from(self.kind.as_str())),
+            ("detail", Json::from(self.detail.as_str())),
+        ])
+    }
 }
 
 impl std::fmt::Display for JobError {
@@ -797,24 +809,22 @@ impl MatrixResults {
             .collect()
     }
 
-    /// The standard overhead table: benchmark rows, one column per
-    /// configuration, WtdAriMean/GeoMean summary rows.
-    pub fn text_table(&self) -> String {
-        let labels: Vec<&str> = self.columns.iter().map(|c| c.label.as_str()).collect();
-        let mut rows: Vec<(&str, Vec<f64>)> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells = (0..self.columns.len())
-                    .map(|c| row.overhead_pct(c))
-                    .collect();
-                (row.row.name, cells)
-            })
-            .collect();
-        let summary = self.summary();
-        rows.push(("WtdAriMean", summary.iter().map(|&(w, _)| w).collect()));
-        rows.push(("GeoMean", summary.iter().map(|&(_, g)| g).collect()));
-        crate::overhead_table(&labels, &rows)
+    /// The standard overhead table: a header, one row per benchmark
+    /// with each column's overhead over plain in percent (two
+    /// decimals, `failed` where a run failed), then the `WtdAriMean`
+    /// and `GeoMean` rows.
+    pub fn text_table(&self) -> Table {
+        let labels = self.columns.iter().map(|c| c.label.as_str());
+        let mut t = Table::named(std::iter::once("benchmark").chain(labels));
+        for row in &self.rows {
+            let cells = (0..self.columns.len()).map(|c| fixed(row.overhead_pct(c), 2));
+            t.row(std::iter::once(row.row.name.to_string()).chain(cells));
+        }
+        let (wtd, geo): (Vec<f64>, Vec<f64>) = self.summary().into_iter().unzip();
+        for (name, means) in [("WtdAriMean", wtd), ("GeoMean", geo)] {
+            t.row(std::iter::once(name.to_string()).chain(means.iter().map(|&m| fixed(m, 2))));
+        }
+        t
     }
 }
 

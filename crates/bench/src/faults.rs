@@ -23,9 +23,9 @@
 //!   run raised a violation (a fail-closed fault fired spuriously).
 //!
 //! The campaign runs every cell in one engine submission at the fixed
-//! seed [`BenchCli::DEFAULT_FAULT_SEED`], prints a detection-coverage
-//! table to stdout and returns a `rest-faults/v1` JSON document
-//! (`faults.json`), both byte-identical at any `--jobs` level.
+//! seed [`BenchCli::DEFAULT_FAULT_SEED`] and returns a `rest-faults/v1`
+//! JSON document (`faults.json`) and its detection-coverage table
+//! (`faults.txt`), both byte-identical at any `--jobs` level.
 
 use rest_attacks::Attack;
 use rest_core::Mode;
@@ -38,6 +38,7 @@ use rest_workloads::{Scale, Workload};
 use crate::cli::{BenchCli, Harness};
 use crate::engine::{Guest, JobError, SimJob};
 use crate::sink::Artifact;
+use crate::table::{Align, Table};
 use crate::FigureRow;
 
 /// Campaign document schema identifier.
@@ -215,13 +216,7 @@ fn raw_cell_json(
         ("fault", spec.map(fault_spec_json).unwrap_or(Json::Null)),
     ];
     match outcome {
-        Err(e) => members.push((
-            "error",
-            Json::obj(vec![
-                ("kind", Json::from(e.kind.as_str())),
-                ("detail", Json::from(e.detail.as_str())),
-            ]),
-        )),
+        Err(e) => members.push(("error", e.to_json())),
         Ok(result) => {
             let detected = matches!(result.stop, StopReason::Violation(_));
             let clean = matches!(result.stop, StopReason::Exit(0) | StopReason::Halted);
@@ -235,17 +230,7 @@ fn raw_cell_json(
                 ));
             }
             if let Some(report) = &result.fault {
-                members.push((
-                    "fault_report",
-                    Json::obj(vec![
-                        ("kind", Json::from(report.kind)),
-                        ("triggered", Json::Bool(report.triggered)),
-                        ("site_events", Json::UInt(report.site_events)),
-                        ("trigger_event", Json::UInt(report.trigger_event)),
-                        ("records", Json::UInt(report.records)),
-                        ("suppressed_hits", Json::UInt(report.suppressed_hits)),
-                    ]),
-                ));
+                members.push(("fault_report", crate::sink::fault_report_json(report)));
             }
             // Provenance: how many audit entries the injector left
             // behind, next to the total (which includes architectural
@@ -450,8 +435,8 @@ fn panicked_cells(rows: &[Json]) -> Vec<String> {
     names
 }
 
-/// Runs the full campaign: simulate every cell, classify, print the
-/// coverage table and return `faults.json`. The sink refuses a document
+/// Runs the full campaign: simulate every cell, classify, and return
+/// `faults.json` and the coverage table `faults.txt`. The sink refuses a document
 /// that fails [`validate`] (known-outcome drift included); a panicked
 /// cell fails the run once the document is written
 /// ([`Harness::finish`] names every panicked job).
@@ -480,19 +465,13 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let mut counts: Vec<(&'static str, u64)> = OUTCOMES.iter().map(|&k| (k, 0u64)).collect();
     let (mut missed_total, mut fp_total) = (0u64, 0u64);
 
-    print!(
-        "{}",
-        crate::machine_header("faults — fault-injection detection coverage (rest-secure-full)")
-    );
-    print!("{:<22}{:<10}", "row", "kind");
-    for label in &labels {
-        print!("{label:>20}");
-    }
-    println!();
+    let align = [Align::Left; 2].into_iter();
+    let mut table = Table::new(align.chain(labels.iter().map(|_| Align::Right)));
+    table.row(["row", "kind"].into_iter().chain(labels.iter().copied()));
     let mut row_docs = Vec::new();
     for (row, row_cells) in rows.iter().zip(cells.chunks(labels.len())) {
         let reference = &row_cells[0];
-        print!("{:<22}{:<10}", row.name(), row_kind(row));
+        let mut line = vec![row.name().to_string(), row_kind(row).to_string()];
         let mut cell_docs = Vec::new();
         for cell in row_cells {
             let (outcome, missed, fp) = classify(cell, reference);
@@ -510,18 +489,23 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             } else {
                 ""
             };
-            print!("{:>20}", format!("{outcome}{marker}"));
+            line.push(format!("{outcome}{marker}"));
             cell_docs.push(classified_cell(cell, reference));
         }
-        println!();
+        table.row(line);
         row_docs.push(Json::obj(vec![
             ("name", Json::from(row.name())),
             ("kind", Json::from(row_kind(row))),
             ("cells", Json::Arr(cell_docs)),
         ]));
     }
-    println!();
-    println!("missed detections: {missed_total}   false positives: {fp_total}");
+    let text = format!(
+        "{}{table}\nmissed detections: {missed_total}   false positives: {fp_total}\n",
+        crate::machine_header(
+            "faults — fault-injection detection coverage (rest-secure-full)",
+            scale
+        )
+    );
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(SCHEMA));
@@ -554,7 +538,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ("known_false_positives", known_json(&KNOWN_FALSE_POSITIVES)),
         ]),
     );
-    Ok(vec![sink.artifact()?])
+    sink.artifacts(text)
 }
 
 #[cfg(test)]

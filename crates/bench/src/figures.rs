@@ -11,17 +11,10 @@ use rest_runtime::{RtConfig, Scheme};
 use rest_workloads::Workload;
 
 use crate::cli::Harness;
-use crate::engine::{ColumnSpec, MatrixSpec, RowResults};
-use crate::sink::{Artifact, Json, ResultSink};
-use crate::{fig7_configs, fig8_widths, figure_rows, machine_header, overhead_table, FigureRow};
-
-/// The document and text table of the running experiment.
-fn doc_and_table(h: &Harness, sink: &ResultSink, text: String) -> Result<Vec<Artifact>, String> {
-    Ok(vec![
-        sink.artifact()?,
-        Artifact::new(format!("{}.txt", h.experiment), text),
-    ])
-}
+use crate::engine::{ColumnSpec, MatrixResults, MatrixSpec, RowResults};
+use crate::sink::{Artifact, Json};
+use crate::table::{fixed, Align, Table, FAILED};
+use crate::{fig7_configs, fig8_widths, figure_rows, machine_header, scale_header, FigureRow};
 
 /// Cumulative ASan configurations, in the order the components stack.
 fn fig3_stages() -> Vec<(&'static str, RtConfig)> {
@@ -99,18 +92,20 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     let mut t = String::new();
     t += "# Figure 3 — ASan overhead breakdown (%, incremental per component)\n";
-    t += "# core: narrow in-order (as in the paper's Figure 3 measurement)\n\n";
+    t += "# core: narrow in-order (as in the paper's Figure 3 measurement)\n";
+    t += &scale_header(h.scale);
+    t.push('\n');
     let labels: Vec<&str> = matrix
         .columns
         .iter()
         .map(|c| c.label.as_str())
         .chain(["total"])
         .collect();
+    let mut table = Table::named(std::iter::once("benchmark").chain(labels.iter().copied()));
 
     // The matrix cells are cumulative; the figure reports each
     // component's *incremental* contribution over the previous stage,
     // normalised to plain cycles.
-    let mut table_rows = Vec::new();
     let mut incremental_rows = Vec::new();
     for row in &matrix.rows {
         let cells = incremental_cells(row, matrix.columns.len());
@@ -123,9 +118,10 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ("benchmark", Json::from(row.row.name)),
             ("stages_pct", Json::Obj(stages)),
         ]));
-        table_rows.push((row.row.name, cells));
+        let cells = cells.iter().map(|&pct| fixed(pct, 2));
+        table.row(std::iter::once(row.row.name.to_string()).chain(cells));
     }
-    t += &overhead_table(&labels, &table_rows);
+    t += &table.to_string();
     t += "\n# paper: access validation dominates everywhere; the allocator\n";
     t += "# contributes heavily for alloc-heavy benchmarks (gcc, xalancbmk).\n";
 
@@ -133,7 +129,7 @@ pub fn fig3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push("core", Json::from("inorder"));
     sink.push_matrix("matrix", &matrix);
     sink.push("incremental", Json::Arr(incremental_rows));
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
 }
 
 /// Figure 7: runtime overheads of ASan and REST (debug/secure/PerfectHW
@@ -147,14 +143,14 @@ pub fn fig7(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let rows = h.filter_rows(figure_rows());
     let matrix = h.run_matrix(MatrixSpec::new(rows, columns, h.scale));
 
-    let mut t = machine_header("Figure 7 — runtime overhead over plain (%)");
-    t += &matrix.text_table();
+    let mut t = machine_header("Figure 7 — runtime overhead over plain (%)", h.scale);
+    t += &matrix.text_table().to_string();
     t += "\n# paper (WtdAriMean): ASan ≈ 40%, REST debug ≈ 23–25%, REST secure ≈ 2%,\n";
     t += "# PerfectHW within 0.2% of secure; Full ≈ Heap + 0.16%.\n";
 
     let mut sink = h.sink();
     sink.push_matrix("matrix", &matrix);
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
 }
 
 /// Figure 8: runtime overheads of 16 B, 32 B and 64 B tokens in secure
@@ -175,15 +171,17 @@ pub fn fig8(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let rows = h.filter_rows(figure_rows());
     let matrix = h.run_matrix(MatrixSpec::new(rows, columns, h.scale));
 
-    let mut t =
-        machine_header("Figure 8 — token-width sweep, secure mode, overhead over plain (%)");
-    t += &matrix.text_table();
+    let mut t = machine_header(
+        "Figure 8 — token-width sweep, secure mode, overhead over plain (%)",
+        h.scale,
+    );
+    t += &matrix.text_table().to_string();
     t += "\n# paper: no single token width makes a significant difference;\n";
     t += "# wider tokens buy robustness without a performance cost.\n";
 
     let mut sink = h.sink();
     sink.push_matrix("matrix", &matrix);
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
 }
 
 fn describe_lsq(action: Action) -> String {
@@ -272,7 +270,7 @@ pub fn table1(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             let mut arm = Vec::new();
             for token_bit in [false, true] {
                 let desc = describe_cache(cache_decision(action, hit, token_bit));
-                let _ = writeln!(t, "  {key:<4} (token bit {}): {desc}", token_bit as u8);
+                let _ = writeln!(t, "  {key} (token bit {}): {desc}", token_bit as u8);
                 arm.push((format!("token_bit_{}", token_bit as u8), Json::from(desc)));
             }
             members.push((key, Json::Obj(arm)));
@@ -283,11 +281,11 @@ pub fn table1(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     let mut sink = h.sink();
     sink.push("actions", Json::Arr(actions));
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
 }
 
 /// Table III's columns, in order: the text header and the JSON keys.
-const TABLE3_COLUMNS: [&str; 7] = [
+pub(crate) const TABLE3_COLUMNS: [&str; 7] = [
     "proposal",
     "spatial",
     "temporal",
@@ -300,7 +298,7 @@ const TABLE3_COLUMNS: [&str; 7] = [
 /// The prior-work rows of Table III: the paper's qualitative
 /// assessment, reproduced verbatim.
 #[rustfmt::skip]
-const TABLE3_PRIOR_ROWS: [[&str; 7]; 13] = [
+pub(crate) const TABLE3_PRIOR_ROWS: [[&str; 7]; 13] = [
     ["Hardbound", "Complete", "None", "yes", "no", "Low", "µop injection, L1/TLB tags"],
     ["SafeProc", "Complete", "Complete", "no", "no", "Low", "CAMs, hash table + walker"],
     ["Watchdog", "Complete", "Complete", "yes", "no", "Moderate", "µop injection, lock-ID cache"],
@@ -315,26 +313,6 @@ const TABLE3_PRIOR_ROWS: [[&str; 7]; 13] = [
     ["MemTracker", "Linear", "Until realloc", "yes", "yes", "Low", "metadata caches, pipeline unit"],
     ["ARM PA", "Targeted", "None", "no", "yes", "Negligible", "not disclosed"],
 ];
-
-/// The Table III text lines: left-aligned columns, each as wide as its
-/// longest cell plus one space; the last column is not padded.
-fn table3_lines(rows: &[[&str; 7]]) -> String {
-    let mut widths = [0usize; 7];
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.chars().count() + 1);
-        }
-    }
-    widths[6] = 0;
-    let mut t = String::new();
-    for row in rows {
-        for (cell, width) in row.iter().zip(widths) {
-            let _ = write!(t, "{cell:<width$}");
-        }
-        t.push('\n');
-    }
-    t
-}
 
 /// Table III: comparison of hardware memory-safety techniques. The
 /// prior rows are the paper's qualitative assessment; the REST row's
@@ -372,14 +350,18 @@ pub fn table3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         hardware,
     ];
 
-    let mut t = String::new();
-    t += "# Table III — hardware memory-safety techniques (single-core)\n\n";
-    let rows: Vec<[&str; 7]> = [TABLE3_COLUMNS]
+    let mut t = String::from("# Table III — hardware memory-safety techniques (single-core)\n");
+    t += &scale_header(h.scale);
+    t.push('\n');
+    let mut table = Table::new([Align::Left; 7]);
+    for row in [TABLE3_COLUMNS]
         .into_iter()
         .chain(TABLE3_PRIOR_ROWS)
         .chain([ours])
-        .collect();
-    t += &table3_lines(&rows);
+    {
+        table.row(row);
+    }
+    t += &table.to_string();
     t += "\n# prior rows: paper's qualitative assessment; REST row measured here.\n";
 
     let prior = TABLE3_PRIOR_ROWS
@@ -404,7 +386,7 @@ pub fn table3(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         ]),
     );
     sink.push_matrix("matrix", &matrix);
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
 }
 
 /// §VI-B prose statistics:
@@ -429,31 +411,32 @@ pub fn prose_stats(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         ..MatrixSpec::new(rows, columns, h.scale)
     });
 
-    let mut t = machine_header("§VI-B prose statistics — secure vs debug (full protection)");
-    let _ = writeln!(
-        t,
-        "{:<12}{:>16}{:>16}{:>10}{:>14}{:>14}{:>14}",
-        "benchmark", "robblk-sec", "robblk-dbg", "ratio", "iqstall-sec", "iqstall-dbg", "tok/kinst"
-    );
+    let mut table = Table::named([
+        "benchmark",
+        "robblk-sec",
+        "robblk-dbg",
+        "ratio",
+        "iqstall-sec",
+        "iqstall-dbg",
+        "tok/kinst",
+    ]);
     let mut derived = Vec::new();
     for row in &matrix.rows {
         let (Some(secure), Some(debug)) = (row.cell(0), row.cell(1)) else {
-            let _ = writeln!(t, "{:<12}  (failed; see stderr)", row.row.name);
+            table.failed_row(row.row.name);
             continue;
         };
         let ratio = debug.core.rob_blocked_store_cycles as f64
             / secure.core.rob_blocked_store_cycles.max(1) as f64;
-        let _ = writeln!(
-            t,
-            "{:<12}{:>16}{:>16}{:>10.1}{:>14}{:>14}{:>14.4}",
-            row.row.name,
-            secure.core.rob_blocked_store_cycles,
-            debug.core.rob_blocked_store_cycles,
-            ratio,
-            secure.core.iq_stall_cycles,
-            debug.core.iq_stall_cycles,
-            secure.tokens_per_kiloinst_l2_mem(),
-        );
+        table.row([
+            row.row.name.to_string(),
+            secure.core.rob_blocked_store_cycles.to_string(),
+            debug.core.rob_blocked_store_cycles.to_string(),
+            format!("{ratio:.1}"),
+            secure.core.iq_stall_cycles.to_string(),
+            debug.core.iq_stall_cycles.to_string(),
+            format!("{:.4}", secure.tokens_per_kiloinst_l2_mem()),
+        ]);
         derived.push(Json::obj(vec![
             ("benchmark", Json::from(row.row.name)),
             (
@@ -477,13 +460,38 @@ pub fn prose_stats(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ),
         ]));
     }
+    let mut t = machine_header(
+        "§VI-B prose statistics — secure vs debug (full protection)",
+        h.scale,
+    );
+    t += &table.to_string();
     t += "\n# paper: robblk ratio ~10x; xalanc IQ-full gap >100x; xalanc\n";
     t += "# secure-full token traffic at L2/mem = 0.04 lines/kinst.\n";
 
     let mut sink = h.sink();
     sink.push_matrix("matrix", &matrix);
     sink.push("derived", Json::Arr(derived));
-    doc_and_table(h, &sink, t)
+    sink.artifacts(t)
+}
+
+/// An overhead percentage as the ablation grids print it (`2.53%`).
+fn percent(pct: f64) -> String {
+    if pct.is_finite() {
+        format!("{pct:.2}%")
+    } else {
+        FAILED.to_string()
+    }
+}
+
+/// One row per benchmark, one [`percent`] column per matrix column.
+fn percent_grid(matrix: &MatrixResults) -> Table {
+    let labels = matrix.columns.iter().map(|c| c.label.as_str());
+    let mut table = Table::named(std::iter::once("benchmark").chain(labels));
+    for row in &matrix.rows {
+        let cells = (0..matrix.columns.len()).map(|c| percent(row.overhead_pct(c)));
+        table.row(std::iter::once(row.row.name.to_string()).chain(cells));
+    }
+    table
 }
 
 /// Design-choice ablations (DESIGN.md):
@@ -559,65 +567,32 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         h.scale,
     ));
 
-    let mut t = String::new();
+    let mut t = scale_header(h.scale);
     t += "# Ablation 1+2 — arm/disarm design alternatives, overhead over plain (%)\n";
-    let _ = writeln!(
-        t,
-        "{:<12}{:>16}{:>16}{:>16}",
-        "benchmark", "paper-design", "naive-wide-arm", "serialized"
-    );
-    for row in &arm.rows {
-        let _ = writeln!(
-            t,
-            "{:<12}{:>15.2}%{:>15.2}%{:>15.2}%",
-            row.row.name,
-            row.overhead_pct(0),
-            row.overhead_pct(1),
-            row.overhead_pct(2),
-        );
-    }
+    t += &percent_grid(&arm).to_string();
 
     t += "\n# Ablation 3 — quarantine budget (xalancbmk, secure heap)\n";
-    let _ = writeln!(
-        t,
-        "{:<12}{:>14}{:>16}{:>18}",
-        "budget", "overhead %", "evictions", "quarantined-bytes"
-    );
+    let mut table = Table::named(["budget", "overhead %", "evictions", "quarantined-bytes"]);
     for row in &budget.rows {
         for (c, col) in budget.columns.iter().enumerate() {
             let Some(r) = row.cell(c) else {
-                let _ = writeln!(t, "{:<12}  (failed; see stderr)", col.label);
+                table.failed_row(&col.label);
                 continue;
             };
-            let _ = writeln!(
-                t,
-                "{:<12}{:>13.2}%{:>16}{:>18}",
-                col.label,
-                row.overhead_pct(c),
-                r.alloc.quarantine_evictions,
-                r.alloc.quarantine_bytes,
-            );
+            table.row([
+                col.label.clone(),
+                percent(row.overhead_pct(c)),
+                r.alloc.quarantine_evictions.to_string(),
+                r.alloc.quarantine_bytes.to_string(),
+            ]);
         }
     }
+    t += &table.to_string();
     t += "\n# larger budgets widen the use-after-free detection window (fewer\n";
     t += "# evictions) at the cost of more armed memory held in quarantine.\n";
 
     t += "\n# Ablation 4 — §VIII future-work optimisations (secure heap, tight quarantine)\n";
-    let _ = writeln!(
-        t,
-        "{:<12}{:>16}{:>16}{:>16}",
-        "benchmark", "paper-design", "fast-pool", "+token-cache"
-    );
-    for row in &future.rows {
-        let _ = writeln!(
-            t,
-            "{:<12}{:>15.2}%{:>15.2}%{:>15.2}%",
-            row.row.name,
-            row.overhead_pct(0),
-            row.overhead_pct(1),
-            row.overhead_pct(2),
-        );
-    }
+    t += &percent_grid(&future).to_string();
     t += "\n# the fast pool removes release-time disarm sweeps and redzone\n";
     t += "# re-arming; the dedicated token cache accelerates armed-line\n";
     t += "# refetches (both proposed as future work in §VIII).\n";
@@ -626,52 +601,5 @@ pub fn ablations(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     sink.push_matrix("arm_design", &arm);
     sink.push_matrix("quarantine_budget", &budget);
     sink.push_matrix("future_work", &future);
-    doc_and_table(h, &sink, t)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table3_cells_are_separated_and_columns_aligned() {
-        let ours = [
-            "REST (ours)",
-            "Linear",
-            "Until realloc",
-            "no",
-            "yes",
-            "Negligible (0.5% meas.)",
-            "1 metadata bit per L1-D line, 1 comparator",
-        ];
-        let rows: Vec<[&str; 7]> = [TABLE3_COLUMNS]
-            .into_iter()
-            .chain(TABLE3_PRIOR_ROWS)
-            .chain([ours])
-            .collect();
-        let text = table3_lines(&rows);
-        let mut starts: Option<Vec<usize>> = None;
-        for (line, row) in text.lines().zip(&rows) {
-            let mut at = Vec::new();
-            let mut rest = line;
-            for cell in &row[..6] {
-                at.push(line.chars().count() - rest.chars().count());
-                rest = rest
-                    .strip_prefix(cell)
-                    .unwrap_or_else(|| panic!("{line:?}: {cell:?}"));
-                assert!(
-                    rest.starts_with(' '),
-                    "{cell:?} runs into the next cell: {line:?}"
-                );
-                rest = rest.trim_start();
-            }
-            assert_eq!(rest, row[6], "the last cell ends the line unpadded");
-            assert_eq!(
-                starts.get_or_insert_with(|| at.clone()),
-                &at,
-                "columns misaligned: {line:?}"
-            );
-        }
-        assert_eq!(text.lines().count(), rows.len());
-    }
+    sink.artifacts(t)
 }

@@ -12,8 +12,8 @@
 //!
 //! The campaign is a pure function of its scale: the seed is
 //! [`BenchCli::DEFAULT_FUZZ_SEED`] and every round runs in memory. It
-//! prints a signature table to stdout and returns a `rest-fuzz/v1` JSON
-//! document (`fuzz.json`), byte-identical at any `--jobs` level. Any
+//! returns a `rest-fuzz/v1` JSON document (`fuzz.json`) and a signature
+//! table (`fuzz.txt`), byte-identical at any `--jobs` level. Any
 //! case whose class is not *explained* (cross-oracle agreement or a
 //! documented §V-C known miss) fails the run (exit status 1) — the hard
 //! zero-unexplained gate CI enforces.
@@ -35,6 +35,7 @@ use rest_workloads::Scale;
 use crate::cli::{BenchCli, Harness};
 use crate::engine::{RegressProg, SimJob};
 use crate::sink::Artifact;
+use crate::table::Table;
 
 /// Campaign document schema identifier.
 pub const SCHEMA: &str = "rest-fuzz/v1";
@@ -123,8 +124,8 @@ fn emit_regress(h: &Harness, dir: &std::path::Path, sig: &str, case: &Case) -> R
 }
 
 /// Runs the full campaign: generate + tri-oracle rounds until dry,
-/// then minimize one exemplar per signature, print the table and
-/// return `fuzz.json`. Any case classified as unexplained fails the
+/// then minimize one exemplar per signature, and return `fuzz.json`
+/// and `fuzz.txt`. Any case classified as unexplained fails the
 /// run once the document is written.
 pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let rt = rest_fuzz::campaign_rt();
@@ -199,26 +200,18 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
 
     // Minimize one exemplar per signature: the earliest case, shrunk to
     // a 1-minimal reproducer of the same class.
-    print!(
-        "{}",
-        crate::machine_header("fuzz — adversarial tri-oracle campaign (rest-secure-full)")
-    );
-    println!(
-        "{:<42}{:>9}{:>12}{:>12}{:>9}",
-        "signature", "count", "first case", "explained", "min ops"
-    );
+    let mut table = Table::named(["signature", "count", "first case", "explained", "min ops"]);
     let mut sig_docs: Vec<(String, Json)> = Vec::new();
     for (sig, stat) in &sigs {
         let explained = stat.class.is_explained();
         let minimized = minimize(&cases[stat.first_case as usize], &rt);
-        println!(
-            "{:<42}{:>9}{:>12}{:>12}{:>9}",
-            sig,
-            stat.count,
-            stat.first_case,
-            if explained { "yes" } else { "NO" },
-            minimized.ops.len()
-        );
+        table.row([
+            sig.clone(),
+            stat.count.to_string(),
+            stat.first_case.to_string(),
+            (if explained { "yes" } else { "NO" }).to_string(),
+            minimized.ops.len().to_string(),
+        ]);
         if let Some(dir) = &h.cli.emit_regress {
             // Known-miss classes are runtime-vacuous (nothing traps or
             // must-traps), so the class-preserving minimizer deletes
@@ -265,9 +258,12 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ]),
         ));
     }
-    println!();
-    println!(
-        "programs: {}   signatures: {}   unexplained: {unexplained_total}",
+    let text = format!(
+        "{}{table}\nprograms: {}   signatures: {}   unexplained: {unexplained_total}\n",
+        crate::machine_header(
+            "fuzz — adversarial tri-oracle campaign (rest-secure-full)",
+            h.scale
+        ),
         cases.len(),
         sigs.len()
     );
@@ -299,14 +295,14 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             ("cases", Json::Arr(unexplained_cases)),
         ]),
     );
-    let document = sink.artifact()?;
+    let artifacts = sink.artifacts(text)?;
     if unexplained_total > 0 {
         h.fail(format!(
             "{unexplained_total} unexplained disagreement(s) — every case must \
              cross-check across the oracles or land in the documented known-miss table"
         ));
     }
-    Ok(vec![document])
+    Ok(artifacts)
 }
 
 /// The `rest-fuzz/v1` rules the campaign does not enforce while it

@@ -36,6 +36,7 @@ use rest_workloads::Scale;
 use crate::cli::Harness;
 use crate::engine::{ColumnSpec, MatrixSpec, SimJob};
 use crate::sink::Artifact;
+use crate::table::{Align, Table};
 use crate::FigureRow;
 
 /// The profiled configurations, by harness label: the baseline and the
@@ -433,28 +434,35 @@ impl HotspotReport {
         trace
     }
 
-    /// Prints the per-row summary table to stdout.
-    pub fn print_text_table(&self) {
-        println!(
-            "{:<16}{:<18}{:>12}{:>12}{:>12}{:>14}{:>20}",
-            "benchmark", "scheme", "cycles", "checks", "site chks", "check uops", "hottest block"
-        );
+    /// The per-row summary table.
+    pub fn text_table(&self) -> Table {
+        use Align::{Left, Right};
+        let mut table = Table::new([Left, Left, Right, Right, Right, Right, Right]);
+        table.row([
+            "benchmark",
+            "scheme",
+            "cycles",
+            "checks",
+            "site chks",
+            "check uops",
+            "hottest block",
+        ]);
         for row in &self.rows {
             let hottest = row
                 .hottest()
                 .map(|b| format!("{:#x} ({})", b.start, b.cycles))
                 .unwrap_or_else(|| "-".to_string());
-            println!(
-                "{:<16}{:<18}{:>12}{:>12}{:>12}{:>14}{:>20}",
-                row.benchmark,
-                row.scheme,
-                row.cycles,
-                row.checks,
-                row.site_checks,
-                row.check_uops,
-                hottest
-            );
+            table.row([
+                row.benchmark.clone(),
+                row.scheme.clone(),
+                row.cycles.to_string(),
+                row.checks.to_string(),
+                row.site_checks.to_string(),
+                row.check_uops.to_string(),
+                hottest,
+            ]);
         }
+        table
     }
 }
 
@@ -477,12 +485,6 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     spec.cfg.profile_guest = true;
     let matrix = h.run_matrix(spec);
 
-    print!(
-        "{}",
-        crate::machine_header(
-            "hotspots — guest hotspot profile (per-block cycles, per-site checks)"
-        )
-    );
     let mut report = HotspotReport {
         scale: h.scale_name().to_string(),
         rows: Vec::new(),
@@ -498,7 +500,10 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             report.rows.push(rolled);
         }
     }
-    report.print_text_table();
+    let text = crate::machine_header(
+        "hotspots — guest hotspot profile (per-block cycles, per-site checks)",
+        scale,
+    ) + &report.text_table().to_string();
 
     let mut sink = h.sink();
     sink.push("schema", Json::from(rest_obs::hotspots::SCHEMA));
@@ -507,11 +512,12 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         Json::Arr(SCHEMES.iter().map(|&s| Json::from(s)).collect()),
     );
     sink.push("rows", report.rows_json());
-    Ok(vec![
-        sink.artifact()?,
+    let mut artifacts = sink.artifacts(text)?;
+    artifacts.extend([
         Artifact::new("hotspots.folded", report.folded()),
         Artifact::new("hotspots.perfetto.json", report.to_perfetto().render()),
-    ])
+    ]);
+    Ok(artifacts)
 }
 
 #[cfg(test)]

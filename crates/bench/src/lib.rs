@@ -12,11 +12,11 @@
 //! | `table3` | `table3.json`, `table3.txt` | Table III — comparison with prior hardware schemes |
 //! | `prose_stats` | `prose_stats.json`, `prose_stats.txt` | §VI-B prose statistics (ROB/IQ/token traffic) |
 //! | `ablations` | `ablations.json`, `ablations.txt` | design-choice ablations called out in DESIGN.md |
-//! | `defense` | `defense.json` | REST vs MTE vs PA overhead and attack coverage ([`defense`]) |
-//! | `elision` | `elision.json` | static check-elision figure ([`elide`]) |
-//! | `faults` | `faults.json` | fault-injection detection-coverage campaign ([`faults`]) |
-//! | `fuzz` | `fuzz.json` | adversarial-corpus tri-oracle campaign ([`fuzz`]) |
-//! | `hotspots` | `hotspots.json`, `.folded`, `.perfetto.json` | guest hotspot profile ([`hotspots`]) |
+//! | `defense` | `defense.json`, `defense.txt` | REST vs MTE vs PA overhead and attack coverage ([`defense`]) |
+//! | `elision` | `elision.json`, `elision.txt` | static check-elision figure ([`elide`]) |
+//! | `faults` | `faults.json`, `faults.txt` | fault-injection detection-coverage campaign ([`faults`]) |
+//! | `fuzz` | `fuzz.json`, `fuzz.txt` | adversarial-corpus tri-oracle campaign ([`fuzz`]) |
+//! | `hotspots` | `hotspots.json`, `.txt`, `.folded`, `.perfetto.json` | guest hotspot profile ([`hotspots`]) |
 //!
 //! One more binary measures the host rather than the guest:
 //! `bench-diff` ([`benchdiff`]) compares the host profiles of two
@@ -62,6 +62,7 @@ pub mod fuzz;
 pub mod hotspots;
 pub mod regen;
 pub mod sink;
+pub mod table;
 
 use rest_core::{Mode, TokenWidth};
 use rest_runtime::{RtConfig, Scheme, StackScheme};
@@ -256,9 +257,15 @@ pub fn write_text_file(path: &std::path::Path, text: &str) -> Result<(), String>
 }
 
 /// A header identifying the simulated machine (the paper prints Table
-/// II with every result; we do the lightweight equivalent).
-pub fn machine_header(what: &str) -> String {
-    format!("# {what}\n# machine: {MACHINE}\n\n")
+/// II with every result; we do the lightweight equivalent) and the
+/// scale the numbers below it were simulated at.
+pub fn machine_header(what: &str, scale: Scale) -> String {
+    format!("# {what}\n# machine: {MACHINE}\n{}\n", scale_header(scale))
+}
+
+/// The `# scale:` line every text artifact of simulated numbers carries.
+pub fn scale_header(scale: Scale) -> String {
+    format!("# scale: {}\n", scale_name(scale))
 }
 
 /// Scale name as serialised into results (`"test"` / `"ref"`).
@@ -267,30 +274,6 @@ pub fn scale_name(scale: Scale) -> &'static str {
         Scale::Test => "test",
         Scale::Ref => "ref",
     }
-}
-
-/// Renders an overhead table: a `benchmark` column left-aligned to the
-/// longest row name, then one column per label, its values (two
-/// decimals) right-aligned under the label. Columns are never narrower
-/// than 12 (names) and 18 (values) characters, and always keep a space
-/// between neighbours.
-pub fn overhead_table(labels: &[&str], rows: &[(&str, Vec<f64>)]) -> String {
-    use std::fmt::Write as _;
-    let name_w = rows.iter().map(|(n, _)| n.len() + 1).fold(12, usize::max);
-    let widths: Vec<usize> = labels.iter().map(|l| (l.len() + 1).max(18)).collect();
-    let mut t = format!("{:<name_w$}", "benchmark");
-    for (label, w) in labels.iter().zip(&widths) {
-        let _ = write!(t, "{label:>w$}");
-    }
-    t.push('\n');
-    for (name, cells) in rows {
-        let _ = write!(t, "{name:<name_w$}");
-        for (c, w) in cells.iter().zip(&widths) {
-            let _ = write!(t, "{c:>w$.2}");
-        }
-        t.push('\n');
-    }
-    t
 }
 
 #[cfg(test)]
@@ -319,33 +302,6 @@ mod tests {
         assert!((geo_mean_overhead(&[0, 100], &[50, 150]) - 50.0).abs() < 1e-9);
         assert!((geo_mean_overhead(&[100, 100], &[0, 150]) - 50.0).abs() < 1e-9);
         assert!(geo_mean_overhead(&[0, 100], &[50, 150]).is_finite());
-    }
-
-    #[test]
-    fn overhead_table_values_end_under_their_labels() {
-        // Fig. 7's labels and rows: `rest-perfecthw-full` is wider than
-        // the default value column, `gobmk-connect_rot` than the name
-        // column.
-        let labels: Vec<String> = fig7_configs().iter().map(RtConfig::label).collect();
-        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
-        let mut rows: Vec<(&str, Vec<f64>)> = figure_rows()
-            .iter()
-            .map(|r| (r.name, vec![-0.07; labels.len()]))
-            .collect();
-        rows.push(("GeoMean", vec![355.82; labels.len()]));
-        let table = overhead_table(&labels, &rows);
-        // The end column of each whitespace-separated field.
-        let ends = |line: &str| -> Vec<usize> {
-            line.split_whitespace()
-                .map(|f| f.as_ptr() as usize - line.as_ptr() as usize + f.len())
-                .collect()
-        };
-        let mut lines = table.lines();
-        let header = ends(lines.next().unwrap());
-        assert_eq!(header.len(), labels.len() + 1, "{table}");
-        for line in lines {
-            assert_eq!(ends(line)[1..], header[1..], "{line}\n{table}");
-        }
     }
 
     #[test]

@@ -42,11 +42,11 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment { name: "table3", scale: Scale::Ref, artifacts: &["table3.json", "table3.txt"], run: figures::table3 },
     Experiment { name: "prose_stats", scale: Scale::Ref, artifacts: &["prose_stats.json", "prose_stats.txt"], run: figures::prose_stats },
     Experiment { name: "ablations", scale: Scale::Ref, artifacts: &["ablations.json", "ablations.txt"], run: figures::ablations },
-    Experiment { name: "defense", scale: Scale::Test, artifacts: &["defense.json"], run: defense::run_campaign },
-    Experiment { name: "elision", scale: Scale::Test, artifacts: &["elision.json"], run: elide::run_campaign },
-    Experiment { name: "faults", scale: Scale::Test, artifacts: &["faults.json"], run: faults::run_campaign },
-    Experiment { name: "fuzz", scale: Scale::Test, artifacts: &["fuzz.json"], run: fuzz::run_campaign },
-    Experiment { name: "hotspots", scale: Scale::Test, artifacts: &["hotspots.json", "hotspots.folded", "hotspots.perfetto.json"], run: hotspots::run_campaign },
+    Experiment { name: "defense", scale: Scale::Test, artifacts: &["defense.json", "defense.txt"], run: defense::run_campaign },
+    Experiment { name: "elision", scale: Scale::Test, artifacts: &["elision.json", "elision.txt"], run: elide::run_campaign },
+    Experiment { name: "faults", scale: Scale::Test, artifacts: &["faults.json", "faults.txt"], run: faults::run_campaign },
+    Experiment { name: "fuzz", scale: Scale::Test, artifacts: &["fuzz.json", "fuzz.txt"], run: fuzz::run_campaign },
+    Experiment { name: "hotspots", scale: Scale::Test, artifacts: &["hotspots.json", "hotspots.txt", "hotspots.folded", "hotspots.perfetto.json"], run: hotspots::run_campaign },
 ];
 
 /// Runs the experiments the command line names (all of them when it

@@ -146,7 +146,7 @@ impl ResultSink {
     }
 
     /// The complete document as a pretty-printed string (with trailing
-    /// newline) — the bytes of [`ResultSink::artifact`]. Tests compare
+    /// newline) — the bytes of the `.json` artifact. Tests compare
     /// it byte-for-byte across `--jobs` levels.
     pub fn to_json_string(&self) -> String {
         let mut s = Json::Obj(self.root.clone()).to_string_pretty();
@@ -154,21 +154,22 @@ impl ResultSink {
         s
     }
 
-    /// The document as the `<experiment>.json` artifact, if it passes
-    /// [`validate`]; otherwise the violation, naming the rule and cell.
-    pub fn artifact(&self) -> Result<Artifact, String> {
+    /// The document and its text tables as the `<experiment>.json` and
+    /// `<experiment>.txt` artifacts, if the document passes [`validate`];
+    /// otherwise the violation, naming the rule and cell.
+    pub fn artifacts(&self, text: String) -> Result<Vec<Artifact>, String> {
         validate(&Json::Obj(self.root.clone()))
             .map_err(|e| format!("invalid document, not written: {e}"))?;
-        Ok(Artifact::new(
-            format!("{}.json", self.experiment),
-            self.to_json_string(),
-        ))
+        Ok(vec![
+            Artifact::new(format!("{}.json", self.experiment), self.to_json_string()),
+            Artifact::new(format!("{}.txt", self.experiment), text),
+        ])
     }
 }
 
 /// Checks a result document against the invariants its schema owns
 /// and returns the first violation, naming the rule and the cell.
-/// [`ResultSink::artifact`] runs it before returning any document, and
+/// [`ResultSink::artifacts`] runs it before returning any document, and
 /// the artifact test runs it over every committed `results/*.json`.
 ///
 /// Rules that the producing code already enforces while it assembles a
@@ -276,19 +277,23 @@ pub fn result_json(result: &SimResult) -> Vec<(&'static str, Json)> {
         body.push(("audit", result.audit.to_json()));
     }
     if let Some(report) = &result.fault {
-        body.push((
-            "fault",
-            Json::obj(vec![
-                ("kind", Json::from(report.kind)),
-                ("triggered", Json::Bool(report.triggered)),
-                ("site_events", Json::UInt(report.site_events)),
-                ("trigger_event", Json::UInt(report.trigger_event)),
-                ("records", Json::UInt(report.records)),
-                ("suppressed_hits", Json::UInt(report.suppressed_hits)),
-            ]),
-        ));
+        body.push(("fault", fault_report_json(report)));
     }
     body
+}
+
+/// The `{"kind", "triggered", "site_events", "trigger_event",
+/// "records", "suppressed_hits"}` summary of an injected fault, as a
+/// matrix cell's `fault` and a fault-campaign cell's `fault_report`.
+pub(crate) fn fault_report_json(report: &rest_faults::FaultReport) -> Json {
+    Json::obj(vec![
+        ("kind", Json::from(report.kind)),
+        ("triggered", Json::Bool(report.triggered)),
+        ("site_events", Json::UInt(report.site_events)),
+        ("trigger_event", Json::UInt(report.trigger_event)),
+        ("records", Json::UInt(report.records)),
+        ("suppressed_hits", Json::UInt(report.suppressed_hits)),
+    ])
 }
 
 fn outcome_json(
@@ -306,13 +311,7 @@ fn outcome_json(
             members.extend(body);
         }
         Err(e) => {
-            members.push((
-                "error",
-                Json::obj(vec![
-                    ("kind", Json::from(e.kind.as_str())),
-                    ("detail", Json::from(e.detail.as_str())),
-                ]),
-            ));
+            members.push(("error", e.to_json()));
         }
     }
     Json::obj(members)
@@ -409,7 +408,7 @@ mod tests {
         // An experiment name no rule lists: the matrix is found by shape.
         let mut sink = ResultSink::new("unlisted", Scale::Test, None);
         sink.push("overheads", Json::parse(&matrix).unwrap());
-        let err = sink.artifact().unwrap_err();
+        let err = sink.artifacts(String::new()).unwrap_err();
         assert!(err.contains("cpi-sum: lbm/asan"), "{err}");
     }
 

@@ -18,6 +18,7 @@ use rest_bench::cli::BenchCli;
 use rest_bench::regen::EXPERIMENTS;
 use rest_bench::sink::validate;
 use rest_obs::Json;
+use rest_workloads::Scale;
 
 /// Keys whose value depends on the host (clock, scheduler, core
 /// count) and therefore must never appear in a deterministic
@@ -298,10 +299,8 @@ fn check_baseline(baseline: &Json) {
         labels.len(),
         "every job is labelled with its experiment"
     );
-    for e in EXPERIMENTS
-        .iter()
-        .filter(|e| e.artifacts.contains(&&*format!("{}.txt", e.name)))
-    {
+    // The reference-scale experiments: the paper's figures and tables.
+    for e in EXPERIMENTS.iter().filter(|e| e.scale == Scale::Ref) {
         let cells = matrix_cells(&committed(&format!("{}.json", e.name)));
         assert_eq!(
             jobs_of(e.name),
@@ -337,6 +336,28 @@ fn results_hold_no_orphan_files() {
         assert!(
             results_dir().join(file).exists(),
             "results/{file} is not committed"
+        );
+    }
+}
+
+#[test]
+fn every_text_table_of_simulated_numbers_names_its_scale() {
+    // table1.txt renders the executable specification: nothing in it
+    // was simulated.
+    for e in EXPERIMENTS.iter().filter(|e| e.name != "table1") {
+        let file = format!("{}.txt", e.name);
+        assert!(
+            e.artifacts.contains(&file.as_str()),
+            "{} writes no {file}",
+            e.name
+        );
+        let text = std::fs::read_to_string(results_dir().join(&file)).unwrap();
+        let want = format!("# scale: {}", rest_bench::scale_name(e.scale));
+        assert!(
+            text.lines()
+                .take_while(|l| l.starts_with('#'))
+                .any(|l| l == want),
+            "{file} lacks a `{want}` header line"
         );
     }
 }
