@@ -191,8 +191,8 @@ impl DiffReport {
             let change = |j: &JobDelta| (j.current_s - j.base_s).abs();
             change(b).total_cmp(&change(a))
         });
-        let (left, right) = (Align::Left, Align::Right);
-        let mut changes = Table::new([left, right, left, right, left, right]);
+        use Align::{Left, Right};
+        let mut changes = Table::new([Left, Right, Left, Right, Left, Right]);
         for j in movers.into_iter().take(TOP_MOVERS) {
             changes.row([
                 j.label.clone(),

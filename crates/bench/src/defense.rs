@@ -297,18 +297,14 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         "deferred",
     ]);
     for (label, a) in &attribution {
-        table.row(
-            std::iter::once(label.clone()).chain(
-                [
-                    a.site_checks,
-                    a.site_check_uops,
-                    a.backend_checks,
-                    a.canonicalizations,
-                    a.deferred_latches,
-                ]
-                .map(|n| n.to_string()),
-            ),
-        );
+        let counts = [
+            a.site_checks,
+            a.site_check_uops,
+            a.backend_checks,
+            a.canonicalizations,
+            a.deferred_latches,
+        ];
+        table.row(std::iter::once(label.clone()).chain(counts.map(|n| n.to_string())));
     }
     t += "\ndefense — per-scheme check attribution (summed over allocation sites)\n";
     t += &table.to_string();

@@ -11,7 +11,7 @@
 use std::fmt;
 
 /// Where a column's cells sit within its width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Align {
     /// Padded on the right (names, labels, free text).
     Left,
@@ -35,7 +35,7 @@ pub fn fixed(value: f64, decimals: usize) -> String {
 }
 
 /// Rows of preformatted cells, one alignment per column.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Table {
     align: Vec<Align>,
     rows: Vec<Vec<String>>,
@@ -54,7 +54,7 @@ impl Table {
     /// right-aligned value columns (the per-benchmark grid).
     pub fn named<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Table {
         let header: Vec<String> = header.into_iter().map(Into::into).collect();
-        let values = std::iter::repeat_n(Align::Right, header.len() - 1);
+        let values = std::iter::repeat_n(Align::Right, header.len().saturating_sub(1));
         let mut table = Table::new(std::iter::once(Align::Left).chain(values));
         table.row(header);
         table
@@ -70,7 +70,7 @@ impl Table {
     /// Appends the row of a run that failed: `name`, then [`FAILED`] in
     /// every other column.
     pub fn failed_row(&mut self, name: &str) {
-        let failed = std::iter::repeat_n(FAILED, self.align.len() - 1);
+        let failed = std::iter::repeat_n(FAILED, self.align.len().saturating_sub(1));
         self.row(std::iter::once(name).chain(failed));
     }
 }

@@ -234,20 +234,21 @@ fn regen_profiles_every_experiment_it_runs() {
     // land in the host document like the figures do.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("regen-profile");
     let profile = dir.join("profile.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_regen"))
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_regen"))
         .args(["--test", "--jobs", "2", "faults", "fuzz"])
         .arg("--out")
         .arg(&dir)
         .arg("--profile-out")
         .arg(&profile)
-        .stdout(std::process::Stdio::null())
-        .status()
+        .output()
         .unwrap();
-    assert!(status.success());
+    assert!(run.status.success());
+    // Every table is an artifact: nothing goes to stdout.
+    assert_eq!(String::from_utf8_lossy(&run.stdout), "");
     // Both campaigns are pure functions of their scale: a run reproduces
-    // the committed documents byte for byte.
+    // the committed documents and tables byte for byte.
     let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    for file in ["faults.json", "fuzz.json"] {
+    for file in ["faults.json", "fuzz.json", "faults.txt", "fuzz.txt"] {
         let committed = std::fs::read_to_string(format!("{results}/{file}")).unwrap();
         let written = std::fs::read_to_string(dir.join(file)).unwrap();
         assert!(written == committed, "{file} differs from results/{file}");
