@@ -107,20 +107,21 @@ fn verdict_name(out: &AttackOutcome) -> &'static str {
     }
 }
 
-/// One classified attack cell: `(json, ok)`.
+/// One classified attack cell: `(json, outcome, ok)`, the outcome
+/// derived from the run (`None` when the job failed).
 fn attack_cell(
     scheme: &str,
     expect: Expectation,
     outcome: &Result<SimResult, JobError>,
-) -> (Json, bool) {
+) -> (Json, Option<AttackOutcome>, bool) {
     let mut members = vec![
         ("scheme", Json::from(scheme)),
         ("expectation", Json::from(expect.name())),
     ];
-    let ok = match outcome {
+    let (out, ok) = match outcome {
         Err(e) => {
             members.push(("error", e.to_json()));
-            false
+            (None, false)
         }
         Ok(result) => {
             let out = outcome_of(result);
@@ -139,10 +140,10 @@ fn attack_cell(
             members.push(("leaked_secret", Json::Bool(out.leaked_secret)));
             members.push(("detector", detector));
             members.push(("ok", Json::Bool(ok)));
-            ok
+            (Some(out), ok)
         }
     };
-    (Json::obj(members), ok)
+    (Json::obj(members), out, ok)
 }
 
 /// Per-scheme aggregate of the allocation-site check attribution: how
@@ -341,17 +342,16 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         let mut cell_docs = Vec::new();
         let cells = outcomes.iter().zip(&mut coverage[section]);
         for ((label, rt), (outcome, cov)) in configs.iter().zip(cells) {
-            let (cell, ok) = attack_cell(label, adv.expectation(label, rt), outcome);
-            match outcome.as_ref() {
-                Ok(result) => {
-                    let out = outcome_of(result);
+            let (cell, out, ok) = attack_cell(label, adv.expectation(label, rt), outcome);
+            match out {
+                Some(out) => {
                     cov.detected += out.detected as u64;
                     cov.delayed += out.delayed as u64;
                     cov.leaked += out.leaked_secret as u64;
                     let mark = if ok { "" } else { " *UNEXP" };
                     verdicts.push(format!("{}{mark}", verdict_name(&out)));
                 }
-                Err(_) => verdicts.push(format!("{FAILED} *UNEXP")),
+                None => verdicts.push(format!("{FAILED} *UNEXP")),
             }
             cov.unexpected += (!ok) as u64;
             cell_docs.push(cell);

@@ -364,8 +364,6 @@ impl HotspotRow {
 /// The assembled campaign report.
 #[derive(Debug, Clone)]
 pub struct HotspotReport {
-    /// Scale name as serialized (`"test"` / `"ref"`).
-    pub scale: String,
     /// Rows in benchmark-major, scheme-minor order.
     pub rows: Vec<HotspotRow>,
 }
@@ -374,21 +372,6 @@ impl HotspotReport {
     /// The `rows` member of the `rest-hotspots/v1` document.
     pub fn rows_json(&self) -> Json {
         Json::Arr(self.rows.iter().map(HotspotRow::to_json).collect())
-    }
-
-    /// The complete standalone document (the campaign routes the same
-    /// members through the harness sink instead, which adds the
-    /// experiment identity).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::from(rest_obs::hotspots::SCHEMA)),
-            ("scale", Json::from(self.scale.as_str())),
-            (
-                "schemes",
-                Json::Arr(SCHEMES.iter().map(|&s| Json::from(s)).collect()),
-            ),
-            ("rows", self.rows_json()),
-        ])
     }
 
     /// Folded-stack text (`benchmark;scheme;function;block count`), one
@@ -485,10 +468,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     spec.cfg.profile_guest = true;
     let matrix = h.run_matrix(spec);
 
-    let mut report = HotspotReport {
-        scale: h.scale_name().to_string(),
-        rows: Vec::new(),
-    };
+    let mut report = HotspotReport { rows: Vec::new() };
     for (row, results) in rows.iter().zip(&matrix.rows) {
         for (col, cell) in matrix.columns.iter().zip(&results.cells) {
             let result = cell
@@ -566,31 +546,38 @@ mod tests {
 
     #[test]
     fn report_document_validates_against_the_schema() {
-        let row = FigureRow::of(Workload::Hmmer);
-        let mut report = HotspotReport {
-            scale: "test".to_string(),
-            rows: Vec::new(),
+        // The document the campaign writes, as regen writes it.
+        let args = ["hotspots", "--test", "--filter", "hmmer"].map(String::from);
+        let mut h = crate::cli::Harness::new(crate::cli::BenchCli::from_args(&args).unwrap());
+        h.begin("hotspots", Scale::Test);
+        let artifacts = run_campaign(&mut h).expect("campaign runs");
+        let text = |file: &str| {
+            let a = artifacts.iter().find(|a| a.file == file);
+            a.unwrap_or_else(|| panic!("{file} written")).text.clone()
         };
-        for (label, rt) in scheme_configs() {
-            let result = profiled(&row, label, rt.clone());
-            report
-                .rows
-                .push(rollup(&row, label, &rt, Scale::Test, &result).unwrap());
-        }
-        let doc = Json::parse(&report.to_json().to_string_pretty()).expect("valid JSON");
+        let doc = Json::parse(&text("hotspots.json")).expect("valid JSON");
         rest_obs::hotspots::validate(&doc).expect("schema-valid");
+        let rows = doc.get("rows").and_then(Json::as_arr).expect("rows");
+        assert_eq!(rows.len(), SCHEMES.len());
         // The folded stacks and counter tracks derive from the same
-        // rows and stay deterministic.
-        let folded = report.folded();
+        // rows: one counter per block.
+        let folded = text("hotspots.folded");
         assert!(!folded.is_empty());
         assert!(folded
             .lines()
             .all(|l| l.contains(";main;") || l.contains(";fn_")));
-        assert_eq!(folded, report.folded());
-        let trace = report.to_perfetto();
-        assert_eq!(
-            trace.counter_count(),
-            report.rows.iter().map(|r| r.blocks.len()).sum()
-        );
+        let blocks: usize = rows
+            .iter()
+            .map(|r| r.get("blocks").and_then(Json::as_arr).unwrap().len())
+            .sum();
+        let trace = Json::parse(&text("hotspots.perfetto.json")).expect("valid JSON");
+        let counters = trace
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
+            .count();
+        assert_eq!(counters, blocks);
     }
 }

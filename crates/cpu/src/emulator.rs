@@ -8,7 +8,7 @@ use rest_core::{
 use rest_faults::{FaultHandle, FaultKind, MemEffect};
 use rest_isa::{
     AluOp, BranchCond, BranchInfo, Component, DecodeOptions, DecodedProgram, DynInst, EcallNum,
-    GuestMemory, MemSize, Op, Program, Reg, PC_STEP,
+    GuestMemory, GuestWrite, MemSize, Op, Program, Reg, PC_STEP,
 };
 use rest_runtime::{
     shadow, AsanReport, EcallOutcome, RtEnv, Runtime, Scheme, TrafficRecorder, Violation,
@@ -36,6 +36,30 @@ pub enum StopReason {
     CycleLimit,
     /// The machine faulted (bad PC, unknown ecall, …).
     Fault(String),
+}
+
+/// Micro-ops at which a replay window is handed over (its last
+/// instruction may take it past them; an `ecall`, alone in its window,
+/// may splice many more). Every instruction emits at least one
+/// micro-op, so a window never holds more instructions than this.
+pub(crate) const WINDOW_UOPS: usize = 64;
+
+/// A replay window: consecutive instructions the emulator has run and
+/// the timing model has not yet replayed (see [`Emulator::run_steps`]).
+#[derive(Debug)]
+pub(crate) struct Window {
+    /// PC of the window's first instruction.
+    pub pc: u64,
+    len: usize,
+    ends: [u32; WINDOW_UOPS],
+}
+
+impl Window {
+    /// Where each instruction's micro-ops end, in order, counted from
+    /// the window's first micro-op.
+    pub fn ends(&self) -> &[u32] {
+        &self.ends[..self.len]
+    }
 }
 
 /// The functional emulator.
@@ -548,7 +572,7 @@ impl Emulator {
     /// bounds how long a hung guest can spin. The timing loop
     /// additionally enforces the budget against real pipeline cycles.
     #[cold]
-    fn stop_at_cap(&mut self) -> bool {
+    fn stop_at_cap(&mut self) {
         if self.stop.is_none() && !self.stop_taken {
             let reason = if self.uops >= self.max_uops {
                 StopReason::UopLimit
@@ -557,7 +581,6 @@ impl Emulator {
             };
             self.set_stop(reason);
         }
-        false
     }
 
     /// The micro-op template of `op` at `pc`: the template table's
@@ -719,56 +742,128 @@ impl Emulator {
         }
     }
 
-    /// Steps, appending each instruction's micro-ops to `out`, and
-    /// after each executed instruction calls `after` with the PC it ran
-    /// at; returns once the program stops or `after` returns `false`.
+    /// Steps, appending each instruction's micro-ops to `out`, and hands
+    /// each replay window to `replay`: the instructions run since the
+    /// last hand-off, whose micro-ops are `out`'s tail. Returns once the
+    /// program stops (after handing over the last window) or `replay`
+    /// returns `false`.
+    ///
+    /// A window ends before an instruction that may write guest memory,
+    /// right after one that may record line pre-images, once it holds
+    /// [`WINDOW_UOPS`] micro-ops, and
+    /// after the instruction that takes `insts` to a multiple of
+    /// `every` (1 = one instruction per window, 0 = no such bound). So
+    /// guest memory does not change between an instruction and the
+    /// replay of its window except by that instruction's own writes, and
+    /// the only pre-images recorded are the window's one instruction's:
+    /// the timing model reads the bytes it would read replaying each
+    /// instruction on its own (DESIGN.md, "Timing loop").
     ///
     /// This loop holds the one copy of the step that materialises
     /// micro-ops: the timing loop in [`crate::System::run`] passes the
-    /// pipeline replay as `after`, and [`ExecEngine::step`] and
-    /// [`ExecEngine::run_chunk`] run it with an `after` that stops at
-    /// their instruction count.
+    /// pipeline replay as `replay`, and [`ExecEngine::step`] and
+    /// [`ExecEngine::run_chunk`] run it with one-instruction windows and
+    /// a `replay` that stops at their instruction count.
     #[inline(never)]
     pub(crate) fn run_steps(
         &mut self,
         out: &mut Vec<DynInst>,
-        after: &mut dyn FnMut(&mut Emulator, u64, &mut Vec<DynInst>) -> bool,
+        every: u64,
+        replay: &mut dyn FnMut(&mut Emulator, &mut Vec<DynInst>, &Window) -> bool,
     ) {
-        loop {
-            let pc = self.pc;
-            if !self.step_inline(out) || !after(self, pc, out) {
-                return;
+        let mut w = Window {
+            pc: self.pc,
+            len: 0,
+            ends: [0; WINDOW_UOPS],
+        };
+        let mut start = out.len();
+        let mut boundary = match every {
+            0 => u64::MAX,
+            1 => self.insts + 1,
+            n => (self.insts / n + 1).saturating_mul(n),
+        };
+        while let Some(op) = self.fetch() {
+            let write = op.guest_write();
+            if write != GuestWrite::Nothing && w.len > 0 {
+                // The window's fills must not see this instruction's
+                // writes: replay it first.
+                if !replay(self, out, &w) {
+                    return;
+                }
+                w.len = 0;
+                start = out.len();
             }
+            if w.len == 0 {
+                w.pc = self.pc;
+            }
+            self.execute(out, op);
+            let end = out.len() - start;
+            w.ends[w.len] = end as u32;
+            w.len += 1;
+            if write == GuestWrite::PreImages || end >= WINDOW_UOPS || self.insts == boundary {
+                if self.insts == boundary {
+                    boundary = boundary.saturating_add(every);
+                }
+                if !replay(self, out, &w) {
+                    return;
+                }
+                w.len = 0;
+                start = out.len();
+            }
+        }
+        if w.len > 0 {
+            replay(self, out, &w);
         }
     }
 
-    /// The step: one compare against the uop cap, a fetch of the
-    /// 16-byte [`Op`] (from the op table, or decoded afresh on the
-    /// Reference tier), and one `match` that applies the architectural
-    /// effect and emits the micro-ops. Counting sinks never read the
-    /// template table.
+    /// The step: [`Emulator::fetch`], then [`Emulator::execute`].
     ///
     /// Each sink type has one copy of it that every step of that type
     /// runs: the counting sink's `UopSink::step`, which
     /// [`ExecEngine::run_functional`] also inlines into its loop so the
     /// counting loop pays the step's prologue once per run, and, for
-    /// materialised micro-ops, [`Emulator::run_steps`], the timing loop.
+    /// materialised micro-ops, [`Emulator::run_steps`], the timing loop,
+    /// which classifies the fetched op between the two halves.
     #[inline(always)]
     fn step_inline<S: UopSink>(&mut self, out: &mut S) -> bool {
+        match self.fetch() {
+            Some(op) => {
+                self.execute(out, op);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The step's first half: one compare against the uop cap and a
+    /// fetch of the 16-byte [`Op`] at the PC (from the op table, or
+    /// decoded afresh on the Reference tier). `None` once the engine is
+    /// stopped, recording a fault for a PC outside the code.
+    #[inline(always)]
+    fn fetch(&mut self) -> Option<Op> {
         // A recorded or taken stop sets the cap to 0, and otherwise it is
         // the smaller budget, so this one compare covers all four.
         if self.uops >= self.cap {
-            return self.stop_at_cap();
+            self.stop_at_cap();
+            return None;
         }
         let pc = self.pc;
         let fetched = match &self.decoded {
             Some(table) => table.op_at(pc),
             None => Op::decode_at(&self.program, pc),
         };
-        let Some(op) = fetched else {
+        if fetched.is_none() {
             self.set_stop(StopReason::Fault(format!("bad pc {pc:#x}")));
-            return false;
-        };
+        }
+        fetched
+    }
+
+    /// The step's second half: one `match` on `op`, fetched at the PC,
+    /// that applies its architectural effect and emits its micro-ops.
+    /// Counting sinks never read the template table.
+    #[inline(always)]
+    fn execute<S: UopSink>(&mut self, out: &mut S, op: Op) {
+        let pc = self.pc;
         let before = out.count();
         let mut next_pc = pc + PC_STEP;
 
@@ -965,7 +1060,6 @@ impl Emulator {
         self.pc = next_pc;
         self.insts += 1;
         self.uops += out.count() - before;
-        true
     }
 
     /// `arm`: the memory uop, then — unless perfect hardware turns it
@@ -1466,7 +1560,7 @@ impl ExecEngine for Emulator {
         } else {
             let start = self.insts;
             if min_insts > 0 {
-                self.run_steps(out, &mut |e, _, _| e.insts - start < min_insts);
+                self.run_steps(out, 1, &mut |e, _, _| e.insts - start < min_insts);
             }
             self.insts - start
         }
@@ -1510,7 +1604,7 @@ impl UopSink for Vec<DynInst> {
 
     fn step(emu: &mut Emulator, out: &mut Self) -> bool {
         let mut stepped = false;
-        emu.run_steps(out, &mut |_, _, _| {
+        emu.run_steps(out, 1, &mut |_, _, _| {
             stepped = true;
             false
         });

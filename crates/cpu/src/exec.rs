@@ -1,8 +1,9 @@
 //! The unified execution interface over the functional emulator.
 //!
-//! Three kinds of consumers drive the emulator: the timing core steps
-//! one macro instruction at a time and materialises the micro-op stream
-//! ([`ExecEngine::step`]); functional-only harnesses (the fuzz
+//! Three kinds of consumers drive the emulator: the timing core
+//! materialises the micro-op stream, one replay window of instructions
+//! at a time in [`crate::System::run`] and one instruction at a time
+//! through [`ExecEngine::step`]; functional-only harnesses (the fuzz
 //! oracle's functional tiers, attacks, workloads, `restlint
 //! --differential`, the benchmark crate's `functional-sweep` and the
 //! tests) run whole programs while merely counting micro-ops

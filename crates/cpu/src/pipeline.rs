@@ -185,8 +185,9 @@ pub struct Pipeline {
     tracer: Option<PipelineTrace>,
     /// Dispatch frontier — "now" for occupancy gauges.
     last_disp: u64,
-    /// Committed macro instructions, maintained by the driver via
-    /// [`Pipeline::note_inst`] (stamps audit entries).
+    /// Count of the macro instruction whose micro-ops are being
+    /// replayed (stamps audit entries): set per instruction by
+    /// `process_all`, or by the driver via [`Pipeline::note_inst`].
     cur_inst: u64,
     audit: AuditLog,
 }
@@ -272,8 +273,9 @@ impl Pipeline {
     }
 
     /// Updates the committed macro-instruction count used to stamp
-    /// audit entries (one store per macro step; call before replaying
-    /// its micro-ops).
+    /// audit entries of micro-ops fed one by one through
+    /// [`Pipeline::process`] (call before replaying the instruction's
+    /// micro-ops).
     pub fn note_inst(&mut self, insts: u64) {
         self.cur_inst = insts;
     }
@@ -314,18 +316,34 @@ impl Pipeline {
         });
     }
 
-    /// Processes one micro-op of the oracle stream.
+    /// Processes one micro-op of the oracle stream, stamping any audit
+    /// entry with the count last given to [`Pipeline::note_inst`].
     pub fn process(&mut self, d: &DynInst, mem: &dyn LineReader, token: &Token) {
-        self.process_all(std::slice::from_ref(d), mem, token);
+        self.process_all(std::slice::from_ref(d), &[1], self.cur_inst, mem, token);
     }
 
-    /// Processes micro-ops of the oracle stream in order: the one copy
-    /// of the per-micro-op work, which [`Pipeline::process`] runs for a
-    /// single micro-op.
+    /// Processes a replay window of the oracle stream in order: the one
+    /// copy of the per-micro-op work, which [`Pipeline::process`] runs
+    /// for a single micro-op. Instruction `i` of the window owns
+    /// `uops[ends[i - 1]..ends[i]]` (from 0 for the first) and is the
+    /// `first_inst + i`-th instruction of the run, the count its audit
+    /// entries carry.
     #[inline(never)]
-    pub(crate) fn process_all(&mut self, uops: &[DynInst], mem: &dyn LineReader, token: &Token) {
-        for d in uops {
-            self.process_one(d, mem, token);
+    pub(crate) fn process_all(
+        &mut self,
+        uops: &[DynInst],
+        ends: &[u32],
+        first_inst: u64,
+        mem: &dyn LineReader,
+        token: &Token,
+    ) {
+        let mut start = 0;
+        for (inst, &end) in (first_inst..).zip(ends) {
+            self.cur_inst = inst;
+            for d in &uops[start..end as usize] {
+                self.process_one(d, mem, token);
+            }
+            start = end as usize;
         }
     }
 

@@ -4,7 +4,7 @@ use rest_mem::Hierarchy;
 use rest_obs::{AuditEntry, IntervalSample, TimeSeries, FAULT_INJECTOR};
 
 use crate::config::SimConfig;
-use crate::emulator::{Emulator, StopReason};
+use crate::emulator::{Emulator, StopReason, WINDOW_UOPS};
 use crate::exec::ExecEngine;
 use crate::pipeline::Pipeline;
 use crate::profile::{GuestProfile, PcCounters};
@@ -76,7 +76,7 @@ impl System {
         } else {
             None
         };
-        let mut batch = Vec::with_capacity(64);
+        let mut batch = Vec::with_capacity(WINDOW_UOPS);
         let System {
             emulator,
             pipeline,
@@ -86,27 +86,40 @@ impl System {
             profile,
             ..
         } = &mut self;
-        emulator.run_steps(&mut batch, &mut |emulator, step_pc, batch| {
-            // The emulator runs one macro instruction ahead; replay its
-            // micro-ops through the timing model. Lines modified by this
-            // instruction's arm/disarm effects carry pre-update
-            // snapshots (see GuestMemory::snapshot_line_pre_image), so
-            // the token detector observes exactly what a hardware fill
-            // would.
-            pipeline.note_inst(emulator.insts());
+        // Observers of per-instruction state take one-instruction
+        // windows: the per-PC profile charges each instruction's cycles,
+        // fault effects land between instructions, and the cycle budget
+        // stops at the instruction that crosses it. Sampling needs only
+        // a window end at each interval boundary.
+        let every = if profile.is_some() || *has_fault || *max_cycles > 0 {
+            1
+        } else {
+            *sample_interval
+        };
+        emulator.run_steps(&mut batch, every, &mut |emulator, batch, window| {
+            // The emulator runs one window ahead; replay its micro-ops
+            // through the timing model. The window's only writer of
+            // guest memory is its first instruction, and lines modified
+            // by an arm/disarm effect (alone in its window) carry
+            // pre-update snapshots (see
+            // GuestMemory::snapshot_line_pre_image), so the token
+            // detector observes exactly what a hardware fill would.
+            let ends = window.ends();
+            let first_inst = emulator.insts() + 1 - ends.len() as u64;
             let commit_before = pipeline.current_cycles();
-            pipeline.process_all(batch, &emulator.mem, emulator.token());
+            pipeline.process_all(batch, ends, first_inst, &emulator.mem, emulator.token());
             if let Some((cycles, uops)) = profile.as_mut() {
-                // Commit-frontier deltas telescope, so per-PC cycle
-                // totals sum exactly to the final cycle count. Runtime
-                // micro-ops spliced by an `ecall` land in this
-                // instruction's batch and are charged to its PC.
-                cycles.add(step_pc, pipeline.current_cycles() - commit_before);
-                uops.add(step_pc, batch.len() as u64);
+                // One instruction per window here. Commit-frontier
+                // deltas telescope, so per-PC cycle totals sum exactly
+                // to the final cycle count. Runtime micro-ops spliced by
+                // an `ecall` land in this instruction's batch and are
+                // charged to its PC.
+                cycles.add(window.pc, pipeline.current_cycles() - commit_before);
+                uops.add(window.pc, batch.len() as u64);
             }
             batch.clear();
-            // The timing model has consumed this instruction's micro-ops;
-            // its pre-update line snapshots are no longer needed.
+            // The timing model has consumed the window's micro-ops; its
+            // pre-update line snapshots are no longer needed.
             emulator.mem.clear_pre_images();
             if *has_fault {
                 // Deferred hardware fault effects (eviction-time
@@ -119,8 +132,8 @@ impl System {
                 return false;
             }
             if let Some(series) = series.as_mut() {
-                // `insts` advances by exactly one per step, so every
-                // interval boundary is hit exactly once.
+                // Every interval boundary ends a window, and `insts`
+                // passes each boundary exactly once.
                 if emulator.insts().is_multiple_of(*sample_interval) {
                     take_sample(emulator, pipeline, series);
                 }

@@ -51,6 +51,20 @@ pub struct DecodeOptions {
     pub arm_as_store: bool,
 }
 
+/// What an [`Op`] may do to guest memory when it executes
+/// ([`Op::guest_write`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuestWrite {
+    /// Reads registers and memory, writes only registers and the PC.
+    Nothing,
+    /// May write guest memory bytes (the stores).
+    Bytes,
+    /// May write guest memory bytes and record line pre-images
+    /// (`arm`, `disarm`, and `ecall`, whose runtime services arm and
+    /// disarm redzones and copy memory).
+    PreImages,
+}
+
 /// One pre-decoded instruction: an [`Inst`] split by operation, width
 /// and condition so that executing it needs a single dispatch.
 ///
@@ -271,6 +285,63 @@ impl Op {
             Inst::Ecall => Op::Ecall,
             Inst::Halt => Op::Halt,
             Inst::Nop => Op::Nop,
+        }
+    }
+
+    /// What executing this op may do to guest memory, which decides how
+    /// it bounds a replay window of the timing loop (DESIGN.md, "Timing
+    /// loop"). One arm per variant and no wildcard, so a new op must
+    /// say what it writes.
+    pub const fn guest_write(self) -> GuestWrite {
+        match self {
+            Op::Add { .. }
+            | Op::Sub { .. }
+            | Op::Mul { .. }
+            | Op::Div { .. }
+            | Op::Rem { .. }
+            | Op::And { .. }
+            | Op::Or { .. }
+            | Op::Xor { .. }
+            | Op::Sll { .. }
+            | Op::Srl { .. }
+            | Op::Sra { .. }
+            | Op::Slt { .. }
+            | Op::Sltu { .. }
+            | Op::AddI { .. }
+            | Op::SubI { .. }
+            | Op::MulI { .. }
+            | Op::DivI { .. }
+            | Op::RemI { .. }
+            | Op::AndI { .. }
+            | Op::OrI { .. }
+            | Op::XorI { .. }
+            | Op::SllI { .. }
+            | Op::SrlI { .. }
+            | Op::SraI { .. }
+            | Op::SltI { .. }
+            | Op::SltuI { .. }
+            | Op::Li { .. }
+            | Op::LoadU8 { .. }
+            | Op::LoadS8 { .. }
+            | Op::LoadU16 { .. }
+            | Op::LoadS16 { .. }
+            | Op::LoadU32 { .. }
+            | Op::LoadS32 { .. }
+            | Op::Load64 { .. }
+            | Op::Beq { .. }
+            | Op::Bne { .. }
+            | Op::Blt { .. }
+            | Op::Bge { .. }
+            | Op::Bltu { .. }
+            | Op::Bgeu { .. }
+            | Op::Jal { .. }
+            | Op::Jalr { .. }
+            | Op::Halt
+            | Op::Nop => GuestWrite::Nothing,
+            Op::Store8 { .. } | Op::Store16 { .. } | Op::Store32 { .. } | Op::Store64 { .. } => {
+                GuestWrite::Bytes
+            }
+            Op::Arm { .. } | Op::Disarm { .. } | Op::Ecall => GuestWrite::PreImages,
         }
     }
 
@@ -542,6 +613,38 @@ mod tests {
     #[test]
     fn ops_fit_sixteen_bytes() {
         assert!(std::mem::size_of::<Op>() <= 16);
+    }
+
+    #[test]
+    fn guest_writes_follow_the_micro_op_kinds() {
+        let mut p = ProgramBuilder::new();
+        let lp = p.new_label();
+        p.bind(lp);
+        for size in [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8] {
+            p.store(Reg::A0, Reg::A1, 8, size);
+            p.load(Reg::A0, Reg::A1, 8, size);
+            p.load_signed(Reg::A0, Reg::A1, 8, size);
+        }
+        p.add(Reg::A0, Reg::A0, Reg::A1);
+        p.li(Reg::A0, 3);
+        p.bne(Reg::A0, Reg::ZERO, lp);
+        p.jalr(Reg::RA, Reg::A0, 0);
+        p.arm(Reg::A1);
+        p.disarm(Reg::A1);
+        p.ecall_raw();
+        p.nop();
+        p.halt();
+        let prog = p.build();
+        for pc in (0..prog.len() as u64).map(|i| Program::CODE_BASE + i * PC_STEP) {
+            let op = Op::decode_at(&prog, pc).unwrap();
+            let want = match op.template(pc, Component::App, opts()).kind {
+                OpKind::Store => GuestWrite::Bytes,
+                OpKind::Arm | OpKind::Disarm => GuestWrite::PreImages,
+                _ if op == Op::Ecall => GuestWrite::PreImages,
+                _ => GuestWrite::Nothing,
+            };
+            assert_eq!(op.guest_write(), want, "{op:?}");
+        }
     }
 
     #[test]

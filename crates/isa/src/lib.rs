@@ -55,7 +55,7 @@ mod program;
 mod reg;
 
 pub use asm::{parse_asm, AsmError};
-pub use decoded::{DecodeOptions, DecodedProgram, Op};
+pub use decoded::{DecodeOptions, DecodedProgram, GuestWrite, Op};
 pub use dyninst::{BranchInfo, Component, DynInst, MemAccessKind, MemRef, OpKind};
 pub use guest::{GuestMemory, PAGE_SIZE};
 pub use inst::{AluOp, BranchCond, EcallNum, Inst, MemSize};
