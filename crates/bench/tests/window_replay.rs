@@ -12,7 +12,7 @@ use rest_cpu::{stats_map_parts, Emulator, ExecEngine, Pipeline, SimConfig, StopR
 use rest_isa::{DynInst, Program, ProgramBuilder, Reg};
 use rest_mem::Hierarchy;
 use rest_obs::{AuditLog, CpiStack};
-use rest_runtime::{RtConfig, Violation};
+use rest_runtime::RtConfig;
 use rest_workloads::Scale;
 
 /// Everything a timing run reports that the replay could move.
@@ -36,16 +36,6 @@ fn windowed(program: Program, cfg: &SimConfig) -> Observed {
         stop: r.stop,
         output: r.output,
         audit: r.audit,
-    }
-}
-
-/// PC of the faulting access of any violation flavour.
-fn violation_pc(v: &Violation) -> u64 {
-    match v {
-        Violation::Rest(e) => e.pc,
-        Violation::Asan(r) => r.pc,
-        Violation::Tag(t) => t.pc,
-        Violation::Pac(p) => p.pc,
     }
 }
 
@@ -76,8 +66,9 @@ fn per_instruction(program: Program, cfg: &SimConfig) -> Observed {
         _ => None,
     };
     for v in deferred.iter().chain(arch) {
-        let component = emu.component_at(violation_pc(v)).name();
-        audit.record(v.audit_entry(mode, component, core.insts));
+        let mut entry = v.audit_entry(mode, "", core.insts);
+        entry.component = emu.component_at(entry.pc).name();
+        audit.record(entry);
     }
     Observed {
         stats: stats_map_parts(&core, pipe.mem_stats(), emu.runtime().allocator().stats()),
