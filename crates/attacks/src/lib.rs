@@ -231,7 +231,7 @@ impl Attack {
             (PaddingGapOverread, Scheme::Asan) => Detected,
             (BruteForceDisarm, Scheme::Asan) => NotApplicable,
             (UninitLeak, Scheme::Asan) => Undetected, // ASan does not zero
-            (UninitLeak, Scheme::Rest) => Prevented, // zeroed pool: no leak
+            (UninitLeak, Scheme::Rest) => Prevented,  // zeroed pool: no leak
             (UncheckedLibraryOverflow, Scheme::Asan) => Undetected,
             // MTE: every heap access is a 4-bit lock-and-key check, so
             // the spatial and temporal heap attacks are caught unless
@@ -305,9 +305,7 @@ impl Attack {
         let delayed = emu.take_deferred().is_some();
         let detected = matches!(stop, StopReason::Violation(_)) || delayed;
         let output = emu.runtime().output().to_vec();
-        let leaked_secret = output
-            .windows(SECRET.len())
-            .any(|w| w == SECRET.as_slice());
+        let leaked_secret = output.windows(SECRET.len()).any(|w| w == SECRET.as_slice());
         AttackOutcome {
             stop,
             detected,
@@ -364,7 +362,11 @@ mod tests {
         ] {
             let out = Attack::JumpOverRedzone.run(cfg.clone());
             assert!(!out.detected, "{}: {:?}", cfg.label(), out.stop);
-            assert!(out.leaked_secret, "{}: probe must reach the secret", cfg.label());
+            assert!(
+                out.leaked_secret,
+                "{}: probe must reach the secret",
+                cfg.label()
+            );
         }
         // …but decoy sprinkling (§V-C) breaks the stride lattice.
         let out = Attack::JumpOverRedzone.run(RtConfig::rest(Mode::Secure, false).with_sprinkle());

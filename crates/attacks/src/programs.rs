@@ -149,8 +149,8 @@ pub fn double_free() -> Program {
     p.ecall(EcallNum::Free);
     p.mv(Reg::A0, Reg::S0);
     p.ecall(EcallNum::Free); // hardened allocators stop here
-    // Plain allocator: the corrupted bin now hands out the same chunk
-    // twice; "two" objects alias.
+                             // Plain allocator: the corrupted bin now hands out the same chunk
+                             // twice; "two" objects alias.
     p.li(Reg::A0, 64);
     p.ecall(EcallNum::Malloc);
     p.mv(Reg::S1, Reg::A0); // victim object

@@ -68,8 +68,7 @@ pub fn corpus_dir() -> PathBuf {
 /// the corpus.
 pub fn load_dir(dir: &Path) -> Result<Vec<RegressCase>, String> {
     let mut stems: Vec<String> = Vec::new();
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for entry in entries {
         let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
         match path.extension().and_then(|e| e.to_str()) {
@@ -103,10 +102,9 @@ pub fn load_dir(dir: &Path) -> Result<Vec<RegressCase>, String> {
 fn load_case(dir: &Path, stem: &str) -> Result<RegressCase, String> {
     let asm_path = dir.join(format!("{stem}.s"));
     let trace_path = dir.join(format!("{stem}.trace"));
-    let asm = fs::read_to_string(&asm_path)
-        .map_err(|e| format!("{}: {e}", asm_path.display()))?;
-    let trace = fs::read_to_string(&trace_path)
-        .map_err(|e| format!("{}: {e}", trace_path.display()))?;
+    let asm = fs::read_to_string(&asm_path).map_err(|e| format!("{}: {e}", asm_path.display()))?;
+    let trace =
+        fs::read_to_string(&trace_path).map_err(|e| format!("{}: {e}", trace_path.display()))?;
     let mut ops = Vec::new();
     let mut expectations: Vec<(String, Expectation)> = Vec::new();
     for raw in trace.lines() {
@@ -121,21 +119,18 @@ fn load_case(dir: &Path, stem: &str) -> Result<RegressCase, String> {
             let scheme = it
                 .next()
                 .ok_or_else(|| format!("{stem}.trace: bare expect line"))?;
-            let name = it.next().ok_or_else(|| {
-                format!("{stem}.trace: expect {scheme} has no verdict")
-            })?;
-            let expect = Expectation::from_name(name).ok_or_else(|| {
-                format!("{stem}.trace: unknown expectation {name:?}")
-            })?;
+            let name = it
+                .next()
+                .ok_or_else(|| format!("{stem}.trace: expect {scheme} has no verdict"))?;
+            let expect = Expectation::from_name(name)
+                .ok_or_else(|| format!("{stem}.trace: unknown expectation {name:?}"))?;
             if it.next().is_some() {
                 return Err(format!(
                     "{stem}.trace: trailing tokens on expect line {line:?}"
                 ));
             }
             if expectations.iter().any(|(s, _)| s == scheme) {
-                return Err(format!(
-                    "{stem}.trace: duplicate expect row for {scheme}"
-                ));
+                return Err(format!("{stem}.trace: duplicate expect row for {scheme}"));
             }
             expectations.push((scheme.to_string(), expect));
         } else {
@@ -167,8 +162,7 @@ pub fn corpus() -> Result<Vec<RegressCase>, String> {
 /// [`AttackOutcome`] exactly the way [`crate::Attack::run`] does, so
 /// [`Expectation::admits`] judges both with one predicate.
 pub fn replay(case: &RegressCase, rt: RtConfig) -> Result<AttackOutcome, String> {
-    let program = rest_isa::parse_asm(&case.asm)
-        .map_err(|e| format!("{}: {e:?}", case.name))?;
+    let program = rest_isa::parse_asm(&case.asm).map_err(|e| format!("{}: {e:?}", case.name))?;
     let cfg = SimConfig::isca2018(rt);
     let mut emu = Emulator::new(program, &cfg);
     emu.run_functional();
@@ -223,10 +217,7 @@ mod tests {
         let cases = load_dir(&dir).unwrap();
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].ops, ["malloc slot=3 size=8"]);
-        assert_eq!(
-            cases[0].expectation("plain"),
-            Expectation::Undetected
-        );
+        assert_eq!(cases[0].expectation("plain"), Expectation::Undetected);
         assert_eq!(
             cases[0].expectation("never-heard-of-it"),
             Expectation::NotApplicable
@@ -249,8 +240,7 @@ mod tests {
             "tests/regress/ must hold at least one minimized reproducer"
         );
         for case in &cases {
-            rest_isa::parse_asm(&case.asm)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", case.name));
+            rest_isa::parse_asm(&case.asm).unwrap_or_else(|e| panic!("{}: {e:?}", case.name));
             assert!(
                 !case.expectations.is_empty(),
                 "{}: empty expectations",
