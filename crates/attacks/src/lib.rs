@@ -285,34 +285,31 @@ impl Attack {
     /// outcome. Stack protection follows the configuration's scheme and
     /// scope.
     pub fn run(self, rt: RtConfig) -> AttackOutcome {
-        let stack = if rt.stack_protection {
-            match rt.scheme {
-                Scheme::Plain => StackScheme::None,
-                Scheme::Asan => StackScheme::Asan,
-                Scheme::Rest => StackScheme::Rest,
-                // Heap-granule schemes: no stack instrumentation.
-                Scheme::Mte | Scheme::Pa => StackScheme::None,
-            }
-        } else {
-            StackScheme::None
-        };
-        let rt = self.rt_for(rt);
-        let program = self.build(stack);
-        let cfg = SimConfig::isca2018(rt);
-        let mut emu = Emulator::new(program, &cfg);
-        emu.run_functional();
-        let stop = emu.take_stop().expect("run_functional stops");
-        let delayed = emu.take_deferred().is_some();
-        let detected = matches!(stop, StopReason::Violation(_)) || delayed;
-        let output = emu.runtime().output().to_vec();
-        let leaked_secret = output.windows(SECRET.len()).any(|w| w == SECRET.as_slice());
-        AttackOutcome {
-            stop,
-            detected,
-            delayed,
-            leaked_secret,
-        }
+        let program = self.build(rt.stack_scheme());
+        run_and_judge(program, self.rt_for(rt)).expect("run_functional stops")
     }
+}
+
+/// Whether the planted [`SECRET`] reached `output`.
+pub fn leaks_secret(output: &[u8]) -> bool {
+    output.windows(SECRET.len()).any(|w| w == SECRET.as_slice())
+}
+
+/// Runs `program` functionally under `rt` and judges the run the one
+/// way [`Attack::run`] and [`regress::replay`] share: a violation stop
+/// or a deferred fault is a detection, the secret in the output a
+/// leak. `None` when the run did not stop.
+fn run_and_judge(program: Program, rt: RtConfig) -> Option<AttackOutcome> {
+    let mut emu = Emulator::new(program, &SimConfig::isca2018(rt));
+    emu.run_functional();
+    let stop = emu.take_stop()?;
+    let delayed = emu.take_deferred().is_some();
+    Some(AttackOutcome {
+        detected: matches!(stop, StopReason::Violation(_)) || delayed,
+        stop,
+        delayed,
+        leaked_secret: leaks_secret(emu.runtime().output()),
+    })
 }
 
 impl std::fmt::Display for Attack {

@@ -23,10 +23,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rest_cpu::{Emulator, ExecEngine, SimConfig, StopReason};
 use rest_runtime::RtConfig;
 
-use crate::{AttackOutcome, Expectation, SECRET};
+use crate::{AttackOutcome, Expectation};
 
 /// One minimized reproducer loaded from the corpus.
 #[derive(Debug, Clone)]
@@ -163,25 +162,7 @@ pub fn corpus() -> Result<Vec<RegressCase>, String> {
 /// [`Expectation::admits`] judges both with one predicate.
 pub fn replay(case: &RegressCase, rt: RtConfig) -> Result<AttackOutcome, String> {
     let program = rest_isa::parse_asm(&case.asm).map_err(|e| format!("{}: {e:?}", case.name))?;
-    let cfg = SimConfig::isca2018(rt);
-    let mut emu = Emulator::new(program, &cfg);
-    emu.run_functional();
-    let stop = emu
-        .take_stop()
-        .ok_or_else(|| format!("{}: run did not stop", case.name))?;
-    let delayed = emu.take_deferred().is_some();
-    let detected = matches!(stop, StopReason::Violation(_)) || delayed;
-    let leaked_secret = emu
-        .runtime()
-        .output()
-        .windows(SECRET.len())
-        .any(|w| w == SECRET.as_slice());
-    Ok(AttackOutcome {
-        stop,
-        detected,
-        delayed,
-        leaked_secret,
-    })
+    crate::run_and_judge(program, rt).ok_or_else(|| format!("{}: run did not stop", case.name))
 }
 
 #[cfg(test)]

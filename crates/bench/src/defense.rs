@@ -23,7 +23,7 @@
 //! |---|---|
 //! | `detected` | stopped on a violation, **or** a detection-provenance audit entry exists |
 //! | `delayed` | audit-only detection (MTE async/asymm TFSR: the run completed first) |
-//! | `leaked_secret` | the planted [`SECRET`] reached the guest output |
+//! | `leaked_secret` | the planted [`SECRET`](rest_attacks::SECRET) reached the guest output |
 //!
 //! and checks it with [`Expectation::admits`] — the exact predicate the
 //! functional path uses, so the two measurement paths cannot drift.
@@ -32,7 +32,7 @@
 
 use std::fmt::Write as _;
 
-use rest_attacks::{Attack, AttackOutcome, Expectation, SECRET};
+use rest_attacks::{Attack, AttackOutcome, Expectation};
 use rest_cpu::{SimResult, StopReason};
 use rest_obs::Json;
 use rest_runtime::RtConfig;
@@ -82,15 +82,11 @@ pub fn outcome_of(result: &SimResult) -> AttackOutcome {
         .entries()
         .iter()
         .any(|e| DETECTORS.contains(&e.detector));
-    let leaked_secret = result
-        .output
-        .windows(SECRET.len())
-        .any(|w| w == SECRET.as_slice());
     AttackOutcome {
         stop: result.stop.clone(),
         detected: precise || flagged,
         delayed: flagged && !precise,
-        leaked_secret,
+        leaked_secret: rest_attacks::leaks_secret(&result.output),
     }
 }
 

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use rest_attacks::regress::RegressCase;
 use rest_cpu::{SimConfig, SimResult, StopReason, System};
 use rest_isa::Program;
 use rest_obs::{JobTiming, Json};
@@ -35,7 +36,7 @@ use rest_runtime::RtConfig;
 use rest_workloads::{Scale, WorkloadParams};
 
 use crate::table::{fixed, Table};
-use crate::{stack_for, FigureRow};
+use crate::FigureRow;
 
 /// The guest program a job runs.
 #[derive(Debug, Clone)]
@@ -45,8 +46,9 @@ pub enum Guest {
     /// An attack scenario (fault-injection and defense campaigns mix
     /// clean workload rows with attack rows).
     Attack(rest_attacks::Attack),
-    /// A minimized regression-corpus program.
-    Regress(RegressProg),
+    /// A minimized regression-corpus program (shared: one corpus load
+    /// serves every scheme).
+    Regress(Arc<RegressCase>),
 }
 
 impl Guest {
@@ -55,7 +57,7 @@ impl Guest {
         match self {
             Guest::Workload(row) => row.name,
             Guest::Attack(attack) => attack.name(),
-            Guest::Regress(prog) => &prog.name,
+            Guest::Regress(case) => &case.name,
         }
     }
 }
@@ -65,7 +67,7 @@ impl std::fmt::Display for Guest {
         match self {
             Guest::Workload(row) => write!(f, "{} (seed {:#x})", row.workload, row.seed),
             Guest::Attack(attack) => write!(f, "attack {}", attack.name()),
-            Guest::Regress(prog) => write!(f, "regression case {}", prog.name),
+            Guest::Regress(case) => write!(f, "regression case {}", case.name),
         }
     }
 }
@@ -119,16 +121,6 @@ pub struct SimJob {
     pub inject_panic: bool,
 }
 
-/// A regression-corpus program: minimized reproducer assembly replayed
-/// by defense/elide campaigns alongside the hand-written attacks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegressProg {
-    /// Corpus file stem (`"oob-write-agree-detected"`, …).
-    pub name: String,
-    /// Assembly text (shared: one corpus load serves every scheme).
-    pub asm: Arc<String>,
-}
-
 impl SimJob {
     /// A job running `guest` on `cfg` with every job-level rule off.
     pub fn on(guest: Guest, label: impl Into<String>, cfg: SimConfig, scale: Scale) -> SimJob {
@@ -154,17 +146,17 @@ impl SimJob {
         SimJob::new(row, "plain", RtConfig::plain(), scale)
     }
 
-    /// A job replaying regression-corpus program `prog` under `rt`: any
-    /// stop is accepted (the stop reason *is* the measurement).
+    /// A job replaying regression case `case` under `rt`: any stop is
+    /// accepted (the stop reason *is* the measurement).
     pub fn for_regress(
-        prog: RegressProg,
+        case: Arc<RegressCase>,
         label: impl Into<String>,
         rt: RtConfig,
         scale: Scale,
     ) -> SimJob {
         SimJob {
             accept_any_stop: true,
-            ..SimJob::on(Guest::Regress(prog), label, SimConfig::isca2018(rt), scale)
+            ..SimJob::on(Guest::Regress(case), label, SimConfig::isca2018(rt), scale)
         }
     }
 
@@ -224,14 +216,14 @@ impl SimJob {
             match &self.guest {
                 Guest::Workload(row) => Ok(row.workload.build(&WorkloadParams {
                     scale: self.scale,
-                    stack_scheme: stack_for(rt),
+                    stack_scheme: rt.stack_scheme(),
                     token_width: rt.token_width,
                     seed: row.seed,
                 })),
-                Guest::Attack(attack) => Ok(attack.build(stack_for(rt))),
-                Guest::Regress(prog) => rest_isa::parse_asm(&prog.asm).map_err(|e| JobError {
+                Guest::Attack(attack) => Ok(attack.build(rt.stack_scheme())),
+                Guest::Regress(case) => rest_isa::parse_asm(&case.asm).map_err(|e| JobError {
                     kind: "regress-parse".to_string(),
-                    detail: format!("regression case {}: {e}", prog.name),
+                    detail: format!("regression case {}: {e}", case.name),
                 }),
             }
         })
@@ -313,14 +305,10 @@ impl SimJob {
         let stop = &result.stop;
         JobError {
             kind: match stop {
-                StopReason::Halted => "halted",
-                StopReason::Exit(_) => "nonzero-exit",
-                StopReason::Violation(_) => "violation",
-                StopReason::UopLimit => "uop-limit",
-                StopReason::CycleLimit => "cycle-limit",
-                StopReason::Fault(_) => "fault",
-            }
-            .to_string(),
+                StopReason::Exit(_) => "nonzero-exit".to_string(),
+                StopReason::Fault(_) => "fault".to_string(),
+                _ => stop.name(),
+            },
             detail: format!(
                 "{} stopped with {:?} under {}",
                 self.guest,
@@ -853,10 +841,7 @@ mod tests {
     fn cache_key_covers_every_field_but_the_display_strings() {
         let base = SimJob::new(&lbm_row(), "a", RtConfig::plain(), Scale::Test);
         fn regress(asm: &str) -> Guest {
-            Guest::Regress(RegressProg {
-                name: "case".to_string(),
-                asm: Arc::new(asm.to_string()),
-            })
+            Guest::Regress(regress_case("case", asm))
         }
         type Edit = fn(&mut SimJob);
         let edits: Vec<(&str, Edit)> = vec![
@@ -1146,20 +1131,24 @@ mod tests {
         assert!(plain.execute().unwrap().profile.is_none());
     }
 
+    /// A corpus case with no sidecar rows.
+    fn regress_case(name: &str, asm: &str) -> Arc<RegressCase> {
+        Arc::new(RegressCase {
+            name: name.to_string(),
+            asm: asm.to_string(),
+            ops: Vec::new(),
+            expectations: Vec::new(),
+        })
+    }
+
     #[test]
     fn regress_jobs_run_parsed_assembly() {
-        let prog = RegressProg {
-            name: "exit-only".to_string(),
-            asm: Arc::new("main:\n    li a0, 0\n    ecall 5\n".to_string()),
-        };
-        let job = SimJob::for_regress(prog, "plain", RtConfig::plain(), Scale::Test);
+        let case = regress_case("exit-only", "main:\n    li a0, 0\n    ecall 5\n");
+        let job = SimJob::for_regress(case, "plain", RtConfig::plain(), Scale::Test);
         let result = job.execute().expect("minimal program runs");
         assert!(matches!(result.stop, StopReason::Exit(0)));
         let broken = SimJob::for_regress(
-            RegressProg {
-                name: "broken".to_string(),
-                asm: Arc::new("main:\n    not-an-instruction\n".to_string()),
-            },
+            regress_case("broken", "main:\n    not-an-instruction\n"),
             "plain",
             RtConfig::plain(),
             Scale::Test,

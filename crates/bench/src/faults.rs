@@ -182,19 +182,6 @@ pub fn result_checksum(result: &SimResult) -> u64 {
     h
 }
 
-/// Deterministic name for a stop reason.
-fn stop_name(stop: &StopReason) -> String {
-    match stop {
-        StopReason::Exit(0) => "exit-0".to_string(),
-        StopReason::Exit(code) => format!("exit-{code}"),
-        StopReason::Halted => "halted".to_string(),
-        StopReason::Violation(_) => "violation".to_string(),
-        StopReason::UopLimit => "uop-limit".to_string(),
-        StopReason::CycleLimit => "cycle-limit".to_string(),
-        StopReason::Fault(_) => "guest-fault".to_string(),
-    }
-}
-
 fn fault_spec_json(spec: &FaultSpec) -> Json {
     Json::obj(vec![
         ("kind", Json::from(spec.kind.name())),
@@ -205,11 +192,64 @@ fn fault_spec_json(spec: &FaultSpec) -> Json {
     ])
 }
 
-/// The raw (classification-free) JSON of one finished cell.
-fn raw_cell_json(
+/// How a finished cell ended, as far as classification reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ending {
+    /// The engine could not simulate the cell.
+    Error,
+    /// A violation stopped the run.
+    Detected,
+    /// `exit(0)` or `halt`, with the run's [`result_checksum`].
+    Clean(u64),
+    /// The cycle or micro-op budget expired.
+    Hang,
+    /// Any other stop: a guest fault or a nonzero exit.
+    Crash,
+}
+
+impl Ending {
+    fn of(outcome: &Result<SimResult, JobError>) -> Ending {
+        let Ok(result) = outcome else {
+            return Ending::Error;
+        };
+        match result.stop {
+            StopReason::Violation(_) => Ending::Detected,
+            StopReason::Exit(0) | StopReason::Halted => Ending::Clean(result_checksum(result)),
+            StopReason::UopLimit | StopReason::CycleLimit => Ending::Hang,
+            StopReason::Exit(_) | StopReason::Fault(_) => Ending::Crash,
+        }
+    }
+}
+
+/// Classification of one cell against its row's fault-free reference
+/// cell: `(outcome, missed_detection, false_positive)`.
+fn classify(cell: Ending, reference: Ending) -> (&'static str, bool, bool) {
+    let outcome = match cell {
+        Ending::Error => return ("error", false, false),
+        Ending::Detected => "detected",
+        Ending::Hang => "hang",
+        // A clean exit whose observable state matches the fault-free
+        // reference is masked; any divergence (including "the
+        // reference never exited cleanly at all") is silent data
+        // corruption.
+        Ending::Clean(_) if cell == reference => "masked",
+        Ending::Clean(_) => "sdc",
+        Ending::Crash => "crash",
+    };
+    let clean = |e: Ending| matches!(e, Ending::Clean(_));
+    let missed_detection = reference == Ending::Detected && clean(cell);
+    let false_positive = clean(reference) && cell == Ending::Detected;
+    (outcome, missed_detection, false_positive)
+}
+
+/// The JSON of one finished cell that ended as `ending` and classified
+/// as `class`.
+fn cell_json(
     label: &str,
     spec: Option<&FaultSpec>,
     outcome: &Result<SimResult, JobError>,
+    ending: Ending,
+    (class, missed, fp): (&str, bool, bool),
 ) -> Json {
     let mut members = vec![
         ("label", Json::from(label)),
@@ -218,16 +258,11 @@ fn raw_cell_json(
     match outcome {
         Err(e) => members.push(("error", e.to_json())),
         Ok(result) => {
-            let detected = matches!(result.stop, StopReason::Violation(_));
-            let clean = matches!(result.stop, StopReason::Exit(0) | StopReason::Halted);
-            members.push(("stop", Json::Str(stop_name(&result.stop))));
-            members.push(("detected", Json::Bool(detected)));
-            members.push(("clean_exit", Json::Bool(clean)));
-            if clean {
-                members.push((
-                    "checksum",
-                    Json::from(format!("{:#018x}", result_checksum(result))),
-                ));
+            members.push(("stop", Json::Str(result.stop.name())));
+            members.push(("detected", Json::Bool(ending == Ending::Detected)));
+            members.push(("clean_exit", Json::Bool(matches!(ending, Ending::Clean(_)))));
+            if let Ending::Clean(sum) = ending {
+                members.push(("checksum", Json::from(format!("{sum:#018x}"))));
             }
             if let Some(report) = &result.fault {
                 members.push(("fault_report", crate::sink::fault_report_json(report)));
@@ -245,56 +280,10 @@ fn raw_cell_json(
             members.push(("audit_injector_entries", Json::UInt(injector_entries)));
         }
     }
+    members.push(("outcome", Json::from(class)));
+    members.push(("missed_detection", Json::Bool(missed)));
+    members.push(("false_positive", Json::Bool(fp)));
     Json::obj(members)
-}
-
-/// Classification of one raw cell against its row's fault-free
-/// reference cell: `(outcome, missed_detection, false_positive)`.
-fn classify(cell: &Json, reference: &Json) -> (&'static str, bool, bool) {
-    let truthy = |j: &Json, key: &str| j.get(key) == Some(&Json::Bool(true));
-    if cell.get("error").is_some() {
-        return ("error", false, false);
-    }
-    let detected = truthy(cell, "detected");
-    let clean = truthy(cell, "clean_exit");
-    let stop = cell.get("stop").and_then(Json::as_str).unwrap_or("");
-    let ref_detected = truthy(reference, "detected");
-    let ref_clean = truthy(reference, "clean_exit");
-    let outcome = if detected {
-        "detected"
-    } else if stop == "cycle-limit" || stop == "uop-limit" {
-        "hang"
-    } else if clean {
-        // A clean exit whose observable state matches the fault-free
-        // reference is masked; any divergence (including "the
-        // reference never exited cleanly at all") is silent data
-        // corruption.
-        let matches_ref = reference.get("checksum").is_some()
-            && cell.get("checksum") == reference.get("checksum");
-        if matches_ref {
-            "masked"
-        } else {
-            "sdc"
-        }
-    } else {
-        "crash"
-    };
-    let missed_detection = ref_detected && clean;
-    let false_positive = ref_clean && detected;
-    (outcome, missed_detection, false_positive)
-}
-
-/// Appends the classification members to a raw cell.
-fn classified_cell(cell: &Json, reference: &Json) -> Json {
-    let (outcome, missed, fp) = classify(cell, reference);
-    let mut members = match cell {
-        Json::Obj(m) => m.clone(),
-        other => vec![("cell".to_string(), other.clone())],
-    };
-    members.push(("outcome".to_string(), Json::from(outcome)));
-    members.push(("missed_detection".to_string(), Json::Bool(missed)));
-    members.push(("false_positive".to_string(), Json::Bool(fp)));
-    Json::Obj(members)
 }
 
 /// The outcome names [`classify`] produces, in coverage order.
@@ -455,11 +444,7 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
         }
     }
     let outcomes = h.run_all(&jobs);
-    let cells: Vec<Json> = jobs
-        .iter()
-        .zip(&outcomes)
-        .map(|(job, outcome)| raw_cell_json(&job.label, job.cfg.fault.as_ref(), outcome))
-        .collect();
+    let endings: Vec<Ending> = outcomes.iter().map(|o| Ending::of(o)).collect();
 
     // Coverage counters over all cells, plus the two derived flags.
     let mut counts: Vec<(&'static str, u64)> = OUTCOMES.iter().map(|&k| (k, 0u64)).collect();
@@ -469,14 +454,17 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
     let mut table = Table::new(align.chain(labels.iter().map(|_| Align::Right)));
     table.row(["row", "kind"].into_iter().chain(labels.iter().copied()));
     let mut row_docs = Vec::new();
-    for (row, row_cells) in rows.iter().zip(cells.chunks(labels.len())) {
-        let reference = &row_cells[0];
+    for (r, row) in rows.iter().enumerate() {
+        let cells = r * labels.len()..(r + 1) * labels.len();
+        let reference = endings[cells.start];
         let mut line = vec![row.name().to_string(), row_kind(row).to_string()];
         let mut cell_docs = Vec::new();
-        for cell in row_cells {
-            let (outcome, missed, fp) = classify(cell, reference);
+        for i in cells {
+            let (job, ending) = (&jobs[i], endings[i]);
+            let class = classify(ending, reference);
+            let (name, missed, fp) = class;
             for entry in counts.iter_mut() {
-                if entry.0 == outcome {
+                if entry.0 == name {
                     entry.1 += 1;
                 }
             }
@@ -489,8 +477,9 @@ pub fn run_campaign(h: &mut Harness) -> Result<Vec<Artifact>, String> {
             } else {
                 ""
             };
-            line.push(format!("{outcome}{marker}"));
-            cell_docs.push(classified_cell(cell, reference));
+            line.push(format!("{name}{marker}"));
+            let fault = job.cfg.fault.as_ref();
+            cell_docs.push(cell_json(&job.label, fault, &outcomes[i], ending, class));
         }
         table.row(line);
         row_docs.push(Json::obj(vec![
@@ -561,53 +550,29 @@ mod tests {
 
     #[test]
     fn classification_matrix() {
-        let cell = |detected: bool, clean: bool, stop: &str, sum: Option<&str>| {
-            let mut m = vec![
-                ("detected", Json::Bool(detected)),
-                ("clean_exit", Json::Bool(clean)),
-                ("stop", Json::from(stop)),
-            ];
-            if let Some(s) = sum {
-                m.push(("checksum", Json::from(s)));
-            }
-            Json::obj(m)
-        };
-        let clean_ref = cell(false, true, "exit-0", Some("0xaa"));
-        let detected_ref = cell(true, false, "violation", None);
+        use Ending::*;
+        let (clean_ref, detected_ref) = (Clean(0xaa), Detected);
 
         // Fault-free cells classify against themselves.
-        assert_eq!(classify(&clean_ref, &clean_ref), ("masked", false, false));
+        assert_eq!(classify(clean_ref, clean_ref), ("masked", false, false));
         assert_eq!(
-            classify(&detected_ref, &detected_ref),
+            classify(detected_ref, detected_ref),
             ("detected", false, false)
         );
         // Fail-open: reference detected, faulted run sailed through.
-        assert_eq!(
-            classify(&cell(false, true, "exit-0", Some("0xbb")), &detected_ref),
-            ("sdc", true, false)
-        );
+        assert_eq!(classify(Clean(0xbb), detected_ref), ("sdc", true, false));
         // Fail-closed: clean reference, faulted run raised a violation.
-        assert_eq!(
-            classify(&cell(true, false, "violation", None), &clean_ref),
-            ("detected", false, true)
-        );
+        assert_eq!(classify(Detected, clean_ref), ("detected", false, true));
         // Checksum divergence on a clean row is SDC, not masked.
-        assert_eq!(
-            classify(&cell(false, true, "exit-0", Some("0xbb")), &clean_ref),
-            ("sdc", false, false)
-        );
+        assert_eq!(classify(Clean(0xbb), clean_ref), ("sdc", false, false));
         // Budget expiry is a hang; guest faults are crashes.
-        assert_eq!(
-            classify(&cell(false, false, "cycle-limit", None), &clean_ref),
-            ("hang", false, false)
-        );
-        assert_eq!(
-            classify(&cell(false, false, "guest-fault", None), &clean_ref),
-            ("crash", false, false)
-        );
+        assert_eq!(classify(Hang, clean_ref), ("hang", false, false));
+        assert_eq!(classify(Crash, clean_ref), ("crash", false, false));
         // Engine-level failures surface as "error".
-        let err = Json::obj(vec![("error", Json::obj(vec![]))]);
-        assert_eq!(classify(&err, &clean_ref), ("error", false, false));
+        assert_eq!(classify(Error, clean_ref), ("error", false, false));
+        // A clean exit against a reference that never exited cleanly
+        // diverges from it.
+        assert_eq!(classify(Clean(0xaa), Error), ("sdc", false, false));
     }
 
     #[test]
@@ -632,15 +597,16 @@ mod tests {
         let budget = cycle_budget(Scale::Test);
         let mut job = cell_job(&rows[r], column_labels()[c], spec, Scale::Test, budget);
         job.inject_panic = true;
-        let panic = raw_cell_json(&job.label, spec.as_ref(), &job.execute());
-        let reference = doc.path_mut(&format!("rows.{r}.cells.0")).unwrap().clone();
+        let panic = job.execute();
+        let ending = Ending::of(&panic);
+        let class = classify(ending, Ending::Detected);
         let cell = doc.path_mut(&format!("rows.{r}.cells.{c}")).unwrap();
         let was = cell
             .get("outcome")
             .and_then(Json::as_str)
             .unwrap()
             .to_string();
-        *cell = classified_cell(&panic, &reference);
+        *cell = cell_json(&job.label, spec.as_ref(), &panic, ending, class);
         for (key, delta) in [
             (was.as_str(), -1i64),
             ("error", 1),

@@ -26,6 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rest_attacks::regress::RegressCase;
 use rest_fuzz::{
     lower, minimize, run_case, BugKind, Case, CaseStream, Class, GroundTruth, BUG_SLOT,
 };
@@ -33,7 +34,7 @@ use rest_obs::Json;
 use rest_workloads::Scale;
 
 use crate::cli::{BenchCli, Harness};
-use crate::engine::{RegressProg, SimJob};
+use crate::engine::SimJob;
 use crate::sink::Artifact;
 use crate::table::Table;
 
@@ -79,12 +80,15 @@ fn scheme_expectations(
 ) -> Result<Vec<(String, String)>, String> {
     let known_miss = matches!(case.truth, GroundTruth::Miss(_));
     let mut expectations = Vec::new();
+    // No sidecar yet: its `expect` rows are what this loop measures.
+    let regress = std::sync::Arc::new(RegressCase {
+        name: slug.to_string(),
+        asm: asm.to_string(),
+        ops: Vec::new(),
+        expectations: Vec::new(),
+    });
     for (label, rt) in crate::defense::scheme_configs() {
-        let prog = RegressProg {
-            name: slug.to_string(),
-            asm: std::sync::Arc::new(asm.to_string()),
-        };
-        let result = SimJob::for_regress(prog, label, rt, scale)
+        let result = SimJob::for_regress(regress.clone(), label, rt, scale)
             .execute()
             .map_err(|e| format!("{slug} failed under {label}: {}", e.detail))?;
         let out = crate::defense::outcome_of(&result);

@@ -64,8 +64,10 @@ pub mod regen;
 pub mod sink;
 pub mod table;
 
+use std::sync::Arc;
+
 use rest_core::{Mode, TokenWidth};
-use rest_runtime::{RtConfig, Scheme, StackScheme};
+use rest_runtime::{RtConfig, StackScheme};
 use rest_workloads::{Scale, Workload};
 
 /// One-line description of the simulated Table II machine, printed in
@@ -73,18 +75,11 @@ use rest_workloads::{Scale, Workload};
 pub const MACHINE: &str = "8-wide OoO, 192 ROB / 64 IQ / 32 LQ / 32 SQ, \
                            64kB L1I/L1D (2cy), 2MB L2 (20cy), DDR3-800 — Table II";
 
-/// Stack-protection scheme matching a runtime configuration.
+/// Stack-protection scheme matching a runtime configuration
+/// ([`RtConfig::stack_scheme`], under the name the benchmark crate
+/// imports).
 pub fn stack_for(rt: &RtConfig) -> StackScheme {
-    if !rt.stack_protection {
-        return StackScheme::None;
-    }
-    match rt.scheme {
-        Scheme::Plain => StackScheme::None,
-        Scheme::Asan => StackScheme::Asan,
-        Scheme::Rest => StackScheme::Rest,
-        // Heap-granule schemes carry no stack instrumentation.
-        Scheme::Mte | Scheme::Pa => StackScheme::None,
-    }
+    rt.stack_scheme()
 }
 
 /// One row of a figure: a workload plus its display name and input seed
@@ -138,7 +133,7 @@ pub enum Adversary {
     Attack(rest_attacks::Attack),
     /// A minimized fuzzer reproducer from `tests/regress/`, judged by
     /// the expectations its sidecar measured at emission time.
-    Regress(rest_attacks::regress::RegressCase),
+    Regress(Arc<rest_attacks::regress::RegressCase>),
 }
 
 impl Adversary {
@@ -156,11 +151,7 @@ impl Adversary {
         match self {
             Adversary::Attack(attack) => engine::SimJob::for_attack(*attack, label, rt, scale),
             Adversary::Regress(case) => {
-                let prog = engine::RegressProg {
-                    name: case.name.clone(),
-                    asm: std::sync::Arc::new(case.asm.clone()),
-                };
-                engine::SimJob::for_regress(prog, label, rt, scale)
+                engine::SimJob::for_regress(Arc::clone(case), label, rt, scale)
             }
         }
     }
@@ -181,9 +172,10 @@ pub fn adversaries() -> Result<Vec<Adversary>, String> {
     let corpus = rest_attacks::regress::corpus()
         .map_err(|e| format!("regression corpus failed to load: {e}"))?;
     let attacks = rest_attacks::Attack::ALL.into_iter().map(Adversary::Attack);
-    Ok(attacks
-        .chain(corpus.into_iter().map(Adversary::Regress))
-        .collect())
+    let corpus = corpus
+        .into_iter()
+        .map(|case| Adversary::Regress(Arc::new(case)));
+    Ok(attacks.chain(corpus).collect())
 }
 
 /// The seven hardened configurations of Figure 7, in figure order.

@@ -38,6 +38,21 @@ pub enum StopReason {
     Fault(String),
 }
 
+impl StopReason {
+    /// Stable report name: `exit-<code>`, `halted`, `violation`,
+    /// `uop-limit`, `cycle-limit` or `guest-fault`.
+    pub fn name(&self) -> String {
+        match self {
+            StopReason::Exit(code) => format!("exit-{code}"),
+            StopReason::Halted => "halted".to_string(),
+            StopReason::Violation(_) => "violation".to_string(),
+            StopReason::UopLimit => "uop-limit".to_string(),
+            StopReason::CycleLimit => "cycle-limit".to_string(),
+            StopReason::Fault(_) => "guest-fault".to_string(),
+        }
+    }
+}
+
 /// Micro-ops at which a replay window is handed over (its last
 /// instruction may take it past them; an `ecall`, alone in its window,
 /// may splice many more). Every instruction emits at least one
@@ -1675,6 +1690,28 @@ mod tests {
     use rest_isa::{OpKind, ProgramBuilder};
     use rest_runtime::RtConfig;
 
+    #[test]
+    fn stop_names_are_pinned() {
+        let violation = Violation::Asan(AsanReport {
+            kind: rest_runtime::AsanReportKind::BadFree,
+            addr: 0,
+            size: 0,
+            pc: 0,
+        });
+        for (stop, name) in [
+            (StopReason::Exit(0), "exit-0"),
+            (StopReason::Exit(3), "exit-3"),
+            (StopReason::Exit(-1), "exit--1"),
+            (StopReason::Halted, "halted"),
+            (StopReason::Violation(violation), "violation"),
+            (StopReason::UopLimit, "uop-limit"),
+            (StopReason::CycleLimit, "cycle-limit"),
+            (StopReason::Fault("bad pc".to_string()), "guest-fault"),
+        ] {
+            assert_eq!(stop.name(), name, "{stop:?}");
+        }
+    }
+
     fn run(program: Program, rt: RtConfig) -> (Emulator, StopReason) {
         let cfg = SimConfig::isca2018(rt);
         let mut emu = Emulator::new(program, &cfg);
@@ -1828,6 +1865,50 @@ mod tests {
                 assert_eq!(e.kind, RestExceptionKind::DisarmUnarmed);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn allocator_disarm_of_a_guest_disarmed_redzone_stops_with_a_violation() {
+        // The guest disarms its chunk's right redzone, frees the chunk,
+        // then pushes it out of quarantine: the allocator's release
+        // sweep finds that slot unarmed.
+        let program = rest_isa::parse_asm(
+            "    li a0, 64
+    li a7, 1
+    ecall
+    addi s0, a0, 0
+    addi t0, s0, 64
+    disarm t0
+    addi a0, s0, 0
+    li a7, 2
+    ecall
+    li s1, 4
+L_loop:
+    li a0, 600000
+    li a7, 1
+    ecall
+    li a7, 2
+    ecall
+    addi s1, s1, -1
+    bne s1, zero, L_loop
+    halt
+",
+        )
+        .unwrap();
+        for mode in [Mode::Secure, Mode::Debug] {
+            let rt = RtConfig::rest(mode, false);
+            let (_, functional) = run(program.clone(), rt.clone());
+            let timed = crate::System::new(program.clone(), SimConfig::isca2018(rt)).run();
+            for stop in [functional, timed.stop] {
+                match stop {
+                    StopReason::Violation(Violation::Rest(e)) => {
+                        assert_eq!(e.kind, RestExceptionKind::DisarmUnarmed);
+                        assert_eq!(e.precise, mode == Mode::Debug);
+                    }
+                    other => panic!("{mode:?}: {other:?}"),
+                }
+            }
         }
     }
 

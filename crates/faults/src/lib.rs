@@ -420,11 +420,6 @@ impl FaultHandle {
         false
     }
 
-    /// Forget a slot's suppression (its token was re-armed or healed).
-    pub fn clear_suppression(&self, slot: u64) {
-        self.lock().suppressed.remove(&slot);
-    }
-
     /// Drain deferred architectural effects queued by the hierarchy.
     pub fn take_effects(&self) -> Vec<MemEffect> {
         std::mem::take(&mut self.lock().pending)

@@ -151,34 +151,24 @@ struct FnRun {
     insts: u64,
 }
 
-fn stop_label(stop: &StopReason) -> (String, String) {
-    match stop {
-        StopReason::Exit(0) => ("exit-0".to_string(), String::new()),
-        StopReason::Exit(code) => (format!("exit-{code}"), String::new()),
-        StopReason::Halted => ("halted".to_string(), String::new()),
-        StopReason::Violation(v) => ("violation".to_string(), v.to_string()),
-        StopReason::UopLimit => ("uop-limit".to_string(), String::new()),
-        StopReason::CycleLimit => ("cycle-limit".to_string(), String::new()),
-        StopReason::Fault(f) => ("guest-fault".to_string(), f.clone()),
-    }
-}
-
 fn functional_run(program: Program, rt: &RtConfig, tier: ExecTier) -> FnRun {
     let mut cfg = SimConfig::isca2018(rt.clone());
     cfg.tier = tier;
     let mut emu = Emulator::new(program, &cfg);
     emu.run_functional();
-    let insts = emu.insts();
     let stop = emu.take_stop().expect("run_functional stops");
     let deferred = emu.take_deferred().is_some();
-    let detected = matches!(stop, StopReason::Violation(_)) || deferred;
-    let (stop, detail) = stop_label(&stop);
+    let detail = match &stop {
+        StopReason::Violation(v) => v.to_string(),
+        StopReason::Fault(f) => f.clone(),
+        _ => String::new(),
+    };
     FnRun {
-        stop,
+        stop: stop.name(),
         detail,
-        detected,
+        detected: matches!(stop, StopReason::Violation(_)) || deferred,
         output: emu.runtime().output().to_vec(),
-        insts,
+        insts: emu.insts(),
     }
 }
 
@@ -242,7 +232,7 @@ fn run_case_inner(case: &Case, rt: &RtConfig) -> CaseRecord {
     let mut cfg = SimConfig::isca2018(rt.clone());
     cfg.tier = ExecTier::Fast;
     let timing = System::new(program, cfg).run();
-    let (timing_stop, _) = stop_label(&timing.stop);
+    let timing_stop = timing.stop.name();
     let timing_divergence = if timing_stop != reference.stop
         || timing.output != reference.output
         || timing.core.insts != reference.insts

@@ -503,57 +503,25 @@ impl Program {
             if targets.contains(&pc) {
                 let _ = writeln!(out, "L_{pc:x}:");
             }
-            let text = match *inst {
-                Inst::Alu {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    format!("{} {dst}, {src1}, {src2}", op.mnemonic())
-                }
-                Inst::AluImm { op, dst, src, imm } => {
-                    format!("{}i {dst}, {src}, {imm}", op.mnemonic())
-                }
-                Inst::Li { dst, imm } => format!("li {dst}, {imm}"),
-                Inst::Load {
-                    dst,
-                    base,
-                    offset,
-                    size,
-                    signed,
-                } => format!(
-                    "ld{}{} {dst}, {offset}({base})",
-                    size.bytes(),
-                    if signed { "s" } else { "u" }
-                ),
-                Inst::Store {
-                    src,
-                    base,
-                    offset,
-                    size,
-                } => format!("st{} {src}, {offset}({base})", size.bytes()),
+            // Only control-flow targets differ from `Display`: they
+            // print as `L_<pc>` labels, not `.L<id>`.
+            let _ = match *inst {
                 Inst::Branch {
                     cond,
                     src1,
                     src2,
                     target,
-                } => format!(
-                    "{} {src1}, {src2}, L_{:x}",
+                } => writeln!(
+                    out,
+                    "    {} {src1}, {src2}, L_{:x}",
                     cond.mnemonic(),
                     self.label_pc(target)
                 ),
                 Inst::Jal { dst, target } => {
-                    format!("jal {dst}, L_{:x}", self.label_pc(target))
+                    writeln!(out, "    jal {dst}, L_{:x}", self.label_pc(target))
                 }
-                Inst::Jalr { dst, base, offset } => format!("jalr {dst}, {offset}({base})"),
-                Inst::Arm { addr } => format!("arm {addr}"),
-                Inst::Disarm { addr } => format!("disarm {addr}"),
-                Inst::Ecall => "ecall".to_string(),
-                Inst::Halt => "halt".to_string(),
-                Inst::Nop => "nop".to_string(),
+                _ => writeln!(out, "    {inst}"),
             };
-            let _ = writeln!(out, "    {text}");
         }
         // Targets past the last instruction (e.g. a jump to the end).
         let end_pc = Self::CODE_BASE + self.len() as u64 * PC_STEP;

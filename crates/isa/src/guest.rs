@@ -268,16 +268,6 @@ impl GuestMemory {
         }
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        self.read_scalar(addr, MemSize::B2) as u16
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        self.read_scalar(addr, MemSize::B4) as u32
-    }
-
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: u64) -> u64 {
         self.read_scalar(addr, MemSize::B8)

@@ -46,6 +46,7 @@ impl<T: Copy> BlockTable<T> {
     /// `u32` offset.
     pub fn new(blocks: usize, block_len: usize, fill: T) -> BlockTable<T> {
         assert!(block_len > 0, "blocks hold at least one element");
+        // Invariant: table sizes come from the machine config, not the guest.
         let elements = (blocks + 1)
             .checked_mul(block_len)
             .filter(|&n| u32::try_from(n).is_ok())

@@ -161,6 +161,7 @@ impl Cache {
         let name = self.name;
         match self.find_mut(addr) {
             Some(w) => w,
+            // Invariant: the hierarchy fills a line before touching its state.
             None => panic!("{name}: {op} on absent line {addr:#x}"),
         }
     }
@@ -268,6 +269,7 @@ impl Cache {
         let victim = match ways.iter().position(|w| !w.valid) {
             Some(i) => i,
             None => {
+                // Invariant: `BlockTable::new` rejects a zero-way set.
                 let (i, _) = ways
                     .iter()
                     .enumerate()

@@ -40,6 +40,7 @@ impl WriteBuffer {
             return now + drain_latency;
         } else if self.drains.len() >= self.capacity {
             self.stalls += 1;
+            // Invariant: capacity > 0 here, so a full buffer holds a drain.
             let earliest = *self.drains.iter().min().expect("buffer non-empty");
             self.expire(earliest);
             earliest

@@ -123,7 +123,7 @@ impl Allocator for RestAllocator {
                             if let Some(gap) =
                                 self.arena.grow(HEAP_BASE, slots * self.width)
                             {
-                                env.arm_range(gap, self.width);
+                                env.arm_range(gap, self.width)?;
                             }
                         }
                     }
@@ -140,13 +140,13 @@ impl Allocator for RestAllocator {
             // Fast pool: the chunk arrives fully armed; disarm (and
             // thereby zero) just the user area. The redzones stay armed
             // for free.
-            env.disarm_range(user_ptr, user_pad);
+            env.disarm_range(user_ptr, user_pad)?;
         } else {
             // Arm the redzones. Free-pool chunks arrive zeroed (relaxed
             // invariant), fresh chunks are demand-zero: either way the
             // redzones are unarmed before this.
-            env.arm_range(chunk + HEADER, left);
-            env.arm_range(user_ptr + user_pad, right);
+            env.arm_range(chunk + HEADER, left)?;
+            env.arm_range(user_ptr + user_pad, right)?;
         }
         self.live.insert(
             user_ptr,
@@ -188,7 +188,7 @@ impl Allocator for RestAllocator {
         env.store_u64(info.chunk + 16, ChunkState::Quarantined as u64);
         // Blacklist the freed user area (the redzones are already armed):
         // any dangling access now raises in hardware.
-        env.arm_range(ptr, info.total - info.left_rz - redzone_for(info.user, self.width));
+        env.arm_range(ptr, info.total - info.left_rz - redzone_for(info.user, self.width))?;
         note_free(&mut self.stats, info.user);
         for (chunk, total) in self.quarantine.push(info.chunk, info.total) {
             self.stats.quarantine_evictions += 1;
@@ -202,7 +202,7 @@ impl Allocator for RestAllocator {
                 // so the chunk re-enters the free pool zeroed (the
                 // relaxed invariant) and uninitialised-data leaks are
                 // impossible.
-                env.disarm_range(chunk + HEADER, total - HEADER);
+                env.disarm_range(chunk + HEADER, total - HEADER)?;
                 env.store_u64(chunk + 16, ChunkState::Free as u64);
             }
             self.arena.push(chunk, total);

@@ -2,6 +2,8 @@ use rest_core::{
     Mode, MteBackend, MteMode, NullBackend, PacBackend, ProtectionBackend, RestBackend, TokenWidth,
 };
 
+use crate::StackScheme;
+
 /// Which memory-safety scheme the runtime applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
@@ -225,6 +227,22 @@ impl RtConfig {
         }
     }
 
+    /// The stack-protection pass this configuration calls for: the
+    /// scheme's own frame instrumentation under the "Full" scope, none
+    /// under "Heap".
+    pub fn stack_scheme(&self) -> StackScheme {
+        if !self.stack_protection {
+            return StackScheme::None;
+        }
+        match self.scheme {
+            Scheme::Plain => StackScheme::None,
+            Scheme::Asan => StackScheme::Asan,
+            Scheme::Rest => StackScheme::Rest,
+            // Heap-granule schemes carry no stack instrumentation.
+            Scheme::Mte | Scheme::Pa => StackScheme::None,
+        }
+    }
+
     /// Whether recorded accesses are checked through the backend (the
     /// hardware-protected schemes; PerfectHW disables real protection).
     pub fn checks_in_backend(&self) -> bool {
@@ -346,6 +364,36 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len(), "duplicate labels: {labels:?}");
+    }
+
+    #[test]
+    fn stack_scheme_follows_scheme_and_scope() {
+        for (label, on) in [
+            ("plain", StackScheme::None),
+            ("asan", StackScheme::Asan),
+            ("pa", StackScheme::None),
+            ("mte-sync", StackScheme::None),
+            ("mte-async", StackScheme::None),
+            ("mte-asymm", StackScheme::None),
+            ("rest-secure-full", StackScheme::Rest),
+            ("rest-secure-heap", StackScheme::Rest),
+            ("rest-debug-full", StackScheme::Rest),
+            ("rest-debug-heap", StackScheme::Rest),
+            ("rest-perfecthw-full", StackScheme::Rest),
+            ("rest-perfecthw-heap", StackScheme::Rest),
+        ] {
+            let rt = RtConfig::from_label(label).unwrap();
+            let full = RtConfig {
+                stack_protection: true,
+                ..rt.clone()
+            };
+            let heap = RtConfig {
+                stack_protection: false,
+                ..rt
+            };
+            assert_eq!(full.stack_scheme(), on, "{label} with stack protection");
+            assert_eq!(heap.stack_scheme(), StackScheme::None, "{label} without");
+        }
     }
 
     #[test]

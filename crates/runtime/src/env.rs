@@ -1,4 +1,6 @@
-use rest_core::{ProtectionBackend, SiteTable, Token, TokenWidth};
+use rest_core::{
+    DetectTiming, ProtectionBackend, RestException, RestExceptionKind, SiteTable, Token, TokenWidth,
+};
 use rest_isa::{GuestMemory, MemSize};
 
 /// Scratch line used to charge the extra store beats of the
@@ -180,19 +182,26 @@ impl<'a> RtEnv<'a> {
             .expect("token operation on a backend without an armed set")
     }
 
+    /// The REST exception for a failed runtime `arm`/`disarm` of the
+    /// slot at `addr`, raised at the calling guest PC with the precision
+    /// the same guest instruction's exception would have.
+    fn token_fault(&self, kind: RestExceptionKind, addr: u64) -> Violation {
+        let precise = kind.always_precise() || self.backend.timing(false) == DetectTiming::Precise;
+        Violation::Rest(RestException::new(kind, addr, self.guest_pc, precise))
+    }
+
     /// Arms the token slot at `addr`: records the `arm`, writes the token
     /// bytes into functional memory, and updates the armed set. Under
     /// PerfectHW this degrades to one recorded 8-byte store.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on misaligned `addr` — the allocator always arms aligned
-    /// slots; guest-code misalignment is handled by the emulator.
-    pub fn arm_slot(&mut self, addr: u64) {
+    /// A misaligned `addr` is the `arm` instruction's REST exception.
+    pub fn arm_slot(&mut self, addr: u64) -> Result<(), Violation> {
         let w = self.token_width().bytes();
         if self.perfect_hw {
             self.rec.store(addr, 8);
-            return;
+            return Ok(());
         }
         for line in (addr & !63..addr + w).step_by(64) {
             self.mem.snapshot_line_pre_image(line);
@@ -207,26 +216,28 @@ impl<'a> RtEnv<'a> {
                 self.rec.store(NAIVE_ARM_SCRATCH, 8);
             }
         }
-        self.armed_mut()
-            .arm(addr)
-            .unwrap_or_else(|e| panic!("runtime armed misaligned slot {addr:#x}: {e}"));
+        if let Err(kind) = self.armed_mut().arm(addr) {
+            return Err(self.token_fault(kind, addr));
+        }
         self.mem.write_bytes(addr, self.token.bytes());
+        Ok(())
     }
 
     /// Disarms the token slot at `addr`, zeroing it (the hardware zeroes
     /// the slot as part of the disarm). Under PerfectHW this degrades to
     /// one recorded 8-byte store that still zeroes the slot functionally.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the slot is not armed — the allocator only disarms slots
-    /// it armed, so this indicates an allocator bug, not a guest error.
-    pub fn disarm_slot(&mut self, addr: u64) {
+    /// A slot that holds no token is the `disarm` instruction's REST
+    /// exception: the guest can disarm an allocator redzone itself, so
+    /// the allocator's later disarm of it finds the slot empty.
+    pub fn disarm_slot(&mut self, addr: u64) -> Result<(), Violation> {
         let w = self.token_width().bytes();
         if self.perfect_hw {
             self.rec.store(addr, 8);
             self.mem.fill(addr, w, 0);
-            return;
+            return Ok(());
         }
         for line in (addr & !63..addr + w).step_by(64) {
             self.mem.snapshot_line_pre_image(line);
@@ -237,35 +248,35 @@ impl<'a> RtEnv<'a> {
                 self.rec.store(NAIVE_ARM_SCRATCH, 8);
             }
         }
-        self.armed_mut()
-            .disarm(addr)
-            .unwrap_or_else(|e| panic!("runtime disarmed bad slot {addr:#x}: {e}"));
+        if let Err(kind) = self.armed_mut().disarm(addr) {
+            return Err(self.token_fault(kind, addr));
+        }
         self.mem.fill(addr, w, 0);
+        Ok(())
     }
 
-    /// Arms every token slot in `[addr, addr+len)`. Both ends must be
-    /// token-aligned.
-    pub fn arm_range(&mut self, addr: u64, len: u64) {
+    /// Arms every token slot in `[addr, addr+len)`, stopping at the
+    /// first [`RtEnv::arm_slot`] error. Both ends must be token-aligned.
+    pub fn arm_range(&mut self, addr: u64, len: u64) -> Result<(), Violation> {
         let w = self.token_width().bytes();
         debug_assert_eq!(addr % w, 0, "arm_range base misaligned");
         debug_assert_eq!(len % w, 0, "arm_range length misaligned");
-        let mut a = addr;
-        while a < addr + len {
-            self.arm_slot(a);
-            a += w;
+        for a in (addr..addr + len).step_by(w as usize) {
+            self.arm_slot(a)?;
         }
+        Ok(())
     }
 
-    /// Disarms (and zeroes) every token slot in `[addr, addr+len)`.
-    pub fn disarm_range(&mut self, addr: u64, len: u64) {
+    /// Disarms (and zeroes) every token slot in `[addr, addr+len)`,
+    /// stopping at the first [`RtEnv::disarm_slot`] error.
+    pub fn disarm_range(&mut self, addr: u64, len: u64) -> Result<(), Violation> {
         let w = self.token_width().bytes();
         debug_assert_eq!(addr % w, 0, "disarm_range base misaligned");
         debug_assert_eq!(len % w, 0, "disarm_range length misaligned");
-        let mut a = addr;
-        while a < addr + len {
-            self.disarm_slot(a);
-            a += w;
+        for a in (addr..addr + len).step_by(w as usize) {
+            self.disarm_slot(a)?;
         }
+        Ok(())
     }
 }
 
@@ -315,7 +326,7 @@ mod tests {
     fn arm_slot_writes_token_and_updates_set() {
         let mut f = Fixture::new();
         let mut env = f.env(true, false);
-        env.arm_slot(0x4000_0000);
+        env.arm_slot(0x4000_0000).unwrap();
         assert!(env.backend.armed_set().unwrap().is_armed(0x4000_0000));
         assert!(env.mem.bytes_equal(0x4000_0000, env.token.bytes()));
         let _ = env;
@@ -328,7 +339,7 @@ mod tests {
     fn checked_access_faults_on_armed_slot() {
         let mut f = Fixture::new();
         let mut env = f.env(true, false);
-        env.arm_slot(0x4000_0040);
+        env.arm_slot(0x4000_0040).unwrap();
         let err = env.checked_load(0x4000_0040, MemSize::B8).unwrap_err();
         assert!(matches!(err, Violation::Rest(e) if e.kind == RestExceptionKind::TokenLoad));
         let err = env
@@ -343,8 +354,8 @@ mod tests {
     fn disarm_zeroes_slot() {
         let mut f = Fixture::new();
         let mut env = f.env(true, false);
-        env.arm_slot(0x4000_0000);
-        env.disarm_slot(0x4000_0000);
+        env.arm_slot(0x4000_0000).unwrap();
+        env.disarm_slot(0x4000_0000).unwrap();
         assert!(!env.backend.armed_set().unwrap().is_armed(0x4000_0000));
         assert!(env.mem.bytes_equal(0x4000_0000, &[0u8; 64]));
         assert!(env.checked_load(0x4000_0000, MemSize::B8).is_ok());
@@ -354,10 +365,10 @@ mod tests {
     fn perfect_hw_degrades_to_single_stores_without_protection() {
         let mut f = Fixture::new();
         let mut env = f.env(true, true);
-        env.arm_slot(0x4000_0000);
+        env.arm_slot(0x4000_0000).unwrap();
         assert!(!env.backend.armed_set().unwrap().is_armed(0x4000_0000));
         assert!(env.checked_load(0x4000_0000, MemSize::B8).is_ok());
-        env.disarm_slot(0x4000_0000);
+        env.disarm_slot(0x4000_0000).unwrap();
         let _ = env;
         let ops = f.rec.drain();
         // arm -> store, checked_load -> load, disarm -> store.
@@ -371,9 +382,9 @@ mod tests {
     fn range_helpers_cover_every_slot() {
         let mut f = Fixture::new();
         let mut env = f.env(true, false);
-        env.arm_range(0x4000_0000, 256);
+        env.arm_range(0x4000_0000, 256).unwrap();
         assert_eq!(env.backend.armed_set().unwrap().armed_count(), 4);
-        env.disarm_range(0x4000_0000, 256);
+        env.disarm_range(0x4000_0000, 256).unwrap();
         assert_eq!(env.backend.armed_set().unwrap().armed_count(), 0);
         let _ = env;
         assert_eq!(f.rec.drain().len(), 8);
@@ -417,7 +428,7 @@ mod tests {
         let mut f = Fixture::new();
         let mut env = f.env(true, false);
         env.guest_pc = 0x1_2340;
-        env.arm_slot(0x4000_0040);
+        env.arm_slot(0x4000_0040).unwrap();
         let err = env.checked_load(0x4000_0040, MemSize::B8).unwrap_err();
         assert!(
             matches!(err, Violation::Rest(e) if e.pc == 0x1_2340),

@@ -221,6 +221,7 @@ impl Cfg {
             let start = pc_of(first);
             let stop = leaders.peek().map_or(end, |&i| pc_of(i));
             let last_pc = stop - PC_STEP;
+            // Invariant: every block spans instruction PCs of `program`.
             let last = program.fetch(last_pc).expect("pc in range");
             let jump_to = |t: u64| if t < end { t } else { end };
             let succs = match last {

@@ -342,6 +342,7 @@ fn classify_function(
         let mut st = in_state.clone();
         let block = &cfg.blocks[bi];
         for pc in block.pcs() {
+            // Invariant: `Cfg::build` makes blocks from `program`'s PCs.
             let inst = an.program.fetch(pc).expect("pc in range");
             if let Some((base, offset, width)) = access_of(&inst) {
                 let safe = access_must_be_safe(
@@ -467,6 +468,7 @@ fn walk_block(
     let block = &cfg.blocks[bi];
     let mut st = in_state.clone();
     for pc in block.pcs() {
+        // Invariant: `Cfg::build` makes blocks from `program`'s PCs.
         let inst = an.program.fetch(pc).expect("pc in range");
         match inst {
             Inst::Load {

@@ -49,9 +49,7 @@ mod xalancbmk;
 
 pub use common::{Ctx, WorkloadParams};
 
-use rest_core::TokenWidth;
 use rest_isa::Program;
-use rest_runtime::StackScheme;
 
 /// Input-set scale: `Test` for unit tests, `Ref` for the benchmark
 /// harness. (The paper uses SPEC's *test* inputs; our `Ref` is simply a
@@ -263,17 +261,6 @@ pub const GOBMK_INPUTS: [(&str, u64); 5] = [
     ("gobmk-cutstone", 0xC075_703E),
     ("gobmk-dniwog", 0x0D41_060D),
 ];
-
-/// Convenience: parameters for a full-protection build of the given
-/// scheme at `scale`.
-pub fn params_for(scale: Scale, stack: StackScheme, width: TokenWidth) -> WorkloadParams {
-    WorkloadParams {
-        scale,
-        stack_scheme: stack,
-        token_width: width,
-        seed: 0xC0FFEE,
-    }
-}
 
 #[cfg(test)]
 mod name_lookup_tests {

@@ -40,6 +40,16 @@ pub struct Options {
     pub trace: usize,
 }
 
+impl Options {
+    /// The Table II machine under these options.
+    fn sim_config(self) -> SimConfig {
+        SimConfig {
+            trace_uops: self.trace,
+            ..SimConfig::isca2018(self.rt)
+        }
+    }
+}
+
 impl Default for Options {
     fn default() -> Self {
         Options {
@@ -203,11 +213,6 @@ where
     }
 }
 
-/// Looks up a built-in workload by name.
-pub fn workload_by_name(name: &str) -> Option<Workload> {
-    Workload::ALL.into_iter().find(|w| w.name() == name)
-}
-
 /// Renders one simulation result as the report the CLI prints.
 pub fn report(r: &SimResult) -> String {
     let mut out = String::new();
@@ -274,36 +279,12 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             let src = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read '{path}': {e}"))?;
             let program = parse_asm(&src).map_err(|e| e.to_string())?;
-            let mut cfg = rest_cpu::SimConfig::isca2018(opts.rt);
-            cfg.trace_uops = opts.trace;
-            let r = rest_cpu::System::new(program, cfg).run();
-            Ok(report(&r))
+            Ok(report(&System::new(program, opts.sim_config()).run()))
         }
         Command::Workload { name, scale, opts } => {
-            let w = workload_by_name(&name)
+            let w = Workload::from_name(&name)
                 .ok_or_else(|| format!("unknown workload '{name}' (try 'rest-sim list')"))?;
-            let stack = if opts.rt.stack_protection {
-                match opts.rt.scheme {
-                    Scheme::Plain => StackScheme::None,
-                    Scheme::Asan => StackScheme::Asan,
-                    Scheme::Rest => StackScheme::Rest,
-                    // Heap-granule schemes carry no stack instrumentation.
-                    Scheme::Mte | Scheme::Pa => StackScheme::None,
-                }
-            } else {
-                StackScheme::None
-            };
-            let params = WorkloadParams {
-                scale,
-                stack_scheme: stack,
-                token_width: opts.rt.token_width,
-                seed: 0xC0FFEE,
-            };
-            let program = w.build(&params);
-            let mut cfg = rest_cpu::SimConfig::isca2018(opts.rt);
-            cfg.trace_uops = opts.trace;
-            let r = rest_cpu::System::new(program, cfg).run();
-            Ok(report(&r))
+            Ok(report(&crate::run_workload(w, scale, opts.sim_config())))
         }
     }
 }

@@ -78,25 +78,19 @@ pub fn simulate(program: Program, rt: RtConfig) -> SimResult {
 /// Builds and simulates one of the paper's workloads at the given scale
 /// under `rt`, wiring the stack-protection pass to match the scheme.
 pub fn simulate_workload(workload: Workload, scale: Scale, rt: RtConfig) -> SimResult {
-    let stack = if rt.stack_protection {
-        match rt.scheme {
-            Scheme::Plain => StackScheme::None,
-            Scheme::Asan => StackScheme::Asan,
-            Scheme::Rest => StackScheme::Rest,
-            // Heap-granule schemes carry no stack instrumentation.
-            Scheme::Mte | Scheme::Pa => StackScheme::None,
-        }
-    } else {
-        StackScheme::None
-    };
+    run_workload(workload, scale, SimConfig::isca2018(rt))
+}
+
+/// [`simulate_workload`] on a caller-adjusted machine (the CLI's
+/// `--trace`).
+pub(crate) fn run_workload(workload: Workload, scale: Scale, cfg: SimConfig) -> SimResult {
     let params = WorkloadParams {
         scale,
-        stack_scheme: stack,
-        token_width: rt.token_width,
+        stack_scheme: cfg.rt.stack_scheme(),
+        token_width: cfg.rt.token_width,
         seed: 0xC0FFEE,
     };
-    let program = workload.build(&params);
-    simulate(program, rt)
+    System::new(workload.build(&params), cfg).run()
 }
 
 #[cfg(test)]
