@@ -1,6 +1,4 @@
-use crate::alloc::{
-    note_alloc, note_free, round_up, AllocStats, Allocator, Arena,
-};
+use crate::alloc::{note_alloc, note_free, round_up, AllocStats, Allocator, Arena};
 use crate::env::RtEnv;
 use crate::layout::HEAP_BASE;
 use crate::violation::Violation;

@@ -213,8 +213,6 @@ impl LiveMap {
     pub fn get_mut(&mut self, ptr: u64) -> Option<&mut ChunkInfo> {
         self.map.get_mut(&ptr)
     }
-
-
 }
 
 pub(crate) fn note_alloc(stats: &mut AllocStats, size: u64, reused: bool) {
@@ -243,7 +241,7 @@ mod tests {
         assert_eq!(redzone_for(4096, 64), 1024); // size/4
         assert_eq!(redzone_for(1 << 20, 64), 2048); // clamped
         assert_eq!(redzone_for(100, 8), 32); // 25 -> 32
-        // Always granule multiples.
+                                             // Always granule multiples.
         for user in [0u64, 1, 7, 100, 5000, 1 << 22] {
             for g in [8u64, 16, 32, 64] {
                 assert_eq!(redzone_for(user, g) % g, 0);

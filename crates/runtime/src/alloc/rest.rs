@@ -120,9 +120,7 @@ impl Allocator for RestAllocator {
                         let h = c.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
                         if h & 1 == 0 {
                             let slots = 1 + (h >> 1) % 3;
-                            if let Some(gap) =
-                                self.arena.grow(HEAP_BASE, slots * self.width)
-                            {
+                            if let Some(gap) = self.arena.grow(HEAP_BASE, slots * self.width) {
                                 env.arm_range(gap, self.width)?;
                             }
                         }
@@ -188,7 +186,10 @@ impl Allocator for RestAllocator {
         env.store_u64(info.chunk + 16, ChunkState::Quarantined as u64);
         // Blacklist the freed user area (the redzones are already armed):
         // any dangling access now raises in hardware.
-        env.arm_range(ptr, info.total - info.left_rz - redzone_for(info.user, self.width))?;
+        env.arm_range(
+            ptr,
+            info.total - info.left_rz - redzone_for(info.user, self.width),
+        )?;
         note_free(&mut self.stats, info.user);
         for (chunk, total) in self.quarantine.push(info.chunk, info.total) {
             self.stats.quarantine_evictions += 1;

@@ -203,7 +203,11 @@ impl RtConfig {
                 } else {
                     self.mode.to_string()
                 };
-                let scope = if self.stack_protection { "full" } else { "heap" };
+                let scope = if self.stack_protection {
+                    "full"
+                } else {
+                    "heap"
+                };
                 format!("rest-{hw}-{scope}")
             }
             Scheme::Mte => format!("mte-{}", self.mte_mode.name()),
@@ -317,8 +321,14 @@ mod tests {
     fn labels() {
         assert_eq!(RtConfig::plain().label(), "plain");
         assert_eq!(RtConfig::asan().label(), "asan");
-        assert_eq!(RtConfig::rest(Mode::Secure, true).label(), "rest-secure-full");
-        assert_eq!(RtConfig::rest(Mode::Debug, false).label(), "rest-debug-heap");
+        assert_eq!(
+            RtConfig::rest(Mode::Secure, true).label(),
+            "rest-secure-full"
+        );
+        assert_eq!(
+            RtConfig::rest(Mode::Debug, false).label(),
+            "rest-debug-heap"
+        );
         assert_eq!(RtConfig::rest_perfect(false).label(), "rest-perfecthw-heap");
     }
 
@@ -399,8 +409,18 @@ mod tests {
     #[test]
     fn from_label_rejects_unknown_labels() {
         for bad in [
-            "", "rest", "rest-", "rest-secure", "rest-secure-", "rest-fast-full",
-            "rest-secure-all", "mte", "mte-", "mte-sync-full", "pa-sync", "asan2",
+            "",
+            "rest",
+            "rest-",
+            "rest-secure",
+            "rest-secure-",
+            "rest-fast-full",
+            "rest-secure-all",
+            "mte",
+            "mte-",
+            "mte-sync-full",
+            "pa-sync",
+            "asan2",
         ] {
             assert!(RtConfig::from_label(bad).is_none(), "accepted {bad:?}");
         }

@@ -342,9 +342,7 @@ mod tests {
         env.arm_slot(0x4000_0040).unwrap();
         let err = env.checked_load(0x4000_0040, MemSize::B8).unwrap_err();
         assert!(matches!(err, Violation::Rest(e) if e.kind == RestExceptionKind::TokenLoad));
-        let err = env
-            .checked_store(0x4000_0078, 1, MemSize::B8)
-            .unwrap_err();
+        let err = env.checked_store(0x4000_0078, 1, MemSize::B8).unwrap_err();
         assert!(matches!(err, Violation::Rest(e) if e.kind == RestExceptionKind::TokenStore));
         // Adjacent unarmed memory is fine.
         assert!(env.checked_load(0x4000_0080, MemSize::B8).is_ok());

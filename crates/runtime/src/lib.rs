@@ -39,7 +39,9 @@ mod stackguard;
 mod traffic;
 mod violation;
 
-pub use alloc::{AllocStats, Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator};
+pub use alloc::{
+    AllocStats, Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator,
+};
 pub use config::{RtConfig, Scheme};
 pub use env::RtEnv;
 pub use layout::*;

@@ -1,6 +1,8 @@
 use rest_isa::{Component, EcallNum, MemSize};
 
-use crate::alloc::{Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator};
+use crate::alloc::{
+    Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator,
+};
 use crate::config::{RtConfig, Scheme};
 use crate::env::RtEnv;
 use crate::layout::STATIC_BASE;
@@ -176,7 +178,13 @@ impl Runtime {
         }
     }
 
-    fn do_memcpy(&mut self, env: &mut RtEnv<'_>, dst: u64, src: u64, len: u64) -> Result<(), Violation> {
+    fn do_memcpy(
+        &mut self,
+        env: &mut RtEnv<'_>,
+        dst: u64,
+        src: u64,
+        len: u64,
+    ) -> Result<(), Violation> {
         if self.cfg.intercept_libc {
             self.intercept_range_check(env, src, len)?;
             self.intercept_range_check(env, dst, len)?;
@@ -218,7 +226,13 @@ impl Runtime {
     }
 
     /// Word-wise copy loop with recorded, scheme-checked accesses.
-    fn copy_words(&mut self, env: &mut RtEnv<'_>, dst: u64, src: u64, len: u64) -> Result<(), Violation> {
+    fn copy_words(
+        &mut self,
+        env: &mut RtEnv<'_>,
+        dst: u64,
+        src: u64,
+        len: u64,
+    ) -> Result<(), Violation> {
         let mut i = 0;
         while i < len {
             let step = (len - i).min(8);
@@ -231,7 +245,13 @@ impl Runtime {
     }
 
     /// Word-wise fill loop with recorded, scheme-checked stores.
-    fn copy_fill(&mut self, env: &mut RtEnv<'_>, dst: u64, byte: u8, len: u64) -> Result<(), Violation> {
+    fn copy_fill(
+        &mut self,
+        env: &mut RtEnv<'_>,
+        dst: u64,
+        byte: u8,
+        len: u64,
+    ) -> Result<(), Violation> {
         let word = u64::from_le_bytes([byte; 8]);
         let mut i = 0;
         while i < len {
@@ -307,7 +327,11 @@ mod tests {
 
     #[test]
     fn malloc_free_round_trip_all_schemes() {
-        for cfg in [RtConfig::plain(), RtConfig::asan(), RtConfig::rest(Mode::Secure, true)] {
+        for cfg in [
+            RtConfig::plain(),
+            RtConfig::asan(),
+            RtConfig::rest(Mode::Secure, true),
+        ] {
             let mut fx = Fx::new(cfg.clone());
             let mut rt = Runtime::new(cfg.clone());
             let p = match call(&mut rt, &mut fx, EcallNum::Malloc, [128, 0, 0, 0, 0, 0]) {
@@ -331,12 +355,22 @@ mod tests {
         let mut rt = Runtime::new(cfg);
         fx.mem.write_bytes(0x8000, b"hello world!!");
         assert_eq!(
-            call(&mut rt, &mut fx, EcallNum::Memcpy, [0x9000, 0x8000, 13, 0, 0, 0]),
+            call(
+                &mut rt,
+                &mut fx,
+                EcallNum::Memcpy,
+                [0x9000, 0x8000, 13, 0, 0, 0]
+            ),
             EcallOutcome::Done(0x9000)
         );
         assert!(fx.mem.bytes_equal(0x9000, b"hello world!!"));
         assert_eq!(
-            call(&mut rt, &mut fx, EcallNum::Memset, [0x9000, 0x2a, 5, 0, 0, 0]),
+            call(
+                &mut rt,
+                &mut fx,
+                EcallNum::Memset,
+                [0x9000, 0x2a, 5, 0, 0, 0]
+            ),
             EcallOutcome::Done(0x9000)
         );
         assert!(fx.mem.bytes_equal(0x9000, &[0x2a; 5]));
@@ -354,7 +388,12 @@ mod tests {
             EcallOutcome::Done(p) => p,
             other => panic!("{other:?}"),
         };
-        let out = call(&mut rt, &mut fx, EcallNum::Memcpy, [0x9000, p, 4096, 0, 0, 0]);
+        let out = call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Memcpy,
+            [0x9000, p, 4096, 0, 0, 0],
+        );
         assert!(
             matches!(out, EcallOutcome::Violation(Violation::Rest(_))),
             "{out:?}"
@@ -370,7 +409,12 @@ mod tests {
             EcallOutcome::Done(p) => p,
             other => panic!("{other:?}"),
         };
-        let out = call(&mut rt, &mut fx, EcallNum::Memcpy, [0x9000, p, 4096, 0, 0, 0]);
+        let out = call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Memcpy,
+            [0x9000, p, 4096, 0, 0, 0],
+        );
         assert!(
             matches!(
                 out,
@@ -393,7 +437,12 @@ mod tests {
             EcallOutcome::Done(p) => p,
             other => panic!("{other:?}"),
         };
-        let out = call(&mut rt, &mut fx, EcallNum::Memcpy, [0x9000, p, 4096, 0, 0, 0]);
+        let out = call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Memcpy,
+            [0x9000, p, 4096, 0, 0, 0],
+        );
         assert_eq!(out, EcallOutcome::Done(0x9000));
     }
 
@@ -431,8 +480,18 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert_eq!(b, STATIC_BASE + 100);
-        call(&mut rt, &mut fx, EcallNum::PutChar, [b'h' as u64, 0, 0, 0, 0, 0]);
-        call(&mut rt, &mut fx, EcallNum::PutChar, [b'i' as u64, 0, 0, 0, 0, 0]);
+        call(
+            &mut rt,
+            &mut fx,
+            EcallNum::PutChar,
+            [b'h' as u64, 0, 0, 0, 0, 0],
+        );
+        call(
+            &mut rt,
+            &mut fx,
+            EcallNum::PutChar,
+            [b'i' as u64, 0, 0, 0, 0, 0],
+        );
         assert_eq!(rt.output(), b"hi");
     }
 

@@ -93,7 +93,11 @@ pub fn poison_region(env: &mut RtEnv<'_>, addr: u64, len: u64, value: u8) {
 /// Marks `[addr, addr+len)` addressable, encoding a partial tail granule
 /// when `len` is not a multiple of 8.
 pub fn unpoison_region(env: &mut RtEnv<'_>, addr: u64, len: u64) {
-    debug_assert_eq!(addr % SHADOW_GRANULE, 0, "unpoison base must be granule-aligned");
+    debug_assert_eq!(
+        addr % SHADOW_GRANULE,
+        0,
+        "unpoison base must be granule-aligned"
+    );
     let full = len / SHADOW_GRANULE * SHADOW_GRANULE;
     write_shadow(env, addr, full, 0);
     let tail = len % SHADOW_GRANULE;

@@ -67,11 +67,20 @@ fn done(out: EcallOutcome) -> u64 {
 
 #[test]
 fn zero_size_malloc_is_valid_and_freeable() {
-    for cfg in [RtConfig::plain(), RtConfig::asan(), RtConfig::rest(Mode::Secure, false)] {
+    for cfg in [
+        RtConfig::plain(),
+        RtConfig::asan(),
+        RtConfig::rest(Mode::Secure, false),
+    ] {
         let mut fx = Fx::new(cfg.clone());
         let mut rt = Runtime::new(cfg.clone());
         let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [0, 0, 0, 0, 0, 0]));
-        assert_ne!(p, 0, "{}: zero-size malloc must still return a chunk", cfg.label());
+        assert_ne!(
+            p,
+            0,
+            "{}: zero-size malloc must still return a chunk",
+            cfg.label()
+        );
         assert_eq!(
             call(&mut rt, &mut fx, EcallNum::Free, [p, 0, 0, 0, 0, 0]),
             EcallOutcome::Done(0)
@@ -85,11 +94,21 @@ fn zero_length_memcpy_and_memset_are_noops() {
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
     assert_eq!(
-        call(&mut rt, &mut fx, EcallNum::Memcpy, [0x9000, 0x8000, 0, 0, 0, 0]),
+        call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Memcpy,
+            [0x9000, 0x8000, 0, 0, 0, 0]
+        ),
         EcallOutcome::Done(0x9000)
     );
     assert_eq!(
-        call(&mut rt, &mut fx, EcallNum::Memset, [0x9000, 0xff, 0, 0, 0, 0]),
+        call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Memset,
+            [0x9000, 0xff, 0, 0, 0, 0]
+        ),
         EcallOutcome::Done(0x9000)
     );
     assert_eq!(rt.intercept_checks(), 0, "zero-length calls skip checking");
@@ -100,7 +119,12 @@ fn realloc_of_null_behaves_like_malloc() {
     let cfg = RtConfig::rest(Mode::Secure, false);
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
-    let p = done(call(&mut rt, &mut fx, EcallNum::Realloc, [0, 128, 0, 0, 0, 0]));
+    let p = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Realloc,
+        [0, 128, 0, 0, 0, 0],
+    ));
     assert_ne!(p, 0);
     assert_eq!(rt.allocator().stats().allocs, 1);
 }
@@ -110,10 +134,20 @@ fn realloc_shrink_preserves_prefix() {
     let cfg = RtConfig::asan();
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
-    let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [64, 0, 0, 0, 0, 0]));
+    let p = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Malloc,
+        [64, 0, 0, 0, 0, 0],
+    ));
     fx.mem.write_u64(p, 0xfeed);
     fx.mem.write_u64(p + 8, 0xf00d);
-    let q = done(call(&mut rt, &mut fx, EcallNum::Realloc, [p, 16, 0, 0, 0, 0]));
+    let q = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Realloc,
+        [p, 16, 0, 0, 0, 0],
+    ));
     assert_eq!(fx.mem.read_u64(q), 0xfeed);
     assert_eq!(fx.mem.read_u64(q + 8), 0xf00d);
 }
@@ -123,7 +157,12 @@ fn memset_intercept_rejects_range_into_redzone() {
     let cfg = RtConfig::asan();
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
-    let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [32, 0, 0, 0, 0, 0]));
+    let p = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Malloc,
+        [32, 0, 0, 0, 0, 0],
+    ));
     let out = call(&mut rt, &mut fx, EcallNum::Memset, [p, 0, 64, 0, 0, 0]);
     assert!(
         matches!(out, EcallOutcome::Violation(Violation::Asan(_))),
@@ -139,7 +178,12 @@ fn rest_memset_over_quarantined_chunk_trips_tokens() {
     let cfg = RtConfig::rest(Mode::Secure, false);
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
-    let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [64, 0, 0, 0, 0, 0]));
+    let p = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Malloc,
+        [64, 0, 0, 0, 0, 0],
+    ));
     call(&mut rt, &mut fx, EcallNum::Free, [p, 0, 0, 0, 0, 0]);
     let out = call(&mut rt, &mut fx, EcallNum::Memset, [p, 0x41, 16, 0, 0, 0]);
     assert!(
@@ -180,9 +224,18 @@ fn perfect_hw_runtime_performs_no_arming() {
     let cfg = RtConfig::rest_perfect(false);
     let mut fx = Fx::new(cfg.clone());
     let mut rt = Runtime::new(cfg);
-    let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [64, 0, 0, 0, 0, 0]));
+    let p = done(call(
+        &mut rt,
+        &mut fx,
+        EcallNum::Malloc,
+        [64, 0, 0, 0, 0, 0],
+    ));
     call(&mut rt, &mut fx, EcallNum::Free, [p, 0, 0, 0, 0, 0]);
-    assert_eq!(fx.armed().armed_count(), 0, "PerfectHW must not arm anything");
+    assert_eq!(
+        fx.armed().armed_count(),
+        0,
+        "PerfectHW must not arm anything"
+    );
 }
 
 #[test]
@@ -192,7 +245,12 @@ fn allocator_stats_track_a_mixed_session() {
     let mut rt = Runtime::new(cfg);
     let mut live = Vec::new();
     for i in 0..10u64 {
-        let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [32 + i * 16, 0, 0, 0, 0, 0]));
+        let p = done(call(
+            &mut rt,
+            &mut fx,
+            EcallNum::Malloc,
+            [32 + i * 16, 0, 0, 0, 0, 0],
+        ));
         live.push(p);
     }
     for p in live.drain(..) {
@@ -219,7 +277,12 @@ fn fast_pool_preserves_protection_with_fewer_token_ops() {
         // Churn: allocate/free the same class so recycling happens.
         let mut ops = 0u64;
         for _ in 0..8 {
-            let p = done(call(&mut rt, &mut fx, EcallNum::Malloc, [64, 0, 0, 0, 0, 0]));
+            let p = done(call(
+                &mut rt,
+                &mut fx,
+                EcallNum::Malloc,
+                [64, 0, 0, 0, 0, 0],
+            ));
             // Freshly handed-out memory must be zero (no uninit leaks)...
             assert_eq!(fx.mem.read_u64(p), 0, "fast={fast}: reuse must be zeroed");
             // ...in-bounds use must work...
@@ -229,7 +292,10 @@ fn fast_pool_preserves_protection_with_fewer_token_ops() {
             assert!(fx.armed().is_armed(p + 64), "fast={fast}: right rz");
             call(&mut rt, &mut fx, EcallNum::Free, [p, 0, 0, 0, 0, 0]);
             // Freed chunk is blacklisted (UAF window).
-            assert!(fx.armed().overlaps(p, 8), "fast={fast}: freed must be armed");
+            assert!(
+                fx.armed().overlaps(p, 8),
+                "fast={fast}: freed must be armed"
+            );
             ops += fx.armed().total_arms() + fx.armed().total_disarms();
         }
         let arms = fx.armed().total_arms();
