@@ -1,21 +1,22 @@
-//! Guest runtime for the REST simulator: heap allocators, shadow memory,
-//! stack-protection passes, and the `ecall` service layer.
+//! Guest runtime for the REST simulator: the heap allocator, shadow
+//! memory, stack-protection passes, and the `ecall` service layer.
 //!
 //! The paper's software contribution (§IV) is an AddressSanitizer-derived
 //! stack: a hardened heap allocator whose redzones are REST tokens
 //! instead of shadow-memory poison, plus compiler instrumentation for
-//! stack frames. This crate implements all three schemes side by side so
+//! stack frames. This crate implements every scheme side by side so
 //! every figure's baselines come from the same machinery:
 //!
-//! * [`LibcAllocator`] — the plain, performance-first baseline (paper's
-//!   "unsafe" binaries with the stock libc allocator),
-//! * [`AsanAllocator`] + [`shadow`] — the ASan model: shadow-memory
-//!   poisoning, redzones, quarantine, per-access checks
-//!   and libc-call interception (the paper's four overhead components of
-//!   Figure 3),
-//! * [`RestAllocator`] — the REST allocator: token redzones, quarantined
-//!   frees filled with tokens, and the relaxed invariant that free-pool
-//!   chunks are *zeroed* rather than blacklisted (§IV-A),
+//! * [`Heap`] — one allocator for all schemes: the plain,
+//!   performance-first baseline (paper's "unsafe" binaries with the stock
+//!   libc allocator); the ASan model's shadow-poisoned redzones and
+//!   quarantine; the REST allocator's token redzones, quarantined frees
+//!   filled with tokens, and the relaxed invariant that free-pool chunks
+//!   are *zeroed* rather than blacklisted (§IV-A); and MTE's tags or PA's
+//!   signatures placed through the protection backend,
+//! * [`shadow`] — the ASan model's shadow memory: poisoning, per-access
+//!   checks and libc-call interception (with the allocator, the paper's
+//!   four overhead components of Figure 3),
 //! * [`FrameGuard`] — the stack-protection pass, emitting either
 //!   shadow-poisoning stores (ASan) or `arm`/`disarm` instructions (REST)
 //!   at function prologues/epilogues,
@@ -39,9 +40,7 @@ mod stackguard;
 mod traffic;
 mod violation;
 
-pub use alloc::{
-    AllocStats, Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator,
-};
+pub use alloc::{redzone_for, AllocStats, Heap};
 pub use config::{RtConfig, Scheme};
 pub use env::RtEnv;
 pub use layout::*;

@@ -1,9 +1,7 @@
 use rest_isa::{Component, EcallNum, MemSize};
 
-use crate::alloc::{
-    Allocator, AsanAllocator, LibcAllocator, MteAllocator, PacAllocator, RestAllocator,
-};
-use crate::config::{RtConfig, Scheme};
+use crate::alloc::Heap;
+use crate::config::RtConfig;
 use crate::env::RtEnv;
 use crate::layout::STATIC_BASE;
 use crate::shadow;
@@ -30,7 +28,7 @@ pub enum EcallOutcome {
 #[derive(Debug)]
 pub struct Runtime {
     cfg: RtConfig,
-    allocator: Box<dyn Allocator>,
+    heap: Heap,
     output: Vec<u8>,
     sbrk: u64,
     /// Intercepted libc calls that performed range checks.
@@ -38,27 +36,11 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Builds the runtime for `cfg`, selecting the matching allocator.
+    /// Builds the runtime for `cfg`, over the heap its scheme runs on.
     pub fn new(cfg: RtConfig) -> Runtime {
-        let allocator: Box<dyn Allocator> = match cfg.scheme {
-            Scheme::Plain => Box::new(LibcAllocator::new()),
-            Scheme::Asan => Box::new(AsanAllocator::new(cfg.quarantine_bytes)),
-            Scheme::Rest => {
-                let mut a = RestAllocator::new(cfg.quarantine_bytes, cfg.token_width.bytes());
-                if cfg.sprinkle_tokens {
-                    a = a.with_sprinkle();
-                }
-                if cfg.fast_pool_allocator {
-                    a = a.with_fast_pool();
-                }
-                Box::new(a)
-            }
-            Scheme::Mte => Box::new(MteAllocator::new()),
-            Scheme::Pa => Box::new(PacAllocator::new()),
-        };
         Runtime {
+            heap: Heap::new(&cfg),
             cfg,
-            allocator,
             output: Vec::new(),
             sbrk: STATIC_BASE,
             intercept_checks: 0,
@@ -70,9 +52,9 @@ impl Runtime {
         &self.cfg
     }
 
-    /// The active allocator (for stats inspection).
-    pub fn allocator(&self) -> &dyn Allocator {
-        &*self.allocator
+    /// The heap allocator (for stats inspection).
+    pub fn allocator(&self) -> &Heap {
+        &self.heap
     }
 
     /// Bytes the program wrote via `PutChar`.
@@ -91,7 +73,7 @@ impl Runtime {
             EcallNum::Malloc => self.do_malloc(env, args[0]),
             EcallNum::Free => {
                 env.note_free_site(args[0]);
-                match self.allocator.free(env, args[0]) {
+                match self.heap.free(env, args[0]) {
                     Ok(()) => EcallOutcome::Done(0),
                     Err(v) => EcallOutcome::Violation(v),
                 }
@@ -142,12 +124,12 @@ impl Runtime {
 
     fn do_malloc(&mut self, env: &mut RtEnv<'_>, size: u64) -> EcallOutcome {
         let prev = env.rec.set_component(Component::Allocator);
-        let r = self.allocator.malloc(env, size);
+        let r = self.heap.malloc(env, size);
         env.rec.set_component(prev);
         match r {
             Ok(ptr) => {
                 if ptr != 0 {
-                    let len = self.allocator.usable_size(ptr).unwrap_or(size).max(size);
+                    let len = self.heap.usable_size(ptr).unwrap_or(size).max(size);
                     env.note_alloc_site(ptr, len);
                 }
                 EcallOutcome::Done(ptr)
@@ -160,7 +142,7 @@ impl Runtime {
         if ptr == 0 {
             return self.do_malloc(env, new_size);
         }
-        let old = self.allocator.usable_size(ptr).unwrap_or(new_size);
+        let old = self.heap.usable_size(ptr).unwrap_or(new_size);
         let new_ptr = match self.do_malloc(env, new_size) {
             EcallOutcome::Done(p) if p != 0 => p,
             other => return other,
@@ -170,7 +152,7 @@ impl Runtime {
         }
         env.note_free_site(ptr);
         let prev = env.rec.set_component(Component::Allocator);
-        let r = self.allocator.free(env, ptr);
+        let r = self.heap.free(env, ptr);
         env.rec.set_component(prev);
         match r {
             Ok(()) => EcallOutcome::Done(new_ptr),

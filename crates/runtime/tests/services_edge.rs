@@ -7,9 +7,7 @@ use rand::SeedableRng;
 
 use rest_core::{ArmedSet, Mode, ProtectionBackend, Token};
 use rest_isa::{EcallNum, GuestMemory};
-use rest_runtime::{
-    Allocator, EcallOutcome, RestAllocator, RtConfig, RtEnv, Runtime, TrafficRecorder, Violation,
-};
+use rest_runtime::{EcallOutcome, Heap, RtConfig, RtEnv, Runtime, TrafficRecorder, Violation};
 
 struct Fx {
     mem: GuestMemory,
@@ -194,8 +192,9 @@ fn rest_memset_over_quarantined_chunk_trips_tokens() {
 
 #[test]
 fn sprinkled_allocator_spaces_chunks_with_armed_decoys() {
-    let mut fx = Fx::new(RtConfig::rest(Mode::Secure, false).with_sprinkle());
-    let mut alloc = RestAllocator::new(1 << 20, 64).with_sprinkle();
+    let cfg = RtConfig::rest(Mode::Secure, false).with_sprinkle();
+    let mut alloc = Heap::new(&cfg);
+    let mut fx = Fx::new(cfg);
     let mut ptrs = Vec::new();
     {
         let mut env = fx.env();

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rest::core::{ArmedSet, RestBackend, Token, TokenWidth};
 use rest::mem::{Cache, CacheConfig, EvictedLine, MemConfig};
 use rest::prelude::*;
-use rest::runtime::{Allocator, RestAllocator, RtConfig, TrafficRecorder};
+use rest::runtime::{Heap, RtConfig, TrafficRecorder};
 use rest_isa::GuestMemory;
 
 fn width_strategy() -> impl Strategy<Value = TokenWidth> {
@@ -73,7 +73,8 @@ proptest! {
         let mut mem = GuestMemory::new();
         let mut rec = TrafficRecorder::new();
         let mut backend = RestBackend::new(TokenWidth::B64, Mode::Secure);
-        let mut alloc = RestAllocator::new(quarantine, 64);
+        let cfg = RtConfig::rest(Mode::Secure, false).with_quarantine(quarantine);
+        let mut alloc = Heap::new(&cfg);
         let mut live: Vec<(u64, u64)> = Vec::new();
 
         for (size, do_free) in actions {
