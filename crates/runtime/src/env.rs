@@ -70,23 +70,13 @@ impl<'a> RtEnv<'a> {
     // --- checked (untrusted-range) recorded accesses ---
 
     fn check(&mut self, ptr: u64, size: u64, store: bool) -> Result<(), Violation> {
-        let addr = self.backend.canonical_addr(ptr);
         if self.check_backend {
-            let had_deferred = self.backend.has_deferred();
-            let fault = self.backend.check_access(ptr, size, store, self.guest_pc);
-            if let Some(s) = self.sites.as_deref_mut() {
-                s.note_check(addr, 0, self.backend.tags_pointers());
-                if fault.is_some() {
-                    s.note_fault(addr);
-                } else if !had_deferred && self.backend.has_deferred() {
-                    s.note_deferred(addr);
-                }
-            }
-            if let Some(fault) = fault {
+            if let Some(fault) = self.backend_check(ptr, size, store) {
                 return Err(fault.into());
             }
         }
         if self.check_shadow {
+            let addr = self.backend.canonical_addr(ptr);
             let classified = shadow::classify_access(self.mem, addr, size);
             if let Some(s) = self.sites.as_deref_mut() {
                 s.note_check(addr, 0, false);
@@ -110,9 +100,21 @@ impl<'a> RtEnv<'a> {
     /// path (the hardened allocators' free validation). Faults report
     /// at the calling guest PC and are attributed like any other check.
     pub fn backend_validate(&mut self, ptr: u64, len: u64) -> Option<rest_core::BackendFault> {
+        self.backend_check(ptr, len, false)
+    }
+
+    /// One backend check at the calling guest PC, attributed to the
+    /// site table: the check, and a fault or a newly latched deferred
+    /// fault.
+    fn backend_check(
+        &mut self,
+        ptr: u64,
+        len: u64,
+        store: bool,
+    ) -> Option<rest_core::BackendFault> {
         let addr = self.backend.canonical_addr(ptr);
         let had_deferred = self.backend.has_deferred();
-        let fault = self.backend.check_access(ptr, len, false, self.guest_pc);
+        let fault = self.backend.check_access(ptr, len, store, self.guest_pc);
         if let Some(s) = self.sites.as_deref_mut() {
             s.note_check(addr, 0, self.backend.tags_pointers());
             if fault.is_some() {
@@ -203,19 +205,7 @@ impl<'a> RtEnv<'a> {
             self.rec.store(addr, 8);
             return Ok(());
         }
-        for line in (addr & !63..addr + w).step_by(64) {
-            self.mem.snapshot_line_pre_image(line);
-        }
-        self.rec.arm(addr, w);
-        if self.naive_wide_arm {
-            // Eager value write (the naive wide-store arm the paper's
-            // lazy design avoids): charge the extra w/8−1 store beats as
-            // store-port/SQ occupancy against a scratch line, so the
-            // cost is modelled without perturbing token-bit state.
-            for _ in 1..w / 8 {
-                self.rec.store(NAIVE_ARM_SCRATCH, 8);
-            }
-        }
+        self.record_slot_op(addr, w, true);
         if let Err(kind) = self.armed_mut().arm(addr) {
             return Err(self.token_fault(kind, addr));
         }
@@ -239,20 +229,34 @@ impl<'a> RtEnv<'a> {
             self.mem.fill(addr, w, 0);
             return Ok(());
         }
-        for line in (addr & !63..addr + w).step_by(64) {
-            self.mem.snapshot_line_pre_image(line);
-        }
-        self.rec.disarm(addr, w);
-        if self.naive_wide_arm {
-            for _ in 1..w / 8 {
-                self.rec.store(NAIVE_ARM_SCRATCH, 8);
-            }
-        }
+        self.record_slot_op(addr, w, false);
         if let Err(kind) = self.armed_mut().disarm(addr) {
             return Err(self.token_fault(kind, addr));
         }
         self.mem.fill(addr, w, 0);
         Ok(())
+    }
+
+    /// Records an `arm` (or `disarm`) of the `w`-byte slot at `addr`,
+    /// after snapshotting the pre-image of the lines it covers.
+    fn record_slot_op(&mut self, addr: u64, w: u64, arm: bool) {
+        for line in (addr & !63..addr + w).step_by(64) {
+            self.mem.snapshot_line_pre_image(line);
+        }
+        if arm {
+            self.rec.arm(addr, w);
+        } else {
+            self.rec.disarm(addr, w);
+        }
+        if self.naive_wide_arm {
+            // Eager value write (the naive wide-store arm the paper's
+            // lazy design avoids): charge the extra w/8−1 store beats as
+            // store-port/SQ occupancy against a scratch line, so the
+            // cost is modelled without perturbing token-bit state.
+            for _ in 1..w / 8 {
+                self.rec.store(NAIVE_ARM_SCRATCH, 8);
+            }
+        }
     }
 
     /// Arms every token slot in `[addr, addr+len)`, stopping at the

@@ -156,11 +156,10 @@ impl SiteInfo {
             .map(|s| s.max(1).div_ceil(GRANULE) * GRANULE)
     }
 
-    /// Allocator redzone length on each side of a heap chunk (mirrors
-    /// `rest-runtime`'s `redzone_for`).
+    /// Allocator redzone length on each side of a heap chunk.
     pub(crate) fn redzone_len(&self) -> Option<u64> {
         self.usable_size()
-            .map(|s| (s / 4).clamp(GRANULE, 2048).div_ceil(GRANULE) * GRANULE)
+            .map(|s| rest_runtime::redzone_for(s, GRANULE))
     }
 
     /// Whether the allocator arms redzones around this site's chunks.
