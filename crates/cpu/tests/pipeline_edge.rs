@@ -145,21 +145,43 @@ fn call_ret_chains_predict_well() {
 
 #[test]
 fn heap_runtime_traffic_counts_toward_components() {
-    let mut p = ProgramBuilder::new();
-    p.li(Reg::A0, 256);
-    p.ecall(EcallNum::Malloc);
-    p.ecall(EcallNum::Free);
-    p.halt();
-    let r = System::new(
-        p.build(),
-        SimConfig::isca2018(RtConfig::rest(Mode::Secure, false)),
-    )
-    .run();
+    let run = |rt: &RtConfig, free: bool| {
+        let mut p = ProgramBuilder::new();
+        p.li(Reg::A0, 256);
+        p.ecall(EcallNum::Malloc);
+        if free {
+            p.ecall(EcallNum::Free);
+        }
+        p.halt();
+        System::new(p.build(), SimConfig::isca2018(rt.clone())).run()
+    };
+    let r = run(&RtConfig::rest(Mode::Secure, false), true);
     // Component 1 (allocator) uops must be attributed.
     let alloc_uops = r.core.uops_by_component[1];
     assert!(alloc_uops > 10, "allocator uops: {alloc_uops}");
     // And they are a strict subset of all uops.
     assert!(alloc_uops < r.core.uops);
+    // A free's work is the allocator's too: next to the same program
+    // without it, the application gains one uop per guest instruction
+    // of the call (`li a7` and `ecall`), and nothing of the free.
+    for rt in [
+        RtConfig::plain(),
+        RtConfig::asan(),
+        RtConfig::rest(Mode::Secure, false),
+        RtConfig::mte(MteMode::Sync),
+        RtConfig::pa(),
+    ] {
+        let (with, without) = (run(&rt, true), run(&rt, false));
+        let app = |r: &rest_cpu::SimResult| r.core.uops_by_component[0];
+        let added_insts = with.core.insts - without.core.insts;
+        assert_eq!(added_insts, 2, "{}", rt.label());
+        assert_eq!(app(&with), app(&without) + added_insts, "{}", rt.label());
+        assert!(
+            with.core.uops_by_component[1] > without.core.uops_by_component[1],
+            "{}",
+            rt.label()
+        );
+    }
 }
 
 #[test]

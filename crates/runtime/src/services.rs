@@ -71,21 +71,15 @@ impl Runtime {
     pub fn ecall(&mut self, num: EcallNum, args: [u64; 6], env: &mut RtEnv<'_>) -> EcallOutcome {
         match num {
             EcallNum::Malloc => self.do_malloc(env, args[0]),
-            EcallNum::Free => {
-                env.note_free_site(args[0]);
-                match self.heap.free(env, args[0]) {
-                    Ok(()) => EcallOutcome::Done(0),
-                    Err(v) => EcallOutcome::Violation(v),
-                }
-            }
+            EcallNum::Free => match self.do_free(env, args[0]) {
+                Ok(()) => EcallOutcome::Done(0),
+                Err(v) => EcallOutcome::Violation(v),
+            },
             EcallNum::Calloc => {
                 let bytes = args[0].saturating_mul(args[1]);
                 match self.do_malloc(env, bytes) {
                     EcallOutcome::Done(ptr) if ptr != 0 => {
-                        let prev = env.rec.set_component(Component::Allocator);
-                        let r = self.copy_fill(env, ptr, 0, bytes);
-                        env.rec.set_component(prev);
-                        match r {
+                        match self.as_allocator(env, |rt, env| rt.copy_fill(env, ptr, 0, bytes)) {
                             Ok(()) => EcallOutcome::Done(ptr),
                             Err(v) => EcallOutcome::Violation(v),
                         }
@@ -122,11 +116,22 @@ impl Runtime {
         }
     }
 
-    fn do_malloc(&mut self, env: &mut RtEnv<'_>, size: u64) -> EcallOutcome {
+    /// Runs `f` with the traffic it records charged to
+    /// [`Component::Allocator`]: every allocator entry (malloc, free,
+    /// calloc's zero fill) goes through here.
+    fn as_allocator<'a, T>(
+        &mut self,
+        env: &mut RtEnv<'a>,
+        f: impl FnOnce(&mut Runtime, &mut RtEnv<'a>) -> T,
+    ) -> T {
         let prev = env.rec.set_component(Component::Allocator);
-        let r = self.heap.malloc(env, size);
+        let r = f(self, env);
         env.rec.set_component(prev);
-        match r {
+        r
+    }
+
+    fn do_malloc(&mut self, env: &mut RtEnv<'_>, size: u64) -> EcallOutcome {
+        match self.as_allocator(env, |rt, env| rt.heap.malloc(env, size)) {
             Ok(ptr) => {
                 if ptr != 0 {
                     let len = self.heap.usable_size(ptr).unwrap_or(size).max(size);
@@ -150,14 +155,15 @@ impl Runtime {
         if let Err(v) = self.copy_words(env, new_ptr, ptr, old.min(new_size)) {
             return EcallOutcome::Violation(v);
         }
-        env.note_free_site(ptr);
-        let prev = env.rec.set_component(Component::Allocator);
-        let r = self.heap.free(env, ptr);
-        env.rec.set_component(prev);
-        match r {
+        match self.do_free(env, ptr) {
             Ok(()) => EcallOutcome::Done(new_ptr),
             Err(v) => EcallOutcome::Violation(v),
         }
+    }
+
+    fn do_free(&mut self, env: &mut RtEnv<'_>, ptr: u64) -> Result<(), Violation> {
+        env.note_free_site(ptr);
+        self.as_allocator(env, |rt, env| rt.heap.free(env, ptr))
     }
 
     fn do_memcpy(
