@@ -489,9 +489,10 @@ impl Heap {
     /// into the bin twice and two future mallocs alias — the classic
     /// libc corruption the hardened schemes exist to stop.
     fn free_unvalidated(&mut self, env: &mut RtEnv<'_>, ptr: u64) -> Result<(), Violation> {
+        // Wild pointers wrap, as the hardware's address arithmetic does.
         let chunk = ptr.wrapping_sub(HEADER);
         let total = env.load_u64(chunk);
-        let user = env.load_u64(chunk + 8);
+        let user = env.load_u64(chunk.wrapping_add(8));
         env.rec.alu(self.protection.alu().1);
         self.arena.push(chunk, total);
         note_free(&mut self.stats, user);
@@ -832,6 +833,14 @@ mod tests {
             let mut env = fx.env();
             let p = a.malloc(&mut env, HEAP_LIMIT).unwrap();
             assert_eq!(p, 0);
+        }
+
+        #[test]
+        fn free_of_a_wild_low_pointer_reads_a_wrapped_header() {
+            let (mut fx, mut a) = fx();
+            let mut env = fx.env();
+            a.free(&mut env, 8).unwrap();
+            assert_eq!(a.stats().frees, 1);
         }
 
         #[test]
