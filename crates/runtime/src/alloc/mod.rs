@@ -423,21 +423,19 @@ impl Heap {
                 }
             },
         };
-        info.state = if self.quarantine.is_some() {
-            ChunkState::Quarantined
-        } else {
-            ChunkState::Free
-        };
         let ChunkInfo {
             chunk,
             user,
             layout,
             ..
         } = *info;
-        if self.quarantine.is_some() {
+        info.state = if self.quarantine.is_some() {
             env.rec.load(chunk, 8); // header read
             env.store_u64(chunk + STATE, ChunkState::Quarantined as u64);
-        }
+            ChunkState::Quarantined
+        } else {
+            ChunkState::Free
+        };
         match self.protection {
             // Poison the entire user region as freed memory.
             Protection::Asan => {
