@@ -717,7 +717,8 @@ mod tests {
         assert_eq!(redzone_for(4096, 64), 1024); // size/4
         assert_eq!(redzone_for(1 << 20, 64), 2048); // clamped
         assert_eq!(redzone_for(100, 8), 32); // 25 -> 32
-                                             // Always granule multiples.
+
+        // Always granule multiples.
         for user in [0u64, 1, 7, 100, 5000, 1 << 22] {
             for g in [8u64, 16, 32, 64] {
                 assert_eq!(redzone_for(user, g) % g, 0);
