@@ -40,7 +40,7 @@ type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageHasher>>;
 /// never-written locations return zero, matching demand-zero pages of a
 /// real OS. The timing model keeps *cache state* separately; this type is
 /// the architectural contents of memory, shared by the emulator, the
-/// runtime allocators, and the L1-D token detector (which compares actual
+/// runtime heap, and the L1-D token detector (which compares actual
 /// line bytes against the token value on fill).
 ///
 /// # Example

@@ -51,7 +51,7 @@ pub struct AllocStats {
     pub quarantine_bytes: u64,
     /// Chunks released from quarantine back to the free pool.
     pub quarantine_evictions: u64,
-    /// Invalid/double frees detected (hardened allocators only).
+    /// Invalid/double frees detected (hardened schemes only).
     pub bad_frees: u64,
     /// Chunks reused from the free bins (vs. fresh arena growth).
     pub reuses: u64,

@@ -13,7 +13,7 @@ use crate::violation::{AsanReport, Violation};
 /// The mutable machine context runtime services operate in.
 ///
 /// Bundles the functional memory, the traffic recorder, and the active
-/// protection backend so allocators and libc models can perform
+/// protection backend so the heap and libc models can perform
 /// *recorded, checked* guest-memory operations through one interface.
 #[derive(Debug)]
 pub struct RtEnv<'a> {
@@ -97,7 +97,7 @@ impl<'a> RtEnv<'a> {
     }
 
     /// Backend validation of a pointer outside the checked load/store
-    /// path (the hardened allocators' free validation). Faults report
+    /// path (MTE's and PA's free validation). Faults report
     /// at the calling guest PC and are attributed like any other check.
     pub fn backend_validate(&mut self, ptr: u64, len: u64) -> Option<rest_core::BackendFault> {
         self.backend_check(ptr, len, false)
@@ -176,7 +176,7 @@ impl<'a> RtEnv<'a> {
     // --- token operations ---
 
     /// The armed set behind the backend. Token operations are only
-    /// reachable from the REST allocator and stackguard, whose backend
+    /// reachable from the REST heap and stackguard, whose backend
     /// always carries one.
     fn armed_mut(&mut self) -> &mut rest_core::ArmedSet {
         self.backend

@@ -40,7 +40,7 @@
 //! | [`core`] | `rest-core` | tokens, REST exceptions, Table I spec |
 //! | [`mem`] | `rest-mem` | caches, MSHRs, DRAM, the token detector |
 //! | [`cpu`] | `rest-cpu` | emulator + out-of-order timing model |
-//! | [`runtime`] | `rest-runtime` | libc/ASan/REST allocators, stack pass |
+//! | [`runtime`] | `rest-runtime` | one heap for every scheme, stack pass |
 //! | [`workloads`] | `rest-workloads` | the 12 SPEC-like benchmarks |
 //! | [`attacks`] | `rest-attacks` | the §V security scenarios |
 //! | [`verify`] | `rest-verify` | static ARM/DISARM verifier + `restlint` |
